@@ -1,9 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"edem/internal/core"
+	"edem/internal/dataset"
+	"edem/internal/propane"
 )
 
 // TestCmdCampaignFlagValidation pins the target-selection errors that
@@ -75,45 +81,43 @@ func TestCmdCampaignStopAndResume(t *testing.T) {
 	}
 }
 
-// TestCmdCampaignFork drives the fork fast path through the CLI: a
-// forked journaled campaign is stopped, resumed with -fork still on,
-// and the forked ARFF must be byte-identical to the slow path's.
+// TestCmdCampaignFork: the ARFF the CLI writes (forked, the default)
+// is byte-identical to one converted from the same campaign run on the
+// slow path — the target wrapped so that it no longer implements
+// Forkable.
 func TestCmdCampaignFork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign; skipped in -short mode")
 	}
-	journal := filepath.Join(t.TempDir(), "journal")
 	scale := []string{"-dataset", "MG-A1", "-scale", "2", "-stride", "16"}
-
-	args := append([]string{"campaign", "-journal", journal, "-shards", "6", "-stop-after", "2", "-fork"}, scale...)
-	if err := run(args); err != nil {
-		t.Fatalf("interrupted forked campaign should exit cleanly: %v", err)
-	}
-	args = append([]string{"campaign", "-journal", journal, "-shards", "6", "-resume", "-fork"}, scale...)
-	if err := run(args); err != nil {
-		t.Fatalf("forked resume: %v", err)
+	forked := filepath.Join(t.TempDir(), "forked.arff")
+	if err := run(append([]string{"inject", "-arff", forked}, scale...)); err != nil {
+		t.Fatalf("inject: %v", err)
 	}
 
-	dir := t.TempDir()
-	forked := filepath.Join(dir, "forked.arff")
-	slow := filepath.Join(dir, "slow.arff")
-	args = append([]string{"inject", "-fork", "-arff", forked}, scale...)
-	if err := run(args); err != nil {
-		t.Fatalf("forked inject: %v", err)
-	}
-	args = append([]string{"inject", "-arff", slow}, scale...)
-	if err := run(args); err != nil {
-		t.Fatalf("slow inject: %v", err)
-	}
-	a, err := os.ReadFile(forked)
+	opts := core.DefaultOptions()
+	opts.TestCases, opts.BitStride = 2, 16
+	target, spec, err := core.SpecFor("MG-A1", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(slow)
+	camp, err := propane.Run(context.Background(), struct{ propane.Target }{target}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(a) != string(b) {
+	d, err := core.Preprocess(context.Background(), camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slow bytes.Buffer
+	if err := dataset.WriteARFF(&slow, d); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(forked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, slow.Bytes()) {
 		t.Fatal("forked ARFF differs from slow-path ARFF")
 	}
 }

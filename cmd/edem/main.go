@@ -96,8 +96,8 @@ func usage() {
 
 commands:
   campaign  -dataset ID|-all -journal DIR [-resume]       run a resumable fault-injection campaign
-            [-shards N] [-timeout D] [-max-retries N] [-stop-after N] [-stats]
-            [-fork]  fork injected runs from per-column golden snapshots (~10x)
+            [-shards N] [-timeout D] [-max-retries N] [-stop-after N]
+            [-stats]  per-variable summary + fork fast-path counts and fallbacks
             [-incremental]  after a spec change, re-run only invalidated shards
   fabric    serve -dataset ID -journal DIR [-addr H:P]    coordinate a distributed campaign
             [-resume] [-incremental] [-lease-ttl D] [-linger D]
@@ -126,7 +126,7 @@ commands:
   rank      -dataset ID [-method ig|gr|su]                rank the module variables by class information
   list                                                    list Table II dataset IDs
 
-common flags (all commands): -seed N -scale N -stride N -workers N -journal DIR -fork
+common flags (all commands): -seed N -scale N -stride N -workers N -journal DIR
 fault model:  -fault-model transient|burst|stuckat|intermittent
               -burst-width N (burst)   -persist N (intermittent)
               non-transient models version the plan hash; transient stays byte-identical
@@ -149,7 +149,6 @@ func commonOpts(fs *flag.FlagSet) (*core.Options, *telemetryCfg) {
 	fs.IntVar(&opts.BitStride, "stride", opts.BitStride, "bit sampling stride (1 = every bit, the paper's setting)")
 	fs.IntVar(&opts.Workers, "workers", 0, "global worker budget shared across all nesting levels (0 = all cores)")
 	fs.StringVar(&opts.Journal, "journal", "", "campaign checkpoint root (one journal per dataset under DIR)")
-	fs.BoolVar(&opts.Fork, "fork", false, "enable the golden-state forking fast path for Forkable targets (bit-identical results, ~10x faster campaigns)")
 	// The fault-model axis. The default (transient, width 1, persist 1)
 	// reproduces today's campaigns byte-for-byte: same plan hash, same
 	// journal, same ARFF.
@@ -279,7 +278,7 @@ func cmdCampaign(args []string) error {
 	resume := fs.Bool("resume", false, "continue an existing journal instead of refusing it")
 	incremental := fs.Bool("incremental", false, "with -resume: after a spec/target change, keep shards whose test-case sections are unchanged and re-run only the invalidated ones")
 	stopAfter := fs.Int("stop-after", 0, "stop gracefully after N new checkpoints (0 = run to completion); the journal stays resumable")
-	showStats := fs.Bool("stats", false, "print the per-variable failure summary")
+	showStats := fs.Bool("stats", false, "print the per-variable failure summary and the fork fast path's counts (forked, converged, memoized, fallbacks)")
 	opts, tel := commonOpts(fs)
 	fs.IntVar(&opts.Shards, "shards", 0, "checkpoint shard count (0 = ~256 runs per shard)")
 	fs.DurationVar(&opts.RunTimeout, "timeout", 0, "per-run watchdog; hung runs are retried then skipped (0 = none)")
@@ -376,7 +375,7 @@ func runOneCampaign(parent context.Context, id string, opts *core.Options, stopA
 	}
 	fmt.Printf("  %d injected runs, %d usable, %d failures\n",
 		len(c.Records), c.Usable(), c.Failures())
-	if f := res.Fork; f.Forked > 0 || f.Fallbacks > 0 {
+	if f := res.Fork; showStats && (f.Forked > 0 || f.Fallbacks > 0) {
 		fmt.Printf("  fork fast path: %d snapshots, %d forked (%d converged, %d memoized), %d fallbacks\n",
 			f.Snapshots, f.Forked, f.Converged, f.MemoHits, f.Fallbacks)
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -138,37 +139,6 @@ type checkpoint struct {
 	Shard   int           `json:"shard"`
 	Records []recordJSON  `json:"records"`
 	Skipped []SkippedCell `json:"skipped,omitempty"`
-	// Fork records the shard's fast-path statistics when the shard was
-	// executed with Config.Fork; absent otherwise (and in journals
-	// written before the fast path existed). Restored shards report
-	// these stats instead of re-earning them, so a resumed campaign's
-	// Result reflects what actually happened.
-	Fork *forkShardStats `json:"fork,omitempty"`
-}
-
-// forkShardStats is the per-shard slice of propane.ForkStats that is
-// attributable to a shard (snapshots are shared across shards and
-// excluded).
-type forkShardStats struct {
-	Forked    int64 `json:"forked,omitempty"`
-	Converged int64 `json:"conv,omitempty"`
-	MemoHits  int64 `json:"memo,omitempty"`
-	Fallbacks int64 `json:"fb,omitempty"`
-}
-
-func (s *forkShardStats) observe(oc propane.ForkOutcome) {
-	switch oc {
-	case propane.ForkRan:
-		s.Forked++
-	case propane.ForkConverged:
-		s.Forked++
-		s.Converged++
-	case propane.ForkMemoized:
-		s.Forked++
-		s.MemoHits++
-	case propane.ForkFellBack:
-		s.Fallbacks++
-	}
 }
 
 // recordJSON is the journal encoding of propane.Record. State values
@@ -399,8 +369,11 @@ func readCheckpoints(dir, planHash string, dropForeign bool) (done map[int]check
 	return done, torn, foreign, nil
 }
 
-// writeCheckpointLog stages a full checkpoint log (tmp + rename +
-// fsync) holding exactly the given shards in ascending shard order.
+// writeCheckpointLog makes the checkpoint log hold exactly the given
+// shards, one canonical line each, in ascending shard order. A log
+// already holding those bytes is left untouched — the common case when
+// sealing an uninterrupted local run; otherwise the log is staged and
+// swapped in (tmp + fsync + rename).
 func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 	shards := make([]int, 0, len(cps))
 	for s := range cps {
@@ -415,7 +388,11 @@ func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 		}
 		buf = append(buf, line...)
 	}
-	tmp := filepath.Join(dir, checkpointsName+".tmp")
+	path := filepath.Join(dir, checkpointsName)
+	if cur, err := os.ReadFile(path); err == nil && bytes.Equal(cur, buf) {
+		return nil
+	}
+	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -431,62 +408,24 @@ func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, checkpointsName))
+	return os.Rename(tmp, path)
 }
 
 // sealJournal compacts a completed journal into its canonical form:
-// one checkpoint line per shard, in ascending shard order, duplicates
-// (work-stealing races) and torn tails dropped. Sealing is what makes
-// completed journals comparable byte-for-byte across execution paths —
-// a local run, a resumed run and a multi-worker fabric run of the same
-// plan all seal to identical bytes. A journal already in canonical
-// form is left untouched.
+// one checkpoint line per shard, in ascending shard order, each line
+// re-encoded by the canonical encoder, duplicates (work-stealing races)
+// and torn tails dropped. Sealing is what makes completed journals
+// comparable byte-for-byte across execution paths — a local run, a
+// resumed run and a multi-worker fabric run of the same plan all seal
+// to identical bytes. Re-encoding also drops fields the current format
+// lacks, such as the per-shard fork statistics older binaries wrote.
 func sealJournal(dir, planHash string, shards int) error {
-	cps, torn, _, err := readCheckpoints(dir, planHash, false)
+	cps, _, _, err := readCheckpoints(dir, planHash, false)
 	if err != nil {
 		return err
 	}
 	if len(cps) != shards {
 		return fmt.Errorf("campaign: seal: journal has %d of %d shards", len(cps), shards)
 	}
-	if torn == 0 {
-		canonical, err := isCanonicalLog(dir, shards)
-		if err != nil {
-			return err
-		}
-		if canonical {
-			return nil
-		}
-	}
 	return writeCheckpointLog(dir, cps)
-}
-
-// isCanonicalLog reports whether the checkpoint log already holds
-// exactly one line per shard in ascending order (so sealing can skip
-// the rewrite — the common case for an uninterrupted local run).
-func isCanonicalLog(dir string, shards int) (bool, error) {
-	f, err := os.Open(filepath.Join(dir, checkpointsName))
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
-	next := 0
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var cp struct {
-			Shard int `json:"shard"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &cp); err != nil || cp.Shard != next {
-			return false, nil
-		}
-		next++
-	}
-	if err := sc.Err(); err != nil {
-		return false, err
-	}
-	return next == shards, nil
 }

@@ -84,9 +84,6 @@ type Options struct {
 	// MaxRetries is the number of extra attempts for an infrastructure
 	// failure (hang, engine panic) before a cell is skipped.
 	MaxRetries int
-	// Fork enables the campaign engine's golden-state forking fast
-	// path (bit-identical to the slow path; see campaign.Config.Fork).
-	Fork bool
 
 	// Fault selects the fault model for every campaign built from these
 	// options (transient single bit-flip by default; see bitflip.Fault).
@@ -102,7 +99,6 @@ func (o Options) CampaignConfig(id string) campaign.Config {
 		Shards:     o.Shards,
 		Timeout:    o.RunTimeout,
 		MaxRetries: o.MaxRetries,
-		Fork:       o.Fork,
 	}
 	if o.Journal != "" {
 		cfg.Journal = filepath.Join(o.Journal, id)

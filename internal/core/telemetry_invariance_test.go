@@ -48,6 +48,11 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		snap := reg.Snapshot()
+		// How a forked cell ends early depends on which cell of its
+		// column reaches the shared verdict memo first, so these two
+		// split the same forked cells differently from run to run.
+		delete(snap.Counters, "campaign.fork_converged")
+		delete(snap.Counters, "campaign.fork_memo_hits")
 		c := counts{
 			Counters:  snap.Counters,
 			HistCount: map[string]int64{},

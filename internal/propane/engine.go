@@ -45,12 +45,6 @@ type Spec struct {
 	// job enumeration — every model injects at the same (tc, var, bit,
 	// time) cells — only what each injection does to the variable.
 	Fault bitflip.Fault
-	// Fork opts into the golden-state forking fast path for targets
-	// implementing Forkable (see fork.go). It is an execution knob, not
-	// a result-determining parameter: records are bit-identical with it
-	// on or off, and it is deliberately excluded from campaign plan
-	// hashes. Non-Forkable targets fall back to the slow path.
-	Fork bool
 }
 
 // Validate checks the spec for structural problems.
@@ -240,8 +234,9 @@ var ErrModuleNotFound = errors.New("propane: module not found in target")
 //
 // Each campaign is recorded as a "campaign" telemetry phase; the
 // campaign.* counters (runs injected, states sampled, failure labels,
-// crashes, golden runs) and the campaign.run_ns per-run wall-clock
-// histogram report where fault-injection volume goes.
+// crashes, golden runs), the campaign.fork_* fast-path counters and
+// the campaign.run_ns per-run wall-clock histogram report where
+// fault-injection volume goes.
 func Run(ctx context.Context, target Target, spec Spec) (*Campaign, error) {
 	ctx, span := telemetry.StartSpan(ctx, "campaign")
 	defer span.End()
@@ -269,16 +264,10 @@ func Run(ctx context.Context, target Target, spec Spec) (*Campaign, error) {
 	reg.Counter("campaign.golden_runs").Add(int64(len(tcs)))
 	metrics := NewRunMetrics(reg).WithFault(spec.Fault)
 
-	// Fast path: fork every cell of a column from one golden snapshot
-	// instead of re-running the fault-free prefix per cell. Opt-in, and
-	// only for targets that implement the Forkable contract; results
-	// are bit-identical either way (see fork.go).
-	var fork *ForkRunner
-	if spec.Fork {
-		if ft, ok := target.(Forkable); ok {
-			fork = NewForkRunner(ft, spec, mod)
-		}
-	}
+	// Every cell of a Forkable target forks from its column's golden
+	// snapshot (see fork.go); RunJob, the slow path, is the counted
+	// fallback. Results are bit-identical either way.
+	fork := NewForkRunner(target, spec, mod)
 
 	// Injected runs are independent, so they fan out on the shared
 	// scheduler; indexed writes keep records in job order regardless of
@@ -291,16 +280,7 @@ func Run(ctx context.Context, target Target, spec Spec) (*Campaign, error) {
 			runStart = time.Now()
 		}
 		j := jobs[idx]
-		var rec Record
-		fromFork := false
-		if fork != nil {
-			var outcome ForkOutcome
-			rec, outcome = fork.RunJob(j.TC, tcs[j.TC], golden[j.TC], j)
-			fromFork = outcome.FromFork()
-		}
-		if !fromFork {
-			rec = RunJob(target, spec, mod, tcs[j.TC], golden[j.TC], j)
-		}
+		rec := fork.RunJob(j.TC, tcs[j.TC], golden[j.TC], j)
 		records[idx] = rec
 		if metrics.Enabled() {
 			metrics.Observe(rec, time.Since(runStart))
@@ -309,9 +289,7 @@ func Run(ctx context.Context, target Target, spec Spec) (*Campaign, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("propane: campaign cancelled: %w", err)
 	}
-	if fork != nil {
-		fork.Report(reg)
-	}
+	fork.Report(reg)
 
 	varNames := make([]string, len(mod.Vars))
 	for i, v := range mod.Vars {
@@ -406,11 +384,12 @@ func RunGolden(target Target, tc TestCase) (any, error) {
 	return runSafely(target, tc, NopProbe{})
 }
 
-// RunJob performs the single injected run identified by j and
-// classifies its outcome. tc and golden must correspond to j.TC, and
-// mod to spec.Module. It never returns an error: crashes provoked by
-// the injected corruption are data (Record.Crashed), not failures of
-// the campaign machinery.
+// RunJob performs the single injected run identified by j from the
+// start of the test case and classifies its outcome — the slow path
+// that ForkRunner.RunJob falls back to. tc and golden must correspond
+// to j.TC, and mod to spec.Module. It never returns an error: crashes
+// provoked by the injected corruption are data (Record.Crashed), not
+// failures of the campaign machinery.
 func RunJob(target Target, spec Spec, mod ModuleInfo, tc TestCase, golden any, j Job) Record {
 	return runInjected(target, spec, mod, tc, golden, j.Var, j.Bit, j.Time)
 }

@@ -1,6 +1,6 @@
 // Golden-state forking and benign-convergence memoization — the
-// campaign fast path (ROADMAP item 1, after ZOFI's fork-from-snapshot
-// and FastFlip's memoized verdicts).
+// campaign execution engine (after ZOFI's fork-from-snapshot and
+// FastFlip's memoized verdicts).
 //
 // The slow path executes every cell of the injection space from
 // iteration zero, re-running the fault-free prefix before the injection
@@ -11,7 +11,8 @@
 // whose post-injection state re-converges with the golden trajectory
 // (or matches a previously memoized post-injection state) terminate
 // early with the golden (or memoized) verdict instead of running to
-// completion.
+// completion. Cells the fast path cannot take fall back to the slow
+// path, counted.
 //
 // Bit-identity with the slow path rests on one invariant: State
 // captures the COMPLETE resumable execution state, so equal digests at
@@ -184,9 +185,10 @@ func nextCheckStep(s int) int {
 
 // ForkStats counts fast-path events. Snapshots counts golden columns
 // captured; Forked counts cells executed from a snapshot; Converged and
-// MemoHits count early terminations; Fallbacks counts cells that had to
-// take the slow path (no snapshot, unreachable position, or a golden
-// fork that failed verification).
+// MemoHits count early terminations; Fallbacks counts cells that ran on
+// the slow path (a target that is not Forkable, a persistent fault
+// model, an unreachable position, or a golden fork that failed
+// verification).
 type ForkStats struct {
 	Snapshots int64
 	Forked    int64
@@ -195,31 +197,15 @@ type ForkStats struct {
 	Fallbacks int64
 }
 
-// ForkOutcome classifies how a fork-path cell was resolved.
-type ForkOutcome int
-
-const (
-	// ForkFellBack: no usable snapshot — the caller must run the cell
-	// on the slow path.
-	ForkFellBack ForkOutcome = iota
-	// ForkRan: executed from the snapshot to natural completion.
-	ForkRan
-	// ForkConverged: early-terminated on golden-trajectory
-	// re-convergence.
-	ForkConverged
-	// ForkMemoized: early-terminated on a memoized verdict.
-	ForkMemoized
-)
-
-// FromFork reports whether the cell was resolved on the fast path.
-func (o ForkOutcome) FromFork() bool { return o != ForkFellBack }
-
-// ForkRunner executes injection cells on the fork fast path. It caches
-// one golden column per (test case, injection time) — the snapshot, the
-// golden trajectory's digest trail and the golden output — and a
-// per-column memo of post-injection verdicts. Safe for concurrent use.
+// ForkRunner is the campaign execution engine for injection cells. It
+// forks every cell it can from a cached golden column per (test case,
+// injection time) — the snapshot, the golden trajectory's digest trail
+// and the golden output — with a per-column memo of post-injection
+// verdicts, and runs the rest on the slow path (RunJob), counting each
+// such fallback. Safe for concurrent use.
 type ForkRunner struct {
-	target Forkable
+	target Target
+	ft     Forkable // nil when target does not implement Forkable
 	spec   Spec
 	mod    ModuleInfo
 
@@ -272,10 +258,12 @@ func (c *forkColumn) memoPut(d Digest, v verdict) {
 	}
 }
 
-// NewForkRunner builds a fork runner for one campaign. spec and mod
+// NewForkRunner builds the cell runner for one campaign. spec and mod
 // must be the validated spec and resolved module the campaign runs.
-func NewForkRunner(target Forkable, spec Spec, mod ModuleInfo) *ForkRunner {
-	return &ForkRunner{target: target, spec: spec, mod: mod, cols: make(map[colKey]*forkColumn)}
+// Golden columns are built lazily, on a column's first cell.
+func NewForkRunner(target Target, spec Spec, mod ModuleInfo) *ForkRunner {
+	ft, _ := target.(Forkable)
+	return &ForkRunner{target: target, ft: ft, spec: spec, mod: mod, cols: make(map[colKey]*forkColumn)}
 }
 
 // Stats returns a snapshot of the fast-path counters.
@@ -313,7 +301,7 @@ func (f *ForkRunner) column(tcIdx int, tc TestCase, golden any, t int) *forkColu
 	f.mu.Unlock()
 
 	col.once.Do(func() {
-		base, ok, err := f.target.Snapshot(tc, f.spec.Module, f.spec.InjectAt, t)
+		base, ok, err := f.ft.Snapshot(tc, f.spec.Module, f.spec.InjectAt, t)
 		if err != nil || !ok || base == nil {
 			return // col.ok stays false: every cell of this column falls back
 		}
@@ -328,7 +316,7 @@ func (f *ForkRunner) column(tcIdx int, tc TestCase, golden any, t int) *forkColu
 			}
 			return false
 		}}
-		out, err := runFromSafely(f.target, base.Clone(), NopProbe{}, ctl)
+		out, err := runFromSafely(f.ft, base.Clone(), NopProbe{}, ctl)
 		if err != nil {
 			return
 		}
@@ -349,26 +337,33 @@ func (f *ForkRunner) column(tcIdx int, tc TestCase, golden any, t int) *forkColu
 	return col
 }
 
-// RunJob executes one cell on the fast path. tcIdx, tc and golden must
-// correspond to j.TC. When the returned outcome is ForkFellBack the
-// record is meaningless and the caller must run the slow path.
-func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, ForkOutcome) {
+// RunJob executes one cell and classifies its outcome, bit-identically
+// to the slow path RunJob: forked from its column's golden snapshot
+// when the fast path applies, otherwise on the slow path, counted as a
+// fallback. tcIdx, tc and golden must correspond to j.TC.
+func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) Record {
+	if rec, ok := f.runForked(tcIdx, tc, golden, j); ok {
+		return rec
+	}
+	f.fallbacks.Add(1)
+	return RunJob(f.target, f.spec, f.mod, tc, golden, j)
+}
+
+// runForked executes one cell on the fast path; ok=false means the fast
+// path does not apply and the record is meaningless.
+func (f *ForkRunner) runForked(tcIdx int, tc TestCase, golden any, j Job) (Record, bool) {
 	// Persistent fault models (stuck-at, intermittent) break the fast
 	// path's soundness argument: convergence and memoization both rest
 	// on "equal complete state ⇒ identical remaining execution", but a
 	// persistent probe carries future re-assertions that no target
 	// snapshot captures — two runs in equal states can still diverge
-	// when the fault re-asserts. Refuse the whole cell up front; the
-	// fallback is counted (campaign.fork_fallbacks, ForkStats), never
-	// silent.
-	if f.spec.Fault.Persistent() {
-		f.fallbacks.Add(1)
-		return Record{}, ForkFellBack
+	// when the fault re-asserts. Refuse the whole cell up front.
+	if f.ft == nil || f.spec.Fault.Persistent() {
+		return Record{}, false
 	}
 	col := f.column(tcIdx, tc, golden, j.Time)
 	if !col.ok {
-		f.fallbacks.Add(1)
-		return Record{}, ForkFellBack
+		return Record{}, false
 	}
 
 	// The resumed visit stream starts exactly at the trigger visit, so
@@ -415,7 +410,7 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, 
 		return false
 	}}
 
-	out, err := runFromSafely(f.target, col.base.Clone(), probe, ctl)
+	out, err := runFromSafely(f.ft, col.base.Clone(), probe, ctl)
 	f.forked.Add(1)
 
 	rec := Record{
@@ -428,7 +423,6 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, 
 		Sampled:       probe.sampled,
 		FlipErr:       probe.flipErr,
 	}
-	outcome := ForkRan
 	switch {
 	case errors.Is(err, ErrConverged) && memoV != nil:
 		// An earlier cell of this column reached the same complete
@@ -436,14 +430,12 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, 
 		// verdict — are identical by determinism.
 		rec.Failure, rec.Crashed = memoV.failure, memoV.crashed
 		f.memoHits.Add(1)
-		outcome = ForkMemoized
 	case errors.Is(err, ErrConverged) && matched:
 		// Re-converged with the golden trajectory: the remainder equals
 		// the golden remainder, so the outcome equals the golden output
 		// and the slow path's Failed call reduces to this one.
 		rec.Failure = f.target.Failed(tc, golden, col.goldenOut)
 		f.converged.Add(1)
-		outcome = ForkConverged
 		if haveD1 {
 			col.memoPut(d1, verdict{failure: rec.Failure, crashed: false})
 		}
@@ -461,7 +453,7 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, 
 			col.memoPut(d1, verdict{failure: rec.Failure, crashed: false})
 		}
 	}
-	return rec, outcome
+	return rec, true
 }
 
 // runFromSafely mirrors runSafely for resumed runs: target panics

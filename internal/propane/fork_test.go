@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edem/internal/bitflip"
+	"edem/internal/telemetry"
 )
 
 // forkToy is the Forkable analog of toyTarget: module "M" activates
@@ -157,6 +158,11 @@ func (ft *forkToy) RunFrom(st State, probe Probe, ctl *RunControl) (any, error) 
 
 var _ Forkable = (*forkToy)(nil)
 
+// slowPath wraps a target so it no longer implements Forkable, which
+// forces every cell onto the slow path: the equivalence oracle for the
+// default (forking) engine.
+func slowPath(t Target) Target { return struct{ Target }{t} }
+
 // sameRecords compares record slices bit-exactly: sampled states are
 // compared by IEEE-754 bit pattern, since corrupted runs legitimately
 // sample NaN (where == would lie).
@@ -238,8 +244,9 @@ func TestNextCheckStep(t *testing.T) {
 	}
 }
 
-// TestForkEquivalence pins the tentpole invariant at the propane level:
-// the same spec with and without Fork yields bit-identical records.
+// TestForkEquivalence pins the engine's invariant at the propane level:
+// the default (forking) path and the slow path yield bit-identical
+// records for the same spec.
 func TestForkEquivalence(t *testing.T) {
 	for _, at := range []struct {
 		name           string
@@ -252,11 +259,10 @@ func TestForkEquivalence(t *testing.T) {
 		t.Run(at.name, func(t *testing.T) {
 			spec := toySpec()
 			spec.InjectAt, spec.SampleAt = at.inject, at.sample
-			slow, err := Run(context.Background(), &forkToy{}, spec)
+			slow, err := Run(context.Background(), slowPath(&forkToy{}), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.Fork = true
 			fast, err := Run(context.Background(), &forkToy{}, spec)
 			if err != nil {
 				t.Fatal(err)
@@ -266,39 +272,9 @@ func TestForkEquivalence(t *testing.T) {
 	}
 }
 
-// TestForkNonForkableFallback: Fork on a target without the Forkable
-// interface is a silent no-op, not an error.
-func TestForkNonForkableFallback(t *testing.T) {
-	spec := toySpec()
-	slow, err := Run(context.Background(), &toyTarget{}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Fork = true
-	fast, err := Run(context.Background(), &toyTarget{}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRecords(t, fast.Records, slow.Records)
-}
-
-// TestForkRunnerStats: the fast path actually forks, converges on dead
-// state and memoizes repeated post-injection states.
-func TestForkRunnerStats(t *testing.T) {
-	target := &forkToy{Ticks: 40}
-	spec := toySpec()
-	spec.Fork = true
-	camp, err := Run(context.Background(), target, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(camp.Records) == 0 {
-		t.Fatal("no records")
-	}
-	// Rebuild a runner directly to observe the counters.
-	mod, _ := Module(target, "M")
-	f := NewForkRunner(target, spec, mod)
-	tcs := target.TestCases(spec.TestCases, spec.Seed)
+// goldensFor runs the fault-free golden run of every test case.
+func goldensFor(t *testing.T, target Target, tcs []TestCase) []any {
+	t.Helper()
 	goldens := make([]any, len(tcs))
 	for i, tc := range tcs {
 		out, err := RunGolden(target, tc)
@@ -307,17 +283,55 @@ func TestForkRunnerStats(t *testing.T) {
 		}
 		goldens[i] = out
 	}
-	slow, err := Run(context.Background(), target, func() Spec { s := spec; s.Fork = false; return s }())
+	return goldens
+}
+
+// TestForkNonForkableFallback: a target without the Forkable interface
+// runs every cell on the slow path — records equal to RunJob's — and
+// every such cell is a counted fallback, in the runner's stats and in
+// campaign.fork_fallbacks.
+func TestForkNonForkableFallback(t *testing.T) {
+	target := &toyTarget{}
+	spec := toySpec()
+	mod, _ := Module(target, "M")
+	tcs := target.TestCases(spec.TestCases, spec.Seed)
+	goldens := goldensFor(t, target, tcs)
+	jobs := spec.Jobs(mod)
+	f := NewForkRunner(target, spec, mod)
+	for _, j := range jobs {
+		got := f.RunJob(j.TC, tcs[j.TC], goldens[j.TC], j)
+		want := RunJob(target, spec, mod, tcs[j.TC], goldens[j.TC], j)
+		sameRecords(t, []Record{got}, []Record{want})
+	}
+	if st := f.Stats(); st != (ForkStats{Fallbacks: int64(len(jobs))}) {
+		t.Fatalf("non-Forkable stats %+v, want %d fallbacks and nothing else", st, len(jobs))
+	}
+
+	reg := telemetry.New()
+	if _, err := Run(telemetry.WithRegistry(context.Background(), reg), target, spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("campaign.fork_fallbacks").Value(); got != int64(len(jobs)) {
+		t.Fatalf("campaign.fork_fallbacks = %d, want %d", got, len(jobs))
+	}
+}
+
+// TestForkRunnerStats: the fast path actually forks, converges on dead
+// state and memoizes repeated post-injection states.
+func TestForkRunnerStats(t *testing.T) {
+	target := &forkToy{Ticks: 40}
+	spec := toySpec()
+	mod, _ := Module(target, "M")
+	f := NewForkRunner(target, spec, mod)
+	tcs := target.TestCases(spec.TestCases, spec.Seed)
+	goldens := goldensFor(t, target, tcs)
+	slow, err := Run(context.Background(), slowPath(target), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var recs []Record
 	for _, j := range spec.Jobs(mod) {
-		rec, oc := f.RunJob(j.TC, tcs[j.TC], goldens[j.TC], j)
-		if !oc.FromFork() {
-			t.Fatalf("job %+v fell back", j)
-		}
-		recs = append(recs, rec)
+		recs = append(recs, f.RunJob(j.TC, tcs[j.TC], goldens[j.TC], j))
 	}
 	sameRecords(t, recs, slow.Records)
 	st := f.Stats()
@@ -351,19 +365,15 @@ func TestForkSelfCheck(t *testing.T) {
 	}
 	f := NewForkRunner(target, spec, mod)
 	jobs := spec.Jobs(mod)
-	_, oc := f.RunJob(jobs[0].TC, tcs[jobs[0].TC], golden, jobs[0])
-	if oc != ForkFellBack {
-		t.Fatalf("unsound decomposition not refused: outcome %v", oc)
-	}
-	if st := f.Stats(); st.Fallbacks == 0 || st.Snapshots != 0 {
-		t.Fatalf("self-check stats: %+v", st)
+	f.RunJob(jobs[0].TC, tcs[jobs[0].TC], golden, jobs[0])
+	if st := f.Stats(); st != (ForkStats{Fallbacks: 1}) {
+		t.Fatalf("unsound decomposition not refused: stats %+v, want 1 fallback and nothing else", st)
 	}
 	// End-to-end, the engine's fallback keeps results correct anyway.
-	slow, err := Run(context.Background(), &forkToy{}, spec)
+	slow, err := Run(context.Background(), slowPath(&forkToy{}), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Fork = true
 	fast, err := Run(context.Background(), target, spec)
 	if err != nil {
 		t.Fatal(err)

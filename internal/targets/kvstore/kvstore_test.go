@@ -143,11 +143,11 @@ func TestForkEquivalence(t *testing.T) {
 				spec := kvSpec(1)
 				spec.Module = module
 				spec.InjectAt, spec.SampleAt = at.inject, at.sample
-				slow, err := propane.Run(context.Background(), kvstore.System{}, spec)
+				// Embedding hides Forkable, forcing the slow path: the oracle.
+				slow, err := propane.Run(context.Background(), struct{ propane.Target }{kvstore.System{}}, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				spec.Fork = true
 				fast, err := propane.Run(context.Background(), kvstore.System{}, spec)
 				if err != nil {
 					t.Fatal(err)
@@ -163,11 +163,10 @@ func TestForkEquivalence(t *testing.T) {
 func TestBurstFork(t *testing.T) {
 	spec := kvSpec(1)
 	spec.Fault = bitflip.Fault{Model: bitflip.Burst, Width: 3}
-	slow, err := propane.Run(context.Background(), kvstore.System{}, spec)
+	slow, err := propane.Run(context.Background(), struct{ propane.Target }{kvstore.System{}}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Fork = true
 	fast, err := propane.Run(context.Background(), kvstore.System{}, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +208,6 @@ func TestPipelineSmoke(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.TestCases = 2
 	opts.BitStride = 16
-	opts.Fork = true
 	d, camp, err := core.BuildDataset(context.Background(), "KV-A2", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -67,11 +67,11 @@ func TestForkEquivalence(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			spec := forkSpec(cfg.module, cfg.inject, cfg.sample)
-			slow, err := propane.Run(context.Background(), forkTarget(), spec)
+			// Embedding hides Forkable, forcing the slow path: the oracle.
+			slow, err := propane.Run(context.Background(), struct{ propane.Target }{forkTarget()}, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.Fork = true
 			fast, err := propane.Run(context.Background(), forkTarget(), spec)
 			if err != nil {
 				t.Fatal(err)

@@ -34,8 +34,8 @@ type PhaseSnapshot struct {
 	// busy time, not elapsed time; it equals elapsed time only for
 	// serial execution (-workers 1).
 	NS int64 `json:"ns"`
-	// Allocs is the heap objects allocated during the spans
-	// (process-wide counter deltas — an upper bound under parallelism).
+	// Allocs is the heap objects allocated during the spans: approximate
+	// process-wide counter deltas (see heapAllocsSample).
 	Allocs int64 `json:"allocs"`
 }
 

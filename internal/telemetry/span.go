@@ -81,9 +81,12 @@ func (s *Span) End() time.Duration {
 
 // heapAllocsSample names the runtime metric used for per-span
 // allocation deltas: cumulative heap objects allocated. runtime/metrics
-// reads are cheap (no stop-the-world), but the count is process-wide,
-// so spans that overlap concurrent work attribute each other's
-// allocations; treat the column as an upper bound under parallelism.
+// reads are cheap (no stop-the-world), but the count is approximate in
+// both directions. It is process-wide, so spans that overlap concurrent
+// work attribute each other's allocations. And small objects (up to
+// 32 KiB) are counted only when a per-P allocation cache is flushed, so
+// a short span may miss some of its own small allocations, or be
+// charged for earlier ones; large objects are counted as allocated.
 const heapAllocsSample = "/gc/heap/allocs:objects"
 
 func heapAllocs() uint64 {

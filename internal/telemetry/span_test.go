@@ -96,20 +96,25 @@ func TestContextRegistryOverridesDefault(t *testing.T) {
 	}
 }
 
+// allocSink keeps TestSpanAllocsTracked's objects on the heap.
+var allocSink [][]byte
+
+// TestSpanAllocsTracked allocates objects above the runtime's 32 KiB
+// large-object threshold: those reach /gc/heap/allocs:objects as they
+// are allocated, while small objects are counted only when a per-P
+// cache flushes, so a small-object count can lag behind the span.
 func TestSpanAllocsTracked(t *testing.T) {
+	const n, size = 100, 40 << 10
 	r := New()
 	ctx := WithRegistry(context.Background(), r)
 	_, s := StartSpan(ctx, "alloc")
-	sink := make([][]byte, 0, 1000)
-	for i := 0; i < 1000; i++ {
-		sink = append(sink, make([]byte, 64))
+	for i := 0; i < n; i++ {
+		allocSink = append(allocSink, make([]byte, size))
 	}
 	s.End()
-	if len(sink) != 1000 {
-		t.Fatal("unreachable")
-	}
-	if got := r.Snapshot().Phases["alloc"].Allocs; got < 1000 {
-		t.Fatalf("allocs = %d, want >= 1000", got)
+	allocSink = nil
+	if got := r.Snapshot().Phases["alloc"].Allocs; got < n {
+		t.Fatalf("allocs = %d, want >= %d", got, n)
 	}
 }
 
