@@ -20,13 +20,12 @@ import (
 )
 
 // cmdBenchServe is the wire-speed load harness for the serving runtime:
-// it spins up a fresh in-process server per measurement leg — every
-// combination of codec (json, binary) and evaluation mode (interpreted,
-// compiled) — drives it closed-loop from -conns concurrent clients for
-// -duration, and records latency percentiles, throughput and shed rate
-// into a JSON snapshot comparable PR-over-PR (BENCH_serve.json). The
-// json+interpreted leg is the baseline; binary+compiled is the shipping
-// configuration.
+// it spins up a fresh in-process server per measurement leg — one per
+// codec (json, binary), plus optional self-shadow legs — drives it
+// closed-loop from -conns concurrent clients for -duration, and records
+// latency percentiles, throughput and shed rate into a JSON snapshot
+// comparable PR-over-PR (BENCH_serve.json). The json leg is the
+// baseline the binary leg's speedup is quoted against.
 func cmdBenchServe(args []string) error {
 	fs := flag.NewFlagSet("bench-serve", flag.ContinueOnError)
 	bundlePath := fs.String("bundle", "", "detector bundle file (from edem export)")
@@ -68,7 +67,7 @@ func cmdBenchServe(args []string) error {
 	}
 
 	// One fixed seeded sample set shared by every leg: identical work,
-	// so the legs differ only in codec and evaluation mode.
+	// so the legs differ only in codec and shadowing.
 	rng := stats.NewRNG(opts.Seed)
 	samples := make([]serve.Sample, *batch)
 	for i := range samples {
@@ -80,34 +79,31 @@ func cmdBenchServe(args []string) error {
 	}
 
 	type legSpec struct {
-		Codec     serve.Codec
-		Interpret bool
-		Shadow    bool
+		Codec  serve.Codec
+		Shadow bool
 	}
 	legs := []legSpec{
-		{serve.CodecJSON, true, false}, // baseline
-		{serve.CodecJSON, false, false},
-		{serve.CodecBinary, true, false},
-		{serve.CodecBinary, false, false},
+		{serve.CodecJSON, false}, // baseline
+		{serve.CodecBinary, false},
 	}
 	if *shadowLegs {
 		// Self-shadow legs: the candidate is the live bundle itself, so
 		// every request dual-evaluates with zero disagreements — the pure
-		// cost of the lifecycle mirror path on top of the two shipping
-		// codecs, comparable leg-for-leg against the compiled rows above.
+		// cost of the lifecycle mirror path on top of the two codecs,
+		// comparable leg-for-leg against the rows above.
 		legs = append(legs,
-			legSpec{serve.CodecJSON, false, true},
-			legSpec{serve.CodecBinary, false, true})
+			legSpec{serve.CodecJSON, true},
+			legSpec{serve.CodecBinary, true})
 	}
 	results := make([]benchServeLeg, 0, len(legs))
 	for _, leg := range legs {
-		res, err := runServeLeg(b, *bundlePath, leg.Codec, leg.Interpret, leg.Shadow, id, samples,
+		res, err := runServeLeg(b, *bundlePath, leg.Codec, leg.Shadow, id, samples,
 			*conns, *warmup, *duration, opts.Workers)
 		if err != nil {
 			return err
 		}
 		results = append(results, *res)
-		label := res.Codec + "+" + res.Eval
+		label := res.Codec
 		if res.Shadow {
 			label += "+shadow"
 		}
@@ -115,12 +111,11 @@ func cmdBenchServe(args []string) error {
 			label, res.ThroughputRPS, res.P50Micros, res.P99Micros, res.P999Micros, res.Sheds)
 	}
 
-	// The shipping leg is the last non-shadow one (binary+compiled);
-	// optional shadow legs append after it.
-	baseline, shipping := results[0], results[3]
+	// Optional shadow legs append after the json and binary legs.
+	jsonLeg, binaryLeg := results[0], results[1]
 	speedup := 0.0
-	if baseline.ThroughputRPS > 0 {
-		speedup = shipping.ThroughputRPS / baseline.ThroughputRPS
+	if jsonLeg.ThroughputRPS > 0 {
+		speedup = binaryLeg.ThroughputRPS / jsonLeg.ThroughputRPS
 	}
 	snap := benchServeSnapshot{
 		GeneratedBy: "edem bench-serve",
@@ -140,7 +135,7 @@ func cmdBenchServe(args []string) error {
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (binary+compiled vs json+interpreted: %.2fx throughput)\n", *out, speedup)
+	fmt.Printf("wrote %s (binary vs json: %.2fx throughput)\n", *out, speedup)
 	return nil
 }
 
@@ -154,13 +149,12 @@ type benchServeSnapshot struct {
 	Conns       int             `json:"conns"`
 	DurationSec float64         `json:"duration_sec"`
 	Legs        []benchServeLeg `json:"legs"`
-	// Speedup is binary+compiled throughput over json+interpreted.
-	Speedup float64 `json:"speedup_binary_compiled_vs_json_interpreted"`
+	// Speedup is the binary leg's throughput over the json leg's.
+	Speedup float64 `json:"speedup_binary_vs_json"`
 }
 
 type benchServeLeg struct {
 	Codec string `json:"codec"`
-	Eval  string `json:"eval"`
 	// Shadow marks a self-shadow leg: lifecycle dual evaluation enabled
 	// with the bundle shadowing itself.
 	Shadow        bool    `json:"shadow,omitempty"`
@@ -174,19 +168,17 @@ type benchServeLeg struct {
 	P999Micros    int64   `json:"p999_us"`
 }
 
-// runServeLeg measures one codec × evaluation-mode combination against
-// a fresh in-process server, so no leg inherits the previous leg's
+// runServeLeg measures one codec against a fresh in-process server, so no leg inherits the previous leg's
 // warm caches, pools or breaker state. With shadow, the leg serves
 // with a lifecycle monitor and the bundle loaded as its own shadow
 // candidate (the dual-evaluation worst case: every request mirrors).
-func runServeLeg(b *serve.Bundle, path string, codec serve.Codec, interpret, shadow bool,
+func runServeLeg(b *serve.Bundle, path string, codec serve.Codec, shadow bool,
 	detector string, samples []serve.Sample, conns int,
 	warmup, duration time.Duration, workers int) (*benchServeLeg, error) {
 
 	cfg := serve.Config{
 		QueueDepth: 2 * conns,
 		Workers:    workers,
-		Interpret:  interpret,
 		Registry:   telemetry.New(),
 	}
 	if shadow {
@@ -208,13 +200,11 @@ func runServeLeg(b *serve.Bundle, path string, codec serve.Codec, interpret, sha
 	}
 	if shadow {
 		if _, err := s.LoadShadow(path); err != nil {
-			s.Close()
 			return nil, err
 		}
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		s.Close()
 		return nil, err
 	}
 	hs := &http.Server{Handler: s.Handler()}
@@ -223,7 +213,6 @@ func runServeLeg(b *serve.Bundle, path string, codec serve.Codec, interpret, sha
 	defer func() {
 		_ = hs.Close()
 		<-serveDone
-		s.Close()
 	}()
 	base := "http://" + ln.Addr().String()
 
@@ -283,10 +272,6 @@ func runServeLeg(b *serve.Bundle, path string, codec serve.Codec, interpret, sha
 
 	var all []int64
 	leg := benchServeLeg{Codec: codec.String(), Shadow: shadow}
-	leg.Eval = "compiled"
-	if interpret {
-		leg.Eval = "interpreted"
-	}
 	for i := range workersState {
 		all = append(all, workersState[i].latencies...)
 		leg.Sheds += workersState[i].sheds

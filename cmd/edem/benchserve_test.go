@@ -11,8 +11,8 @@ import (
 )
 
 // TestCmdBenchServe smokes the load harness at the CLI boundary with a
-// hand-built bundle and a tiny measurement window: all four legs must
-// run, and the snapshot must carry the percentile and throughput fields
+// hand-built bundle and a tiny measurement window: the json and binary
+// legs must run, and the snapshot must carry the percentile and throughput fields
 // the perf trajectory is tracked by.
 func TestCmdBenchServe(t *testing.T) {
 	dir := t.TempDir()
@@ -46,10 +46,9 @@ func TestCmdBenchServe(t *testing.T) {
 	var snap struct {
 		Detector string  `json:"detector"`
 		Batch    int     `json:"batch"`
-		Speedup  float64 `json:"speedup_binary_compiled_vs_json_interpreted"`
+		Speedup  float64 `json:"speedup_binary_vs_json"`
 		Legs     []struct {
 			Codec         string  `json:"codec"`
-			Eval          string  `json:"eval"`
 			Requests      int     `json:"requests"`
 			ThroughputRPS float64 `json:"throughput_rps"`
 			SamplesPerSec float64 `json:"samples_per_sec"`
@@ -64,15 +63,12 @@ func TestCmdBenchServe(t *testing.T) {
 	if snap.Detector != "D1" || snap.Batch != 8 {
 		t.Fatalf("snapshot config: %+v", snap)
 	}
-	if len(snap.Legs) != 4 {
-		t.Fatalf("legs = %d, want 4 (codec × eval mode)", len(snap.Legs))
+	if len(snap.Legs) != 2 {
+		t.Fatalf("legs = %d, want 2 (one per codec)", len(snap.Legs))
 	}
-	want := map[string]bool{
-		"json+interpreted": false, "json+compiled": false,
-		"binary+interpreted": false, "binary+compiled": false,
-	}
+	want := map[string]bool{"json": false, "binary": false}
 	for _, leg := range snap.Legs {
-		key := leg.Codec + "+" + leg.Eval
+		key := leg.Codec
 		if _, ok := want[key]; !ok {
 			t.Fatalf("unexpected leg %q", key)
 		}

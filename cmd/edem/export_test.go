@@ -42,7 +42,6 @@ func TestCmdExportThenServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 

@@ -831,7 +831,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	bundlePath := fs.String("bundle", "", "detector bundle file (from edem export)")
 	addr := fs.String("addr", "localhost:8080", "listen address")
-	queue := fs.Int("queue", 64, "admission queue depth; further requests shed with 429")
+	queue := fs.Int("queue", 64, "admission headroom beyond -workers: at most workers+N requests evaluate at once, further ones shed with 429")
 	deadline := fs.Duration("deadline", 2*time.Second, "default per-request evaluation deadline")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown budget for in-flight requests")
 	policy := fs.String("policy", "fail-closed", "degradation policy when a detector cannot evaluate: fail-open or fail-closed")

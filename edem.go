@@ -256,8 +256,9 @@ func ValidateDetector(ctx context.Context, id string, pred *Predicate, opts Opti
 }
 
 // NewDetector wraps a predicate as a runtime assertion probe at the
-// given module location.
-func NewDetector(module string, loc propane.Location, pred *Predicate) *Detector {
+// given module location. It fails for a predicate CompilePredicate
+// refuses.
+func NewDetector(module string, loc propane.Location, pred *Predicate) (*Detector, error) {
 	return predicate.NewDetector(module, loc, pred)
 }
 
@@ -432,8 +433,8 @@ type CompiledProgram = predicate.Program
 
 // CompilePredicate lowers a DNF predicate into a CompiledProgram whose
 // Eval is bit-identical to the interpreted Predicate.Eval. Predicates
-// the compiler cannot represent exactly return an error; callers (like
-// the serving runtime) fall back to the interpreter.
+// the compiler cannot represent exactly return an error, and no runtime
+// evaluator (NewDetector, the serving runtime) accepts them.
 func CompilePredicate(p *Predicate) (*CompiledProgram, error) { return predicate.Compile(p) }
 
 // Detector lifecycle types. The lifecycle closes the methodology's

@@ -145,9 +145,9 @@ func TestFacadeDetectorLifecycle(t *testing.T) {
 	if lat.Detected+lat.Missed != lat.Failures {
 		t.Fatal("latency accounting")
 	}
-	det := NewDetector("RGain", Entry, rep.Predicate)
-	if det == nil || det.Module != "RGain" {
-		t.Fatal("detector construction")
+	det, err := NewDetector("RGain", Entry, rep.Predicate)
+	if err != nil || det.Module != "RGain" {
+		t.Fatalf("detector construction: %v", err)
 	}
 }
 

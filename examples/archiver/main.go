@@ -42,7 +42,10 @@ func run() error {
 	// Install the predicate as a runtime assertion at the location it
 	// was learnt for. The campaign sampled the decoder at files 2, 5, 7
 	// and 9, so the assertion guards those activations.
-	det := edem.NewDetector(sevenzip.ModuleLDecode, edem.Entry, rep.Predicate)
+	det, err := edem.NewDetector(sevenzip.ModuleLDecode, edem.Entry, rep.Predicate)
+	if err != nil {
+		return err
+	}
 	det.GuardActivations = []int{2, 5, 7, 9}
 
 	// Drive one clean run on the training workload: an accurate

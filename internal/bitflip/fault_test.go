@@ -52,13 +52,13 @@ func TestFaultValidate(t *testing.T) {
 	bad := []Fault{
 		{Model: Model(42)},
 		{Width: -1},
-		{Model: Transient, Width: 2},    // width needs burst
-		{Model: StuckAt, Width: 3},      // width needs burst
-		{Model: Burst, Width: 65},       // wider than any kind
+		{Model: Transient, Width: 2}, // width needs burst
+		{Model: StuckAt, Width: 3},   // width needs burst
+		{Model: Burst, Width: 65},    // wider than any kind
 		{Persist: -1},
-		{Model: Burst, Persist: 2},      // persist needs intermittent
-		{Model: StuckAt, Persist: 2},    // persist needs intermittent
-		{Model: Transient, Persist: 3},  // persist needs intermittent
+		{Model: Burst, Persist: 2},     // persist needs intermittent
+		{Model: StuckAt, Persist: 2},   // persist needs intermittent
+		{Model: Transient, Persist: 3}, // persist needs intermittent
 	}
 	for _, f := range bad {
 		if err := f.Validate(); err == nil {
@@ -84,12 +84,12 @@ func TestFaultNormalizedAndString(t *testing.T) {
 		t.Error("Persistent() misclassifies models")
 	}
 	cases := map[string]Fault{
-		"transient":              {},
-		"burst(width=3)":         {Model: Burst, Width: 3},
-		"burst":                  {Model: Burst},
-		"stuckat":                {Model: StuckAt},
+		"transient":               {},
+		"burst(width=3)":          {Model: Burst, Width: 3},
+		"burst":                   {Model: Burst},
+		"stuckat":                 {Model: StuckAt},
 		"intermittent(persist=4)": {Model: Intermittent, Persist: 4},
-		"intermittent":           {Model: Intermittent},
+		"intermittent":            {Model: Intermittent},
 	}
 	for want, f := range cases {
 		if got := f.String(); got != want {

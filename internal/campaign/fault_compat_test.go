@@ -145,7 +145,7 @@ func TestManifestFaultCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m struct {
-		Version int `json:"version"`
+		Version int            `json:"version"`
 		Spec    map[string]any `json:"spec"`
 	}
 	if err := json.Unmarshal(raw, &m); err != nil {

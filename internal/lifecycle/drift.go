@@ -98,9 +98,9 @@ const (
 // DriftRow is one detector's drift comparison — one row of
 // `edem lifecycle status`.
 type DriftRow struct {
-	Detector     string  `json:"detector"`
-	BaseEvals    int64   `json:"base_evals"`
-	CurEvals     int64   `json:"cur_evals"`
+	Detector      string  `json:"detector"`
+	BaseEvals     int64   `json:"base_evals"`
+	CurEvals      int64   `json:"cur_evals"`
 	BaseAlarmRate float64 `json:"base_alarm_rate"`
 	CurAlarmRate  float64 `json:"cur_alarm_rate"`
 	// AlarmDelta is |CurAlarmRate - BaseAlarmRate|.

@@ -86,16 +86,16 @@ type Monitor struct {
 	diffs    *asyncJournal
 	tracker  *Tracker
 
-	reqs        atomic.Int64
-	samples     atomic.Int64
-	disagrees   atomic.Int64
-	liveAlarms  atomic.Int64
-	candAlarms  atomic.Int64
-	canaryReqs  atomic.Int64
-	fbCount     atomic.Int64
-	rolled      atomic.Bool // latched per candidate window; reset with it
-	lastRollMu  sync.Mutex
-	lastRoll    string
+	reqs       atomic.Int64
+	samples    atomic.Int64
+	disagrees  atomic.Int64
+	liveAlarms atomic.Int64
+	candAlarms atomic.Int64
+	canaryReqs atomic.Int64
+	fbCount    atomic.Int64
+	rolled     atomic.Bool // latched per candidate window; reset with it
+	lastRollMu sync.Mutex
+	lastRoll   string
 
 	mShadowEvals *telemetry.Counter
 	mDisagree    *telemetry.Counter

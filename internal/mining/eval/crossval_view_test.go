@@ -17,7 +17,7 @@ import (
 // path is compared against.
 type instanceOnly struct{ l tree.Learner }
 
-func (w instanceOnly) Name() string { return w.l.Name() }
+func (w instanceOnly) Name() string                                      { return w.l.Name() }
 func (w instanceOnly) Fit(d *dataset.Dataset) (mining.Classifier, error) { return w.l.Fit(d) }
 
 func viewCVDataset(n int, seed uint64) *dataset.Dataset {

@@ -123,7 +123,7 @@ func sign(x float64) int {
 // used beyond df 30).
 func tCrit05(df int) float64 {
 	table := []float64{
-		0,      // df 0 (unused)
+		0, // df 0 (unused)
 		12.706, 4.303, 3.182, 2.776, 2.571,
 		2.447, 2.365, 2.306, 2.262, 2.228,
 		2.201, 2.179, 2.160, 2.145, 2.131,

@@ -20,8 +20,10 @@ import (
 // Predicate.Eval on every input, including NaN (missing) values, ±Inf
 // thresholds and state vectors whose length disagrees with the
 // predicate's arity. The differential suite and FuzzCompiledEval pin
-// this equivalence; the serving runtime additionally falls back to the
-// interpreter whenever Compile refuses a predicate.
+// this equivalence. The interpreter remains only as that oracle: every
+// runtime evaluator (Detector, the serving runtime) runs the compiled
+// form, and a predicate Compile refuses is refused where it enters —
+// NewDetector, and bundle validation at load, reload and export.
 
 // opcode is the compiled operator encoding. It deliberately mirrors Op
 // but is its own 8-bit type so the comparison table stays dense.
@@ -57,9 +59,10 @@ type Program struct {
 // ErrNoPredicate is returned by Compile for a nil predicate.
 var ErrNoPredicate = errors.New("predicate: compile: nil predicate")
 
-// Compile lowers a predicate into a flat threshold program. It fails
-// only on operators the table cannot encode (the zero Op or corrupt
-// values); callers keep the interpreter as fallback. Atoms whose index
+// Compile lowers a predicate into a flat threshold program. It fails on
+// a nil predicate, on operators the table cannot encode (the zero Op or
+// corrupt values) and on indices beyond the int32 index column; callers
+// refuse such a predicate outright. Atoms whose index
 // can never be in range (negative) make their clause unsatisfiable —
 // exactly as in the interpreter, where such an atom always fails — so
 // the whole clause is dropped at compile time.

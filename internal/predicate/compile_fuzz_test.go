@@ -27,7 +27,7 @@ func FuzzCompiledEval(f *testing.F) {
 		}
 		prog, err := Compile(pred)
 		if err != nil {
-			t.Skip() // refused at compile time: the runtime keeps the interpreter
+			t.Skip() // refused at compile time: no runtime evaluates it
 		}
 		values := make([]float64, len(raw)/8)
 		for i := range values {

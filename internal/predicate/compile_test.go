@@ -220,9 +220,9 @@ func TestCompiledEquivalenceEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCompileRefusesUnknownOp pins the fallback rule: an operator the
+// TestCompileRefusesUnknownOp pins the refusal rule: an operator the
 // table cannot encode is a compile error, never a silent misencoding;
-// the serving runtime then keeps the interpreter.
+// NewDetector and bundle validation then refuse the predicate.
 func TestCompileRefusesUnknownOp(t *testing.T) {
 	pred := &Predicate{Name: "bad-op", Vars: []string{"x"},
 		Clauses: []Clause{{{Var: "x", Index: 0, Op: Op(0), Threshold: 1}}}}
@@ -303,7 +303,8 @@ func benchProgram(b *testing.B) (*Predicate, *Program, [][]float64) {
 }
 
 // BenchmarkCompiledEval measures the compiled threshold-program hot
-// loop; BenchmarkInterpretedEval is the AST walk it replaces.
+// loop; BenchmarkInterpretedEval is the AST walk of the test oracle,
+// the cost the compiled form saves on every runtime evaluation.
 func BenchmarkCompiledEval(b *testing.B) {
 	_, prog, samples := benchProgram(b)
 	b.ReportAllocs()

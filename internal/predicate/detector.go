@@ -19,8 +19,9 @@ import (
 // activations by arrival, so under concurrent visits the activation
 // numbering (and therefore GuardActivations matching) depends on
 // scheduling; single-goroutine targets keep deterministic numbering.
-// The exported configuration fields must not be mutated after the
-// first Visit. Direct reads of Visits/Alarms are safe only after the
+// Build detectors with NewDetector, which compiles the predicate; the
+// exported configuration fields must not be mutated after the first
+// Visit (reassigning Pred does not recompile). Direct reads of Visits/Alarms are safe only after the
 // visiting goroutines have been joined.
 type Detector struct {
 	// Module and Location identify the code location the detector
@@ -46,24 +47,22 @@ type Detector struct {
 	// guardSet is the set form of GuardActivations, built on the first
 	// guarded Visit so membership is O(1) instead of a linear scan.
 	guardSet map[int]struct{}
-	// prog is the compiled form of Pred, used by Visit when present. It
-	// is bit-identical to the interpreted Pred.Eval (pinned by the
-	// differential suite), so detectors built literally — with a nil
-	// prog — observe exactly the same alarms, just slower.
+	// prog is the compiled form of Pred that Visit evaluates. It is
+	// bit-identical to the interpreted Pred.Eval (pinned by the
+	// differential suite).
 	prog *Program
 }
 
 var _ propane.Probe = (*Detector)(nil)
 
-// NewDetector installs pred at the given location. The predicate is
-// compiled to a flat threshold program where possible; a predicate the
-// compiler refuses falls back to interpreted evaluation.
-func NewDetector(module string, loc propane.Location, pred *Predicate) *Detector {
-	d := &Detector{Module: module, Location: loc, Pred: pred}
-	if prog, err := Compile(pred); err == nil {
-		d.prog = prog
+// NewDetector installs pred at the given location, compiled to a flat
+// threshold program. It fails for a predicate Compile refuses.
+func NewDetector(module string, loc propane.Location, pred *Predicate) (*Detector, error) {
+	prog, err := Compile(pred)
+	if err != nil {
+		return nil, err
 	}
-	return d
+	return &Detector{Module: module, Location: loc, Pred: pred, prog: prog}, nil
 }
 
 // Visit implements propane.Probe.
@@ -93,13 +92,7 @@ func (d *Detector) Visit(module string, loc propane.Location, vars []propane.Var
 	for i, v := range vars {
 		state[i] = v.Read()
 	}
-	flagged := false
-	if d.prog != nil {
-		flagged = d.prog.Eval(state)
-	} else {
-		flagged = d.Pred.Eval(state)
-	}
-	if flagged {
+	if d.prog.Eval(state) {
 		d.mu.Lock()
 		d.Alarms = append(d.Alarms, visit)
 		d.mu.Unlock()

@@ -1,11 +1,41 @@
 package predicate
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"edem/internal/propane"
 )
+
+// mustDetector installs pred at M's exit, failing the test if it does
+// not compile.
+func mustDetector(t *testing.T, pred *Predicate) *Detector {
+	t.Helper()
+	det, err := NewDetector("M", propane.Exit, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
+// TestNewDetectorRefusesUncompilable pins the single evaluation path:
+// a predicate Compile refuses (an unknown operator, an index past the
+// int32 table column) has no detector, rather than an interpreted one.
+func TestNewDetectorRefusesUncompilable(t *testing.T) {
+	for name, a := range map[string]Atom{
+		"unknown-op": {Var: "v", Index: 0, Op: Op(0), Threshold: 1},
+		"huge-index": {Var: "v", Index: math.MaxInt32 + 1, Op: GT, Threshold: 1},
+	} {
+		pred := &Predicate{Name: name, Vars: []string{"v"}, Clauses: []Clause{{a}}}
+		if det, err := NewDetector("M", propane.Exit, pred); err == nil || det != nil {
+			t.Fatalf("%s: NewDetector = %v, %v; want a compile error", name, det, err)
+		}
+	}
+	if _, err := NewDetector("M", propane.Exit, nil); err == nil {
+		t.Fatal("nil predicate accepted")
+	}
+}
 
 func TestDetectorFlagsCorruptState(t *testing.T) {
 	pred := &Predicate{
@@ -15,7 +45,7 @@ func TestDetectorFlagsCorruptState(t *testing.T) {
 			{{Var: "v", Index: 0, Op: GT, Threshold: 100}},
 		},
 	}
-	det := NewDetector("M", propane.Exit, pred)
+	det := mustDetector(t, pred)
 
 	v := 5.0
 	vars := []propane.VarRef{propane.Float64Ref("v", &v)}
@@ -36,7 +66,7 @@ func TestDetectorFlagsCorruptState(t *testing.T) {
 
 func TestDetectorIgnoresOtherLocations(t *testing.T) {
 	pred := &Predicate{Clauses: []Clause{{{Index: 0, Op: GT, Threshold: 0}}}}
-	det := NewDetector("M", propane.Exit, pred)
+	det := mustDetector(t, pred)
 	v := 5.0
 	vars := []propane.VarRef{propane.Float64Ref("v", &v)}
 	det.Visit("M", propane.Entry, vars)
@@ -48,7 +78,7 @@ func TestDetectorIgnoresOtherLocations(t *testing.T) {
 
 func TestDetectorReset(t *testing.T) {
 	pred := &Predicate{Clauses: []Clause{{{Index: 0, Op: GT, Threshold: 0}}}}
-	det := NewDetector("M", propane.Exit, pred)
+	det := mustDetector(t, pred)
 	v := 5.0
 	det.Visit("M", propane.Exit, []propane.VarRef{propane.Float64Ref("v", &v)})
 	if !det.Triggered() {
@@ -63,7 +93,7 @@ func TestDetectorReset(t *testing.T) {
 func TestDetectorInChain(t *testing.T) {
 	// A detector composes with other probes via propane.Chain.
 	pred := &Predicate{Clauses: []Clause{{{Index: 0, Op: GT, Threshold: 10}}}}
-	det := NewDetector("M", propane.Exit, pred)
+	det := mustDetector(t, pred)
 	v := 50.0
 	vars := []propane.VarRef{propane.Float64Ref("v", &v)}
 	chain := propane.Chain(propane.NopProbe{}, det)
@@ -78,7 +108,7 @@ func TestDetectorInChain(t *testing.T) {
 // rounds) must neither race nor lose counts.
 func TestDetectorConcurrentVisits(t *testing.T) {
 	pred := &Predicate{Clauses: []Clause{{{Index: 0, Op: GT, Threshold: 10}}}}
-	det := NewDetector("M", propane.Exit, pred)
+	det := mustDetector(t, pred)
 	const goroutines, visitsEach = 8, 200
 	for round := 0; round < 3; round++ {
 		det.Reset()
@@ -109,7 +139,7 @@ func TestDetectorConcurrentVisits(t *testing.T) {
 // -race: the guard set is built once and read concurrently.
 func TestDetectorConcurrentGuardedVisits(t *testing.T) {
 	pred := &Predicate{Clauses: []Clause{{{Index: 0, Op: GT, Threshold: 0}}}}
-	det := NewDetector("M", propane.Exit, pred)
+	det := mustDetector(t, pred)
 	det.GuardActivations = []int{1, 3, 5, 7, 11, 400}
 	v := 5.0
 	vars := []propane.VarRef{propane.Float64Ref("v", &v)}
@@ -136,7 +166,7 @@ func TestDetectorConcurrentGuardedVisits(t *testing.T) {
 
 func TestDetectorGuardActivations(t *testing.T) {
 	pred := &Predicate{Clauses: []Clause{{{Index: 0, Op: GT, Threshold: 0}}}}
-	det := NewDetector("M", propane.Exit, pred)
+	det := mustDetector(t, pred)
 	det.GuardActivations = []int{2}
 	v := 5.0 // always above threshold
 	vars := []propane.VarRef{propane.Float64Ref("v", &v)}

@@ -39,17 +39,13 @@ func benchSamples(n int) []Sample {
 }
 
 // benchServe runs the end-to-end request loop — client encode, HTTP
-// round trip, server decode, evaluation, response — for one codec and
-// evaluation mode, reporting allocations.
-func benchServe(b *testing.B, codec Codec, interpret bool) {
-	s, err := NewServer(benchBundle(), "", Config{
-		Interpret: interpret,
-		Registry:  telemetry.New(),
-	})
+// round trip, server decode, evaluation, response — for one codec,
+// reporting allocations.
+func benchServe(b *testing.B, codec Codec) {
+	s, err := NewServer(benchBundle(), "", Config{Registry: telemetry.New()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
@@ -70,12 +66,8 @@ func benchServe(b *testing.B, codec Codec, interpret bool) {
 	b.ReportMetric(float64(b.N*len(samples))/b.Elapsed().Seconds(), "samples/s")
 }
 
-func BenchmarkServeJSON(b *testing.B)   { benchServe(b, CodecJSON, false) }
-func BenchmarkServeBinary(b *testing.B) { benchServe(b, CodecBinary, false) }
-
-// BenchmarkServeJSONInterpreted is the full baseline configuration the
-// bench-serve harness compares against.
-func BenchmarkServeJSONInterpreted(b *testing.B) { benchServe(b, CodecJSON, true) }
+func BenchmarkServeJSON(b *testing.B)   { benchServe(b, CodecJSON) }
+func BenchmarkServeBinary(b *testing.B) { benchServe(b, CodecBinary) }
 
 // BenchmarkBinaryCodec isolates the frame codec round trip from HTTP:
 // encode a 64-sample request, decode it, encode the response — the

@@ -2,11 +2,11 @@
 // predicates the methodology learns (paper §VII-D deploys them as
 // runtime assertions) and serves them as a long-running network
 // service with production robustness semantics — per-request deadlines
-// with context propagation, a bounded admission queue that sheds load
-// with explicit rejections once full, a per-detector circuit breaker
-// with half-open probing, configurable fail-open/fail-closed
-// degradation, hot predicate reload via atomic bundle swap, draining
-// shutdown, and a detector lifecycle — shadow evaluation of a
+// with context propagation, bounded admission that sheds load with
+// explicit rejections once every slot is taken, a per-detector
+// circuit breaker with half-open probing, configurable
+// fail-open/fail-closed degradation, hot predicate reload via atomic
+// bundle swap, draining shutdown, and a detector lifecycle — shadow evaluation of a
 // candidate bundle beside the live one, canary promotion with
 // automatic rollback, and feedback/drift journalling through
 // internal/lifecycle (see lifecycle.go). The design follows ZOFI's
@@ -125,8 +125,9 @@ func (e BundleEntry) ParseLocation() (propane.Location, error) {
 }
 
 // Validate checks structural invariants: supported version, at least
-// one detector, unique non-empty IDs, parseable locations, non-nil
-// predicates.
+// one detector, unique non-empty IDs, parseable locations, and
+// predicates that compile to threshold programs (the only form the
+// serving runtime evaluates).
 func (b *Bundle) Validate() error {
 	if b.Version != BundleVersion {
 		return fmt.Errorf("serve: unsupported bundle version %d (want %d)", b.Version, BundleVersion)
@@ -148,6 +149,9 @@ func (b *Bundle) Validate() error {
 		}
 		if e.Predicate == nil {
 			return fmt.Errorf("serve: detector %q has no predicate", e.ID)
+		}
+		if _, err := predicate.Compile(e.Predicate); err != nil {
+			return fmt.Errorf("serve: detector %q: %w", e.ID, err)
 		}
 	}
 	return nil

@@ -67,3 +67,29 @@ func TestBundleValidate(t *testing.T) {
 		t.Errorf("valid bundle rejected: %v", err)
 	}
 }
+
+// uncompilableAtoms are atoms predicate.Compile refuses, in bundle JSON:
+// an atom with no operator (the zero Op) and an index past the int32
+// index column. Both decode cleanly; only compilation rejects them.
+var uncompilableAtoms = map[string]string{
+	"unknown-op": `{"var":"v","index":0,"threshold":1}`,
+	"huge-index": `{"var":"v","index":2147483648,"op":">","threshold":1}`,
+}
+
+// uncompilableBundleJSON is a one-detector bundle (ID "D1") whose only
+// clause is atom.
+func uncompilableBundleJSON(atom string) string {
+	return `{"version":1,"detectors":[{"id":"D1","module":"M","location":"Exit",` +
+		`"predicate":{"name":"D1","vars":["v"],"clauses":[[` + atom + `]]}}]}`
+}
+
+// TestReadBundleRefusesUncompilable pins where an uncompilable
+// predicate is caught: at the bundle boundary, not at evaluation time.
+func TestReadBundleRefusesUncompilable(t *testing.T) {
+	for name, atom := range uncompilableAtoms {
+		_, err := ReadBundle(strings.NewReader(uncompilableBundleJSON(atom)))
+		if err == nil || !strings.Contains(err.Error(), "compile") {
+			t.Errorf("%s: ReadBundle err = %v, want a compile refusal", name, err)
+		}
+	}
+}

@@ -24,6 +24,7 @@ package serve
 // generation.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -215,10 +216,11 @@ func (s *Server) LifecycleStatus() *LifecycleStatusResponse {
 }
 
 // evalMirror evaluates the non-served side of a dual evaluation
-// inline, with panic isolation and without touching breakers or the
-// admission queue — mirror pressure must never shed or trip the
-// serving path. ok is false on arity mismatch or panic.
-func evalMirror(st *bundleState, detID string, samples []Sample) (verdicts []bool, ok bool) {
+// through the same panic-isolated batch path as serving, but without
+// touching breakers, admission or the request deadline — mirror
+// pressure must never shed or trip the serving path. ok is false on
+// arity mismatch or evaluation failure.
+func (s *Server) evalMirror(st *bundleState, detID string, samples []Sample) (verdicts []bool, ok bool) {
 	det := st.dets[detID]
 	if det == nil {
 		return nil, false
@@ -226,23 +228,15 @@ func evalMirror(st *bundleState, detID string, samples []Sample) (verdicts []boo
 	if len(samples) > 0 && len(samples[0]) != len(det.entry.Predicate.Vars) {
 		return nil, false
 	}
-	defer func() {
-		if recover() != nil {
-			verdicts, ok = nil, false
-		}
-	}()
-	verdicts = make([]bool, len(samples))
-	for i := range samples {
-		verdicts[i] = det.eval(samples[i])
-	}
-	return verdicts, true
+	verdicts, err := evalBatch(context.Background(), det.eval, samples, s.cfg.Workers)
+	return verdicts, err == nil
 }
 
 // lifecyclePost runs after the response bytes are written: it mirrors
 // the evaluation onto the other bundle (when a candidate is loaded),
 // records the verdict diff, feeds the drift tracker with the live
 // side's behaviour, and applies the monitor's rollback verdict. It
-// must complete before the pooled request buffers are released —
+// runs before the handler returns the pooled request buffers —
 // everything it retains (journal records) is copied.
 func (s *Server) lifecyclePost(detID string, samples []Sample, servedV []bool,
 	servedSt, mirrorSt *bundleState, canaried bool) {
@@ -256,7 +250,7 @@ func (s *Server) lifecyclePost(detID string, samples []Sample, servedV []bool,
 	// observe — that request contributes nothing to drift.
 	liveV, liveOK := servedV, !canaried
 	if mirrorSt != nil {
-		if mirrorV, ok := evalMirror(mirrorSt, detID, samples); ok {
+		if mirrorV, ok := s.evalMirror(mirrorSt, detID, samples); ok {
 			candV := servedV
 			liveGen, candGen := servedSt.gen, mirrorSt.gen
 			served := "live"
@@ -486,7 +480,7 @@ type LifecycleStatusResponse struct {
 	Window lifecycle.WindowStats `json:"window"`
 	// HasBaseline reports whether a drift baseline is frozen; Drift is
 	// the per-detector drift report against it.
-	HasBaseline bool                `json:"has_baseline"`
+	HasBaseline bool                 `json:"has_baseline"`
 	Drift       []lifecycle.DriftRow `json:"drift,omitempty"`
 	// FeedbackRecords counts feedback journalled by this process.
 	FeedbackRecords int64 `json:"feedback_records"`

@@ -68,7 +68,6 @@ func newLifecycleServer(t *testing.T, mcfg lifecycle.MonitorConfig, cfg Config, 
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		hs.Close()
-		s.Close()
 		mon.Close()
 	})
 	return s, hs, mon

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -84,7 +85,6 @@ func TestServeReloadHammerRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
@@ -189,11 +189,11 @@ func TestServeReloadHammerRace(t *testing.T) {
 }
 
 // TestServeChunkedAgreesWithDetectorVisit pins the end-to-end
-// agreement the deployment story depends on: an interpreted in-process
-// Detector (paper §VII-D's runtime assertion, built literally so it
-// carries no compiled program) and the compiled serving path must
-// report the same visit count and the same 1-based alarm indices, even
-// when the client chops the batch into chunks and re-indexes alarms.
+// agreement the deployment story depends on: the in-process Detector
+// (paper §VII-D's runtime assertion) and the serving path, under both
+// codecs, must each report exactly the alarms the interpreted oracle
+// Predicate.Eval raises — even when the client chops the batch into
+// chunks and re-indexes alarms.
 func TestServeChunkedAgreesWithDetectorVisit(t *testing.T) {
 	pred := &predicate.Predicate{
 		Name: "agree",
@@ -221,9 +221,34 @@ func TestServeChunkedAgreesWithDetectorVisit(t *testing.T) {
 		samples[i] = s
 	}
 
-	// Interpreted reference: a literal Detector (nil compiled program)
-	// driven through the Probe interface, one Visit per sample.
-	det := &predicate.Detector{Module: "M", Location: propane.Exit, Pred: pred}
+	// The oracle: 1-based indices of the samples the interpreter flags.
+	var want []int
+	for i, s := range samples {
+		if pred.Eval(s) {
+			want = append(want, i+1)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("degenerate stream: the oracle raises no alarms")
+	}
+	sameAlarms := func(who string, got []int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d alarms, oracle raised %d", who, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: alarm %d at sample %d, oracle at %d", who, i, got[i], want[i])
+			}
+		}
+	}
+
+	// In-process Detector driven through the Probe interface, one Visit
+	// per sample.
+	det, err := predicate.NewDetector("M", propane.Exit, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var a, b, c float64
 	refs := []propane.VarRef{
 		propane.Float64Ref("a", &a),
@@ -234,6 +259,10 @@ func TestServeChunkedAgreesWithDetectorVisit(t *testing.T) {
 		a, b, c = s[0], s[1], s[2]
 		det.Visit("M", propane.Exit, refs)
 	}
+	if det.VisitCount() != len(samples) {
+		t.Fatalf("detector visited %d of %d samples", det.VisitCount(), len(samples))
+	}
+	sameAlarms("Detector.Visit", det.AlarmIndices())
 
 	// Compiled serving path: the same samples through the server, chunked
 	// small enough that alarm re-indexing has to do real work.
@@ -245,7 +274,6 @@ func TestServeChunkedAgreesWithDetectorVisit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	if reg.Counter("predicate.compile_programs").Value() != 1 {
@@ -258,21 +286,10 @@ func TestServeChunkedAgreesWithDetectorVisit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", codec, err)
 		}
-		if resp.Evaluated != det.VisitCount() {
-			t.Fatalf("%v: served %d evaluations, detector visited %d", codec, resp.Evaluated, det.VisitCount())
+		if resp.Evaluated != len(samples) {
+			t.Fatalf("%v: served %d evaluations of %d", codec, resp.Evaluated, len(samples))
 		}
-		wantAlarms := det.AlarmIndices()
-		if len(resp.Alarms) != len(wantAlarms) {
-			t.Fatalf("%v: %d alarms served, detector raised %d", codec, len(resp.Alarms), len(wantAlarms))
-		}
-		for i := range wantAlarms {
-			if resp.Alarms[i] != wantAlarms[i] {
-				t.Fatalf("%v: alarm %d at sample %d, detector at %d", codec, i, resp.Alarms[i], wantAlarms[i])
-			}
-		}
-		if len(wantAlarms) == 0 {
-			t.Fatal("degenerate stream: no alarms raised")
-		}
+		sameAlarms(codec.String(), resp.Alarms)
 	}
 }
 
@@ -311,51 +328,52 @@ func TestServeCodecCountersWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestServeInterpretFallbackCounters pins the two off-paths of the
-// compilation scheme: Interpret skips compilation entirely, and a
-// predicate the compiler refuses falls back to the interpreter with
-// predicate.compile_fallbacks counting it — in both cases verdicts are
-// unchanged.
-func TestServeInterpretFallbackCounters(t *testing.T) {
-	reg := telemetry.New()
-	_, hs := newTestServer(t, Config{Interpret: true, Registry: reg}, "D1")
-	code, ok, _ := postEval(t, hs.URL, EvalRequest{Detector: "D1", Samples: []Sample{{500}, {5}}})
-	if code != http.StatusOK || len(ok.Alarms) != 1 || ok.Alarms[0] != 1 {
-		t.Fatalf("interpreted leg: code %d alarms %v", code, ok.Alarms)
-	}
-	if reg.Counter("predicate.compile_programs").Value() != 0 {
-		t.Fatal("Interpret leg still compiled")
-	}
+// TestServeRefusesUncompilableBundle pins the single evaluation path
+// at the server's two bundle entry points: NewServer refuses a bundle
+// with an uncompilable predicate outright, and a reload to one fails
+// with 500 while the current generation keeps serving.
+func TestServeRefusesUncompilableBundle(t *testing.T) {
+	for name, atom := range uncompilableAtoms {
+		var bad Bundle
+		if err := json.Unmarshal([]byte(uncompilableBundleJSON(atom)), &bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewServer(&bad, "", Config{Registry: telemetry.New()}); err == nil {
+			t.Fatalf("%s: NewServer accepted an uncompilable bundle", name)
+		}
 
-	// An uncompilable predicate (index beyond the int32 table range)
-	// falls back per detector.
-	reg2 := telemetry.New()
-	huge := &predicate.Predicate{
-		Name: "huge",
-		Vars: []string{"v"},
-		Clauses: []predicate.Clause{
-			{{Var: "v", Index: 0, Op: predicate.GT, Threshold: 100}},
-			{{Var: "ghost", Index: math.MaxInt32 + 1, Op: predicate.GT, Threshold: 0}},
-		},
-	}
-	bundle := &Bundle{Version: BundleVersion, Detectors: []BundleEntry{
-		{ID: "HUGE", Module: "M", Location: "Exit", Predicate: huge},
-	}}
-	s, err := NewServer(bundle, "", Config{Registry: reg2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	hs2 := httptest.NewServer(s.Handler())
-	defer hs2.Close()
-	code, ok, _ = postEval(t, hs2.URL, EvalRequest{Detector: "HUGE", Samples: []Sample{{500}}})
-	if code != http.StatusOK || len(ok.Alarms) != 1 {
-		t.Fatalf("fallback leg: code %d alarms %v", code, ok.Alarms)
-	}
-	if reg2.Counter("predicate.compile_fallbacks").Value() != 1 ||
-		reg2.Counter("predicate.compile_programs").Value() != 0 {
-		t.Fatalf("fallback counters: programs=%d fallbacks=%d",
-			reg2.Counter("predicate.compile_programs").Value(),
-			reg2.Counter("predicate.compile_fallbacks").Value())
+		path := filepath.Join(t.TempDir(), "bundle.json")
+		if err := testBundle("D1").WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := LoadBundle(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.New()
+		s, err := NewServer(b, path, Config{Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(s.Handler())
+		if err := os.WriteFile(path, []byte(uncompilableBundleJSON(atom)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.Post(hs.URL+"/admin/reload", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: reload to an uncompilable bundle: code %d, want 500", name, res.StatusCode)
+		}
+		if s.Generation() != 1 || reg.Counter("serve.reloads").Value() != 0 {
+			t.Fatalf("%s: failed reload moved the server to generation %d", name, s.Generation())
+		}
+		code, ok, _ := postEval(t, hs.URL, EvalRequest{Detector: "D1", Samples: []Sample{{500}}})
+		if code != http.StatusOK || len(ok.Alarms) != 1 || ok.BundleGeneration != 1 {
+			t.Fatalf("%s: generation 1 after failed reload: code %d %+v", name, code, ok)
+		}
+		hs.Close()
 	}
 }

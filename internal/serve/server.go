@@ -54,13 +54,15 @@ func ParsePolicy(s string) (DegradePolicy, error) {
 // Config tunes the serving runtime. The zero value selects the
 // defaults documented on each field.
 type Config struct {
-	// QueueDepth bounds the admission queue; requests arriving while it
-	// is full are shed with 429 (default 64).
+	// QueueDepth is the admission headroom beyond Workers: at most
+	// Workers+QueueDepth requests evaluate at once, and a request
+	// arriving while all of them are taken is shed with 429 (default 64).
 	QueueDepth int
-	// Workers is the evaluation worker count; 0 resolves against the
-	// shared parallel budget (all cores). Batch evaluation inside one
-	// request additionally fans out through parallel.ForEach under the
-	// same global budget.
+	// Workers is the evaluation concurrency that, with QueueDepth, sizes
+	// admission; 0 resolves against the shared parallel budget (all
+	// cores). Each admitted request evaluates on its own handler
+	// goroutine; a batch above 64 samples additionally fans out through
+	// parallel.ForEach under the same global budget.
 	Workers int
 	// DefaultDeadline is the per-request evaluation deadline applied
 	// when the client sends none (default 2s).
@@ -76,12 +78,6 @@ type Config struct {
 	// evaluation latency for load and drain testing). Never enable it
 	// on a production service.
 	AllowDelay bool
-	// Interpret forces interpreted predicate evaluation instead of the
-	// compiled threshold programs. The two are bit-identical (pinned by
-	// the differential suite); the switch exists as the baseline leg of
-	// `edem bench-serve` and as an escape hatch should a compiled
-	// program ever need to be ruled out in production.
-	Interpret bool
 	// WrapEval, when non-nil, wraps each detector's evaluation function
 	// at bundle-build time (test instrumentation and future model
 	// families; the wrapper must be safe for concurrent use).
@@ -120,9 +116,9 @@ func (c Config) withDefaults() Config {
 }
 
 // servedDetector is one live detector: its bundle entry, its breaker
-// and its evaluation counters. eval defaults to the predicate's Eval
-// and exists so tests (and future model families) can substitute a
-// different evaluation function.
+// and its evaluation counters. eval is the compiled program's Eval
+// (wrapped by Config.WrapEval when set); tests substitute it to inject
+// faults.
 type servedDetector struct {
 	entry   BundleEntry
 	breaker *Breaker
@@ -148,53 +144,36 @@ type bundleState struct {
 	src *Bundle
 }
 
-// job is one admitted evaluation request travelling through the
-// bounded queue to the worker pool.
-type job struct {
-	ctx     context.Context
-	det     *servedDetector
-	samples []Sample
-	delay   time.Duration
-	done    chan jobResult // buffered(1): workers never block on it
-}
-
-type jobResult struct {
-	verdicts []bool
-	alarms   []int
-	err      error
-}
-
 // Server is the detector evaluation service. Create it with NewServer,
-// expose it with Handler (any http.Server) or Serve (managed listener
-// with draining shutdown), and stop it with Close.
+// and expose it with Handler (any http.Server) or Serve (managed
+// listener with draining shutdown). It owns no goroutines: every
+// request evaluates on the handler goroutine that received it.
 type Server struct {
 	cfg    Config
 	bundle atomic.Pointer[bundleState]
 	gens   atomic.Uint64 // bundle generation counter; see bundleState.gen
 
-	queue     chan *job
-	stop      chan struct{}
-	stopOnce  sync.Once
-	workersWG sync.WaitGroup
-	draining  atomic.Bool
+	// admit is the admission semaphore: a request holds one slot while
+	// it evaluates, and finding every slot taken sheds it.
+	admit    chan struct{}
+	draining atomic.Bool
 
-	reg          *telemetry.Registry
-	mRequests    *telemetry.Counter
-	mSheds       *telemetry.Counter
-	mTrips       *telemetry.Counter
-	mTransits    *telemetry.Counter
-	mRejections  *telemetry.Counter
-	mReloads     *telemetry.Counter
-	mEvals       *telemetry.Counter
-	mAlarms      *telemetry.Counter
-	mEvalErrors  *telemetry.Counter
-	mJSONReqs    *telemetry.Counter
-	mBinaryReqs  *telemetry.Counter
-	mCompiled    *telemetry.Counter
-	mCompAtoms   *telemetry.Counter
-	mCompFallbks *telemetry.Counter
-	gQueue       *telemetry.Gauge
-	hRequestNS   *telemetry.Histogram
+	reg         *telemetry.Registry
+	mRequests   *telemetry.Counter
+	mSheds      *telemetry.Counter
+	mTrips      *telemetry.Counter
+	mTransits   *telemetry.Counter
+	mRejections *telemetry.Counter
+	mReloads    *telemetry.Counter
+	mEvals      *telemetry.Counter
+	mAlarms     *telemetry.Counter
+	mEvalErrors *telemetry.Counter
+	mJSONReqs   *telemetry.Counter
+	mBinaryReqs *telemetry.Counter
+	mCompiled   *telemetry.Counter
+	mCompAtoms  *telemetry.Counter
+	gInFlight   *telemetry.Gauge
+	hRequestNS  *telemetry.Histogram
 
 	// Lifecycle state (all inert when monitor is nil). shadow holds the
 	// candidate bundle under dual evaluation; canaryPct the percentage
@@ -211,16 +190,14 @@ type Server struct {
 	mRollbacks  *telemetry.Counter
 }
 
-// NewServer builds a server from a validated bundle and starts its
-// evaluation workers. path records where the bundle came from (may be
-// empty for in-memory bundles; SIGHUP-style Reload("") then has no
-// file to re-read).
+// NewServer builds a server from a validated bundle. path records
+// where the bundle came from (may be empty for in-memory bundles;
+// SIGHUP-style Reload("") then has no file to re-read).
 func NewServer(b *Bundle, path string, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		queue: make(chan *job, cfg.QueueDepth),
-		stop:  make(chan struct{}),
+		admit: make(chan struct{}, parallel.Workers(cfg.Workers, 0)+cfg.QueueDepth),
 		reg:   cfg.Registry,
 	}
 	s.mRequests = s.reg.Counter("serve.requests")
@@ -236,8 +213,7 @@ func NewServer(b *Bundle, path string, cfg Config) (*Server, error) {
 	s.mBinaryReqs = s.reg.Counter("serve.binary_requests")
 	s.mCompiled = s.reg.Counter("predicate.compile_programs")
 	s.mCompAtoms = s.reg.Counter("predicate.compile_atoms")
-	s.mCompFallbks = s.reg.Counter("predicate.compile_fallbacks")
-	s.gQueue = s.reg.Gauge("serve.queue_depth")
+	s.gInFlight = s.reg.Gauge("serve.queue_depth")
 	s.hRequestNS = s.reg.Histogram("serve.request_ns")
 	s.monitor = cfg.Monitor
 	if s.monitor != nil {
@@ -250,20 +226,13 @@ func NewServer(b *Bundle, path string, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.bundle.Store(st)
-
-	workers := parallel.Workers(cfg.Workers, 0)
-	s.workersWG.Add(workers)
-	for i := 0; i < workers; i++ {
-		go s.worker()
-	}
 	return s, nil
 }
 
 // buildState validates the bundle, compiles every predicate into its
-// flat threshold program (interpreted fallback when the compiler
-// refuses one — predicate.compile_fallbacks counts those), and wires
-// fresh breakers (reload deliberately resets breaker state: a new
-// predicate generation starts with a clean slate).
+// flat threshold program, and wires fresh breakers (reload deliberately
+// resets breaker state: a new predicate generation starts with a clean
+// slate).
 func (s *Server) buildState(b *Bundle, path string) (*bundleState, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -275,18 +244,13 @@ func (s *Server) buildState(b *Bundle, path string) (*bundleState, error) {
 		src:  b,
 	}
 	for _, e := range b.Detectors {
-		pred := e.Predicate
-		eval := pred.Eval
-		if s.cfg.Interpret {
-			// Baseline leg: walk the AST per sample.
-		} else if prog, err := predicate.Compile(pred); err == nil {
-			eval = prog.Eval
-			s.mCompiled.Inc()
-			s.mCompAtoms.Add(int64(prog.Atoms()))
-		} else {
-			s.mCompFallbks.Inc()
-			s.cfg.Logf("serve: detector %s: compile fallback to interpreter: %v", e.ID, err)
+		prog, err := predicate.Compile(e.Predicate)
+		if err != nil {
+			return nil, fmt.Errorf("serve: detector %q: %w", e.ID, err)
 		}
+		s.mCompiled.Inc()
+		s.mCompAtoms.Add(int64(prog.Atoms()))
+		eval := prog.Eval
 		if s.cfg.WrapEval != nil {
 			eval = s.cfg.WrapEval(e.ID, eval)
 		}
@@ -343,83 +307,55 @@ func (s *Server) Generation() uint64 {
 	return s.bundle.Load().gen
 }
 
-// Close stops the evaluation workers. Call after the HTTP layer has
-// drained; queued jobs whose handlers are gone resolve harmlessly into
-// their buffered channels.
-func (s *Server) Close() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.workersWG.Wait()
-}
-
-// worker is one evaluation worker: it pulls admitted jobs off the
-// bounded queue, evaluates them with panic isolation, and reports the
-// outcome to both the breaker and the waiting handler.
-func (s *Server) worker() {
-	defer s.workersWG.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case j := <-s.queue:
-			s.gQueue.Add(-1)
-			j.done <- s.runJob(j)
-		}
-	}
-}
-
-// runJob evaluates one job. The job's context bounds everything,
+// evaluate runs one admitted request's batch. ctx bounds everything,
 // including the synthetic AllowDelay sleep.
-func (s *Server) runJob(j *job) jobResult {
-	if err := j.ctx.Err(); err != nil {
-		return jobResult{err: err}
-	}
-	if j.delay > 0 {
-		t := time.NewTimer(j.delay)
+func (s *Server) evaluate(ctx context.Context, det *servedDetector, samples []Sample, delay time.Duration) ([]bool, error) {
+	if delay > 0 {
+		t := time.NewTimer(delay)
 		select {
 		case <-t.C:
-		case <-j.ctx.Done():
+		case <-ctx.Done():
 			t.Stop()
-			return jobResult{err: j.ctx.Err()}
 		}
 	}
-	verdicts := make([]bool, len(j.samples))
-	var err error
-	if len(j.samples) <= inlineEvalBatch {
-		// Small batches evaluate inline: one compiled-program eval is
-		// tens of nanoseconds, far below the cost of fanning the batch
-		// out through the worker pool.
-		err = func() (rerr error) {
-			defer func() {
-				if r := recover(); r != nil {
-					rerr = fmt.Errorf("serve: evaluation panic: %v", r)
-				}
-			}()
-			for i := range j.samples {
-				verdicts[i] = j.det.eval(j.samples[i])
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return evalBatch(ctx, det.eval, samples, s.cfg.Workers)
+}
+
+// evalBatch evaluates every sample with panic isolation: a panicking
+// evaluation becomes an error. Batches of up to inlineEvalBatch samples
+// run on the calling goroutine — one compiled-program eval is tens of
+// nanoseconds, far below the cost of a fan-out; larger ones fan out
+// through parallel.ForEach, which stops claiming samples once ctx ends.
+func evalBatch(ctx context.Context, eval func([]float64) bool, samples []Sample, workers int) (verdicts []bool, err error) {
+	verdicts = make([]bool, len(samples))
+	if len(samples) <= inlineEvalBatch {
+		func() {
+			defer recoverEval(&err)
+			for i := range samples {
+				verdicts[i] = eval(samples[i])
 			}
-			return nil
 		}()
 	} else {
-		err = parallel.ForEach(j.ctx, len(j.samples), s.cfg.Workers, func(i int) (rerr error) {
-			defer func() {
-				if r := recover(); r != nil {
-					rerr = fmt.Errorf("serve: evaluation panic: %v", r)
-				}
-			}()
-			verdicts[i] = j.det.eval(j.samples[i])
+		err = parallel.ForEach(ctx, len(samples), workers, func(i int) (rerr error) {
+			defer recoverEval(&rerr)
+			verdicts[i] = eval(samples[i])
 			return nil
 		})
 	}
 	if err != nil {
-		return jobResult{err: err}
+		return nil, err
 	}
-	var alarms []int
-	for i, v := range verdicts {
-		if v {
-			alarms = append(alarms, i+1)
-		}
+	return verdicts, nil
+}
+
+// recoverEval, deferred, turns an evaluation panic into *err.
+func recoverEval(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("serve: evaluation panic: %v", r)
 	}
-	return jobResult{verdicts: verdicts, alarms: alarms}
 }
 
 // Handler returns the service's HTTP handler on a dedicated mux.
@@ -440,16 +376,14 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Serve runs the service on ln until ctx is cancelled, then drains:
-// stop accepting, let in-flight requests finish (bounded by
-// DrainTimeout), stop the workers. Returns nil on a clean drain.
+// stop accepting and let in-flight requests finish (bounded by
+// DrainTimeout). Returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	err := RunHTTP(ctx, ln, s.Handler(), HTTPConfig{
+	return RunHTTP(ctx, ln, s.Handler(), HTTPConfig{
 		DrainTimeout: s.cfg.DrainTimeout,
 		OnDrain:      func() { s.draining.Store(true) },
 		Logf:         s.cfg.Logf,
 	})
-	s.Close()
-	return err
 }
 
 // ListenAndServe listens on addr and calls Serve. It reports the bound
@@ -532,8 +466,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // far past any sane batch; reject early rather than buffer).
 const maxRequestBody = 16 << 20
 
-// inlineEvalBatch is the batch size at or below which a job evaluates
-// inline on its worker instead of fanning out through the shared pool.
+// inlineEvalBatch is the batch size at or below which a batch evaluates
+// on its handler goroutine instead of fanning out through the shared
+// pool.
 const inlineEvalBatch = 64
 
 // binRespPool recycles binary response encode buffers; the HTTP layer
@@ -569,6 +504,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 			return
 		}
+		// req.Samples aliases the pooled parse state; the handler is the
+		// only reader (lifecycle mirroring included), so it goes back to
+		// the pool when the handler returns.
+		defer br.Release()
 		req = EvalRequest{
 			Detector: br.Detector, Samples: br.Samples,
 			DeadlineMS: br.DeadlineMS, DelayMS: br.DelayMS,
@@ -580,16 +519,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// release returns the pooled binary parse state. It must not run
-	// while an evaluation may still read req.Samples — the abandoned-
-	// deadline path below leaves the buffers to the GC instead.
-	release := func() {
-		if br != nil {
-			br.Release()
-			br = nil
-		}
-	}
-
 	// Lifecycle routing: with a candidate loaded, one side serves and
 	// the other mirrors after the response is written. A canary routes
 	// canaryPct% of candidate-answerable requests to the candidate;
@@ -630,19 +559,16 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 	det, ok := st.dets[req.Detector]
 	if !ok {
-		release()
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown detector %q", req.Detector)})
 		return
 	}
 	if len(req.Samples) == 0 {
-		release()
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "no samples"})
 		return
 	}
 	arity := len(det.entry.Predicate.Vars)
 	for i, sm := range req.Samples {
 		if len(sm) != arity {
-			release()
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{
 				Error: fmt.Sprintf("sample %d has %d values, detector %s wants %d", i, len(sm), req.Detector, arity)})
 			return
@@ -650,8 +576,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Per-request deadline: the client's deadline_ms wins over the
-	// server default; both propagate through the job context into the
-	// evaluation fan-out.
+	// server default; both propagate into the evaluation fan-out.
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
@@ -663,7 +588,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	// detectors keep serving untouched.
 	if !det.breaker.Allow() {
 		s.mRejections.Inc()
-		release()
 		if s.cfg.Policy == FailOpen {
 			writeEval(http.StatusOK, EvalResponse{
 				Detector: req.Detector,
@@ -681,79 +605,64 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.AllowDelay && req.DelayMS > 0 {
 		delay = time.Duration(req.DelayMS) * time.Millisecond
 	}
-	j := &job{
-		ctx:     ctx,
-		det:     det,
-		samples: req.Samples,
-		delay:   delay,
-		done:    make(chan jobResult, 1),
-	}
-
-	// Bounded admission: a full queue sheds immediately with an
-	// explicit rejection — the queue never grows past QueueDepth and a
-	// shed costs the client one cheap round-trip, not a timeout.
+	// Bounded admission: with every slot taken the request sheds
+	// immediately with an explicit rejection, so in-flight work never
+	// grows past Workers+QueueDepth and a shed costs the client one
+	// cheap round-trip, not a timeout.
 	select {
-	case s.queue <- j:
-		s.gQueue.Add(1)
+	case s.admit <- struct{}{}:
 	default:
 		s.mSheds.Inc()
 		det.breaker.Cancel() // shedding is not a detector outcome
-		release()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "admission queue full"})
 		return
 	}
+	s.gInFlight.Add(1)
+	verdicts, err := s.evaluate(ctx, det, req.Samples, delay)
+	<-s.admit
+	s.gInFlight.Add(-1)
 
-	select {
-	case res := <-j.done:
-		if res.err != nil {
-			// The evaluation is over: the pooled request buffers are
-			// free (verdicts/alarms never alias them).
-			release()
-			if ctx.Err() != nil {
-				// Deadline, not a detector fault.
-				det.breaker.Cancel()
-				writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "deadline exceeded"})
-				return
-			}
-			s.mEvalErrors.Inc()
-			det.breaker.Record(false)
-			if s.cfg.Policy == FailOpen {
-				writeEval(http.StatusOK, EvalResponse{
-					Detector: req.Detector,
-					Degraded: "eval-error: " + res.err.Error(),
-				})
-				return
-			}
-			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: res.err.Error()})
+	if err != nil {
+		if ctx.Err() != nil {
+			// Deadline, not a detector fault.
+			det.breaker.Cancel()
+			writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "deadline exceeded"})
 			return
 		}
-		det.breaker.Record(true)
-		det.evals.Add(int64(len(res.verdicts)))
-		det.alarms.Add(int64(len(res.alarms)))
-		s.mEvals.Add(int64(len(res.verdicts)))
-		s.mAlarms.Add(int64(len(res.alarms)))
-		writeEval(http.StatusOK, EvalResponse{
-			Detector:  req.Detector,
-			Verdicts:  res.verdicts,
-			Alarms:    res.alarms,
-			Evaluated: len(res.verdicts),
-		})
-		// Lifecycle post-processing runs after the response bytes are
-		// written (so it cannot perturb the served verdict or its
-		// latency-to-first-byte) but before release() — it reads
-		// req.Samples, which may alias the pooled binary buffers.
-		if s.monitor != nil {
-			s.lifecyclePost(req.Detector, req.Samples, res.verdicts, st, mirror, canaried)
+		s.mEvalErrors.Inc()
+		det.breaker.Record(false)
+		if s.cfg.Policy == FailOpen {
+			writeEval(http.StatusOK, EvalResponse{
+				Detector: req.Detector,
+				Degraded: "eval-error: " + err.Error(),
+			})
+			return
 		}
-		release()
-	case <-ctx.Done():
-		// The job may still be queued or running; the worker will
-		// resolve it into the buffered channel, and the pooled request
-		// state stays out of the pool (GC reclaims it) because the
-		// evaluation may still be reading the samples. A queue-stuck
-		// deadline is load, not a detector fault: no breaker penalty.
-		det.breaker.Cancel()
-		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "deadline exceeded"})
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		return
+	}
+	var alarms []int
+	for i, v := range verdicts {
+		if v {
+			alarms = append(alarms, i+1)
+		}
+	}
+	det.breaker.Record(true)
+	det.evals.Add(int64(len(verdicts)))
+	det.alarms.Add(int64(len(alarms)))
+	s.mEvals.Add(int64(len(verdicts)))
+	s.mAlarms.Add(int64(len(alarms)))
+	writeEval(http.StatusOK, EvalResponse{
+		Detector:  req.Detector,
+		Verdicts:  verdicts,
+		Alarms:    alarms,
+		Evaluated: len(verdicts),
+	})
+	// Lifecycle post-processing runs after the response bytes are
+	// written, so it cannot perturb the served verdict or its
+	// latency-to-first-byte.
+	if s.monitor != nil {
+		s.lifecyclePost(req.Detector, req.Samples, verdicts, st, mirror, canaried)
 	}
 }

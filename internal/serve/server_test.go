@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,8 +41,8 @@ func testBundle(ids ...string) *Bundle {
 	return b
 }
 
-// newTestServer builds a server plus an httptest front end. The
-// returned cleanup stops both.
+// newTestServer builds a server plus an httptest front end, closed at
+// test cleanup.
 func newTestServer(t *testing.T, cfg Config, ids ...string) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Registry == nil {
@@ -50,10 +53,7 @@ func newTestServer(t *testing.T, cfg Config, ids ...string) (*Server, *httptest.
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		s.Close()
-	})
+	t.Cleanup(hs.Close)
 	return s, hs
 }
 
@@ -182,6 +182,114 @@ func TestServeQueueFullSheds(t *testing.T) {
 	_ = s
 }
 
+// TestServeAdmissionSemaphore saturates admission with concurrent
+// delayed requests: with Workers+QueueDepth slots, exactly the k
+// requests beyond them shed with 429, the in-flight gauge returns to 0,
+// and the server leaves no goroutine behind once its front end closes.
+func TestServeAdmissionSemaphore(t *testing.T) {
+	const workers, queue, k = 2, 3, 4
+	baseline := runtime.NumGoroutine()
+	reg := telemetry.New()
+	s, err := NewServer(testBundle("D1"), "", Config{
+		QueueDepth: queue,
+		Workers:    workers,
+		AllowDelay: true,
+		Registry:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	tr := &http.Transport{}
+	cl := &Client{Base: hs.URL, HTTP: &http.Client{Transport: tr}}
+	body, err := json.Marshal(EvalRequest{Detector: "D1", Samples: []Sample{{500}}, DelayMS: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var sheds, served, other atomic.Int64
+	for i := 0; i < workers+queue+k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := cl.post(context.Background(), "/v1/evaluate", body)
+			var se *StatusError
+			switch {
+			case err == nil:
+				served.Add(1)
+			case errors.As(err, &se) && se.Code == http.StatusTooManyRequests:
+				sheds.Add(1)
+			default:
+				other.Add(1)
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if sheds.Load() != k || served.Load() != workers+queue || other.Load() != 0 {
+		t.Fatalf("sheds %d served %d other %d, want %d shed and %d served",
+			sheds.Load(), served.Load(), other.Load(), k, workers+queue)
+	}
+	if got := reg.Counter("serve.sheds").Value(); got != k {
+		t.Fatalf("serve.sheds = %d, want %d", got, k)
+	}
+	if got := reg.Gauge("serve.queue_depth").Value(); got != 0 {
+		t.Fatalf("serve.queue_depth after the burst = %d, want 0", got)
+	}
+
+	hs.Close()
+	tr.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after close, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServeDeadlineDuringFanOut fires the deadline while a batch above
+// inlineEvalBatch is fanned out through parallel.ForEach: the client
+// gets 504, and the breaker sees a cancellation, not a failure.
+func TestServeDeadlineDuringFanOut(t *testing.T) {
+	reg := telemetry.New()
+	s, hs := newTestServer(t, Config{
+		Workers:  2,
+		Breaker:  BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+		Registry: reg,
+	}, "D1")
+	det := s.bundle.Load().dets["D1"]
+	fast := det.eval
+	det.eval = func(vs []float64) bool {
+		time.Sleep(time.Millisecond)
+		return fast(vs)
+	}
+
+	samples := make([]Sample, 4*inlineEvalBatch)
+	for i := range samples {
+		samples[i] = Sample{float64(i)}
+	}
+	start := time.Now()
+	code, _, bad := postEval(t, hs.URL, EvalRequest{Detector: "D1", Samples: samples, DeadlineMS: 30})
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("fan-out deadline: code = %d (%s), want 504", code, bad.Error)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("504 took %v; the fan-out must stop at the deadline", d)
+	}
+	if st := det.breaker.State(); st != Closed {
+		t.Fatalf("breaker = %v after a deadline, want closed (threshold 1 would trip on a failure)", st)
+	}
+	if reg.Counter("serve.eval_errors").Value() != 0 || reg.Counter("serve.breaker_trips").Value() != 0 {
+		t.Fatal("a deadline counted as an evaluation failure")
+	}
+	det.eval = fast
+	if code, ok, _ := postEval(t, hs.URL, EvalRequest{Detector: "D1", Samples: samples}); code != http.StatusOK || ok.Evaluated != len(samples) {
+		t.Fatalf("after the deadline: code %d evaluated %d", code, ok.Evaluated)
+	}
+}
+
 // TestServeBreakerCycleFailClosed drives one detector through
 // trip → open → half-open → closed while a healthy detector keeps
 // serving throughout.
@@ -285,7 +393,6 @@ func TestServeReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 

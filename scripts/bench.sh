@@ -18,9 +18,9 @@
 # loopback on a latency-bound synthetic target — the workers=2 over
 # workers=1 runs/s ratio is the scaling figure, target >=1.8x).
 # BENCH_serve.json covers the serving runtime via `edem bench-serve`:
-# latency percentiles, throughput and shed rate for every codec ×
-# evaluation-mode leg (json/binary × interpreted/compiled) against a
-# bundle exported from a real methodology run.
+# latency percentiles, throughput and shed rate for the json and binary
+# codec legs, plus their self-shadow (lifecycle dual-evaluation) legs,
+# against a bundle exported from a real methodology run.
 set -eu
 
 cd "$(dirname "$0")/.."
