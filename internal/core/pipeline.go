@@ -61,47 +61,44 @@ func (c SamplingConfig) KLabel() string {
 	return "-"
 }
 
-// Transform returns the cross-validation training transform for the
-// configuration, or nil for NoSampling.
-func (c SamplingConfig) Transform() eval.TrainTransform {
+// view derives the configuration's training view from st: the
+// identity view for NoSampling, the sampling treatment's view
+// otherwise. ni, when non-nil, is a minority neighbour index over st
+// holding at least K neighbours, shared by a fold's grid cells; SMOTE
+// reads its neighbours from it instead of searching. Both routes
+// consume the same RNG stream and yield the same view.
+func (c SamplingConfig) view(st *dataset.Store, ni *sampling.NeighborIndex, rng *stats.RNG) (*dataset.View, error) {
 	switch c.Kind {
 	case Undersampling:
-		return func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-			return sampling.Undersample(d, 0, c.Percent, rng)
-		}
+		return sampling.UndersampleView(st, 0, c.Percent, rng)
 	case Oversampling:
-		return func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-			return sampling.Oversample(d, eval.PositiveClass, c.Percent, rng)
-		}
+		return sampling.OversampleView(st, eval.PositiveClass, c.Percent, rng)
 	case Smote:
-		return func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-			return sampling.SMOTE(d, eval.PositiveClass, c.Percent, c.K, rng)
+		if ni != nil {
+			return ni.SMOTEView(c.Percent, c.K, rng)
 		}
+		return sampling.SMOTEView(st, eval.PositiveClass, c.Percent, c.K, rng)
 	default:
-		return nil
+		return st.IdentityView(), nil
 	}
 }
 
-// ViewTransform returns the columnar training transform for the
-// configuration, or nil for NoSampling. It consumes the same RNG
-// stream as Transform, so a run may mix the two paths and stay
-// bit-identical.
-func (c SamplingConfig) ViewTransform() eval.ViewTransform {
-	switch c.Kind {
-	case Undersampling:
-		return func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
-			return sampling.UndersampleView(st, 0, c.Percent, rng)
-		}
-	case Oversampling:
-		return func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
-			return sampling.OversampleView(st, eval.PositiveClass, c.Percent, rng)
-		}
-	case Smote:
-		return func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
-			return sampling.SMOTEView(st, eval.PositiveClass, c.Percent, c.K, rng)
-		}
-	default:
+// Transform returns the configuration's sampling treatment as a
+// dataset-to-dataset function (the view materialised), or nil for
+// NoSampling. The pipeline itself trains from views; this adapter is
+// kept because the traced benchmark (bench/tracer) replays the final
+// fit as Transform followed by FitTree, and must reproduce the final
+// fit's predicate (finalFit).
+func (c SamplingConfig) Transform() func(*dataset.Dataset, *stats.RNG) (*dataset.Dataset, error) {
+	if c.Kind == NoSampling {
 		return nil
+	}
+	return func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
+		v, err := c.view(dataset.NewStore(d, nil), nil, rng)
+		if err != nil {
+			return nil, err
+		}
+		return v.Materialize(), nil
 	}
 }
 
@@ -206,14 +203,7 @@ func RunMethodologyOn(ctx context.Context, id string, d *dataset.Dataset, failur
 		return nil, err
 	}
 
-	final := d
-	if tf := refined.Best.Transform(); tf != nil {
-		final, err = tf(d, stats.NewRNG(opts.Seed^0xfeed))
-		if err != nil {
-			return nil, fmt.Errorf("core: final transform %s: %w", id, err)
-		}
-	}
-	t, err := DefaultLearner().FitTree(final)
+	t, err := finalFit(d, refined.Best, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: final fit %s: %w", id, err)
 	}
@@ -230,4 +220,14 @@ func RunMethodologyOn(ctx context.Context, id string, d *dataset.Dataset, failur
 		Tree:      t,
 		Predicate: pred,
 	}, nil
+}
+
+// finalFit trains the deployed model: the winning configuration's view
+// of the whole dataset, induced by C4.5.
+func finalFit(d *dataset.Dataset, cfg SamplingConfig, opts Options) (*tree.Tree, error) {
+	v, err := cfg.view(dataset.NewStore(d, nil), nil, stats.NewRNG(opts.Seed^0xfeed))
+	if err != nil {
+		return nil, fmt.Errorf("transform: %w", err)
+	}
+	return DefaultLearner().FitTreeView(v)
 }

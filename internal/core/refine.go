@@ -156,38 +156,21 @@ func (s *foldShared) index(st *dataset.Store, maxK int) (*sampling.NeighborIndex
 // refineCellEval evaluates one configuration on one fold. The cell RNG
 // is seeded from (seed, fold, config) so the result does not depend on
 // which worker runs the cell or in what order. Each cell trains from a
-// per-configuration view of the fold's shared store; the sampling
-// views consume the same RNG streams as their dataset counterparts, so
-// results are bit-identical to the instance-based path.
+// per-configuration view of the fold's shared store; the shared
+// neighbour index yields the same views as per-cell neighbour searches,
+// so results do not depend on which cell built it.
 func refineCellEval(d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg SamplingConfig, maxK int, opts Options, fi, ci int, cell *refineCell, ctrs refineCounters) error {
 	st := sh.trainStore(d, fold, ctrs.storeBuilds)
 
 	rng := stats.NewRNG(opts.Seed ^ (uint64(fi+1) << 20) ^ uint64(ci+1))
-	v := st.IdentityView()
-	var err error
-	switch cfg.Kind {
-	case Undersampling:
-		v, err = sampling.UndersampleView(st, 0, cfg.Percent, rng)
-	case Oversampling:
-		if maxK > 0 {
-			ni, nerr := sh.index(st, maxK)
-			if nerr != nil {
-				return nerr
-			}
-			v, err = ni.OversampleView(cfg.Percent, rng)
-		} else {
-			v, err = sampling.OversampleView(st, eval.PositiveClass, cfg.Percent, rng)
+	var ni *sampling.NeighborIndex
+	if cfg.Kind == Smote {
+		var err error
+		if ni, err = sh.index(st, maxK); err != nil {
+			return err
 		}
-	case Smote:
-		if maxK <= 0 {
-			return fmt.Errorf("smote config without neighbour index")
-		}
-		ni, nerr := sh.index(st, maxK)
-		if nerr != nil {
-			return nerr
-		}
-		v, err = ni.SMOTEView(cfg.Percent, cfg.K, rng)
 	}
+	v, err := cfg.view(st, ni, rng)
 	if err != nil {
 		return fmt.Errorf("transform: %w", err)
 	}

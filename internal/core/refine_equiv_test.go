@@ -12,11 +12,12 @@ import (
 	"edem/internal/stats"
 )
 
-// refineReference is the pre-columnar-store refinement loop: per-fold
-// deep-copied training subsets, dataset-returning sampling transforms,
-// FitTree on materialised instances. It is kept here as the oracle the
-// view-based Refine must match bit for bit — same cell RNG derivation,
-// same fold construction, same serial aggregation.
+// refineReference is the unshared refinement loop: a fresh store per
+// cell, standalone sampling transforms with no shared neighbour index,
+// FitTree on the materialised view. It is the oracle Refine (fold-shared
+// stores and indexes, parallel cells, FitTreeView) must match bit for
+// bit — same cell RNG derivation, same fold construction, same serial
+// aggregation.
 func refineReference(d *dataset.Dataset, grid []SamplingConfig, opts Options) (*RefineResult, error) {
 	full := append([]SamplingConfig{{Kind: NoSampling}}, grid...)
 	rng := stats.NewRNG(opts.Seed)
@@ -24,42 +25,26 @@ func refineReference(d *dataset.Dataset, grid []SamplingConfig, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	maxK := 0
-	for _, cfg := range full {
-		if cfg.Kind == Smote && cfg.K > maxK {
-			maxK = cfg.K
-		}
-	}
 
 	nCfg := len(full)
 	cells := make([]refineCell, nCfg*len(folds))
 	for fi, fold := range folds {
-		train := d.Subset(fold.Train)
-		var ni *sampling.NeighborIndex
-		if maxK > 0 {
-			if ni, err = sampling.BuildNeighborIndex(train, eval.PositiveClass, maxK); err != nil {
-				return nil, err
-			}
-		}
 		for ci, cfg := range full {
 			cellRNG := stats.NewRNG(opts.Seed ^ (uint64(fi+1) << 20) ^ uint64(ci+1))
-			td := train
+			st := dataset.NewStore(d, fold.Train)
+			v := st.IdentityView()
 			switch cfg.Kind {
 			case Undersampling:
-				td, err = sampling.Undersample(train, 0, cfg.Percent, cellRNG)
+				v, err = sampling.UndersampleView(st, 0, cfg.Percent, cellRNG)
 			case Oversampling:
-				if maxK > 0 {
-					td, err = ni.Oversample(cfg.Percent, cellRNG)
-				} else {
-					td, err = sampling.Oversample(train, eval.PositiveClass, cfg.Percent, cellRNG)
-				}
+				v, err = sampling.OversampleView(st, eval.PositiveClass, cfg.Percent, cellRNG)
 			case Smote:
-				td, err = ni.SMOTE(cfg.Percent, cfg.K, cellRNG)
+				v, err = sampling.SMOTEView(st, eval.PositiveClass, cfg.Percent, cfg.K, cellRNG)
 			}
 			if err != nil {
 				return nil, err
 			}
-			model, err := DefaultLearner().FitTree(td)
+			model, err := DefaultLearner().FitTree(v.Materialize())
 			if err != nil {
 				return nil, err
 			}
@@ -104,9 +89,9 @@ func refineReference(d *dataset.Dataset, grid []SamplingConfig, opts Options) (*
 	return res, nil
 }
 
-// TestRefineMatchesInstancePath pins the tentpole invariant: the
-// store/view-based grid produces byte-identical results to the
-// instance-based path, at every worker count. Every grid shape is
+// TestRefineMatchesInstancePath pins the grid's sharing invariant: the
+// fold-shared stores and neighbour index produce byte-identical results
+// to the unshared reference, at every worker count. Every grid shape is
 // exercised (no-sampling, undersample, oversample, SMOTE at two
 // percent/K points, including percent<100 planning).
 func TestRefineMatchesInstancePath(t *testing.T) {
@@ -138,7 +123,7 @@ func TestRefineMatchesInstancePath(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("seed %d workers %d: view-based Refine diverges from instance path", seed, workers)
+				t.Errorf("seed %d workers %d: Refine diverges from the unshared reference", seed, workers)
 			}
 		}
 	}
@@ -147,7 +132,7 @@ func TestRefineMatchesInstancePath(t *testing.T) {
 // TestRefineMatchesInstancePathMissing covers the fallback route: a
 // dataset with missing values disables the store's merge orders, so
 // every cell materialises its view and lands in the general builder —
-// still byte-identical to the instance path.
+// still byte-identical to the reference.
 func TestRefineMatchesInstancePathMissing(t *testing.T) {
 	grid := []SamplingConfig{
 		{Kind: Undersampling, Percent: 50},
@@ -174,7 +159,7 @@ func TestRefineMatchesInstancePathMissing(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers %d: missing-value fallback diverges from instance path", workers)
+			t.Errorf("workers %d: missing-value fallback diverges from the unshared reference", workers)
 		}
 	}
 }

@@ -7,8 +7,8 @@
 // Role in the methodology: Step 2 (preprocessing) — campaign logs
 // become weighted instances here, and every later step consumes this
 // model. Ownership/concurrency: Clone/Subset/Filter deep-copy and
-// yield independently mutable datasets; CloneShared/SubsetShared alias
-// the Values slices and are for read-only consumers; Store and View
+// yield independently mutable datasets; CloneShared aliases the Values
+// slices and is for read-only consumers; Store and View
 // (DESIGN.md §10) are immutable after construction and safe for
 // concurrent read — many fold workers train from one store without
 // locking. A plain *Dataset is not synchronised: share it only after
@@ -106,13 +106,12 @@ func (in Instance) Clone() Instance {
 //
 // Ownership contract: constructors that deep-copy (Clone, Subset,
 // Filter) hand the caller instances whose Values it may mutate freely.
-// The Shared variants (CloneShared, SubsetShared) alias the receiver's
-// Values backing arrays instead; datasets built that way are read-only
-// views — callers must treat every Values slice as immutable and
-// deep-copy (Instance.Clone) before writing. Learners already promise
-// not to mutate their training data (mining.Learner), so read-only
-// pipelines (cross-validation partitions, sampling inputs) use the
-// Shared variants to avoid cloning churn.
+// CloneShared aliases the receiver's Values backing arrays instead; a
+// dataset built that way is a read-only view — callers must treat every
+// Values slice as immutable and deep-copy (Instance.Clone) before
+// writing. Learners already promise not to mutate their training data
+// (mining.Learner), so read-only consumers (rule covering, instance
+// reweighting) use it to avoid cloning churn.
 type Dataset struct {
 	Name        string
 	Attrs       []Attribute
@@ -295,19 +294,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	out.Instances = make([]Instance, 0, len(idx))
 	for _, i := range idx {
 		out.Instances = append(out.Instances, d.Instances[i].Clone())
-	}
-	return out
-}
-
-// SubsetShared returns a new dataset containing the instances at the
-// given indices with their Values backing arrays shared (not cloned).
-// The result is a read-only view per the ownership contract above.
-func (d *Dataset) SubsetShared(idx []int) *Dataset {
-	out := d.CloneSchema()
-	d.inheritMissing(out)
-	out.Instances = make([]Instance, 0, len(idx))
-	for _, i := range idx {
-		out.Instances = append(out.Instances, d.Instances[i])
 	}
 	return out
 }

@@ -32,8 +32,7 @@ type Store struct {
 
 // NewStore snapshots the instances of d at the given indices (all of d
 // when rows is nil), in index order — the same instance order
-// d.Subset(rows) would produce, so induction from the store is
-// bit-identical to induction from the cloned subset.
+// d.Subset(rows) would produce.
 func NewStore(d *Dataset, rows []int) *Store {
 	n := len(rows)
 	if rows == nil {
@@ -93,8 +92,6 @@ func NewStore(d *Dataset, rows []int) *Store {
 			slab += n
 			copy(idx, s.identity)
 			col := s.cols[a]
-			// Same comparator newFastBuilder's root sort uses, so the
-			// permutation (ties included) matches the instance path.
 			sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
 			s.sorted[a] = idx
 		}
@@ -127,27 +124,6 @@ func (s *Store) Weights() []float64 { return s.weights }
 // when the store holds missing values (the general builder re-sorts per
 // node anyway).
 func (s *Store) Sorted() [][]int32 { return s.sorted }
-
-// Dataset materialises the store back into an instance-major dataset,
-// in store row order. Used by the missing-value fallback path and by
-// equivalence tests; the hot paths never call it.
-func (s *Store) Dataset() *Dataset {
-	out := New(s.name, s.attrs, s.classValues)
-	out.Instances = make([]Instance, 0, s.n)
-	for i := 0; i < s.n; i++ {
-		vs := make([]float64, len(s.attrs))
-		for a := range s.attrs {
-			vs[a] = s.cols[a][i]
-		}
-		out.Instances = append(out.Instances, Instance{Values: vs, Class: s.classes[i], Weight: s.weights[i]})
-	}
-	if s.hasMissing {
-		out.missing = missingYes
-	} else {
-		out.missing = missingNo
-	}
-	return out
-}
 
 // Synthetic is one generated training row (a SMOTE interpolation) to be
 // appended to a store's base rows through ExtendView.
@@ -332,8 +308,7 @@ func (s *Store) ExtendView(syn []Synthetic) *View {
 		v.weights[n+j] = w
 	}
 	// Interpolating infinite base values can produce NaN synthetics on
-	// a missing-free store; those views fall back like missing data,
-	// exactly as the instance path's dataset would.
+	// a missing-free store; those views fall back like missing data.
 	if s.sorted == nil || synMissing {
 		return v
 	}
@@ -377,9 +352,6 @@ func (s *Store) ExtendView(syn []Synthetic) *View {
 	return v
 }
 
-// Store returns the backing store.
-func (v *View) Store() *Store { return v.store }
-
 // Len returns the number of training rows in the view.
 func (v *View) Len() int { return len(v.rows) }
 
@@ -418,9 +390,8 @@ func (v *View) Sorted() [][]int32 { return v.sorted }
 func (v *View) HasMissing() bool { return v.sorted == nil }
 
 // Materialize builds the instance-major dataset the view describes, in
-// the view's instance order — byte-identical to what the corresponding
-// dataset-based sampling transform returns. Cold path: used by the
-// missing-value fallback and by equivalence tests.
+// the view's instance order. Used by the missing-value fallback, by
+// learners without FitView, and by equivalence tests.
 func (v *View) Materialize() *Dataset {
 	out := New(v.store.name, v.store.attrs, v.store.classValues)
 	out.Instances = make([]Instance, 0, len(v.rows))

@@ -73,7 +73,7 @@ func TestStoreMatchesSubset(t *testing.T) {
 	rows := []int{5, 1, 12, 40, 33, 7}
 	st := NewStore(d, rows)
 	sub := d.Subset(rows)
-	md := st.Dataset()
+	md := st.IdentityView().Materialize()
 	if md.Len() != sub.Len() {
 		t.Fatalf("store holds %d rows, want %d", md.Len(), sub.Len())
 	}
@@ -93,8 +93,7 @@ func TestStoreMatchesSubset(t *testing.T) {
 
 func TestStoreSortMatchesSortSlice(t *testing.T) {
 	// The store's permutation must equal sort.Slice on the same
-	// comparator and input sequence — ties included — so view-based
-	// induction partitions rows exactly like the instance path.
+	// comparator and input sequence — ties included.
 	d := storeTestDataset(100, 9)
 	// Force ties.
 	for i := 0; i < 100; i += 3 {
@@ -186,8 +185,7 @@ func TestExtendView(t *testing.T) {
 }
 
 // Base rows must win ties against synthetic rows in the merged order,
-// matching the stability of the instance path's root sort input (base
-// instances precede synthetics in instance order).
+// as they precede synthetics in the materialised view's instance order.
 func TestExtendViewTieOrder(t *testing.T) {
 	d := New("ties", []Attribute{NumericAttr("x")}, []string{"n", "p"})
 	for _, x := range []float64{1, 2, 2, 3} {
@@ -223,7 +221,7 @@ func TestStoreMissingDisablesSorted(t *testing.T) {
 
 // A synthetic row that interpolates to NaN (possible from infinite base
 // values) must disable the merge order so induction falls back to the
-// general missing-value builder, exactly like the instance path.
+// general missing-value builder, exactly like the materialised view.
 func TestExtendViewNaNSynthetic(t *testing.T) {
 	d := storeTestDataset(10, 17)
 	st := NewStore(d, nil)
@@ -283,10 +281,6 @@ func TestSharedVariantsAliasValues(t *testing.T) {
 	cs.Instances[0].Weight = 42
 	if d.Instances[0].Weight == 42 {
 		t.Fatal("CloneShared weight mutation leaked into the receiver")
-	}
-	ss := d.SubsetShared([]int{2, 4})
-	if &ss.Instances[0].Values[0] != &d.Instances[2].Values[0] {
-		t.Fatal("SubsetShared must alias Values")
 	}
 	deep := d.Subset([]int{2, 4})
 	if &deep.Instances[0].Values[0] == &d.Instances[2].Values[0] {

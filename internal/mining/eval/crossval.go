@@ -12,24 +12,18 @@ import (
 	"edem/internal/telemetry"
 )
 
-// TrainTransform rewrites a training partition before learning — the
-// hook through which class-imbalance handling (undersampling,
-// oversampling, SMOTE) enters cross-validation. Transforms are applied
-// to training folds only; test folds always keep the natural
-// distribution, as in the paper's evaluation.
+// TrainTransform derives the training set of one fold from the fold's
+// columnar store (DESIGN.md §10) — the hook through which
+// class-imbalance handling (undersampling, oversampling, SMOTE) enters
+// cross-validation. Transforms are applied to training folds only; test
+// folds always keep the natural distribution, as in the paper's
+// evaluation.
 //
 // Folds are evaluated concurrently, so a transform must be safe for
 // concurrent calls. Each fold receives its own RNG, forked from the
 // seed in fold order, so transform randomness is identical at every
 // worker count.
-type TrainTransform func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error)
-
-// ViewTransform is the columnar analogue of TrainTransform: it derives
-// a training view from a fold's columnar store (DESIGN.md §10) instead
-// of rewriting a cloned dataset. A transform must be safe for
-// concurrent calls and must consume the same RNG stream as its
-// instance-based counterpart so either path yields identical folds.
-type ViewTransform func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error)
+type TrainTransform func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error)
 
 // CVConfig configures a cross-validation run.
 type CVConfig struct {
@@ -37,14 +31,9 @@ type CVConfig struct {
 	Folds int
 	// Seed drives fold assignment and any transform randomness.
 	Seed uint64
-	// Transform, if non-nil, preprocesses each training partition.
+	// Transform, if non-nil, derives each fold's training view; nil
+	// trains on the whole partition.
 	Transform TrainTransform
-	// ViewTransform, if non-nil, preprocesses each training partition on
-	// the columnar path. It is used instead of Transform when the
-	// learner implements mining.ViewFitter; set both when configuring a
-	// sampling treatment so cross-validation can pick the fastest path
-	// the learner supports.
-	ViewTransform ViewTransform
 	// PositiveClass is the concept class index (default 1).
 	PositiveClass int
 	// Workers bounds fold parallelism for this run: 0 draws on the
@@ -103,18 +92,16 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, cf
 	// the loop was serial — this is what makes results independent of
 	// the worker count.
 	var rngs []*stats.RNG
-	if cfg.Transform != nil || cfg.ViewTransform != nil {
+	if cfg.Transform != nil {
 		rngs = make([]*stats.RNG, len(folds))
 		for fi := range rngs {
 			rngs[fi] = rng.Fork()
 		}
 	}
 
-	// The columnar path applies when the learner trains from views and
-	// any configured transform has a view form; otherwise folds
-	// materialise shared-Values training subsets as before.
+	// Every fold trains from a view of its own store: ViewFitters read
+	// the view directly, other learners get it materialised.
 	viewFitter, _ := l.(mining.ViewFitter)
-	useViews := viewFitter != nil && (cfg.Transform == nil || cfg.ViewTransform != nil)
 
 	// Folds are evaluated in parallel into indexed slots; all metric
 	// accumulation stays serial (below) so floating-point results match
@@ -131,27 +118,19 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, cf
 			foldStart = time.Now()
 		}
 		fold := folds[fi]
-		var model mining.Classifier
+		st := dataset.NewStore(d, fold.Train)
+		v := st.IdentityView()
 		var err error
-		if useViews {
-			st := dataset.NewStore(d, fold.Train)
-			v := st.IdentityView()
-			if cfg.ViewTransform != nil {
-				if v, err = cfg.ViewTransform(st, rngs[fi]); err != nil {
-					return fmt.Errorf("eval: fold %d transform: %w", fi, err)
-				}
+		if cfg.Transform != nil {
+			if v, err = cfg.Transform(st, rngs[fi]); err != nil {
+				return fmt.Errorf("eval: fold %d transform: %w", fi, err)
 			}
+		}
+		var model mining.Classifier
+		if viewFitter != nil {
 			model, err = viewFitter.FitView(v)
 		} else {
-			train := d.SubsetShared(fold.Train)
-			if cfg.Transform != nil {
-				var terr error
-				train, terr = cfg.Transform(train, rngs[fi])
-				if terr != nil {
-					return fmt.Errorf("eval: fold %d transform: %w", fi, terr)
-				}
-			}
-			model, err = l.Fit(train)
+			model, err = l.Fit(v.Materialize())
 		}
 		if err != nil {
 			return fmt.Errorf("eval: fold %d fit: %w", fi, err)
@@ -194,21 +173,4 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, cf
 	res.MeanComp = compW.Mean()
 	res.VarAUC = aucW.Variance()
 	return res, nil
-}
-
-// Evaluate fits l on train and scores it on test, returning the
-// confusion matrix — the simple holdout path used by examples.
-func Evaluate(l mining.Learner, train, test *dataset.Dataset) (*ConfusionMatrix, error) {
-	model, err := l.Fit(train)
-	if err != nil {
-		return nil, fmt.Errorf("eval: fit: %w", err)
-	}
-	cm := NewConfusionMatrix(test.ClassValues)
-	for i := range test.Instances {
-		in := &test.Instances[i]
-		if err := cm.Record(in.Class, model.Classify(in.Values), in.Weight); err != nil {
-			return nil, err
-		}
-	}
-	return cm, nil
 }

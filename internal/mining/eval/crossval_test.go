@@ -115,17 +115,17 @@ func TestCrossValidateTransformAppliedToTrainOnly(t *testing.T) {
 	d := cvDataset(100, 4)
 	var mu sync.Mutex
 	var trainSizes []int
-	tf := func(train *dataset.Dataset, _ *stats.RNG) (*dataset.Dataset, error) {
+	tf := func(st *dataset.Store, _ *stats.RNG) (*dataset.View, error) {
 		mu.Lock()
-		trainSizes = append(trainSizes, train.Len())
+		trainSizes = append(trainSizes, st.Len())
 		mu.Unlock()
 		// Duplicate the training set; the test partition must stay at
 		// its natural size, keeping the pooled total invariant.
-		out := train.Clone()
-		for i := range train.Instances {
-			out.Instances = append(out.Instances, train.Instances[i].Clone())
+		dup := make([]int32, st.Len())
+		for i := range dup {
+			dup[i] = int32(i)
 		}
-		return out, nil
+		return st.RepeatView(dup), nil
 	}
 	res, err := CrossValidate(context.Background(), stubLearner{}, d, CVConfig{Folds: 10, Seed: 1, Transform: tf})
 	if err != nil {
@@ -142,7 +142,7 @@ func TestCrossValidateTransformAppliedToTrainOnly(t *testing.T) {
 func TestCrossValidateTransformError(t *testing.T) {
 	d := cvDataset(50, 5)
 	wantErr := errors.New("boom")
-	tf := func(*dataset.Dataset, *stats.RNG) (*dataset.Dataset, error) { return nil, wantErr }
+	tf := func(*dataset.Store, *stats.RNG) (*dataset.View, error) { return nil, wantErr }
 	if _, err := CrossValidate(context.Background(), stubLearner{}, d, CVConfig{Folds: 5, Transform: tf}); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
@@ -171,16 +171,15 @@ func TestCrossValidateDeterminism(t *testing.T) {
 func TestCrossValidateWorkerCountInvariant(t *testing.T) {
 	parallel.SetBudget(8)
 	defer parallel.SetBudget(0)
-	tf := func(train *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
+	tf := func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
 		// Randomly drop ~20% of the training instances.
-		out := train.Clone()
-		out.Instances = out.Instances[:0]
-		for i := range train.Instances {
+		var keep []int32
+		for i := 0; i < st.Len(); i++ {
 			if rng.Float64() < 0.8 {
-				out.Instances = append(out.Instances, train.Instances[i].Clone())
+				keep = append(keep, int32(i))
 			}
 		}
-		return out, nil
+		return st.SelectView(keep), nil
 	}
 	for _, seed := range []uint64{3, 11} {
 		d := cvDataset(150, seed)
@@ -195,18 +194,5 @@ func TestCrossValidateWorkerCountInvariant(t *testing.T) {
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("seed %d: Workers=1 and Workers=8 results differ", seed)
 		}
-	}
-}
-
-func TestEvaluateHoldout(t *testing.T) {
-	train := cvDataset(100, 7)
-	test := cvDataset(50, 8)
-	cm, err := Evaluate(perfectLearner{}, train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := cm.Binary(1)
-	if b.TPR() != 1 || b.FPR() != 0 {
-		t.Fatalf("holdout metrics: %+v", b)
 	}
 }

@@ -3,6 +3,8 @@ package eval
 import (
 	"context"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"edem/internal/dataset"
@@ -13,8 +15,8 @@ import (
 )
 
 // instanceOnly strips the ViewFitter refinement off a learner, forcing
-// CrossValidate down the instance-based path — the oracle the columnar
-// path is compared against.
+// CrossValidate to materialise each fold's view — the oracle the
+// FitView path is compared against.
 type instanceOnly struct{ l tree.Learner }
 
 func (w instanceOnly) Name() string                                      { return w.l.Name() }
@@ -37,8 +39,8 @@ func viewCVDataset(n int, seed uint64) *dataset.Dataset {
 	return d
 }
 
-// The columnar fold path (store + identity view + FitView) must yield
-// the same folds, models and metrics as the instance path.
+// The FitView fold path must yield the same folds, models and metrics
+// as fitting the materialised view.
 func TestCrossValidateViewPathMatchesInstancePath(t *testing.T) {
 	d := viewCVDataset(300, 41)
 	cfg := CVConfig{Folds: 10, Seed: 41}
@@ -51,19 +53,16 @@ func TestCrossValidateViewPathMatchesInstancePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("view path diverges from instance path")
+		t.Fatal("FitView diverges from the materialised view")
 	}
 }
 
-// With both transform forms set, a ViewFitter learner takes the
-// columnar path; results must match the instance path driven by the
-// dataset transform, at every worker count (same forked RNG streams).
+// Under a sampling transform, a ViewFitter learner reading the view and
+// a plain learner fitting its materialisation must agree, at every
+// worker count (same forked RNG streams).
 func TestCrossValidateViewTransformMatchesTransform(t *testing.T) {
 	d := viewCVDataset(300, 43)
-	tf := func(td *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-		return sampling.SMOTE(td, 1, 250, 3, rng)
-	}
-	vtf := func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
+	tf := func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
 		return sampling.SMOTEView(st, 1, 250, 3, rng)
 	}
 	want, err := CrossValidate(context.Background(), instanceOnly{}, d,
@@ -73,34 +72,58 @@ func TestCrossValidateViewTransformMatchesTransform(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		got, err := CrossValidate(context.Background(), tree.Learner{}, d,
-			CVConfig{Folds: 10, Seed: 43, Transform: tf, ViewTransform: vtf, Workers: workers})
+			CVConfig{Folds: 10, Seed: 43, Transform: tf, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: view transform diverges from dataset transform", workers)
+			t.Fatalf("workers=%d: FitView diverges from the materialised view", workers)
 		}
 	}
 }
 
-// A ViewFitter learner with only a dataset Transform configured must
-// stay on the instance path (the transform has no view form to use).
-func TestCrossValidateTransformOnlyUsesInstancePath(t *testing.T) {
+// sizeRecorder is a learner without FitView that records the size of
+// every training set it is handed.
+type sizeRecorder struct {
+	mu    *sync.Mutex
+	sizes *[]int
+}
+
+func (sizeRecorder) Name() string { return "size-recorder" }
+
+func (r sizeRecorder) Fit(d *dataset.Dataset) (mining.Classifier, error) {
+	r.mu.Lock()
+	*r.sizes = append(*r.sizes, d.Len())
+	r.mu.Unlock()
+	return stubClassifier(d.MajorityClass()), nil
+}
+
+// A learner without FitView (PRISM, say) must train on the transformed
+// fold, not the raw partition: every training set it sees has exactly
+// the size of the view the transform produced.
+func TestCrossValidateTransformReachesNonViewFitter(t *testing.T) {
 	d := viewCVDataset(200, 47)
-	tf := func(td *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-		return sampling.Undersample(td, 0, 60, rng)
+	var mu sync.Mutex
+	var viewSizes, fitSizes []int
+	tf := func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
+		v, err := sampling.UndersampleView(st, 0, 60, rng)
+		if err == nil {
+			mu.Lock()
+			viewSizes = append(viewSizes, v.Len())
+			mu.Unlock()
+			if v.Len() >= st.Len() {
+				t.Errorf("undersampling kept %d of %d rows", v.Len(), st.Len())
+			}
+		}
+		return v, err
 	}
-	want, err := CrossValidate(context.Background(), instanceOnly{}, d,
-		CVConfig{Folds: 5, Seed: 47, Transform: tf})
-	if err != nil {
+	l := sizeRecorder{mu: &mu, sizes: &fitSizes}
+	if _, err := CrossValidate(context.Background(), l, d, CVConfig{Folds: 5, Seed: 47, Transform: tf}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := CrossValidate(context.Background(), tree.Learner{}, d,
-		CVConfig{Folds: 5, Seed: 47, Transform: tf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("transform-only run diverges between learner wrappers")
+	sort.Ints(viewSizes)
+	sort.Ints(fitSizes)
+	if len(fitSizes) != 5 || !reflect.DeepEqual(viewSizes, fitSizes) {
+		t.Fatalf("learner trained on %v, transform produced %v", fitSizes, viewSizes)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"edem/internal/dataset"
 	"edem/internal/mining"
-	"edem/internal/stats"
 )
 
 // ROCPoint is one operating point of a classifier: the (FPR, TPR)
@@ -89,94 +88,4 @@ func ROC(model mining.Distributor, d *dataset.Dataset, positiveClass int) ([]ROC
 		auc += dx * (points[k].TPR + points[k-1].TPR) / 2
 	}
 	return points, auc, nil
-}
-
-// ROCCrossValidated fits the learner on k-fold training partitions and
-// pools the test-fold scores into one ROC curve, giving an unbiased
-// multi-point AUC estimate for learners that expose distributions.
-func ROCCrossValidated(l mining.Learner, d *dataset.Dataset, cfg CVConfig) ([]ROCPoint, float64, error) {
-	if cfg.Folds == 0 {
-		cfg.Folds = 10
-	}
-	if cfg.PositiveClass == 0 {
-		cfg.PositiveClass = PositiveClass
-	}
-	// Collect out-of-fold scores into a synthetic dataset scored by an
-	// identity distributor, then reuse ROC.
-	type scoredInstance struct {
-		score float64
-		class int
-		w     float64
-	}
-	var all []scoredInstance
-
-	rng := stats.NewRNG(cfg.Seed)
-	folds, err := dataset.StratifiedKFold(d, cfg.Folds, rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	for fi, fold := range folds {
-		// Read-only training partition: transforms clone before writing
-		// and learners must not mutate (see the dataset ownership
-		// contract), so sharing Values is safe.
-		train := d.SubsetShared(fold.Train)
-		if cfg.Transform != nil {
-			train, err = cfg.Transform(train, rng.Fork())
-			if err != nil {
-				return nil, 0, err
-			}
-		}
-		model, err := l.Fit(train)
-		if err != nil {
-			return nil, 0, err
-		}
-		dist, ok := model.(mining.Distributor)
-		if !ok {
-			return nil, 0, errors.New("eval: learner does not expose class distributions")
-		}
-		for _, ti := range fold.Test {
-			in := &d.Instances[ti]
-			p := dist.Distribution(in.Values)
-			s := 0.0
-			if cfg.PositiveClass < len(p) {
-				s = p[cfg.PositiveClass]
-			}
-			all = append(all, scoredInstance{score: s, class: in.Class, w: in.Weight})
-		}
-		_ = fi
-	}
-
-	// Build a tiny single-attribute dataset carrying the scores and let
-	// ROC do the integration through an identity distributor.
-	sd := dataset.New("scores", []dataset.Attribute{dataset.NumericAttr("score")}, d.ClassValues)
-	for _, s := range all {
-		if err := sd.Add(dataset.Instance{Values: []float64{s.score}, Class: s.class, Weight: s.w}); err != nil {
-			return nil, 0, err
-		}
-	}
-	return ROC(identityScore{positive: cfg.PositiveClass, classes: len(d.ClassValues)}, sd, cfg.PositiveClass)
-}
-
-// identityScore treats the first attribute as P(positive).
-type identityScore struct {
-	positive int
-	classes  int
-}
-
-func (s identityScore) Classify(values []float64) int {
-	if values[0] >= 0.5 {
-		return s.positive
-	}
-	return 1 - s.positive
-}
-
-func (s identityScore) Distribution(values []float64) []float64 {
-	dist := make([]float64, s.classes)
-	dist[s.positive] = values[0]
-	if s.positive == 0 {
-		dist[1] = 1 - values[0]
-	} else {
-		dist[0] = 1 - values[0]
-	}
-	return dist
 }

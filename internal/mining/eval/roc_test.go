@@ -126,33 +126,3 @@ func TestROCTieHandling(t *testing.T) {
 		t.Errorf("tied AUC = %v", auc)
 	}
 }
-
-func TestROCCrossValidated(t *testing.T) {
-	d := rocDataset(300, 0.1, 4)
-	points, auc, err := ROCCrossValidated(perfectDistLearner{}, d, CVConfig{Folds: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc < 0.8 {
-		t.Errorf("cross-validated AUC = %v", auc)
-	}
-	if len(points) < 3 {
-		t.Errorf("curve has only %d points", len(points))
-	}
-}
-
-// perfectDistLearner returns scoreByX as its model.
-type perfectDistLearner struct{}
-
-func (perfectDistLearner) Name() string { return "perfect-dist" }
-
-func (perfectDistLearner) Fit(*dataset.Dataset) (mining.Classifier, error) {
-	return scoreByX{}, nil
-}
-
-func TestROCCrossValidatedRejectsNonDistributor(t *testing.T) {
-	d := rocDataset(100, 0, 5)
-	if _, _, err := ROCCrossValidated(stubLearner{}, d, CVConfig{Folds: 5}); err == nil {
-		t.Fatal("non-distributor learner should fail")
-	}
-}

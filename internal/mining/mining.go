@@ -3,10 +3,18 @@
 // that fit classifiers to datasets, and classifiers that label instances.
 //
 // Concrete algorithms live in subpackages: tree (C4.5 decision tree
-// induction), bayes (Naïve Bayes), rules (ZeroR, OneR, PRISM), knn
-// (k-nearest neighbours); eval provides confusion-matrix metrics and
-// stratified cross-validation; sampling provides SMOTE and random
-// over/undersampling for class-imbalance handling.
+// induction, the methodology's learner), rules (ZeroR, OneR, PRISM) and
+// attrsel (variable ranking); eval provides confusion-matrix metrics
+// and stratified cross-validation; sampling provides SMOTE and random
+// over/undersampling for class-imbalance handling. The comparator
+// learners bayes, logreg, knn, costs, ensemble and discretize have no
+// caller outside their own tests: their comparison is recorded in
+// EXPERIMENTS.md ("Learner comparison").
+//
+// Training data reaches a learner one way: as a dataset.View of a
+// columnar dataset.Store (DESIGN.md §10). Cross-validation builds a
+// store per fold, applies the sampling view, and calls FitView on a
+// ViewFitter (C4.5) or Fit on the materialised view otherwise.
 //
 // Role in the methodology: Steps 3 and 4 (model generation and
 // refinement) program against these interfaces. Ownership/concurrency

@@ -1,81 +1,28 @@
 package sampling
 
 import (
-	"errors"
 	"fmt"
 
 	"edem/internal/dataset"
 	"edem/internal/stats"
 )
 
-// NeighborIndex caches the k-nearest-neighbour lists of a dataset's
+// NeighborIndex caches the k-nearest-neighbour lists of a store's
 // minority class so a refinement grid can evaluate many SMOTE
 // configurations (different percentages and neighbour counts) against
 // one training partition without recomputing the O(m²) neighbour
 // search per configuration.
 type NeighborIndex struct {
-	d      *dataset.Dataset // instance-backed index (BuildNeighborIndex)
-	st     *dataset.Store   // store-backed index (BuildViewIndex)
+	st     *dataset.Store
 	class  int
 	minIdx []int
 	lists  [][]int
 	maxK   int
 }
 
-// BuildNeighborIndex computes up to maxK nearest minority neighbours
-// for every minority instance of d.
-func BuildNeighborIndex(d *dataset.Dataset, minorityClass, maxK int) (*NeighborIndex, error) {
-	if maxK < 1 {
-		return nil, ErrBadK
-	}
-	if minorityClass < 0 || minorityClass >= len(d.ClassValues) {
-		return nil, fmt.Errorf("sampling: class %d out of range", minorityClass)
-	}
-	var minIdx []int
-	for i := range d.Instances {
-		if d.Instances[i].Class == minorityClass {
-			minIdx = append(minIdx, i)
-		}
-	}
-	if len(minIdx) == 0 {
-		return nil, ErrNoMinority
-	}
-	var lists [][]int
-	if len(minIdx) > 1 {
-		lists = nearestNeighbors(d, minIdx, maxK)
-	} else {
-		lists = make([][]int, 1)
-	}
-	return &NeighborIndex{d: d, class: minorityClass, minIdx: minIdx, lists: lists, maxK: maxK}, nil
-}
-
-// SMOTE generates percent% synthetic minority instances using the first
-// k cached neighbours of each seed. k must not exceed the index's maxK.
-func (ni *NeighborIndex) SMOTE(percent float64, k int, rng *stats.RNG) (*dataset.Dataset, error) {
-	if k < 1 || k > ni.maxK {
-		return nil, fmt.Errorf("%w: k=%d (index holds %d)", ErrBadK, k, ni.maxK)
-	}
-	trunc := make([][]int, len(ni.lists))
-	for i, l := range ni.lists {
-		if len(l) > k {
-			l = l[:k]
-		}
-		trunc[i] = l
-	}
-	return smoteWith(ni.d, ni.class, ni.minIdx, trunc, percent, rng, false)
-}
-
-// Oversample generates percent% minority copies with replacement (the
-// q=0 special case), using the cached minority indices.
-func (ni *NeighborIndex) Oversample(percent float64, rng *stats.RNG) (*dataset.Dataset, error) {
-	return smoteWith(ni.d, ni.class, ni.minIdx, nil, percent, rng, true)
-}
-
 // BuildViewIndex computes up to maxK nearest minority neighbours for
-// every minority row of a columnar store. The lists match
-// BuildNeighborIndex on the materialised partition bit for bit (shared
-// neighbour-search core, same tie-breaks); the resulting index serves
-// views via SMOTEView/OversampleView instead of cloned datasets.
+// every minority row of a columnar store. The index serves views via
+// SMOTEView/OversampleView.
 func BuildViewIndex(st *dataset.Store, minorityClass, maxK int) (*NeighborIndex, error) {
 	if maxK < 1 {
 		return nil, ErrBadK
@@ -86,25 +33,18 @@ func BuildViewIndex(st *dataset.Store, minorityClass, maxK int) (*NeighborIndex,
 	}
 	var lists [][]int
 	if len(minIdx) > 1 {
-		lists = storeNeighbors(st, minIdx, maxK)
+		lists = nearestNeighborsAt(st, minIdx, maxK)
 	} else {
 		lists = make([][]int, 1)
 	}
 	return &NeighborIndex{st: st, class: minorityClass, minIdx: minIdx, lists: lists, maxK: maxK}, nil
 }
 
-// ErrNoStore is returned when a view method is called on an index built
-// over a dataset rather than a columnar store.
-var ErrNoStore = errors.New("sampling: neighbour index not store-backed")
-
 // SMOTEView generates percent% synthetic minority rows from the first k
 // cached neighbours of each seed, as a view of the index's store. Same
-// RNG stream and synthetic values as SMOTE on the materialised
-// partition.
+// RNG stream and synthetic values as the standalone SMOTEView with k
+// neighbours. k must not exceed the index's maxK.
 func (ni *NeighborIndex) SMOTEView(percent float64, k int, rng *stats.RNG) (*dataset.View, error) {
-	if ni.st == nil {
-		return nil, ErrNoStore
-	}
 	if k < 1 || k > ni.maxK {
 		return nil, fmt.Errorf("%w: k=%d (index holds %d)", ErrBadK, k, ni.maxK)
 	}
@@ -124,11 +64,9 @@ func (ni *NeighborIndex) SMOTEView(percent float64, k int, rng *stats.RNG) (*dat
 
 // OversampleView generates percent% minority copies with replacement as
 // a repeat view of the index's store (duplicate row references, no
-// value copies). Same RNG stream as Oversample.
+// value copies), using the cached minority rows. Same RNG stream as the
+// standalone OversampleView.
 func (ni *NeighborIndex) OversampleView(percent float64, rng *stats.RNG) (*dataset.View, error) {
-	if ni.st == nil {
-		return nil, ErrNoStore
-	}
 	specs, err := planSmote(ni.minIdx, nil, percent, rng, true)
 	if err != nil {
 		return nil, err

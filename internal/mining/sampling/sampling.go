@@ -7,11 +7,12 @@
 //
 // Role in the methodology: the refinement axis of Step 4 — the grid
 // searches these treatments' levels for the best mean AUC (Table IV).
-// Concurrency: transforms never mutate their input dataset; they
-// return fresh datasets or views, drawing variates from a caller-
-// supplied RNG (callers give each grid cell its own). A NeighborIndex
-// is immutable after construction and safe for concurrent reads across
-// the grid cells of a fold.
+// Every treatment works against a columnar dataset.Store and returns a
+// dataset.View of the transformed training set (DESIGN.md §10); nothing
+// clones instances. Concurrency: transforms never mutate their store,
+// drawing variates from a caller-supplied RNG (callers give each grid
+// cell its own). A NeighborIndex is immutable after construction and
+// safe for concurrent reads across the grid cells of a fold.
 package sampling
 
 import (
@@ -31,38 +32,17 @@ var (
 	ErrBadK       = errors.New("sampling: nearest neighbour count must be >= 1")
 )
 
-// Undersample keeps keepPercent% of the majority-class instances (all
-// other classes are kept in full), the undersampling treatment whose
-// levels Table IV reports as S=n(U). keepPercent must be in (0, 100].
-func Undersample(d *dataset.Dataset, majorityClass int, keepPercent float64, rng *stats.RNG) (*dataset.Dataset, error) {
-	if majorityClass < 0 || majorityClass >= len(d.ClassValues) {
-		return nil, fmt.Errorf("sampling: class %d out of range", majorityClass)
-	}
-	order, err := undersampleOrder(d.Len(), func(i int) int { return d.Instances[i].Class }, majorityClass, keepPercent, rng)
-	if err != nil {
-		return nil, err
-	}
-	out := d.CloneSchema()
-	out.Instances = make([]dataset.Instance, 0, len(order))
-	for _, i := range order {
-		out.Instances = append(out.Instances, d.Instances[i].Clone())
-	}
-	return out, nil
-}
-
 // undersampleOrder computes the output row order of an undersampling
-// pass: every non-majority row in input order, then the kept majority
-// rows in shuffled order. It is the single place undersampling consumes
-// randomness, shared by the dataset path (Undersample) and the view
-// path (UndersampleView) so both see the identical RNG stream.
-func undersampleOrder(n int, classAt func(int) int, majorityClass int, keepPercent float64, rng *stats.RNG) ([]int, error) {
+// pass over rows with the given classes: every non-majority row in
+// input order, then the kept majority rows in shuffled order.
+func undersampleOrder(classes []int, majorityClass int, keepPercent float64, rng *stats.RNG) ([]int, error) {
 	if keepPercent <= 0 || keepPercent > 100 {
 		return nil, fmt.Errorf("%w: keep %.1f%%", ErrBadPercent, keepPercent)
 	}
 	var majIdx []int
-	order := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if classAt(i) == majorityClass {
+	order := make([]int, 0, len(classes))
+	for i, c := range classes {
+		if c == majorityClass {
 			majIdx = append(majIdx, i)
 		} else {
 			order = append(order, i)
@@ -76,78 +56,6 @@ func undersampleOrder(n int, classAt func(int) int, majorityClass int, keepPerce
 	return append(order, majIdx[:keep]...), nil
 }
 
-// Oversample adds percent% synthetic copies of the minority class by
-// sampling with replacement — SMOTE with interpolation factor q = 0
-// (paper §V-C). percent=300 adds three copies per minority instance.
-func Oversample(d *dataset.Dataset, minorityClass int, percent float64, rng *stats.RNG) (*dataset.Dataset, error) {
-	return smote(d, minorityClass, percent, 1, rng, true)
-}
-
-// SMOTE adds percent% synthetic minority instances, each generated by
-// interpolating a seed instance towards one of its k nearest minority
-// neighbours: s = t + q*(n - t) with q uniform in (0,1).
-func SMOTE(d *dataset.Dataset, minorityClass int, percent float64, k int, rng *stats.RNG) (*dataset.Dataset, error) {
-	if k < 1 {
-		return nil, ErrBadK
-	}
-	return smote(d, minorityClass, percent, k, rng, false)
-}
-
-func smote(d *dataset.Dataset, minorityClass int, percent float64, k int, rng *stats.RNG, replacementOnly bool) (*dataset.Dataset, error) {
-	if minorityClass < 0 || minorityClass >= len(d.ClassValues) {
-		return nil, fmt.Errorf("sampling: class %d out of range", minorityClass)
-	}
-	var minIdx []int
-	for i := range d.Instances {
-		if d.Instances[i].Class == minorityClass {
-			minIdx = append(minIdx, i)
-		}
-	}
-	if len(minIdx) == 0 {
-		return nil, ErrNoMinority
-	}
-	var neighbors [][]int
-	if !replacementOnly && len(minIdx) > 1 {
-		neighbors = nearestNeighbors(d, minIdx, k)
-	}
-	return smoteWith(d, minorityClass, minIdx, neighbors, percent, rng, replacementOnly)
-}
-
-// smoteWith is the sampling core shared by SMOTE, Oversample and the
-// cached NeighborIndex: neighbors may be nil for plain replacement.
-func smoteWith(d *dataset.Dataset, minorityClass int, minIdx []int, neighbors [][]int, percent float64, rng *stats.RNG, replacementOnly bool) (*dataset.Dataset, error) {
-	specs, err := planSmote(minIdx, neighbors, percent, rng, replacementOnly)
-	if err != nil {
-		return nil, err
-	}
-	out := d.Clone()
-	for _, sp := range specs {
-		seed := &d.Instances[minIdx[sp.seedPos]]
-		syn := seed.Clone()
-		if sp.nn >= 0 {
-			nb := &d.Instances[sp.nn]
-			for a := range syn.Values {
-				sv, nv := seed.Values[a], nb.Values[a]
-				if dataset.IsMissing(sv) || dataset.IsMissing(nv) {
-					continue
-				}
-				if d.Attrs[a].Type == dataset.Numeric {
-					syn.Values[a] = sv + sp.q*(nv-sv)
-				} else if sp.q >= 0.5 {
-					// Nominal attributes take the neighbour's value when
-					// the interpolation point is closer to it.
-					syn.Values[a] = nv
-				}
-			}
-		}
-		syn.Class = minorityClass
-		if err := out.Add(syn); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // synSpec describes one planned synthetic instance: the seed's position
 // in minIdx, the chosen neighbour row (-1 for a plain replacement
 // copy), and the interpolation factor q.
@@ -159,9 +67,9 @@ type synSpec struct {
 
 // planSmote consumes the RNG stream of a SMOTE/oversampling pass and
 // returns the synthetic instances to generate, without touching any
-// instance data. It is the single place these passes consume
-// randomness, shared by the dataset path (smoteWith) and the view path
-// (SMOTEView/OversampleView) so both see the identical RNG stream.
+// row data. It is the single place these passes consume randomness,
+// shared by the standalone transforms and the NeighborIndex methods so
+// both see the identical RNG stream.
 //
 // percent >= 100: r = percent/100 instances per seed (fractional
 // remainder distributed randomly). percent < 100: a percent% random
@@ -208,25 +116,17 @@ func planSmote(minIdx []int, neighbors [][]int, percent float64, rng *stats.RNG,
 	return specs, nil
 }
 
-// nearestNeighbors returns, for each minority instance, the indices (into
-// d.Instances) of its k nearest minority-class neighbours under
-// min-max-normalised Euclidean distance (nominal attributes contribute
-// 0/1 mismatch).
-func nearestNeighbors(d *dataset.Dataset, minIdx []int, k int) [][]int {
-	lo, hi := attributeRanges(d)
-	return nearestNeighborsAt(d.Attrs, func(row, attr int) float64 { return d.Instances[row].Values[attr] }, lo, hi, minIdx, k)
-}
-
-// nearestNeighborsAt is the neighbour-search core behind both the
-// instance-major (dataset) and column-major (store) representations:
-// value reads go through the accessor, and the attribute loop, distance
-// accumulation order and (distance, index) tie-break are identical for
-// both, so the two paths return the same lists bit for bit.
-func nearestNeighborsAt(attrs []dataset.Attribute, value func(row, attr int) float64, lo, hi []float64, minIdx []int, k int) [][]int {
+// nearestNeighborsAt returns, for each minority row of the store, the
+// rows of its k nearest minority-class neighbours under
+// min-max-normalised Euclidean distance (nominal attributes and
+// missing values contribute a 0/1 mismatch), ties broken by row index.
+func nearestNeighborsAt(st *dataset.Store, minIdx []int, k int) [][]int {
+	attrs, cols := st.Attrs(), st.Cols()
+	lo, hi := columnRanges(st)
 	dist := func(a, b int) float64 {
 		s := 0.0
 		for i := range attrs {
-			av, bv := value(a, i), value(b, i)
+			av, bv := cols[i][a], cols[i][b]
 			if dataset.IsMissing(av) || dataset.IsMissing(bv) {
 				s++
 				continue
@@ -279,17 +179,18 @@ func nearestNeighborsAt(attrs []dataset.Attribute, value func(row, attr int) flo
 	return res
 }
 
-// attributeRanges returns per-attribute min/max over non-missing values.
-func attributeRanges(d *dataset.Dataset) (lo, hi []float64) {
-	n := len(d.Attrs)
-	lo = make([]float64, n)
-	hi = make([]float64, n)
+// columnRanges returns per-attribute min/max over the store's
+// non-missing values.
+func columnRanges(st *dataset.Store) (lo, hi []float64) {
+	attrs := st.Attrs()
+	lo = make([]float64, len(attrs))
+	hi = make([]float64, len(attrs))
 	for i := range lo {
 		lo[i] = math.Inf(1)
 		hi[i] = math.Inf(-1)
 	}
-	for k := range d.Instances {
-		for i, v := range d.Instances[k].Values {
+	for i, col := range st.Cols() {
+		for _, v := range col {
 			if dataset.IsMissing(v) {
 				continue
 			}

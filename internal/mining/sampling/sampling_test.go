@@ -41,12 +41,23 @@ func classCounts(d *dataset.Dataset) (neg, pos int) {
 	return c[0], c[1]
 }
 
+// materialized returns a function building the training set a view
+// describes, failing the test on a transform error.
+func materialized(t *testing.T) func(*dataset.View, error) *dataset.Dataset {
+	return func(v *dataset.View, err error) *dataset.Dataset {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Materialize()
+	}
+}
+
+func store(d *dataset.Dataset) *dataset.Store { return dataset.NewStore(d, nil) }
+
 func TestUndersample(t *testing.T) {
 	d := imbalanced(100, 10, 1)
-	out, err := Undersample(d, 0, 30, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := materialized(t)(UndersampleView(store(d), 0, 30, stats.NewRNG(1)))
 	neg, pos := classCounts(out)
 	if neg != 30 {
 		t.Errorf("negatives = %d, want 30", neg)
@@ -58,10 +69,7 @@ func TestUndersample(t *testing.T) {
 
 func TestUndersampleKeepsAtLeastOne(t *testing.T) {
 	d := imbalanced(10, 2, 2)
-	out, err := Undersample(d, 0, 1, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := materialized(t)(UndersampleView(store(d), 0, 1, stats.NewRNG(1)))
 	neg, _ := classCounts(out)
 	if neg < 1 {
 		t.Errorf("negatives = %d, want >= 1", neg)
@@ -69,24 +77,21 @@ func TestUndersampleKeepsAtLeastOne(t *testing.T) {
 }
 
 func TestUndersampleErrors(t *testing.T) {
-	d := imbalanced(10, 2, 3)
-	if _, err := Undersample(d, 0, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
+	st := store(imbalanced(10, 2, 3))
+	if _, err := UndersampleView(st, 0, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
 		t.Errorf("percent 0: %v", err)
 	}
-	if _, err := Undersample(d, 0, 101, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
+	if _, err := UndersampleView(st, 0, 101, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
 		t.Errorf("percent 101: %v", err)
 	}
-	if _, err := Undersample(d, 5, 50, stats.NewRNG(1)); err == nil {
+	if _, err := UndersampleView(st, 5, 50, stats.NewRNG(1)); err == nil {
 		t.Error("bad class should fail")
 	}
 }
 
 func TestOversample(t *testing.T) {
 	d := imbalanced(100, 10, 4)
-	out, err := Oversample(d, 1, 300, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := materialized(t)(OversampleView(store(d), 1, 300, stats.NewRNG(1)))
 	neg, pos := classCounts(out)
 	if neg != 100 {
 		t.Errorf("negatives = %d, want untouched 100", neg)
@@ -110,10 +115,7 @@ func TestOversample(t *testing.T) {
 
 func TestSMOTECounts(t *testing.T) {
 	d := imbalanced(100, 10, 5)
-	out, err := SMOTE(d, 1, 500, 3, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := materialized(t)(SMOTEView(store(d), 1, 500, 3, stats.NewRNG(1)))
 	_, pos := classCounts(out)
 	if pos != 60 { // 10 + 500%
 		t.Errorf("positives = %d, want 60", pos)
@@ -124,10 +126,7 @@ func TestSMOTESyntheticsInterpolate(t *testing.T) {
 	// Positives lie on the line y = 2x; synthetic instances must stay
 	// on the segment between a seed and a neighbour — hence on the line.
 	d := imbalanced(50, 12, 6)
-	out, err := SMOTE(d, 1, 400, 5, stats.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := materialized(t)(SMOTEView(store(d), 1, 400, 5, stats.NewRNG(2)))
 	for i := d.Len(); i < out.Len(); i++ {
 		in := out.Instances[i]
 		if in.Class != 1 {
@@ -149,10 +148,7 @@ func TestSMOTESyntheticsInterpolate(t *testing.T) {
 
 func TestSMOTEUnderHundredPercent(t *testing.T) {
 	d := imbalanced(50, 20, 7)
-	out, err := SMOTE(d, 1, 50, 3, stats.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := materialized(t)(SMOTEView(store(d), 1, 50, 3, stats.NewRNG(3)))
 	_, pos := classCounts(out)
 	if pos != 30 { // 20 + 50% of 20
 		t.Errorf("positives = %d, want 30", pos)
@@ -160,15 +156,15 @@ func TestSMOTEUnderHundredPercent(t *testing.T) {
 }
 
 func TestSMOTEErrors(t *testing.T) {
-	d := imbalanced(50, 5, 8)
-	if _, err := SMOTE(d, 1, 100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
+	st := store(imbalanced(50, 5, 8))
+	if _, err := SMOTEView(st, 1, 100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0: %v", err)
 	}
-	if _, err := SMOTE(d, 1, -5, 3, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
+	if _, err := SMOTEView(st, 1, -5, 3, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
 		t.Errorf("percent<0: %v", err)
 	}
-	empty := imbalanced(50, 0, 9)
-	if _, err := SMOTE(empty, 1, 100, 3, stats.NewRNG(1)); !errors.Is(err, ErrNoMinority) {
+	empty := store(imbalanced(50, 0, 9))
+	if _, err := SMOTEView(empty, 1, 100, 3, stats.NewRNG(1)); !errors.Is(err, ErrNoMinority) {
 		t.Errorf("no minority: %v", err)
 	}
 }
@@ -177,10 +173,7 @@ func TestSMOTESingleMinorityInstance(t *testing.T) {
 	// With one positive there are no neighbours: SMOTE degrades to
 	// replacement copies rather than failing.
 	d := imbalanced(20, 1, 10)
-	out, err := SMOTE(d, 1, 300, 5, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := materialized(t)(SMOTEView(store(d), 1, 300, 5, stats.NewRNG(1)))
 	_, pos := classCounts(out)
 	if pos != 4 {
 		t.Errorf("positives = %d, want 4", pos)
@@ -190,18 +183,23 @@ func TestSMOTESingleMinorityInstance(t *testing.T) {
 func TestSamplingDoesNotMutateInput(t *testing.T) {
 	d := imbalanced(30, 6, 11)
 	before := d.Clone()
-	if _, err := SMOTE(d, 1, 200, 3, stats.NewRNG(1)); err != nil {
+	st := store(d)
+	if _, err := SMOTEView(st, 1, 200, 3, stats.NewRNG(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Undersample(d, 0, 50, stats.NewRNG(1)); err != nil {
+	if _, err := OversampleView(st, 1, 200, stats.NewRNG(1)); err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != before.Len() {
+	if _, err := UndersampleView(st, 0, 50, stats.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != before.Len() || st.Len() != before.Len() {
 		t.Fatal("input mutated")
 	}
+	cols := st.Cols()
 	for i := range d.Instances {
 		for j := range d.Instances[i].Values {
-			if d.Instances[i].Values[j] != before.Instances[i].Values[j] {
+			if d.Instances[i].Values[j] != before.Instances[i].Values[j] || cols[j][i] != before.Instances[i].Values[j] {
 				t.Fatal("input values mutated")
 			}
 		}
@@ -209,15 +207,9 @@ func TestSamplingDoesNotMutateInput(t *testing.T) {
 }
 
 func TestSamplingDeterminism(t *testing.T) {
-	d := imbalanced(60, 12, 12)
-	a, err := SMOTE(d, 1, 300, 4, stats.NewRNG(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SMOTE(d, 1, 300, 4, stats.NewRNG(42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := store(imbalanced(60, 12, 12))
+	a := materialized(t)(SMOTEView(st, 1, 300, 4, stats.NewRNG(42)))
+	b := materialized(t)(SMOTEView(st, 1, 300, 4, stats.NewRNG(42)))
 	if a.Len() != b.Len() {
 		t.Fatal("lengths differ")
 	}
@@ -236,7 +228,7 @@ func TestSMOTEProperty(t *testing.T) {
 		nPos := int(posRaw%20) + 2
 		pct := float64(int(pctRaw)%900 + 10)
 		d := imbalanced(30, nPos, seed)
-		out, err := SMOTE(d, 1, pct, 3, stats.NewRNG(seed))
+		out, err := SMOTEView(store(d), 1, pct, 3, stats.NewRNG(seed))
 		if err != nil {
 			return false
 		}
@@ -249,19 +241,13 @@ func TestSMOTEProperty(t *testing.T) {
 }
 
 func TestNeighborIndexMatchesDirectSMOTE(t *testing.T) {
-	d := imbalanced(80, 15, 13)
-	ni, err := BuildNeighborIndex(d, 1, 5)
+	st := store(imbalanced(80, 15, 13))
+	ni, err := BuildViewIndex(st, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ni.SMOTE(300, 5, stats.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SMOTE(d, 1, 300, 5, stats.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := materialized(t)(ni.SMOTEView(300, 5, stats.NewRNG(7)))
+	b := materialized(t)(SMOTEView(st, 1, 300, 5, stats.NewRNG(7)))
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
@@ -275,35 +261,31 @@ func TestNeighborIndexMatchesDirectSMOTE(t *testing.T) {
 }
 
 func TestNeighborIndexKBounds(t *testing.T) {
-	d := imbalanced(20, 6, 14)
-	ni, err := BuildNeighborIndex(d, 1, 3)
+	st := store(imbalanced(20, 6, 14))
+	ni, err := BuildViewIndex(st, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ni.SMOTE(100, 4, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
+	if _, err := ni.SMOTEView(100, 4, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
 		t.Errorf("k beyond index: %v", err)
 	}
-	if _, err := ni.SMOTE(100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
+	if _, err := ni.SMOTEView(100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0: %v", err)
 	}
-	if _, err := BuildNeighborIndex(d, 1, 0); !errors.Is(err, ErrBadK) {
+	if _, err := BuildViewIndex(st, 1, 0); !errors.Is(err, ErrBadK) {
 		t.Errorf("maxK=0: %v", err)
 	}
-	if _, err := BuildNeighborIndex(d, 9, 3); err == nil {
+	if _, err := BuildViewIndex(st, 9, 3); err == nil {
 		t.Error("bad class should fail")
 	}
 }
 
 func TestNeighborIndexOversample(t *testing.T) {
-	d := imbalanced(40, 8, 15)
-	ni, err := BuildNeighborIndex(d, 1, 3)
+	ni, err := BuildViewIndex(store(imbalanced(40, 8, 15)), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ni.Oversample(200, stats.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := materialized(t)(ni.OversampleView(200, stats.NewRNG(5)))
 	_, pos := classCounts(out)
 	if pos != 24 {
 		t.Errorf("positives = %d, want 24", pos)
@@ -321,18 +303,18 @@ func TestNearestNeighborsAreNearest(t *testing.T) {
 			d.MustAdd(dataset.Instance{Values: []float64{c + float64(k)}, Class: 1, Weight: 1})
 		}
 	}
-	var minIdx []int
-	for i := range d.Instances {
-		if d.Instances[i].Class == 1 {
-			minIdx = append(minIdx, i)
-		}
+	st := store(d)
+	minIdx, err := storeMinority(st, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lists := nearestNeighbors(d, minIdx, 2)
+	x := st.Cols()[0]
+	lists := nearestNeighborsAt(st, minIdx, 2)
 	for i, nn := range lists {
-		self := d.Instances[minIdx[i]].Values[0]
+		self := x[minIdx[i]]
 		for _, j := range nn {
-			if math.Abs(d.Instances[j].Values[0]-self) > 5 {
-				t.Fatalf("neighbour of %v is %v: wrong cluster", self, d.Instances[j].Values[0])
+			if math.Abs(x[j]-self) > 5 {
+				t.Fatalf("neighbour of %v is %v: wrong cluster", self, x[j])
 			}
 		}
 	}

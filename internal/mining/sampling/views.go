@@ -1,34 +1,29 @@
 package sampling
 
-// This file holds the view-returning variants of the sampling
-// treatments, for the refinement grid's fold-shared columnar store
-// (DESIGN.md §10). Each
-// variant consumes the exact RNG stream of its dataset counterpart —
-// both run the same plan function (undersampleOrder, planSmote) — and
-// returns a dataset.View describing the transformed training set
-// against the store, instead of materialising cloned instances:
-// undersampling filters the store's presorted orders, oversampling
-// repeats row references, and SMOTE sorts only the synthetic rows and
-// merges them into the presorted base order.
+// This file holds the sampling treatments. Each returns a dataset.View
+// describing the transformed training set against the store instead of
+// materialising cloned instances: undersampling filters the store's
+// presorted orders, oversampling repeats row references, and SMOTE
+// sorts only the synthetic rows and merges them into the presorted base
+// order.
 
 import (
 	"fmt"
-	"math"
 
 	"edem/internal/dataset"
 	"edem/internal/stats"
 )
 
-// UndersampleView is Undersample against a columnar store: the view
-// keeps keepPercent% of the majority-class rows (all other classes in
-// full), in the same instance order and from the same RNG stream as the
-// dataset path.
+// UndersampleView keeps keepPercent% of the majority-class rows (all
+// other classes in full), the undersampling treatment whose levels
+// Table IV reports as S=n(U). keepPercent must be in (0, 100]. The
+// view holds every non-majority row in store order, then the kept
+// majority rows in shuffled order.
 func UndersampleView(st *dataset.Store, majorityClass int, keepPercent float64, rng *stats.RNG) (*dataset.View, error) {
 	if majorityClass < 0 || majorityClass >= len(st.ClassValues()) {
 		return nil, fmt.Errorf("sampling: class %d out of range", majorityClass)
 	}
-	classes := st.Classes()
-	order, err := undersampleOrder(st.Len(), func(i int) int { return classes[i] }, majorityClass, keepPercent, rng)
+	order, err := undersampleOrder(st.Classes(), majorityClass, keepPercent, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -39,8 +34,10 @@ func UndersampleView(st *dataset.Store, majorityClass int, keepPercent float64, 
 	return st.SelectView(rows), nil
 }
 
-// OversampleView is Oversample against a columnar store: percent%
-// minority copies with replacement, as repeated row references.
+// OversampleView adds percent% copies of the minority class by sampling
+// with replacement — SMOTE with interpolation factor q = 0 (paper §V-C)
+// — as repeated row references. percent=300 adds three copies per
+// minority row.
 func OversampleView(st *dataset.Store, minorityClass int, percent float64, rng *stats.RNG) (*dataset.View, error) {
 	minIdx, err := storeMinority(st, minorityClass)
 	if err != nil {
@@ -53,9 +50,10 @@ func OversampleView(st *dataset.Store, minorityClass int, percent float64, rng *
 	return viewFromSpecs(st, minorityClass, minIdx, specs), nil
 }
 
-// SMOTEView is SMOTE against a columnar store: percent% synthetic
-// minority rows interpolated towards k nearest minority neighbours,
-// appended to the store through an extend view.
+// SMOTEView adds percent% synthetic minority rows, each interpolated
+// from a seed row towards one of its k nearest minority neighbours:
+// s = t + q*(n - t) with q uniform in (0,1). The rows are appended to
+// the store through an extend view.
 func SMOTEView(st *dataset.Store, minorityClass int, percent float64, k int, rng *stats.RNG) (*dataset.View, error) {
 	if k < 1 {
 		return nil, ErrBadK
@@ -66,7 +64,7 @@ func SMOTEView(st *dataset.Store, minorityClass int, percent float64, k int, rng
 	}
 	var neighbors [][]int
 	if len(minIdx) > 1 {
-		neighbors = storeNeighbors(st, minIdx, k)
+		neighbors = nearestNeighborsAt(st, minIdx, k)
 	}
 	specs, err := planSmote(minIdx, neighbors, percent, rng, false)
 	if err != nil {
@@ -90,40 +88,6 @@ func storeMinority(st *dataset.Store, minorityClass int) ([]int, error) {
 		return nil, ErrNoMinority
 	}
 	return minIdx, nil
-}
-
-// storeNeighbors runs the shared neighbour-search core over the store's
-// columns; the lists match nearestNeighbors on the materialised dataset
-// bit for bit.
-func storeNeighbors(st *dataset.Store, minIdx []int, k int) [][]int {
-	lo, hi := columnRanges(st)
-	cols := st.Cols()
-	return nearestNeighborsAt(st.Attrs(), func(row, attr int) float64 { return cols[attr][row] }, lo, hi, minIdx, k)
-}
-
-// columnRanges is attributeRanges over a store's columns.
-func columnRanges(st *dataset.Store) (lo, hi []float64) {
-	attrs := st.Attrs()
-	lo = make([]float64, len(attrs))
-	hi = make([]float64, len(attrs))
-	for i := range lo {
-		lo[i] = math.Inf(1)
-		hi[i] = math.Inf(-1)
-	}
-	for i, col := range st.Cols() {
-		for _, v := range col {
-			if dataset.IsMissing(v) {
-				continue
-			}
-			if v < lo[i] {
-				lo[i] = v
-			}
-			if v > hi[i] {
-				hi[i] = v
-			}
-		}
-	}
-	return lo, hi
 }
 
 // viewFromSpecs realises a synthetic-instance plan against the store.

@@ -53,14 +53,14 @@ func datasetsEqual(t *testing.T, label string, want, got *dataset.Dataset) {
 	}
 }
 
-// The view path must reproduce the dataset path exactly: same RNG
+// Each view must reproduce the instance-major oracle exactly: same RNG
 // stream, same instance order, same values. Materialising the view and
-// comparing against the dataset transform pins all three.
+// comparing against the oracle pins all three.
 func TestUndersampleViewMatchesDataset(t *testing.T) {
 	d := imbalancedDataset(200, 1)
 	st := dataset.NewStore(d, nil)
 	for _, pct := range []float64{5, 35, 65, 100} {
-		want, err := Undersample(d, 0, pct, stats.NewRNG(42))
+		want, err := undersampleOracle(d, 0, pct, stats.NewRNG(42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestOversampleViewMatchesDataset(t *testing.T) {
 	d := imbalancedDataset(200, 2)
 	st := dataset.NewStore(d, nil)
 	for _, pct := range []float64{40, 100, 300, 1500} {
-		want, err := Oversample(d, 1, pct, stats.NewRNG(7))
+		want, err := oversampleOracle(d, 1, pct, stats.NewRNG(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestSMOTEViewMatchesDataset(t *testing.T) {
 	st := dataset.NewStore(d, nil)
 	for _, pct := range []float64{40, 100, 300} {
 		for _, k := range []int{1, 5} {
-			want, err := SMOTE(d, 1, pct, k, stats.NewRNG(99))
+			want, err := smoteOracle(d, 1, pct, k, stats.NewRNG(99))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,35 +106,33 @@ func TestSMOTEViewMatchesDataset(t *testing.T) {
 	}
 }
 
-// The store-backed index must agree with the instance-backed index both
-// on neighbour lists (shared search core) and on the generated views.
+// The store-backed index must agree with the oracle both on neighbour
+// lists and on the generated views: a k-prefix of the cached maxK
+// lists is the k-neighbour search.
 func TestViewIndexMatchesNeighborIndex(t *testing.T) {
 	d := imbalancedDataset(150, 4)
 	st := dataset.NewStore(d, nil)
-	ni, err := BuildNeighborIndex(d, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	vi, err := BuildViewIndex(st, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ni.lists) != len(vi.lists) {
-		t.Fatalf("list counts diverge: %d vs %d", len(ni.lists), len(vi.lists))
+	want := neighborsOracle(d, vi.minIdx, 7)
+	if len(want) != len(vi.lists) {
+		t.Fatalf("list counts diverge: %d vs %d", len(want), len(vi.lists))
 	}
-	for i := range ni.lists {
-		if len(ni.lists[i]) != len(vi.lists[i]) {
+	for i := range want {
+		if len(want[i]) != len(vi.lists[i]) {
 			t.Fatalf("minority %d: list lengths diverge", i)
 		}
-		for j := range ni.lists[i] {
-			if ni.lists[i][j] != vi.lists[i][j] {
-				t.Fatalf("minority %d neighbour %d: %d vs %d", i, j, ni.lists[i][j], vi.lists[i][j])
+		for j := range want[i] {
+			if want[i][j] != vi.lists[i][j] {
+				t.Fatalf("minority %d neighbour %d: %d vs %d", i, j, want[i][j], vi.lists[i][j])
 			}
 		}
 	}
 
 	for _, k := range []int{1, 7} {
-		want, err := ni.SMOTE(300, k, stats.NewRNG(5))
+		want, err := smoteOracle(d, 1, 300, k, stats.NewRNG(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +142,7 @@ func TestViewIndexMatchesNeighborIndex(t *testing.T) {
 		}
 		datasetsEqual(t, "index smote", want, v.Materialize())
 	}
-	want, err := ni.Oversample(500, stats.NewRNG(6))
+	wantO, err := oversampleOracle(d, 1, 500, stats.NewRNG(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +150,7 @@ func TestViewIndexMatchesNeighborIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	datasetsEqual(t, "index oversample", want, v.Materialize())
-
-	if _, err := ni.SMOTEView(100, 1, stats.NewRNG(1)); err != ErrNoStore {
-		t.Fatalf("dataset-backed index SMOTEView: %v, want ErrNoStore", err)
-	}
+	datasetsEqual(t, "index oversample", wantO, v.Materialize())
 }
 
 // Single-member minority degenerates SMOTE to replacement copies; the
@@ -168,7 +162,7 @@ func TestSMOTEViewSingleMinority(t *testing.T) {
 	}
 	d.Instances[3].Class = 1
 	st := dataset.NewStore(d, nil)
-	want, err := SMOTE(d, 1, 300, 5, stats.NewRNG(8))
+	want, err := smoteOracle(d, 1, 300, 5, stats.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}

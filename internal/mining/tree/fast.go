@@ -2,17 +2,17 @@ package tree
 
 import (
 	"math"
-	"sort"
 
 	"edem/internal/dataset"
 )
 
 // The fast induction path applies when the training data has no missing
-// values: attribute columns are sorted once and the sort order is
-// preserved through partitioning, removing the per-node sort that
-// dominates induction cost on large fault-injection datasets. Datasets
-// with missing values fall back to the general builder, which handles
-// fractional instance weights.
+// values: it starts from a dataset.View whose numeric attributes come
+// presorted by the store (and merged by the sampling views), and the
+// sort order is preserved through partitioning, removing the per-node
+// sort that dominates induction cost on large fault-injection datasets.
+// Datasets with missing values fall back to the general builder, which
+// handles fractional instance weights.
 //
 // A second cost on large campaigns is allocation churn: the refinement
 // grid induces thousands of trees per dataset, so per-node garbage adds
@@ -31,14 +31,6 @@ type fastBuilder struct {
 	nClasses int
 	nNumeric int // numeric attribute count: sorted-order slabs per node
 
-	// Root state. rootRows is the training rows in instance order;
-	// rootSorted, when non-nil, is the pre-merged per-attribute sort
-	// order handed over by a dataset.View, letting rootNode skip its
-	// sort entirely. Both are read-only: they may be shared with a
-	// fold-wide store that other goroutines are reading.
-	rootRows   []int32
-	rootSorted [][]int32
-
 	// Split-scan scratch, reused across bestSplit calls. Safe because a
 	// node's best split is fully consumed (partition + node labelling)
 	// before any child recursion runs the next scan.
@@ -54,59 +46,25 @@ type fastBuilder struct {
 }
 
 // fastNode is the per-node view: row ids, plus per-numeric-attribute row
-// ids in ascending value order.
+// ids in ascending value order. The root's slices are the view's own,
+// possibly shared with a fold-wide store other goroutines are reading;
+// the builder only reads them.
 type fastNode struct {
 	rows   []int32
 	sorted [][]int32 // indexed by attr; nil for nominal attributes
 }
 
-func newFastBuilder(cfg Config, d *dataset.Dataset) *fastBuilder {
-	n := d.Len()
-	fb := &fastBuilder{
-		cfg:      cfg,
-		attrs:    d.Attrs,
-		cols:     make([][]float64, len(d.Attrs)),
-		classes:  make([]int, n),
-		weights:  make([]float64, n),
-		nClasses: len(d.ClassValues),
-	}
-	for a := range d.Attrs {
-		col := make([]float64, n)
-		for i := range d.Instances {
-			col[i] = d.Instances[i].Values[a]
-		}
-		fb.cols[a] = col
-	}
-	for i := range d.Instances {
-		fb.classes[i] = d.Instances[i].Class
-		w := d.Instances[i].Weight
-		if w <= 0 {
-			w = 1
-		}
-		fb.weights[i] = w
-	}
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	fb.rootRows = rows
-	fb.initScratch()
-	return fb
-}
-
 // newViewBuilder wires a builder straight to a columnar view's arrays:
-// no column materialisation, no weight clamp pass (the store clamps at
-// build), and — when the view carries merge-order sorts — no root sort.
+// no column materialisation and no weight clamp pass (the store clamps
+// at build).
 func newViewBuilder(cfg Config, v *dataset.View) *fastBuilder {
 	fb := &fastBuilder{
-		cfg:        cfg,
-		attrs:      v.Attrs(),
-		cols:       v.Cols(),
-		classes:    v.Classes(),
-		weights:    v.Weights(),
-		nClasses:   len(v.ClassValues()),
-		rootRows:   v.Rows(),
-		rootSorted: v.Sorted(),
+		cfg:      cfg,
+		attrs:    v.Attrs(),
+		cols:     v.Cols(),
+		classes:  v.Classes(),
+		weights:  v.Weights(),
+		nClasses: len(v.ClassValues()),
 	}
 	fb.initScratch()
 	return fb
@@ -132,27 +90,6 @@ func (fb *fastBuilder) initScratch() {
 	fb.countBuf = make([]int, maxBranches)
 	fb.startBuf = make([]int, maxBranches)
 	fb.fillBuf = make([]int, maxBranches)
-}
-
-func (fb *fastBuilder) rootNode() *fastNode {
-	nd := &fastNode{rows: fb.rootRows, sorted: make([][]int32, len(fb.attrs))}
-	if fb.rootSorted != nil {
-		// Pre-merged orders from the view; partition only reads them.
-		copy(nd.sorted, fb.rootSorted)
-		return nd
-	}
-	n := len(fb.rootRows)
-	for a := range fb.attrs {
-		if fb.attrs[a].Type != dataset.Numeric {
-			continue
-		}
-		idx := make([]int32, n)
-		copy(idx, fb.rootRows)
-		col := fb.cols[a]
-		sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
-		nd.sorted[a] = idx
-	}
-	return nd
 }
 
 // distribution allocates a fresh class distribution — the result escapes

@@ -8,26 +8,6 @@ import (
 	"edem/internal/stats"
 )
 
-// fitGeneral forces the general (weighted) builder by the same entry
-// point the fast path uses, so both can be compared on identical data.
-func fitGeneral(cfg Config, d *dataset.Dataset) *Node {
-	b := &builder{cfg: cfg, d: d}
-	items := make([]item, d.Len())
-	for i := range d.Instances {
-		in := &d.Instances[i]
-		w := in.Weight
-		if w <= 0 {
-			w = 1
-		}
-		items[i] = item{values: in.Values, class: in.Class, w: w}
-	}
-	root := b.build(items, 0)
-	if !cfg.NoPrune {
-		prune(root, cfg.confidence())
-	}
-	return root
-}
-
 func treesEqual(a, b *Node) bool {
 	if a.IsLeaf() != b.IsLeaf() {
 		return false
@@ -47,8 +27,8 @@ func treesEqual(a, b *Node) bool {
 }
 
 // TestFastMatchesGeneral verifies the optimisation is behaviour-
-// preserving: on missing-free data the fast and general builders must
-// produce identical trees.
+// preserving: on missing-free data FitTree (the store-backed fast
+// builder) and the general builder must produce identical trees.
 func TestFastMatchesGeneral(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
@@ -60,13 +40,12 @@ func TestFastMatchesGeneral(t *testing.T) {
 	} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			d := mixedDataset(300, seed)
-			fb := newFastBuilder(cfg, d)
-			fast := fb.build(fb.rootNode(), 0)
-			if !cfg.NoPrune {
-				prune(fast, cfg.confidence())
+			fast, err := (Learner{Config: cfg}).FitTree(d)
+			if err != nil {
+				t.Fatal(err)
 			}
 			general := fitGeneral(cfg, d)
-			if !treesEqual(fast, general) {
+			if !treesEqual(fast.Root, general) {
 				t.Errorf("cfg %+v seed %d: fast and general trees differ", cfg, seed)
 			}
 		}
@@ -101,12 +80,11 @@ func TestFastMatchesGeneralProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%150) + 20
 		d := mixedDataset(n, seed)
-		cfg := Config{}
-		fb := newFastBuilder(cfg, d)
-		fast := fb.build(fb.rootNode(), 0)
-		prune(fast, cfg.confidence())
-		general := fitGeneral(cfg, d)
-		return treesEqual(fast, general)
+		fast, err := (Learner{}).FitTree(d)
+		if err != nil {
+			return false
+		}
+		return treesEqual(fast.Root, fitGeneral(Config{}, d))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

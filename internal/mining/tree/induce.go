@@ -69,7 +69,10 @@ func (l Learner) Fit(d *dataset.Dataset) (mining.Classifier, error) {
 var ErrEmptyTraining = errors.New("tree: empty training set")
 
 // FitTree induces a tree and returns it with its concrete type, for
-// callers that need predicate extraction or rendering.
+// callers that need predicate extraction or rendering. Missing-free data
+// is snapshotted into a columnar store and induced by FitTreeView, the
+// one fast builder; data with missing values goes to the general
+// fractional-weight builder.
 func (l Learner) FitTree(d *dataset.Dataset) (*Tree, error) {
 	if d.Len() == 0 {
 		return nil, ErrEmptyTraining
@@ -77,30 +80,32 @@ func (l Learner) FitTree(d *dataset.Dataset) (*Tree, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("tree: %w", err)
 	}
-	var root *Node
-	if d.HasMissing() {
-		// General path: fractional instance weights across branches.
-		b := &builder{cfg: l.Config, d: d}
-		items := make([]item, d.Len())
-		for i := range d.Instances {
-			in := &d.Instances[i]
-			w := in.Weight
-			if w <= 0 {
-				w = 1
-			}
-			items[i] = item{values: in.Values, class: in.Class, w: w}
+	if !d.HasMissing() {
+		return l.FitTreeView(dataset.NewStore(d, nil).IdentityView())
+	}
+	return &Tree{Root: fitGeneral(l.Config, d), Attrs: d.Attrs, ClassValues: d.ClassValues}, nil
+}
+
+// fitGeneral grows and prunes a tree with the general builder, which
+// spreads cases with missing values fractionally across branches. On
+// missing-free data it induces the same tree as the fast builder, so
+// the tests use it as the induction oracle.
+func fitGeneral(cfg Config, d *dataset.Dataset) *Node {
+	b := &builder{cfg: cfg, d: d}
+	items := make([]item, d.Len())
+	for i := range d.Instances {
+		in := &d.Instances[i]
+		w := in.Weight
+		if w <= 0 {
+			w = 1
 		}
-		root = b.build(items, 0)
-	} else {
-		// Fast path: columns sorted once, order preserved by partition.
-		fb := newFastBuilder(l.Config, d)
-		root = fb.build(fb.rootNode(), 0)
+		items[i] = item{values: in.Values, class: in.Class, w: w}
 	}
-	t := &Tree{Root: root, Attrs: d.Attrs, ClassValues: d.ClassValues}
-	if !l.Config.NoPrune {
-		prune(t.Root, l.Config.confidence())
+	root := b.build(items, 0)
+	if !cfg.NoPrune {
+		prune(root, cfg.confidence())
 	}
-	return t, nil
+	return root
 }
 
 // FitView implements mining.ViewFitter: induction straight from a
@@ -120,9 +125,9 @@ var _ mining.ViewFitter = Learner{}
 // the shared arrays — no missing-value rescan, no column build, no root
 // sort. A view without sort orders (missing values in the store, or
 // NaN-valued synthetics) is materialised and routed through FitTree,
-// which lands in the general fractional-weight builder exactly as the
-// instance-based path would. The view's arrays are only read, so one
-// view may feed many concurrent FitTreeView calls.
+// which lands in the general fractional-weight builder. The view's
+// arrays are only read, so one view may feed many concurrent
+// FitTreeView calls.
 func (l Learner) FitTreeView(v *dataset.View) (*Tree, error) {
 	if v.Len() == 0 {
 		return nil, ErrEmptyTraining
@@ -130,8 +135,8 @@ func (l Learner) FitTreeView(v *dataset.View) (*Tree, error) {
 	if v.HasMissing() {
 		return l.FitTree(v.Materialize())
 	}
-	fb := newViewBuilder(l.Config, v)
-	root := fb.build(fb.rootNode(), 0)
+	// The root starts from the view's presorted orders: no root sort.
+	root := newViewBuilder(l.Config, v).build(&fastNode{rows: v.Rows(), sorted: v.Sorted()}, 0)
 	t := &Tree{Root: root, Attrs: v.Attrs(), ClassValues: v.ClassValues()}
 	if !l.Config.NoPrune {
 		prune(t.Root, l.Config.confidence())

@@ -29,28 +29,30 @@ func nodesEqual(a, b *Node) bool {
 	return true
 }
 
-// FitTreeView on the identity view must reproduce FitTree on the same
-// partition bit for bit: same columns, same instance order, same sort
-// comparator.
+// FitTree and FitTreeView on the identity view must both reproduce the
+// general builder's tree bit for bit, distributions included.
 func TestFitTreeViewMatchesFitTree(t *testing.T) {
 	d := mixedDataset(400, 21)
-	want, err := (Learner{}).FitTree(d)
+	want := fitGeneral(Config{}, d)
+	fitted, err := (Learner{}).FitTree(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := dataset.NewStore(d, nil)
-	got, err := (Learner{}).FitTreeView(st.IdentityView())
+	if !nodesEqual(want, fitted.Root) {
+		t.Fatal("FitTree diverges from the general builder")
+	}
+	got, err := (Learner{}).FitTreeView(dataset.NewStore(d, nil).IdentityView())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !nodesEqual(want.Root, got.Root) {
-		t.Fatal("view-based tree diverges from instance-based tree")
+	if !nodesEqual(want, got.Root) {
+		t.Fatal("view-based tree diverges from the general builder")
 	}
 }
 
 // Every sampling view shape (select, repeat, extend) must induce the
-// identical tree to FitTree on the materialised dataset produced by the
-// corresponding dataset transform.
+// identical tree to the general builder on the materialised view: the
+// merged sort orders stand in for per-node sorting.
 func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 	d := mixedDataset(300, 22)
 	// mixedDataset classes come from its own rule; relabel a slice of
@@ -65,50 +67,33 @@ func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 
 	cases := []struct {
 		name string
-		ds   func(rng *stats.RNG) (*dataset.Dataset, error)
 		view func(rng *stats.RNG) (*dataset.View, error)
 	}{
-		{
-			name: "undersample",
-			ds:   func(rng *stats.RNG) (*dataset.Dataset, error) { return sampling.Undersample(d, 0, 35, rng) },
-			view: func(rng *stats.RNG) (*dataset.View, error) { return sampling.UndersampleView(st, 0, 35, rng) },
-		},
-		{
-			name: "oversample",
-			ds:   func(rng *stats.RNG) (*dataset.Dataset, error) { return sampling.Oversample(d, 1, 400, rng) },
-			view: func(rng *stats.RNG) (*dataset.View, error) { return sampling.OversampleView(st, 1, 400, rng) },
-		},
-		{
-			name: "smote",
-			ds:   func(rng *stats.RNG) (*dataset.Dataset, error) { return sampling.SMOTE(d, 1, 300, 5, rng) },
-			view: func(rng *stats.RNG) (*dataset.View, error) { return sampling.SMOTEView(st, 1, 300, 5, rng) },
-		},
+		{"undersample", func(rng *stats.RNG) (*dataset.View, error) { return sampling.UndersampleView(st, 0, 35, rng) }},
+		{"oversample", func(rng *stats.RNG) (*dataset.View, error) { return sampling.OversampleView(st, 1, 400, rng) }},
+		{"smote", func(rng *stats.RNG) (*dataset.View, error) { return sampling.SMOTEView(st, 1, 300, 5, rng) }},
 	}
 	for _, tc := range cases {
-		td, err := tc.ds(stats.NewRNG(31))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		want, err := (Learner{}).FitTree(td)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
 		v, err := tc.view(stats.NewRNG(31))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		if v.HasMissing() {
+			t.Fatalf("%s: view lost its sort orders", tc.name)
+		}
+		want := fitGeneral(Config{}, v.Materialize())
 		got, err := (Learner{}).FitTreeView(v)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !nodesEqual(want.Root, got.Root) {
-			t.Fatalf("%s: view-based tree diverges from instance-based tree", tc.name)
+		if !nodesEqual(want, got.Root) {
+			t.Fatalf("%s: view-based tree diverges from the general builder", tc.name)
 		}
 	}
 }
 
 // A view over a store with missing values must fall back to the general
-// fractional-weight builder and still match the instance path.
+// fractional-weight builder and still match FitTree.
 func TestFitTreeViewMissingFallback(t *testing.T) {
 	d := mixedDataset(200, 23)
 	for i := 0; i < 200; i += 9 {
