@@ -345,6 +345,24 @@ func BenchmarkMicro_SMOTE(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_NeighborIndex times the per-fold SMOTE neighbour index
+// the refinement grid shares across its SMOTE cells: the 14 nearest
+// minority neighbours of every minority row of one KV-A2 training fold.
+func BenchmarkMicro_NeighborIndex(b *testing.B) {
+	d := benchDataset(b, "KV-A2")
+	folds, err := dataset.StratifiedKFold(d, 10, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := dataset.NewStore(d, folds[0].Train)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sampling.BuildViewIndex(st, eval.PositiveClass, 14); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMicro_PredicateEval(b *testing.B) {
 	d := benchDataset(b, "FG-A2")
 	t, err := core.DefaultLearner().FitTree(d)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"edem/internal/dataset"
 	"edem/internal/mining/eval"
@@ -57,6 +58,8 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 		storeBuilds: reg.Counter("refine.store_builds"),
 		viewHits:    reg.Counter("refine.view_hits"),
 		mergeSyn:    reg.Counter("refine.merge_synthetic_rows"),
+		indexBuilds: reg.Counter("refine.index_builds"),
+		indexNS:     reg.Histogram("refine.index_ns"),
 	}
 
 	// Cell index layout: fold-major, so the cells of one fold are
@@ -128,11 +131,14 @@ type foldShared struct {
 }
 
 // refineCounters carries the telemetry handles hoisted out of the cell
-// loop; all three are worker-count-invariant by construction.
+// loop; the counters and the histogram's count are
+// worker-count-invariant by construction.
 type refineCounters struct {
 	storeBuilds *telemetry.Counter
 	viewHits    *telemetry.Counter
 	mergeSyn    *telemetry.Counter
+	indexBuilds *telemetry.Counter
+	indexNS     *telemetry.Histogram
 }
 
 func (s *foldShared) trainStore(d *dataset.Dataset, fold dataset.Fold, storeBuilds *telemetry.Counter) *dataset.Store {
@@ -143,9 +149,12 @@ func (s *foldShared) trainStore(d *dataset.Dataset, fold dataset.Fold, storeBuil
 	return s.store
 }
 
-func (s *foldShared) index(st *dataset.Store, maxK int) (*sampling.NeighborIndex, error) {
+func (s *foldShared) index(st *dataset.Store, maxK int, ctrs refineCounters) (*sampling.NeighborIndex, error) {
 	s.niOnce.Do(func() {
+		start := time.Now()
 		s.ni, s.niErr = sampling.BuildViewIndex(st, eval.PositiveClass, maxK)
+		ctrs.indexNS.ObserveDuration(time.Since(start))
+		ctrs.indexBuilds.Inc()
 		if s.niErr != nil {
 			s.niErr = fmt.Errorf("neighbour index: %w", s.niErr)
 		}
@@ -166,7 +175,7 @@ func refineCellEval(d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg S
 	var ni *sampling.NeighborIndex
 	if cfg.Kind == Smote {
 		var err error
-		if ni, err = sh.index(st, maxK); err != nil {
+		if ni, err = sh.index(st, maxK, ctrs); err != nil {
 			return err
 		}
 	}

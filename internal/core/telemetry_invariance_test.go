@@ -40,8 +40,9 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		// Two undersampling points plus an oversampling and a SMOTE point,
-		// so the store/view counters (refine.store_builds,
-		// refine.view_hits, refine.merge_synthetic_rows) all accumulate.
+		// so the store/view/index counters (refine.store_builds,
+		// refine.view_hits, refine.merge_synthetic_rows,
+		// refine.index_builds) all accumulate.
 		grid := RefineGrid(false)
 		sub := append(grid[:2:2], grid[4:6]...)
 		if _, err := Refine(ctx, d, sub, opts); err != nil {
@@ -71,7 +72,7 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 	if len(serial.Counters) == 0 {
 		t.Fatal("serial run recorded no counters")
 	}
-	for _, name := range []string{"refine.store_builds", "refine.view_hits", "refine.merge_synthetic_rows"} {
+	for _, name := range []string{"refine.store_builds", "refine.view_hits", "refine.merge_synthetic_rows", "refine.index_builds"} {
 		if serial.Counters[name] <= 0 {
 			t.Errorf("counter %s not accumulated: %d", name, serial.Counters[name])
 		}

@@ -48,14 +48,7 @@ func (ni *NeighborIndex) SMOTEView(percent float64, k int, rng *stats.RNG) (*dat
 	if k < 1 || k > ni.maxK {
 		return nil, fmt.Errorf("%w: k=%d (index holds %d)", ErrBadK, k, ni.maxK)
 	}
-	trunc := make([][]int, len(ni.lists))
-	for i, l := range ni.lists {
-		if len(l) > k {
-			l = l[:k]
-		}
-		trunc[i] = l
-	}
-	specs, err := planSmote(ni.minIdx, trunc, percent, rng, false)
+	specs, err := planSmote(ni.minIdx, ni.lists, k, percent, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +60,7 @@ func (ni *NeighborIndex) SMOTEView(percent float64, k int, rng *stats.RNG) (*dat
 // value copies), using the cached minority rows. Same RNG stream as the
 // standalone OversampleView.
 func (ni *NeighborIndex) OversampleView(percent float64, rng *stats.RNG) (*dataset.View, error) {
-	specs, err := planSmote(ni.minIdx, nil, percent, rng, true)
+	specs, err := planSmote(ni.minIdx, nil, 0, percent, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"edem/internal/dataset"
@@ -58,7 +59,7 @@ func smoteOracleMode(d *dataset.Dataset, minorityClass int, percent float64, k i
 	if !replacementOnly && len(minIdx) > 1 {
 		neighbors = neighborsOracle(d, minIdx, k)
 	}
-	specs, err := planSmote(minIdx, neighbors, percent, rng, replacementOnly)
+	specs, err := planSmote(minIdx, neighbors, k, percent, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +89,8 @@ func smoteOracleMode(d *dataset.Dataset, minorityClass int, percent float64, k i
 
 // neighborsOracle is the instance-major k-nearest-minority search:
 // min-max-normalised Euclidean distance, 0/1 nominal and missing
-// mismatch, ties broken by row index.
+// mismatch, a full sort of every row's candidates by distance (NaN
+// after every number), ties broken by row index.
 func neighborsOracle(d *dataset.Dataset, minIdx []int, k int) [][]int {
 	n := len(d.Attrs)
 	lo, hi := make([]float64, n), make([]float64, n)
@@ -112,6 +114,7 @@ func neighborsOracle(d *dataset.Dataset, minIdx []int, k int) [][]int {
 		s := 0.0
 		for a := range d.Attrs {
 			av, bv := x[a], y[a]
+			span := hi[a] - lo[a]
 			switch {
 			case dataset.IsMissing(av) || dataset.IsMissing(bv):
 				s++
@@ -119,8 +122,10 @@ func neighborsOracle(d *dataset.Dataset, minIdx []int, k int) [][]int {
 				if av != bv {
 					s++
 				}
-			case hi[a] > lo[a]:
-				diff := (av - bv) / (hi[a] - lo[a])
+			case !(span <= 0):
+				// A NaN span (a column holding one infinity
+				// throughout) is not skipped.
+				diff := (av - bv) / span
 				s += diff * diff
 			}
 		}
@@ -128,7 +133,7 @@ func neighborsOracle(d *dataset.Dataset, minIdx []int, k int) [][]int {
 	}
 	res := make([][]int, len(minIdx))
 	for i, ii := range minIdx {
-		var cands []int
+		cands := make([]int, 0, len(minIdx))
 		for _, jj := range minIdx {
 			if jj != ii {
 				cands = append(cands, jj)
@@ -139,8 +144,12 @@ func neighborsOracle(d *dataset.Dataset, minIdx []int, k int) [][]int {
 			ds[jj] = dist(d.Instances[ii].Values, d.Instances[jj].Values)
 		}
 		sort.Slice(cands, func(a, b int) bool {
-			if ds[cands[a]] != ds[cands[b]] {
-				return ds[cands[a]] < ds[cands[b]]
+			da, db := ds[cands[a]], ds[cands[b]]
+			if na, nb := math.IsNaN(da), math.IsNaN(db); na != nb {
+				return nb
+			}
+			if da != db && !math.IsNaN(da) {
+				return da < db
 			}
 			return cands[a] < cands[b]
 		})

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"edem/internal/dataset"
 	"edem/internal/stats"
@@ -71,17 +70,22 @@ type synSpec struct {
 // shared by the standalone transforms and the NeighborIndex methods so
 // both see the identical RNG stream.
 //
+// Each seed interpolates towards one of the first k entries of its
+// neighbour list; nil neighbours plan plain replacement copies
+// (oversampling, or a single-member minority).
+//
 // percent >= 100: r = percent/100 instances per seed (fractional
 // remainder distributed randomly). percent < 100: a percent% random
 // subset of seeds contributes one instance each, per the SMOTE paper.
-func planSmote(minIdx []int, neighbors [][]int, percent float64, rng *stats.RNG, replacementOnly bool) ([]synSpec, error) {
+func planSmote(minIdx []int, neighbors [][]int, k int, percent float64, rng *stats.RNG) ([]synSpec, error) {
 	if percent <= 0 {
 		return nil, fmt.Errorf("%w: %.1f%%", ErrBadPercent, percent)
 	}
 	pick := func(seedPos int) synSpec {
 		sp := synSpec{seedPos: seedPos, nn: -1}
-		if !replacementOnly && neighbors != nil && len(neighbors[seedPos]) > 0 {
-			sp.nn = neighbors[seedPos][rng.Intn(len(neighbors[seedPos]))]
+		if neighbors != nil && len(neighbors[seedPos]) > 0 {
+			nn := neighbors[seedPos]
+			sp.nn = nn[rng.Intn(min(k, len(nn)))]
 			sp.q = rng.Float64()
 		}
 		return sp
@@ -89,16 +93,17 @@ func planSmote(minIdx []int, neighbors [][]int, percent float64, rng *stats.RNG,
 
 	total := int(math.Round(float64(len(minIdx)) * percent / 100))
 	if percent < 100 {
+		// Shuffling positions swaps exactly as shuffling the rows would:
+		// the swaps depend only on the length.
 		seeds := make([]int, len(minIdx))
-		copy(seeds, minIdx)
-		rng.Shuffle(len(seeds), func(i, j int) { seeds[i], seeds[j] = seeds[j], seeds[i] })
-		if total > len(seeds) {
-			total = len(seeds)
+		for i := range seeds {
+			seeds[i] = i
 		}
+		rng.Shuffle(len(seeds), func(i, j int) { seeds[i], seeds[j] = seeds[j], seeds[i] })
+		total = min(total, len(seeds))
 		specs := make([]synSpec, 0, total)
-		for _, s := range seeds[:total] {
-			// Map the shuffled seed back to its position in minIdx.
-			specs = append(specs, pick(indexOf(minIdx, s)))
+		for _, pos := range seeds[:total] {
+			specs = append(specs, pick(pos))
 		}
 		return specs, nil
 	}
@@ -119,64 +124,169 @@ func planSmote(minIdx []int, neighbors [][]int, percent float64, rng *stats.RNG,
 // nearestNeighborsAt returns, for each minority row of the store, the
 // rows of its k nearest minority-class neighbours under
 // min-max-normalised Euclidean distance (nominal attributes and
-// missing values contribute a 0/1 mismatch), ties broken by row index.
+// missing values contribute a 0/1 mismatch). minIdx must be ascending.
+//
+// Lists are ordered by (distance, row): a NaN distance (a column whose
+// span overflows, such as one holding both ±1e308 clamps) ranks after
+// every number. The search gathers the minority rows' values into
+// contiguous columns, computes each pair once (the distance is
+// symmetric bit for bit) and offers it to both rows' bounded k-slot
+// lists.
 func nearestNeighborsAt(st *dataset.Store, minIdx []int, k int) [][]int {
-	attrs, cols := st.Attrs(), st.Cols()
-	lo, hi := columnRanges(st)
-	dist := func(a, b int) float64 {
-		s := 0.0
-		for i := range attrs {
-			av, bv := cols[i][a], cols[i][b]
-			if dataset.IsMissing(av) || dataset.IsMissing(bv) {
-				s++
-				continue
-			}
-			if attrs[i].Type == dataset.Nominal {
-				if av != bv {
-					s++
-				}
-				continue
-			}
-			span := hi[i] - lo[i]
-			if span <= 0 {
-				continue
-			}
-			diff := (av - bv) / span
-			s += diff * diff
+	m := len(minIdx)
+	k = max(0, min(k, m-1))
+	g := gatherMinority(st, minIdx)
+
+	// Row r's list is keys/pos[r*k : (r+1)*k], sorted ascending and
+	// padded with noKey; a candidate enters only below its last key.
+	// Row r is offered its candidates in ascending position, so a
+	// candidate tying a listed key has the larger position and goes
+	// after it: the lists are in (key, position) order, and so in
+	// (distance, row) order, since minIdx is ascending.
+	keys := make([]uint64, m*k)
+	pos := make([]int32, m*k)
+	for i := range keys {
+		keys[i] = noKey
+	}
+	insert := func(r int, key uint64, j int32) {
+		kr, pr := keys[r*k:(r+1)*k], pos[r*k:(r+1)*k]
+		p := k - 1
+		for ; p > 0 && key < kr[p-1]; p-- {
+			kr[p], pr[p] = kr[p-1], pr[p-1]
 		}
-		return s
+		kr[p], pr[p] = key, j
+	}
+	if k > 0 {
+		dist := make([]float64, m)
+		for i := 0; i < m; i++ {
+			// dist[j] for j > i: the pairs (i, j), each computed once.
+			g.distances(i, dist[i+1:])
+			for j := i + 1; j < m; j++ {
+				key := distKey(dist[j])
+				if key < keys[i*k+k-1] {
+					insert(i, key, int32(j))
+				}
+				if key < keys[j*k+k-1] {
+					insert(j, key, int32(i))
+				}
+			}
+		}
 	}
 
-	res := make([][]int, len(minIdx))
-	type cand struct {
-		idx int
-		d   float64
-	}
-	for i, ii := range minIdx {
-		cands := make([]cand, 0, len(minIdx)-1)
-		for j, jj := range minIdx {
-			if i == j {
-				continue
-			}
-			cands = append(cands, cand{idx: jj, d: dist(ii, jj)})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].d != cands[b].d {
-				return cands[a].d < cands[b].d
-			}
-			return cands[a].idx < cands[b].idx
-		})
-		n := k
-		if n > len(cands) {
-			n = len(cands)
-		}
-		nn := make([]int, n)
-		for x := 0; x < n; x++ {
-			nn[x] = cands[x].idx
+	res := make([][]int, m)
+	flat := make([]int, m*k)
+	for i := range res {
+		nn := flat[i*k : (i+1)*k : (i+1)*k]
+		for x, j := range pos[i*k : (i+1)*k] {
+			nn[x] = minIdx[j]
 		}
 		res[i] = nn
 	}
 	return res
+}
+
+// noKey pads a neighbour list; it exceeds every distKey.
+const noKey = math.MaxUint64
+
+// distKey maps a distance onto an integer key of the same order, with
+// NaN after every number. Distances are sums of squares, never
+// negative, and the bits of a non-negative float64 order like its
+// value; NaN takes the next pattern above +Inf.
+func distKey(d float64) uint64 {
+	if d != d {
+		return math.Float64bits(math.Inf(1)) + 1
+	}
+	return math.Float64bits(d)
+}
+
+// minorityCols holds the minority rows' values of the attributes that
+// can contribute to a distance, one contiguous column each, in schema
+// order.
+type minorityCols struct {
+	cols    [][]float64
+	nominal []bool
+	// span is a numeric attribute's min-max span over the store.
+	span []float64
+	// tiny is span*2^-540 where that product is exact, else 0, and
+	// +Inf for a numeric attribute of span <= 0. A difference |a-b| <
+	// tiny has ((a-b)/span)^2 <= 2^-1080, which rounds to +0, so the
+	// term is skipped: the same sum, without the subnormal arithmetic
+	// that spans near 1e308 otherwise cost.
+	tiny []float64
+	// missing: the store holds missing values, each a 1 mismatch. Only
+	// then are attributes of span <= 0 kept.
+	missing bool
+}
+
+func gatherMinority(st *dataset.Store, minIdx []int) *minorityCols {
+	attrs, cols := st.Attrs(), st.Cols()
+	lo, hi := columnRanges(st)
+	g := &minorityCols{missing: st.HasMissing()}
+	for a := range attrs {
+		nominal := attrs[a].Type == dataset.Nominal
+		span, tiny := hi[a]-lo[a], 0.0
+		switch {
+		case nominal:
+		case span <= 0:
+			if !g.missing {
+				continue // contributes nothing to any distance
+			}
+			tiny = math.Inf(1)
+		case span >= 0x1p-480:
+			tiny = span * 0x1p-540
+		}
+		col := make([]float64, len(minIdx))
+		for i, r := range minIdx {
+			col[i] = cols[a][r]
+		}
+		g.cols = append(g.cols, col)
+		g.nominal = append(g.nominal, nominal)
+		g.span = append(g.span, span)
+		g.tiny = append(g.tiny, tiny)
+	}
+	return g
+}
+
+// distances sets out[x] to the distance between minority rows i and
+// i+1+x: per attribute in schema order, ((a-b)/span)^2 for a numeric
+// attribute and 1 for a nominal mismatch or a missing value.
+func (g *minorityCols) distances(i int, out []float64) {
+	clear(out)
+	for t, col := range g.cols {
+		a, bs := col[i], col[i+1:i+1+len(out)]
+		span, tiny := g.span[t], g.tiny[t]
+		switch {
+		case g.missing:
+			for x, b := range bs {
+				switch {
+				case dataset.IsMissing(a) || dataset.IsMissing(b):
+					out[x]++
+				case g.nominal[t]:
+					if a != b {
+						out[x]++
+					}
+				case !(math.Abs(a-b) < tiny):
+					diff := (a - b) / span
+					out[x] += diff * diff
+				}
+			}
+		case g.nominal[t]:
+			for x, b := range bs {
+				if a != b {
+					out[x]++
+				}
+			}
+		default:
+			for x, b := range bs {
+				d := a - b
+				if math.Abs(d) < tiny {
+					continue
+				}
+				diff := d / span
+				out[x] += diff * diff
+			}
+		}
+	}
 }
 
 // columnRanges returns per-attribute min/max over the store's
@@ -203,13 +313,4 @@ func columnRanges(st *dataset.Store) (lo, hi []float64) {
 		}
 	}
 	return lo, hi
-}
-
-func indexOf(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }

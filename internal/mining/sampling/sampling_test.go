@@ -155,6 +155,26 @@ func TestSMOTEUnderHundredPercent(t *testing.T) {
 	}
 }
 
+// Below 100% the seeds are the first rows of a shuffle of the minority
+// rows, in shuffled order.
+func TestPlanSmoteSubsetIsShuffledRows(t *testing.T) {
+	minIdx := []int{3, 4, 9, 10, 11, 17, 20, 26, 31, 40}
+	specs, err := planSmote(minIdx, nil, 0, 60, stats.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := append([]int(nil), minIdx...)
+	stats.NewRNG(11).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	if len(specs) != 6 {
+		t.Fatalf("%d seeds, want 6", len(specs))
+	}
+	for i, sp := range specs {
+		if got := minIdx[sp.seedPos]; got != rows[i] {
+			t.Fatalf("seed %d is row %d, want %d", i, got, rows[i])
+		}
+	}
+}
+
 func TestSMOTEErrors(t *testing.T) {
 	st := store(imbalanced(50, 5, 8))
 	if _, err := SMOTEView(st, 1, 100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {

@@ -43,7 +43,7 @@ func OversampleView(st *dataset.Store, minorityClass int, percent float64, rng *
 	if err != nil {
 		return nil, err
 	}
-	specs, err := planSmote(minIdx, nil, percent, rng, true)
+	specs, err := planSmote(minIdx, nil, 0, percent, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func SMOTEView(st *dataset.Store, minorityClass int, percent float64, k int, rng
 	if len(minIdx) > 1 {
 		neighbors = nearestNeighborsAt(st, minIdx, k)
 	}
-	specs, err := planSmote(minIdx, neighbors, percent, rng, false)
+	specs, err := planSmote(minIdx, neighbors, k, percent, rng)
 	if err != nil {
 		return nil, err
 	}

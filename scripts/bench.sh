@@ -9,7 +9,8 @@
 #
 # BENCH_refine.json covers the refinement grid end-to-end
 # (BenchmarkRefineGrid, serial + budgeted workers) plus the micro
-# kernels it is built from (C4.5 induction, SMOTE, cross-validation).
+# kernels it is built from (C4.5 induction, SMOTE, the SMOTE neighbour
+# index, cross-validation).
 # BENCH_campaign.json covers the resumable campaign engine
 # (BenchmarkCampaign: bare propane reference, engine overhead,
 # journaled checkpointing, and journal replay = resume overhead).
@@ -71,7 +72,7 @@ END {
     echo "wrote $SUITE_OUT"
 }
 
-run_suite 'BenchmarkRefineGrid|BenchmarkMicro_C45Induction|BenchmarkMicro_SMOTE|BenchmarkMicro_CrossValidate' "${OUT:-BENCH_refine.json}"
+run_suite 'BenchmarkRefineGrid|BenchmarkMicro_C45Induction|BenchmarkMicro_SMOTE|BenchmarkMicro_NeighborIndex|BenchmarkMicro_CrossValidate' "${OUT:-BENCH_refine.json}"
 run_suite 'BenchmarkCampaign/' "${CAMPAIGN_OUT:-BENCH_campaign.json}"
 run_suite 'BenchmarkFabric/' "${FABRIC_OUT:-BENCH_fabric.json}"
 
