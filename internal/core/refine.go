@@ -60,6 +60,7 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 		mergeSyn:    reg.Counter("refine.merge_synthetic_rows"),
 		indexBuilds: reg.Counter("refine.index_builds"),
 		indexNS:     reg.Histogram("refine.index_ns"),
+		induceNS:    reg.Histogram("refine.induce_ns"),
 	}
 
 	// Cell index layout: fold-major, so the cells of one fold are
@@ -131,7 +132,7 @@ type foldShared struct {
 }
 
 // refineCounters carries the telemetry handles hoisted out of the cell
-// loop; the counters and the histogram's count are
+// loop; the counters and the histograms' counts are
 // worker-count-invariant by construction.
 type refineCounters struct {
 	storeBuilds *telemetry.Counter
@@ -139,6 +140,7 @@ type refineCounters struct {
 	mergeSyn    *telemetry.Counter
 	indexBuilds *telemetry.Counter
 	indexNS     *telemetry.Histogram
+	induceNS    *telemetry.Histogram
 }
 
 func (s *foldShared) trainStore(d *dataset.Dataset, fold dataset.Fold, storeBuilds *telemetry.Counter) *dataset.Store {
@@ -189,10 +191,12 @@ func refineCellEval(d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg S
 			ctrs.mergeSyn.Add(int64(v.Appended()))
 		}
 	}
+	start := time.Now()
 	model, err := DefaultLearner().FitTreeView(v)
 	if err != nil {
 		return fmt.Errorf("fit: %w", err)
 	}
+	ctrs.induceNS.ObserveDuration(time.Since(start))
 	cm := eval.NewConfusionMatrix(d.ClassValues)
 	for _, ti := range fold.Test {
 		in := &d.Instances[ti]

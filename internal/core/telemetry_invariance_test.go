@@ -77,6 +77,10 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 			t.Errorf("counter %s not accumulated: %d", name, serial.Counters[name])
 		}
 	}
+	// One tree is induced per scored cell, each timed once.
+	if got, want := serial.HistCount["refine.induce_ns"], serial.Counters["refine.cells_scored"]; got != want || got == 0 {
+		t.Errorf("refine.induce_ns count %d, want refine.cells_scored = %d (> 0)", got, want)
+	}
 	for _, workers := range []int{2, 8} {
 		par := runAt(workers)
 		if !reflect.DeepEqual(serial.Counters, par.Counters) {

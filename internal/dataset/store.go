@@ -1,6 +1,9 @@
 package dataset
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Store is an immutable, column-major snapshot of a training partition,
 // built once per cross-validation fold and shared by every refinement
@@ -268,8 +271,9 @@ func (s *Store) RepeatView(extra []int32) *View {
 // synthetic rows appended in order — the SMOTE shape. Columns, classes
 // and weights are extended copies (flat arenas, no per-instance
 // allocations); each numeric attribute's order sorts only the m
-// synthetic rows and merges them into the store's presorted base order
-// in O(n + m), with base rows winning ties.
+// synthetic rows (as value-keyed pairs) and merges them into the
+// store's presorted base order in O(n + m), with base rows winning
+// ties.
 func (s *Store) ExtendView(syn []Synthetic) *View {
 	n, m := s.n, len(syn)
 	rows := make([]int32, n+m)
@@ -314,24 +318,24 @@ func (s *Store) ExtendView(syn []Synthetic) *View {
 	}
 	v.sorted = make([][]int32, len(s.attrs))
 	arena := make([]int32, (n+m)*s.nNumeric)
-	synIdx := make([]int32, m)
+	keys := make([]rowKey, m)
 	slab := 0
 	for a := range s.attrs {
 		if s.sorted[a] == nil {
 			continue
 		}
 		col := v.cols[a]
-		for j := range synIdx {
-			synIdx[j] = int32(n + j)
+		for j := range keys {
+			keys[j] = rowKey{v: col[n+j], row: int32(n + j)}
 		}
-		sort.Slice(synIdx, func(i, j int) bool { return col[synIdx[i]] < col[synIdx[j]] })
+		slices.SortFunc(keys, compareRowKeys)
 		out := arena[slab : slab+n+m]
 		slab += n + m
 		base := s.sorted[a]
 		i, j, k := 0, 0, 0
 		for i < n && j < m {
-			if col[synIdx[j]] < col[base[i]] {
-				out[k] = synIdx[j]
+			if keys[j].v < col[base[i]] {
+				out[k] = keys[j].row
 				j++
 			} else {
 				out[k] = base[i]
@@ -344,12 +348,32 @@ func (s *Store) ExtendView(syn []Synthetic) *View {
 			k++
 		}
 		for ; j < m; j++ {
-			out[k] = synIdx[j]
+			out[k] = keys[j].row
 			k++
 		}
 		v.sorted[a] = out
 	}
 	return v
+}
+
+// rowKey pairs a synthetic row with its value in the attribute being
+// ordered, so the sort compares without indirection.
+type rowKey struct {
+	v   float64
+	row int32
+}
+
+// compareRowKeys orders by value with the same < as a sort.Slice on
+// row ids. Both sorts run Go's one pdqsort template and decide only on
+// cmp < 0, so ties (including -0 against +0) land in the same order.
+func compareRowKeys(a, b rowKey) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case b.v < a.v:
+		return 1
+	}
+	return 0
 }
 
 // Len returns the number of training rows in the view.

@@ -202,6 +202,62 @@ func TestExtendViewTieOrder(t *testing.T) {
 	}
 }
 
+// TestExtendViewMatchesSortSliceOrder pins the typed sort of the
+// synthetic rows to the reflective sort it replaced: on random
+// synthetics with ties, ±0 and ±Inf, every merged order must equal a
+// sort.Slice over row ids merged the same way. Tie order matters — it
+// picks between -0 and +0 thresholds in induction.
+func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
+	pool := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, 2, math.Inf(1)}
+	rng := stats.NewRNG(27)
+	value := func() float64 {
+		if rng.Intn(4) == 0 {
+			return rng.Float64()
+		}
+		return pool[rng.Intn(len(pool))]
+	}
+	for iter := 0; iter < 300; iter++ {
+		d := New("ties", []Attribute{NumericAttr("x"), NumericAttr("y")}, []string{"n", "p"})
+		for i := 0; i < 1+rng.Intn(40); i++ {
+			d.MustAdd(Instance{Values: []float64{value(), value()}, Weight: 1})
+		}
+		syn := make([]Synthetic, 1+rng.Intn(400))
+		for j := range syn {
+			syn[j] = Synthetic{Values: []float64{value(), value()}, Class: 1, Weight: 1}
+		}
+		st := NewStore(d, nil)
+		v := st.ExtendView(syn)
+		n, m := st.Len(), len(syn)
+		for a := range v.Sorted() {
+			col := v.Cols()[a]
+			synIdx := make([]int32, m)
+			for j := range synIdx {
+				synIdx[j] = int32(n + j)
+			}
+			sort.Slice(synIdx, func(i, j int) bool { return col[synIdx[i]] < col[synIdx[j]] })
+			base := st.Sorted()[a]
+			want := make([]int32, 0, n+m)
+			i, j := 0, 0
+			for i < n && j < m {
+				if col[synIdx[j]] < col[base[i]] {
+					want = append(want, synIdx[j])
+					j++
+				} else {
+					want = append(want, base[i])
+					i++
+				}
+			}
+			want = append(append(want, base[i:]...), synIdx[j:]...)
+			got := v.Sorted()[a]
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("iter %d attr %d: merged order diverges from sort.Slice at %d", iter, a, k)
+				}
+			}
+		}
+	}
+}
+
 func TestStoreMissingDisablesSorted(t *testing.T) {
 	d := storeTestDataset(20, 13)
 	d.Instances[4].Values[2] = Missing

@@ -43,6 +43,8 @@ type fastBuilder struct {
 	countBuf  []int    // per-branch row counts
 	startBuf  []int    // per-branch arena offsets
 	fillBuf   []int    // per-branch fill cursors
+
+	scored int // cuts whose child entropies numericSplit computed
 }
 
 // fastNode is the per-node view: row ids, plus per-numeric-attribute row
@@ -157,13 +159,14 @@ func (fb *fastBuilder) weightOfRows(rows []int32) float64 {
 func (fb *fastBuilder) bestSplit(nd *fastNode, dist []float64, totalW float64) *split {
 	fb.splitBuf = fb.splitBuf[:0]
 	fb.candBuf = fb.candBuf[:0]
+	baseEntropy := entropy(dist)
 	for a := range fb.attrs {
 		var s split
 		var ok bool
 		if fb.attrs[a].Type == dataset.Numeric {
-			ok = fb.numericSplit(nd.sorted[a], a, dist, totalW, &s)
+			ok = fb.numericSplit(nd.sorted[a], a, dist, baseEntropy, totalW, &s)
 		} else {
-			ok = fb.nominalSplit(nd.rows, a, dist, totalW, &s)
+			ok = fb.nominalSplit(nd.rows, a, baseEntropy, totalW, &s)
 		}
 		if ok && s.gain > 1e-12 {
 			fb.splitBuf = append(fb.splitBuf, s)
@@ -175,12 +178,24 @@ func (fb *fastBuilder) bestSplit(nd *fastNode, dist []float64, totalW float64) *
 
 // numericSplit scans the pre-sorted rows of a numeric attribute, writing
 // the winning split into out. It reports whether a split was found.
-func (fb *fastBuilder) numericSplit(sorted []int32, attr int, dist []float64, totalW float64, out *split) bool {
-	if len(sorted) < 2 {
+//
+// The scan walks one value group (a run of equal values) at a time and
+// scores only the cuts that can hold the maximum: boundary points, where
+// the groups on either side are not both pure in the same class
+// (Fayyad & Irani 1992 prove the gain-maximising cut is one), plus the
+// first and last cuts that pass the minLeaf gate, since the gate can
+// truncate a same-class run and leave its best feasible cut at the
+// gate's edge. Class counts and leftW still advance row by row in
+// sorted order, so every scored cut's gain has the same bits as in a
+// scan of every cut, and distinct still counts every group for the MDL
+// penalty.
+func (fb *fastBuilder) numericSplit(sorted []int32, attr int, dist []float64, baseEntropy, totalW float64, out *split) bool {
+	n := len(sorted)
+	if n < 2 {
 		return false
 	}
 	col := fb.cols[attr]
-	baseEntropy := entropy(dist)
+	minLeaf := fb.cfg.minLeaf()
 
 	left, right := fb.leftBuf, fb.rightBuf
 	for i := range left {
@@ -194,28 +209,41 @@ func (fb *fastBuilder) numericSplit(sorted []int32, attr int, dist []float64, to
 		bestLeftW  float64
 		distinct   = 1
 		leftW      = 0.0
+		feasible   = false // a cut has passed the minLeaf gate
 	)
-	for i := 0; i < len(sorted)-1; i++ {
-		r := sorted[i]
-		w := fb.weights[r]
-		c := fb.classes[r]
-		left[c] += w
-		right[c] -= w
-		leftW += w
-		if col[r] == col[sorted[i+1]] {
-			continue
+	// The current group is sorted[i:end], of class class (-1: mixed);
+	// nextW is leftW once it is moved left.
+	i := 0
+	end, class, nextW := fb.valueGroup(sorted, col, 0, leftW)
+	for end < n {
+		for ; i < end; i++ {
+			r := sorted[i]
+			w := fb.weights[r]
+			c := fb.classes[r]
+			left[c] += w
+			right[c] -= w
 		}
+		leftW = nextW
 		distinct++
-		if leftW < fb.cfg.minLeaf() || totalW-leftW < fb.cfg.minLeaf() {
-			continue
+		var nextEnd, nextClass int
+		nextEnd, nextClass, nextW = fb.valueGroup(sorted, col, end, leftW)
+		score := !(leftW < minLeaf || totalW-leftW < minLeaf)
+		if score {
+			score = !feasible || class < 0 || class != nextClass ||
+				nextEnd == n || nextW < minLeaf || totalW-nextW < minLeaf
+			feasible = true
 		}
-		childEntropy := (leftW*entropy(left) + (totalW-leftW)*entropy(right)) / totalW
-		gain := baseEntropy - childEntropy
-		if gain > bestGain {
-			bestGain = gain
-			bestThresh = col[r]
-			bestLeftW = leftW
+		if score {
+			fb.scored++
+			childEntropy := (leftW*entropy(left) + (totalW-leftW)*entropy(right)) / totalW
+			gain := baseEntropy - childEntropy
+			if gain > bestGain {
+				bestGain = gain
+				bestThresh = col[sorted[end-1]]
+				bestLeftW = leftW
+			}
 		}
+		end, class = nextEnd, nextClass
 	}
 	if bestGain < 0 {
 		return false
@@ -236,9 +264,31 @@ func (fb *fastBuilder) numericSplit(sorted []int32, attr int, dist []float64, to
 	return true
 }
 
+// valueGroup measures the value group starting at sorted[start]: it
+// returns the group's end, its class (-1 when the group mixes classes)
+// and leftW plus the group's weights, added row by row as the full
+// scan adds them.
+func (fb *fastBuilder) valueGroup(sorted []int32, col []float64, start int, leftW float64) (end, class int, w float64) {
+	r := sorted[start]
+	class = fb.classes[r]
+	w = leftW + fb.weights[r]
+	for end = start + 1; end < len(sorted); end++ {
+		next := sorted[end]
+		if col[next] != col[r] {
+			break
+		}
+		if fb.classes[next] != class {
+			class = -1
+		}
+		w += fb.weights[next]
+		r = next
+	}
+	return end, class, w
+}
+
 // nominalSplit evaluates a multi-way nominal split into out, counting
 // branch distributions in the builder's flat scratch.
-func (fb *fastBuilder) nominalSplit(rows []int32, attr int, dist []float64, totalW float64, out *split) bool {
+func (fb *fastBuilder) nominalSplit(rows []int32, attr int, baseEntropy, totalW float64, out *split) bool {
 	nVals := len(fb.attrs[attr].Values)
 	if nVals < 2 {
 		return false
@@ -267,7 +317,7 @@ func (fb *fastBuilder) nominalSplit(rows []int32, attr int, dist []float64, tota
 		return false
 	}
 	childEntropy /= totalW
-	gain := entropy(dist) - childEntropy
+	gain := baseEntropy - childEntropy
 	if gain <= 0 {
 		return false
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -29,9 +30,9 @@ type HTTPConfig struct {
 }
 
 // RunHTTP serves handler on ln until ctx is cancelled, then drains:
-// stop accepting, let in-flight requests finish (bounded by
-// DrainTimeout). Returns nil on a clean drain, the serve error if the
-// listener fails first.
+// stop accepting, close connections that have not sent a request, let
+// in-flight requests finish (bounded by DrainTimeout). Returns nil on a
+// clean drain, the serve error if the listener fails first.
 func RunHTTP(ctx context.Context, ln net.Listener, handler http.Handler, cfg HTTPConfig) error {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
@@ -46,6 +47,12 @@ func RunHTTP(ctx context.Context, ln net.Listener, handler http.Handler, cfg HTT
 		WriteTimeout:      5 * time.Minute,
 		IdleTimeout:       time.Minute,
 	}
+	// http.Server.Shutdown treats a connection that has sent no request
+	// yet as active for its first 5 s, which would hold any shorter
+	// drain open; such connections are tracked and closed when draining
+	// starts, and ones accepted afterwards are closed on arrival.
+	silent := &silentConns{conns: make(map[net.Conn]struct{})}
+	hs.ConnState = silent.track
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	select {
@@ -57,6 +64,7 @@ func RunHTTP(ctx context.Context, ln net.Listener, handler http.Handler, cfg HTT
 		cfg.OnDrain()
 	}
 	cfg.Logf("serve: draining (timeout %v)", cfg.DrainTimeout)
+	silent.drain()
 	dctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
@@ -64,6 +72,39 @@ func RunHTTP(ctx context.Context, ln net.Listener, handler http.Handler, cfg HTT
 	}
 	cfg.Logf("serve: drained cleanly")
 	return nil
+}
+
+// silentConns tracks a server's connections that are still in
+// http.StateNew: accepted, no request read yet.
+type silentConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	draining bool
+}
+
+func (s *silentConns) track(c net.Conn, state http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if state != http.StateNew {
+		delete(s.conns, c)
+		return
+	}
+	if s.draining {
+		c.Close()
+		return
+	}
+	s.conns[c] = struct{}{}
+}
+
+// drain closes every tracked connection and every one accepted later.
+func (s *silentConns) drain() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.draining = true
+	for c := range s.conns {
+		c.Close()
+	}
+	s.conns = nil
 }
 
 // ListenAndServeHTTP listens on addr and calls RunHTTP. It reports the
