@@ -60,6 +60,7 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 		mergeSyn:    reg.Counter("refine.merge_synthetic_rows"),
 		indexBuilds: reg.Counter("refine.index_builds"),
 		indexNS:     reg.Histogram("refine.index_ns"),
+		viewNS:      reg.Histogram("refine.view_ns"),
 		induceNS:    reg.Histogram("refine.induce_ns"),
 	}
 
@@ -140,6 +141,7 @@ type refineCounters struct {
 	mergeSyn    *telemetry.Counter
 	indexBuilds *telemetry.Counter
 	indexNS     *telemetry.Histogram
+	viewNS      *telemetry.Histogram
 	induceNS    *telemetry.Histogram
 }
 
@@ -169,7 +171,9 @@ func (s *foldShared) index(st *dataset.Store, maxK int, ctrs refineCounters) (*s
 // which worker runs the cell or in what order. Each cell trains from a
 // per-configuration view of the fold's shared store; the shared
 // neighbour index yields the same views as per-cell neighbour searches,
-// so results do not depend on which cell built it.
+// so results do not depend on which cell built it. The view is released
+// once the model is scored, so the next cell on this worker reuses its
+// arrays; the model keeps none of them.
 func refineCellEval(d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg SamplingConfig, maxK int, opts Options, fi, ci int, cell *refineCell, ctrs refineCounters) error {
 	st := sh.trainStore(d, fold, ctrs.storeBuilds)
 
@@ -181,17 +185,19 @@ func refineCellEval(d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg S
 			return err
 		}
 	}
+	start := time.Now()
 	v, err := cfg.view(st, ni, rng)
 	if err != nil {
 		return fmt.Errorf("transform: %w", err)
 	}
+	ctrs.viewNS.ObserveDuration(time.Since(start))
 	if !v.HasMissing() {
 		ctrs.viewHits.Inc()
 		if cfg.Kind == Smote {
 			ctrs.mergeSyn.Add(int64(v.Appended()))
 		}
 	}
-	start := time.Now()
+	start = time.Now()
 	model, err := DefaultLearner().FitTreeView(v)
 	if err != nil {
 		return fmt.Errorf("fit: %w", err)
@@ -206,5 +212,6 @@ func refineCellEval(d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg S
 	}
 	cell.counts = cm.Binary(eval.PositiveClass)
 	cell.size = model.Size()
+	v.Release()
 	return nil
 }

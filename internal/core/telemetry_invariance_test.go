@@ -77,9 +77,12 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 			t.Errorf("counter %s not accumulated: %d", name, serial.Counters[name])
 		}
 	}
-	// One tree is induced per scored cell, each timed once.
-	if got, want := serial.HistCount["refine.induce_ns"], serial.Counters["refine.cells_scored"]; got != want || got == 0 {
-		t.Errorf("refine.induce_ns count %d, want refine.cells_scored = %d (> 0)", got, want)
+	// One view is built and one tree induced per scored cell, each
+	// timed once.
+	for _, hist := range []string{"refine.view_ns", "refine.induce_ns"} {
+		if got, want := serial.HistCount[hist], serial.Counters["refine.cells_scored"]; got != want || got == 0 {
+			t.Errorf("%s count %d, want refine.cells_scored = %d (> 0)", hist, got, want)
+		}
 	}
 	for _, workers := range []int{2, 8} {
 		par := runAt(workers)

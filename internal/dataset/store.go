@@ -3,6 +3,7 @@ package dataset
 import (
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Store is an immutable, column-major snapshot of a training partition,
@@ -141,8 +142,10 @@ type Synthetic struct {
 // and — when the store is missing-free — the pre-merged ascending row
 // order of every numeric attribute, so tree induction starts without
 // re-sorting anything. Views are cheap (O(rows) to build, no instance
-// cloning) and immutable; all cells of a fold may read them, and the
-// arrays they share with the store, concurrently.
+// cloning) and immutable until released; all cells of a fold may read
+// them, and the arrays they share with the store, concurrently. Repeat
+// and extend views borrow their arrays from a pool: the owner that is
+// done with one (and with every fit from it) may Release it.
 type View struct {
 	store *Store
 	// rows lists the view's training rows in instance order — the order
@@ -161,6 +164,54 @@ type View struct {
 	// builder via Materialize.
 	sorted   [][]int32
 	appended int // rows beyond the base partition (duplicates + synthetic)
+	// arena backs rows, sorted and any extended arrays of a repeat or
+	// extend view; nil for identity and select views. Release returns it.
+	arena *viewArena
+}
+
+// viewArena is the reusable memory of a repeat or extend view. Every
+// array a view reads is fully written when the view is built, so an
+// arena from the pool needs no clearing except the times counters.
+type viewArena struct {
+	rows    []int32
+	colHdr  [][]float64
+	colVals []float64
+	classes []int
+	weights []float64
+	sorted  [][]int32
+	slabs   []int32
+	times   []int32  // per base row: duplicate count (RepeatView)
+	keys    []rowKey // synthetic sort keys (ExtendView)
+}
+
+// viewArenas recycles released views' arenas, so the refinement grid's
+// cells reuse a few large buffers instead of allocating their own.
+var viewArenas = sync.Pool{New: func() any { return new(viewArena) }}
+
+// grow returns s resliced to n elements, or a fresh slice when s is too
+// small. Reused elements keep their old contents.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// sortedSlabs lays out one n-id slab per numeric attribute of the store
+// in the arena, returning the per-attribute table (nil for nominal
+// attributes).
+func (ar *viewArena) sortedSlabs(s *Store, n int) [][]int32 {
+	ar.sorted = grow(ar.sorted, len(s.attrs))
+	ar.slabs = grow(ar.slabs, n*s.nNumeric)
+	off := 0
+	for a := range s.attrs {
+		ar.sorted[a] = nil
+		if s.sorted[a] != nil {
+			ar.sorted[a] = ar.slabs[off : off+n]
+			off += n
+		}
+	}
+	return ar.sorted
 }
 
 // IdentityView returns the whole-partition view (the NoSampling
@@ -223,36 +274,41 @@ func (s *Store) SelectView(rows []int32) *View {
 // replacement shape. A duplicate's sorted position is already known
 // (it is its base row's), so each numeric attribute's order is the
 // store's presorted order with every id emitted once per occurrence:
-// O(n + m), no sorting and no value copies at all.
+// O(n + m), no sorting and no value copies at all. The row list and the
+// orders live in a pooled arena that Release returns.
 func (s *Store) RepeatView(extra []int32) *View {
+	return s.repeatView(extra, viewArenas.Get().(*viewArena))
+}
+
+// repeatView builds RepeatView's view in the given arena.
+func (s *Store) repeatView(extra []int32, ar *viewArena) *View {
 	n, m := s.n, len(extra)
-	rows := make([]int32, n+m)
-	copy(rows, s.identity)
-	copy(rows[n:], extra)
+	ar.rows = grow(ar.rows, n+m)
+	copy(ar.rows, s.identity)
+	copy(ar.rows[n:], extra)
 	v := &View{
 		store:    s,
-		rows:     rows,
+		rows:     ar.rows,
 		cols:     s.cols,
 		classes:  s.classes,
 		weights:  s.weights,
 		appended: m,
+		arena:    ar,
 	}
 	if s.sorted == nil {
 		return v
 	}
-	times := make([]int32, n)
+	ar.times = grow(ar.times, n)
+	times := ar.times
+	clear(times)
 	for _, r := range extra {
 		times[r]++
 	}
-	v.sorted = make([][]int32, len(s.attrs))
-	arena := make([]int32, (n+m)*s.nNumeric)
-	slab := 0
-	for a := range s.attrs {
-		if s.sorted[a] == nil {
+	v.sorted = ar.sortedSlabs(s, n+m)
+	for a, out := range v.sorted {
+		if out == nil {
 			continue
 		}
-		out := arena[slab : slab+n+m]
-		slab += n + m
 		i := 0
 		for _, r := range s.sorted[a] {
 			out[i] = r
@@ -262,7 +318,6 @@ func (s *Store) RepeatView(extra []int32) *View {
 				i++
 			}
 		}
-		v.sorted[a] = out
 	}
 	return v
 }
@@ -273,23 +328,34 @@ func (s *Store) RepeatView(extra []int32) *View {
 // allocations); each numeric attribute's order sorts only the m
 // synthetic rows (as value-keyed pairs) and merges them into the
 // store's presorted base order in O(n + m), with base rows winning
-// ties.
+// ties. Every array lives in a pooled arena that Release returns; the
+// view keeps nothing of syn.
 func (s *Store) ExtendView(syn []Synthetic) *View {
+	return s.extendView(syn, viewArenas.Get().(*viewArena))
+}
+
+// extendView builds ExtendView's view in the given arena.
+func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 	n, m := s.n, len(syn)
-	rows := make([]int32, n+m)
+	ar.rows = grow(ar.rows, n+m)
+	ar.colHdr = grow(ar.colHdr, len(s.attrs))
+	ar.colVals = grow(ar.colVals, (n+m)*len(s.attrs))
+	ar.classes = grow(ar.classes, n+m)
+	ar.weights = grow(ar.weights, n+m)
+	rows := ar.rows
 	copy(rows, s.identity)
 	v := &View{
 		store:    s,
 		rows:     rows,
-		cols:     make([][]float64, len(s.attrs)),
-		classes:  make([]int, n+m),
-		weights:  make([]float64, n+m),
+		cols:     ar.colHdr,
+		classes:  ar.classes,
+		weights:  ar.weights,
 		appended: m,
+		arena:    ar,
 	}
-	colArena := make([]float64, (n+m)*len(s.attrs))
 	synMissing := false
 	for a := range s.attrs {
-		col := colArena[a*(n+m) : (a+1)*(n+m)]
+		col := ar.colVals[a*(n+m) : (a+1)*(n+m)]
 		copy(col, s.cols[a])
 		for j := range syn {
 			val := syn[j].Values[a]
@@ -316,12 +382,11 @@ func (s *Store) ExtendView(syn []Synthetic) *View {
 	if s.sorted == nil || synMissing {
 		return v
 	}
-	v.sorted = make([][]int32, len(s.attrs))
-	arena := make([]int32, (n+m)*s.nNumeric)
-	keys := make([]rowKey, m)
-	slab := 0
-	for a := range s.attrs {
-		if s.sorted[a] == nil {
+	v.sorted = ar.sortedSlabs(s, n+m)
+	ar.keys = grow(ar.keys, m)
+	keys := ar.keys
+	for a, out := range v.sorted {
+		if out == nil {
 			continue
 		}
 		col := v.cols[a]
@@ -329,8 +394,6 @@ func (s *Store) ExtendView(syn []Synthetic) *View {
 			keys[j] = rowKey{v: col[n+j], row: int32(n + j)}
 		}
 		slices.SortFunc(keys, compareRowKeys)
-		out := arena[slab : slab+n+m]
-		slab += n + m
 		base := s.sorted[a]
 		i, j, k := 0, 0, 0
 		for i < n && j < m {
@@ -351,7 +414,6 @@ func (s *Store) ExtendView(syn []Synthetic) *View {
 			out[k] = keys[j].row
 			k++
 		}
-		v.sorted[a] = out
 	}
 	return v
 }
@@ -374,6 +436,21 @@ func compareRowKeys(a, b rowKey) int {
 		return 1
 	}
 	return 0
+}
+
+// Release hands a repeat or extend view's arrays back to the pool for
+// the next view to reuse, and zeroes the view. After Release the view,
+// and every slice its accessors returned, must not be used: a later
+// view may overwrite them. Models fitted from the view keep none of its
+// arrays, so a view may be released once its fits are done. On
+// identity and select views, which own nothing, Release is a no-op, as
+// is a second Release.
+func (v *View) Release() {
+	if v.arena == nil {
+		return
+	}
+	viewArenas.Put(v.arena)
+	*v = View{}
 }
 
 // Len returns the number of training rows in the view.

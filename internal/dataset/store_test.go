@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -342,4 +343,128 @@ func TestSharedVariantsAliasValues(t *testing.T) {
 	if &deep.Instances[0].Values[0] == &d.Instances[2].Values[0] {
 		t.Fatal("Subset must deep-copy Values")
 	}
+}
+
+// viewSnapshot deep-copies the arrays a view exposes, so they can be
+// compared after the view's arena is reused.
+type viewSnapshot struct {
+	rows    []int32
+	cols    [][]float64
+	classes []int
+	weights []float64
+	sorted  [][]int32
+}
+
+func snapshotView(v *View) viewSnapshot {
+	s := viewSnapshot{
+		rows:    slices.Clone(v.Rows()),
+		classes: slices.Clone(v.Classes()),
+		weights: slices.Clone(v.Weights()),
+	}
+	for _, col := range v.Cols() {
+		s.cols = append(s.cols, slices.Clone(col))
+	}
+	if v.Sorted() != nil {
+		s.sorted = make([][]int32, len(v.Sorted()))
+		for a, idx := range v.Sorted() {
+			s.sorted[a] = slices.Clone(idx)
+		}
+	}
+	return s
+}
+
+// checkSnapshot requires v to expose exactly the arrays of want; column
+// values compare by bits.
+func checkSnapshot(t *testing.T, name string, v *View, want viewSnapshot) {
+	t.Helper()
+	got := snapshotView(v)
+	bitsEqual := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	if !slices.Equal(got.rows, want.rows) || !slices.Equal(got.classes, want.classes) ||
+		!bitsEqual(got.weights, want.weights) {
+		t.Fatalf("%s: rows, classes or weights differ from a fresh-arena view", name)
+	}
+	if !slices.EqualFunc(got.cols, want.cols, bitsEqual) {
+		t.Fatalf("%s: columns differ from a fresh-arena view", name)
+	}
+	if (got.sorted == nil) != (want.sorted == nil) || !slices.EqualFunc(got.sorted, want.sorted, slices.Equal[[]int32]) {
+		t.Fatalf("%s: sorted orders differ from a fresh-arena view", name)
+	}
+}
+
+// TestViewReleaseReuse builds extend and repeat views in the arenas of
+// larger, released repeat and extend views: each must expose the same
+// arrays as the view built on a fresh arena. The views are built both on the released
+// arena itself and through the public constructors, which take theirs
+// from the pool. Release is a no-op on identity and select views and
+// safe to call twice.
+func TestViewReleaseReuse(t *testing.T) {
+	// The larger views' schema is all numeric, so a stale order in the
+	// smaller views' nominal slot would show.
+	bigData := storeTestDataset(300, 21)
+	bigData.Attrs = []Attribute{NumericAttr("x"), NumericAttr("mode"), NumericAttr("y")}
+	big := NewStore(bigData, nil)
+	st := NewStore(storeTestDataset(80, 22), nil)
+	var bigExtra, extra []int32
+	for i := 0; i < big.Len(); i += 2 {
+		bigExtra = append(bigExtra, int32(i), int32(i))
+	}
+	for i := 0; i < st.Len(); i += 5 {
+		extra = append(extra, int32(i))
+	}
+	synFor := func(s *Store, every int) []Synthetic {
+		var syn []Synthetic
+		for i := 0; i < s.Len(); i += every {
+			vs := []float64{s.Cols()[0][i] + 0.25, s.Cols()[1][i], s.Cols()[2][i] - 0.5}
+			syn = append(syn, Synthetic{Values: vs, Class: 1, Weight: float64(i%3) + 0.5})
+		}
+		return syn
+	}
+	bigSyn, syn := synFor(big, 1), synFor(st, 3)
+
+	wantExtend := snapshotView(st.extendView(syn, new(viewArena)))
+	wantRepeat := snapshotView(st.repeatView(extra, new(viewArena)))
+
+	// Every small view after every larger one, on the released view's
+	// own arena.
+	bigViews := map[string]func() *View{
+		"repeat": func() *View { return big.repeatView(bigExtra, new(viewArena)) },
+		"extend": func() *View { return big.extendView(bigSyn, new(viewArena)) },
+	}
+	for name, build := range bigViews {
+		b := build()
+		ar := b.arena
+		b.Release()
+		checkSnapshot(t, "extend after "+name, st.extendView(syn, ar), wantExtend)
+		b = build()
+		ar = b.arena
+		b.Release()
+		checkSnapshot(t, "repeat after "+name, st.repeatView(extra, ar), wantRepeat)
+	}
+
+	// The same through the pool.
+	big.RepeatView(bigExtra).Release()
+	v := st.ExtendView(syn)
+	checkSnapshot(t, "pooled extend", v, wantExtend)
+	v.Release()
+	big.ExtendView(bigSyn).Release()
+	v = st.RepeatView(extra)
+	checkSnapshot(t, "pooled repeat", v, wantRepeat)
+
+	v.Release()
+	v.Release()
+	if v.Len() != 0 || v.Rows() != nil || v.Sorted() != nil || v.arena != nil {
+		t.Fatal("released view is not zeroed")
+	}
+
+	id := st.IdentityView()
+	sel := st.SelectView([]int32{4, 1, 9})
+	wantID, wantSel := snapshotView(id), snapshotView(sel)
+	for i := 0; i < 2; i++ {
+		id.Release()
+		sel.Release()
+	}
+	checkSnapshot(t, "released identity view", id, wantID)
+	checkSnapshot(t, "released select view", sel, wantSel)
 }

@@ -9,6 +9,8 @@ package sampling
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"edem/internal/dataset"
 	"edem/internal/stats"
@@ -114,8 +116,12 @@ func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []s
 	attrs := st.Attrs()
 	cols := st.Cols()
 	weights := st.Weights()
-	syn := make([]dataset.Synthetic, len(specs))
-	valArena := make([]float64, len(specs)*len(attrs))
+	sb := synPool.Get().(*synBuf)
+	defer synPool.Put(sb)
+	nVals := len(specs) * len(attrs)
+	sb.syn = slices.Grow(sb.syn[:0], len(specs))[:len(specs)]
+	sb.vals = slices.Grow(sb.vals[:0], nVals)[:nVals]
+	syn, valArena := sb.syn, sb.vals
 	for i, sp := range specs {
 		seedRow := minIdx[sp.seedPos]
 		vs := valArena[i*len(attrs) : (i+1)*len(attrs)]
@@ -139,3 +145,13 @@ func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []s
 	}
 	return st.ExtendView(syn)
 }
+
+// synBuf is viewFromSpecs' synthetic-row staging memory. ExtendView
+// copies the values out, so the buffers go back to synPool as soon as
+// the view is built.
+type synBuf struct {
+	syn  []dataset.Synthetic
+	vals []float64
+}
+
+var synPool = sync.Pool{New: func() any { return new(synBuf) }}

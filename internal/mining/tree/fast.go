@@ -2,6 +2,8 @@ package tree
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"edem/internal/dataset"
 )
@@ -15,12 +17,17 @@ import (
 // handles fractional instance weights.
 //
 // A second cost on large campaigns is allocation churn: the refinement
-// grid induces thousands of trees per dataset, so per-node garbage adds
-// up. The builder therefore keeps split-scan scratch (class
-// distributions, candidate splits, branch counters) on the builder and
-// partitions nodes count-then-fill into single arena allocations
-// instead of per-child append chains. A builder is used by one
-// goroutine; fold- and grid-level parallelism each construct their own.
+// grid induces thousands of trees per dataset, oversampled views hold
+// up to about ten times the base partition's rows, and the trees are
+// chain-shaped, so every row is re-partitioned several times. The
+// builder therefore keeps split-scan scratch (class distributions,
+// candidate splits, branch counters) on the builder, and partitions
+// every node into one of two ping-pong buffers (see partition) taken,
+// with the per-row branch array and the child node headers, from a
+// pool of buildScratch: a tree allocates its Nodes and their class
+// distributions, and almost nothing else. A builder and its scratch
+// are used by one goroutine; fold- and grid-level parallelism each
+// construct their own builder and take their own scratch.
 
 type fastBuilder struct {
 	cfg      Config
@@ -29,7 +36,8 @@ type fastBuilder struct {
 	classes  []int
 	weights  []float64
 	nClasses int
-	nNumeric int // numeric attribute count: sorted-order slabs per node
+	nNumeric int           // numeric attribute count: sorted-order slabs per buffer
+	sc       *buildScratch // partition memory; set by fitView
 
 	// Split-scan scratch, reused across bestSplit calls. Safe because a
 	// node's best split is fully consumed (partition + node labelling)
@@ -41,19 +49,87 @@ type fastBuilder struct {
 	splitBuf  []split  // cap len(Attrs): addresses stay stable
 	candBuf   []*split // views into splitBuf for selectSplit
 	countBuf  []int    // per-branch row counts
-	startBuf  []int    // per-branch arena offsets
+	startBuf  []int    // per-branch offsets within the node's range
 	fillBuf   []int    // per-branch fill cursors
 
 	scored int // cuts whose child entropies numericSplit computed
 }
 
 // fastNode is the per-node view: row ids, plus per-numeric-attribute row
-// ids in ascending value order. The root's slices are the view's own,
-// possibly shared with a fold-wide store other goroutines are reading;
-// the builder only reads them.
+// ids in ascending value order. A node owns the range [lo, lo+len(rows))
+// of the root's rootN positions, and its order for attribute a is
+// sorted[a][lo:lo+len(rows)] (see order). At the root, rows and sorted
+// are the view's own, possibly shared with a fold-wide store other
+// goroutines are reading, so the builder only reads them; below the
+// root they point into the ping-pong buffers.
 type fastNode struct {
+	lo     int
 	rows   []int32
-	sorted [][]int32 // indexed by attr; nil for nominal attributes
+	sorted [][]int32 // indexed by attr: rootN-id slabs; nil for nominal attributes
+}
+
+// order returns the node's rows in ascending order of attribute a.
+func (nd *fastNode) order(a int) []int32 { return nd.sorted[a][nd.lo : nd.lo+len(nd.rows)] }
+
+// buildScratch is the partition memory of one tree. Every slot is
+// written by the tree before it is read, so scratch handed over from
+// another tree needs no clearing, only growing.
+type buildScratch struct {
+	pp     [2][]int32   // ping-pong buffers: rootN row ids, then rootN ids per numeric attribute
+	slabs  [2][][]int32 // per attr: pp[k]'s rootN-id slab; nil for nominal attributes
+	branch []int32      // per row id: its branch at the node being partitioned (holds any arity)
+	levels [][]fastNode // per depth: the children of the node being partitioned
+}
+
+// scratchPool recycles buildScratch across FitTreeView calls, so a
+// refinement grid's trees reuse a few buffers instead of allocating
+// their own.
+var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+// reset sizes the scratch for a tree over rootN rows whose ids lie in
+// [0, nIDs), growing any buffer that is too small.
+func (sc *buildScratch) reset(attrs []dataset.Attribute, rootN, nIDs, nNumeric int) {
+	size := rootN * (1 + nNumeric)
+	for k := range sc.pp {
+		sc.pp[k] = slices.Grow(sc.pp[k][:0], size)[:size]
+		sc.slabs[k] = slices.Grow(sc.slabs[k][:0], len(attrs))[:len(attrs)]
+		off := rootN
+		for a := range attrs {
+			sc.slabs[k][a] = nil
+			if attrs[a].Type == dataset.Numeric {
+				sc.slabs[k][a] = sc.pp[k][off : off+rootN]
+				off += rootN
+			}
+		}
+	}
+	sc.branch = slices.Grow(sc.branch[:0], nIDs)[:nIDs]
+}
+
+// level returns the child-node array for a node at the given depth. A
+// node's children stay intact while deeper nodes partition, because
+// those use the deeper levels.
+func (sc *buildScratch) level(depth, width int) []fastNode {
+	for len(sc.levels) <= depth {
+		sc.levels = append(sc.levels, nil)
+	}
+	if cap(sc.levels[depth]) < width {
+		sc.levels[depth] = make([]fastNode, width)
+	}
+	return sc.levels[depth][:width]
+}
+
+// fitView grows and prunes a tree from a missing-free view, using sc as
+// the builder's partition memory.
+func fitView(cfg Config, v *dataset.View, sc *buildScratch) *Node {
+	fb := newViewBuilder(cfg, v)
+	sc.reset(fb.attrs, v.Len(), len(fb.classes), fb.nNumeric)
+	fb.sc = sc
+	// The root starts from the view's presorted orders: no root sort.
+	root := fb.build(&fastNode{rows: v.Rows(), sorted: v.Sorted()}, 0)
+	if !cfg.NoPrune {
+		prune(root, cfg.confidence())
+	}
+	return root
 }
 
 // newViewBuilder wires a builder straight to a columnar view's arrays:
@@ -121,7 +197,7 @@ func (fb *fastBuilder) build(nd *fastNode, depthSoFar int) *Node {
 		return node
 	}
 
-	children := fb.partition(nd, best)
+	children := fb.partition(nd, best, depthSoFar)
 	strong := 0
 	for i := range children {
 		if fb.weightOfRows(children[i].rows) >= fb.cfg.minLeaf() {
@@ -164,7 +240,7 @@ func (fb *fastBuilder) bestSplit(nd *fastNode, dist []float64, totalW float64) *
 		var s split
 		var ok bool
 		if fb.attrs[a].Type == dataset.Numeric {
-			ok = fb.numericSplit(nd.sorted[a], a, dist, baseEntropy, totalW, &s)
+			ok = fb.numericSplit(nd.order(a), a, dist, baseEntropy, totalW, &s)
 		} else {
 			ok = fb.nominalSplit(nd.rows, a, baseEntropy, totalW, &s)
 		}
@@ -331,34 +407,47 @@ func (fb *fastBuilder) nominalSplit(rows []int32, attr int, baseEntropy, totalW 
 }
 
 // partition splits the node preserving every attribute's sort order.
-// Branch sizes are counted first, then every child's row list and
-// per-attribute sort order are carved out of one arena: three
-// allocations per node (arena, headers, child nodes) in place of
-// per-child append chains that each re-grow logarithmically.
-func (fb *fastBuilder) partition(nd *fastNode, s *split) []fastNode {
-	numeric := fb.attrs[s.attr].Type == dataset.Numeric
-	nBranches := 2
-	if !numeric {
-		nBranches = len(fb.attrs[s.attr].Values)
-	}
+//
+// The children's row lists and orders go into the ping-pong buffer of
+// the node's depth, pp[depth%2], at the node's own range [lo, lo+n)
+// within each rootN-id slab; child b takes [lo+start_b, lo+start_b+count_b).
+// The node reads its own lists from the other buffer (or, at the root,
+// from the view, which is never written). The write is safe because a
+// node's range lies inside its parent's: in pp[depth%2] it overwrites
+// only lists of ancestors that have already partitioned, while the
+// ranges of siblings still waiting for their turn are disjoint from it.
+//
+// The counting pass records each row's branch in the branch array,
+// indexed by row id, so the fills read a branch instead of re-testing
+// the split once per attribute. Nothing is allocated: the buffers, the
+// branch array and the child nodes come from the tree's scratch.
+func (fb *fastBuilder) partition(nd *fastNode, s *split, depth int) []fastNode {
+	n := len(nd.rows)
+	br := fb.sc.branch
 	col := fb.cols[s.attr]
-	branchOf := func(r int32) int {
-		if numeric {
+	nBranches := 2
+	counts := fb.countBuf
+	if fb.attrs[s.attr].Type == dataset.Numeric {
+		left := 0
+		for _, r := range nd.rows {
 			if col[r] <= s.threshold {
-				return 0
+				br[r] = 0
+				left++
+			} else {
+				br[r] = 1
 			}
-			return 1
 		}
-		return int(col[r])
+		counts[0], counts[1] = left, n-left
+	} else {
+		nBranches = len(fb.attrs[s.attr].Values)
+		clear(counts[:nBranches])
+		for _, r := range nd.rows {
+			b := int32(col[r])
+			br[r] = b
+			counts[b]++
+		}
 	}
-
-	counts := fb.countBuf[:nBranches]
-	for b := range counts {
-		counts[b] = 0
-	}
-	for _, r := range nd.rows {
-		counts[branchOf(r)]++
-	}
+	counts = counts[:nBranches]
 	starts := fb.startBuf[:nBranches]
 	off := 0
 	for b := range counts {
@@ -366,45 +455,46 @@ func (fb *fastBuilder) partition(nd *fastNode, s *split) []fastNode {
 		off += counts[b]
 	}
 
-	n := len(nd.rows)
-	nAttrs := len(fb.attrs)
-	// One arena backs the row lists and every numeric attribute's sort
-	// order; hdrs backs each child's per-attribute slice table.
-	arena := make([]int32, n*(1+fb.nNumeric))
-	hdrs := make([][]int32, nBranches*nAttrs)
-	nodes := make([]fastNode, nBranches)
-
-	rowsArena := arena[:n]
+	k := depth % 2
+	rows := fb.sc.pp[k][nd.lo : nd.lo+n]
+	fb.fill(rows, nd.rows, nBranches)
+	slabs := fb.sc.slabs[k]
+	for a, slab := range slabs {
+		if slab != nil {
+			fb.fill(slab[nd.lo:nd.lo+n], nd.order(a), nBranches)
+		}
+	}
+	nodes := fb.sc.level(depth, nBranches)
 	for b := range nodes {
-		nodes[b].rows = rowsArena[starts[b] : starts[b]+counts[b]]
-		nodes[b].sorted = hdrs[b*nAttrs : (b+1)*nAttrs]
-	}
-	fill := fb.fillBuf[:nBranches]
-	copy(fill, starts)
-	for _, r := range nd.rows {
-		b := branchOf(r)
-		rowsArena[fill[b]] = r
-		fill[b]++
-	}
-
-	slabOff := n
-	for a := 0; a < nAttrs; a++ {
-		if nd.sorted[a] == nil {
-			continue
-		}
-		slab := arena[slabOff : slabOff+n]
-		slabOff += n
-		copy(fill, starts)
-		for _, r := range nd.sorted[a] {
-			b := branchOf(r)
-			slab[fill[b]] = r
-			fill[b]++
-		}
-		for b := range nodes {
-			nodes[b].sorted[a] = slab[starts[b] : starts[b]+counts[b]]
-		}
+		nodes[b] = fastNode{lo: nd.lo + starts[b], rows: rows[starts[b] : starts[b]+counts[b]], sorted: slabs}
 	}
 	return nodes
+}
+
+// fill copies src into dst grouped by branch, as partition's counts and
+// starts lay the branches out, keeping src order within each branch.
+func (fb *fastBuilder) fill(dst, src []int32, nBranches int) {
+	br := fb.sc.branch
+	if nBranches == 2 {
+		l, r := 0, fb.countBuf[0]
+		for _, id := range src {
+			if br[id] == 0 {
+				dst[l] = id
+				l++
+			} else {
+				dst[r] = id
+				r++
+			}
+		}
+		return
+	}
+	cur := fb.fillBuf[:nBranches]
+	copy(cur, fb.startBuf)
+	for _, id := range src {
+		b := br[id]
+		dst[cur[b]] = id
+		cur[b]++
+	}
 }
 
 // selectSplit applies C4.5's rule: among candidates whose gain is at

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -319,4 +320,364 @@ func TestNumericSplitScoresOnlyBoundaries(t *testing.T) {
 		t.Errorf("scored %d cuts, want at most 3", fb.scored)
 	}
 	checkNumericSplit(t, fb, v.Sorted()[0], dist, sum(dist))
+}
+
+// partitionArena is the count-then-fill partition the builder used
+// before the ping-pong buffers, kept as the oracle: every child's row
+// list and per-attribute order are carved out of a fresh arena per
+// node, re-testing the split once per row and attribute.
+func (fb *fastBuilder) partitionArena(nd *fastNode, s *split) []fastNode {
+	numeric := fb.attrs[s.attr].Type == dataset.Numeric
+	nBranches := 2
+	if !numeric {
+		nBranches = len(fb.attrs[s.attr].Values)
+	}
+	col := fb.cols[s.attr]
+	branchOf := func(r int32) int {
+		if numeric {
+			if col[r] <= s.threshold {
+				return 0
+			}
+			return 1
+		}
+		return int(col[r])
+	}
+
+	counts := make([]int, nBranches)
+	for _, r := range nd.rows {
+		counts[branchOf(r)]++
+	}
+	starts := make([]int, nBranches)
+	off := 0
+	for b := range counts {
+		starts[b] = off
+		off += counts[b]
+	}
+
+	n := len(nd.rows)
+	nAttrs := len(fb.attrs)
+	arena := make([]int32, n*(1+fb.nNumeric))
+	hdrs := make([][]int32, nBranches*nAttrs)
+	nodes := make([]fastNode, nBranches)
+
+	rowsArena := arena[:n]
+	for b := range nodes {
+		nodes[b].rows = rowsArena[starts[b] : starts[b]+counts[b]]
+		nodes[b].sorted = hdrs[b*nAttrs : (b+1)*nAttrs]
+	}
+	fill := make([]int, nBranches)
+	copy(fill, starts)
+	for _, r := range nd.rows {
+		b := branchOf(r)
+		rowsArena[fill[b]] = r
+		fill[b]++
+	}
+
+	slabOff := n
+	for a := 0; a < nAttrs; a++ {
+		if nd.sorted[a] == nil {
+			continue
+		}
+		slab := arena[slabOff : slabOff+n]
+		slabOff += n
+		copy(fill, starts)
+		for _, r := range nd.order(a) {
+			b := branchOf(r)
+			slab[fill[b]] = r
+			fill[b]++
+		}
+		for b := range nodes {
+			nodes[b].sorted[a] = slab[starts[b] : starts[b]+counts[b]]
+		}
+	}
+	return nodes
+}
+
+// buildArena is build with partitionArena in place of partition.
+func (fb *fastBuilder) buildArena(nd *fastNode, depthSoFar int) *Node {
+	dist := fb.distribution(nd.rows)
+	node := &Node{Attr: -1, Dist: dist, Class: argmax(dist)}
+
+	totalW := sum(dist)
+	if totalW < 2*fb.cfg.minLeaf() || isPure(dist) {
+		return node
+	}
+	if fb.cfg.MaxDepth > 0 && depthSoFar >= fb.cfg.MaxDepth {
+		return node
+	}
+	best := fb.bestSplit(nd, dist, totalW)
+	if best == nil {
+		return node
+	}
+	children := fb.partitionArena(nd, best)
+	strong := 0
+	for i := range children {
+		if fb.weightOfRows(children[i].rows) >= fb.cfg.minLeaf() {
+			strong++
+		}
+	}
+	if strong < 2 {
+		return node
+	}
+	node.Attr = best.attr
+	node.Threshold = best.threshold
+	node.Children = make([]*Node, len(children))
+	for i := range children {
+		if len(children[i].rows) == 0 {
+			node.Children[i] = &Node{Attr: -1, Dist: make([]float64, fb.nClasses), Class: node.Class}
+			continue
+		}
+		node.Children[i] = fb.buildArena(&children[i], depthSoFar+1)
+	}
+	return node
+}
+
+// fitArena grows the oracle's tree for a view (pruned unless cfg says
+// otherwise), as fitView does with ping-pong partitioning.
+func fitArena(cfg Config, v *dataset.View) *Node {
+	root := newViewBuilder(cfg, v).buildArena(&fastNode{rows: v.Rows(), sorted: v.Sorted()}, 0)
+	if !cfg.NoPrune {
+		prune(root, cfg.confidence())
+	}
+	return root
+}
+
+// partitionViews builds the view shapes the refinement grid trains on
+// from one dataset: identity, a repeat view with duplicates of every
+// third row, and an extend view whose synthetics copy every fourth row
+// with its numeric values nudged.
+func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
+	st := dataset.NewStore(d, nil)
+	var extra []int32
+	var syn []dataset.Synthetic
+	for i := 0; i < st.Len(); i++ {
+		if i%3 == 0 {
+			extra = append(extra, int32(i), int32(i))
+		}
+		if i%4 == 0 {
+			in := d.Instances[i]
+			vs := append([]float64(nil), in.Values...)
+			for a, attr := range d.Attrs {
+				if attr.Type == dataset.Numeric {
+					vs[a] += 0.001 * float64(i%5)
+				}
+			}
+			syn = append(syn, dataset.Synthetic{Values: vs, Class: in.Class, Weight: in.Weight})
+		}
+	}
+	return map[string]*dataset.View{
+		"identity": st.IdentityView(),
+		"repeat":   st.RepeatView(extra),
+		"extend":   st.ExtendView(syn),
+	}
+}
+
+// checkPartition fits the view with ping-pong partitioning on fresh
+// scratch and with the arena oracle, requiring the same tree, and
+// returns its depth.
+func checkPartition(t *testing.T, name string, cfg Config, v *dataset.View) int {
+	t.Helper()
+	got := fitView(cfg, v, new(buildScratch))
+	want := fitArena(cfg, v)
+	if !nodesEqual(got, want) {
+		t.Fatalf("%s cfg %+v: ping-pong and arena trees differ", name, cfg)
+	}
+	return depth(got)
+}
+
+// chainDataset peels one small pure leaf off per split: class
+// alternates across eight bands of x, each band smaller than the last,
+// so the tree is a deep, very unbalanced chain.
+func chainDataset(weight func(i int) float64) *dataset.Dataset {
+	d := dataset.New("chain", []dataset.Attribute{
+		dataset.NumericAttr("x"),
+		dataset.NumericAttr("noise"),
+	}, []string{"neg", "pos"})
+	rng := stats.NewRNG(5)
+	i := 0
+	for band, size := 0, 256; size >= 2; band, size = band+1, size/2 {
+		for k := 0; k < size; k++ {
+			d.MustAdd(dataset.Instance{Values: []float64{float64(band) + float64(k)/float64(size), rng.Float64()}, Class: band % 2, Weight: weight(i)})
+			i++
+		}
+	}
+	return d
+}
+
+// signedZeroDataset holds heavy duplicates and both zeros, so split
+// thresholds land on −0 and +0.
+func signedZeroDataset(n int, seed uint64) *dataset.Dataset {
+	pool := []float64{-2, -1, math.Copysign(0, -1), 0, 1, 2}
+	d := dataset.New("zeros", []dataset.Attribute{
+		dataset.NumericAttr("x"),
+		dataset.NumericAttr("y"),
+	}, []string{"neg", "pos"})
+	rng := stats.NewRNG(seed)
+	for i := 0; i < n; i++ {
+		x, y := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		class := 0
+		if x > -1 && y >= 0 {
+			class = 1
+		}
+		if rng.Float64() < 0.1 {
+			class = 1 - class
+		}
+		d.MustAdd(dataset.Instance{Values: []float64{x, y}, Class: class, Weight: 1})
+	}
+	return d
+}
+
+// wideNominalDataset makes a 300-valued nominal attribute the only
+// informative one. Values v and v−256 carry opposite classes, so a
+// branch index that wraps at 256 sends rows to the wrong child.
+func wideNominalDataset(seed uint64) *dataset.Dataset {
+	values := make([]string, 300)
+	for i := range values {
+		values[i] = fmt.Sprintf("v%d", i)
+	}
+	d := dataset.New("wide", []dataset.Attribute{
+		dataset.NumericAttr("noise"),
+		dataset.NominalAttr("code", values...),
+	}, []string{"neg", "pos"})
+	rng := stats.NewRNG(seed)
+	for i := 0; i < 1200; i++ {
+		v := rng.Intn(300)
+		class := v % 2
+		if v >= 256 {
+			class = 1 - class
+		}
+		d.MustAdd(dataset.Instance{Values: []float64{rng.Float64(), float64(v)}, Class: class, Weight: 1})
+	}
+	return d
+}
+
+// TestPartitionMatchesArena pins ping-pong partitioning to the arena
+// oracle on whole trees, node for node: unit and fractional weights,
+// ±0 thresholds and duplicates, very unbalanced chains, nominal splits
+// (one with 300 values), and trees deep enough that both ping-pong
+// buffers are written and overwritten several times.
+func TestPartitionMatchesArena(t *testing.T) {
+	fractional := func(d *dataset.Dataset) *dataset.Dataset {
+		for i := range d.Instances {
+			d.Instances[i].Weight = float64(i%7+1) / 4
+		}
+		return d
+	}
+	cases := map[string]*dataset.Dataset{
+		"mixed":            mixedDataset(600, 1),
+		"mixed-fractional": fractional(mixedDataset(600, 2)),
+		"zeros":            signedZeroDataset(400, 3),
+		"zeros-fractional": fractional(signedZeroDataset(400, 4)),
+		"chain":            chainDataset(func(int) float64 { return 1 }),
+		"chain-fractional": chainDataset(func(i int) float64 { return float64(i%5+1) / 2 }),
+		"wide-nominal":     wideNominalDataset(6),
+	}
+	deepest := 0
+	for name, d := range cases {
+		for vname, v := range partitionViews(d) {
+			for _, cfg := range []Config{{NoPrune: true}, {}, {NoPrune: true, MinLeaf: 1}} {
+				deepest = max(deepest, checkPartition(t, name+"/"+vname, cfg, v))
+			}
+		}
+	}
+	if deepest < 4 {
+		t.Fatalf("deepest tree has %d levels; the cases must reach 4", deepest)
+	}
+	// The wide case must actually split on the 300-valued attribute.
+	v := dataset.NewStore(cases["wide-nominal"], nil).IdentityView()
+	if root := fitView(Config{}, v, new(buildScratch)); root.Attr != 1 || len(root.Children) != 300 {
+		t.Fatalf("wide-nominal root splits attr %d into %d branches, want attr 1 into 300", root.Attr, len(root.Children))
+	}
+}
+
+// partitionCase decodes bytes into a view for FuzzPartition. data[0]
+// picks unit or fractional weights and the minLeaf; data[1] how many
+// rows get a duplicate (a repeat view when non-zero). Each further
+// triple is one row: x and y from splitValues, and a byte whose low
+// bits pick a 5-valued nominal and whose top bit flips the class that
+// otherwise follows x.
+func partitionCase(data []byte) (Config, *dataset.View) {
+	if len(data) < 8 {
+		return Config{}, nil
+	}
+	cfg := Config{NoPrune: true, MinLeaf: []float64{1, 2, 3}[data[0]%3]}
+	fractional := data[0]&4 != 0
+	dups := int(data[1])
+	rows := data[2:]
+	if len(rows) > 3*256 {
+		rows = rows[:3*256]
+	}
+	d := dataset.New("fuzz", []dataset.Attribute{
+		dataset.NumericAttr("x"),
+		dataset.NumericAttr("y"),
+		dataset.NominalAttr("m", "a", "b", "c", "d", "e"),
+	}, []string{"neg", "pos"})
+	for i := 0; i+2 < len(rows); i += 3 {
+		xi := int(rows[i]) % len(splitValues)
+		y := splitValues[int(rows[i+1])%len(splitValues)]
+		b := rows[i+2]
+		class := xi * 2 / len(splitValues)
+		if b&0x80 != 0 {
+			class = 1 - class
+		}
+		w := 1.0
+		if fractional {
+			w = float64((b>>3)&15+1) / 8
+		}
+		d.MustAdd(dataset.Instance{Values: []float64{splitValues[xi], y, float64(b % 5)}, Class: class, Weight: w})
+	}
+	if d.Len() == 0 {
+		return Config{}, nil
+	}
+	st := dataset.NewStore(d, nil)
+	if dups == 0 {
+		return cfg, st.IdentityView()
+	}
+	extra := make([]int32, 0, dups)
+	for i := 0; i < dups; i++ {
+		extra = append(extra, int32(i*7%st.Len()))
+	}
+	return cfg, st.RepeatView(extra)
+}
+
+func FuzzPartition(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 4, 0, 4, 5, 0x81, 5, 6, 2, 6, 7, 0x83, 3, 3, 1})
+	f.Add([]byte{5, 9, 0, 0, 0, 1, 12, 0xff, 12, 0, 0x80, 3, 3, 0x85, 4, 4, 0x86, 2, 9, 7})
+	f.Add([]byte{1, 3, 3, 4, 0x80, 4, 3, 0x81, 3, 3, 0x81, 4, 4, 0x80, 7, 8, 0x12, 8, 7, 0x34})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, v := partitionCase(data)
+		if v == nil {
+			return
+		}
+		checkPartition(t, "fuzz", cfg, v)
+	})
+}
+
+// TestFitTreeViewScratchReuse fits large, small and large views in one
+// goroutine, so pooled scratch sized and filled by one tree is handed
+// to the next: every tree must equal a fit on fresh scratch. The same
+// sequence then runs on one explicitly shared scratch, whose reuse does
+// not depend on the pool's choices.
+func TestFitTreeViewScratchReuse(t *testing.T) {
+	large := partitionViews(mixedDataset(1500, 7))
+	small := partitionViews(signedZeroDataset(60, 8))
+	wide := partitionViews(wideNominalDataset(9))
+	var seq []*dataset.View
+	for _, name := range []string{"repeat", "identity", "extend"} {
+		seq = append(seq, large[name], small[name], wide[name], large[name])
+	}
+	shared := new(buildScratch)
+	for i, v := range seq {
+		want := fitView(Config{}, v, new(buildScratch))
+		got, err := (Learner{}).FitTreeView(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !nodesEqual(got.Root, want) {
+			t.Fatalf("view %d: FitTreeView on pooled scratch differs from a fresh builder", i)
+		}
+		if !nodesEqual(fitView(Config{}, v, shared), want) {
+			t.Fatalf("view %d: fit on reused scratch differs from a fresh builder", i)
+		}
+	}
 }

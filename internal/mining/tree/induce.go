@@ -127,7 +127,8 @@ var _ mining.ViewFitter = Learner{}
 // NaN-valued synthetics) is materialised and routed through FitTree,
 // which lands in the general fractional-weight builder. The view's
 // arrays are only read, so one view may feed many concurrent
-// FitTreeView calls.
+// FitTreeView calls. The builder's partition memory is taken from a
+// pool and returned once the tree is grown; the tree keeps none of it.
 func (l Learner) FitTreeView(v *dataset.View) (*Tree, error) {
 	if v.Len() == 0 {
 		return nil, ErrEmptyTraining
@@ -135,13 +136,10 @@ func (l Learner) FitTreeView(v *dataset.View) (*Tree, error) {
 	if v.HasMissing() {
 		return l.FitTree(v.Materialize())
 	}
-	// The root starts from the view's presorted orders: no root sort.
-	root := newViewBuilder(l.Config, v).build(&fastNode{rows: v.Rows(), sorted: v.Sorted()}, 0)
-	t := &Tree{Root: root, Attrs: v.Attrs(), ClassValues: v.ClassValues()}
-	if !l.Config.NoPrune {
-		prune(t.Root, l.Config.confidence())
-	}
-	return t, nil
+	sc := scratchPool.Get().(*buildScratch)
+	root := fitView(l.Config, v, sc)
+	scratchPool.Put(sc)
+	return &Tree{Root: root, Attrs: v.Attrs(), ClassValues: v.ClassValues()}, nil
 }
 
 // item is one (possibly fractional) training case at a node.

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -10,9 +11,10 @@ import (
 )
 
 // nodesEqual compares two trees structurally, distributions included —
-// byte-identity, not just equal predictions.
+// byte-identity, not just equal predictions: thresholds compare by bits,
+// so −0 differs from +0.
 func nodesEqual(a, b *Node) bool {
-	if a.Attr != b.Attr || a.Threshold != b.Threshold || a.Class != b.Class {
+	if a.Attr != b.Attr || math.Float64bits(a.Threshold) != math.Float64bits(b.Threshold) || a.Class != b.Class {
 		return false
 	}
 	if !reflect.DeepEqual(a.Dist, b.Dist) {
