@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
@@ -94,4 +96,40 @@ func BenchmarkBinaryCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDecodeJSON times the JSON evaluate decoder on a 512×8 body
+// of serve-json512-sized values: the one-pass path, and encoding/json
+// (the fallback, and the only decoder before it).
+func BenchmarkDecodeJSON(b *testing.B) {
+	rng := stats.NewRNG(11)
+	samples := make([]Sample, 512)
+	for i := range samples {
+		samples[i] = make(Sample, 8)
+		for j := range samples[i] {
+			samples[i][j] = rng.Float64()*2e6 - 1e6
+		}
+	}
+	body := appendJSONRequest(nil, "7Z-B2", samples)
+	b.Run("fast", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			br, err := DecodeJSONRequest(body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			br.Release()
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var req EvalRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -63,9 +63,10 @@ const (
 	binMaxFrameSamples = maxRequestBody / 8
 )
 
-// BinaryRequest is the decoded form of a binary evaluate frame. Decoded
-// samples are views into one flat backing array, so a pooled request
-// costs O(1) allocations regardless of batch size.
+// BinaryRequest is the decoded form of an evaluate request, from either
+// codec (DecodeBinaryRequest, DecodeJSONRequest). Decoded samples are
+// views into one flat backing array, so a pooled request costs O(1)
+// allocations regardless of batch size.
 type BinaryRequest struct {
 	Detector   string
 	Samples    []Sample
@@ -79,7 +80,8 @@ type BinaryRequest struct {
 
 // binReqPool recycles BinaryRequest parsing state across requests: the
 // body buffer, the flat value array and the sample-header slice all
-// survive, so steady-state binary parsing allocates nothing per sample.
+// survive, so steady-state parsing of binary frames and canonical JSON
+// bodies allocates nothing per sample.
 var binReqPool = sync.Pool{New: func() any { return new(BinaryRequest) }}
 
 // getBinaryRequest fetches a pooled request shell.
@@ -273,10 +275,11 @@ func DecodeBinaryRequest(data []byte) (*BinaryRequest, error) {
 	return br, nil
 }
 
-// readBinaryRequest slurps a request frame from an HTTP body into the
-// pooled scratch buffer and decodes it.
-func readBinaryRequest(body io.Reader) (*BinaryRequest, error) {
-	br := getBinaryRequest()
+// readBody slurps an HTTP request body into the pooled body buffer.
+// Whatever was read stays in br.buf even when the read fails, so the
+// JSON fallback can replay exactly the bytes a streaming decoder would
+// have seen before the error.
+func (br *BinaryRequest) readBody(body io.Reader) error {
 	buf := br.buf[:0]
 	for {
 		if len(buf) == cap(buf) {
@@ -284,17 +287,25 @@ func readBinaryRequest(body io.Reader) (*BinaryRequest, error) {
 		}
 		m, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+m]
-		if err == io.EOF {
-			break
-		}
 		if err != nil {
 			br.buf = buf
-			br.Release()
-			return nil, err
+			if err == io.EOF {
+				return nil
+			}
+			return err
 		}
 	}
-	br.buf = buf
-	if err := br.decodeInto(buf); err != nil {
+}
+
+// readBinaryRequest slurps a request frame from an HTTP body into the
+// pooled body buffer and decodes it.
+func readBinaryRequest(body io.Reader) (*BinaryRequest, error) {
+	br := getBinaryRequest()
+	err := br.readBody(body)
+	if err == nil {
+		err = br.decodeInto(br.buf)
+	}
+	if err != nil {
 		br.Release()
 		return nil, err
 	}

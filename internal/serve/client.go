@@ -118,17 +118,16 @@ func permanentStatus(err error) bool {
 // retry budget runs out.
 func (c *Client) Evaluate(ctx context.Context, detector string, samples []Sample) (*EvalResponse, error) {
 	var body []byte
-	var err error
 	if c.Codec == CodecBinary {
-		body, err = EncodeBinaryRequest(nil, detector, samples, 0, 0)
+		var err error
+		if body, err = EncodeBinaryRequest(nil, detector, samples, 0, 0); err != nil {
+			return nil, err
+		}
 	} else {
-		body, err = json.Marshal(EvalRequest{Detector: detector, Samples: samples})
-	}
-	if err != nil {
-		return nil, err
+		body = appendJSONRequest(nil, detector, samples)
 	}
 	var out *EvalResponse
-	err = c.policy().Retry(ctx, "serve: evaluate", permanentStatus, func() error {
+	err := c.policy().Retry(ctx, "serve: evaluate", permanentStatus, func() error {
 		resp, err := c.post(ctx, "/v1/evaluate", body)
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 )
@@ -20,26 +21,67 @@ type Sample []float64
 // MarshalJSON encodes the sample, escaping non-finite values as hex
 // bit-pattern strings.
 func (s Sample) MarshalJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte('[')
+	return appendSample(nil, s), nil
+}
+
+// appendSample appends s as MarshalJSON encodes it.
+func appendSample(b []byte, s Sample) []byte {
+	b = append(b, '[')
 	for i, v := range s {
 		if i > 0 {
-			buf.WriteByte(',')
+			b = append(b, ',')
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			buf.WriteByte('"')
-			buf.WriteString(strconv.FormatUint(math.Float64bits(v), 16))
-			buf.WriteByte('"')
-			continue
-		}
-		b, err := json.Marshal(v)
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(b)
+		b = appendValue(b, v)
 	}
-	buf.WriteByte(']')
-	return buf.Bytes(), nil
+	return append(b, ']')
+}
+
+// appendValue appends one sample element. NaN and ±Inf become hex
+// bit-pattern strings; finite values take encoding/json's float64
+// format byte for byte: 'f', or 'e' when |v| < 1e-6 or |v| ≥ 1e21,
+// with a two-digit negative exponent shortened (e-09 → e-9).
+func appendValue(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		b = append(b, '"')
+		b = strconv.AppendUint(b, math.Float64bits(v), 16)
+		return append(b, '"')
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONRequest appends the JSON evaluate body for detector and
+// samples, byte-identical to json.Marshal(EvalRequest{Detector:
+// detector, Samples: samples}) without that call's reflection per
+// value and its second pass compacting every sample.
+func appendJSONRequest(b []byte, detector string, samples []Sample) []byte {
+	id, _ := json.Marshal(detector) // a string always marshals
+	b = append(b, `{"detector":`...)
+	b = append(b, id...)
+	b = append(b, `,"samples":`...)
+	if samples == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, s := range samples {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendSample(b, s)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
 }
 
 // UnmarshalJSON decodes a sample whose elements are JSON numbers or
@@ -87,6 +129,316 @@ type EvalRequest struct {
 	// only when the server runs with AllowDelay (load and drain testing);
 	// ignored otherwise.
 	DelayMS int64 `json:"delay_ms,omitempty"`
+}
+
+// DecodeJSONRequest parses one JSON evaluate body into pooled request
+// state, the JSON counterpart of DecodeBinaryRequest. A canonical body
+// (only the keys detector, samples, deadline_ms and delay_ms, each at
+// most once, no string escapes, integer _ms values and nothing after
+// the object) parses in one pass. Any other goes to encoding/json,
+// which decodes it exactly as json.NewDecoder(body).Decode(&EvalRequest{})
+// does, errors and ignored trailing data included. The returned request
+// does not alias data; Release it when the evaluation is over.
+func DecodeJSONRequest(data []byte) (*BinaryRequest, error) {
+	br := getBinaryRequest()
+	if _, err := br.decodeJSON(data, nil); err != nil {
+		br.Release()
+		return nil, err
+	}
+	return br, nil
+}
+
+// readJSONRequest slurps a JSON evaluate body into the pooled body
+// buffer and decodes it, reporting whether it took the fallback.
+func readJSONRequest(body io.Reader) (br *BinaryRequest, fellBack bool, err error) {
+	br = getBinaryRequest()
+	readErr := br.readBody(body)
+	if fellBack, err = br.decodeJSON(br.buf, readErr); err != nil {
+		br.Release()
+		return nil, fellBack, err
+	}
+	return br, fellBack, nil
+}
+
+// decodeJSON decodes one JSON evaluate body into br. The fast path runs
+// only on a complete body. Otherwise, and whenever the fast path
+// refuses, encoding/json decodes data followed by readErr: the byte
+// stream a decoder reading the request body itself would have seen.
+func (br *BinaryRequest) decodeJSON(data []byte, readErr error) (fellBack bool, err error) {
+	if readErr == nil && br.parseCanonicalJSON(data) {
+		return false, nil
+	}
+	src := io.Reader(bytes.NewReader(data))
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
+	var req EvalRequest
+	if err := json.NewDecoder(src).Decode(&req); err != nil {
+		return true, err
+	}
+	br.Detector, br.Samples = req.Detector, req.Samples
+	br.DeadlineMS, br.DelayMS = req.DeadlineMS, req.DelayMS
+	return true, nil
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// The fields of a canonical body, as bits of a seen-set.
+const (
+	fieldDetector = 1 << iota
+	fieldSamples
+	fieldDeadline
+	fieldDelay
+)
+
+// parseCanonicalJSON is the one-pass fast path. It accepts only an
+// object whose keys are exactly "detector", "samples", "deadline_ms"
+// and "delay_ms", each at most once, where
+//   - the detector is a string of printable ASCII without escapes;
+//   - the samples are an array of arrays whose elements are JSON
+//     numbers, parsed with strconv.ParseFloat as encoding/json parses
+//     them, or escape-free strings, parsed with strconv.ParseUint in
+//     base 16 as Sample.UnmarshalJSON parses them;
+//   - the _ms fields are integer literals, parsed with strconv.ParseInt
+//     as encoding/json parses them;
+//
+// with JSON whitespace anywhere and nothing else after the object. On
+// such a body encoding/json decodes the same values. On any other the
+// parser returns false, leaving the exported fields as they were.
+func (br *BinaryRequest) parseCanonicalJSON(data []byte) bool {
+	p := jsonScanner{data: data}
+	if !p.eat('{') {
+		return false
+	}
+	var (
+		seen            uint8
+		detector        []byte
+		deadline, delay int64
+		flat            = br.flat[:0]
+		hdr             = br.sampHdr[:0]
+	)
+	if !p.eat('}') {
+		for {
+			key, ok := p.str()
+			if !ok || !p.eat(':') {
+				return false
+			}
+			var field uint8
+			switch string(key) {
+			case "detector":
+				field = fieldDetector
+				detector, ok = p.str()
+			case "samples":
+				field = fieldSamples
+				flat, hdr, ok = p.samples(flat, hdr)
+			case "deadline_ms":
+				field = fieldDeadline
+				deadline, ok = p.int()
+			case "delay_ms":
+				field = fieldDelay
+				delay, ok = p.int()
+			}
+			if field == 0 || !ok || seen&field != 0 {
+				return false
+			}
+			seen |= field
+			if p.eat('}') {
+				break
+			}
+			if !p.eat(',') {
+				return false
+			}
+		}
+	}
+	if p.ws(); p.off != len(data) {
+		return false
+	}
+	// Appends may have moved flat since a sample's header was cut, so
+	// the headers are re-cut from the final array; the samples lie in
+	// it back to back.
+	off := 0
+	for i, s := range hdr {
+		n := len(s)
+		hdr[i] = Sample(flat[off : off+n : off+n])
+		off += n
+	}
+	br.Detector = string(detector)
+	br.Samples = hdr
+	br.DeadlineMS, br.DelayMS = deadline, delay
+	br.flat, br.sampHdr = flat[:0], hdr[:0]
+	return true
+}
+
+// jsonScanner is the fast path's cursor. Its methods report false on
+// any byte they do not expect; they never build an error.
+type jsonScanner struct {
+	data []byte
+	off  int
+}
+
+// ws skips JSON whitespace.
+func (p *jsonScanner) ws() {
+	for p.off < len(p.data) {
+		switch p.data[p.off] {
+		case ' ', '\t', '\n', '\r':
+			p.off++
+		default:
+			return
+		}
+	}
+}
+
+// eat skips whitespace and consumes c if it comes next.
+func (p *jsonScanner) eat(c byte) bool {
+	p.ws()
+	if p.off < len(p.data) && p.data[p.off] == c {
+		p.off++
+		return true
+	}
+	return false
+}
+
+// str consumes a string of printable ASCII without escapes and returns
+// its contents.
+func (p *jsonScanner) str() ([]byte, bool) {
+	if !p.eat('"') {
+		return nil, false
+	}
+	for i := p.off; i < len(p.data); i++ {
+		switch c := p.data[i]; {
+		case c == '"':
+			s := p.data[p.off:i]
+			p.off = i + 1
+			return s, true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// samples consumes an array of arrays of sample elements, appending
+// the values to flat and one header per sample to hdr. A header is cut
+// from flat as it stood when its sample ended.
+func (p *jsonScanner) samples(flat []float64, hdr []Sample) ([]float64, []Sample, bool) {
+	if !p.eat('[') {
+		return flat, hdr, false
+	}
+	if p.eat(']') {
+		return flat, hdr, true
+	}
+	for {
+		if !p.eat('[') {
+			return flat, hdr, false
+		}
+		start := len(flat)
+		if !p.eat(']') {
+			for {
+				v, ok := p.value()
+				if !ok {
+					return flat, hdr, false
+				}
+				flat = append(flat, v)
+				if p.eat(']') {
+					break
+				}
+				if !p.eat(',') {
+					return flat, hdr, false
+				}
+			}
+		}
+		hdr = append(hdr, Sample(flat[start:]))
+		if p.eat(']') {
+			return flat, hdr, true
+		}
+		if !p.eat(',') {
+			return flat, hdr, false
+		}
+	}
+}
+
+// value consumes one sample element: a number, or a hex bit pattern in
+// a string. Any string that strconv.ParseUint accepts in base 16 is
+// hex digits only, so it has no escapes to undo.
+func (p *jsonScanner) value() (float64, bool) {
+	p.ws()
+	if p.off < len(p.data) && p.data[p.off] == '"' {
+		n := bytes.IndexByte(p.data[p.off+1:], '"')
+		if n < 0 {
+			return 0, false
+		}
+		hex := p.data[p.off+1 : p.off+1+n]
+		p.off += n + 2
+		bits, err := strconv.ParseUint(string(hex), 16, 64)
+		return math.Float64frombits(bits), err == nil
+	}
+	tok, ok := p.number(false)
+	if !ok {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	return v, err == nil
+}
+
+// int consumes an integer literal.
+func (p *jsonScanner) int() (int64, bool) {
+	tok, ok := p.number(true)
+	if !ok {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(string(tok), 10, 64)
+	return v, err == nil
+}
+
+// number consumes a token of the JSON number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, without the fraction
+// and exponent when intOnly is set, and returns it.
+func (p *jsonScanner) number(intOnly bool) ([]byte, bool) {
+	p.ws()
+	d, i := p.data, p.off
+	if i < len(d) && d[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(d) && d[i] == '0':
+		i++
+	case i < len(d) && d[i] >= '1' && d[i] <= '9':
+		i = skipDigits(d, i)
+	default:
+		return nil, false
+	}
+	if !intOnly {
+		if i < len(d) && d[i] == '.' {
+			j := i + 1
+			if i = skipDigits(d, j); i == j {
+				return nil, false
+			}
+		}
+		if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+			i++
+			if i < len(d) && (d[i] == '+' || d[i] == '-') {
+				i++
+			}
+			j := i
+			if i = skipDigits(d, i); i == j {
+				return nil, false
+			}
+		}
+	}
+	tok := d[p.off:i]
+	p.off = i
+	return tok, true
+}
+
+// skipDigits returns the index of the first non-digit in d at or after i.
+func skipDigits(d []byte, i int) int {
+	for i < len(d) && d[i] >= '0' && d[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // EvalResponse is the evaluation result.

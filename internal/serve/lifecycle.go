@@ -348,8 +348,8 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RollbackRequest
-	if r.Body != nil {
-		_ = json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req)
+	if !decodeOptionalBody(w, r, &req) {
+		return
 	}
 	resp, err := s.Rollback(req.Reason)
 	if err != nil {

@@ -395,3 +395,31 @@ func TestCanaryServesCandidateGeneration(t *testing.T) {
 		t.Fatalf("%d responses from neither live nor candidate generation: %v", unknown, seen)
 	}
 }
+
+// TestAdminRollbackRejectsMalformedBody: a rollback body that does not
+// decode is a 400 that leaves the candidate in place; an empty body
+// rolls back as before.
+func TestAdminRollbackRejectsMalformedBody(t *testing.T) {
+	s, hs, _ := newLifecycleServer(t, lifecycle.MonitorConfig{}, Config{}, "d1")
+	cand := &Bundle{Version: BundleVersion, Detectors: []BundleEntry{
+		{ID: "d1", Module: "M", Location: "Exit", Predicate: alwaysPredicate("d1")},
+	}}
+	if _, err := s.LoadShadow(writeBundleFile(t, cand)); err != nil {
+		t.Fatal(err)
+	}
+	gen := s.Generation()
+	for _, body := range []string{`{"reason": "bad canary"`, `{"reason": 1}`, `[`} {
+		if code := postAdmin(t, hs.URL+"/admin/rollback", body); code != http.StatusBadRequest {
+			t.Fatalf("rollback with body %q: status %d, want 400", body, code)
+		}
+	}
+	if st := s.lifecycleState(); st != "shadow" || s.Generation() != gen {
+		t.Fatalf("after malformed rollbacks: state %q generation %d, want shadow and %d", st, s.Generation(), gen)
+	}
+	if code := postAdmin(t, hs.URL+"/admin/rollback", ""); code != http.StatusOK {
+		t.Fatalf("empty-body rollback: status %d, want 200", code)
+	}
+	if st := s.lifecycleState(); st != "idle" {
+		t.Fatalf("after rollback: state %q, want idle", st)
+	}
+}

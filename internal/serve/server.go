@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -158,22 +160,24 @@ type Server struct {
 	admit    chan struct{}
 	draining atomic.Bool
 
-	reg         *telemetry.Registry
-	mRequests   *telemetry.Counter
-	mSheds      *telemetry.Counter
-	mTrips      *telemetry.Counter
-	mTransits   *telemetry.Counter
-	mRejections *telemetry.Counter
-	mReloads    *telemetry.Counter
-	mEvals      *telemetry.Counter
-	mAlarms     *telemetry.Counter
-	mEvalErrors *telemetry.Counter
-	mJSONReqs   *telemetry.Counter
-	mBinaryReqs *telemetry.Counter
-	mCompiled   *telemetry.Counter
-	mCompAtoms  *telemetry.Counter
-	gInFlight   *telemetry.Gauge
-	hRequestNS  *telemetry.Histogram
+	reg            *telemetry.Registry
+	mRequests      *telemetry.Counter
+	mSheds         *telemetry.Counter
+	mTrips         *telemetry.Counter
+	mTransits      *telemetry.Counter
+	mRejections    *telemetry.Counter
+	mReloads       *telemetry.Counter
+	mEvals         *telemetry.Counter
+	mAlarms        *telemetry.Counter
+	mEvalErrors    *telemetry.Counter
+	mJSONReqs      *telemetry.Counter
+	mBinaryReqs    *telemetry.Counter
+	mJSONFallbacks *telemetry.Counter
+	mCompiled      *telemetry.Counter
+	mCompAtoms     *telemetry.Counter
+	gInFlight      *telemetry.Gauge
+	hRequestNS     *telemetry.Histogram
+	hDecodeNS      *telemetry.Histogram
 
 	// Lifecycle state (all inert when monitor is nil). shadow holds the
 	// candidate bundle under dual evaluation; canaryPct the percentage
@@ -211,10 +215,12 @@ func NewServer(b *Bundle, path string, cfg Config) (*Server, error) {
 	s.mEvalErrors = s.reg.Counter("serve.eval_errors")
 	s.mJSONReqs = s.reg.Counter("serve.json_requests")
 	s.mBinaryReqs = s.reg.Counter("serve.binary_requests")
+	s.mJSONFallbacks = s.reg.Counter("serve.json_fallbacks")
 	s.mCompiled = s.reg.Counter("predicate.compile_programs")
 	s.mCompAtoms = s.reg.Counter("predicate.compile_atoms")
 	s.gInFlight = s.reg.Gauge("serve.queue_depth")
 	s.hRequestNS = s.reg.Histogram("serve.request_ns")
+	s.hDecodeNS = s.reg.Histogram("serve.decode_ns")
 	s.monitor = cfg.Monitor
 	if s.monitor != nil {
 		s.mPromotions = s.reg.Counter("lifecycle.promotions")
@@ -439,9 +445,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReloadRequest
-	if r.Body != nil {
-		// An empty body means "re-read the current bundle".
-		_ = json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req)
+	// An empty body means "re-read the current bundle".
+	if !decodeOptionalBody(w, r, &req) {
+		return
 	}
 	ids, err := s.Reload(req.Path)
 	if err != nil {
@@ -450,6 +456,19 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.bundle.Load()
 	writeJSON(w, http.StatusOK, ReloadResponse{Path: st.path, Detectors: ids, Generation: st.gen})
+}
+
+// decodeOptionalBody decodes an admin request body into v, where an
+// empty body means "no fields". Any other decode error, a truncated or
+// malformed body included, answers 400 and reports false: the caller
+// must then act on nothing.
+func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(v)
+	if err != nil && !errors.Is(err, io.EOF) {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -494,31 +513,30 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	// codec. Error bodies stay JSON under both (clients key off the
 	// status code first).
 	isBinary := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
-	var req EvalRequest
-	var br *BinaryRequest
+	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	decodeStart := time.Now()
+	var req *BinaryRequest
+	var err error
 	if isBinary {
 		s.mBinaryReqs.Inc()
-		var err error
-		br, err = readBinaryRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
-			return
-		}
-		// req.Samples aliases the pooled parse state; the handler is the
-		// only reader (lifecycle mirroring included), so it goes back to
-		// the pool when the handler returns.
-		defer br.Release()
-		req = EvalRequest{
-			Detector: br.Detector, Samples: br.Samples,
-			DeadlineMS: br.DeadlineMS, DelayMS: br.DelayMS,
-		}
+		req, err = readBinaryRequest(body)
 	} else {
 		s.mJSONReqs.Inc()
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
-			return
+		var fellBack bool
+		req, fellBack, err = readJSONRequest(body)
+		if fellBack {
+			s.mJSONFallbacks.Inc()
 		}
 	}
+	s.hDecodeNS.ObserveDuration(time.Since(decodeStart))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		return
+	}
+	// req.Samples may alias the pooled parse state; the handler is the
+	// only reader (lifecycle mirroring included), so it goes back to the
+	// pool when the handler returns.
+	defer req.Release()
 	// Lifecycle routing: with a candidate loaded, one side serves and
 	// the other mirrors after the response is written. A canary routes
 	// canaryPct% of candidate-answerable requests to the candidate;

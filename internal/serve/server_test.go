@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -542,5 +544,99 @@ func TestServeHealthAndDetectors(t *testing.T) {
 	res.Body.Close()
 	if len(ds) != 2 || ds[0].ID != "A" || ds[1].ID != "B" || ds[0].Breaker != "closed" {
 		t.Fatalf("detectors: %+v", ds)
+	}
+}
+
+// TestServeJSONDecodeCounters pins the decode telemetry: a Client JSON
+// request takes the one-pass decoder (no fallback, one decode
+// observation), and a body with a case-variant key is decoded by the
+// counted encoding/json fallback into the verdicts the binary codec
+// gets for the same samples.
+func TestServeJSONDecodeCounters(t *testing.T) {
+	reg := telemetry.New()
+	_, hs := newTestServer(t, Config{Registry: reg}, "D1")
+	fallbacks := reg.Counter("serve.json_fallbacks")
+	decodes := reg.Histogram("serve.decode_ns")
+	samples := []Sample{{5}, {500}, {math.NaN()}, {101}, {math.Inf(1)}}
+	ctx := context.Background()
+
+	jsonResp, err := (&Client{Base: hs.URL}).Evaluate(ctx, "D1", samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fallbacks.Value(); got != 0 {
+		t.Fatalf("Client JSON request: serve.json_fallbacks = %d, want 0", got)
+	}
+	if got := decodes.Count(); got != 1 {
+		t.Fatalf("serve.decode_ns count = %d, want 1", got)
+	}
+
+	binResp, err := (&Client{Base: hs.URL, Codec: CodecBinary}).Evaluate(ctx, "D1", samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Replace(appendJSONRequest(nil, "D1", samples), []byte(`"detector"`), []byte(`"Detector"`), 1)
+	res, err := http.Post(hs.URL+"/v1/evaluate", ContentTypeJSON, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var variant EvalResponse
+	if err := json.NewDecoder(res.Body).Decode(&variant); err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("case-variant key: status %d", res.StatusCode)
+	}
+	if got := fallbacks.Value(); got != 1 {
+		t.Fatalf("case-variant key: serve.json_fallbacks = %d, want 1", got)
+	}
+	if got := decodes.Count(); got != 3 {
+		t.Fatalf("serve.decode_ns count = %d, want 3 (one per request, both codecs)", got)
+	}
+	for _, r := range []*EvalResponse{jsonResp, &variant} {
+		if fmt.Sprint(r.Verdicts, r.Alarms) != fmt.Sprint(binResp.Verdicts, binResp.Alarms) {
+			t.Fatalf("verdicts %v alarms %v, binary codec %v %v", r.Verdicts, r.Alarms, binResp.Verdicts, binResp.Alarms)
+		}
+	}
+}
+
+// postAdmin POSTs body to an admin endpoint and returns the status.
+func postAdmin(t *testing.T, url, body string) int {
+	t.Helper()
+	res, err := http.Post(url, ContentTypeJSON, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	return res.StatusCode
+}
+
+// TestAdminReloadRejectsMalformedBody: a body that does not decode is
+// a 400 that reloads nothing; only an empty body means "re-read the
+// current bundle".
+func TestAdminReloadRejectsMalformedBody(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bundle.json")
+	if err := testBundle("D1").WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	s, err := NewServer(testBundle("D1"), path, Config{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	for _, body := range []string{`{"path": "/does/not/exist.json"`, `{"path": 7}`, `not json`} {
+		if code := postAdmin(t, hs.URL+"/admin/reload", body); code != http.StatusBadRequest {
+			t.Fatalf("reload with body %q: status %d, want 400", body, code)
+		}
+	}
+	if g, n := s.Generation(), reg.Counter("serve.reloads").Value(); g != 1 || n != 0 {
+		t.Fatalf("after malformed reloads: generation %d, serve.reloads %d; want 1, 0", g, n)
+	}
+	if code := postAdmin(t, hs.URL+"/admin/reload", ""); code != http.StatusOK || s.Generation() != 2 {
+		t.Fatalf("empty-body reload: status %d generation %d, want 200 and 2", code, s.Generation())
 	}
 }
