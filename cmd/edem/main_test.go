@@ -81,3 +81,18 @@ func TestCmdRunBadDataset(t *testing.T) {
 		t.Fatal("bad dataset should fail")
 	}
 }
+
+// TestCmdValidateRefusesUncompilable checks that `edem validate -pred`
+// refuses a predicate that does not compile (an atom with no "op"), as
+// `edem serve` does, instead of scoring it.
+func TestCmdValidateRefusesUncompilable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.json")
+	bad := `{"name":"MG-B1","vars":["x"],"clauses":[[{"var":"x","index":0,"threshold":1}]]}`
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"validate", "-dataset", "MG-B1", "-pred", path, "-scale", "2", "-stride", "8"})
+	if err == nil || !strings.Contains(err.Error(), "unsupported operator") {
+		t.Fatalf("validate -pred = %v, want a compile error", err)
+	}
+}

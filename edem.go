@@ -24,6 +24,7 @@ package edem
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"edem/internal/bitflip"
@@ -100,9 +101,21 @@ func Campaign(ctx context.Context, id string, opts Options) (*CampaignResult, er
 	return core.Campaign(ctx, id, opts)
 }
 
-// RunCampaign runs Step 1 against a user-provided target system.
+// RunCampaign runs Step 1 against a user-provided target system on the
+// in-memory campaign engine. A cell the engine would skip (a failing
+// golden run, an engine panic) is an error here; RunResumableCampaign
+// reports such cells as data instead.
 func RunCampaign(ctx context.Context, target Target, spec Spec) (*CampaignResult, error) {
-	return propane.Run(ctx, target, spec)
+	res, err := campaign.Run(ctx, target, spec, campaign.Config{})
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Skipped) > 0 {
+		sk := res.Skipped[0]
+		return nil, fmt.Errorf("edem: campaign %s skipped %d cell(s), first test case %d: %s",
+			spec.Dataset, len(res.Skipped), sk.TC, sk.Reason)
+	}
+	return res.Campaign, nil
 }
 
 // Preprocess runs Step 2: campaign log to mining dataset.
@@ -141,8 +154,11 @@ type (
 )
 
 // RunResumableCampaign runs (or resumes) a journaled fault-injection
-// campaign against a user-provided target system. With a zero Config it
-// behaves like RunCampaign but adds timeout, retry and skip handling;
+// campaign against a user-provided target system. A zero Config runs
+// in memory with no watchdog and no retries, exactly as RunCampaign,
+// except that a failing golden run or an engine panic skips the cells
+// it touches and lists them in the outcome instead of failing the call.
+// Config.Timeout and Config.MaxRetries add the watchdog and retries;
 // with Config.Journal set, the run checkpoints and resumes. The records
 // are bit-identical to an uninterrupted RunCampaign of the same spec.
 func RunResumableCampaign(ctx context.Context, target Target, spec Spec, cfg CampaignConfig) (*CampaignOutcome, error) {

@@ -201,3 +201,60 @@ func TestFacadeTelemetry(t *testing.T) {
 		t.Fatal("DisableTelemetry left a registry installed")
 	}
 }
+
+// goldenPanicTarget panics on its second test case whatever the probe,
+// so that test case's golden run fails.
+type goldenPanicTarget struct{}
+
+func (goldenPanicTarget) Name() string { return "GoldenPanic" }
+
+func (goldenPanicTarget) Modules() []ModuleInfo {
+	return []ModuleInfo{{Name: "M", Vars: []VarDecl{{Name: "x", Kind: Int64Kind}}}}
+}
+
+func (goldenPanicTarget) TestCases(n int, seed uint64) []TestCase {
+	tcs := make([]TestCase, n)
+	for i := range tcs {
+		tcs[i] = TestCase{ID: i, Seed: seed + uint64(i)}
+	}
+	return tcs
+}
+
+func (goldenPanicTarget) Run(tc TestCase, probe Probe) (any, error) {
+	if tc.ID == 1 {
+		panic("golden run crashes")
+	}
+	var x int64 = 7
+	vars := []VarRef{Int64Ref("x", &x)}
+	probe.Visit("M", Entry, vars)
+	probe.Visit("M", Exit, vars)
+	return x, nil
+}
+
+func (goldenPanicTarget) Failed(_ TestCase, golden, observed any) bool { return golden != observed }
+
+// TestFacadeRunCampaignRefusesFailedGolden checks that RunCampaign,
+// which runs on the campaign engine, still fails when a golden run does
+// instead of returning a campaign with that test case's cells skipped.
+func TestFacadeRunCampaignRefusesFailedGolden(t *testing.T) {
+	spec := Spec{
+		Dataset:        "PANIC-1",
+		Module:         "M",
+		InjectAt:       Entry,
+		SampleAt:       Exit,
+		InjectionTimes: []int{1},
+		TestCases:      2,
+		Seed:           1,
+	}
+	camp, err := RunCampaign(context.Background(), goldenPanicTarget{}, spec)
+	if err == nil || !strings.Contains(err.Error(), "golden run") {
+		t.Fatalf("RunCampaign = %v, %v; want a golden-run error", camp, err)
+	}
+	res, err := RunResumableCampaign(context.Background(), goldenPanicTarget{}, spec, CampaignConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Skipped) == 0 {
+		t.Fatal("RunResumableCampaign skipped nothing; want test case 1's cells skipped")
+	}
+}

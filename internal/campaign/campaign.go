@@ -41,13 +41,14 @@ import (
 	"edem/internal/telemetry"
 )
 
-// Config tunes the engine. The zero value is a sensible in-memory
-// configuration: no journal, auto-sized shards, a generous per-run
-// timeout and two retries.
+// Config tunes the engine. The zero value runs in memory with
+// auto-sized shards, no per-run watchdog and no retries: a run that
+// panics is skipped and recorded on its first failure, and a run that
+// hangs hangs the campaign. Set Timeout and MaxRetries to add both.
 type Config struct {
 	// Journal is the checkpoint directory; empty disables journaling
-	// (the campaign still shards, times out, retries and skips, it just
-	// cannot resume).
+	// (the campaign still shards and skips failed cells, it just cannot
+	// resume).
 	Journal string
 	// Resume permits continuing an existing journal. When false, an
 	// existing journal is an error (ErrJournalExists): refusing to
@@ -74,7 +75,7 @@ type Config struct {
 	// discarded) and the attempt counts as an infrastructure failure.
 	Timeout time.Duration
 	// MaxRetries is the number of additional attempts after a failed
-	// one before the cell is skipped; < 0 means none.
+	// one before the cell is skipped; <= 0 means none.
 	MaxRetries int
 	// Backoff is the delay before the first retry, doubling per
 	// attempt and capped at 32×; <= 0 defaults to 50ms.
@@ -239,7 +240,7 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 		varNames[i] = v.Name
 	}
 	return &Result{
-		Campaign:          propane.NewCampaign(spec, plan.Target, varNames, records, e.goldens),
+		Campaign:          propane.NewCampaign(spec, plan.Target, varNames, records),
 		PlanHash:          plan.Hash,
 		Shards:            plan.Shards,
 		ShardsRestored:    len(restored),

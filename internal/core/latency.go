@@ -39,26 +39,28 @@ type LatencyResult struct {
 // The campaign itself provides the set of failing (test case, variable,
 // bit, time) coordinates; each is then re-executed in trace mode.
 func MeasureLatency(ctx context.Context, id string, pred *predicate.Predicate, opts Options) (*LatencyResult, error) {
+	prog, err := predicate.Compile(pred)
+	if err != nil {
+		return nil, err
+	}
 	target, spec, err := SpecFor(id, opts)
 	if err != nil {
 		return nil, err
 	}
-	camp, err := propane.Run(ctx, target, spec)
+	camp, err := Campaign(ctx, id, opts)
 	if err != nil {
-		return nil, fmt.Errorf("core: latency campaign %s: %w", id, err)
+		return nil, err
 	}
 
 	tcs := target.TestCases(spec.TestCases, spec.Seed)
 	goldens := make(map[int]any, len(tcs))
+	tcByID := make(map[int]propane.TestCase, len(tcs))
 	for _, tc := range tcs {
-		out, err := target.Run(tc, propane.NopProbe{})
+		out, err := propane.RunGolden(target, tc)
 		if err != nil {
 			return nil, fmt.Errorf("core: golden run %d: %w", tc.ID, err)
 		}
 		goldens[tc.ID] = out
-	}
-	tcByID := make(map[int]propane.TestCase, len(tcs))
-	for _, tc := range tcs {
 		tcByID[tc.ID] = tc
 	}
 
@@ -87,7 +89,7 @@ func MeasureLatency(ctx context.Context, id string, pred *predicate.Predicate, o
 		}
 		detectedAt := -1
 		for ei, e := range tr.Entries {
-			if pred.Eval(e.State) {
+			if prog.Eval(e.State) {
 				detectedAt = ei
 				break
 			}

@@ -30,7 +30,7 @@ type EAComparison struct {
 // CompareWithRangeCheckEA profiles the golden runs of the dataset's
 // campaign, builds a range-check executable assertion with the given
 // slack fraction, learns the methodology's predicate from the same
-// campaign, and scores both against the failure labels.
+// campaign, and scores both, compiled, against the failure labels.
 func CompareWithRangeCheckEA(ctx context.Context, id string, slack float64, opts Options) (*EAComparison, error) {
 	target, spec, err := SpecFor(id, opts)
 	if err != nil {
@@ -44,12 +44,12 @@ func CompareWithRangeCheckEA(ctx context.Context, id string, slack float64, opts
 	if err != nil {
 		return nil, fmt.Errorf("core: range check %s: %w", id, err)
 	}
-
-	camp, err := propane.Run(ctx, target, spec)
+	eaProg, err := predicate.Compile(ea)
 	if err != nil {
-		return nil, fmt.Errorf("core: campaign %s: %w", id, err)
+		return nil, err
 	}
-	d, err := Preprocess(ctx, camp)
+
+	d, camp, err := BuildDataset(ctx, id, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -61,32 +61,16 @@ func CompareWithRangeCheckEA(ctx context.Context, id string, slack float64, opts
 	if err != nil {
 		return nil, err
 	}
+	learnedProg, err := predicate.Compile(learned)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &EAComparison{ID: id, EA: ea}
-	for i := range camp.Records {
-		r := &camp.Records[i]
-		if !r.Sampled {
-			continue
-		}
-		res.Runs++
-		score(&res.RangeCheck, ea.Eval(r.State), r.Failure)
-		score(&res.Learned, learned.Eval(r.State), r.Failure)
-	}
+	res.RangeCheck, res.Runs = scoreSampled(eaProg, camp.Records)
+	res.Learned, _ = scoreSampled(learnedProg, camp.Records)
 	if res.Runs == 0 {
 		return nil, fmt.Errorf("core: campaign %s produced no sampled runs", id)
 	}
 	return res, nil
-}
-
-func score(b *eval.BinaryCounts, flagged, failure bool) {
-	switch {
-	case failure && flagged:
-		b.TP++
-	case failure && !flagged:
-		b.FN++
-	case !failure && flagged:
-		b.FP++
-	default:
-		b.TN++
-	}
 }

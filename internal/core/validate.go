@@ -6,6 +6,7 @@ import (
 
 	"edem/internal/mining/eval"
 	"edem/internal/predicate"
+	"edem/internal/propane"
 	"edem/internal/telemetry"
 )
 
@@ -28,33 +29,22 @@ type ValidationResult struct {
 // the paper's §VII-D procedure ("all fault injection experiments were
 // then repeated to ensure that the observed FPR and TPR values were
 // commensurate with the rates presented"). Pass a different opts.Seed
-// to measure generalisation to an unseen workload instead.
+// to measure generalisation to an unseen workload instead. The verdicts
+// come from the compiled Program that Detector and the serving runtime
+// run, so a predicate predicate.Compile refuses is refused here too.
 func ValidateDetector(ctx context.Context, id string, pred *predicate.Predicate, opts Options) (*ValidationResult, error) {
 	ctx, span := telemetry.StartSpan(ctx, "validate")
 	defer span.End()
+	prog, err := predicate.Compile(pred)
+	if err != nil {
+		return nil, err
+	}
 	camp, err := Campaign(ctx, id, opts)
 	if err != nil {
 		return nil, err
 	}
 	res := &ValidationResult{ID: id}
-	for i := range camp.Records {
-		r := &camp.Records[i]
-		if !r.Sampled {
-			continue
-		}
-		res.Runs++
-		flagged := pred.Eval(r.State)
-		switch {
-		case r.Failure && flagged:
-			res.Counts.TP++
-		case r.Failure && !flagged:
-			res.Counts.FN++
-		case !r.Failure && flagged:
-			res.Counts.FP++
-		default:
-			res.Counts.TN++
-		}
-	}
+	res.Counts, res.Runs = scoreSampled(prog, camp.Records)
 	if res.Runs == 0 {
 		return nil, fmt.Errorf("core: validation campaign %s produced no sampled runs", id)
 	}
@@ -62,4 +52,29 @@ func ValidateDetector(ctx context.Context, id string, pred *predicate.Predicate,
 	reg.Counter("validate.runs").Add(int64(res.Runs))
 	reg.Counter("validate.flagged").Add(int64(res.Counts.TP + res.Counts.FP))
 	return res, nil
+}
+
+// scoreSampled cross-tabulates the compiled program's verdicts on every
+// sampled record against the record's failure label, and reports how
+// many sampled records it scored.
+func scoreSampled(prog *predicate.Program, records []propane.Record) (b eval.BinaryCounts, runs int) {
+	for i := range records {
+		r := &records[i]
+		if !r.Sampled {
+			continue
+		}
+		runs++
+		flagged := prog.Eval(r.State)
+		switch {
+		case r.Failure && flagged:
+			b.TP++
+		case r.Failure:
+			b.FN++
+		case flagged:
+			b.FP++
+		default:
+			b.TN++
+		}
+	}
+	return b, runs
 }

@@ -21,9 +21,11 @@ import (
 // thresholds and state vectors whose length disagrees with the
 // predicate's arity. The differential suite and FuzzCompiledEval pin
 // this equivalence. The interpreter remains only as that oracle: every
-// runtime evaluator (Detector, the serving runtime) runs the compiled
+// evaluator (Detector, the serving runtime, and the offline scorers in
+// core that re-validate, time and compare detectors) runs the compiled
 // form, and a predicate Compile refuses is refused where it enters —
-// NewDetector, and bundle validation at load, reload and export.
+// NewDetector, bundle validation at load, reload and export, and each
+// offline scorer before it runs a campaign.
 
 // opcode is the compiled operator encoding. It deliberately mirrors Op
 // but is its own 8-bit type so the comparison table stays dense.

@@ -182,8 +182,6 @@ type Campaign struct {
 	Target   string
 	VarNames []string
 	Records  []Record
-	// Golden holds one output per test case from the fault-free runs.
-	goldenOutputs []any
 }
 
 // Failures counts records labelled as failures.
@@ -210,18 +208,10 @@ func (c *Campaign) Usable() int {
 }
 
 // NewCampaign assembles a Campaign from externally executed runs:
-// records must be in Jobs order (one per job) and golden holds one
-// fault-free output per test case (nil when the assembling layer
-// restored every record from a journal without re-running goldens).
-// internal/campaign uses this to materialise resumed campaigns.
-func NewCampaign(spec Spec, targetName string, varNames []string, records []Record, golden []any) *Campaign {
-	return &Campaign{
-		Spec:          spec,
-		Target:        targetName,
-		VarNames:      varNames,
-		Records:       records,
-		goldenOutputs: golden,
-	}
+// records must be in Jobs order (one per job). internal/campaign uses
+// this to materialise engine and resumed campaigns.
+func NewCampaign(spec Spec, targetName string, varNames []string, records []Record) *Campaign {
+	return &Campaign{Spec: spec, Target: targetName, VarNames: varNames, Records: records}
 }
 
 // ErrModuleNotFound reports a spec naming a module the target lacks.
@@ -231,6 +221,10 @@ var ErrModuleNotFound = errors.New("propane: module not found in target")
 // one injected run per (test case, variable, bit, injection time),
 // fanned out across workers. Results are deterministic for a given spec
 // and target: records appear in job order regardless of scheduling.
+//
+// Run is the single-shot reference implementation: every producer runs
+// campaigns through internal/campaign's engine, whose records the
+// campaign, fork and fabric suites pin bit-identical to Run's.
 //
 // Each campaign is recorded as a "campaign" telemetry phase; the
 // campaign.* counters (runs injected, states sampled, failure labels,
@@ -295,7 +289,7 @@ func Run(ctx context.Context, target Target, spec Spec) (*Campaign, error) {
 	for i, v := range mod.Vars {
 		varNames[i] = v.Name
 	}
-	return NewCampaign(spec, target.Name(), varNames, records, golden), nil
+	return NewCampaign(spec, target.Name(), varNames, records), nil
 }
 
 // RunMetrics hoists the per-run campaign.* telemetry handles out of the
