@@ -1,6 +1,6 @@
 // Command edem drives the methodology from the command line:
 //
-//	edem tables -table 2|3|4        regenerate a paper table
+//	edem tables -table 1|2|3|4      regenerate a paper table
 //	edem run -dataset FG-A2         run Steps 1-4 on one dataset
 //	edem tree -dataset FG-A2        print the induced tree (Figure 2)
 //	edem inject -dataset 7Z-B1      run Step 1 and dump PROPANE log/ARFF
@@ -104,7 +104,7 @@ commands:
             [-auth-token T] [-tls-cert F -tls-key F]  bearer auth + TLS on /fabric/v1
             work  -dataset ID -coordinator URL [-name N]  execute leased shards for a coordinator
             [-auth-token T]
-  tables    -table 2|3|4 [-full] [-scale N] [-stride N]   regenerate a paper table
+  tables    -table 1|2|3|4 [-full] [-scale N] [-stride N] regenerate a paper table
   run       -dataset ID [-full]                           run Steps 1-4 on one dataset
   tree      -dataset ID                                   print the induced tree (Figure 2)
   inject    -dataset ID [-log F] [-arff F]                run Step 1, dump PROPANE log / ARFF
@@ -541,7 +541,7 @@ func stderrLogf(format string, args ...any) {
 
 func cmdTables(args []string) error {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
-	table := fs.Int("table", 3, "table number: 2, 3 or 4")
+	table := fs.Int("table", 3, "table number: 1, 2, 3 or 4")
 	full := fs.Bool("full", false, "use the paper-scale refinement grid (table 4)")
 	opts, tel := commonOpts(fs)
 	if err := parseArgs(fs, args, opts, tel); err != nil {

@@ -20,31 +20,19 @@ type Executor struct {
 	e *engine
 }
 
-// NewExecutor builds the plan for (target, spec), prepares the goldens
-// and returns an executor ready to run any shard. Config is honoured
-// for execution knobs (Shards, Timeout, MaxRetries, Backoff);
+// NewExecutorShards builds the plan for (target, spec) with the given
+// shard count, prepares the goldens and returns an executor ready to
+// run any shard. The plan's shard count is the explicit shards argument
+// and cfg.Shards is ignored: a fabric worker passes the coordinator's
+// shard count, which is part of the plan identity. The rest of Config
+// is honoured for execution knobs (Timeout, MaxRetries, Backoff);
 // journal fields are ignored — executors never touch disk, they hand
 // encoded checkpoint lines to the caller.
-func NewExecutor(ctx context.Context, target propane.Target, spec propane.Spec, cfg Config) (*Executor, error) {
-	plan, err := NewPlan(target, spec, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return newExecutorForPlan(ctx, target, plan, cfg)
-}
-
-// NewExecutorShards is NewExecutor with an explicit shard count taking
-// precedence over cfg.Shards — the worker uses it to adopt the
-// coordinator's sharding, which is part of the plan identity.
 func NewExecutorShards(ctx context.Context, target propane.Target, spec propane.Spec, cfg Config, shards int) (*Executor, error) {
 	plan, err := NewPlan(target, spec, shards)
 	if err != nil {
 		return nil, err
 	}
-	return newExecutorForPlan(ctx, target, plan, cfg)
-}
-
-func newExecutorForPlan(ctx context.Context, target propane.Target, plan *Plan, cfg Config) (*Executor, error) {
 	reg := telemetry.FromContext(ctx)
 	e := &engine{
 		cfg:     cfg,

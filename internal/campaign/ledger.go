@@ -19,15 +19,13 @@ import (
 type Ledger struct {
 	plan *Plan
 
-	mu       sync.Mutex
-	jnl      *journal
-	done     map[int]bool
-	restored int
-	torn     int
-	invalid  int
-	reused   int
-	dir      string
-	closed   bool
+	mu      sync.Mutex
+	jnl     *journal
+	done    map[int]bool
+	invalid int
+	reused  int
+	dir     string
+	closed  bool
 }
 
 // OpenLedger builds (or resumes) the journal for (target, spec) exactly
@@ -47,25 +45,21 @@ func OpenLedger(target propane.Target, spec propane.Spec, cfg Config) (*Ledger, 
 		done[s] = true
 	}
 	return &Ledger{
-		plan:     prep.plan,
-		jnl:      prep.jnl,
-		done:     done,
-		restored: len(prep.restored),
-		torn:     prep.torn,
-		invalid:  prep.invalidated,
-		reused:   prep.reused,
-		dir:      cfg.Journal,
+		plan:    prep.plan,
+		jnl:     prep.jnl,
+		done:    done,
+		invalid: prep.invalidated,
+		reused:  prep.reused,
+		dir:     cfg.Journal,
 	}, nil
 }
 
 // Plan returns the ledger's resolved plan.
 func (l *Ledger) Plan() *Plan { return l.plan }
 
-// Restored reports how many shards were already complete when the
-// ledger opened; TornTails, Invalidated and Reused report the resume
-// bookkeeping the same way campaign.Result does.
-func (l *Ledger) Restored() int    { return l.restored }
-func (l *Ledger) TornTails() int   { return l.torn }
+// Invalidated and Reused report the incremental-resume bookkeeping of
+// the journal the ledger opened, the same way campaign.Result's
+// ShardsInvalidated and ShardsReused do.
 func (l *Ledger) Invalidated() int { return l.invalid }
 func (l *Ledger) Reused() int      { return l.reused }
 

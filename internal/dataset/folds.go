@@ -61,24 +61,3 @@ func StratifiedKFold(d *Dataset, k int, rng *stats.RNG) ([]Fold, error) {
 	}
 	return folds, nil
 }
-
-// StratifiedSplit returns a single train/test split with testFraction of
-// each class held out. Useful for quick examples; cross-validation is the
-// evaluation method used for the tables.
-func StratifiedSplit(d *Dataset, testFraction float64, rng *stats.RNG) (train, test []int, err error) {
-	if testFraction <= 0 || testFraction >= 1 {
-		return nil, nil, fmt.Errorf("dataset: test fraction must be in (0,1), got %v", testFraction)
-	}
-	byClass := make([][]int, len(d.ClassValues))
-	for i := range d.Instances {
-		c := d.Instances[i].Class
-		byClass[c] = append(byClass[c], i)
-	}
-	for _, idxs := range byClass {
-		rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
-		nTest := int(float64(len(idxs)) * testFraction)
-		test = append(test, idxs[:nTest]...)
-		train = append(train, idxs[nTest:]...)
-	}
-	return train, test, nil
-}

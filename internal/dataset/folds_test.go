@@ -111,29 +111,3 @@ func TestStratifiedKFoldProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestStratifiedSplit(t *testing.T) {
-	d := sampleDataset(t, 100)
-	train, test, err := StratifiedSplit(d, 0.25, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(train)+len(test) != d.Len() {
-		t.Fatalf("split sizes %d+%d != %d", len(train), len(test), d.Len())
-	}
-	posTest := 0
-	for _, i := range test {
-		if d.Instances[i].Class == 1 {
-			posTest++
-		}
-	}
-	if posTest != 5 { // 25% of 20 positives
-		t.Errorf("test positives = %d, want 5", posTest)
-	}
-	if _, _, err := StratifiedSplit(d, 0, stats.NewRNG(1)); err == nil {
-		t.Error("fraction 0 should fail")
-	}
-	if _, _, err := StratifiedSplit(d, 1, stats.NewRNG(1)); err == nil {
-		t.Error("fraction 1 should fail")
-	}
-}

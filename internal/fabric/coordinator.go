@@ -149,9 +149,6 @@ func NewCoordinator(target propane.Target, spec propane.Spec, ccfg campaign.Conf
 	return co, nil
 }
 
-// Plan returns the coordinator's resolved plan.
-func (co *Coordinator) Plan() *campaign.Plan { return co.ledger.Plan() }
-
 // Done is closed once every shard has committed.
 func (co *Coordinator) Done() <-chan struct{} { return co.doneCh }
 

@@ -402,6 +402,24 @@ func TestWorkerRefusesForeignPlan(t *testing.T) {
 	<-serveErr
 }
 
+// TestExecutorAdoptsCoordinatorShards pins the contract a worker relies
+// on: the explicit shard count (the coordinator's) decides the plan, even
+// when the worker's own campaign.Config asks for a different one.
+func TestExecutorAdoptsCoordinatorShards(t *testing.T) {
+	spec := testSpec(2)
+	x, err := campaign.NewExecutorShards(context.Background(), testTarget{}, spec, campaign.Config{Shards: 5}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := campaign.NewPlan(testTarget{}, spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := x.Plan(); got.Shards != 3 || got.Hash != want.Hash {
+		t.Errorf("executor plan: shards=%d hash=%.12s, want 3 and %.12s", got.Shards, got.Hash, want.Hash)
+	}
+}
+
 func readJournal(t *testing.T, dir string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, "checkpoints.jsonl"))

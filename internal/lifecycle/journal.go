@@ -26,8 +26,6 @@ const (
 // Journal is one append-only fsynced JSONL file. Append is safe for
 // concurrent use; Close exactly once after the last append.
 type Journal struct {
-	path string
-
 	mu sync.Mutex
 	f  *os.File
 }
@@ -44,11 +42,8 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{path: path, f: f}, nil
+	return &Journal{f: f}, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Append marshals one record, appends it as a newline-terminated JSON
 // line and fsyncs, so an acknowledged record survives any subsequent

@@ -146,9 +146,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	return m, nil
 }
 
-// Dir returns the journal directory.
-func (m *Monitor) Dir() string { return m.cfg.Dir }
-
 // Close drains the async diff writer and closes both journals.
 func (m *Monitor) Close() error {
 	if m == nil {

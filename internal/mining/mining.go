@@ -7,9 +7,9 @@
 // attrsel (variable ranking); eval provides confusion-matrix metrics
 // and stratified cross-validation; sampling provides SMOTE and random
 // over/undersampling for class-imbalance handling. The comparator
-// learners bayes, logreg, knn, costs, ensemble and discretize have no
-// caller outside their own tests: their comparison is recorded in
-// EXPERIMENTS.md ("Learner comparison").
+// learners ensemble and costs have no caller outside their own tests
+// and are pending deletion; the comparison of all the comparator
+// learners is recorded in EXPERIMENTS.md ("Learner comparison").
 //
 // Training data reaches a learner one way: as a dataset.View of a
 // columnar dataset.Store (DESIGN.md §10). Cross-validation builds a

@@ -57,18 +57,6 @@ func (c Codec) String() string {
 	return "json"
 }
 
-// ParseCodec parses the flag spelling.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown codec %q (want json or binary)", s)
-	}
-}
-
 // Client is a retrying client for the serving runtime, built for batch
 // re-validation against a remote service: transient failures (network
 // errors, sheds, drains) retry with bounded exponential backoff, and

@@ -107,19 +107,6 @@ func (s *silentConns) drain() {
 	s.conns = nil
 }
 
-// ListenAndServeHTTP listens on addr and calls RunHTTP. It reports the
-// bound address through onListen (useful with ":0") before serving.
-func ListenAndServeHTTP(ctx context.Context, addr string, handler http.Handler, cfg HTTPConfig, onListen func(addr net.Addr)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if onListen != nil {
-		onListen(ln.Addr())
-	}
-	return RunHTTP(ctx, ln, handler, cfg)
-}
-
 // Backoff is the shared bounded-exponential retry policy: the first
 // retry waits Base, each further retry doubles, capped at Max, for at
 // most MaxRetries additional attempts. Every wait is deadline-aware —

@@ -53,14 +53,6 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// SampleVariance returns the unbiased sample variance (dividing by n-1).
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // StdDev returns the population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
@@ -140,22 +132,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// SignedLog applies the paper's attribute transformation
-//
-//	g(x) =  log(x+1)      if x >= 0
-//	g(x) = -log(|x|+1)    if x <  0
-//
-// which compresses the extreme magnitudes produced by high-order bit
-// flips before feeding data to learners such as Naïve Bayes or logistic
-// regression (paper §V-C).
-func SignedLog(x float64) float64 {
-	if math.IsNaN(x) {
-		return 0
-	}
-	if x >= 0 {
-		return math.Log(x + 1)
-	}
-	return -math.Log(math.Abs(x) + 1)
 }

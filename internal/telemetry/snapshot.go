@@ -156,10 +156,6 @@ func (s *Snapshot) FormatTree() string {
 	return sb.String()
 }
 
-// CounterNames returns the counter names present in the snapshot,
-// sorted.
-func (s *Snapshot) CounterNames() []string { return sortedKeys(s.Counters) }
-
 // PublishExpvar exposes the process-default registry under the given
 // expvar name as a function variable that snapshots on demand
 // (GET /debug/vars). It reads Default() per request, so it tracks
