@@ -78,13 +78,6 @@ func TestInfo(t *testing.T) {
 	}
 }
 
-func TestSortedDatasetIDs(t *testing.T) {
-	got := SortedDatasetIDs([]string{"MG-B3", "7Z-A1", "FG-A2"})
-	if got[0] != "7Z-A1" || got[1] != "FG-A2" || got[2] != "MG-B3" {
-		t.Fatalf("sorted = %v", got)
-	}
-}
-
 func TestRefineGridShapes(t *testing.T) {
 	reduced := RefineGrid(false)
 	full := RefineGrid(true)

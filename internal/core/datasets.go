@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"edem/internal/bitflip"
@@ -332,16 +331,4 @@ func BuildDataset(ctx context.Context, id string, opts Options) (*dataset.Datase
 		return nil, nil, err
 	}
 	return d, c, nil
-}
-
-// SortedDatasetIDs returns ids sorted in Table II/III/IV order.
-func SortedDatasetIDs(ids []string) []string {
-	order := make(map[string]int, 18)
-	for i, id := range AllDatasetIDs() {
-		order[id] = i
-	}
-	out := make([]string, len(ids))
-	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return order[out[i]] < order[out[j]] })
-	return out
 }

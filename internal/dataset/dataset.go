@@ -6,8 +6,8 @@
 //
 // Role in the methodology: Step 2 (preprocessing) — campaign logs
 // become weighted instances here, and every later step consumes this
-// model. Ownership/concurrency: Clone/Subset/Filter deep-copy and
-// yield independently mutable datasets; CloneShared aliases the Values
+// model. Ownership/concurrency: Subset/Filter deep-copy and yield
+// independently mutable datasets; CloneShared aliases the Values
 // slices and is for read-only consumers; Store and View
 // (DESIGN.md §10) are immutable after construction and safe for
 // concurrent read — many fold workers train from one store without
@@ -19,8 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"edem/internal/stats"
 )
 
 // AttrType distinguishes numeric from nominal attributes.
@@ -82,8 +80,8 @@ var Missing = math.NaN()
 func IsMissing(v float64) bool { return math.IsNaN(v) }
 
 // Instance is one sampled program state: attribute values plus a class
-// label and an instance weight (C4.5 uses fractional weights both for
-// missing-value handling and for cost-sensitive instance weighting).
+// label and an instance weight (C4.5 uses fractional weights for
+// missing-value handling).
 type Instance struct {
 	// Values holds one entry per attribute: the numeric value for numeric
 	// attributes, or the index into Attribute.Values for nominal ones.
@@ -104,14 +102,14 @@ func (in Instance) Clone() Instance {
 
 // Dataset is a named relation with a distinguished nominal class.
 //
-// Ownership contract: constructors that deep-copy (Clone, Subset,
-// Filter) hand the caller instances whose Values it may mutate freely.
+// Ownership contract: constructors that deep-copy (Subset, Filter)
+// hand the caller instances whose Values it may mutate freely.
 // CloneShared aliases the receiver's Values backing arrays instead; a
 // dataset built that way is a read-only view — callers must treat every
 // Values slice as immutable and deep-copy (Instance.Clone) before
 // writing. Learners already promise not to mutate their training data
-// (mining.Learner), so read-only consumers (rule covering, instance
-// reweighting) use it to avoid cloning churn.
+// (mining.Learner), so read-only consumers (PRISM's rule covering) use
+// it to avoid cloning churn.
 type Dataset struct {
 	Name        string
 	Attrs       []Attribute
@@ -175,7 +173,7 @@ func instanceHasMissing(in Instance) bool {
 
 // HasMissing reports whether any instance value is missing. The answer
 // is computed on the first call and cached; Add maintains the cache
-// incrementally, and Clone/Subset/Filter propagate what the cache can
+// incrementally, and Subset/Filter propagate what the cache can
 // prove (a subset of a missing-free dataset is missing-free). Code that
 // appends to Instances directly, or mutates Values after the first
 // call, must call InvalidateMissing. Not safe for a concurrent first
@@ -217,24 +215,6 @@ func (d *Dataset) MustAdd(in Instance) {
 // Len returns the number of instances.
 func (d *Dataset) Len() int { return len(d.Instances) }
 
-// TotalWeight returns the sum of instance weights.
-func (d *Dataset) TotalWeight() float64 {
-	w := 0.0
-	for i := range d.Instances {
-		w += d.Instances[i].Weight
-	}
-	return w
-}
-
-// ClassCounts returns the number of instances per class label.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, len(d.ClassValues))
-	for i := range d.Instances {
-		counts[d.Instances[i].Class]++
-	}
-	return counts
-}
-
 // ClassWeights returns the total instance weight per class label.
 func (d *Dataset) ClassWeights() []float64 {
 	ws := make([]float64, len(d.ClassValues))
@@ -260,17 +240,6 @@ func (d *Dataset) MajorityClass() int {
 // CloneSchema returns an empty dataset with the same schema.
 func (d *Dataset) CloneSchema() *Dataset {
 	return New(d.Name, d.Attrs, d.ClassValues)
-}
-
-// Clone returns a deep copy of the dataset.
-func (d *Dataset) Clone() *Dataset {
-	out := d.CloneSchema()
-	out.missing = d.missing
-	out.Instances = make([]Instance, 0, len(d.Instances))
-	for i := range d.Instances {
-		out.Instances = append(out.Instances, d.Instances[i].Clone())
-	}
-	return out
 }
 
 // CloneShared returns a copy of the dataset whose instances alias the
@@ -309,23 +278,6 @@ func (d *Dataset) Filter(keep func(Instance) bool) *Dataset {
 		}
 	}
 	return out
-}
-
-// Shuffle permutes the instance order in place.
-func (d *Dataset) Shuffle(rng *stats.RNG) {
-	rng.Shuffle(len(d.Instances), func(i, j int) {
-		d.Instances[i], d.Instances[j] = d.Instances[j], d.Instances[i]
-	})
-}
-
-// AttrIndex returns the index of the attribute with the given name.
-func (d *Dataset) AttrIndex(name string) (int, bool) {
-	for i, a := range d.Attrs {
-		if a.Name == name {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // Validate checks the structural invariants of the dataset: non-empty

@@ -65,28 +65,12 @@ func TestAddValidation(t *testing.T) {
 
 func TestClassCountsAndWeights(t *testing.T) {
 	d := sampleDataset(t, 20)
-	counts := d.ClassCounts()
-	if counts[0] != 16 || counts[1] != 4 {
-		t.Fatalf("counts = %v", counts)
-	}
 	ws := d.ClassWeights()
 	if ws[0] != 16 || ws[1] != 4 {
 		t.Fatalf("weights = %v", ws)
 	}
 	if d.MajorityClass() != 0 {
 		t.Fatalf("majority = %d", d.MajorityClass())
-	}
-	if d.TotalWeight() != 20 {
-		t.Fatalf("total weight = %v", d.TotalWeight())
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	d := sampleDataset(t, 5)
-	c := d.Clone()
-	c.Instances[0].Values[0] = -999
-	if d.Instances[0].Values[0] == -999 {
-		t.Fatal("Clone shares value slices")
 	}
 }
 
@@ -104,16 +88,6 @@ func TestSubsetAndFilter(t *testing.T) {
 		if pos.Instances[i].Class != 1 {
 			t.Fatal("filter kept wrong class")
 		}
-	}
-}
-
-func TestAttrIndex(t *testing.T) {
-	d := sampleDataset(t, 1)
-	if i, ok := d.AttrIndex("y"); !ok || i != 1 {
-		t.Fatalf("AttrIndex(y) = %d, %v", i, ok)
-	}
-	if _, ok := d.AttrIndex("missing"); ok {
-		t.Fatal("AttrIndex(missing) should fail")
 	}
 }
 
@@ -165,18 +139,6 @@ func TestValidate(t *testing.T) {
 	noClass := New("e", attrs, nil)
 	if err := noClass.Validate(); !errors.Is(err, ErrNoClass) {
 		t.Errorf("no class error = %v", err)
-	}
-}
-
-func TestShuffleDeterministic(t *testing.T) {
-	d1 := sampleDataset(t, 30)
-	d2 := sampleDataset(t, 30)
-	d1.Shuffle(stats.NewRNG(9))
-	d2.Shuffle(stats.NewRNG(9))
-	for i := range d1.Instances {
-		if d1.Instances[i].Values[0] != d2.Instances[i].Values[0] {
-			t.Fatal("same-seed shuffles differ")
-		}
 	}
 }
 

@@ -103,9 +103,6 @@ func NewStore(d *Dataset, rows []int) *Store {
 	return s
 }
 
-// Len returns the number of base rows in the store.
-func (s *Store) Len() int { return s.n }
-
 // Attrs returns the schema attributes (shared; read-only).
 func (s *Store) Attrs() []Attribute { return s.attrs }
 
@@ -123,11 +120,6 @@ func (s *Store) Classes() []int { return s.classes }
 
 // Weights returns the per-row clamped weights (shared; read-only).
 func (s *Store) Weights() []float64 { return s.weights }
-
-// Sorted returns the per-numeric-attribute ascending row orders, or nil
-// when the store holds missing values (the general builder re-sorts per
-// node anyway).
-func (s *Store) Sorted() [][]int32 { return s.sorted }
 
 // Synthetic is one generated training row (a SMOTE interpolation) to be
 // appended to a store's base rows through ExtendView.

@@ -111,7 +111,7 @@ func TestStoreSortMatchesSortSlice(t *testing.T) {
 		}
 		col := st.Cols()[a]
 		sort.Slice(want, func(i, j int) bool { return col[want[i]] < col[want[j]] })
-		got := st.Sorted()[a]
+		got := st.sorted[a]
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("attr %d: permutation diverges at %d: %d != %d", a, i, got[i], want[i])
@@ -228,7 +228,7 @@ func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 		}
 		st := NewStore(d, nil)
 		v := st.ExtendView(syn)
-		n, m := st.Len(), len(syn)
+		n, m := st.n, len(syn)
 		for a := range v.Sorted() {
 			col := v.Cols()[a]
 			synIdx := make([]int32, m)
@@ -236,7 +236,7 @@ func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 				synIdx[j] = int32(n + j)
 			}
 			sort.Slice(synIdx, func(i, j int) bool { return col[synIdx[i]] < col[synIdx[j]] })
-			base := st.Sorted()[a]
+			base := st.sorted[a]
 			want := make([]int32, 0, n+m)
 			i, j := 0, 0
 			for i < n && j < m {
@@ -266,7 +266,7 @@ func TestStoreMissingDisablesSorted(t *testing.T) {
 	if !st.HasMissing() {
 		t.Fatal("missing not detected")
 	}
-	if st.Sorted() != nil {
+	if st.sorted != nil {
 		t.Fatal("sorted orders built despite missing values")
 	}
 	for _, v := range []*View{st.IdentityView(), st.SelectView([]int32{0, 1, 2}), st.RepeatView([]int32{5})} {
@@ -303,11 +303,7 @@ func TestHasMissingCache(t *testing.T) {
 	if !d.HasMissing() {
 		t.Fatal("Add did not maintain the cache")
 	}
-	// Clone copies the full answer; subsetting only preserves a
-	// missing-free answer.
-	if !d.Clone().HasMissing() {
-		t.Fatal("clone lost the missing answer")
-	}
+	// Subsetting only preserves a missing-free answer.
 	clean := storeTestDataset(10, 19)
 	_ = clean.HasMissing()
 	sub := clean.Subset([]int{0, 1})
@@ -407,15 +403,15 @@ func TestViewReleaseReuse(t *testing.T) {
 	big := NewStore(bigData, nil)
 	st := NewStore(storeTestDataset(80, 22), nil)
 	var bigExtra, extra []int32
-	for i := 0; i < big.Len(); i += 2 {
+	for i := 0; i < big.n; i += 2 {
 		bigExtra = append(bigExtra, int32(i), int32(i))
 	}
-	for i := 0; i < st.Len(); i += 5 {
+	for i := 0; i < st.n; i += 5 {
 		extra = append(extra, int32(i))
 	}
 	synFor := func(s *Store, every int) []Synthetic {
 		var syn []Synthetic
-		for i := 0; i < s.Len(); i += every {
+		for i := 0; i < s.n; i += every {
 			vs := []float64{s.Cols()[0][i] + 0.25, s.Cols()[1][i], s.Cols()[2][i] - 0.5}
 			syn = append(syn, Synthetic{Values: vs, Class: 1, Weight: float64(i%3) + 0.5})
 		}

@@ -149,9 +149,6 @@ func NewCoordinator(target propane.Target, spec propane.Spec, ccfg campaign.Conf
 	return co, nil
 }
 
-// Done is closed once every shard has committed.
-func (co *Coordinator) Done() <-chan struct{} { return co.doneCh }
-
 // Status snapshots progress.
 func (co *Coordinator) Status() PlanStatus {
 	co.mu.Lock()

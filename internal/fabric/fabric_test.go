@@ -290,7 +290,7 @@ func TestCoordinatorRestart(t *testing.T) {
 		t.Errorf("final completion: %+v, want Complete", resp)
 	}
 	select {
-	case <-co2.Done():
+	case <-co2.doneCh:
 	default:
 		t.Error("Done channel open after final commit")
 	}

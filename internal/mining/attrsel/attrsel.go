@@ -180,45 +180,6 @@ func attributeGain(d *dataset.Dataset, a int, classDist []float64, totalW, class
 	return bestGain, splitEnt
 }
 
-// Top returns the attribute indices of the best k scores.
-func Top(scores []Score, k int) []int {
-	if k > len(scores) {
-		k = len(scores)
-	}
-	out := make([]int, 0, k)
-	for _, s := range scores[:k] {
-		out = append(out, s.Attr)
-	}
-	return out
-}
-
-// Project returns a dataset containing only the given attributes (by
-// index), preserving instance order and class labels.
-func Project(d *dataset.Dataset, attrs []int) (*dataset.Dataset, error) {
-	selected := make([]dataset.Attribute, 0, len(attrs))
-	for _, a := range attrs {
-		if a < 0 || a >= len(d.Attrs) {
-			return nil, fmt.Errorf("attrsel: attribute index %d out of range", a)
-		}
-		selected = append(selected, d.Attrs[a])
-	}
-	out := dataset.New(d.Name, selected, d.ClassValues)
-	for i := range d.Instances {
-		in := dataset.Instance{
-			Values: make([]float64, len(attrs)),
-			Class:  d.Instances[i].Class,
-			Weight: d.Instances[i].Weight,
-		}
-		for j, a := range attrs {
-			in.Values[j] = d.Instances[i].Values[a]
-		}
-		if err := out.Add(in); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 func sumOf(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {

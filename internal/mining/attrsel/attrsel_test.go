@@ -64,35 +64,6 @@ func TestRankEmpty(t *testing.T) {
 	}
 }
 
-func TestTopAndProject(t *testing.T) {
-	d := signalAndNoise(300, 2)
-	scores, err := Rank(d, InfoGain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := Top(scores, 2)
-	if len(top) != 2 {
-		t.Fatalf("top = %v", top)
-	}
-	proj, err := Project(d, top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(proj.Attrs) != 2 || proj.Len() != d.Len() {
-		t.Fatalf("projection shape: %d attrs, %d rows", len(proj.Attrs), proj.Len())
-	}
-	if err := proj.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Over-asking is clamped.
-	if got := Top(scores, 99); len(got) != 3 {
-		t.Fatalf("clamped top = %v", got)
-	}
-	if _, err := Project(d, []int{7}); err == nil {
-		t.Fatal("out-of-range projection should fail")
-	}
-}
-
 func TestMethodString(t *testing.T) {
 	if InfoGain.String() != "InfoGain" || GainRatio.String() != "GainRatio" ||
 		Symmetrical.String() != "SymmetricalUncertainty" {

@@ -34,8 +34,6 @@ type CVConfig struct {
 	// Transform, if non-nil, derives each fold's training view; nil
 	// trains on the whole partition.
 	Transform TrainTransform
-	// PositiveClass is the concept class index (default 1).
-	PositiveClass int
 	// Workers bounds fold parallelism for this run: 0 draws on the
 	// process-wide budget (parallel.SetBudget, default all cores),
 	// 1 forces serial evaluation. Results are identical either way.
@@ -67,7 +65,8 @@ type CVResult struct {
 // dataset d (paper §VII-C: "the data was partitioned into 10 stratified
 // samples; for each cross validation run, one of the partitions was
 // used as the test sample whilst the other nine were used as the
-// training set"). ctx bounds the fold fan-out (cancellation stops
+// training set"). Fold rates are those of class PositiveClass, the
+// failure class. ctx bounds the fold fan-out (cancellation stops
 // claiming folds) and carries the active telemetry registry: every call
 // records a "crossval" span nested under the caller's phase, one
 // eval.folds_evaluated count per fold and the per-fold wall-clock
@@ -77,9 +76,6 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, cf
 	defer span.End()
 	if cfg.Folds == 0 {
 		cfg.Folds = 10
-	}
-	if cfg.PositiveClass == 0 {
-		cfg.PositiveClass = PositiveClass
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	folds, err := dataset.StratifiedKFold(d, cfg.Folds, rng)
@@ -161,7 +157,7 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, cf
 		if err := res.Pooled.Merge(fr.Matrix); err != nil {
 			return nil, err
 		}
-		b := fr.Matrix.Binary(cfg.PositiveClass)
+		b := fr.Matrix.Binary(PositiveClass)
 		aucW.Add(b.AUC())
 		tprW.Add(b.TPR())
 		fprW.Add(b.FPR())

@@ -117,11 +117,11 @@ func TestCrossValidateTransformAppliedToTrainOnly(t *testing.T) {
 	var trainSizes []int
 	tf := func(st *dataset.Store, _ *stats.RNG) (*dataset.View, error) {
 		mu.Lock()
-		trainSizes = append(trainSizes, st.Len())
+		trainSizes = append(trainSizes, len(st.Classes()))
 		mu.Unlock()
 		// Duplicate the training set; the test partition must stay at
 		// its natural size, keeping the pooled total invariant.
-		dup := make([]int32, st.Len())
+		dup := make([]int32, len(st.Classes()))
 		for i := range dup {
 			dup[i] = int32(i)
 		}
@@ -174,7 +174,7 @@ func TestCrossValidateWorkerCountInvariant(t *testing.T) {
 	tf := func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
 		// Randomly drop ~20% of the training instances.
 		var keep []int32
-		for i := 0; i < st.Len(); i++ {
+		for i := 0; i < len(st.Classes()); i++ {
 			if rng.Float64() < 0.8 {
 				keep = append(keep, int32(i))
 			}

@@ -111,8 +111,8 @@ func TestCrossValidateTransformReachesNonViewFitter(t *testing.T) {
 			mu.Lock()
 			viewSizes = append(viewSizes, v.Len())
 			mu.Unlock()
-			if v.Len() >= st.Len() {
-				t.Errorf("undersampling kept %d of %d rows", v.Len(), st.Len())
+			if v.Len() >= len(st.Classes()) {
+				t.Errorf("undersampling kept %d of %d rows", v.Len(), len(st.Classes()))
 			}
 		}
 		return v, err

@@ -3,13 +3,12 @@
 // that fit classifiers to datasets, and classifiers that label instances.
 //
 // Concrete algorithms live in subpackages: tree (C4.5 decision tree
-// induction, the methodology's learner), rules (ZeroR, OneR, PRISM) and
-// attrsel (variable ranking); eval provides confusion-matrix metrics
-// and stratified cross-validation; sampling provides SMOTE and random
-// over/undersampling for class-imbalance handling. The comparator
-// learners ensemble and costs have no caller outside their own tests
-// and are pending deletion; the comparison of all the comparator
-// learners is recorded in EXPERIMENTS.md ("Learner comparison").
+// induction, the methodology's learner), rules (PRISM, the symbolic
+// alternative behind edem rules) and attrsel (variable ranking); eval
+// provides confusion-matrix metrics and stratified cross-validation;
+// sampling provides SMOTE and random over/undersampling for
+// class-imbalance handling. The deleted comparator learners are
+// recorded in EXPERIMENTS.md ("Learner comparison").
 //
 // Training data reaches a learner one way: as a dataset.View of a
 // columnar dataset.Store (DESIGN.md §10). Cross-validation builds a
@@ -33,13 +32,6 @@ import "edem/internal/dataset"
 // missing); the returned label is a class index.
 type Classifier interface {
 	Classify(values []float64) int
-}
-
-// Distributor is an optional Classifier refinement that exposes a class
-// probability distribution, enabling threshold-based ROC analysis.
-type Distributor interface {
-	// Distribution returns per-class scores summing to 1.
-	Distribution(values []float64) []float64
 }
 
 // Sizer is an optional Classifier refinement reporting model complexity
@@ -68,7 +60,7 @@ type ViewFitter interface {
 }
 
 // ModelSize returns the complexity of a classifier, or 1 if the model
-// does not report one (e.g. ZeroR).
+// does not report one.
 func ModelSize(c Classifier) int {
 	if s, ok := c.(Sizer); ok {
 		return s.Size()

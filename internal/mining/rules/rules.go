@@ -1,14 +1,13 @@
-// Package rules implements rule-based learners used as comparators to
-// decision tree induction (the other symbolic family the paper
-// discusses in §IV/§V-C): ZeroR (majority class), OneR (Holte's
-// single-attribute rules) and a PRISM-style covering rule inducer.
+// Package rules implements a PRISM-style covering rule inducer, the
+// other symbolic learner family the paper discusses (§IV/§V-C) next to
+// decision tree induction.
 //
-// Role in the methodology: Step 3 comparators; being symbolic, PRISM
-// rule sets can also feed internal/predicate (edem rules) as an
-// alternative predicate source. Concurrency: the learners follow the
-// internal/mining contract — PRISM's covering loop works on a shared-
-// value subset it filters itself, never mutating the caller's data —
-// and fitted rule sets are immutable and safe for concurrent use.
+// Role in the methodology: an alternative predicate source for Step 3;
+// being symbolic, PRISM rule sets feed internal/predicate (edem rules).
+// Concurrency: the learner follows the internal/mining contract — the
+// covering loop works on a shared-value subset it filters itself, never
+// mutating the caller's data — and fitted rule sets are immutable and
+// safe for concurrent use.
 package rules
 
 import (
@@ -20,234 +19,6 @@ import (
 	"edem/internal/dataset"
 	"edem/internal/mining"
 )
-
-// ---------------------------------------------------------------------
-// ZeroR
-
-// ZeroR predicts the majority class of the training data.
-type ZeroR struct{}
-
-var _ mining.Learner = ZeroR{}
-
-// Name implements mining.Learner.
-func (ZeroR) Name() string { return "ZeroR" }
-
-// Fit implements mining.Learner.
-func (ZeroR) Fit(d *dataset.Dataset) (mining.Classifier, error) {
-	if d.Len() == 0 {
-		return nil, fmt.Errorf("rules: empty training set")
-	}
-	return constClassifier(d.MajorityClass()), nil
-}
-
-type constClassifier int
-
-func (c constClassifier) Classify([]float64) int { return int(c) }
-
-// ---------------------------------------------------------------------
-// OneR
-
-// OneR learns the single best attribute rule (Holte, 1993): numeric
-// attributes are discretised into buckets containing at least MinBucket
-// instances of one class.
-type OneR struct {
-	// MinBucket is the minimum weight per discretisation bucket
-	// (default 6, Holte's recommendation).
-	MinBucket float64
-}
-
-var _ mining.Learner = OneR{}
-
-// Name implements mining.Learner.
-func (OneR) Name() string { return "OneR" }
-
-func (l OneR) minBucket() float64 {
-	if l.MinBucket <= 0 {
-		return 6
-	}
-	return l.MinBucket
-}
-
-// OneRModel is a single-attribute rule: either nominal value→class, or
-// threshold intervals→class.
-type OneRModel struct {
-	Attr       int
-	Numeric    bool
-	Thresholds []float64 // interval upper bounds; len(Classes) = len+1
-	Classes    []int
-	Default    int
-	attrs      []dataset.Attribute
-}
-
-var (
-	_ mining.Classifier = (*OneRModel)(nil)
-	_ mining.Sizer      = (*OneRModel)(nil)
-)
-
-// Size reports the number of intervals/values in the rule.
-func (m *OneRModel) Size() int { return len(m.Classes) }
-
-// Classify implements mining.Classifier.
-func (m *OneRModel) Classify(values []float64) int {
-	v := values[m.Attr]
-	if dataset.IsMissing(v) {
-		return m.Default
-	}
-	if m.Numeric {
-		for i, t := range m.Thresholds {
-			if v <= t {
-				return m.Classes[i]
-			}
-		}
-		return m.Classes[len(m.Classes)-1]
-	}
-	idx := int(v)
-	if idx < 0 || idx >= len(m.Classes) {
-		return m.Default
-	}
-	return m.Classes[idx]
-}
-
-// Fit implements mining.Learner.
-func (l OneR) Fit(d *dataset.Dataset) (mining.Classifier, error) {
-	if d.Len() == 0 {
-		return nil, fmt.Errorf("rules: empty training set")
-	}
-	def := d.MajorityClass()
-	var best *OneRModel
-	bestErr := math.Inf(1)
-	for a := range d.Attrs {
-		var m *OneRModel
-		var errW float64
-		if d.Attrs[a].Type == dataset.Numeric {
-			m, errW = l.numericRule(d, a)
-		} else {
-			m, errW = l.nominalRule(d, a)
-		}
-		if m == nil {
-			continue
-		}
-		m.Default = def
-		m.attrs = d.Attrs
-		if errW < bestErr {
-			bestErr = errW
-			best = m
-		}
-	}
-	if best == nil {
-		return constClassifier(def), nil
-	}
-	return best, nil
-}
-
-func (l OneR) nominalRule(d *dataset.Dataset, attr int) (*OneRModel, float64) {
-	nVals := len(d.Attrs[attr].Values)
-	counts := make([][]float64, nVals)
-	for i := range counts {
-		counts[i] = make([]float64, len(d.ClassValues))
-	}
-	for i := range d.Instances {
-		in := &d.Instances[i]
-		v := in.Values[attr]
-		if dataset.IsMissing(v) {
-			continue
-		}
-		counts[int(v)][in.Class] += in.Weight
-	}
-	classes := make([]int, nVals)
-	errW := 0.0
-	for v := range counts {
-		best, total := 0, 0.0
-		for c, w := range counts[v] {
-			total += w
-			if w > counts[v][best] {
-				best = c
-			}
-		}
-		classes[v] = best
-		errW += total - counts[v][best]
-	}
-	return &OneRModel{Attr: attr, Classes: classes}, errW
-}
-
-func (l OneR) numericRule(d *dataset.Dataset, attr int) (*OneRModel, float64) {
-	type vw struct {
-		v     float64
-		w     float64
-		class int
-	}
-	var vals []vw
-	for i := range d.Instances {
-		in := &d.Instances[i]
-		v := in.Values[attr]
-		if dataset.IsMissing(v) {
-			continue
-		}
-		vals = append(vals, vw{v: v, w: in.Weight, class: in.Class})
-	}
-	if len(vals) == 0 {
-		return nil, math.Inf(1)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
-
-	nClasses := len(d.ClassValues)
-	var (
-		thresholds []float64
-		classes    []int
-		errW       float64
-	)
-	i := 0
-	for i < len(vals) {
-		// Grow a bucket until one class holds at least minBucket weight,
-		// then extend to the end of ties on the boundary value.
-		counts := make([]float64, nClasses)
-		j := i
-		for j < len(vals) {
-			counts[vals[j].class] += vals[j].w
-			maxW := 0.0
-			for _, w := range counts {
-				if w > maxW {
-					maxW = w
-				}
-			}
-			j++
-			if maxW >= l.minBucket() {
-				for j < len(vals) && vals[j].v == vals[j-1].v {
-					counts[vals[j].class] += vals[j].w
-					j++
-				}
-				break
-			}
-		}
-		best, total := 0, 0.0
-		for c, w := range counts {
-			total += w
-			if w > counts[best] {
-				best = c
-			}
-		}
-		errW += total - counts[best]
-		classes = append(classes, best)
-		if j < len(vals) {
-			thresholds = append(thresholds, (vals[j-1].v+vals[j].v)/2)
-		}
-		i = j
-	}
-	// Merge adjacent buckets with identical classes.
-	mergedT := thresholds[:0]
-	mergedC := classes[:1]
-	for k := 1; k < len(classes); k++ {
-		if classes[k] == mergedC[len(mergedC)-1] {
-			continue
-		}
-		mergedT = append(mergedT, thresholds[k-1])
-		mergedC = append(mergedC, classes[k])
-	}
-	return &OneRModel{Attr: attr, Numeric: true, Thresholds: mergedT, Classes: mergedC}, errW
-}
-
-// ---------------------------------------------------------------------
-// PRISM
 
 // PRISM is a covering rule inducer (Cendrowska, 1987) extended with
 // binary threshold conditions for numeric attributes. For each class it

@@ -53,71 +53,6 @@ func accuracy(c mining.Classifier, d *dataset.Dataset) float64 {
 	return float64(correct) / float64(d.Len())
 }
 
-func TestZeroR(t *testing.T) {
-	d := thresholdData(100, 1)
-	model, err := ZeroR{}.Fit(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := d.MajorityClass()
-	for i := 0; i < 5; i++ {
-		if model.Classify(d.Instances[i].Values) != want {
-			t.Fatal("ZeroR must always predict the majority")
-		}
-	}
-	if (ZeroR{}).Name() != "ZeroR" {
-		t.Error("name")
-	}
-	empty := dataset.New("e", d.Attrs, d.ClassValues)
-	if _, err := (ZeroR{}).Fit(empty); err == nil {
-		t.Error("empty training should fail")
-	}
-}
-
-func TestOneRNumeric(t *testing.T) {
-	d := thresholdData(300, 2)
-	model, err := OneR{}.Fit(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := accuracy(model, d); acc < 0.95 {
-		t.Errorf("OneR accuracy = %.3f", acc)
-	}
-	m, ok := model.(*OneRModel)
-	if !ok {
-		t.Fatalf("model type %T", model)
-	}
-	if m.Attr != 0 {
-		t.Errorf("OneR chose attr %d, want x(0)", m.Attr)
-	}
-	if mining.ModelSize(model) < 2 {
-		t.Errorf("rule size = %d", mining.ModelSize(model))
-	}
-}
-
-func TestOneRNominal(t *testing.T) {
-	d := nominalData()
-	model, err := OneR{MinBucket: 1}.Fit(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := accuracy(model, d); acc != 1 {
-		t.Errorf("OneR nominal accuracy = %.3f", acc)
-	}
-}
-
-func TestOneRMissingValue(t *testing.T) {
-	d := thresholdData(200, 3)
-	model, err := OneR{}.Fit(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := model.Classify([]float64{dataset.Missing, 0.1})
-	if got != 0 && got != 1 {
-		t.Fatalf("class = %d", got)
-	}
-}
-
 func TestPRISMNumeric(t *testing.T) {
 	d := thresholdData(300, 4)
 	model, err := PRISM{}.Fit(d)
@@ -171,7 +106,7 @@ func TestPRISMMaxRules(t *testing.T) {
 }
 
 func TestPRISMNames(t *testing.T) {
-	if (PRISM{}).Name() != "PRISM" || (OneR{}).Name() != "OneR" {
+	if (PRISM{}).Name() != "PRISM" {
 		t.Error("names")
 	}
 }

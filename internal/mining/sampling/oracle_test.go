@@ -34,6 +34,11 @@ func undersampleOracle(d *dataset.Dataset, majorityClass int, keepPercent float6
 	return out, nil
 }
 
+// cloneDataset returns a deep copy of d.
+func cloneDataset(d *dataset.Dataset) *dataset.Dataset {
+	return d.Filter(func(dataset.Instance) bool { return true })
+}
+
 func oversampleOracle(d *dataset.Dataset, minorityClass int, percent float64, rng *stats.RNG) (*dataset.Dataset, error) {
 	return smoteOracleMode(d, minorityClass, percent, 1, rng, true)
 }
@@ -63,7 +68,7 @@ func smoteOracleMode(d *dataset.Dataset, minorityClass int, percent float64, k i
 	if err != nil {
 		return nil, err
 	}
-	out := d.Clone()
+	out := cloneDataset(d)
 	for _, sp := range specs {
 		seed := &d.Instances[minIdx[sp.seedPos]]
 		syn := seed.Clone()

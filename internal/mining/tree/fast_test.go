@@ -450,7 +450,7 @@ func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 	st := dataset.NewStore(d, nil)
 	var extra []int32
 	var syn []dataset.Synthetic
-	for i := 0; i < st.Len(); i++ {
+	for i := 0; i < len(st.Classes()); i++ {
 		if i%3 == 0 {
 			extra = append(extra, int32(i), int32(i))
 		}
@@ -635,7 +635,7 @@ func partitionCase(data []byte) (Config, *dataset.View) {
 	}
 	extra := make([]int32, 0, dups)
 	for i := 0; i < dups; i++ {
-		extra = append(extra, int32(i*7%st.Len()))
+		extra = append(extra, int32(i*7%len(st.Classes())))
 	}
 	return cfg, st.RepeatView(extra)
 }

@@ -57,9 +57,8 @@ type Tree struct {
 }
 
 var (
-	_ mining.Classifier  = (*Tree)(nil)
-	_ mining.Distributor = (*Tree)(nil)
-	_ mining.Sizer       = (*Tree)(nil)
+	_ mining.Classifier = (*Tree)(nil)
+	_ mining.Sizer      = (*Tree)(nil)
 )
 
 // Classify returns the majority class of the distribution reached by

@@ -175,6 +175,3 @@ func (p *Program) Eval(values []float64) bool {
 // Atoms reports the number of atoms in the comparison table (satisfiable
 // clauses only — compile-time-dead clauses are not counted).
 func (p *Program) Atoms() int { return len(p.ops) }
-
-// Clauses reports the number of live clauses in the table.
-func (p *Program) Clauses() int { return len(p.clauseEnds) }

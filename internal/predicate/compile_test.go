@@ -247,8 +247,8 @@ func TestCompiledTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.Clauses() != 2 {
-		t.Fatalf("live clauses = %d, want 2 (dead clause dropped)", prog.Clauses())
+	if len(prog.clauseEnds) != 2 {
+		t.Fatalf("live clauses = %d, want 2 (dead clause dropped)", len(prog.clauseEnds))
 	}
 	if prog.Atoms() != 3 {
 		t.Fatalf("atoms = %d, want 3", prog.Atoms())

@@ -33,9 +33,14 @@ func TestToDataset(t *testing.T) {
 	if d.ClassValues[0] != ClassNonFailure || d.ClassValues[1] != ClassFailure {
 		t.Errorf("classes = %v", d.ClassValues)
 	}
-	counts := d.ClassCounts()
-	if counts[1] != camp.Failures() {
-		t.Errorf("positives = %d, failures = %d", counts[1], camp.Failures())
+	positives := 0
+	for i := range d.Instances {
+		if d.Instances[i].Class == 1 {
+			positives++
+		}
+	}
+	if positives != camp.Failures() {
+		t.Errorf("positives = %d, failures = %d", positives, camp.Failures())
 	}
 }
 

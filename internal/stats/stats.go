@@ -13,7 +13,6 @@ package stats
 
 import (
 	"errors"
-	"math"
 	"sort"
 )
 
@@ -37,9 +36,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of observations added so far.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean, or 0 if no observations were added.
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -52,9 +48,6 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n)
 }
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {

@@ -44,12 +44,12 @@ func TestWelfordAgainstDirect(t *testing.T) {
 
 func TestWelfordCounts(t *testing.T) {
 	var w Welford
-	if w.N() != 0 || w.Mean() != 0 || w.Variance() != 0 {
+	if w.n != 0 || w.Mean() != 0 || w.Variance() != 0 {
 		t.Fatalf("zero value not neutral: %+v", w)
 	}
 	w.Add(5)
-	if w.N() != 1 || w.Mean() != 5 {
-		t.Fatalf("after one add: n=%d mean=%v", w.N(), w.Mean())
+	if w.n != 1 || w.Mean() != 5 {
+		t.Fatalf("after one add: n=%d mean=%v", w.n, w.Mean())
 	}
 	if w.Variance() != 0 {
 		t.Fatalf("variance of single observation must be 0")
@@ -63,9 +63,6 @@ func TestWelfordSampleVariance(t *testing.T) {
 	}
 	if !almostEqual(w.Variance(), 4, 1e-9) {
 		t.Errorf("population variance = %v, want 4", w.Variance())
-	}
-	if !almostEqual(w.StdDev(), 2, 1e-9) {
-		t.Errorf("stddev = %v, want 2", w.StdDev())
 	}
 }
 

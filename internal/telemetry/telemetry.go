@@ -195,13 +195,6 @@ func (c *Counter) Value() int64 {
 // budget or grid size). A nil *Gauge absorbs updates.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores the gauge value. No-op on a nil gauge.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
 // Add adjusts the gauge by delta. No-op on a nil gauge.
 func (g *Gauge) Add(delta int64) {
 	if g != nil {
@@ -340,15 +333,6 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Mean returns the mean observation, or zero before any observation.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
 }
 
 // Quantile returns an upper bound for the q-quantile (0 <= q <= 1) from

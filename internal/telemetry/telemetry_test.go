@@ -13,7 +13,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(3)
 	r.Counter("x").Inc()
-	r.Gauge("g").Set(7)
+	r.Gauge("g").Add(7)
 	r.Gauge("g").Add(1)
 	r.Histogram("h").Observe(10)
 	r.Histogram("h").ObserveDuration(time.Second)
@@ -36,7 +36,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := r.Counter("runs").Value(); got != 6 {
 		t.Fatalf("counter = %d, want 6", got)
 	}
-	r.Gauge("budget").Set(8)
+	r.Gauge("budget").Add(8)
 	r.Gauge("budget").Add(-3)
 	if got := r.Gauge("budget").Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
@@ -50,9 +50,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if h.Sum() != 106 { // -5 clamps to 0
 		t.Fatalf("hist sum = %d, want 106", h.Sum())
-	}
-	if h.Mean() != 106.0/5 {
-		t.Fatalf("hist mean = %v", h.Mean())
 	}
 	if q := h.Quantile(1); q < 100 {
 		t.Fatalf("max quantile bound %d should cover 100", q)
@@ -99,7 +96,7 @@ func TestConcurrentCounters(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := New()
 	r.Counter("campaign.runs_injected").Add(42)
-	r.Gauge("workers").Set(4)
+	r.Gauge("workers").Add(4)
 	r.Histogram("cell_ns").Observe(1500)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
