@@ -221,7 +221,7 @@ func BenchmarkAblation_SplitCriterion(b *testing.B) {
 		tt := tt
 		b.Run(tt.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cv, err := eval.CrossValidate(context.Background(), tree.Learner{Config: tt.cfg}, d, eval.CVConfig{Folds: 10, Seed: 1})
+				cv, err := core.CrossValidate(context.Background(), tree.Learner{Config: tt.cfg}, d, core.Options{Folds: 10, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -249,7 +249,7 @@ func BenchmarkAblation_Pruning(b *testing.B) {
 		tt := tt
 		b.Run(tt.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cv, err := eval.CrossValidate(context.Background(), tree.Learner{Config: tt.cfg}, d, eval.CVConfig{Folds: 10, Seed: 1})
+				cv, err := core.CrossValidate(context.Background(), tree.Learner{Config: tt.cfg}, d, core.Options{Folds: 10, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -260,29 +260,27 @@ func BenchmarkAblation_Pruning(b *testing.B) {
 	}
 }
 
-// Ablation: SMOTE interpolation vs oversampling with replacement (q=0).
+// Ablation: SMOTE interpolation vs oversampling with replacement (q=0),
+// each a one-point refinement grid.
 
 func BenchmarkAblation_SMOTEvsReplacement(b *testing.B) {
 	d := benchDataset(b, "FG-B1")
-	transforms := []struct {
+	points := []struct {
 		name string
-		tf   eval.TrainTransform
+		cfg  core.SamplingConfig
 	}{
-		{"smote-500-k5", func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
-			return sampling.SMOTEView(st, eval.PositiveClass, 500, 5, rng)
-		}},
-		{"replacement-500", func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
-			return sampling.OversampleView(st, eval.PositiveClass, 500, rng)
-		}},
+		{"smote-500-k5", core.SamplingConfig{Kind: core.Smote, Percent: 500, K: 5}},
+		{"replacement-500", core.SamplingConfig{Kind: core.Oversampling, Percent: 500}},
 	}
-	for _, tt := range transforms {
+	for _, tt := range points {
 		tt := tt
 		b.Run(tt.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cv, err := eval.CrossValidate(context.Background(), tree.Learner{}, d, eval.CVConfig{Folds: 10, Seed: 1, Transform: tt.tf})
+				ref, err := core.Refine(context.Background(), d, []core.SamplingConfig{tt.cfg}, core.Options{Folds: 10, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
+				cv := ref.Evaluated[1].CV
 				b.ReportMetric(cv.MeanAUC, "AUC")
 				b.ReportMetric(cv.MeanTPR, "TPR")
 			}
@@ -306,7 +304,7 @@ func BenchmarkAblation_LearnerComparison(b *testing.B) {
 		l := l
 		b.Run(l.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cv, err := eval.CrossValidate(context.Background(), l, d, eval.CVConfig{Folds: 5, Seed: 1})
+				cv, err := core.CrossValidate(context.Background(), l, d, core.Options{Folds: 5, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -414,8 +412,8 @@ func BenchmarkMicro_CrossValidate(b *testing.B) {
 		w := w
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := eval.CVConfig{Folds: 10, Seed: 1, Workers: w}
-				if _, err := eval.CrossValidate(context.Background(), tree.Learner{}, d, cfg); err != nil {
+				opts := core.Options{Folds: 10, Seed: 1, Workers: w}
+				if _, err := core.CrossValidate(context.Background(), tree.Learner{}, d, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -60,12 +60,19 @@ func testGoldenTable(t *testing.T, table string) {
 	}
 	defer parallel.SetBudget(0)
 	out := captureStdout(t, func() error { return run(goldenArgs(table)) })
-	golden := filepath.Join("testdata", "golden", "table"+table+".txt")
+	checkGolden(t, "table"+table+".txt", out)
+}
+
+// checkGolden compares got with testdata/golden/name, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", "golden", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -74,9 +81,8 @@ func testGoldenTable(t *testing.T, table string) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	if out != string(want) {
-		t.Errorf("table %s output drifted from golden file %s\n%s",
-			table, golden, diffLines(string(want), out))
+	if got != string(want) {
+		t.Errorf("output drifted from golden file %s\n%s", golden, diffLines(string(want), got))
 	}
 }
 
@@ -107,6 +113,42 @@ func diffLines(want, got string) string {
 func TestGoldenTable2(t *testing.T) { testGoldenTable(t, "2") }
 func TestGoldenTable3(t *testing.T) { testGoldenTable(t, "3") }
 func TestGoldenTable4(t *testing.T) { testGoldenTable(t, "4") }
+
+// TestGoldenRun pins `edem run` end to end (Steps 1-4 and predicate
+// extraction): its stdout, whose baseline and refined lines carry the
+// cross-validation results, and the predicate -save writes. MG-B1 also
+// runs under -short, so every CI run checks one dataset.
+func TestGoldenRun(t *testing.T) {
+	defer parallel.SetBudget(0)
+	for _, id := range []string{"MG-B1", "KV-A2", "FG-A2", "7Z-B2"} {
+		t.Run(id, func(t *testing.T) {
+			if testing.Short() && id != "MG-B1" {
+				t.Skip("campaign and refinement grid; skipped in -short mode")
+			}
+			save := filepath.Join(t.TempDir(), "pred.json")
+			out := captureStdout(t, func() error {
+				return run([]string{"run", "-dataset", id, "-scale", "2", "-stride", "4", "-seed", "1", "-save", save})
+			})
+			pred, err := os.ReadFile(save)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "run-"+id+".txt", strings.ReplaceAll(out, save, "pred.json"))
+			checkGolden(t, "run-"+id+".pred.json", string(pred))
+		})
+	}
+}
+
+// TestGoldenRules pins `edem rules`: PRISM's cross-validated rates and
+// its rule-induction predicate.
+func TestGoldenRules(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign; skipped in -short mode")
+	}
+	defer parallel.SetBudget(0)
+	out := captureStdout(t, func() error { return run([]string{"rules", "-dataset", "MG-B1", "-scale", "2"}) })
+	checkGolden(t, "rules-MG-B1.txt", out)
+}
 
 // TestMetricsSnapshotCoversWallClock is the acceptance check for the
 // telemetry layer: a serial `edem tables -table 3 -metrics-out` run
@@ -141,9 +183,10 @@ func TestMetricsSnapshotCoversWallClock(t *testing.T) {
 			100*ratio, root, snap.WallNS)
 	}
 
-	// The pipeline counters must reflect a full 18-dataset Table III run.
-	if got := snap.Counters["eval.folds_evaluated"]; got != 18*10 {
-		t.Errorf("eval.folds_evaluated = %d, want %d", got, 18*10)
+	// The pipeline counters must reflect a full 18-dataset Table III
+	// run: one cross-validation cell per dataset and fold.
+	if got := snap.Counters["refine.cells_scored"]; got != 18*10 {
+		t.Errorf("refine.cells_scored = %d, want %d", got, 18*10)
 	}
 	for _, name := range []string{
 		"campaign.runs_injected", "campaign.states_sampled",
@@ -153,7 +196,7 @@ func TestMetricsSnapshotCoversWallClock(t *testing.T) {
 			t.Errorf("counter %s = %d, want > 0", name, snap.Counters[name])
 		}
 	}
-	for _, phase := range []string{"campaign", "preprocess", "baseline", "baseline/crossval"} {
+	for _, phase := range []string{"campaign", "preprocess", "baseline", "baseline/cell"} {
 		if snap.Phases[phase].Count == 0 {
 			t.Errorf("phase %s missing from snapshot", phase)
 		}

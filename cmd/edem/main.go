@@ -946,7 +946,7 @@ func cmdRules(args []string) error {
 		return err
 	}
 	learner := rules.PRISM{}
-	cv, err := eval.CrossValidate(ctx, learner, d, eval.CVConfig{Folds: opts.Folds, Seed: opts.Seed})
+	cv, err := core.CrossValidate(ctx, learner, d, *opts)
 	if err != nil {
 		return err
 	}

@@ -40,22 +40,6 @@ var deadExportKeeps = map[string]string{
 	"propane.Run":                       "the reference engine the fork and campaign equivalence tests compare against",
 	"serve.DecodeJSONRequest":           "the JSON decode kernel bench/tracer is to time (ROADMAP item 3)",
 	"core.CompareWithRangeCheckEA":      "source of EXPERIMENTS \"The headline contrast\" (paper §II-A), pinned by TestRangeCheckEAComparison",
-
-	// Round 3 of ROADMAP item 5.
-	"mining/eval.McNemar":         "round 3",
-	"mining/eval.PairedTTest":     "round 3",
-	"stats.Mean":                  "round 3",
-	"stats.Variance":              "round 3",
-	"stats.Median":                "round 3",
-	"stats.Min":                   "round 3",
-	"stats.Max":                   "round 3",
-	"stats.Clamp":                 "round 3",
-	"stats.RNG.NormFloat64":       "round 3",
-	"stats.RNG.Perm":              "round 3",
-	"serve.Client.EvaluateChunks": "round 3",
-	"serve.Client.Health":         "round 3",
-	"serve.Server.Generation":     "round 3",
-	"lifecycle.DecodeState":       "round 3",
 }
 
 // TestNoDeadExports type-checks every non-test file of the module and

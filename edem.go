@@ -359,10 +359,11 @@ type NopProbe = propane.NopProbe
 func Chain(probes ...Probe) Probe { return propane.Chain(probes...) }
 
 // CrossValidate runs stratified k-fold cross-validation of any learner
-// on a dataset; see internal/mining for the Learner interface. The ctx
-// cancels fold evaluation and carries the telemetry registry, if any.
-func CrossValidate(ctx context.Context, l mining.Learner, d *Dataset, cfg eval.CVConfig) (*CVResult, error) {
-	return eval.CrossValidate(ctx, l, d, cfg)
+// on a dataset (opts.Folds, opts.Seed and opts.Workers apply); see
+// internal/mining for the Learner interface. The ctx cancels fold
+// evaluation and carries the telemetry registry, if any.
+func CrossValidate(ctx context.Context, l mining.Learner, d *Dataset, opts Options) (*CVResult, error) {
+	return core.CrossValidate(ctx, l, d, opts)
 }
 
 // PredicateFromTree extracts the DNF detection predicate from an

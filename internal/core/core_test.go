@@ -203,9 +203,10 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRefineMatchesBaselineOnNoSampling checks that Refine's internal
-// evaluation of the untouched configuration reproduces Baseline exactly
-// (same folds, same learner).
+// TestRefineMatchesBaselineOnNoSampling checks that Baseline and
+// Refine's evaluation of the untouched configuration both reproduce the
+// unshared reference loop bit for bit in all five fields (same folds,
+// same learner).
 func TestRefineMatchesBaselineOnNoSampling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign; skipped in -short mode")
@@ -226,12 +227,19 @@ func TestRefineMatchesBaselineOnNoSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := refineReference(d, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	noSampling := ref.Evaluated[0]
 	if noSampling.Config.Kind != NoSampling {
 		t.Fatal("first evaluated config should be the baseline")
 	}
-	if noSampling.CV.MeanAUC != base.MeanAUC || noSampling.CV.MeanTPR != base.MeanTPR {
-		t.Errorf("refine baseline AUC %v != baseline %v", noSampling.CV.MeanAUC, base.MeanAUC)
+	if got, want := cvBits(base), cvBits(want.Evaluated[0].CV); got != want {
+		t.Errorf("baseline %x != reference %x", got, want)
+	}
+	if got, want := cvBits(noSampling.CV), cvBits(want.Evaluated[0].CV); got != want {
+		t.Errorf("refine NoSampling %x != reference %x", got, want)
 	}
 }
 

@@ -108,16 +108,13 @@ func DefaultLearner() tree.Learner { return tree.Learner{} }
 
 // Baseline runs Step 3: stratified k-fold cross-validation of the
 // baseline C4.5 configuration, producing one Table III row. The run is
-// recorded as a "baseline" telemetry phase (with the cross-validation
-// nested under it as "baseline/crossval").
+// recorded as a "baseline" telemetry phase, its cells as
+// "baseline/cell". It equals Refine's NoSampling column, which is where
+// RunMethodologyOn takes Step 3 from.
 func Baseline(ctx context.Context, d *dataset.Dataset, opts Options) (*eval.CVResult, error) {
 	ctx, span := telemetry.StartSpan(ctx, "baseline")
 	defer span.End()
-	return eval.CrossValidate(ctx, DefaultLearner(), d, eval.CVConfig{
-		Folds:   opts.folds(),
-		Seed:    opts.Seed,
-		Workers: opts.Workers,
-	})
+	return CrossValidate(ctx, DefaultLearner(), d, opts)
 }
 
 // RefineGrid returns the Step 4 search grid. The full grid is the
@@ -192,12 +189,9 @@ func RunMethodology(ctx context.Context, id string, grid []SamplingConfig, opts 
 }
 
 // RunMethodologyOn runs Steps 3-4 on an already-built dataset and fits
-// the final predicate.
+// the final predicate. Step 3 is not cross-validated separately: it is
+// Refine's first column, the untouched configuration on the same folds.
 func RunMethodologyOn(ctx context.Context, id string, d *dataset.Dataset, failures int, grid []SamplingConfig, opts Options) (*Report, error) {
-	baseline, err := Baseline(ctx, d, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: baseline %s: %w", id, err)
-	}
 	refined, err := Refine(ctx, d, grid, opts)
 	if err != nil {
 		return nil, err
@@ -215,7 +209,7 @@ func RunMethodologyOn(ctx context.Context, id string, d *dataset.Dataset, failur
 		ID:        id,
 		Instances: d.Len(),
 		Failures:  failures,
-		Baseline:  baseline,
+		Baseline:  refined.Evaluated[0].CV,
 		Refined:   refined,
 		Tree:      t,
 		Predicate: pred,

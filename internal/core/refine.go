@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"edem/internal/dataset"
+	"edem/internal/mining"
 	"edem/internal/mining/eval"
 	"edem/internal/mining/sampling"
 	"edem/internal/parallel"
@@ -18,40 +19,82 @@ import (
 // the SAME stratified folds as the baseline and the configuration with
 // the best mean AUC is selected (ties: fewer mean nodes). The baseline
 // configuration competes too, so refinement never reports a worse model
-// than Step 3.
-//
-// The unit of scheduling is one (configuration, fold) cell, so
-// parallelism scales to configurations × folds workers rather than
-// stopping at the fold count. Results are bit-identical for any worker
-// count: each cell derives its RNG from (seed, fold, config) alone, and
-// the per-fold shared artifacts (training partition, SMOTE neighbour
-// index) are built once on first use and only read afterwards.
+// than Step 3: Evaluated[0] is the untouched configuration, and its
+// result is Step 3's.
 func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts Options) (*RefineResult, error) {
 	ctx, span := telemetry.StartSpan(ctx, "refine")
 	defer span.End()
 	full := append([]SamplingConfig{{Kind: NoSampling}}, grid...)
+	telemetry.FromContext(ctx).Counter("refine.grid_configs").Add(int64(len(full)))
+	cvs, err := crossValidate(ctx, DefaultLearner(), d, full, opts)
+	if err != nil {
+		return nil, err
+	}
 
-	// Folds must match Baseline: same RNG construction as
-	// eval.CrossValidate with the same seed.
+	res := &RefineResult{}
+	for ci, cfg := range full {
+		cv := cvs[ci]
+		res.Evaluated = append(res.Evaluated, struct {
+			Config SamplingConfig
+			CV     *eval.CVResult
+		}{cfg, cv})
+		if res.BestCV == nil ||
+			cv.MeanAUC > res.BestCV.MeanAUC ||
+			(cv.MeanAUC == res.BestCV.MeanAUC && cv.MeanComp < res.BestCV.MeanComp) {
+			res.Best = cfg
+			res.BestCV = cv
+		}
+	}
+	return res, nil
+}
+
+// CrossValidate runs stratified k-fold cross-validation of learner l on
+// d with the training distribution untouched (paper §VII-C: "the data
+// was partitioned into 10 stratified samples; for each cross validation
+// run, one of the partitions was used as the test sample whilst the
+// other nine were used as the training set"). It is the cell loop of
+// Refine over the one NoSampling configuration, so with the default
+// learner it reproduces Refine's first column bit for bit.
+func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, opts Options) (*eval.CVResult, error) {
+	cvs, err := crossValidate(ctx, l, d, []SamplingConfig{{Kind: NoSampling}}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return cvs[0], nil
+}
+
+// crossValidate is the repository's one cross-validation loop: it
+// evaluates learner l under every configuration of configs on the
+// stratified folds of opts.Seed and returns one result per
+// configuration, in order. Fold rates are those of eval.PositiveClass,
+// the failure class; test folds always keep the natural distribution.
+//
+// The unit of scheduling is one (configuration, fold) cell, so
+// parallelism scales to configurations × folds workers rather than
+// stopping at the fold count. Results are bit-identical for any worker
+// count: each cell derives its RNG from (seed, fold, config) alone, the
+// per-fold shared artifacts (training store, SMOTE neighbour index) are
+// built once on first use and only read afterwards, and the per-cell
+// metrics are aggregated serially in fold order.
+func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, configs []SamplingConfig, opts Options) ([]*eval.CVResult, error) {
 	rng := stats.NewRNG(opts.Seed)
 	folds, err := dataset.StratifiedKFold(d, opts.folds(), rng)
 	if err != nil {
-		return nil, fmt.Errorf("core: refine folds: %w", err)
+		return nil, fmt.Errorf("core: cross-validation folds: %w", err)
 	}
 
 	maxK := 0
-	for _, cfg := range full {
+	for _, cfg := range configs {
 		if cfg.Kind == Smote && cfg.K > maxK {
 			maxK = cfg.K
 		}
 	}
 
-	nCfg := len(full)
+	nCfg := len(configs)
 	cells := make([]refineCell, nCfg*len(folds))
 	shared := make([]foldShared, len(folds))
 
 	reg := telemetry.FromContext(ctx)
-	reg.Counter("refine.grid_configs").Add(int64(nCfg))
 	cellsScored := reg.Counter("refine.cells_scored")
 	cellNS := reg.Histogram("refine.cell_ns")
 	ctrs := refineCounters{
@@ -70,9 +113,9 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 	err = parallel.ForEach(ctx, len(cells), opts.Workers, func(idx int) error {
 		_, cellSpan := telemetry.StartSpan(ctx, "cell")
 		fi, ci := idx/nCfg, idx%nCfg
-		if err := refineCellEval(d, folds[fi], &shared[fi], full[ci], maxK, opts, fi, ci, &cells[idx], ctrs); err != nil {
+		if err := refineCellEval(l, d, folds[fi], &shared[fi], configs[ci], maxK, opts, fi, ci, &cells[idx], ctrs); err != nil {
 			cellSpan.End()
-			return fmt.Errorf("core: refine fold %d %s: %w", fi, full[ci].Label(), err)
+			return fmt.Errorf("core: cross-validation fold %d %s: %w", fi, configs[ci].Label(), err)
 		}
 		cellNS.Observe(int64(cellSpan.End()))
 		cellsScored.Inc()
@@ -82,9 +125,8 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 		return nil, err
 	}
 
-	res := &RefineResult{}
-	for ci, cfg := range full {
-		cv := &eval.CVResult{}
+	cvs := make([]*eval.CVResult, nCfg)
+	for ci := range configs {
 		var aucW, tprW, fprW, compW stats.Welford
 		for fi := range folds {
 			cell := &cells[fi*nCfg+ci]
@@ -93,23 +135,15 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 			fprW.Add(cell.counts.FPR())
 			compW.Add(float64(cell.size))
 		}
-		cv.MeanAUC = aucW.Mean()
-		cv.MeanTPR = tprW.Mean()
-		cv.MeanFPR = fprW.Mean()
-		cv.MeanComp = compW.Mean()
-		cv.VarAUC = aucW.Variance()
-		res.Evaluated = append(res.Evaluated, struct {
-			Config SamplingConfig
-			CV     *eval.CVResult
-		}{cfg, cv})
-		if res.BestCV == nil ||
-			cv.MeanAUC > res.BestCV.MeanAUC ||
-			(cv.MeanAUC == res.BestCV.MeanAUC && cv.MeanComp < res.BestCV.MeanComp) {
-			res.Best = cfg
-			res.BestCV = cv
+		cvs[ci] = &eval.CVResult{
+			MeanTPR:  tprW.Mean(),
+			MeanFPR:  fprW.Mean(),
+			MeanAUC:  aucW.Mean(),
+			MeanComp: compW.Mean(),
+			VarAUC:   aucW.Variance(),
 		}
 	}
-	return res, nil
+	return cvs, nil
 }
 
 // refineCell is one (configuration, fold) evaluation.
@@ -169,12 +203,13 @@ func (s *foldShared) index(st *dataset.Store, maxK int, ctrs refineCounters) (*s
 // refineCellEval evaluates one configuration on one fold. The cell RNG
 // is seeded from (seed, fold, config) so the result does not depend on
 // which worker runs the cell or in what order. Each cell trains from a
-// per-configuration view of the fold's shared store; the shared
-// neighbour index yields the same views as per-cell neighbour searches,
-// so results do not depend on which cell built it. The view is released
-// once the model is scored, so the next cell on this worker reuses its
-// arrays; the model keeps none of them.
-func refineCellEval(d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg SamplingConfig, maxK int, opts Options, fi, ci int, cell *refineCell, ctrs refineCounters) error {
+// per-configuration view of the fold's shared store: a
+// mining.ViewFitter (C4.5) reads the view, any other learner fits its
+// materialisation. The shared neighbour index yields the same views as
+// per-cell neighbour searches, so results do not depend on which cell
+// built it. The view is released once the model is scored, so the next
+// cell on this worker reuses its arrays; the model keeps none of them.
+func refineCellEval(l mining.Learner, d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg SamplingConfig, maxK int, opts Options, fi, ci int, cell *refineCell, ctrs refineCounters) error {
 	st := sh.trainStore(d, fold, ctrs.storeBuilds)
 
 	rng := stats.NewRNG(opts.Seed ^ (uint64(fi+1) << 20) ^ uint64(ci+1))
@@ -198,7 +233,12 @@ func refineCellEval(d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg S
 		}
 	}
 	start = time.Now()
-	model, err := DefaultLearner().FitTreeView(v)
+	var model mining.Classifier
+	if vf, ok := l.(mining.ViewFitter); ok {
+		model, err = vf.FitView(v)
+	} else {
+		model, err = l.Fit(v.Materialize())
+	}
 	if err != nil {
 		return fmt.Errorf("fit: %w", err)
 	}
@@ -211,7 +251,7 @@ func refineCellEval(d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg S
 		}
 	}
 	cell.counts = cm.Binary(eval.PositiveClass)
-	cell.size = model.Size()
+	cell.size = mining.ModelSize(model)
 	v.Release()
 	return nil
 }

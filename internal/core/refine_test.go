@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"edem/internal/dataset"
+	"edem/internal/mining/eval"
 	"edem/internal/parallel"
 	"edem/internal/stats"
+	"edem/internal/telemetry"
 )
 
 // refineDataset builds a small imbalanced two-class dataset directly,
@@ -100,5 +104,64 @@ func TestRefineWorkerCountInvariant(t *testing.T) {
 		if serial.Best != par.Best {
 			t.Errorf("seed %d: winning config differs: %+v vs %+v", seed, serial.Best, par.Best)
 		}
+	}
+}
+
+// cvBits returns the bit patterns of a cross-validation result's five
+// fields, so results compare exactly (NaN and -0 included).
+func cvBits(cv *eval.CVResult) [5]uint64 {
+	return [5]uint64{
+		math.Float64bits(cv.MeanTPR), math.Float64bits(cv.MeanFPR), math.Float64bits(cv.MeanAUC),
+		math.Float64bits(cv.MeanComp), math.Float64bits(cv.VarAUC),
+	}
+}
+
+// TestRunMethodologyCrossValidatesOnce pins that Steps 3 and 4 share
+// one cross-validation pass: RunMethodologyOn scores (len(grid)+1) ×
+// folds cells, all inside Refine, and Step 3's result is Refine's
+// NoSampling column.
+func TestRunMethodologyCrossValidatesOnce(t *testing.T) {
+	d := refineDataset(200, 5)
+	grid := []SamplingConfig{
+		{Kind: Undersampling, Percent: 50},
+		{Kind: Oversampling, Percent: 300},
+		{Kind: Smote, Percent: 300, K: 3},
+	}
+	opts := DefaultOptions()
+	opts.Folds = 5
+	reg := telemetry.New()
+	ctx := telemetry.WithRegistry(context.Background(), reg)
+	rep, err := RunMethodologyOn(ctx, "refine", d, 0, grid, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	want := int64((len(grid) + 1) * opts.Folds)
+	if got := snap.Counters["refine.cells_scored"]; got != want {
+		t.Errorf("refine.cells_scored = %d, want %d", got, want)
+	}
+	if got := snap.Hists["refine.induce_ns"].Count; got != want {
+		t.Errorf("%d models induced, want %d", got, want)
+	}
+	var phases []string
+	for path := range snap.Phases {
+		phases = append(phases, path)
+	}
+	sort.Strings(phases)
+	if !reflect.DeepEqual(phases, []string{"refine", "refine/cell"}) {
+		t.Errorf("phases = %v, want only refine and refine/cell", phases)
+	}
+	if rep.Refined.Evaluated[0].Config.Kind != NoSampling {
+		t.Fatal("first evaluated config should be the baseline")
+	}
+	if got, want := cvBits(rep.Baseline), cvBits(rep.Refined.Evaluated[0].CV); got != want {
+		t.Errorf("Report.Baseline %x != Refined.Evaluated[0].CV %x", got, want)
+	}
+	base, err := Baseline(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cvBits(base), cvBits(rep.Baseline); got != want {
+		t.Errorf("Baseline %x != Report.Baseline %x", got, want)
 	}
 }

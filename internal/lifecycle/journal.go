@@ -31,18 +31,45 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if needed) an append-only journal file,
-// creating parent directories as required.
+// creating parent directories as required. A file that ends in a torn
+// fragment (a kill mid-append) gets the fragment's line terminated
+// first, so the next record starts on a line of its own: the fragment
+// stays the one torn line and no acknowledged record is glued onto it.
 func OpenJournal(path string) (*Journal, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if err := terminateTornTail(f); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return &Journal{f: f}, nil
+}
+
+// terminateTornTail appends a newline, fsynced, when f is non-empty and
+// does not end in one.
+func terminateTornTail(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, fi.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	if _, err := f.Write([]byte{'\n'}); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Append marshals one record, appends it as a newline-terminated JSON

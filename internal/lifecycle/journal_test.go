@@ -1,9 +1,11 @@
 package lifecycle
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"edem/internal/telemetry"
@@ -39,7 +41,7 @@ func TestFeedbackJournalRoundTrip(t *testing.T) {
 		t.Fatalf("records mangled: %+v", got)
 	}
 	// Non-finite state survives bit-exactly.
-	vals, err := DecodeState(got[1].State)
+	vals, err := decodeState(got[1].State)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +88,9 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatalf("got %d records, want the 3 complete ones", len(recs))
 	}
 
-	// Appends continue cleanly after the torn tail: the new record
-	// starts on its own line... actually it continues the torn line —
-	// which is exactly why readers must tolerate one lost record per
-	// crash, and why the count stays at one.
+	// Appends continue cleanly after the torn tail: reopening
+	// terminates the fragment's line, so the new record starts on its
+	// own line and the fragment stays the one torn line.
 	j2, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +101,63 @@ func TestJournalTornTail(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, torn2, err := ReadDiffs(path)
+	recs2, torn2, err := ReadDiffs(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if torn2 != 1 {
 		t.Fatalf("torn after continued appends = %d, want still 1", torn2)
+	}
+	if len(recs2) != 4 || recs2[3].Detector != "e" {
+		t.Fatalf("got %d records, want the 3 complete ones plus the appended one", len(recs2))
+	}
+}
+
+// TestJournalAppendAfterTornTail pins crash recovery: an acknowledged
+// (fsynced) record appended after reopening a journal with a torn tail
+// must read back, and reopening a clean journal must leave it
+// byte-identical.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), FeedbackName)
+	if err := os.WriteFile(path, []byte(`{"detector":"a","alarm":tr`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FeedbackRecord{UnixMS: 7, Detector: "b", Alarm: true, Outcome: OutcomeTrueAlarm, Source: SourceOperator}
+	if err := j.Append(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, torn, err := ReadFeedback(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn != 1 || len(recs) != 1 || recs[0].Detector != "b" || recs[0].UnixMS != 7 {
+		t.Fatalf("recs=%+v torn=%d, want the appended record and 1 torn line", recs, torn)
+	}
+
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err = OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatalf("reopening a clean journal changed it: %q -> %q", before, after)
 	}
 }
 
@@ -196,4 +248,20 @@ func TestMonitorRollbackVerdict(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("rollback verdict after reset fired %d times, want once", fired)
 	}
+}
+
+// decodeState parses the EncodeState transport back into float64s.
+func decodeState(hex []string) ([]float64, error) {
+	if hex == nil {
+		return nil, nil
+	}
+	out := make([]float64, len(hex))
+	for i, s := range hex {
+		bits, err := strconv.ParseUint(s, 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("lifecycle: bad state bits %q: %w", s, err)
+		}
+		out[i] = math.Float64frombits(bits)
+	}
+	return out, nil
 }

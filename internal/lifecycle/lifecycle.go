@@ -147,19 +147,3 @@ func EncodeState(vals []float64) []string {
 	}
 	return out
 }
-
-// DecodeState parses the EncodeState transport back into float64s.
-func DecodeState(hex []string) ([]float64, error) {
-	if hex == nil {
-		return nil, nil
-	}
-	out := make([]float64, len(hex))
-	for i, s := range hex {
-		bits, err := strconv.ParseUint(s, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("lifecycle: bad state bits %q: %w", s, err)
-		}
-		out[i] = math.Float64frombits(bits)
-	}
-	return out, nil
-}

@@ -1,16 +1,15 @@
-// Package eval implements the evaluation machinery of paper §IV: the
-// confusion matrix (Table I), the derived metrics (sensitivity,
+// Package eval implements the evaluation metrics of paper §IV: the
+// confusion matrix (Table I) and the derived metrics (sensitivity,
 // specificity, the single-model trapezoid AUC, F1, geometric mean,
 // Euclidean distance from the perfect classifier, expected
-// misclassification cost) and stratified k-fold cross-validation.
+// misclassification cost), plus CVResult, the per-fold means a
+// cross-validation reports.
 //
-// Role in the methodology: the measurement harness of Steps 3 and 4 —
-// every Table III/IV figure is a CrossValidate output. Concurrency:
-// CrossValidate runs folds in parallel on the shared internal/parallel
-// budget; per-fold RNGs are derived from (seed, fold index) alone and
-// results land in indexed slots, so output is bit-identical for any
-// worker count. Metric types are plain values; share them only
-// read-only.
+// Role in the methodology: the measurement vocabulary of Steps 3 and 4.
+// The cross-validation loop itself is core's (Refine's cell engine,
+// which Baseline and CrossValidate share); every Table III/IV figure is
+// a CVResult it produced from per-fold BinaryCounts. Metric types are
+// plain values; share them only read-only.
 package eval
 
 import (
@@ -22,6 +21,17 @@ import (
 // PositiveClass is the conventional index of the concept class
 // (failure-inducing states) in binary fault-injection datasets.
 const PositiveClass = 1
+
+// CVResult aggregates a k-fold cross-validation in the form reported by
+// Tables III and IV: mean FPR/TPR/AUC across folds, mean model
+// complexity, and the across-fold AUC variance.
+type CVResult struct {
+	MeanTPR  float64
+	MeanFPR  float64
+	MeanAUC  float64
+	MeanComp float64
+	VarAUC   float64
+}
 
 // ConfusionMatrix cross-tabulates actual vs predicted class labels.
 // Cells are weighted counts: CM[i][j] is the total weight of instances
@@ -49,19 +59,6 @@ func (cm *ConfusionMatrix) Record(actual, predicted int, weight float64) error {
 		return fmt.Errorf("eval: class out of range: actual=%d predicted=%d n=%d", actual, predicted, n)
 	}
 	cm.Cells[actual][predicted] += weight
-	return nil
-}
-
-// Merge adds another matrix over the same classes into cm.
-func (cm *ConfusionMatrix) Merge(other *ConfusionMatrix) error {
-	if len(other.Classes) != len(cm.Classes) {
-		return fmt.Errorf("eval: merging %d-class matrix into %d-class matrix", len(other.Classes), len(cm.Classes))
-	}
-	for i := range cm.Cells {
-		for j := range cm.Cells[i] {
-			cm.Cells[i][j] += other.Cells[i][j]
-		}
-	}
 	return nil
 }
 

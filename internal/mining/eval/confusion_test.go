@@ -53,23 +53,6 @@ func TestRecordValidation(t *testing.T) {
 	}
 }
 
-func TestMergeMatrices(t *testing.T) {
-	a := NewConfusionMatrix([]string{"a", "b"})
-	_ = a.Record(0, 0, 2)
-	b := NewConfusionMatrix([]string{"a", "b"})
-	_ = b.Record(1, 0, 3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Cells[0][0] != 2 || a.Cells[1][0] != 3 {
-		t.Fatalf("merged cells = %v", a.Cells)
-	}
-	c := NewConfusionMatrix([]string{"a"})
-	if err := a.Merge(c); err == nil {
-		t.Error("mismatched classes should fail")
-	}
-}
-
 func TestBinaryMetrics(t *testing.T) {
 	b := mkBinary(40, 10, 5, 45)
 	if got := b.TPR(); got != 0.8 {

@@ -5,15 +5,16 @@
 // Concrete algorithms live in subpackages: tree (C4.5 decision tree
 // induction, the methodology's learner), rules (PRISM, the symbolic
 // alternative behind edem rules) and attrsel (variable ranking); eval
-// provides confusion-matrix metrics and stratified cross-validation;
-// sampling provides SMOTE and random over/undersampling for
-// class-imbalance handling. The deleted comparator learners are
+// provides the confusion-matrix metrics; sampling provides SMOTE and
+// random over/undersampling for class-imbalance handling. The
+// cross-validation loop is core's (core.CrossValidate and the
+// refinement grid share it). The deleted comparator learners are
 // recorded in EXPERIMENTS.md ("Learner comparison").
 //
 // Training data reaches a learner one way: as a dataset.View of a
 // columnar dataset.Store (DESIGN.md §10). Cross-validation builds a
-// store per fold, applies the sampling view, and calls FitView on a
-// ViewFitter (C4.5) or Fit on the materialised view otherwise.
+// store per fold, applies each cell's sampling view, and calls FitView
+// on a ViewFitter (C4.5) or Fit on the materialised view otherwise.
 //
 // Role in the methodology: Steps 3 and 4 (model generation and
 // refinement) program against these interfaces. Ownership/concurrency
@@ -22,7 +23,7 @@
 // fitted Classifier is immutable and safe for concurrent Classify
 // calls, and a Learner value itself is safe to share across goroutines
 // because Fit keeps its working state on the stack or in per-call
-// allocations (fold- and cell-level parallelism rely on this).
+// allocations (cross-validation cells run in parallel and rely on this).
 package mining
 
 import "edem/internal/dataset"

@@ -1,8 +1,8 @@
 // Package parallel is the shared bounded work scheduler used by every
 // hot loop in the repository: fault-injection campaigns (propane.Run),
-// cross-validation folds (eval.CrossValidate), the refinement grid's
-// (configuration × fold) cells (core.Refine) and the per-dataset table
-// loops (core.Table3Rows / core.Table4Rows).
+// the (configuration × fold) cross-validation cells of core.Refine's
+// engine (which core.Baseline and core.CrossValidate share) and the
+// per-dataset table loops (core.Table3Rows / core.Table4Rows).
 //
 // The design solves two problems the previous per-package worker pools
 // had:

@@ -129,55 +129,6 @@ func (c *Client) Evaluate(ctx context.Context, detector string, samples []Sample
 	return out, nil
 }
 
-// EvaluateChunks re-validates a large batch by splitting it into
-// chunks of at most chunk samples (default 256), evaluating each with
-// the full retry policy, and merging the responses — alarms are
-// re-indexed into the caller's 1-based sample numbering.
-func (c *Client) EvaluateChunks(ctx context.Context, detector string, samples []Sample, chunk int) (*EvalResponse, error) {
-	if chunk <= 0 {
-		chunk = 256
-	}
-	out := &EvalResponse{Detector: detector}
-	for lo := 0; lo < len(samples); lo += chunk {
-		hi := lo + chunk
-		if hi > len(samples) {
-			hi = len(samples)
-		}
-		resp, err := c.Evaluate(ctx, detector, samples[lo:hi])
-		if err != nil {
-			return nil, fmt.Errorf("serve: chunk [%d,%d): %w", lo, hi, err)
-		}
-		if resp.Degraded != "" && out.Degraded == "" {
-			out.Degraded = resp.Degraded
-		}
-		out.Verdicts = append(out.Verdicts, resp.Verdicts...)
-		for _, a := range resp.Alarms {
-			out.Alarms = append(out.Alarms, lo+a)
-		}
-		out.Evaluated += resp.Evaluated
-	}
-	return out, nil
-}
-
-// Health fetches /healthz; it does not retry (health checks must
-// reflect the instant, not the trend).
-func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	var h HealthResponse
-	if err := json.NewDecoder(io.LimitReader(res.Body, 1<<16)).Decode(&h); err != nil {
-		return nil, fmt.Errorf("serve: health: %w", err)
-	}
-	return &h, nil
-}
-
 // post performs one attempt and maps non-2xx statuses to StatusError.
 // The response codec follows the response Content-Type (the server
 // mirrors the request codec for evaluations; errors stay JSON).

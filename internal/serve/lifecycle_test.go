@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"edem/internal/lifecycle"
@@ -156,7 +157,7 @@ func TestCanaryAutoRollback(t *testing.T) {
 	if _, err := s.LoadShadow(writeBundleFile(t, cand)); err != nil {
 		t.Fatal(err)
 	}
-	liveGen := s.Generation()
+	liveGen := generation(s)
 	if _, err := s.Promote(50); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestCanaryAutoRollback(t *testing.T) {
 	if st.State != "idle" {
 		t.Fatalf("state after regression = %q, want idle (auto rollback)", st.State)
 	}
-	if got := s.Generation(); got != liveGen {
+	if got := generation(s); got != liveGen {
 		t.Fatalf("live generation changed across canary rollback: %d -> %d", liveGen, got)
 	}
 	if st.LastRollback == "" {
@@ -352,9 +353,8 @@ func TestFeedbackJournalled(t *testing.T) {
 	if rec.Detector != "d1" || rec.Outcome != lifecycle.OutcomeFalseAlarm || rec.Source != lifecycle.SourceOperator {
 		t.Fatalf("bad record: %+v", rec)
 	}
-	vals, err := lifecycle.DecodeState(rec.State)
-	if err != nil || len(vals) != 1 || vals[0] != 101.5 {
-		t.Fatalf("state round-trip: %v %v", vals, err)
+	if want := lifecycle.EncodeState([]float64{101.5}); !reflect.DeepEqual(rec.State, want) {
+		t.Fatalf("state = %v, want %v", rec.State, want)
 	}
 	if rec.Generation != 1 {
 		t.Fatalf("generation = %d, want 1", rec.Generation)
@@ -376,7 +376,7 @@ func TestCanaryServesCandidateGeneration(t *testing.T) {
 	if _, err := s.Promote(99); err != nil {
 		t.Fatal(err)
 	}
-	liveGen := s.Generation()
+	liveGen := generation(s)
 	seen := map[uint64]int{}
 	for i := 0; i < 100; i++ {
 		code, resp, _ := postEval(t, hs.URL, EvalRequest{Detector: "d1", Samples: []Sample{{0}}})
@@ -407,14 +407,14 @@ func TestAdminRollbackRejectsMalformedBody(t *testing.T) {
 	if _, err := s.LoadShadow(writeBundleFile(t, cand)); err != nil {
 		t.Fatal(err)
 	}
-	gen := s.Generation()
+	gen := generation(s)
 	for _, body := range []string{`{"reason": "bad canary"`, `{"reason": 1}`, `[`} {
 		if code := postAdmin(t, hs.URL+"/admin/rollback", body); code != http.StatusBadRequest {
 			t.Fatalf("rollback with body %q: status %d, want 400", body, code)
 		}
 	}
-	if st := s.lifecycleState(); st != "shadow" || s.Generation() != gen {
-		t.Fatalf("after malformed rollbacks: state %q generation %d, want shadow and %d", st, s.Generation(), gen)
+	if st := s.lifecycleState(); st != "shadow" || generation(s) != gen {
+		t.Fatalf("after malformed rollbacks: state %q generation %d, want shadow and %d", st, generation(s), gen)
 	}
 	if code := postAdmin(t, hs.URL+"/admin/rollback", ""); code != http.StatusOK {
 		t.Fatalf("empty-body rollback: status %d, want 200", code)

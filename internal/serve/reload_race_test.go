@@ -178,7 +178,7 @@ func TestServeReloadHammerRace(t *testing.T) {
 			if _, err := s.Reload(""); err != nil { // the SIGHUP behaviour
 				t.Fatalf("SIGHUP reload %d: %v", k, err)
 			}
-			if got := s.Generation(); got != gen {
+			if got := generation(s); got != gen {
 				t.Fatalf("SIGHUP reload %d: generation %d, want %d", k, got, gen)
 			}
 		}
@@ -282,7 +282,7 @@ func TestServeChunkedAgreesWithDetectorVisit(t *testing.T) {
 
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {
 		cl := &Client{Base: hs.URL, Codec: codec}
-		resp, err := cl.EvaluateChunks(context.Background(), "A1", samples, 7)
+		resp, err := evaluateChunks(context.Background(), cl, "A1", samples, 7)
 		if err != nil {
 			t.Fatalf("%v: %v", codec, err)
 		}
@@ -367,8 +367,8 @@ func TestServeRefusesUncompilableBundle(t *testing.T) {
 		if res.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("%s: reload to an uncompilable bundle: code %d, want 500", name, res.StatusCode)
 		}
-		if s.Generation() != 1 || reg.Counter("serve.reloads").Value() != 0 {
-			t.Fatalf("%s: failed reload moved the server to generation %d", name, s.Generation())
+		if generation(s) != 1 || reg.Counter("serve.reloads").Value() != 0 {
+			t.Fatalf("%s: failed reload moved the server to generation %d", name, generation(s))
 		}
 		code, ok, _ := postEval(t, hs.URL, EvalRequest{Detector: "D1", Samples: []Sample{{500}}})
 		if code != http.StatusOK || len(ok.Alarms) != 1 || ok.BundleGeneration != 1 {

@@ -307,12 +307,6 @@ func (s *Server) Detectors() []string {
 	return append([]string(nil), s.bundle.Load().ids...)
 }
 
-// Generation reports the monotone generation number of the currently
-// loaded bundle (1 for the initial load, +1 per successful reload).
-func (s *Server) Generation() uint64 {
-	return s.bundle.Load().gen
-}
-
 // evaluate runs one admitted request's batch. ctx bounds everything,
 // including the synthetic AllowDelay sleep.
 func (s *Server) evaluate(ctx context.Context, det *servedDetector, samples []Sample, delay time.Duration) ([]bool, error) {

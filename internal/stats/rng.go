@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via splitmix64). Every stochastic component in
 // the repository takes an *RNG rather than using a global source, so
@@ -53,42 +51,10 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns a standard normal variate (Box-Muller).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u <= 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Fork derives an independent generator from the current stream. Forked
-// generators let parallel campaign workers stay deterministic regardless
-// of scheduling order.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
@@ -62,23 +59,6 @@ func TestRNGIntnPanicsOnBadN(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(11)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestRNGShufflePreservesMultiset(t *testing.T) {
 	r := NewRNG(13)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -110,36 +90,5 @@ func TestRNGUniformity(t *testing.T) {
 		if n < want*9/10 || n > want*11/10 {
 			t.Errorf("bucket %d has %d draws, want ~%d", b, n, want)
 		}
-	}
-}
-
-func TestRNGNormFloat64Moments(t *testing.T) {
-	r := NewRNG(5)
-	var w Welford
-	for i := 0; i < 50000; i++ {
-		w.Add(r.NormFloat64())
-	}
-	if math.Abs(w.Mean()) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", w.Mean())
-	}
-	if math.Abs(w.Variance()-1) > 0.05 {
-		t.Errorf("normal variance = %v, want ~1", w.Variance())
-	}
-}
-
-func TestRNGForkIndependence(t *testing.T) {
-	r := NewRNG(1)
-	f1 := r.Fork()
-	f2 := r.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Error("consecutive forks should start differently")
-	}
-	// Forking is itself deterministic.
-	r1 := NewRNG(1)
-	g1 := r1.Fork()
-	r2 := NewRNG(1)
-	g2 := r2.Fork()
-	if g1.Uint64() != g2.Uint64() {
-		t.Error("forks of identical parents should match")
 	}
 }

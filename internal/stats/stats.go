@@ -1,5 +1,5 @@
 // Package stats provides small numeric helpers shared by the mining and
-// evaluation packages: running moments, simple descriptive statistics and
+// evaluation packages: running moments, the normal quantile and
 // a deterministic pseudo-random source used throughout the repository.
 //
 // Role in the methodology: cross-cutting numeric support — the RNG is
@@ -10,15 +10,6 @@
 // objects — derive one per work item rather than sharing; the pure
 // functions (NormalInverse etc.) are safe everywhere.
 package stats
-
-import (
-	"errors"
-	"sort"
-)
-
-// ErrEmpty is returned by descriptive statistics that are undefined on an
-// empty sample.
-var ErrEmpty = errors.New("stats: empty sample")
 
 // Welford accumulates mean and variance in a single pass using Welford's
 // online algorithm. The zero value is ready to use.
@@ -47,82 +38,4 @@ func (w *Welford) Variance() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
-}
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Variance(), nil
-}
-
-// Median returns the median of xs without modifying the input.
-func Median(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	mid := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[mid], nil
-	}
-	return (cp[mid-1] + cp[mid]) / 2, nil
-}
-
-// Min returns the minimum of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

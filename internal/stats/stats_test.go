@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -63,67 +62,6 @@ func TestWelfordSampleVariance(t *testing.T) {
 	}
 	if !almostEqual(w.Variance(), 4, 1e-9) {
 		t.Errorf("population variance = %v, want 4", w.Variance())
-	}
-}
-
-func TestDescriptiveStats(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	mean, err := Mean(xs)
-	if err != nil || !almostEqual(mean, 3.875, 1e-12) {
-		t.Errorf("Mean = %v, %v", mean, err)
-	}
-	med, err := Median(xs)
-	if err != nil || med != 3.5 {
-		t.Errorf("Median = %v, %v", med, err)
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	if mn != 1 || mx != 9 {
-		t.Errorf("Min/Max = %v/%v", mn, mx)
-	}
-	v, err := Variance(xs)
-	if err != nil || v <= 0 {
-		t.Errorf("Variance = %v, %v", v, err)
-	}
-}
-
-func TestDescriptiveStatsEmpty(t *testing.T) {
-	for name, fn := range map[string]func([]float64) (float64, error){
-		"Mean": Mean, "Median": Median, "Min": Min, "Max": Max, "Variance": Variance,
-	} {
-		if _, err := fn(nil); !errors.Is(err, ErrEmpty) {
-			t.Errorf("%s(nil) error = %v, want ErrEmpty", name, err)
-		}
-	}
-}
-
-func TestMedianOdd(t *testing.T) {
-	med, err := Median([]float64{9, 1, 5})
-	if err != nil || med != 5 {
-		t.Fatalf("Median = %v, %v", med, err)
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Median(xs); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("Median mutated input: %v", xs)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	for _, tt := range []struct{ x, lo, hi, want float64 }{
-		{5, 0, 10, 5},
-		{-1, 0, 10, 0},
-		{11, 0, 10, 10},
-		{0, 0, 0, 0},
-	} {
-		if got := Clamp(tt.x, tt.lo, tt.hi); got != tt.want {
-			t.Errorf("Clamp(%v,%v,%v) = %v, want %v", tt.x, tt.lo, tt.hi, got, tt.want)
-		}
 	}
 }
 

@@ -4,9 +4,9 @@
 // and aggregate per-phase wall-clock, call counts and heap allocations.
 //
 // Every instrumented layer — fault-injection campaigns (propane.Run),
-// preprocessing (core.Preprocess), baseline cross-validation
-// (core.Baseline, eval.CrossValidate), the refinement grid's cells
-// (core.Refine) and detector re-validation (core.ValidateDetector) —
+// preprocessing (core.Preprocess), cross-validation cells (core.Refine's
+// engine, which core.Baseline and core.CrossValidate share) and detector
+// re-validation (core.ValidateDetector) —
 // reports into whichever Registry is active. A Registry reaches the
 // pipeline one of two ways:
 //
