@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"edem/internal/dataset"
@@ -69,13 +68,16 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, op
 // configuration, in order. Fold rates are those of eval.PositiveClass,
 // the failure class; test folds always keep the natural distribution.
 //
-// The unit of scheduling is one (configuration, fold) cell, so
-// parallelism scales to configurations × folds workers rather than
-// stopping at the fold count. Results are bit-identical for any worker
-// count: each cell derives its RNG from (seed, fold, config) alone, the
-// per-fold shared artifacts (training store, SMOTE neighbour index) are
-// built once on first use and only read afterwards, and the per-cell
-// metrics are aggregated serially in fold order.
+// It runs in two stages. First every fold's shared artifacts — its
+// training store (DESIGN.md §10) and, when the grid has SMOTE points,
+// the minority neighbour index over it — are built, one fold per task.
+// Then the cells run: the unit of scheduling is one (configuration,
+// fold) cell, so parallelism scales to configurations × folds workers
+// rather than stopping at the fold count, and no cell waits on another
+// cell's build. Results are bit-identical for any worker count: each
+// cell derives its RNG from (seed, fold, config) alone, the fold
+// artifacts are only read by the cells, and the per-cell metrics are
+// aggregated serially in fold order.
 func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, configs []SamplingConfig, opts Options) ([]*eval.CVResult, error) {
 	rng := stats.NewRNG(opts.Seed)
 	folds, err := dataset.StratifiedKFold(d, opts.folds(), rng)
@@ -90,30 +92,46 @@ func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, co
 		}
 	}
 
-	nCfg := len(configs)
-	cells := make([]refineCell, nCfg*len(folds))
-	shared := make([]foldShared, len(folds))
-
 	reg := telemetry.FromContext(ctx)
 	cellsScored := reg.Counter("refine.cells_scored")
 	cellNS := reg.Histogram("refine.cell_ns")
 	ctrs := refineCounters{
-		storeBuilds: reg.Counter("refine.store_builds"),
 		viewHits:    reg.Counter("refine.view_hits"),
+		generalFits: reg.Counter("refine.general_fits"),
 		mergeSyn:    reg.Counter("refine.merge_synthetic_rows"),
-		indexBuilds: reg.Counter("refine.index_builds"),
-		indexNS:     reg.Histogram("refine.index_ns"),
 		viewNS:      reg.Histogram("refine.view_ns"),
 		induceNS:    reg.Histogram("refine.induce_ns"),
 	}
 
+	shared := make([]foldShared, len(folds))
+	storeBuilds := reg.Counter("refine.store_builds")
+	indexBuilds := reg.Counter("refine.index_builds")
+	indexNS := reg.Histogram("refine.index_ns")
+	err = parallel.ForEach(ctx, len(folds), opts.Workers, func(fi int) error {
+		sh := &shared[fi]
+		sh.store = dataset.NewStore(d, folds[fi].Train)
+		storeBuilds.Inc()
+		if maxK > 0 {
+			start := time.Now()
+			sh.ni, sh.niErr = sampling.BuildViewIndex(sh.store, eval.PositiveClass, maxK)
+			indexNS.ObserveDuration(time.Since(start))
+			indexBuilds.Inc()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	nCfg := len(configs)
+	cells := make([]refineCell, nCfg*len(folds))
 	// Cell index layout: fold-major, so the cells of one fold are
-	// adjacent in the claim order and the fold's lazily-built artifacts
-	// are hot when its remaining cells run.
+	// adjacent in the claim order and share the fold's artifacts while
+	// they are hot.
 	err = parallel.ForEach(ctx, len(cells), opts.Workers, func(idx int) error {
 		_, cellSpan := telemetry.StartSpan(ctx, "cell")
 		fi, ci := idx/nCfg, idx%nCfg
-		if err := refineCellEval(l, d, folds[fi], &shared[fi], configs[ci], maxK, opts, fi, ci, &cells[idx], ctrs); err != nil {
+		if err := refineCellEval(l, d, folds[fi], &shared[fi], configs[ci], opts, fi, ci, &cells[idx], ctrs); err != nil {
 			cellSpan.End()
 			return fmt.Errorf("core: cross-validation fold %d %s: %w", fi, configs[ci].Label(), err)
 		}
@@ -153,51 +171,25 @@ type refineCell struct {
 }
 
 // foldShared holds the artifacts every cell of one fold reads: the
-// columnar training store (DESIGN.md §10) and (when the grid contains
-// SMOTE points) the minority neighbour index over it. Both are built
-// exactly once, by whichever cell of the fold is scheduled first, and
-// are immutable afterwards.
+// columnar training store and (when the grid contains SMOTE points) the
+// minority neighbour index over it, or the error building it, which
+// the fold's SMOTE cells report. Both are built before any cell runs
+// and are immutable afterwards.
 type foldShared struct {
-	storeOnce sync.Once
-	store     *dataset.Store
-
-	niOnce sync.Once
-	ni     *sampling.NeighborIndex
-	niErr  error
+	store *dataset.Store
+	ni    *sampling.NeighborIndex
+	niErr error
 }
 
-// refineCounters carries the telemetry handles hoisted out of the cell
-// loop; the counters and the histograms' counts are
-// worker-count-invariant by construction.
+// refineCounters carries the cell loop's telemetry handles; the
+// counters and the histograms' counts are worker-count-invariant by
+// construction.
 type refineCounters struct {
-	storeBuilds *telemetry.Counter
 	viewHits    *telemetry.Counter
+	generalFits *telemetry.Counter
 	mergeSyn    *telemetry.Counter
-	indexBuilds *telemetry.Counter
-	indexNS     *telemetry.Histogram
 	viewNS      *telemetry.Histogram
 	induceNS    *telemetry.Histogram
-}
-
-func (s *foldShared) trainStore(d *dataset.Dataset, fold dataset.Fold, storeBuilds *telemetry.Counter) *dataset.Store {
-	s.storeOnce.Do(func() {
-		s.store = dataset.NewStore(d, fold.Train)
-		storeBuilds.Inc()
-	})
-	return s.store
-}
-
-func (s *foldShared) index(st *dataset.Store, maxK int, ctrs refineCounters) (*sampling.NeighborIndex, error) {
-	s.niOnce.Do(func() {
-		start := time.Now()
-		s.ni, s.niErr = sampling.BuildViewIndex(st, eval.PositiveClass, maxK)
-		ctrs.indexNS.ObserveDuration(time.Since(start))
-		ctrs.indexBuilds.Inc()
-		if s.niErr != nil {
-			s.niErr = fmt.Errorf("neighbour index: %w", s.niErr)
-		}
-	})
-	return s.ni, s.niErr
 }
 
 // refineCellEval evaluates one configuration on one fold. The cell RNG
@@ -206,27 +198,28 @@ func (s *foldShared) index(st *dataset.Store, maxK int, ctrs refineCounters) (*s
 // per-configuration view of the fold's shared store: a
 // mining.ViewFitter (C4.5) reads the view, any other learner fits its
 // materialisation. The shared neighbour index yields the same views as
-// per-cell neighbour searches, so results do not depend on which cell
-// built it. The view is released once the model is scored, so the next
-// cell on this worker reuses its arrays; the model keeps none of them.
-func refineCellEval(l mining.Learner, d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg SamplingConfig, maxK int, opts Options, fi, ci int, cell *refineCell, ctrs refineCounters) error {
-	st := sh.trainStore(d, fold, ctrs.storeBuilds)
-
+// per-cell neighbour searches. A view the C4.5 counting builder cannot
+// take (missing values, or a weight other than 1) counts as a general
+// fit. The view is released once the model is scored, so the next cell
+// on this worker reuses its arrays; the model keeps none of them.
+func refineCellEval(l mining.Learner, d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg SamplingConfig, opts Options, fi, ci int, cell *refineCell, ctrs refineCounters) error {
 	rng := stats.NewRNG(opts.Seed ^ (uint64(fi+1) << 20) ^ uint64(ci+1))
 	var ni *sampling.NeighborIndex
 	if cfg.Kind == Smote {
-		var err error
-		if ni, err = sh.index(st, maxK, ctrs); err != nil {
-			return err
+		if sh.niErr != nil {
+			return fmt.Errorf("neighbour index: %w", sh.niErr)
 		}
+		ni = sh.ni
 	}
 	start := time.Now()
-	v, err := cfg.view(st, ni, rng)
+	v, err := cfg.view(sh.store, ni, rng)
 	if err != nil {
 		return fmt.Errorf("transform: %w", err)
 	}
 	ctrs.viewNS.ObserveDuration(time.Since(start))
-	if !v.HasMissing() {
+	if v.HasMissing() || !v.UnitWeights() {
+		ctrs.generalFits.Inc()
+	} else {
 		ctrs.viewHits.Inc()
 		if cfg.Kind == Smote {
 			ctrs.mergeSyn.Add(int64(v.Appended()))

@@ -165,3 +165,36 @@ func TestRunMethodologyCrossValidatesOnce(t *testing.T) {
 		t.Errorf("Baseline %x != Report.Baseline %x", got, want)
 	}
 }
+
+// TestRefineNoGeneralFits pins the counting builder's precondition on
+// the datasets the benchmark generates from: every view of every cell
+// has unit weights and no missing values, so no cell takes the general
+// builder (refine.general_fits is 0), and the SMOTE points place
+// synthetic rows into extend views.
+func TestRefineNoGeneralFits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign and refinement grid; skipped in -short mode")
+	}
+	for _, id := range []string{"KV-A2", "MG-B1"} {
+		opts := DefaultOptions()
+		opts.TestCases = 2
+		opts.BitStride = 4
+		reg := telemetry.New()
+		ctx := telemetry.WithRegistry(context.Background(), reg)
+		d, _, err := BuildDataset(ctx, id, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if _, err := Refine(ctx, d, RefineGrid(false), opts); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		c := reg.Snapshot().Counters
+		if c["refine.general_fits"] != 0 {
+			t.Errorf("%s: refine.general_fits = %d, want 0", id, c["refine.general_fits"])
+		}
+		if c["refine.view_hits"] != c["refine.cells_scored"] || c["refine.merge_synthetic_rows"] == 0 {
+			t.Errorf("%s: view_hits %d, cells_scored %d, merge_synthetic_rows %d", id,
+				c["refine.view_hits"], c["refine.cells_scored"], c["refine.merge_synthetic_rows"])
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package dataset
 
 import (
-	"slices"
+	"math"
 	"sort"
 	"sync"
 )
@@ -11,7 +11,8 @@ import (
 // cell that trains on that fold. It holds what tree induction and the
 // sampling transforms otherwise recompute per cell: per-attribute value
 // columns, class and (clamped) weight arrays, the ascending row order
-// of every numeric attribute, and the missingness answer.
+// of every numeric attribute with the end of every row's value group in
+// it, and the missingness and unit-weight answers.
 //
 // Concurrency contract: a Store is immutable after NewStore returns.
 // Views hand the store's arrays to concurrent tree builders, which read
@@ -30,8 +31,14 @@ type Store struct {
 	sorted  [][]int32 // [attr] ascending row order; nil for nominal attrs
 	// and nil everywhere when the partition has missing values (the
 	// general missing-value builder re-sorts per node anyway).
+	// groupEnd[a][r] is where row r's value group (its run of == values,
+	// so -0 and +0 share one) ends in sorted[a]: the position after its
+	// last member. ExtendView places a synthetic row equal to its seed's
+	// value there. Nil exactly where sorted is.
+	groupEnd   [][]int32
 	identity   []int32 // cached rows 0..n-1 for identity views
 	hasMissing bool
+	unit       bool // every clamped weight is 1
 }
 
 // NewStore snapshots the instances of d at the given indices (all of d
@@ -58,6 +65,7 @@ func NewStore(d *Dataset, rows []int) *Store {
 		classes:     make([]int, n),
 		weights:     make([]float64, n),
 		identity:    make([]int32, n),
+		unit:        true,
 	}
 	colArena := make([]float64, n*len(d.Attrs))
 	for a := range d.Attrs {
@@ -82,22 +90,35 @@ func NewStore(d *Dataset, rows []int) *Store {
 			w = 1
 		}
 		s.weights[i] = w
+		s.unit = s.unit && w == 1
 		s.identity[i] = int32(i)
 	}
 	if !s.hasMissing {
 		s.sorted = make([][]int32, len(d.Attrs))
-		sortArena := make([]int32, n*s.nNumeric)
+		s.groupEnd = make([][]int32, len(d.Attrs))
+		sortArena := make([]int32, 2*n*s.nNumeric)
 		slab := 0
 		for a := range d.Attrs {
 			if d.Attrs[a].Type != Numeric {
 				continue
 			}
 			idx := sortArena[slab : slab+n]
-			slab += n
+			ends := sortArena[slab+n : slab+2*n]
+			slab += 2 * n
 			copy(idx, s.identity)
 			col := s.cols[a]
 			sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
+			for i := 0; i < n; {
+				e := i + 1
+				for e < n && col[idx[e]] == col[idx[i]] {
+					e++
+				}
+				for ; i < e; i++ {
+					ends[idx[i]] = int32(e)
+				}
+			}
 			s.sorted[a] = idx
+			s.groupEnd[a] = ends
 		}
 	}
 	return s
@@ -122,22 +143,30 @@ func (s *Store) Classes() []int { return s.classes }
 func (s *Store) Weights() []float64 { return s.weights }
 
 // Synthetic is one generated training row (a SMOTE interpolation) to be
-// appended to a store's base rows through ExtendView.
+// appended to a store's base rows through ExtendView. Seed is the base
+// row it was interpolated from: ExtendView places a value equal to the
+// seed's own without sorting it. Any base row id is correct, since the
+// placement checks the value; one outside the store just sorts.
 type Synthetic struct {
 	Values []float64
 	Class  int
 	Weight float64
+	Seed   int
 }
 
 // View is a training set described against a Store: the base rows it
 // keeps (possibly repeated), any synthetic rows appended after them,
 // and — when the store is missing-free — the pre-merged ascending row
 // order of every numeric attribute, so tree induction starts without
-// re-sorting anything. Views are cheap (O(rows) to build, no instance
-// cloning) and immutable until released; all cells of a fold may read
-// them, and the arrays they share with the store, concurrently. Repeat
-// and extend views borrow their arrays from a pool: the owner that is
-// done with one (and with every fit from it) may Release it.
+// re-sorting anything. Each order holds every view row exactly once,
+// and within a run of equal values the base rows come first, in the
+// store's order; the order of the other rows inside a run is not
+// specified, since it cannot change a unit-weight tree (DESIGN.md §10).
+// Views are cheap (O(rows) to build, no instance cloning) and immutable
+// until released; all cells of a fold may read them, and the arrays
+// they share with the store, concurrently. Repeat and extend views
+// borrow their arrays from a pool: the owner that is done with one (and
+// with every fit from it) may Release it.
 type View struct {
 	store *Store
 	// rows lists the view's training rows in instance order — the order
@@ -155,7 +184,8 @@ type View struct {
 	// missing values, in which case FitView falls back to the general
 	// builder via Materialize.
 	sorted   [][]int32
-	appended int // rows beyond the base partition (duplicates + synthetic)
+	appended int  // rows beyond the base partition (duplicates + synthetic)
+	unit     bool // every weight is 1 (see UnitWeights)
 	// arena backs rows, sorted and any extended arrays of a repeat or
 	// extend view; nil for identity and select views. Release returns it.
 	arena *viewArena
@@ -172,8 +202,17 @@ type viewArena struct {
 	weights []float64
 	sorted  [][]int32
 	slabs   []int32
-	times   []int32  // per base row: duplicate count (RepeatView)
-	keys    []rowKey // synthetic sort keys (ExtendView)
+	times   []int32 // per base row: duplicate count (RepeatView)
+	// ExtendView scratch: per synthetic, its seed (-1: none) and the
+	// group end it ties at (-1: sorted instead); per base position, the
+	// tied rows ending there, then their offsets; the tied rows by group
+	// end; the radix keys.
+	seeds []int32
+	at    []int32
+	ends  []int32
+	tied  []int32
+	keys  []rowKey
+	keys2 []rowKey
 }
 
 // viewArenas recycles released views' arenas, so the refinement grid's
@@ -217,6 +256,7 @@ func (s *Store) IdentityView() *View {
 		classes: s.classes,
 		weights: s.weights,
 		sorted:  s.sorted,
+		unit:    s.unit,
 	}
 }
 
@@ -232,6 +272,7 @@ func (s *Store) SelectView(rows []int32) *View {
 		cols:    s.cols,
 		classes: s.classes,
 		weights: s.weights,
+		unit:    s.unit,
 	}
 	if s.sorted == nil {
 		return v
@@ -285,6 +326,7 @@ func (s *Store) repeatView(extra []int32, ar *viewArena) *View {
 		classes:  s.classes,
 		weights:  s.weights,
 		appended: m,
+		unit:     s.unit,
 		arena:    ar,
 	}
 	if s.sorted == nil {
@@ -317,10 +359,13 @@ func (s *Store) repeatView(extra []int32, ar *viewArena) *View {
 // ExtendView returns the view holding every base row plus the given
 // synthetic rows appended in order — the SMOTE shape. Columns, classes
 // and weights are extended copies (flat arenas, no per-instance
-// allocations); each numeric attribute's order sorts only the m
-// synthetic rows (as value-keyed pairs) and merges them into the
-// store's presorted base order in O(n + m), with base rows winning
-// ties. Every array lives in a pooled arena that Release returns; the
+// allocations). Each numeric attribute's order is the store's presorted
+// base order with the synthetic rows merged in, in O(n + m): a
+// synthetic equal to its seed's value goes to the end of the seed's
+// value group, where the store says that group ends, and only the
+// others are sorted, by a stable radix sort. Within every value group
+// the base rows come first, in the store's order, then the synthetic
+// ones. Every array lives in a pooled arena that Release returns; the
 // view keeps nothing of syn.
 func (s *Store) ExtendView(syn []Synthetic) *View {
 	return s.extendView(syn, viewArenas.Get().(*viewArena))
@@ -343,6 +388,7 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 		classes:  ar.classes,
 		weights:  ar.weights,
 		appended: m,
+		unit:     s.unit,
 		arena:    ar,
 	}
 	synMissing := false
@@ -368,6 +414,7 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 			w = 1
 		}
 		v.weights[n+j] = w
+		v.unit = v.unit && w == 1
 	}
 	// Interpolating infinite base values can produce NaN synthetics on
 	// a missing-free store; those views fall back like missing data.
@@ -375,59 +422,154 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 		return v
 	}
 	v.sorted = ar.sortedSlabs(s, n+m)
+	ar.seeds = grow(ar.seeds, m)
+	for j := range syn {
+		ar.seeds[j] = -1
+		if seed := syn[j].Seed; uint(seed) < uint(n) {
+			ar.seeds[j] = int32(seed)
+		}
+	}
+	ar.at = grow(ar.at, m)
+	ar.ends = grow(ar.ends, n+1)
+	ar.tied = grow(ar.tied, m)
 	ar.keys = grow(ar.keys, m)
-	keys := ar.keys
+	ar.keys2 = grow(ar.keys2, m)
 	for a, out := range v.sorted {
-		if out == nil {
-			continue
-		}
-		col := v.cols[a]
-		for j := range keys {
-			keys[j] = rowKey{v: col[n+j], row: int32(n + j)}
-		}
-		slices.SortFunc(keys, compareRowKeys)
-		base := s.sorted[a]
-		i, j, k := 0, 0, 0
-		for i < n && j < m {
-			if keys[j].v < col[base[i]] {
-				out[k] = keys[j].row
-				j++
-			} else {
-				out[k] = base[i]
-				i++
-			}
-			k++
-		}
-		for ; i < n; i++ {
-			out[k] = base[i]
-			k++
-		}
-		for ; j < m; j++ {
-			out[k] = keys[j].row
-			k++
+		if out != nil {
+			ar.mergeSynthetic(out, s.sorted[a], s.groupEnd[a], v.cols[a])
 		}
 	}
 	return v
 }
 
-// rowKey pairs a synthetic row with its value in the attribute being
-// ordered, so the sort compares without indirection.
+// mergeSynthetic writes into out one attribute's order over the base
+// rows (in base order, with group ends ends) and the synthetic rows
+// n.. of col, whose seeds ar.seeds holds.
+func (ar *viewArena) mergeSynthetic(out, base, ends []int32, col []float64) {
+	n := len(base)
+	// Counting pass: a synthetic tied with its seed goes to the end of
+	// the seed's group; the rest are keyed for the sort.
+	at, cnt := ar.at, ar.ends
+	clear(cnt)
+	keys := ar.keys[:0]
+	for j, seed := range ar.seeds {
+		if x := col[n+j]; seed >= 0 && x == col[seed] {
+			e := ends[seed]
+			at[j] = e
+			cnt[e]++
+			continue
+		}
+		at[j] = -1
+		keys = append(keys, rowKey{key: orderKey(col[n+j]), row: int32(n + j)})
+	}
+	keys = radixSort(keys, ar.keys2[:len(keys)])
+	// The tied rows by group end, in row order within each end: cnt
+	// becomes each end's first offset, then its cursor.
+	off := int32(0)
+	for e, c := range cnt {
+		cnt[e] = off
+		off += c
+	}
+	for j, e := range at {
+		if e >= 0 {
+			ar.tied[cnt[e]] = int32(n + j)
+			cnt[e]++
+		}
+	}
+	// Merge: sorted synthetics strictly below a base value precede it;
+	// after the last row of a group come its tied rows, which cnt[i+1]
+	// now ends.
+	k, t, u := 0, int32(0), 0
+	for i, r := range base {
+		if u < len(keys) {
+			bk := orderKey(col[r])
+			for u < len(keys) && keys[u].key < bk {
+				out[k] = keys[u].row
+				k++
+				u++
+			}
+		}
+		out[k] = r
+		k++
+		for ; t < cnt[i+1]; t++ {
+			out[k] = ar.tied[t]
+			k++
+		}
+	}
+	for ; u < len(keys); u++ {
+		out[k] = keys[u].row
+		k++
+	}
+}
+
+// rowKey pairs a synthetic row with the order key of its value in the
+// attribute being ordered.
 type rowKey struct {
-	v   float64
+	key uint64
 	row int32
 }
 
-// compareRowKeys orders by value with the same < as a sort.Slice on
-// row ids. Both sorts run Go's one pdqsort template and decide only on
-// cmp < 0, so ties (including -0 against +0) land in the same order.
-func compareRowKeys(a, b rowKey) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case b.v < a.v:
-		return 1
+// orderKey maps a non-NaN value onto an integer of the same order,
+// with -0 keyed as +0 so the two tie as they do under ==.
+func orderKey(x float64) uint64 {
+	if x == 0 {
+		return 1 << 63
 	}
-	return 0
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixSort sorts keys by key, stably, with an LSD radix sort over
+// bytes that skips every byte all keys share. tmp must be as long as
+// keys; the result is one of the two.
+func radixSort(keys, tmp []rowKey) []rowKey {
+	if len(keys) <= 64 {
+		// A stable insertion sort gives the same order, faster than
+		// the histograms' fixed cost at this size.
+		for i := 1; i < len(keys); i++ {
+			k := keys[i]
+			j := i
+			for ; j > 0 && keys[j-1].key > k.key; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
+		}
+		return keys
+	}
+	var hist [8][256]int32
+	for _, k := range keys {
+		x := k.key
+		hist[0][byte(x)]++
+		hist[1][byte(x>>8)]++
+		hist[2][byte(x>>16)]++
+		hist[3][byte(x>>24)]++
+		hist[4][byte(x>>32)]++
+		hist[5][byte(x>>40)]++
+		hist[6][byte(x>>48)]++
+		hist[7][byte(x>>56)]++
+	}
+	for d := range hist {
+		h := &hist[d]
+		shift := uint(8 * d)
+		if h[byte(keys[0].key>>shift)] == int32(len(keys)) {
+			continue
+		}
+		off := int32(0)
+		for b, c := range h {
+			h[b] = off
+			off += c
+		}
+		for _, k := range keys {
+			b := byte(k.key >> shift)
+			tmp[h[b]] = k
+			h[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // Release hands a repeat or extend view's arrays back to the pool for
@@ -468,8 +610,11 @@ func (v *View) Cols() [][]float64 { return v.cols }
 // Classes returns per-row class indices (shared; read-only).
 func (v *View) Classes() []int { return v.classes }
 
-// Weights returns per-row clamped weights (shared; read-only).
-func (v *View) Weights() []float64 { return v.weights }
+// UnitWeights reports whether every row of the view weighs 1. Campaign
+// rows do, and a sampled row takes its seed's weight, so every view
+// edem trains on does; tree induction counts such views' classes in
+// integers.
+func (v *View) UnitWeights() bool { return v.unit }
 
 // Sorted returns the per-numeric-attribute ascending row orders, or nil
 // when the view cannot guarantee them (missing values in the store, or

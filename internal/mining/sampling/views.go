@@ -4,8 +4,10 @@ package sampling
 // describing the transformed training set against the store instead of
 // materialising cloned instances: undersampling filters the store's
 // presorted orders, oversampling repeats row references, and SMOTE
-// sorts only the synthetic rows and merges them into the presorted base
-// order.
+// appends synthetic rows that carry their seed row, so the extend view
+// places every value still equal to its seed's without sorting it
+// (DESIGN.md §10). A synthetic row takes its seed's weight, so views of
+// a unit-weight store stay unit-weight.
 
 import (
 	"fmt"
@@ -141,7 +143,7 @@ func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []s
 				vs[a] = nv
 			}
 		}
-		syn[i] = dataset.Synthetic{Values: vs, Class: minorityClass, Weight: weights[seedRow]}
+		syn[i] = dataset.Synthetic{Values: vs, Class: minorityClass, Weight: weights[seedRow], Seed: seedRow}
 	}
 	return st.ExtendView(syn)
 }

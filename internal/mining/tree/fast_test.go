@@ -129,19 +129,18 @@ func BenchmarkGeneralInduction(b *testing.B) {
 	}
 }
 
-// numericSplitFullScan is the pre-boundary-point numericSplit, kept as
-// the oracle: it scores every distinct-value cut that passes minLeaf.
-func (fb *fastBuilder) numericSplitFullScan(sorted []int32, attr int, dist []float64, baseEntropy, totalW float64, out *split) bool {
+// numericSplitFullScan is the pre-boundary-point numericSplit over
+// float weights, kept as the oracle: it scores every distinct-value cut
+// that passes minLeaf, adding each row's weight of 1 in sorted order.
+func (fb *fastBuilder) numericSplitFullScan(sorted []int32, attr int, dist []float64, baseEntropy float64, out *split) bool {
 	if len(sorted) < 2 {
 		return false
 	}
 	col := fb.cols[attr]
+	totalW := sum(dist)
 
-	left, right := fb.leftBuf, fb.rightBuf
-	for i := range left {
-		left[i] = 0
-	}
-	copy(right, dist)
+	left := make([]float64, fb.nClasses)
+	right := append([]float64(nil), dist...)
 
 	var (
 		bestGain   = -1.0
@@ -152,11 +151,10 @@ func (fb *fastBuilder) numericSplitFullScan(sorted []int32, attr int, dist []flo
 	)
 	for i := 0; i < len(sorted)-1; i++ {
 		r := sorted[i]
-		w := fb.weights[r]
-		c := fb.classes[r]
-		left[c] += w
-		right[c] -= w
-		leftW += w
+		c := fb.cls[r]
+		left[c]++
+		right[c]--
+		leftW++
 		if col[r] == col[sorted[i+1]] {
 			continue
 		}
@@ -187,8 +185,18 @@ func (fb *fastBuilder) numericSplitFullScan(sorted []int32, attr int, dist []flo
 	if si > 1e-12 {
 		gr = gain / si
 	}
-	*out = split{attr: attr, threshold: bestThresh, gain: gain, gainRatio: gr}
+	*out = split{attr: attr, threshold: bestThresh, gain: gain, gainRatio: gr, leftN: int(bestLeftW)}
 	return true
+}
+
+// classDist counts the classes of rows as float64s, the distribution
+// the builder keeps for a node.
+func (fb *fastBuilder) classDist(rows []int32) []float64 {
+	dist := make([]float64, fb.nClasses)
+	for _, r := range rows {
+		dist[fb.cls[r]]++
+	}
+	return dist
 }
 
 // splitValues is the value pool of splitCase: duplicates, both zeros
@@ -197,13 +205,15 @@ var splitValues = []float64{math.Inf(-1), -2, -1, math.Copysign(0, -1), 0, 0.5, 
 
 // splitCase decodes bytes into a one-attribute store and a builder on
 // its identity view. data[0] picks the class count (2 or 3) and the
-// minLeaf (0, 1, 2, 5, half of the total weight, or just above half);
+// minLeaf (0, 1, 2, 5, half of the row count, or just above half);
 // data[1] picks unit or fractional weights. Each further byte pair is
 // one row: a value from splitValues, and a class that follows the value
-// (long same-class runs) or is free (mixed value groups).
-func splitCase(data []byte) (fb *fastBuilder, sorted []int32, dist []float64, totalW float64) {
+// (long same-class runs) or is free (mixed value groups). A case whose
+// weights are not all 1 returns its view and no builder: the counting
+// kernel never sees one.
+func splitCase(data []byte) (fb *fastBuilder, v *dataset.View) {
 	if len(data) < 6 {
-		return nil, nil, nil, 0
+		return nil, nil
 	}
 	nClasses := 2 + int(data[0]%2)
 	leafMode := int(data[0]/2) % 6
@@ -227,40 +237,71 @@ func splitCase(data []byte) (fb *fastBuilder, sorted []int32, dist []float64, to
 		}
 		d.MustAdd(dataset.Instance{Values: []float64{splitValues[vi]}, Class: class, Weight: w})
 	}
-	v := dataset.NewStore(d, nil).IdentityView()
-	fb = newViewBuilder(Config{}, v)
-	dist = fb.distribution(v.Rows())
-	totalW = sum(dist)
-	fb.cfg.MinLeaf = []float64{0, 1, 2, 5, totalW / 2, totalW/2 + 0.125}[leafMode]
-	return fb, v.Sorted()[0], dist, totalW
+	v = dataset.NewStore(d, nil).IdentityView()
+	cfg := Config{}
+	totalW := float64(d.Len())
+	cfg.MinLeaf = []float64{0, 1, 2, 5, totalW / 2, totalW/2 + 0.125}[leafMode]
+	if !v.UnitWeights() {
+		return nil, v
+	}
+	return newViewBuilder(cfg, v, new(buildScratch)), v
 }
 
 // checkNumericSplit runs the kernel and the full-scan oracle on one node
 // and requires the same ok and the same split, bit for bit.
-func checkNumericSplit(t *testing.T, fb *fastBuilder, sorted []int32, dist []float64, totalW float64) {
+func checkNumericSplit(t *testing.T, fb *fastBuilder, sorted []int32) {
 	t.Helper()
+	dist := fb.classDist(sorted)
+	total := make([]int, len(dist))
+	for c, w := range dist {
+		total[c] = int(w)
+	}
 	base := entropy(dist)
 	var got, want split
-	gotOK := fb.numericSplit(sorted, 0, dist, base, totalW, &got)
-	wantOK := fb.numericSplitFullScan(sorted, 0, dist, base, totalW, &want)
+	gotOK := fb.numericSplit(sorted, 0, total, base, &got)
+	wantOK := fb.numericSplitFullScan(sorted, 0, dist, base, &want)
 	if gotOK != wantOK {
 		t.Fatalf("ok = %v, full scan %v (n=%d minLeaf=%v)", gotOK, wantOK, len(sorted), fb.cfg.MinLeaf)
 	}
 	if !gotOK {
 		return
 	}
-	if got.attr != want.attr ||
+	if got.attr != want.attr || got.leftN != want.leftN ||
 		math.Float64bits(got.threshold) != math.Float64bits(want.threshold) ||
 		math.Float64bits(got.gain) != math.Float64bits(want.gain) ||
 		math.Float64bits(got.gainRatio) != math.Float64bits(want.gainRatio) {
 		t.Fatalf("split %+v, full scan %+v (n=%d minLeaf=%v)", got, want, len(sorted), fb.cfg.MinLeaf)
 	}
+	left := fb.classDist(sorted[:got.leftN])
+	for c := range left {
+		if float64(fb.bestLeft[c]) != left[c] {
+			t.Fatalf("left counts %v, want %v", fb.bestLeft[:len(left)], left)
+		}
+	}
 }
 
-// TestNumericSplitMatchesFullScan pins the boundary-point scan to the
-// full scan on random nodes: unit and fractional weights, mixed-class
-// value groups, long same-class runs, ±0 and ±Inf, every minLeaf mode,
-// two and three classes, and n from 2 up.
+// checkGeneralFallback requires FitTreeView on a view the counting
+// builder cannot take (here, fractional weights) to return the general
+// builder's tree for the materialised view.
+func checkGeneralFallback(t *testing.T, cfg Config, v *dataset.View) {
+	t.Helper()
+	if v.UnitWeights() {
+		t.Fatal("fallback case has unit weights")
+	}
+	got, err := (Learner{Config: cfg}).FitTreeView(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nodesEqual(got.Root, fitGeneral(cfg, v.Materialize())) {
+		t.Fatalf("cfg %+v: FitTreeView on a fractional view differs from the general builder", cfg)
+	}
+}
+
+// TestNumericSplitMatchesFullScan pins the boundary-point counting scan
+// to the full float scan on random unit-weight nodes: mixed-class value
+// groups, long same-class runs, ±0 and ±Inf, every minLeaf mode, two
+// and three classes, and n from 2 up. Fractional cases never reach the
+// kernel; they must get the general builder's tree.
 func TestNumericSplitMatchesFullScan(t *testing.T) {
 	rng := stats.NewRNG(16)
 	for iter := 0; iter < 20000; iter++ {
@@ -268,8 +309,15 @@ func TestNumericSplitMatchesFullScan(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.Intn(256))
 		}
-		fb, sorted, dist, totalW := splitCase(data)
-		checkNumericSplit(t, fb, sorted, dist, totalW)
+		fb, v := splitCase(data)
+		if fb == nil {
+			if iter%20 == 1 {
+				checkGeneralFallback(t, Config{}, v)
+			}
+			continue
+		}
+		sorted := v.Sorted()[0]
+		checkNumericSplit(t, fb, sorted)
 		// A child node: every other row, in the parent's sorted order.
 		var half []int32
 		for _, r := range sorted {
@@ -278,8 +326,7 @@ func TestNumericSplitMatchesFullScan(t *testing.T) {
 			}
 		}
 		if len(half) > 0 {
-			dist := fb.distribution(half)
-			checkNumericSplit(t, fb, half, dist, sum(dist))
+			checkNumericSplit(t, fb, half)
 		}
 	}
 }
@@ -289,43 +336,61 @@ func FuzzNumericSplit(f *testing.F) {
 	f.Add([]byte{9, 1, 0, 0, 1, 0, 12, 0xff, 12, 0x80, 3, 0x85, 4, 0x86})
 	f.Add([]byte{5, 1, 3, 0x80, 4, 0x81, 3, 0x81, 4, 0x80, 7, 0x12, 8, 0x34})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fb, sorted, dist, totalW := splitCase(data)
-		if fb == nil {
-			return
+		fb, v := splitCase(data)
+		switch {
+		case v == nil:
+		case fb == nil:
+			checkGeneralFallback(t, Config{}, v)
+		default:
+			checkNumericSplit(t, fb, v.Sorted()[0])
 		}
-		checkNumericSplit(t, fb, sorted, dist, totalW)
 	})
 }
 
 // TestNumericSplitScoresOnlyBoundaries proves the skip: on 50 rows of
 // class 0 then 50 of class 1, all values distinct, the kernel scores
 // only the first feasible cut, the one boundary point and the last
-// feasible cut (six entropies), where the full scan scores 97.
+// feasible cut, where the full scan scores 97.
 func TestNumericSplitScoresOnlyBoundaries(t *testing.T) {
 	d := dataset.New("runs", []dataset.Attribute{dataset.NumericAttr("x")}, []string{"neg", "pos"})
 	for i := 0; i < 100; i++ {
 		d.MustAdd(dataset.Instance{Values: []float64{float64(i)}, Class: i / 50, Weight: 1})
 	}
 	v := dataset.NewStore(d, nil).IdentityView()
-	fb := newViewBuilder(Config{}, v)
-	dist := fb.distribution(v.Rows())
+	fb := newViewBuilder(Config{}, v, new(buildScratch))
 	var s split
-	if !fb.numericSplit(v.Sorted()[0], 0, dist, entropy(dist), sum(dist), &s) {
+	if !fb.numericSplit(v.Sorted()[0], 0, []int{50, 50}, 1, &s) {
 		t.Fatal("no split found")
 	}
-	if s.threshold != 49 {
-		t.Errorf("threshold %v, want 49", s.threshold)
+	if s.threshold != 49 || s.leftN != 50 {
+		t.Errorf("threshold %v leftN %d, want 49 and 50", s.threshold, s.leftN)
 	}
 	if fb.scored > 3 {
 		t.Errorf("scored %d cuts, want at most 3", fb.scored)
 	}
-	checkNumericSplit(t, fb, v.Sorted()[0], dist, sum(dist))
+	checkNumericSplit(t, fb, v.Sorted()[0])
+}
+
+// TestNumericSplitConstantNode: a node whose attribute holds one value
+// (both zeros count as one) has no cut, and the scan scores nothing.
+func TestNumericSplitConstantNode(t *testing.T) {
+	d := dataset.New("flat", []dataset.Attribute{dataset.NumericAttr("x")}, []string{"neg", "pos"})
+	for i := 0; i < 20; i++ {
+		d.MustAdd(dataset.Instance{Values: []float64{math.Copysign(0, float64(i%2)-0.5)}, Class: i % 2, Weight: 1})
+	}
+	v := dataset.NewStore(d, nil).IdentityView()
+	fb := newViewBuilder(Config{}, v, new(buildScratch))
+	var s split
+	if fb.numericSplit(v.Sorted()[0], 0, []int{10, 10}, 1, &s) || fb.scored != 0 {
+		t.Fatalf("constant attribute split (scored %d)", fb.scored)
+	}
 }
 
 // partitionArena is the count-then-fill partition the builder used
 // before the ping-pong buffers, kept as the oracle: every child's row
 // list and per-attribute order are carved out of a fresh arena per
-// node, re-testing the split once per row and attribute.
+// node, re-testing the split once per row and attribute, and every
+// child's distribution is counted from its rows.
 func (fb *fastBuilder) partitionArena(nd *fastNode, s *split) []fastNode {
 	numeric := fb.attrs[s.attr].Type == dataset.Numeric
 	nBranches := 2
@@ -354,7 +419,7 @@ func (fb *fastBuilder) partitionArena(nd *fastNode, s *split) []fastNode {
 		off += counts[b]
 	}
 
-	n := len(nd.rows)
+	n := nd.n
 	nAttrs := len(fb.attrs)
 	arena := make([]int32, n*(1+fb.nNumeric))
 	hdrs := make([][]int32, nBranches*nAttrs)
@@ -362,6 +427,7 @@ func (fb *fastBuilder) partitionArena(nd *fastNode, s *split) []fastNode {
 
 	rowsArena := arena[:n]
 	for b := range nodes {
+		nodes[b].n = counts[b]
 		nodes[b].rows = rowsArena[starts[b] : starts[b]+counts[b]]
 		nodes[b].sorted = hdrs[b*nAttrs : (b+1)*nAttrs]
 	}
@@ -371,6 +437,9 @@ func (fb *fastBuilder) partitionArena(nd *fastNode, s *split) []fastNode {
 		b := branchOf(r)
 		rowsArena[fill[b]] = r
 		fill[b]++
+	}
+	for b := range nodes {
+		nodes[b].dist = fb.classDist(nodes[b].rows)
 	}
 
 	slabOff := n
@@ -395,24 +464,18 @@ func (fb *fastBuilder) partitionArena(nd *fastNode, s *split) []fastNode {
 
 // buildArena is build with partitionArena in place of partition.
 func (fb *fastBuilder) buildArena(nd *fastNode, depthSoFar int) *Node {
-	dist := fb.distribution(nd.rows)
-	node := &Node{Attr: -1, Dist: dist, Class: argmax(dist)}
-
-	totalW := sum(dist)
-	if totalW < 2*fb.cfg.minLeaf() || isPure(dist) {
+	node := &Node{Attr: -1, Dist: nd.dist, Class: argmax(nd.dist)}
+	if fb.leaf(nd.n, nd.dist, depthSoFar) {
 		return node
 	}
-	if fb.cfg.MaxDepth > 0 && depthSoFar >= fb.cfg.MaxDepth {
-		return node
-	}
-	best := fb.bestSplit(nd, dist, totalW)
+	best := fb.bestSplit(nd)
 	if best == nil {
 		return node
 	}
 	children := fb.partitionArena(nd, best)
 	strong := 0
 	for i := range children {
-		if fb.weightOfRows(children[i].rows) >= fb.cfg.minLeaf() {
+		if float64(children[i].n) >= fb.cfg.minLeaf() {
 			strong++
 		}
 	}
@@ -423,7 +486,7 @@ func (fb *fastBuilder) buildArena(nd *fastNode, depthSoFar int) *Node {
 	node.Threshold = best.threshold
 	node.Children = make([]*Node, len(children))
 	for i := range children {
-		if len(children[i].rows) == 0 {
+		if children[i].n == 0 {
 			node.Children[i] = &Node{Attr: -1, Dist: make([]float64, fb.nClasses), Class: node.Class}
 			continue
 		}
@@ -433,9 +496,12 @@ func (fb *fastBuilder) buildArena(nd *fastNode, depthSoFar int) *Node {
 }
 
 // fitArena grows the oracle's tree for a view (pruned unless cfg says
-// otherwise), as fitView does with ping-pong partitioning.
+// otherwise), as fitView does with ping-pong partitioning. The root's
+// rows are the view's own, in instance order.
 func fitArena(cfg Config, v *dataset.View) *Node {
-	root := newViewBuilder(cfg, v).buildArena(&fastNode{rows: v.Rows(), sorted: v.Sorted()}, 0)
+	fb := newViewBuilder(cfg, v, new(buildScratch))
+	rows := v.Rows()
+	root := fb.buildArena(&fastNode{n: len(rows), dist: fb.classDist(rows), rows: rows, sorted: v.Sorted()}, 0)
 	if !cfg.NoPrune {
 		prune(root, cfg.confidence())
 	}
@@ -474,9 +540,14 @@ func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 
 // checkPartition fits the view with ping-pong partitioning on fresh
 // scratch and with the arena oracle, requiring the same tree, and
-// returns its depth.
+// returns its depth. A view with fractional weights must instead get
+// the general builder's tree.
 func checkPartition(t *testing.T, name string, cfg Config, v *dataset.View) int {
 	t.Helper()
+	if !v.UnitWeights() {
+		checkGeneralFallback(t, cfg, v)
+		return 0
+	}
 	got := fitView(cfg, v, new(buildScratch))
 	want := fitArena(cfg, v)
 	if !nodesEqual(got, want) {
@@ -551,11 +622,35 @@ func wideNominalDataset(seed uint64) *dataset.Dataset {
 	return d
 }
 
+// allNominalDataset has no numeric attribute, so node rows take the
+// row slab of their own instead of a numeric attribute's order.
+func allNominalDataset(seed uint64) *dataset.Dataset {
+	d := dataset.New("nominal", []dataset.Attribute{
+		dataset.NominalAttr("a", "a0", "a1", "a2", "a3"),
+		dataset.NominalAttr("b", "b0", "b1", "b2"),
+		dataset.NominalAttr("c", "c0", "c1"),
+	}, []string{"neg", "pos"})
+	rng := stats.NewRNG(seed)
+	for i := 0; i < 500; i++ {
+		a, b, c := rng.Intn(4), rng.Intn(3), rng.Intn(2)
+		class := 0
+		if (a == 1 && b != 2) || (a == 3 && c == 1) {
+			class = 1
+		}
+		if rng.Float64() < 0.1 {
+			class = 1 - class
+		}
+		d.MustAdd(dataset.Instance{Values: []float64{float64(a), float64(b), float64(c)}, Class: class, Weight: 1})
+	}
+	return d
+}
+
 // TestPartitionMatchesArena pins ping-pong partitioning to the arena
-// oracle on whole trees, node for node: unit and fractional weights,
-// ±0 thresholds and duplicates, very unbalanced chains, nominal splits
-// (one with 300 values), and trees deep enough that both ping-pong
-// buffers are written and overwritten several times.
+// oracle on whole unit-weight trees, node for node: ±0 thresholds and
+// duplicates, very unbalanced chains, nominal splits (one with 300
+// values), and trees deep enough that both ping-pong buffers are
+// written and overwritten several times. The fractional-weight cases
+// must get the general builder's tree from FitTreeView.
 func TestPartitionMatchesArena(t *testing.T) {
 	fractional := func(d *dataset.Dataset) *dataset.Dataset {
 		for i := range d.Instances {
@@ -571,6 +666,7 @@ func TestPartitionMatchesArena(t *testing.T) {
 		"chain":            chainDataset(func(int) float64 { return 1 }),
 		"chain-fractional": chainDataset(func(i int) float64 { return float64(i%5+1) / 2 }),
 		"wide-nominal":     wideNominalDataset(6),
+		"all-nominal":      allNominalDataset(7),
 	}
 	deepest := 0
 	for name, d := range cases {
@@ -591,7 +687,8 @@ func TestPartitionMatchesArena(t *testing.T) {
 }
 
 // partitionCase decodes bytes into a view for FuzzPartition. data[0]
-// picks unit or fractional weights and the minLeaf; data[1] how many
+// picks unit or fractional weights (which checkPartition holds to the
+// general builder) and the minLeaf; data[1] how many
 // rows get a duplicate (a repeat view when non-zero). Each further
 // triple is one row: x and y from splitValues, and a byte whose low
 // bits pick a 5-valued nominal and whose top bit flips the class that

@@ -70,9 +70,9 @@ var ErrEmptyTraining = errors.New("tree: empty training set")
 
 // FitTree induces a tree and returns it with its concrete type, for
 // callers that need predicate extraction or rendering. Missing-free data
-// is snapshotted into a columnar store and induced by FitTreeView, the
-// one fast builder; data with missing values goes to the general
-// fractional-weight builder.
+// is snapshotted into a columnar store and induced by FitTreeView, which
+// takes unit-weight data to the fast builder; data with missing values
+// goes to the general fractional-weight builder.
 func (l Learner) FitTree(d *dataset.Dataset) (*Tree, error) {
 	if d.Len() == 0 {
 		return nil, ErrEmptyTraining
@@ -121,20 +121,22 @@ func (l Learner) FitView(v *dataset.View) (mining.Classifier, error) {
 var _ mining.ViewFitter = Learner{}
 
 // FitTreeView induces a tree from a columnar dataset.View. When the
-// view carries pre-merged sort orders the builder starts directly on
-// the shared arrays — no missing-value rescan, no column build, no root
-// sort. A view without sort orders (missing values in the store, or
-// NaN-valued synthetics) is materialised and routed through FitTree,
-// which lands in the general fractional-weight builder. The view's
-// arrays are only read, so one view may feed many concurrent
-// FitTreeView calls. The builder's partition memory is taken from a
-// pool and returned once the tree is grown; the tree keeps none of it.
+// view carries pre-merged sort orders and unit weights, the counting
+// builder starts directly on the shared arrays — no missing-value
+// rescan, no column build, no root sort. Any other view (missing values
+// in the store, NaN-valued synthetics, a weight other than 1, or more
+// than maxFastClasses classes) is materialised for the general
+// fractional-weight builder. The view's arrays are only read, so one
+// view may feed many concurrent FitTreeView calls. The builder's
+// partition memory is taken from a pool and returned once the tree is
+// grown; the tree keeps none of it.
 func (l Learner) FitTreeView(v *dataset.View) (*Tree, error) {
 	if v.Len() == 0 {
 		return nil, ErrEmptyTraining
 	}
-	if v.HasMissing() {
-		return l.FitTree(v.Materialize())
+	if v.HasMissing() || !v.UnitWeights() || len(v.ClassValues()) > maxFastClasses {
+		d := v.Materialize()
+		return &Tree{Root: fitGeneral(l.Config, d), Attrs: d.Attrs, ClassValues: d.ClassValues}, nil
 	}
 	sc := scratchPool.Get().(*buildScratch)
 	root := fitView(l.Config, v, sc)
@@ -212,6 +214,7 @@ type split struct {
 	threshold float64 // numeric only
 	gain      float64
 	gainRatio float64
+	leftN     int // numeric, fast builder only: rows at or below threshold
 }
 
 // bestSplit evaluates every attribute and applies C4.5's selection rule:

@@ -1,0 +1,154 @@
+package tree
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"edem/internal/dataset"
+	"edem/internal/stats"
+)
+
+// sameTreeUpToZeroSign compares two trees node for node, distributions
+// included, with thresholds by bits except that -0 and +0 match.
+func sameTreeUpToZeroSign(a, b *Node) bool {
+	if a.Attr != b.Attr || a.Class != b.Class || len(a.Children) != len(b.Children) {
+		return false
+	}
+	if math.Float64bits(a.Threshold) != math.Float64bits(b.Threshold) && !(a.Threshold == 0 && b.Threshold == 0) {
+		return false
+	}
+	if !reflect.DeepEqual(a.Dist, b.Dist) {
+		return false
+	}
+	for i := range a.Children {
+		if !sameTreeUpToZeroSign(a.Children[i], b.Children[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fitPermuted grows the tree of a view whose every numeric order has
+// been shuffled inside each run of equal values (and whose row list,
+// with no numeric attribute, is shuffled whole): another order the
+// view contract allows.
+func fitPermuted(cfg Config, v *dataset.View, rng *stats.RNG) *Node {
+	fb := newViewBuilder(cfg, v, new(buildScratch))
+	root := fb.root(v)
+	sorted := make([][]int32, len(v.Sorted()))
+	for a, ord := range v.Sorted() {
+		if ord == nil {
+			continue
+		}
+		ord = append([]int32(nil), ord...)
+		col := v.Cols()[a]
+		for i := 0; i < len(ord); {
+			e := i + 1
+			for e < len(ord) && col[ord[e]] == col[ord[i]] {
+				e++
+			}
+			group := ord[i:e]
+			rng.Shuffle(len(group), func(x, y int) { group[x], group[y] = group[y], group[x] })
+			i = e
+		}
+		sorted[a] = ord
+	}
+	root.sorted = sorted
+	if fb.firstNum >= 0 {
+		root.rows = sorted[fb.firstNum]
+	} else {
+		root.rows = append([]int32(nil), root.rows...)
+		rng.Shuffle(len(root.rows), func(x, y int) { root.rows[x], root.rows[y] = root.rows[y], root.rows[x] })
+	}
+	tree := fb.build(root, 0)
+	if !cfg.NoPrune {
+		prune(tree, cfg.confidence())
+	}
+	return tree
+}
+
+// tieViews builds random unit-weight views from one seed: an identity,
+// a repeat and an extend view over a store whose values come from a
+// pool of duplicates, both zeros and both infinities. Half the
+// synthetic values copy their seed row's, the others are pool values or
+// +0 (an interpolated zero).
+func tieViews(seed uint64) []*dataset.View {
+	pool := []float64{math.Inf(-1), -3, -1, math.Copysign(0, -1), 0, 0.5, 1, 2, 4, math.Inf(1)}
+	rng := stats.NewRNG(seed)
+	nClasses := 2 + rng.Intn(2)
+	attrs := []dataset.Attribute{dataset.NumericAttr("x"), dataset.NumericAttr("y"), dataset.NumericAttr("z")}
+	if rng.Intn(2) == 0 {
+		attrs = append(attrs, dataset.NominalAttr("m", "a", "b", "c"))
+	}
+	d := dataset.New("ties", attrs, []string{"c0", "c1", "c2"}[:nClasses])
+	n := 20 + rng.Intn(200)
+	for i := 0; i < n; i++ {
+		vs := make([]float64, len(attrs))
+		for a := range vs {
+			vs[a] = pool[rng.Intn(len(pool))]
+		}
+		if len(attrs) > 3 {
+			vs[3] = float64(rng.Intn(3))
+		}
+		class := 0
+		if vs[0] > -1 && vs[1] <= 0 {
+			class = 1
+		}
+		if rng.Intn(5) == 0 {
+			class = rng.Intn(nClasses)
+		}
+		d.MustAdd(dataset.Instance{Values: vs, Class: class, Weight: 1})
+	}
+	st := dataset.NewStore(d, nil)
+	extra := make([]int32, rng.Intn(n))
+	for i := range extra {
+		extra[i] = int32(rng.Intn(n))
+	}
+	syn := make([]dataset.Synthetic, rng.Intn(3*n))
+	for j := range syn {
+		s := rng.Intn(n)
+		vs := append([]float64(nil), d.Instances[s].Values...)
+		for a := 0; a < 3; a++ {
+			switch rng.Intn(4) {
+			case 0:
+				vs[a] = pool[rng.Intn(len(pool))]
+			case 1:
+				vs[a] = 0
+			}
+		}
+		syn[j] = dataset.Synthetic{Values: vs, Class: d.Instances[s].Class, Weight: 1, Seed: s}
+	}
+	return []*dataset.View{st.IdentityView(), st.RepeatView(extra), st.ExtendView(syn)}
+}
+
+// TestTreeIgnoresTieOrder is the proof obligation behind the counting
+// builder and the extend view's tie placement: on unit-weight views,
+// the order of rows inside a run of equal values cannot change a tree's
+// structure, distributions or verdicts. Shuffling every run of every
+// attribute's order must give the same tree by bits, except thresholds
+// that differ only in the sign of zero.
+func TestTreeIgnoresTieOrder(t *testing.T) {
+	rng := stats.NewRNG(41)
+	signFlips := 0
+	for seed := uint64(1); seed <= 150; seed++ {
+		for vi, v := range tieViews(seed) {
+			for _, cfg := range []Config{{}, {NoPrune: true, MinLeaf: 1}, {MinLeaf: 3, NoMDLPenalty: true}} {
+				want := fitView(cfg, v, new(buildScratch))
+				for p := 0; p < 3; p++ {
+					got := fitPermuted(cfg, v, rng)
+					if !sameTreeUpToZeroSign(got, want) {
+						t.Fatalf("seed %d view %d cfg %+v: shuffling ties changed the tree", seed, vi, cfg)
+					}
+					if !nodesEqual(got, want) {
+						signFlips++
+					}
+				}
+			}
+		}
+	}
+	// The shuffles must reach the one thing they may change.
+	if signFlips == 0 {
+		t.Fatal("no shuffle moved a threshold between -0 and +0")
+	}
+}

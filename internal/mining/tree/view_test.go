@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -117,6 +118,31 @@ func TestFitTreeViewMissingFallback(t *testing.T) {
 	}
 	if !nodesEqual(want.Root, got.Root) {
 		t.Fatal("fallback tree diverges from instance-based tree")
+	}
+}
+
+// A class domain wider than a byte must fall back to the general
+// builder, since the counting builder keeps one class byte per row.
+func TestFitTreeViewManyClassesFallback(t *testing.T) {
+	classes := make([]string, maxFastClasses+44)
+	for i := range classes {
+		classes[i] = fmt.Sprintf("c%d", i)
+	}
+	d := dataset.New("wide-classes", []dataset.Attribute{dataset.NumericAttr("x")}, classes)
+	rng := stats.NewRNG(26)
+	for i := 0; i < 2000; i++ {
+		x := rng.Float64()
+		d.MustAdd(dataset.Instance{Values: []float64{x}, Class: int(x*float64(len(classes))) % len(classes), Weight: 1})
+	}
+	got, err := (Learner{Config: Config{MinLeaf: 1}}).FitTreeView(dataset.NewStore(d, nil).IdentityView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nodesEqual(got.Root, fitGeneral(Config{MinLeaf: 1}, d)) {
+		t.Fatal("a 300-class view diverges from the general builder")
+	}
+	if got.Root.IsLeaf() {
+		t.Fatal("the 300-class tree must split")
 	}
 }
 
