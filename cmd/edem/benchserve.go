@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"edem/internal/durable"
 	"edem/internal/lifecycle"
 	"edem/internal/serve"
 	"edem/internal/stats"
@@ -128,7 +130,7 @@ func cmdBenchServe(args []string) error {
 		Legs:        results,
 		Speedup:     speedup,
 	}
-	if err := writeFile(*out, func(f *os.File) error {
+	if err := durable.WriteFile(*out, func(f io.Writer) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		return enc.Encode(snap)

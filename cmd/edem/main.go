@@ -14,6 +14,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -26,6 +27,7 @@ import (
 	"edem/internal/campaign"
 	"edem/internal/core"
 	"edem/internal/dataset"
+	"edem/internal/durable"
 	"edem/internal/fabric"
 	"edem/internal/lifecycle"
 	"edem/internal/mining/attrsel"
@@ -255,7 +257,7 @@ func (t *telemetryCfg) finish() {
 		fmt.Fprint(os.Stderr, snap.FormatTree())
 	}
 	if t.metricsOut != "" {
-		err := writeFile(t.metricsOut, func(f *os.File) error { return snap.WriteJSON(f) })
+		err := durable.WriteFile(t.metricsOut, snap.WriteJSON)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "edem: metrics snapshot:", err)
 		} else {
@@ -367,7 +369,7 @@ func runOneCampaign(parent context.Context, id string, opts *core.Options, stopA
 		fmt.Printf("  fault model: %s (width %d, persist %d)\n", f.Model, f.Width, f.Persist)
 	}
 	if res.TornTails > 0 {
-		fmt.Printf("  resume recovered %d torn checkpoint line(s); their shards re-ran\n", res.TornTails)
+		fmt.Printf("  resume skipped %d torn checkpoint line(s)\n", res.TornTails)
 	}
 	if res.ShardsInvalidated > 0 || res.ShardsReused > 0 {
 		fmt.Printf("  incremental: %d shard(s) invalidated, %d reused\n",
@@ -606,22 +608,30 @@ func cmdRun(args []string) error {
 		return err
 	}
 	printReport(rep)
-	if *save != "" {
+	err = writeOutput(*save, "predicate", func(w io.Writer) error {
 		data, err := rep.Predicate.MarshalText()
-		if err != nil {
-			return err
+		if err == nil {
+			_, err = w.Write(data)
 		}
-		if err := os.WriteFile(*save, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote predicate:", *save)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	if *report != "" {
-		if err := writeFile(*report, func(f *os.File) error { return core.WriteReport(f, rep) }); err != nil {
-			return err
-		}
-		fmt.Println("wrote report:", *report)
+	return writeOutput(*report, "report", func(w io.Writer) error { return core.WriteReport(w, rep) })
+}
+
+// writeOutput replaces the file at path with what write produces
+// (durable.WriteFile, so a failure leaves any previous file whole) and
+// prints "wrote <what>: <path>". An empty path writes nothing.
+func writeOutput(path, what string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
 	}
+	if err := durable.WriteFile(path, write); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s: %s\n", what, path)
 	return nil
 }
 
@@ -691,33 +701,20 @@ func cmdInject(args []string) error {
 			res.PlanHash, res.Shards, res.ShardsRun, res.ShardsRestored)
 		fmt.Print(propane.FormatStats(propane.Summarize(camp)))
 	}
-	if *logPath != "" {
-		if err := writeFile(*logPath, func(f *os.File) error { return propane.WriteLog(f, camp) }); err != nil {
-			return err
-		}
-		fmt.Println("wrote PROPANE log:", *logPath)
+	if err := writeOutput(*logPath, "PROPANE log", func(w io.Writer) error { return propane.WriteLog(w, camp) }); err != nil {
+		return err
 	}
-	if *arffPath != "" {
-		d, err := core.Preprocess(ctx, camp)
-		if err != nil {
-			return err
-		}
-		if err := writeFile(*arffPath, func(f *os.File) error { return dataset.WriteARFF(f, d) }); err != nil {
-			return err
-		}
-		fmt.Println("wrote ARFF dataset:", *arffPath)
+	if *arffPath == "" && *csvPath == "" {
+		return nil
 	}
-	if *csvPath != "" {
-		d, err := core.Preprocess(ctx, camp)
-		if err != nil {
-			return err
-		}
-		if err := writeFile(*csvPath, func(f *os.File) error { return dataset.WriteCSV(f, d) }); err != nil {
-			return err
-		}
-		fmt.Println("wrote CSV dataset:", *csvPath)
+	d, err := core.Preprocess(ctx, camp)
+	if err != nil {
+		return err
 	}
-	return nil
+	if err := writeOutput(*arffPath, "ARFF dataset", func(w io.Writer) error { return dataset.WriteARFF(w, d) }); err != nil {
+		return err
+	}
+	return writeOutput(*csvPath, "CSV dataset", func(w io.Writer) error { return dataset.WriteCSV(w, d) })
 }
 
 func cmdValidate(args []string) error {
@@ -1051,16 +1048,4 @@ func cmdList() error {
 			info.ID, info.Target, info.Module, info.InjectAt, info.SampleAt)
 	}
 	return nil
-}
-
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

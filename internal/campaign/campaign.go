@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"edem/internal/durable"
 	"edem/internal/parallel"
 	"edem/internal/propane"
 	"edem/internal/telemetry"
@@ -124,9 +125,11 @@ type Result struct {
 	ShardsRestored, ShardsRun int
 	// Retries counts failed attempts that were retried.
 	Retries int
-	// TornTails counts truncated trailing journal lines (the torn tail
-	// of a killed append) that were recovered — i.e. discarded, their
-	// shards re-run — on resume.
+	// TornTails counts the undecodable journal lines (the torn tail of
+	// a killed append) that resume skipped. A skipped line's shard is
+	// re-run unless another line restores it. The fragment stays in the
+	// log as its own line until the journal is sealed, so a second
+	// resume before completion counts it again.
 	TornTails int
 	// ShardsInvalidated and ShardsReused report the incremental-resume
 	// diff: journaled shards dropped because a section sub-hash changed,
@@ -162,7 +165,7 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 	}
 	plan, restored, jnl := prep.plan, prep.restored, prep.jnl
 	if jnl != nil {
-		defer jnl.close()
+		defer jnl.Close()
 	}
 
 	reg := telemetry.FromContext(ctx)
@@ -261,8 +264,8 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 type prepState struct {
 	plan     *Plan
 	restored map[int]checkpoint
-	jnl      *journal
-	// torn counts truncated trailing lines discarded on resume;
+	jnl      *durable.Log
+	// torn counts undecodable (torn) lines skipped on resume;
 	// invalidated and reused count the incremental diff (journaled
 	// shards dropped vs carried over).
 	torn, invalidated, reused int
@@ -324,15 +327,15 @@ func preparePlan(target propane.Target, spec propane.Spec, cfg Config) (*prepSta
 	if err != nil {
 		return nil, err
 	}
-	// A torn tail must be compacted away before reopening for append:
-	// the log ends mid-line, and appending after it would fuse the next
-	// checkpoint onto the torn fragment, losing both.
-	if foreign > 0 || torn > 0 {
+	// Foreign lines are compacted away now, since sealing refuses
+	// them. A torn tail needs no rewrite: reopening the log terminates
+	// the fragment's line, and sealing drops it.
+	if foreign > 0 {
 		if err := writeCheckpointLog(cfg.Journal, restored); err != nil {
 			return nil, err
 		}
 	}
-	jnl, err := openJournal(cfg.Journal)
+	jnl, err := openCheckpoints(cfg.Journal)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +352,7 @@ type engine struct {
 	cfg    Config
 	plan   *Plan
 	target propane.Target
-	jnl    *journal
+	jnl    *durable.Log
 	reg    *telemetry.Registry
 
 	// fork executes the cells; built with the goldens.
@@ -413,7 +416,11 @@ func (e *engine) runShards(ctx context.Context, pending []int, records []propane
 			return err
 		}
 		if e.jnl != nil {
-			if err := e.jnl.append(cp); err != nil {
+			line, err := encodeCheckpointLine(cp)
+			if err == nil {
+				err = e.jnl.Append(line)
+			}
+			if err != nil {
 				return fmt.Errorf("campaign: checkpoint shard %d: %w", shard, err)
 			}
 		}

@@ -59,7 +59,7 @@ func prepareIncremental(target propane.Target, spec propane.Spec, cfg Config, m 
 	if err != nil {
 		return nil, err
 	}
-	jnl, err := openJournal(cfg.Journal)
+	jnl, err := openCheckpoints(cfg.Journal)
 	if err != nil {
 		return nil, err
 	}

@@ -1,18 +1,18 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"sync"
 
+	"edem/internal/durable"
 	"edem/internal/propane"
 )
 
@@ -22,12 +22,15 @@ import (
 //	<dir>/manifest.json      content-addressed plan description
 //	<dir>/checkpoints.jsonl  one JSON line per completed shard
 //
-// The manifest is written once, atomically (tmp + rename), before any
-// shard executes. Checkpoint lines are appended and fsynced as shards
-// complete, in completion order — which varies with scheduling — so the
-// log is an unordered set keyed by shard index; resume sorts it back
-// into plan order. A line truncated by a kill mid-append fails to parse
-// and is discarded on load: the shard it described simply re-runs.
+// Both files go through internal/durable. The manifest is replaced
+// atomically before any shard executes. Checkpoint lines are appended
+// and fsynced as shards complete, in completion order — which varies
+// with scheduling — so the log is an unordered set keyed by shard
+// index; resume sorts it back into plan order. A line truncated by a
+// kill mid-append fails to decode and is skipped on load: the shard it
+// described simply re-runs. Reopening the log terminates that
+// fragment's line, so it stays in the log as one skipped line until
+// the journal is sealed.
 //
 // Sampled states are serialised as 16-digit hex IEEE-754 bit patterns,
 // not JSON numbers: corrupted runs legitimately sample NaN and ±Inf
@@ -204,56 +207,38 @@ func decodeRecord(r recordJSON) (propane.Record, error) {
 	}, nil
 }
 
-// journal owns the open checkpoint log of one running campaign. Append
-// is safe for concurrent use by shard workers; everything else happens
-// before workers start or after they finish.
-type journal struct {
-	dir string
-
-	mu sync.Mutex
-	f  *os.File
-}
-
-// createJournal initialises a fresh journal directory: the manifest is
-// staged to a temp file and renamed into place so a kill during
-// creation leaves either no journal or a complete one, never a torn
-// manifest.
-func createJournal(dir string, p *Plan) (*journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// createJournal initialises a fresh journal directory: the checkpoint
+// log first, then the manifest, replaced atomically, so a kill during
+// creation leaves either no manifest — no journal — or a complete one,
+// never a torn manifest. The manifest's directory fsync comes after
+// both files exist, so creation costs one; the log's own waits for its
+// first checkpoint (durable.OpenLog).
+func createJournal(dir string, p *Plan) (*durable.Log, error) {
+	jnl, err := openCheckpoints(dir)
+	if err != nil {
 		return nil, err
 	}
 	if err := writeManifest(dir, newManifest(p)); err != nil {
+		jnl.Close()
 		return nil, err
 	}
-	return openCheckpointLog(dir)
+	return jnl, nil
 }
 
-// writeManifest stages the manifest to a temp file and renames it into
-// place (atomic on POSIX rename semantics).
+// writeManifest replaces <dir>/manifest.json atomically.
 func writeManifest(dir string, m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, manifestName))
+	data = append(data, '\n')
+	return durable.WriteFile(filepath.Join(dir, manifestName), func(w io.Writer) error { _, err := w.Write(data); return err })
 }
 
-// openJournal opens an existing journal for appending, after the
-// caller has validated its manifest.
-func openJournal(dir string) (*journal, error) {
-	return openCheckpointLog(dir)
-}
-
-func openCheckpointLog(dir string) (*journal, error) {
-	f, err := os.OpenFile(filepath.Join(dir, checkpointsName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &journal{dir: dir, f: f}, nil
+// openCheckpoints opens the checkpoint log for appending. A torn last
+// line is terminated, so it stays one skipped line until sealing.
+func openCheckpoints(dir string) (*durable.Log, error) {
+	return durable.OpenLog(filepath.Join(dir, checkpointsName))
 }
 
 // encodeCheckpointLine renders one checkpoint as its canonical
@@ -267,37 +252,6 @@ func encodeCheckpointLine(cp checkpoint) ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// append writes one checkpoint line and fsyncs it, so a completed
-// shard survives any subsequent kill.
-func (j *journal) append(cp checkpoint) error {
-	data, err := encodeCheckpointLine(cp)
-	if err != nil {
-		return err
-	}
-	return j.appendRaw(data)
-}
-
-// appendRaw writes one pre-encoded, pre-validated checkpoint line and
-// fsyncs it. The coordinator merge path uses it to persist worker lines
-// byte-for-byte as they arrived.
-func (j *journal) appendRaw(line []byte) error {
-	if len(line) == 0 || line[len(line)-1] != '\n' {
-		line = append(append([]byte(nil), line...), '\n')
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
 }
 
 // readManifest loads <dir>/manifest.json. The boolean reports whether
@@ -329,41 +283,22 @@ func readManifest(dir string) (manifest, bool, error) {
 // superseded-plan lines behind when a kill lands between the manifest
 // and checkpoint rewrites of a journal upgrade.
 func readCheckpoints(dir, planHash string, dropForeign bool) (done map[int]checkpoint, torn, foreign int, err error) {
-	f, err := os.Open(filepath.Join(dir, checkpointsName))
-	if errors.Is(err, os.ErrNotExist) {
-		return map[int]checkpoint{}, 0, 0, nil
-	}
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer f.Close()
-
 	done = make(map[int]checkpoint)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var cp checkpoint
-		if err := json.Unmarshal(line, &cp); err != nil {
-			torn++
-			continue
-		}
+	torn, err = durable.Scan(filepath.Join(dir, checkpointsName), func(cp checkpoint) error {
 		if cp.Plan != planHash {
 			if dropForeign {
 				foreign++
-				continue
+				return nil
 			}
-			return nil, 0, 0, fmt.Errorf("%w: checkpoint for plan %.12s in journal for plan %.12s",
+			return fmt.Errorf("%w: checkpoint for plan %.12s in journal for plan %.12s",
 				ErrPlanMismatch, cp.Plan, planHash)
 		}
 		if _, ok := done[cp.Shard]; !ok {
 			done[cp.Shard] = cp
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, 0, 0, err
 	}
 	return done, torn, foreign, nil
@@ -372,8 +307,8 @@ func readCheckpoints(dir, planHash string, dropForeign bool) (done map[int]check
 // writeCheckpointLog makes the checkpoint log hold exactly the given
 // shards, one canonical line each, in ascending shard order. A log
 // already holding those bytes is left untouched — the common case when
-// sealing an uninterrupted local run; otherwise the log is staged and
-// swapped in (tmp + fsync + rename).
+// sealing an uninterrupted local run; otherwise it is replaced
+// atomically.
 func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 	shards := make([]int, 0, len(cps))
 	for s := range cps {
@@ -392,23 +327,7 @@ func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 	if cur, err := os.ReadFile(path); err == nil && bytes.Equal(cur, buf) {
 		return nil
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.WriteFile(path, func(w io.Writer) error { _, err := w.Write(buf); return err })
 }
 
 // sealJournal compacts a completed journal into its canonical form:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"edem/internal/durable"
 	"edem/internal/propane"
 )
 
@@ -20,7 +21,7 @@ type Ledger struct {
 	plan *Plan
 
 	mu      sync.Mutex
-	jnl     *journal
+	jnl     *durable.Log
 	done    map[int]bool
 	invalid int
 	reused  int
@@ -127,7 +128,7 @@ func (l *Ledger) Commit(line []byte) (shard int, accepted bool, err error) {
 	if l.done[cp.Shard] {
 		return cp.Shard, false, nil
 	}
-	if err := l.jnl.appendRaw(canonical); err != nil {
+	if err := l.jnl.Append(canonical); err != nil {
 		return cp.Shard, false, fmt.Errorf("campaign: ledger: append shard %d: %w", cp.Shard, err)
 	}
 	l.done[cp.Shard] = true
@@ -160,5 +161,5 @@ func (l *Ledger) Close() error {
 		return nil
 	}
 	l.closed = true
-	return l.jnl.close()
+	return l.jnl.Close()
 }

@@ -9,10 +9,11 @@
 //
 //   - a feedback journal: operator-labelled or golden-run-confirmed
 //     alarm outcomes (true alarm, false alarm, missed failure) appended
-//     with the same fsynced, torn-tail-tolerant JSONL scheme as the
-//     campaign journal (internal/campaign), plus a verdict-diff journal
-//     recording every sample on which a candidate bundle disagreed with
-//     the live one — the raw material of the next refinement run;
+//     to an internal/durable log, the campaign journal's fsynced
+//     append-only JSONL with its one torn-tail policy, plus a
+//     verdict-diff journal recording every sample on which a candidate
+//     bundle disagreed with the live one — the raw material of the next
+//     refinement run;
 //   - drift detection: per-detector alarm rates and per-feature
 //     magnitude distributions tracked in internal/telemetry's
 //     power-of-two histograms, compared against a frozen baseline with
@@ -29,9 +30,8 @@
 //
 // Ownership and concurrency: a Monitor and a Tracker are safe for
 // unrestricted concurrent use (atomic windows, mutex-guarded journal
-// appends). A Journal serialises appends internally; Close it exactly
-// once after its last writer is done. Records returned by readers are
-// owned by the caller.
+// appends); Close a Monitor once, after its last writer is done.
+// Records returned by readers are owned by the caller.
 package lifecycle
 
 import (

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"edem/internal/durable"
 	"edem/internal/telemetry"
 )
 
@@ -82,7 +83,7 @@ func (w WindowStats) AlarmRegress() float64 {
 // the admin surface calls Status, Baseline and the window resets.
 type Monitor struct {
 	cfg      MonitorConfig
-	feedback *Journal
+	feedback *durable.Log
 	diffs    *asyncJournal
 	tracker  *Tracker
 
@@ -122,11 +123,11 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.Default()
 	}
-	fb, err := OpenJournal(filepath.Join(cfg.Dir, FeedbackName))
+	fb, err := durable.OpenLog(filepath.Join(cfg.Dir, FeedbackName))
 	if err != nil {
 		return nil, err
 	}
-	dj, err := OpenJournal(filepath.Join(cfg.Dir, DiffsName))
+	dj, err := durable.OpenLog(filepath.Join(cfg.Dir, DiffsName))
 	if err != nil {
 		fb.Close()
 		return nil, err
@@ -186,7 +187,7 @@ func (m *Monitor) RecordFeedback(rec FeedbackRecord) error {
 	if rec.UnixMS == 0 {
 		rec.UnixMS = time.Now().UnixMilli()
 	}
-	if err := m.feedback.Append(rec); err != nil {
+	if err := appendJSON(m.feedback, rec); err != nil {
 		return err
 	}
 	m.fbCount.Add(1)

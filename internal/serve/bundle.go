@@ -37,6 +37,7 @@ import (
 	"io"
 	"os"
 
+	"edem/internal/durable"
 	"edem/internal/predicate"
 	"edem/internal/propane"
 )
@@ -195,15 +196,10 @@ func (b *Bundle) Write(w io.Writer) error {
 	return enc.Encode(b)
 }
 
-// WriteFile writes the bundle to path.
+// WriteFile replaces the bundle file at path atomically
+// (durable.WriteFile). Write validates before it writes a byte, and a
+// failed replace leaves the previous file in place, so an invalid
+// bundle never destroys the file a server reloads from.
 func (b *Bundle) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := b.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return durable.WriteFile(path, b.Write)
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -39,6 +41,37 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 	if loc, err := out.Detectors[1].ParseLocation(); err != nil || loc != propane.Entry {
 		t.Fatalf("location = %v, %v", loc, err)
+	}
+}
+
+// TestBundleWriteFileKeepsOldOnInvalid pins the export path a server
+// reloads from: writing an invalid bundle over a valid one fails and
+// leaves the valid bytes in place, with no temp file behind.
+func TestBundleWriteFileKeepsOldOnInvalid(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bundle.json")
+	if err := testBundle("MG-A1").WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Bundle{Version: BundleVersion}).WriteFile(path); err == nil {
+		t.Fatal("a bundle without detectors was written")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("failed write changed the bundle: %d bytes -> %d bytes", len(before), len(after))
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+	if _, err := LoadBundle(path); err != nil {
+		t.Fatalf("the kept bundle no longer loads: %v", err)
 	}
 }
 
