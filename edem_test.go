@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"edem/internal/campaign"
 )
 
 // smallOpts keeps facade tests fast.
@@ -13,12 +15,6 @@ func smallOpts() Options {
 	opts.BitStride = 8
 	opts.Folds = 5
 	return opts
-}
-
-func TestFacadeDatasetIDs(t *testing.T) {
-	if got := len(AllDatasetIDs()); got != 18 {
-		t.Fatalf("dataset ids = %d", got)
-	}
 }
 
 func TestFacadeCampaignToPredicate(t *testing.T) {
@@ -34,10 +30,6 @@ func TestFacadeCampaignToPredicate(t *testing.T) {
 	}
 	if camp.Failures() == 0 {
 		t.Fatal("no failures")
-	}
-	stats := SummarizeCampaign(camp)
-	if len(stats) == 0 {
-		t.Fatal("no per-variable stats")
 	}
 
 	d, err := Preprocess(ctx, camp)
@@ -73,53 +65,6 @@ func TestFacadeCampaignToPredicate(t *testing.T) {
 	}
 }
 
-func TestFacadeFormatsRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign; skipped in -short mode")
-	}
-	ctx := context.Background()
-	opts := smallOpts()
-	camp, err := Campaign(ctx, "MG-A1", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logBuf, arffBuf, csvBuf strings.Builder
-	if err := WriteLog(&logBuf, camp); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLog(strings.NewReader(logBuf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(camp.Records) {
-		t.Fatal("log round trip lost records")
-	}
-	d, err := Preprocess(ctx, camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteARFF(&arffBuf, d); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := ReadARFF(strings.NewReader(arffBuf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Len() != d.Len() {
-		t.Fatal("ARFF round trip lost instances")
-	}
-	if err := WriteCSV(&csvBuf, d); err != nil {
-		t.Fatal(err)
-	}
-	d3, err := ReadCSV(strings.NewReader(csvBuf.String()), "csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3.Len() != d.Len() {
-		t.Fatal("CSV round trip lost instances")
-	}
-}
-
 func TestFacadeDetectorLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline; skipped in -short mode")
@@ -138,67 +83,9 @@ func TestFacadeDetectorLifecycle(t *testing.T) {
 	if val.Counts.TPR() < 0.8 {
 		t.Errorf("deployed TPR = %v", val.Counts.TPR())
 	}
-	lat, err := MeasureLatency(ctx, rep.ID, rep.Predicate, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat.Detected+lat.Missed != lat.Failures {
-		t.Fatal("latency accounting")
-	}
 	det, err := NewDetector("RGain", Entry, rep.Predicate)
 	if err != nil || det.Module != "RGain" {
 		t.Fatalf("detector construction: %v", err)
-	}
-}
-
-// TestFacadeTelemetry exercises the telemetry surface of the facade:
-// process-default registry lifecycle, context-local registries, and
-// the snapshot export of an instrumented pipeline stage.
-func TestFacadeTelemetry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign; skipped in -short mode")
-	}
-	if Telemetry() != nil {
-		t.Fatal("telemetry should start disabled")
-	}
-	reg := EnableTelemetry()
-	defer DisableTelemetry()
-	if Telemetry() != reg {
-		t.Fatal("EnableTelemetry did not install the registry")
-	}
-
-	ctx := context.Background()
-	camp, err := Campaign(ctx, "MG-B1", smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Preprocess(ctx, camp); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["campaign.runs_injected"] == 0 {
-		t.Error("campaign.runs_injected not counted")
-	}
-	if snap.Phases["campaign"].Count != 1 || snap.Phases["preprocess"].Count != 1 {
-		t.Errorf("phases = %v", snap.Phases)
-	}
-
-	// A context-local registry wins over the process default: spans on
-	// the scoped context land in it, not in reg.
-	local := NewMetrics()
-	lctx, span := StartSpan(WithTelemetry(ctx, local), "facade-span")
-	_ = lctx
-	span.End()
-	if got := local.Snapshot().Phases["facade-span"].Count; got != 1 {
-		t.Errorf("context-local span count = %d, want 1", got)
-	}
-	if _, ok := reg.Snapshot().Phases["facade-span"]; ok {
-		t.Error("context-local span leaked into the default registry")
-	}
-
-	DisableTelemetry()
-	if Telemetry() != nil {
-		t.Fatal("DisableTelemetry left a registry installed")
 	}
 }
 
@@ -235,7 +122,8 @@ func (goldenPanicTarget) Failed(_ TestCase, golden, observed any) bool { return 
 
 // TestFacadeRunCampaignRefusesFailedGolden checks that RunCampaign,
 // which runs on the campaign engine, still fails when a golden run does
-// instead of returning a campaign with that test case's cells skipped.
+// instead of returning a campaign with that test case's cells skipped,
+// as the engine itself reports them.
 func TestFacadeRunCampaignRefusesFailedGolden(t *testing.T) {
 	spec := Spec{
 		Dataset:        "PANIC-1",
@@ -250,11 +138,11 @@ func TestFacadeRunCampaignRefusesFailedGolden(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "golden run") {
 		t.Fatalf("RunCampaign = %v, %v; want a golden-run error", camp, err)
 	}
-	res, err := RunResumableCampaign(context.Background(), goldenPanicTarget{}, spec, CampaignConfig{})
+	res, err := campaign.Run(context.Background(), goldenPanicTarget{}, spec, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Skipped) == 0 {
-		t.Fatal("RunResumableCampaign skipped nothing; want test case 1's cells skipped")
+		t.Fatal("campaign.Run skipped nothing; want test case 1's cells skipped")
 	}
 }

@@ -86,14 +86,6 @@ func Float64Bit(x float64, bit int) (float64, error) {
 	return math.Float64frombits(math.Float64bits(x) ^ (1 << uint(bit))), nil
 }
 
-// Float32Bit flips bit of the IEEE-754 single-precision encoding of x.
-func Float32Bit(x float32, bit int) (float32, error) {
-	if bit < 0 || bit >= 32 {
-		return x, &BadBitError{Kind: Float32, Bit: bit}
-	}
-	return math.Float32frombits(math.Float32bits(x) ^ (1 << uint(bit))), nil
-}
-
 // Int64Bit flips bit of the two's-complement encoding of x.
 func Int64Bit(x int64, bit int) (int64, error) {
 	if bit < 0 || bit >= 64 {

@@ -113,9 +113,11 @@ func TestInt32Float32Bool(t *testing.T) {
 	if err != nil || i32 != 3 {
 		t.Errorf("Int32Bit = %v, %v", i32, err)
 	}
-	f32, err := Float32Bit(1.0, 31)
-	if err != nil || f32 != -1.0 {
-		t.Errorf("Float32Bit sign = %v, %v", f32, err)
+	// Float32 variables flip through Bits/SetBits and the kind's mask;
+	// bit 31 is the sign.
+	mask, err := Fault{}.Mask(Float32, 31)
+	if f32 := math.Float32frombits(math.Float32bits(1.0) ^ uint32(mask)); err != nil || f32 != -1.0 {
+		t.Errorf("Float32 sign flip = %v, %v", f32, err)
 	}
 	b, err := BoolBit(false, 0)
 	if err != nil || b != true {
@@ -135,8 +137,8 @@ func TestBadBitErrors(t *testing.T) {
 	if _, err := Float64Bit(1, -1); err == nil {
 		t.Error("negative bit should error")
 	}
-	if _, err := Float32Bit(1, 32); err == nil {
-		t.Error("Float32Bit(32) should error")
+	if _, err := (Fault{}).Mask(Float32, 32); !errors.As(err, &badBit) {
+		t.Errorf("Mask(Float32, 32) error = %v", err)
 	}
 	if _, err := Int64Bit(1, 64); err == nil {
 		t.Error("Int64Bit(64) should error")

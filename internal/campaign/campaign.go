@@ -31,6 +31,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -177,6 +178,9 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 		reg:     reg,
 		metrics: propane.NewRunMetrics(reg).WithFault(plan.Spec.Fault),
 	}
+	if jnl != nil {
+		e.fresh = make([]checkpoint, plan.Shards)
+	}
 	e.done.Store(int64(len(restored)))
 
 	records := make([]propane.Record, len(plan.Jobs))
@@ -222,9 +226,15 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 	// line per shard in shard order, duplicates and torn tails dropped.
 	// Sealed journals are byte-identical across execution paths (local,
 	// resumed, fabric), which is what the cross-machine bit-identity
-	// guarantee is pinned against.
+	// guarantee is pinned against. The restored and fresh checkpoints
+	// are all in memory, so the log is not read back.
 	if jnl != nil {
-		if err := sealJournal(cfg.Journal, plan.Hash, plan.Shards); err != nil {
+		cps := make(map[int]checkpoint, plan.Shards)
+		maps.Copy(cps, restored)
+		for _, s := range pending {
+			cps[s] = e.fresh[s]
+		}
+		if err := sealCheckpoints(cfg.Journal, cps, plan.Shards); err != nil {
 			return nil, fmt.Errorf("campaign: seal journal: %w", err)
 		}
 	}
@@ -355,6 +365,11 @@ type engine struct {
 	jnl    *durable.Log
 	reg    *telemetry.Registry
 
+	// fresh holds, when journaling, each shard's checkpoint as
+	// runShards appends it, so Run seals from memory. Shards write
+	// disjoint slots, so no lock is needed.
+	fresh []checkpoint
+
 	// fork executes the cells; built with the goldens.
 	fork *propane.ForkRunner
 
@@ -423,6 +438,7 @@ func (e *engine) runShards(ctx context.Context, pending []int, records []propane
 			if err != nil {
 				return fmt.Errorf("campaign: checkpoint shard %d: %w", shard, err)
 			}
+			e.fresh[shard] = cp
 		}
 		e.shardsRun.Add(1)
 		done := int(e.done.Add(1))

@@ -338,11 +338,20 @@ func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 // resumed run and a multi-worker fabric run of the same plan all seal
 // to identical bytes. Re-encoding also drops fields the current format
 // lacks, such as the per-shard fork statistics older binaries wrote.
+// The fabric ledger seals this way; it holds no checkpoints, so it
+// reads them back from the log.
 func sealJournal(dir, planHash string, shards int) error {
 	cps, _, _, err := readCheckpoints(dir, planHash, false)
 	if err != nil {
 		return err
 	}
+	return sealCheckpoints(dir, cps, shards)
+}
+
+// sealCheckpoints seals the journal from checkpoints already in memory,
+// which must cover all shards: campaign.Run holds the restored ones and
+// built the rest.
+func sealCheckpoints(dir string, cps map[int]checkpoint, shards int) error {
 	if len(cps) != shards {
 		return fmt.Errorf("campaign: seal: journal has %d of %d shards", len(cps), shards)
 	}

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzARFFRoundTrip checks write stability: any input ReadARFF accepts
-// must serialise to a form that (a) ReadARFF accepts again and (b) is a
+// FuzzARFFRoundTrip checks write stability: any input readARFF accepts
+// must serialise to a form that (a) readARFF accepts again and (b) is a
 // fixed point of the write→read→write cycle. Byte-equality of the two
 // written forms (rather than deep equality of the datasets) makes the
 // property robust to one-time normalisation of exotic inputs — e.g. a
@@ -40,7 +40,7 @@ NaN,yes
 `))
 	f.Add([]byte("@relation r\n@attribute \"d'q\" numeric\n@attribute class {\"a',b\",z}\n@data\n1,\"a',b\"\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d1, err := ReadARFF(bytes.NewReader(data))
+		d1, err := readARFF(bytes.NewReader(data))
 		if err != nil {
 			return // invalid input: nothing to round-trip
 		}
@@ -48,7 +48,7 @@ NaN,yes
 		if err := WriteARFF(&b1, d1); err != nil {
 			t.Fatalf("write of parsed dataset failed: %v", err)
 		}
-		d2, err := ReadARFF(bytes.NewReader(b1.Bytes()))
+		d2, err := readARFF(bytes.NewReader(b1.Bytes()))
 		if err != nil {
 			t.Fatalf("reparse of written ARFF failed: %v\nwritten:\n%s", err, b1.Bytes())
 		}

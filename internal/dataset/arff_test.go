@@ -18,9 +18,9 @@ func TestARFFRoundTrip(t *testing.T) {
 	if err := WriteARFF(&sb, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadARFF(strings.NewReader(sb.String()))
+	got, err := readARFF(strings.NewReader(sb.String()))
 	if err != nil {
-		t.Fatalf("ReadARFF: %v\n%s", err, sb.String())
+		t.Fatalf("readARFF: %v\n%s", err, sb.String())
 	}
 	if got.Name != d.Name || got.Len() != d.Len() {
 		t.Fatalf("round trip changed shape: %q %d", got.Name, got.Len())
@@ -63,7 +63,7 @@ func TestARFFRoundTripProperty(t *testing.T) {
 		if err := WriteARFF(&sb, d); err != nil {
 			return false
 		}
-		got, err := ReadARFF(strings.NewReader(sb.String()))
+		got, err := readARFF(strings.NewReader(sb.String()))
 		if err != nil || got.Len() != d.Len() {
 			return false
 		}
@@ -92,9 +92,9 @@ func TestARFFQuotedNames(t *testing.T) {
 	if err := WriteARFF(&sb, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadARFF(strings.NewReader(sb.String()))
+	got, err := readARFF(strings.NewReader(sb.String()))
 	if err != nil {
-		t.Fatalf("ReadARFF: %v\n%s", err, sb.String())
+		t.Fatalf("readARFF: %v\n%s", err, sb.String())
 	}
 	if got.Attrs[0].Name != "weird name" {
 		t.Errorf("attr name = %q", got.Attrs[0].Name)
@@ -116,7 +116,7 @@ func TestARFFExtremeValues(t *testing.T) {
 	if err := WriteARFF(&sb, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadARFF(strings.NewReader(sb.String()))
+	got, err := readARFF(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestARFFComments(t *testing.T) {
 1.5,a
 2.5,b
 `
-	d, err := ReadARFF(strings.NewReader(src))
+	d, err := readARFF(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestARFFParseErrors(t *testing.T) {
 		"garbage header":     "@relation r\nnonsense\n@data\n",
 	}
 	for name, src := range cases {
-		if _, err := ReadARFF(strings.NewReader(src)); err == nil {
+		if _, err := readARFF(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected parse error", name)
 		}
 	}
@@ -171,7 +171,7 @@ func TestARFFMissingClassNotAllowed(t *testing.T) {
 	// '?' in the class column is rejected: concept learning requires
 	// labelled instances.
 	src := "@relation r\n@attribute x numeric\n@attribute class {a,b}\n@data\n1,?\n"
-	if _, err := ReadARFF(strings.NewReader(src)); err == nil {
+	if _, err := readARFF(strings.NewReader(src)); err == nil {
 		t.Fatal("missing class label should be rejected")
 	}
 }

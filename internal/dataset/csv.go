@@ -7,11 +7,9 @@ import (
 	"strconv"
 )
 
-// CSV interoperability: a header row of attribute names plus a final
-// "class" column. Nominal attribute domains are inferred from the data
-// in first-appearance order when reading; '?' and empty cells are
-// missing values. This is the lingua franca for moving fault-injection
-// datasets into and out of other toolchains.
+// CSV export: a header row of attribute names plus a final "class"
+// column, '?' for a missing value. This is the lingua franca for moving
+// fault-injection datasets into other toolchains.
 
 // WriteCSV serialises the dataset with a header row; nominal values are
 // written symbolically, the class label last.
@@ -45,112 +43,4 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a CSV stream produced by WriteCSV or a compatible
-// tool. Columns whose every non-missing cell parses as a number become
-// numeric attributes; the rest become nominal with domains in
-// first-appearance order. The final column is the class.
-func ReadCSV(r io.Reader, name string) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("csv: %w", err)
-	}
-	if len(records) < 2 {
-		return nil, fmt.Errorf("csv: need a header and at least one data row")
-	}
-	header := records[0]
-	if len(header) < 2 {
-		return nil, fmt.Errorf("csv: need at least one attribute plus a class column")
-	}
-	nAttr := len(header) - 1
-	rows := records[1:]
-	for i, rec := range rows {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("csv: row %d has %d fields, want %d", i+1, len(rec), len(header))
-		}
-	}
-
-	// Column typing: numeric iff every non-missing cell parses.
-	numeric := make([]bool, nAttr)
-	for a := 0; a < nAttr; a++ {
-		numeric[a] = true
-		seen := false
-		for _, rec := range rows {
-			cell := rec[a]
-			if cell == "?" || cell == "" {
-				continue
-			}
-			seen = true
-			if _, err := strconv.ParseFloat(cell, 64); err != nil {
-				numeric[a] = false
-				break
-			}
-		}
-		if !seen {
-			numeric[a] = false // all-missing columns default to nominal
-		}
-	}
-
-	attrs := make([]Attribute, nAttr)
-	domains := make([]map[string]int, nAttr)
-	for a := 0; a < nAttr; a++ {
-		if numeric[a] {
-			attrs[a] = NumericAttr(header[a])
-			continue
-		}
-		attrs[a] = Attribute{Name: header[a], Type: Nominal}
-		domains[a] = map[string]int{}
-		for _, rec := range rows {
-			cell := rec[a]
-			if cell == "?" || cell == "" {
-				continue
-			}
-			if _, ok := domains[a][cell]; !ok {
-				domains[a][cell] = len(attrs[a].Values)
-				attrs[a].Values = append(attrs[a].Values, cell)
-			}
-		}
-	}
-
-	classIdx := map[string]int{}
-	var classes []string
-	for _, rec := range rows {
-		label := rec[nAttr]
-		if label == "" || label == "?" {
-			return nil, fmt.Errorf("csv: missing class label")
-		}
-		if _, ok := classIdx[label]; !ok {
-			classIdx[label] = len(classes)
-			classes = append(classes, label)
-		}
-	}
-
-	d := New(name, attrs, classes)
-	for ri, rec := range rows {
-		in := Instance{Values: make([]float64, nAttr), Weight: 1}
-		for a := 0; a < nAttr; a++ {
-			cell := rec[a]
-			if cell == "?" || cell == "" {
-				in.Values[a] = Missing
-				continue
-			}
-			if numeric[a] {
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					return nil, fmt.Errorf("csv: row %d column %q: %w", ri+1, header[a], err)
-				}
-				in.Values[a] = v
-			} else {
-				in.Values[a] = float64(domains[a][cell])
-			}
-		}
-		in.Class = classIdx[rec[nAttr]]
-		if err := d.Add(in); err != nil {
-			return nil, fmt.Errorf("csv: row %d: %w", ri+1, err)
-		}
-	}
-	return d, nil
 }

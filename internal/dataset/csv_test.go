@@ -1,12 +1,21 @@
 package dataset
 
 import (
+	"encoding/csv"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
+// TestCSVRoundTrip reads WriteCSV's output back with encoding/csv: a
+// header of the attribute names plus "class", then one row per
+// instance with '?' for a missing value, nominal values and the class
+// by name, and numbers that parse back to the same float64.
 func TestCSVRoundTrip(t *testing.T) {
 	d := sampleDataset(t, 20)
+	d.Name = "rt"
+	d.Attrs[2].Values[1] = `mid,"quoted"` // exercises CSV quoting
 	d.Instances[2].Values[0] = Missing
 	d.Instances[5].Values[2] = Missing
 
@@ -14,88 +23,43 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&sb, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(strings.NewReader(sb.String()), "rt")
+	records, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
 	if err != nil {
-		t.Fatalf("ReadCSV: %v\n%s", err, sb.String())
+		t.Fatalf("csv.Reader: %v\n%s", err, sb.String())
 	}
-	if got.Len() != d.Len() {
-		t.Fatalf("rows = %d, want %d", got.Len(), d.Len())
+	var header []string
+	for _, a := range d.Attrs {
+		header = append(header, a.Name)
 	}
-	for a := range d.Attrs {
-		if got.Attrs[a].Type != d.Attrs[a].Type {
-			t.Fatalf("attr %d type %v, want %v", a, got.Attrs[a].Type, d.Attrs[a].Type)
+	header = append(header, "class")
+	if !slices.Equal(records[0], header) {
+		t.Fatalf("header = %q, want %q", records[0], header)
+	}
+	if len(records)-1 != d.Len() {
+		t.Fatalf("rows = %d, want %d", len(records)-1, d.Len())
+	}
+	for i, rec := range records[1:] {
+		in := d.Instances[i]
+		if rec[len(rec)-1] != d.ClassValues[in.Class] {
+			t.Fatalf("row %d class = %q, want %q", i, rec[len(rec)-1], d.ClassValues[in.Class])
 		}
-	}
-	for i := range d.Instances {
-		want := d.Instances[i]
-		have := got.Instances[i]
-		if d.ClassValues[want.Class] != got.ClassValues[have.Class] {
-			t.Fatalf("row %d class mismatch", i)
-		}
-		for j := range want.Values {
-			wv, hv := want.Values[j], have.Values[j]
-			if IsMissing(wv) != IsMissing(hv) {
-				t.Fatalf("row %d col %d missing mismatch", i, j)
-			}
-			if IsMissing(wv) {
-				continue
-			}
-			if d.Attrs[j].Type == Nominal {
-				if d.Attrs[j].Values[int(wv)] != got.Attrs[j].Values[int(hv)] {
-					t.Fatalf("row %d col %d nominal mismatch", i, j)
+		for j, v := range in.Values {
+			cell := rec[j]
+			switch {
+			case IsMissing(v):
+				if cell != "?" {
+					t.Fatalf("row %d col %d = %q, want ?", i, j, cell)
 				}
-			} else if wv != hv {
-				t.Fatalf("row %d col %d: %v != %v", i, j, wv, hv)
+			case d.Attrs[j].Type == Nominal:
+				if cell != d.Attrs[j].Values[int(v)] {
+					t.Fatalf("row %d col %d = %q, want %q", i, j, cell, d.Attrs[j].Values[int(v)])
+				}
+			default:
+				got, err := strconv.ParseFloat(cell, 64)
+				if err != nil || got != v {
+					t.Fatalf("row %d col %d = %q (%v), want %v", i, j, cell, err, v)
+				}
 			}
 		}
-	}
-}
-
-func TestReadCSVTypeInference(t *testing.T) {
-	src := "x,mode,class\n1.5,on,a\n2.5,off,b\n?,on,a\n"
-	d, err := ReadCSV(strings.NewReader(src), "ti")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Attrs[0].Type != Numeric {
-		t.Error("x should be numeric")
-	}
-	if d.Attrs[1].Type != Nominal || len(d.Attrs[1].Values) != 2 {
-		t.Errorf("mode attr = %+v", d.Attrs[1])
-	}
-	if len(d.ClassValues) != 2 {
-		t.Errorf("classes = %v", d.ClassValues)
-	}
-	if !IsMissing(d.Instances[2].Values[0]) {
-		t.Error("'?' should be missing")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":         "",
-		"header only":   "x,class\n",
-		"single column": "class\na\n",
-		"missing class": "x,class\n1,?\n",
-		"ragged row":    "x,class\n1,a,b\n",
-	}
-	for name, src := range cases {
-		if _, err := ReadCSV(strings.NewReader(src), "e"); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-func TestReadCSVMixedColumnIsNominal(t *testing.T) {
-	src := "v,class\n1.5,a\nhello,b\n2.5,a\n"
-	d, err := ReadCSV(strings.NewReader(src), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Attrs[0].Type != Nominal {
-		t.Error("mixed column should fall back to nominal")
-	}
-	if len(d.Attrs[0].Values) != 3 {
-		t.Errorf("domain = %v", d.Attrs[0].Values)
 	}
 }

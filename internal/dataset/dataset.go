@@ -63,16 +63,6 @@ func NominalAttr(name string, values ...string) Attribute {
 	return Attribute{Name: name, Type: Nominal, Values: vs}
 }
 
-// ValueIndex returns the index of v in a nominal attribute's domain.
-func (a Attribute) ValueIndex(v string) (int, bool) {
-	for i, s := range a.Values {
-		if s == v {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // Missing is the sentinel for an absent attribute value.
 var Missing = math.NaN()
 

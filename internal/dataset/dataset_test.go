@@ -91,16 +91,6 @@ func TestSubsetAndFilter(t *testing.T) {
 	}
 }
 
-func TestValueIndex(t *testing.T) {
-	a := NominalAttr("c", "x", "y")
-	if i, ok := a.ValueIndex("y"); !ok || i != 1 {
-		t.Fatalf("ValueIndex = %d, %v", i, ok)
-	}
-	if _, ok := a.ValueIndex("z"); ok {
-		t.Fatal("ValueIndex(z) should fail")
-	}
-}
-
 func TestMissingSentinel(t *testing.T) {
 	if !IsMissing(Missing) {
 		t.Fatal("Missing must be missing")

@@ -30,22 +30,6 @@ func appendJSON(l *durable.Log, rec any) error {
 	return l.Append(data)
 }
 
-// ReadFeedback loads every decodable feedback record from path,
-// reporting the number of torn (skipped) lines alongside. A missing
-// file is an empty journal.
-func ReadFeedback(path string) ([]FeedbackRecord, int, error) { return readAll[FeedbackRecord](path) }
-
-// ReadDiffs is ReadFeedback for verdict-diff records.
-func ReadDiffs(path string) ([]DiffRecord, int, error) { return readAll[DiffRecord](path) }
-
-func readAll[T any](path string) (recs []T, torn int, err error) {
-	torn, err = durable.Scan(path, func(r T) error {
-		recs = append(recs, r)
-		return nil
-	})
-	return recs, torn, err
-}
-
 // asyncJournal decouples journal appends from the serve request path:
 // records queue into a bounded channel and a single writer goroutine
 // performs the fsynced appends. When the queue is full the record is

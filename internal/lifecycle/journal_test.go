@@ -30,7 +30,7 @@ func TestFeedbackJournalRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, torn, err := ReadFeedback(path)
+	got, torn, err := scanAll[FeedbackRecord](path)
 	if err != nil || torn != 0 {
 		t.Fatalf("read: torn=%d err=%v", torn, err)
 	}
@@ -77,7 +77,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	recs, torn, err := ReadDiffs(path)
+	recs, torn, err := scanAll[DiffRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestJournalTornTail(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs2, torn2, err := ReadDiffs(path)
+	recs2, torn2, err := scanAll[DiffRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, torn, err := ReadFeedback(path)
+	recs, torn, err := scanAll[FeedbackRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 }
 
 func TestReadMissingJournal(t *testing.T) {
-	recs, torn, err := ReadFeedback(filepath.Join(t.TempDir(), "nope.jsonl"))
+	recs, torn, err := scanAll[FeedbackRecord](filepath.Join(t.TempDir(), "nope.jsonl"))
 	if err != nil || torn != 0 || len(recs) != 0 {
 		t.Fatalf("missing journal: recs=%v torn=%d err=%v, want empty", recs, torn, err)
 	}
@@ -187,7 +187,7 @@ func TestAsyncJournalDrops(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := ReadDiffs(filepath.Join(dir, DiffsName))
+	recs, _, err := scanAll[DiffRecord](filepath.Join(dir, DiffsName))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,3 +17,13 @@ func OpenJournal(path string) (*Journal, error) {
 
 func (j *Journal) Append(rec any) error { return appendJSON(j.l, rec) }
 func (j *Journal) Close() error         { return j.l.Close() }
+
+// scanAll collects every decodable record of a journal file through
+// durable.Scan, also reporting how many torn lines it skipped.
+func scanAll[T any](path string) (recs []T, torn int, err error) {
+	torn, err = durable.Scan(path, func(r T) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, torn, err
+}

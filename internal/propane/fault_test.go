@@ -456,7 +456,7 @@ func TestLogFaultHeaderRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), "#fault intermittent 1 4\n") {
 		t.Fatalf("log missing fault header:\n%s", buf.String()[:200])
 	}
-	back, err := ReadLog(bytes.NewReader(buf.Bytes()))
+	back, err := readLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

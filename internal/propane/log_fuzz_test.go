@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzReadLog checks write stability of the PROPANE log codec: any
-// input ReadLog accepts must serialise to a form ReadLog accepts again,
+// input readLog accepts must serialise to a form readLog accepts again,
 // and the write→read→write cycle must reach a fixed point after the
 // first write (which may normalise exotic-but-valid inputs, e.g. a
 // state vector on an unsampled run is dropped).
@@ -25,7 +25,7 @@ RUN tc=4 var=bytesIn bit=0 t=5 inj=1 smp=0 fail=1 crash=1
 	f.Add([]byte("#PROPANE v1\n#vars a\nRUN tc=1 var=a bit=2 t=1 inj=1 smp=1 fail=1 crash=0 state=NaN\n"))
 	f.Add([]byte("#target\n#module m\n#sample Entry\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c1, err := ReadLog(bytes.NewReader(data))
+		c1, err := readLog(bytes.NewReader(data))
 		if err != nil {
 			return // invalid input: nothing to round-trip
 		}
@@ -33,7 +33,7 @@ RUN tc=4 var=bytesIn bit=0 t=5 inj=1 smp=0 fail=1 crash=1
 		if err := WriteLog(&b1, c1); err != nil {
 			t.Fatalf("write of parsed campaign failed: %v", err)
 		}
-		c2, err := ReadLog(bytes.NewReader(b1.Bytes()))
+		c2, err := readLog(bytes.NewReader(b1.Bytes()))
 		if err != nil {
 			t.Fatalf("reparse of written log failed: %v\nwritten:\n%s", err, b1.Bytes())
 		}

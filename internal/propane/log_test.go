@@ -15,7 +15,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := WriteLog(&sb, camp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadLog(strings.NewReader(sb.String()))
+	got, err := readLog(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestLogUnsampledRecord(t *testing.T) {
 	if strings.Contains(sb.String(), "state=") {
 		t.Fatal("unsampled record must not serialise a state vector")
 	}
-	got, err := ReadLog(strings.NewReader(sb.String()))
+	got, err := readLog(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestLogParseErrors(t *testing.T) {
 		"garbage line":  "WHAT is this\n",
 	}
 	for name, src := range cases {
-		if _, err := ReadLog(strings.NewReader(src)); err == nil {
+		if _, err := readLog(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -104,7 +104,7 @@ func TestLogSpecialFloats(t *testing.T) {
 	if err := WriteLog(&sb, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadLog(strings.NewReader(sb.String()))
+	got, err := readLog(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,25 +89,6 @@ func Float64Ref(name string, p *float64) VarRef {
 	}
 }
 
-// Float32Ref adapts a *float32 to a VarRef.
-func Float32Ref(name string, p *float32) VarRef {
-	return VarRef{
-		Name: name,
-		Kind: bitflip.Float32,
-		Read: func() float64 { return float64(*p) },
-		FlipBit: func(bit int) error {
-			v, err := bitflip.Float32Bit(*p, bit)
-			if err != nil {
-				return err
-			}
-			*p = v
-			return nil
-		},
-		Bits:    func() uint64 { return uint64(math.Float32bits(*p)) },
-		SetBits: func(bits uint64) { *p = math.Float32frombits(uint32(bits)) },
-	}
-}
-
 // Int64Ref adapts a *int64 to a VarRef.
 func Int64Ref(name string, p *int64) VarRef {
 	return VarRef{
@@ -162,25 +143,6 @@ func Uint64Ref(name string, p *uint64) VarRef {
 		},
 		Bits:    func() uint64 { return *p },
 		SetBits: func(bits uint64) { *p = bits },
-	}
-}
-
-// IntRef adapts a *int to a VarRef, treating it as 64-bit.
-func IntRef(name string, p *int) VarRef {
-	return VarRef{
-		Name: name,
-		Kind: bitflip.Int64,
-		Read: func() float64 { return float64(*p) },
-		FlipBit: func(bit int) error {
-			v, err := bitflip.Int64Bit(int64(*p), bit)
-			if err != nil {
-				return err
-			}
-			*p = int(v)
-			return nil
-		},
-		Bits:    func() uint64 { return uint64(int64(*p)) },
-		SetBits: func(bits uint64) { *p = int(int64(bits)) },
 	}
 }
 

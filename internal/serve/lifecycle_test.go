@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"edem/internal/durable"
 	"edem/internal/lifecycle"
 	"edem/internal/predicate"
 	"edem/internal/telemetry"
@@ -190,7 +191,11 @@ func TestCanaryAutoRollback(t *testing.T) {
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, torn, err := lifecycle.ReadDiffs(filepath.Join(dir, lifecycle.DiffsName))
+	var recs []lifecycle.DiffRecord
+	torn, err := durable.Scan(filepath.Join(dir, lifecycle.DiffsName), func(r lifecycle.DiffRecord) error {
+		recs = append(recs, r)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +347,11 @@ func TestFeedbackJournalled(t *testing.T) {
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, torn, err := lifecycle.ReadFeedback(filepath.Join(dir, lifecycle.FeedbackName))
+	var recs []lifecycle.FeedbackRecord
+	torn, err := durable.Scan(filepath.Join(dir, lifecycle.FeedbackName), func(r lifecycle.FeedbackRecord) error {
+		recs = append(recs, r)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
