@@ -31,7 +31,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -179,7 +178,7 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 		metrics: propane.NewRunMetrics(reg).WithFault(plan.Spec.Fault),
 	}
 	if jnl != nil {
-		e.fresh = make([]checkpoint, plan.Shards)
+		e.fresh = make([][]byte, plan.Shards)
 	}
 	e.done.Store(int64(len(restored)))
 
@@ -226,15 +225,11 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 	// line per shard in shard order, duplicates and torn tails dropped.
 	// Sealed journals are byte-identical across execution paths (local,
 	// resumed, fabric), which is what the cross-machine bit-identity
-	// guarantee is pinned against. The restored and fresh checkpoints
-	// are all in memory, so the log is not read back.
+	// guarantee is pinned against. The restored checkpoints and the
+	// fresh shards' appended lines are all in memory, so the log is not
+	// re-scanned, and a fresh shard is not encoded twice.
 	if jnl != nil {
-		cps := make(map[int]checkpoint, plan.Shards)
-		maps.Copy(cps, restored)
-		for _, s := range pending {
-			cps[s] = e.fresh[s]
-		}
-		if err := sealCheckpoints(cfg.Journal, cps, plan.Shards); err != nil {
+		if err := sealCheckpoints(cfg.Journal, restored, e.fresh, plan.Shards); err != nil {
 			return nil, fmt.Errorf("campaign: seal journal: %w", err)
 		}
 	}
@@ -341,7 +336,7 @@ func preparePlan(target propane.Target, spec propane.Spec, cfg Config) (*prepSta
 	// them. A torn tail needs no rewrite: reopening the log terminates
 	// the fragment's line, and sealing drops it.
 	if foreign > 0 {
-		if err := writeCheckpointLog(cfg.Journal, restored); err != nil {
+		if err := writeCheckpointLog(cfg.Journal, restored, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -365,10 +360,10 @@ type engine struct {
 	jnl    *durable.Log
 	reg    *telemetry.Registry
 
-	// fresh holds, when journaling, each shard's checkpoint as
-	// runShards appends it, so Run seals from memory. Shards write
-	// disjoint slots, so no lock is needed.
-	fresh []checkpoint
+	// fresh holds, when journaling, each shard's canonical checkpoint
+	// line as runShards appends it, so Run seals from memory. Shards
+	// write disjoint slots, so no lock is needed.
+	fresh [][]byte
 
 	// fork executes the cells; built with the goldens.
 	fork *propane.ForkRunner
@@ -438,7 +433,7 @@ func (e *engine) runShards(ctx context.Context, pending []int, records []propane
 			if err != nil {
 				return fmt.Errorf("campaign: checkpoint shard %d: %w", shard, err)
 			}
-			e.fresh[shard] = cp
+			e.fresh[shard] = line
 		}
 		e.shardsRun.Add(1)
 		done := int(e.done.Add(1))

@@ -103,7 +103,7 @@ func reconcileIncremental(dir string, m manifest, plan *Plan) (restored map[int]
 	if err := writeManifest(dir, newManifest(plan)); err != nil {
 		return nil, 0, 0, 0, err
 	}
-	if err := writeCheckpointLog(dir, restored); err != nil {
+	if err := writeCheckpointLog(dir, restored, nil); err != nil {
 		return nil, 0, 0, 0, err
 	}
 	return restored, torn, invalidated, reused, nil

@@ -305,27 +305,42 @@ func readCheckpoints(dir, planHash string, dropForeign bool) (done map[int]check
 }
 
 // writeCheckpointLog makes the checkpoint log hold exactly the given
-// shards, one canonical line each, in ascending shard order. A log
-// already holding those bytes is left untouched — the common case when
-// sealing an uninterrupted local run; otherwise it is replaced
-// atomically.
-func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
-	shards := make([]int, 0, len(cps))
+// shards, one canonical line each, in ascending shard order: the
+// checkpoints in cps, which it encodes, and the shards whose line is
+// already encoded in lines (lines[s] non-nil; nil lines means none).
+// A log already holding those bytes is left untouched — the common case
+// when sealing an uninterrupted local run; otherwise it is replaced
+// atomically. The log is read back for that comparison only when its
+// size matches.
+func writeCheckpointLog(dir string, cps map[int]checkpoint, lines [][]byte) error {
+	shards := make([]int, 0, len(cps)+len(lines))
 	for s := range cps {
 		shards = append(shards, s)
+	}
+	for s, line := range lines {
+		if line != nil {
+			shards = append(shards, s)
+		}
 	}
 	sort.Ints(shards)
 	var buf []byte
 	for _, s := range shards {
-		line, err := encodeCheckpointLine(cps[s])
+		cp, ok := cps[s]
+		if !ok {
+			buf = append(buf, lines[s]...)
+			continue
+		}
+		line, err := encodeCheckpointLine(cp)
 		if err != nil {
 			return err
 		}
 		buf = append(buf, line...)
 	}
 	path := filepath.Join(dir, checkpointsName)
-	if cur, err := os.ReadFile(path); err == nil && bytes.Equal(cur, buf) {
-		return nil
+	if fi, err := os.Stat(path); err == nil && fi.Size() == int64(len(buf)) {
+		if cur, err := os.ReadFile(path); err == nil && bytes.Equal(cur, buf) {
+			return nil
+		}
 	}
 	return durable.WriteFile(path, func(w io.Writer) error { _, err := w.Write(buf); return err })
 }
@@ -345,15 +360,21 @@ func sealJournal(dir, planHash string, shards int) error {
 	if err != nil {
 		return err
 	}
-	return sealCheckpoints(dir, cps, shards)
+	return sealCheckpoints(dir, cps, nil, shards)
 }
 
 // sealCheckpoints seals the journal from checkpoints already in memory,
-// which must cover all shards: campaign.Run holds the restored ones and
-// built the rest.
-func sealCheckpoints(dir string, cps map[int]checkpoint, shards int) error {
-	if len(cps) != shards {
-		return fmt.Errorf("campaign: seal: journal has %d of %d shards", len(cps), shards)
+// which must cover all shards: campaign.Run holds the restored ones in
+// cps and the canonical lines it appended for the rest in lines.
+func sealCheckpoints(dir string, cps map[int]checkpoint, lines [][]byte, shards int) error {
+	have := len(cps)
+	for _, line := range lines {
+		if line != nil {
+			have++
+		}
 	}
-	return writeCheckpointLog(dir, cps)
+	if have != shards {
+		return fmt.Errorf("campaign: seal: journal has %d of %d shards", have, shards)
+	}
+	return writeCheckpointLog(dir, cps, lines)
 }

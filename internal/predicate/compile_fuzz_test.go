@@ -20,6 +20,14 @@ func FuzzCompiledEval(f *testing.F) {
 	f.Add(`{"name":"r","vars":["x","y"],"clauses":[[{"var":"x","index":5,"op":"!=","threshold":1},{"var":"y","index":-1,"op":">","threshold":0}]]}`,
 		[]byte{1, 0, 0, 0, 0, 0, 248, 127})
 	f.Add(`{"name":"v","vars":["x"],"clauses":[[]]}`, []byte{})
+	// Shared prefixes: a clause extending another, duplicates, a fork
+	// after a common atom, -0 beside +0 and an empty clause among atoms.
+	f.Add(`{"name":"s","vars":["x","y"],"clauses":[[{"var":"x","index":0,"op":">","threshold":1},{"var":"y","index":1,"op":"<=","threshold":2}],[{"var":"x","index":0,"op":">","threshold":1},{"var":"y","index":1,"op":">","threshold":5}],[{"var":"x","index":0,"op":">","threshold":1}]]}`,
+		[]byte{0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0, 0, 0, 24, 64})
+	f.Add(`{"name":"d","vars":["x","y"],"clauses":[[{"var":"y","index":1,"op":"!=","threshold":0},{"var":"x","index":0,"op":"<=","threshold":-0}],[{"var":"y","index":1,"op":"!=","threshold":0},{"var":"x","index":0,"op":"<=","threshold":0}],[{"var":"y","index":1,"op":"!=","threshold":0},{"var":"x","index":0,"op":"<=","threshold":-0}]]}`,
+		[]byte{0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 248, 127})
+	f.Add(`{"name":"e","vars":["x"],"clauses":[[{"var":"x","index":0,"op":"=","threshold":3},{"var":"x","index":0,"op":"=","threshold":3}],[],[{"var":"x","index":0,"op":"=","threshold":3}]]}`,
+		[]byte{0, 0, 0, 0, 0, 0, 8, 64})
 	f.Fuzz(func(t *testing.T, predText string, raw []byte) {
 		pred, err := Parse([]byte(predText))
 		if err != nil {

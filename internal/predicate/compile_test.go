@@ -2,6 +2,9 @@ package predicate
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"edem/internal/mining/eval"
@@ -215,8 +218,76 @@ func TestCompiledEquivalenceEdgeCases(t *testing.T) {
 				{{Var: "x", Index: 0, Op: EQ, Threshold: math.Copysign(0, -1)}},
 				{{Var: "x", Index: 0, Op: GT, Threshold: 0}},
 			}}},
+		{"prefix-clause", &Predicate{Name: "prefix", Vars: []string{"x", "y"},
+			Clauses: []Clause{
+				{{Var: "x", Index: 0, Op: GT, Threshold: 1}, {Var: "y", Index: 1, Op: LE, Threshold: 2}, {Var: "x", Index: 0, Op: LE, Threshold: 5}},
+				{{Var: "x", Index: 0, Op: GT, Threshold: 1}, {Var: "y", Index: 1, Op: LE, Threshold: 2}},
+				{{Var: "x", Index: 0, Op: GT, Threshold: 1}, {Var: "y", Index: 1, Op: GT, Threshold: 7}},
+				{{Var: "x", Index: 0, Op: GT, Threshold: 1}},
+				{{Var: "y", Index: 1, Op: EQ, Threshold: 3}, {Var: "x", Index: 0, Op: LE, Threshold: -1}},
+			}}},
+		{"duplicate-clauses", &Predicate{Name: "dup", Vars: []string{"x", "y"},
+			Clauses: []Clause{
+				{{Var: "x", Index: 0, Op: LE, Threshold: 4}, {Var: "y", Index: 1, Op: NE, Threshold: 0}},
+				{{Var: "y", Index: 1, Op: GT, Threshold: 9}},
+				{{Var: "x", Index: 0, Op: LE, Threshold: 4}, {Var: "y", Index: 1, Op: NE, Threshold: 0}},
+				{{Var: "y", Index: 1, Op: GT, Threshold: 9}},
+			}}},
+		{"signed-zero-pair", &Predicate{Name: "zero-pair", Vars: []string{"x", "y"},
+			Clauses: []Clause{
+				{{Var: "x", Index: 0, Op: LE, Threshold: math.Copysign(0, -1)}, {Var: "y", Index: 1, Op: GT, Threshold: 1}},
+				{{Var: "x", Index: 0, Op: LE, Threshold: 0}, {Var: "y", Index: 1, Op: LE, Threshold: -1}},
+				{{Var: "x", Index: 0, Op: NE, Threshold: 0}, {Var: "y", Index: 1, Op: EQ, Threshold: 0}},
+				{{Var: "x", Index: 0, Op: NE, Threshold: math.Copysign(0, -1)}, {Var: "y", Index: 1, Op: EQ, Threshold: 2}},
+			}}},
+		{"nan-thresholds", &Predicate{Name: "nan-prefix", Vars: []string{"x", "y"},
+			Clauses: []Clause{
+				{{Var: "x", Index: 0, Op: NE, Threshold: math.NaN()}, {Var: "y", Index: 1, Op: GT, Threshold: 0}},
+				{{Var: "x", Index: 0, Op: NE, Threshold: math.NaN()}, {Var: "y", Index: 1, Op: LE, Threshold: math.Float64frombits(0x7ff8000000000002)}},
+				{{Var: "x", Index: 0, Op: NE, Threshold: math.Float64frombits(0x7ff8000000000002)}, {Var: "y", Index: 1, Op: LE, Threshold: -3}},
+				{{Var: "x", Index: 0, Op: EQ, Threshold: math.NaN()}},
+			}}},
+		{"empty-beside-atoms", &Predicate{Name: "vacuous-mixed", Vars: []string{"x"},
+			Clauses: []Clause{
+				{{Var: "x", Index: 0, Op: GT, Threshold: 3}},
+				{},
+				{{Var: "x", Index: 0, Op: LE, Threshold: 3}, {Var: "x", Index: 0, Op: NE, Threshold: 1}},
+			}}},
+		{"dead-beside-live", &Predicate{Name: "dead-live", Vars: []string{"x"},
+			Clauses: []Clause{
+				{{Var: "bad", Index: -2, Op: GT, Threshold: 1}},
+				{{Var: "x", Index: 0, Op: EQ, Threshold: 3}},
+			}}},
 	} {
 		t.Run(tt.name, func(t *testing.T) { assertEquivalent(t, tt.pred, 104) })
+	}
+}
+
+// TestCompiledEquivalenceGoldenPredicates runs the differential suite
+// over every predicate the pinned pipeline outputs hold: the shapes the
+// learner really emits, with their shared leading atoms.
+func TestCompiledEquivalenceGoldenPredicates(t *testing.T) {
+	paths, err := filepath.Glob("../../cmd/edem/testdata/golden/run-*.pred.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 18 {
+		t.Fatalf("found %d golden predicates, want at least 18", len(paths))
+	}
+	for i, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		t.Run(pred.Name, func(t *testing.T) {
+			assertEquivalent(t, pred, 200+uint64(i))
+			prog, _ := Compile(pred)
+			t.Logf("%d atoms, %d nodes", prog.Atoms(), len(prog.nodes))
+		})
 	}
 }
 
@@ -235,28 +306,79 @@ func TestCompileRefusesUnknownOp(t *testing.T) {
 }
 
 // TestCompiledTableShape pins the lowering itself: dead clauses vanish,
-// live atoms stay in clause order.
+// clauses with a common leading run share its nodes, a clause that
+// extends a shorter one is pruned, and the table is the prefix tree in
+// depth-first order with each node's skip just past its subtree.
 func TestCompiledTableShape(t *testing.T) {
+	x1 := Atom{Index: 0, Op: LE, Threshold: 1}
+	y2 := Atom{Index: 1, Op: GT, Threshold: 2}
+	y4 := Atom{Index: 1, Op: NE, Threshold: 4}
+	x3 := Atom{Index: 0, Op: LE, Threshold: 3}
 	pred := &Predicate{Name: "shape", Vars: []string{"x", "y"},
 		Clauses: []Clause{
-			{{Index: 0, Op: LE, Threshold: 1}, {Index: 1, Op: GT, Threshold: 2}},
-			{{Index: -1, Op: GT, Threshold: 9}, {Index: 0, Op: LE, Threshold: 3}}, // dead
-			{{Index: 1, Op: NE, Threshold: 4}},
+			{x1, y2},
+			{{Index: -1, Op: GT, Threshold: 9}, x3}, // dead
+			{y4},
+			{x1, x3},
+			{x1, y2, x3}, // extends {x1, y2}: pruned
+			{y4, x1},     // extends {y4}: pruned
 		}}
 	prog, err := Compile(pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.clauseEnds) != 2 {
-		t.Fatalf("live clauses = %d, want 2 (dead clause dropped)", len(prog.clauseEnds))
+	// x1 ─┬─ y2      node 0: x1, skip 3
+	//     └─ x3      node 1: y2, skip 2 (leaf)
+	// y4             node 2: x3, skip 3 (leaf)
+	//                node 3: y4, skip 4 (leaf)
+	want := []node{
+		{c: 1, idx: 0, op: opLE, skip: 3},
+		{c: 2, idx: 1, op: opGT, skip: 2},
+		{c: 3, idx: 0, op: opLE, skip: 3},
+		{c: 4, idx: 1, op: opNE, skip: 4},
 	}
-	if prog.Atoms() != 3 {
-		t.Fatalf("atoms = %d, want 3", prog.Atoms())
+	if !slices.Equal(prog.nodes, want) {
+		t.Fatalf("nodes = %+v, want %+v", prog.nodes, want)
+	}
+	if prog.vacuous {
+		t.Fatal("no live empty clause, yet the program is vacuous")
+	}
+	if prog.Atoms() != 10 {
+		t.Fatalf("atoms = %d, want 10 (source atoms of the five live clauses)", prog.Atoms())
 	}
 	if prog.Arity != 2 {
 		t.Fatalf("arity = %d, want 2", prog.Arity)
 	}
 	assertEquivalent(t, pred, 105)
+
+	// Thresholds share a node only when their bits match: -0 and +0,
+	// and NaNs with different payloads, stay apart.
+	nan2 := math.Float64frombits(0x7ff8000000000002)
+	split := &Predicate{Name: "bits", Vars: []string{"x", "y"},
+		Clauses: []Clause{
+			{{Index: 0, Op: EQ, Threshold: 0}, y2},
+			{{Index: 0, Op: EQ, Threshold: math.Copysign(0, -1)}, y2},
+			{{Index: 0, Op: NE, Threshold: math.NaN()}, y2},
+			{{Index: 0, Op: NE, Threshold: nan2}, y2},
+			{{Index: 0, Op: NE, Threshold: nan2}, y4},
+		}}
+	prog, err = Compile(split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.nodes) != 9 {
+		t.Fatalf("nodes = %d, want 9 (four roots, one shared)", len(prog.nodes))
+	}
+	assertEquivalent(t, split, 106)
+
+	// A live empty clause fires everywhere and leaves no table.
+	vac := &Predicate{Name: "vac", Vars: []string{"x"}, Clauses: []Clause{{x1}, {}}}
+	if prog, err = Compile(vac); err != nil {
+		t.Fatal(err)
+	}
+	if !prog.vacuous || len(prog.nodes) != 0 || prog.Atoms() != 1 {
+		t.Fatalf("vacuous %v, %d nodes, %d atoms; want true, 0, 1", prog.vacuous, len(prog.nodes), prog.Atoms())
+	}
 }
 
 // TestCompiledEvalAllocFree pins the zero-allocation evaluation

@@ -98,36 +98,81 @@ func BenchmarkBinaryCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeJSON times the JSON evaluate decoder on a 512×8 body
-// of serve-json512-sized values: the one-pass path, and encoding/json
-// (the fallback, and the only decoder before it).
+// BenchmarkDecodeJSON times the JSON evaluate decoder on 512×8 bodies:
+// the one-pass path, and encoding/json (the fallback, and the only
+// decoder before it). The wide body holds random 17-digit floats, every
+// one past the exact number path; the campaign-shaped body holds what
+// serve-json512 sends, small integer state values with about 3% of
+// 17-digit ones from flipped high bits.
 func BenchmarkDecodeJSON(b *testing.B) {
 	rng := stats.NewRNG(11)
-	samples := make([]Sample, 512)
-	for i := range samples {
-		samples[i] = make(Sample, 8)
-		for j := range samples[i] {
-			samples[i][j] = rng.Float64()*2e6 - 1e6
+	wide := make([]Sample, 512)
+	campaign := make([]Sample, 512)
+	for i := range wide {
+		wide[i], campaign[i] = make(Sample, 8), make(Sample, 8)
+		for j := range wide[i] {
+			wide[i][j] = rng.Float64()*2e6 - 1e6
+			campaign[i][j] = float64(rng.Intn(4097))
+			if rng.Intn(37) == 0 {
+				campaign[i][j] = rng.Float64() * 1e19
+			}
 		}
 	}
-	body := appendJSONRequest(nil, "7Z-B2", samples)
-	b.Run("fast", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			br, err := DecodeJSONRequest(body)
-			if err != nil {
-				b.Fatal(err)
+	for _, body := range []struct {
+		name    string
+		samples []Sample
+	}{{"wide", wide}, {"campaign", campaign}} {
+		data := appendJSONRequest(nil, "7Z-B2", body.samples)
+		b.Run(body.name+"/fast", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				br, err := DecodeJSONRequest(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				br.Release()
 			}
-			br.Release()
+		})
+		b.Run(body.name+"/encoding-json", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				var req EvalRequest
+				if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeEvalResponse times a 512-verdict JSON evaluate
+// response: the append encoder the server runs, and the encoding/json
+// reflection it replaced.
+func BenchmarkEncodeEvalResponse(b *testing.B) {
+	resp := &EvalResponse{Detector: "7Z-B2", Evaluated: 512, BundleGeneration: 1}
+	rng := stats.NewRNG(12)
+	for i := 0; i < 512; i++ {
+		v := rng.Intn(4) == 0
+		resp.Verdicts = append(resp.Verdicts, v)
+		if v {
+			resp.Alarms = append(resp.Alarms, i+1)
+		}
+	}
+	var buf []byte
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = appendEvalResponse(buf[:0], resp)
 		}
 	})
 	b.Run("encoding-json", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
+		var w bytes.Buffer
 		for i := 0; i < b.N; i++ {
-			var req EvalRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			w.Reset()
+			if err := json.NewEncoder(&w).Encode(resp); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -65,9 +65,8 @@ func appendValue(b []byte, v float64) []byte {
 // detector, Samples: samples}) without that call's reflection per
 // value and its second pass compacting every sample.
 func appendJSONRequest(b []byte, detector string, samples []Sample) []byte {
-	id, _ := json.Marshal(detector) // a string always marshals
 	b = append(b, `{"detector":`...)
-	b = append(b, id...)
+	b = appendJSONString(b, detector)
 	b = append(b, `,"samples":`...)
 	if samples == nil {
 		b = append(b, "null"...)
@@ -82,6 +81,22 @@ func appendJSONRequest(b []byte, detector string, samples []Sample) []byte {
 		b = append(b, ']')
 	}
 	return append(b, '}')
+}
+
+// appendJSONString appends s as encoding/json encodes a string, HTML
+// escaping included. Printable ASCII that needs no escape is copied;
+// anything else takes json.Marshal, so the rarer escapes, invalid UTF-8
+// and U+2028/U+2029 are encoding/json's own.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // UnmarshalJSON decodes a sample whose elements are JSON numbers or
@@ -199,9 +214,10 @@ const (
 // and "delay_ms", each at most once, where
 //   - the detector is a string of printable ASCII without escapes;
 //   - the samples are an array of arrays whose elements are JSON
-//     numbers, parsed with strconv.ParseFloat as encoding/json parses
-//     them, or escape-free strings, parsed with strconv.ParseUint in
-//     base 16 as Sample.UnmarshalJSON parses them;
+//     numbers, valued as strconv.ParseFloat values them, which is how
+//     encoding/json parses them (see jsonScanner.float), or escape-free
+//     strings, parsed with strconv.ParseUint in base 16 as
+//     Sample.UnmarshalJSON parses them;
 //   - the _ms fields are integer literals, parsed with strconv.ParseInt
 //     as encoding/json parses them;
 //
@@ -279,8 +295,12 @@ type jsonScanner struct {
 	off  int
 }
 
-// ws skips JSON whitespace.
+// ws skips JSON whitespace. Canonical bodies rarely have any, so a
+// next byte above ' ', which cannot be whitespace, returns at once.
 func (p *jsonScanner) ws() {
+	if p.off < len(p.data) && p.data[p.off] > ' ' {
+		return
+	}
 	for p.off < len(p.data) {
 		switch p.data[p.off] {
 		case ' ', '\t', '\n', '\r':
@@ -375,28 +395,117 @@ func (p *jsonScanner) value() (float64, bool) {
 		bits, err := strconv.ParseUint(string(hex), 16, 64)
 		return math.Float64frombits(bits), err == nil
 	}
-	tok, ok := p.number(false)
-	if !ok {
+	return p.float()
+}
+
+// float consumes one JSON number and returns strconv.ParseFloat's value
+// for it. The scan collects the significant digits and the decimal
+// exponent as strconv's readFloat does; when the value is exact under
+// the conditions of strconv's atof64exact (at most 19 digits, mantissa
+// below 2^52, and an exponent one correctly rounded multiply or divide
+// by an exact power of ten can apply), it is computed with that same
+// arithmetic, so both give the one correctly rounded result. Any other
+// token, such as a 17-digit shortest-form float, goes to
+// strconv.ParseFloat.
+func (p *jsonScanner) float() (float64, bool) {
+	p.ws()
+	d, i := p.data, p.off
+	neg := i < len(d) && d[i] == '-'
+	if neg {
+		i++
+	}
+	// mant wraps past 19 digits, where nd sends the token to strconv.
+	var (
+		mant uint64
+		nd   int // significant digits, from the first non-zero one
+		dp   int // the decimal point's position relative to them
+	)
+	switch {
+	case i < len(d) && d[i] == '0':
+		i++
+	case i < len(d) && d[i] >= '1' && d[i] <= '9':
+		for ; i < len(d) && d[i] >= '0' && d[i] <= '9'; i++ {
+			mant = mant*10 + uint64(d[i]-'0')
+			nd++
+		}
+		dp = nd
+	default:
 		return 0, false
+	}
+	if i < len(d) && d[i] == '.' {
+		i++
+		j := i
+		for ; i < len(d) && d[i] >= '0' && d[i] <= '9'; i++ {
+			if nd == 0 && d[i] == '0' {
+				dp-- // a leading zero
+				continue
+			}
+			mant = mant*10 + uint64(d[i]-'0')
+			nd++
+		}
+		if i == j {
+			return 0, false
+		}
+	}
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		i++
+		esign := 1
+		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			if d[i] == '-' {
+				esign = -1
+			}
+			i++
+		}
+		j, e := i, 0
+		for ; i < len(d) && d[i] >= '0' && d[i] <= '9'; i++ {
+			if e < 10000 {
+				e = e*10 + int(d[i]-'0')
+			}
+		}
+		if i == j {
+			return 0, false
+		}
+		dp += esign * e
+	}
+	tok := d[p.off:i]
+	p.off = i
+	exp := 0
+	if mant != 0 {
+		exp = dp - nd
+	}
+	if nd <= 19 && mant>>52 == 0 {
+		f := float64(mant)
+		if neg {
+			f = -f
+		}
+		switch {
+		case exp == 0:
+			return f, true
+		case exp > 0 && exp <= 15+22:
+			if exp > 22 {
+				f *= float64pow10[exp-22]
+				exp = 22
+			}
+			if f <= 1e15 && f >= -1e15 {
+				return f * float64pow10[exp], true
+			}
+		case exp < 0 && exp >= -22:
+			return f / float64pow10[-exp], true
+		}
 	}
 	v, err := strconv.ParseFloat(string(tok), 64)
 	return v, err == nil
 }
 
-// int consumes an integer literal.
-func (p *jsonScanner) int() (int64, bool) {
-	tok, ok := p.number(true)
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(tok), 10, 64)
-	return v, err == nil
+// float64pow10 holds the powers of ten a float64 represents exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+	1e20, 1e21, 1e22,
 }
 
-// number consumes a token of the JSON number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, without the fraction
-// and exponent when intOnly is set, and returns it.
-func (p *jsonScanner) number(intOnly bool) ([]byte, bool) {
+// int consumes an integer literal, -?(0|[1-9][0-9]*).
+func (p *jsonScanner) int() (int64, bool) {
 	p.ws()
 	d, i := p.data, p.off
 	if i < len(d) && d[i] == '-' {
@@ -406,39 +515,16 @@ func (p *jsonScanner) number(intOnly bool) ([]byte, bool) {
 	case i < len(d) && d[i] == '0':
 		i++
 	case i < len(d) && d[i] >= '1' && d[i] <= '9':
-		i = skipDigits(d, i)
-	default:
-		return nil, false
-	}
-	if !intOnly {
-		if i < len(d) && d[i] == '.' {
-			j := i + 1
-			if i = skipDigits(d, j); i == j {
-				return nil, false
-			}
-		}
-		if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
 			i++
-			if i < len(d) && (d[i] == '+' || d[i] == '-') {
-				i++
-			}
-			j := i
-			if i = skipDigits(d, i); i == j {
-				return nil, false
-			}
 		}
+	default:
+		return 0, false
 	}
 	tok := d[p.off:i]
 	p.off = i
-	return tok, true
-}
-
-// skipDigits returns the index of the first non-digit in d at or after i.
-func skipDigits(d []byte, i int) int {
-	for i < len(d) && d[i] >= '0' && d[i] <= '9' {
-		i++
-	}
-	return i
+	v, err := strconv.ParseInt(string(tok), 10, 64)
+	return v, err == nil
 }
 
 // EvalResponse is the evaluation result.
@@ -460,6 +546,45 @@ type EvalResponse struct {
 	// that served the evaluation; it increments on every hot reload, so
 	// clients can observe reload atomicity.
 	BundleGeneration uint64 `json:"bundle_generation,omitempty"`
+}
+
+// appendEvalResponse appends resp as json.NewEncoder(w).Encode(resp)
+// writes it, byte for byte: the fields in declaration order, the
+// omitempty ones left out when empty, and the trailing newline.
+func appendEvalResponse(b []byte, resp *EvalResponse) []byte {
+	b = append(b, `{"detector":`...)
+	b = appendJSONString(b, resp.Detector)
+	if len(resp.Verdicts) > 0 {
+		b = append(b, `,"verdicts":[`...)
+		for i, v := range resp.Verdicts {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendBool(b, v)
+		}
+		b = append(b, ']')
+	}
+	if len(resp.Alarms) > 0 {
+		b = append(b, `,"alarms":[`...)
+		for i, a := range resp.Alarms {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(a), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"evaluated":`...)
+	b = strconv.AppendInt(b, int64(resp.Evaluated), 10)
+	if resp.Degraded != "" {
+		b = append(b, `,"degraded":`...)
+		b = appendJSONString(b, resp.Degraded)
+	}
+	if resp.BundleGeneration != 0 {
+		b = append(b, `,"bundle_generation":`...)
+		b = strconv.AppendUint(b, resp.BundleGeneration, 10)
+	}
+	return append(b, "}\n"...)
 }
 
 // ErrorResponse is the body of every non-2xx response.

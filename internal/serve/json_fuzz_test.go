@@ -23,6 +23,9 @@ func FuzzDecodeJSONRequest(f *testing.F) {
 	for _, tc := range jsonDecodeCases {
 		f.Add([]byte(tc.body))
 	}
+	for _, tok := range exactPathTokens {
+		f.Add([]byte(`{"detector":"D","samples":[[` + tok + `]]}`))
+	}
 	for _, body := range []string{
 		`{"detector":"D","samples":[[1e400,-1e400,1e-400]]}`,
 		`{"detector":"D\"q","samples":[[1]]}`,

@@ -262,6 +262,70 @@ var jsonDecodeCases = []struct {
 	{`[]`, false},
 }
 
+// exactPathTokens sit at each boundary of the one-pass decoder's exact
+// number path (mantissa below 2^52 of at most 19 digits, exponent in
+// [-22, 37] with the 1e15 check) and just past it. They also seed
+// FuzzDecodeJSONRequest.
+var exactPathTokens = []string{
+	"4503599627370495", "-4503599627370495", "4503599627370496", "9007199254740993",
+	"1e22", "1e23", "123e-22", "1e-22", "1e-23", "4503599627370495e-22",
+	"-0", "-0.0e5", "0e400", "0.000001", "0.0000001", "100e-2", "1.50", "1E+2",
+	"1e37", "9e37", "1e38", "1000000000000000e22", "1000000000000001e22", "4503599627370495e22",
+	"1234567890123456789", "1234567890123456789e-3", "12345678901234567890", "0.12345678901234567890",
+	"10000000000000000000", "1e400", "-1e400", "1e-400",
+}
+
+// TestFloatMatchesParseFloat holds jsonScanner.float to
+// strconv.ParseFloat bit for bit at the exact path's boundaries, both
+// on the bare token and inside an evaluate body checked against
+// encoding/json.
+func TestFloatMatchesParseFloat(t *testing.T) {
+	for _, tok := range exactPathTokens {
+		want, werr := strconv.ParseFloat(tok, 64)
+		p := jsonScanner{data: []byte(tok)}
+		got, ok := p.float()
+		if ok != (werr == nil) {
+			t.Errorf("%s: accepted %v, strconv.ParseFloat error %v", tok, ok, werr)
+			continue
+		}
+		if p.off != len(tok) {
+			t.Errorf("%s: consumed %d of %d bytes", tok, p.off, len(tok))
+		}
+		if ok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: %x, strconv.ParseFloat %x", tok, math.Float64bits(got), math.Float64bits(want))
+		}
+		body := `{"detector":"D","samples":[[` + tok + `]]}`
+		if fast := checkAgainstOracle(t, []byte(body)); fast != (werr == nil) {
+			t.Errorf("%s: fast path %v, want %v", body, fast, werr == nil)
+		}
+	}
+	// A seeded sweep of short decimals around the exact range, written
+	// as integers, fractions and exponent forms.
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 20000; n++ {
+		digits := strconv.FormatUint(rng.Uint64()>>uint(rng.Intn(64)), 10)
+		var tok string
+		switch n % 3 {
+		case 0:
+			tok = digits + "e" + strconv.Itoa(rng.Intn(70)-30)
+		case 1:
+			k := rng.Intn(len(digits) + 1)
+			tok = digits[:k] + "." + digits[k:] + "0"
+			if k == 0 {
+				tok = "0" + tok
+			}
+		default:
+			tok = "-0.000" + digits
+		}
+		p := jsonScanner{data: []byte(tok)}
+		got, ok := p.float()
+		want, werr := strconv.ParseFloat(tok, 64)
+		if ok != (werr == nil) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %v %x, strconv.ParseFloat %v %x", tok, ok, math.Float64bits(got), werr, math.Float64bits(want))
+		}
+	}
+}
+
 func TestDecodeJSONRequestMatchesEncodingJSON(t *testing.T) {
 	for _, tc := range jsonDecodeCases {
 		if fast := checkAgainstOracle(t, []byte(tc.body)); fast != tc.fast {

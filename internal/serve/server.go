@@ -178,6 +178,8 @@ type Server struct {
 	gInFlight      *telemetry.Gauge
 	hRequestNS     *telemetry.Histogram
 	hDecodeNS      *telemetry.Histogram
+	hEvalNS        *telemetry.Histogram
+	hEncodeNS      *telemetry.Histogram
 
 	// Lifecycle state (all inert when monitor is nil). shadow holds the
 	// candidate bundle under dual evaluation; canaryPct the percentage
@@ -221,6 +223,8 @@ func NewServer(b *Bundle, path string, cfg Config) (*Server, error) {
 	s.gInFlight = s.reg.Gauge("serve.queue_depth")
 	s.hRequestNS = s.reg.Histogram("serve.request_ns")
 	s.hDecodeNS = s.reg.Histogram("serve.decode_ns")
+	s.hEvalNS = s.reg.Histogram("serve.eval_ns")
+	s.hEncodeNS = s.reg.Histogram("serve.encode_ns")
 	s.monitor = cfg.Monitor
 	if s.monitor != nil {
 		s.mPromotions = s.reg.Counter("lifecycle.promotions")
@@ -484,9 +488,10 @@ const maxRequestBody = 16 << 20
 // pool.
 const inlineEvalBatch = 64
 
-// binRespPool recycles binary response encode buffers; the HTTP layer
-// copies on Write, so a buffer is reusable as soon as Write returns.
-var binRespPool = sync.Pool{New: func() any { return new([]byte) }}
+// respPool recycles evaluate response encode buffers, JSON and binary;
+// the HTTP layer copies on Write, so a buffer is reusable as soon as
+// Write returns.
+var respPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -549,24 +554,30 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	gen := st.gen
+	// writeEval encodes and writes a success or degraded response in the
+	// request's codec; error bodies go through writeJSON.
 	writeEval := func(code int, resp EvalResponse) {
+		encodeStart := time.Now()
+		defer func() { s.hEncodeNS.ObserveDuration(time.Since(encodeStart)) }()
 		resp.BundleGeneration = gen
-		if !isBinary {
-			writeJSON(w, code, resp)
-			return
+		bufp := respPool.Get().(*[]byte)
+		defer respPool.Put(bufp)
+		contentType := "application/json"
+		buf := (*bufp)[:0]
+		if isBinary {
+			var err error
+			if buf, err = EncodeBinaryResponse(buf, &resp, gen); err != nil {
+				writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+				return
+			}
+			contentType = ContentTypeBinary
+		} else {
+			buf = appendEvalResponse(buf, &resp)
 		}
-		bufp := binRespPool.Get().(*[]byte)
-		buf, err := EncodeBinaryResponse((*bufp)[:0], &resp, gen)
-		if err != nil {
-			binRespPool.Put(bufp)
-			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", ContentTypeBinary)
+		w.Header().Set("Content-Type", contentType)
 		w.WriteHeader(code)
 		_, _ = w.Write(buf)
 		*bufp = buf
-		binRespPool.Put(bufp)
 	}
 
 	det, ok := st.dets[req.Detector]
@@ -631,7 +642,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.gInFlight.Add(1)
+	evalStart := time.Now()
 	verdicts, err := s.evaluate(ctx, det, req.Samples, delay)
+	s.hEvalNS.ObserveDuration(time.Since(evalStart))
 	<-s.admit
 	s.gInFlight.Add(-1)
 

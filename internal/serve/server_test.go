@@ -601,6 +601,26 @@ func TestServeJSONDecodeCounters(t *testing.T) {
 	}
 }
 
+// TestServeStageHistograms pins the per-stage timings: one evaluate
+// request, in either codec, adds exactly one observation to each of
+// serve.decode_ns, serve.eval_ns and serve.encode_ns.
+func TestServeStageHistograms(t *testing.T) {
+	reg := telemetry.New()
+	_, hs := newTestServer(t, Config{Registry: reg}, "D1")
+	stages := []string{"serve.decode_ns", "serve.eval_ns", "serve.encode_ns"}
+	ctx := context.Background()
+	for i, codec := range []Codec{CodecJSON, CodecBinary} {
+		if _, err := (&Client{Base: hs.URL, Codec: codec}).Evaluate(ctx, "D1", []Sample{{5}, {500}}); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range stages {
+			if got := reg.Histogram(name).Count(); got != int64(i+1) {
+				t.Fatalf("after %d request(s), codec %v: %s count = %d, want %d", i+1, codec, name, got, i+1)
+			}
+		}
+	}
+}
+
 // postAdmin POSTs body to an admin endpoint and returns the status.
 func postAdmin(t *testing.T, url, body string) int {
 	t.Helper()
