@@ -27,9 +27,7 @@ import (
 	"edem/internal/core"
 	"edem/internal/dataset"
 	"edem/internal/fabric"
-	"edem/internal/mining"
 	"edem/internal/mining/eval"
-	"edem/internal/mining/rules"
 	"edem/internal/mining/sampling"
 	"edem/internal/mining/tree"
 	"edem/internal/predicate"
@@ -283,34 +281,6 @@ func BenchmarkAblation_SMOTEvsReplacement(b *testing.B) {
 				cv := ref.Evaluated[1].CV
 				b.ReportMetric(cv.MeanAUC, "AUC")
 				b.ReportMetric(cv.MeanTPR, "TPR")
-			}
-		})
-	}
-}
-
-// Ablation: learner comparison on identical folds — supports the
-// paper's choice of symbolic learners for detector predicates. C4.5 and
-// PRISM are the two learners the CLI ships; the deleted comparators
-// (ZeroR, OneR, Naïve Bayes, logistic regression, k-NN, cost-sensitive
-// C4.5) are recorded in EXPERIMENTS.md "Learner comparison".
-
-func BenchmarkAblation_LearnerComparison(b *testing.B) {
-	d := benchDataset(b, "MG-A1")
-	learners := []mining.Learner{
-		tree.Learner{},
-		rules.PRISM{},
-	}
-	for _, l := range learners {
-		l := l
-		b.Run(l.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cv, err := core.CrossValidate(context.Background(), l, d, core.Options{Folds: 5, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(cv.MeanAUC, "AUC")
-				b.ReportMetric(cv.MeanTPR, "TPR")
-				b.ReportMetric(cv.MeanFPR, "FPR")
 			}
 		})
 	}

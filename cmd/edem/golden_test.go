@@ -151,17 +151,6 @@ func TestGoldenRun(t *testing.T) {
 	}
 }
 
-// TestGoldenRules pins `edem rules`: PRISM's cross-validated rates and
-// its rule-induction predicate.
-func TestGoldenRules(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign; skipped in -short mode")
-	}
-	defer parallel.SetBudget(0)
-	out := captureStdout(t, func() error { return run([]string{"rules", "-dataset", "MG-B1", "-scale", "2"}) })
-	checkGolden(t, "rules-MG-B1.txt", out)
-}
-
 // TestMetricsSnapshotCoversWallClock is the acceptance check for the
 // telemetry layer: a serial `edem tables -table 3 -metrics-out` run
 // must produce a snapshot whose top-level phase durations account for

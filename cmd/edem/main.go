@@ -30,9 +30,7 @@ import (
 	"edem/internal/durable"
 	"edem/internal/fabric"
 	"edem/internal/lifecycle"
-	"edem/internal/mining/attrsel"
 	"edem/internal/mining/eval"
-	"edem/internal/mining/rules"
 	"edem/internal/parallel"
 	"edem/internal/predicate"
 	"edem/internal/propane"
@@ -78,10 +76,6 @@ func run(args []string) error {
 		return cmdBenchServe(rest)
 	case "latency":
 		return cmdLatency(rest)
-	case "rules":
-		return cmdRules(rest)
-	case "rank":
-		return cmdRank(rest)
 	case "list":
 		return cmdList()
 	case "help", "-h", "--help":
@@ -93,8 +87,9 @@ func run(args []string) error {
 	}
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage: edem <command> [flags]
+func usage() { fmt.Fprint(os.Stderr, usageText) }
+
+const usageText = `usage: edem <command> [flags]
 
 commands:
   campaign  -dataset ID|-all -journal DIR [-resume]       run a resumable fault-injection campaign
@@ -124,8 +119,6 @@ commands:
   bench-serve -bundle FILE [-out FILE] [-duration D]      measure serving throughput/latency per codec
             [-conns N] [-batch N] [-detector ID] [-shadow] and evaluation mode, write BENCH_serve.json
   latency   -dataset ID                                   trace detection latency of a learnt detector
-  rules     -dataset ID                                   learn a PRISM rule-induction predicate instead
-  rank      -dataset ID [-method ig|gr|su]                rank the module variables by class information
   list                                                    list Table II dataset IDs
 
 common flags (all commands): -seed N -scale N -stride N -workers N -journal DIR
@@ -137,12 +130,11 @@ telemetry:  -metrics-out FILE   write a JSON metrics snapshot on exit
             -debug-addr ADDR    serve pprof + expvar (e.g. localhost:6060)
 
 With -journal DIR, every command that builds fault-injection datasets
-(tables, run, tree, inject, validate, latency, rules, rank) checkpoints
+(tables, run, tree, inject, validate, latency) checkpoints
 campaigns to DIR/<dataset-id> and resumes whatever is already there, so
 a completed "edem campaign" journal makes Tables II-IV a pure replay.
 "edem campaign" itself refuses an existing journal without -resume.
-`)
-}
+`
 
 func commonOpts(fs *flag.FlagSet) (*core.Options, *telemetryCfg) {
 	opts := core.DefaultOptions()
@@ -926,49 +918,6 @@ func cmdServe(args []string) error {
 	})
 }
 
-// cmdRules learns a detector via rule induction — the other symbolic
-// family the paper's Step 2 allows — and prints the resulting
-// predicate alongside its cross-validated rates.
-func cmdRules(args []string) error {
-	fs := flag.NewFlagSet("rules", flag.ContinueOnError)
-	id := fs.String("dataset", "MG-B1", "Table II dataset ID")
-	opts, tel := commonOpts(fs)
-	if err := parseArgs(fs, args, opts, tel); err != nil {
-		return err
-	}
-	defer tel.finish()
-	ctx := context.Background()
-	d, _, err := core.BuildDataset(ctx, *id, *opts)
-	if err != nil {
-		return err
-	}
-	learner := rules.PRISM{}
-	cv, err := core.CrossValidate(ctx, learner, d, *opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("PRISM rule induction on %s: TPR=%.4f FPR=%.2e AUC=%.4f Comp=%.1f\n",
-		*id, cv.MeanTPR, cv.MeanFPR, cv.MeanAUC, cv.MeanComp)
-	model, err := learner.Fit(d)
-	if err != nil {
-		return err
-	}
-	rs, ok := model.(*rules.RuleSet)
-	if !ok {
-		return fmt.Errorf("unexpected model type %T", model)
-	}
-	vars := make([]string, len(d.Attrs))
-	for i, a := range d.Attrs {
-		vars[i] = a.Name
-	}
-	pred, err := predicate.FromRules(rs, eval.PositiveClass, vars, *id)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nrule-induction predicate:\n%s", pred)
-	return nil
-}
-
 func cmdLatency(args []string) error {
 	fs := flag.NewFlagSet("latency", flag.ContinueOnError)
 	id := fs.String("dataset", "MG-B1", "Table II dataset ID")
@@ -999,41 +948,6 @@ func cmdLatency(args []string) error {
 		res.Detected, 100*float64(res.Detected)/float64(res.Failures), res.Missed)
 	fmt.Printf("  mean detection latency %.2f activations (max %d, %.1f%% immediate)\n",
 		res.MeanLatency, res.MaxLatency, 100*res.ImmediateRate)
-	return nil
-}
-
-func cmdRank(args []string) error {
-	fs := flag.NewFlagSet("rank", flag.ContinueOnError)
-	id := fs.String("dataset", "FG-B1", "Table II dataset ID")
-	method := fs.String("method", "ig", "ranking criterion: ig (info gain), gr (gain ratio), su (symmetrical uncertainty)")
-	opts, tel := commonOpts(fs)
-	if err := parseArgs(fs, args, opts, tel); err != nil {
-		return err
-	}
-	defer tel.finish()
-	var m attrsel.Method
-	switch *method {
-	case "ig":
-		m = attrsel.InfoGain
-	case "gr":
-		m = attrsel.GainRatio
-	case "su":
-		m = attrsel.Symmetrical
-	default:
-		return fmt.Errorf("unknown ranking method %q", *method)
-	}
-	d, _, err := core.BuildDataset(context.Background(), *id, *opts)
-	if err != nil {
-		return err
-	}
-	scores, err := attrsel.Rank(d, m)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("variable ranking for %s (%s):\n", *id, m)
-	for _, sc := range scores {
-		fmt.Printf("  %-18s %.4f\n", sc.Name, sc.Value)
-	}
 	return nil
 }
 

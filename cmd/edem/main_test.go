@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,6 +17,63 @@ func TestRunRejectsUnknownCommands(t *testing.T) {
 	}
 	if err := run([]string{"help"}); err != nil {
 		t.Errorf("help: %v", err)
+	}
+}
+
+// usageVerbs returns the verbs of usageText's command list (a line
+// indented by exactly two spaces starts a verb; deeper lines continue
+// it) and of its -journal paragraph's parenthesised verb list.
+func usageVerbs(t *testing.T) (commands, journal []string) {
+	t.Helper()
+	_, rest, ok := strings.Cut(usageText, "\ncommands:\n")
+	if !ok {
+		t.Fatal("usage has no commands: section")
+	}
+	list, _, _ := strings.Cut(rest, "\n\n")
+	for _, line := range strings.Split(list, "\n") {
+		if strings.HasPrefix(line, "  ") && line[2] != ' ' {
+			commands = append(commands, strings.Fields(line)[0])
+		}
+	}
+	_, after, ok := strings.Cut(usageText, "With -journal DIR, every command that builds fault-injection datasets\n(")
+	if !ok {
+		t.Fatal("usage has no -journal verb list")
+	}
+	inner, _, _ := strings.Cut(after, ")")
+	for _, v := range strings.Split(inner, ",") {
+		journal = append(journal, strings.TrimSpace(v))
+	}
+	return commands, journal
+}
+
+// TestUsageVerbsDispatch pins usage and dispatch to each other: every
+// verb usage lists reaches its command (an unknown flag fails inside
+// the command, never as an unknown subcommand), and the removed
+// verbs are unknown subcommands.
+func TestUsageVerbsDispatch(t *testing.T) {
+	commands, journal := usageVerbs(t)
+	if len(commands) < 10 || len(journal) < 5 {
+		t.Fatalf("parsed %d commands and %d -journal verbs from usage; the parser lost the layout", len(commands), len(journal))
+	}
+	for _, v := range journal {
+		if !slices.Contains(commands, v) {
+			t.Errorf("-journal verb %q is not in the command list", v)
+		}
+	}
+	for _, v := range commands {
+		err := run([]string{v, "-no-such-flag"})
+		if err != nil && strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("usage lists %q but run does not dispatch it: %v", v, err)
+		}
+	}
+	for _, v := range []string{"rules", "rank"} {
+		if slices.Contains(commands, v) || slices.Contains(journal, v) {
+			t.Errorf("usage still lists the removed verb %q", v)
+		}
+		err := run([]string{v, "-dataset", "MG-B1"})
+		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("run(%q) = %v, want an unknown subcommand error", v, err)
+		}
 	}
 }
 

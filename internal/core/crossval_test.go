@@ -17,17 +17,16 @@ import (
 	"edem/internal/stats"
 )
 
-// stubLearner memorises nothing: it predicts the training majority. The
-// call counter is atomic because cells are fitted concurrently.
+// stubLearner memorises nothing: it predicts class 0 whatever it is
+// trained on. The call counter is atomic because cells are fitted
+// concurrently.
 type stubLearner struct{ fitCalls *atomic.Int64 }
 
-func (s stubLearner) Name() string { return "stub" }
-
-func (s stubLearner) Fit(d *dataset.Dataset) (mining.Classifier, error) {
+func (s stubLearner) FitView(*dataset.View) (mining.Classifier, error) {
 	if s.fitCalls != nil {
 		s.fitCalls.Add(1)
 	}
-	return stubClassifier(d.MajorityClass()), nil
+	return stubClassifier(0), nil
 }
 
 type stubClassifier int
@@ -38,9 +37,7 @@ func (c stubClassifier) Classify([]float64) int { return int(c) }
 // generating rule. classified, when set, counts Classify calls.
 type perfectLearner struct{ classified *atomic.Int64 }
 
-func (perfectLearner) Name() string { return "perfect" }
-
-func (p perfectLearner) Fit(*dataset.Dataset) (mining.Classifier, error) {
+func (p perfectLearner) FitView(*dataset.View) (mining.Classifier, error) {
 	return classifierFunc(func(v []float64) int {
 		if p.classified != nil {
 			p.classified.Add(1)
@@ -56,23 +53,19 @@ type classifierFunc func([]float64) int
 
 func (f classifierFunc) Classify(v []float64) int { return f(v) }
 
-// instanceOnly strips the ViewFitter refinement off a learner, forcing
-// the engine to materialise each cell's view — the oracle the FitView
-// path is compared against.
-type instanceOnly struct{ l tree.Learner }
+// materialised fits C4.5 on each cell's materialised view instead of
+// the view itself — the oracle the FitView path is compared against.
+type materialised struct{ l tree.Learner }
 
-func (w instanceOnly) Name() string                                      { return w.l.Name() }
-func (w instanceOnly) Fit(d *dataset.Dataset) (mining.Classifier, error) { return w.l.Fit(d) }
+func (w materialised) FitView(v *dataset.View) (mining.Classifier, error) {
+	return w.l.FitTree(v.Materialize())
+}
 
-// sizeRecorder records the size of every training set it is handed:
-// through Fit as a plain learner, through FitView when wrapped in
-// viewSizeRecorder.
+// sizeRecorder records the size of every training view it is handed.
 type sizeRecorder struct {
 	mu    *sync.Mutex
 	sizes *[]int
 }
-
-func (sizeRecorder) Name() string { return "size-recorder" }
 
 func (r sizeRecorder) record(n int) {
 	r.mu.Lock()
@@ -80,15 +73,17 @@ func (r sizeRecorder) record(n int) {
 	r.mu.Unlock()
 }
 
-func (r sizeRecorder) Fit(d *dataset.Dataset) (mining.Classifier, error) {
-	r.record(d.Len())
-	return stubClassifier(d.MajorityClass()), nil
+func (r sizeRecorder) FitView(v *dataset.View) (mining.Classifier, error) {
+	r.record(v.Len())
+	return stubClassifier(0), nil
 }
 
-type viewSizeRecorder struct{ sizeRecorder }
+// materialisedSizeRecorder records the size of every materialised
+// training view, the training set the materialised oracle fits.
+type materialisedSizeRecorder struct{ sizeRecorder }
 
-func (r viewSizeRecorder) FitView(v *dataset.View) (mining.Classifier, error) {
-	r.record(v.Len())
+func (r materialisedSizeRecorder) FitView(v *dataset.View) (mining.Classifier, error) {
+	r.record(v.Materialize().Len())
 	return stubClassifier(0), nil
 }
 
@@ -148,7 +143,7 @@ func TestCrossValidateDefaults(t *testing.T) {
 	if calls.Load() != 10 {
 		t.Fatalf("default folds = %d, want 10", calls.Load())
 	}
-	// A constant-majority stub is an uninformative classifier: both
+	// A constant stub is an uninformative classifier: both
 	// rates coincide and the trapezoid AUC sits at 0.5.
 	if res.MeanTPR != res.MeanFPR || res.MeanAUC != 0.5 {
 		t.Fatalf("stub metrics: TPR=%v FPR=%v AUC=%v", res.MeanTPR, res.MeanFPR, res.MeanAUC)
@@ -268,7 +263,7 @@ func viewCVDataset(n int, seed uint64) *dataset.Dataset {
 // as fitting the materialised view.
 func TestCrossValidateViewPathMatchesInstancePath(t *testing.T) {
 	d := viewCVDataset(300, 41)
-	want, err := CrossValidate(context.Background(), instanceOnly{}, d, cvOpts(10, 41))
+	want, err := CrossValidate(context.Background(), materialised{}, d, cvOpts(10, 41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +276,13 @@ func TestCrossValidateViewPathMatchesInstancePath(t *testing.T) {
 	}
 }
 
-// Under a SMOTE configuration, a ViewFitter learner reading the view
-// and a plain learner fitting its materialisation must agree, at every
+// Under a SMOTE configuration, C4.5 reading the view and C4.5 fitting
+// its materialisation must agree, at every
 // worker count (same cell RNG streams, same shared neighbour index).
 func TestCrossValidateViewTransformMatchesTransform(t *testing.T) {
 	d := viewCVDataset(300, 43)
 	smote := []SamplingConfig{{Kind: Smote, Percent: 250, K: 3}}
-	want, err := crossValidate(context.Background(), instanceOnly{}, d, smote, cvOpts(10, 43))
+	want, err := crossValidate(context.Background(), materialised{}, d, smote, cvOpts(10, 43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,18 +299,18 @@ func TestCrossValidateViewTransformMatchesTransform(t *testing.T) {
 	}
 }
 
-// A learner without FitView (PRISM, say) must train on the sampled
-// fold, not the raw partition: every training set it sees has exactly
-// the size of the view a ViewFitter is handed.
-func TestCrossValidateTransformReachesNonViewFitter(t *testing.T) {
+// The materialised oracle must train on the sampled fold, not the raw
+// partition: every training set it fits has exactly the size of the
+// view the cell hands FitView.
+func TestCrossValidateTransformReachesMaterialisedFit(t *testing.T) {
 	d := viewCVDataset(200, 47)
 	under := []SamplingConfig{{Kind: Undersampling, Percent: 60}}
 	var mu sync.Mutex
 	var viewSizes, fitSizes []int
-	if _, err := crossValidate(context.Background(), viewSizeRecorder{sizeRecorder{&mu, &viewSizes}}, d, under, cvOpts(5, 47)); err != nil {
+	if _, err := crossValidate(context.Background(), sizeRecorder{&mu, &viewSizes}, d, under, cvOpts(5, 47)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := crossValidate(context.Background(), sizeRecorder{&mu, &fitSizes}, d, under, cvOpts(5, 47)); err != nil {
+	if _, err := crossValidate(context.Background(), materialisedSizeRecorder{sizeRecorder{&mu, &fitSizes}}, d, under, cvOpts(5, 47)); err != nil {
 		t.Fatal(err)
 	}
 	sort.Ints(viewSizes)

@@ -38,7 +38,13 @@ type LatencyResult struct {
 // each error propagates before the detector first flags module state.
 // The campaign itself provides the set of failing (test case, variable,
 // bit, time) coordinates; each is then re-executed in trace mode.
+// Trace mode injects a transient single-bit flip only, so any other
+// fault model is refused before a campaign runs: tracing it would
+// measure a different fault than the campaign injected.
 func MeasureLatency(ctx context.Context, id string, pred *predicate.Predicate, opts Options) (*LatencyResult, error) {
+	if f := opts.Fault.Normalized(); !f.IsTransient() {
+		return nil, fmt.Errorf("core: latency tracing supports only the transient fault model, not %s (fault-model-aware tracing is ROADMAP item 13)", f)
+	}
 	prog, err := predicate.Compile(pred)
 	if err != nil {
 		return nil, err

@@ -75,9 +75,11 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, op
 // fold) cell, so parallelism scales to configurations × folds workers
 // rather than stopping at the fold count, and no cell waits on another
 // cell's build. Results are bit-identical for any worker count: each
-// cell derives its RNG from (seed, fold, config) alone, the fold
-// artifacts are only read by the cells, and the per-cell metrics are
-// aggregated serially in fold order.
+// cell derives its RNG from the seed and its (fold, configuration)
+// grid indices alone — the configuration's position in configs, not
+// its value (ROADMAP item 11) — the fold artifacts are only read by
+// the cells, and the per-cell metrics are aggregated serially in fold
+// order.
 func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, configs []SamplingConfig, opts Options) ([]*eval.CVResult, error) {
 	rng := stats.NewRNG(opts.Seed)
 	folds, err := dataset.StratifiedKFold(d, opts.folds(), rng)
@@ -193,12 +195,13 @@ type refineCounters struct {
 }
 
 // refineCellEval evaluates one configuration on one fold. The cell RNG
-// is seeded from (seed, fold, config) so the result does not depend on
-// which worker runs the cell or in what order. Each cell trains from a
-// per-configuration view of the fold's shared store: a
-// mining.ViewFitter (C4.5) reads the view, any other learner fits its
-// materialisation. The shared neighbour index yields the same views as
-// per-cell neighbour searches. A view the C4.5 counting builder cannot
+// is seeded from the seed and the cell's grid position (fold index fi,
+// configuration index ci), so the result does not depend on which
+// worker runs the cell or in what order; it does depend on where the
+// configuration sits in the grid (ROADMAP item 11 keys it by the
+// configuration instead). Each cell trains the learner from a
+// per-configuration view of the fold's shared store. The shared
+// neighbour index yields the same views as per-cell neighbour searches. A view the C4.5 counting builder cannot
 // take (missing values, or a weight other than 1) counts as a general
 // fit. The view is released once the model is scored, so the next cell
 // on this worker reuses its arrays; the model keeps none of them.
@@ -226,12 +229,7 @@ func refineCellEval(l mining.Learner, d *dataset.Dataset, fold dataset.Fold, sh 
 		}
 	}
 	start = time.Now()
-	var model mining.Classifier
-	if vf, ok := l.(mining.ViewFitter); ok {
-		model, err = vf.FitView(v)
-	} else {
-		model, err = l.Fit(v.Materialize())
-	}
+	model, err := l.FitView(v)
 	if err != nil {
 		return fmt.Errorf("fit: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"edem/internal/bitflip"
 	"edem/internal/mining/eval"
 	"edem/internal/predicate"
 	"edem/internal/propane"
@@ -137,5 +138,26 @@ func TestScorersRefuseUncompilable(t *testing.T) {
 	}
 	if _, err := MeasureLatency(ctx, "MG-B1", bad, opts); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("MeasureLatency error = %v, want %q", err, want)
+	}
+}
+
+// TestMeasureLatencyRefusesNonTransient: trace mode injects a transient
+// single-bit flip, so every other fault model is refused with an
+// explicit error rather than traced as if it were transient.
+func TestMeasureLatencyRefusesNonTransient(t *testing.T) {
+	pred := &predicate.Predicate{Name: "MG-B1", Vars: []string{"x"}}
+	for _, f := range []bitflip.Fault{
+		{Model: bitflip.Burst, Width: 2},
+		{Model: bitflip.StuckAt},
+		{Model: bitflip.Intermittent, Persist: 3},
+	} {
+		opts := DefaultOptions()
+		opts.TestCases = 3
+		opts.BitStride = 8
+		opts.Fault = f
+		_, err := MeasureLatency(context.Background(), "MG-B1", pred, opts)
+		if err == nil || !strings.Contains(err.Error(), "transient") || !strings.Contains(err.Error(), f.String()) {
+			t.Errorf("%s: MeasureLatency error = %v, want a transient-only refusal naming the model", f, err)
+		}
 	}
 }

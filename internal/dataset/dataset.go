@@ -6,9 +6,8 @@
 //
 // Role in the methodology: Step 2 (preprocessing) — campaign logs
 // become weighted instances here, and every later step consumes this
-// model. Ownership/concurrency: Subset/Filter deep-copy and yield
-// independently mutable datasets; CloneShared aliases the Values
-// slices and is for read-only consumers; Store and View
+// model. Ownership/concurrency: Subset deep-copies and yields an
+// independently mutable dataset; Store and View
 // (DESIGN.md §10) are immutable after construction and safe for
 // concurrent read — many fold workers train from one store without
 // locking. A plain *Dataset is not synchronised: share it only after
@@ -92,14 +91,10 @@ func (in Instance) Clone() Instance {
 
 // Dataset is a named relation with a distinguished nominal class.
 //
-// Ownership contract: constructors that deep-copy (Subset, Filter)
-// hand the caller instances whose Values it may mutate freely.
-// CloneShared aliases the receiver's Values backing arrays instead; a
-// dataset built that way is a read-only view — callers must treat every
-// Values slice as immutable and deep-copy (Instance.Clone) before
-// writing. Learners already promise not to mutate their training data
-// (mining.Learner), so read-only consumers (PRISM's rule covering) use
-// it to avoid cloning churn.
+// Ownership contract: Subset deep-copies, handing the caller instances
+// whose Values it may mutate freely. Read-only sharing goes through
+// Store and View instead, whose arrays learners only read
+// (mining.Learner).
 type Dataset struct {
 	Name        string
 	Attrs       []Attribute
@@ -163,7 +158,7 @@ func instanceHasMissing(in Instance) bool {
 
 // HasMissing reports whether any instance value is missing. The answer
 // is computed on the first call and cached; Add maintains the cache
-// incrementally, and Subset/Filter propagate what the cache can
+// incrementally, and Subset propagates what the cache can
 // prove (a subset of a missing-free dataset is missing-free). Code that
 // appends to Instances directly, or mutates Values after the first
 // call, must call InvalidateMissing. Not safe for a concurrent first
@@ -205,44 +200,9 @@ func (d *Dataset) MustAdd(in Instance) {
 // Len returns the number of instances.
 func (d *Dataset) Len() int { return len(d.Instances) }
 
-// ClassWeights returns the total instance weight per class label.
-func (d *Dataset) ClassWeights() []float64 {
-	ws := make([]float64, len(d.ClassValues))
-	for i := range d.Instances {
-		ws[d.Instances[i].Class] += d.Instances[i].Weight
-	}
-	return ws
-}
-
-// MajorityClass returns the class index with the largest total weight.
-// Ties resolve to the lower index, matching C4.5's deterministic choice.
-func (d *Dataset) MajorityClass() int {
-	ws := d.ClassWeights()
-	best := 0
-	for c := 1; c < len(ws); c++ {
-		if ws[c] > ws[best] {
-			best = c
-		}
-	}
-	return best
-}
-
 // CloneSchema returns an empty dataset with the same schema.
 func (d *Dataset) CloneSchema() *Dataset {
 	return New(d.Name, d.Attrs, d.ClassValues)
-}
-
-// CloneShared returns a copy of the dataset whose instances alias the
-// receiver's Values backing arrays (class and weight are copied — they
-// live in the Instance struct). The result is a read-only view per the
-// ownership contract above: mutate weights or class labels freely,
-// never the shared Values.
-func (d *Dataset) CloneShared() *Dataset {
-	out := d.CloneSchema()
-	out.missing = d.missing
-	out.Instances = make([]Instance, len(d.Instances))
-	copy(out.Instances, d.Instances)
-	return out
 }
 
 // Subset returns a new dataset containing clones of the instances at the
@@ -253,19 +213,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	out.Instances = make([]Instance, 0, len(idx))
 	for _, i := range idx {
 		out.Instances = append(out.Instances, d.Instances[i].Clone())
-	}
-	return out
-}
-
-// Filter returns a new dataset containing clones of instances for which
-// keep returns true.
-func (d *Dataset) Filter(keep func(Instance) bool) *Dataset {
-	out := d.CloneSchema()
-	d.inheritMissing(out)
-	for i := range d.Instances {
-		if keep(d.Instances[i]) {
-			out.Instances = append(out.Instances, d.Instances[i].Clone())
-		}
 	}
 	return out
 }

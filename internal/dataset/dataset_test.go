@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"edem/internal/stats"
@@ -63,30 +64,20 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-func TestClassCountsAndWeights(t *testing.T) {
-	d := sampleDataset(t, 20)
-	ws := d.ClassWeights()
-	if ws[0] != 16 || ws[1] != 4 {
-		t.Fatalf("weights = %v", ws)
-	}
-	if d.MajorityClass() != 0 {
-		t.Fatalf("majority = %d", d.MajorityClass())
-	}
-}
-
-func TestSubsetAndFilter(t *testing.T) {
+// TestSubset pins Subset's contract: the chosen instances, deep-copied
+// so the result's Values may be mutated freely.
+func TestSubset(t *testing.T) {
 	d := sampleDataset(t, 10)
 	sub := d.Subset([]int{0, 2, 4})
 	if sub.Len() != 3 {
 		t.Fatalf("subset len = %d", sub.Len())
 	}
-	pos := d.Filter(func(in Instance) bool { return in.Class == 1 })
-	if pos.Len() != 2 {
-		t.Fatalf("filter len = %d", pos.Len())
-	}
-	for i := range pos.Instances {
-		if pos.Instances[i].Class != 1 {
-			t.Fatal("filter kept wrong class")
+	for k, i := range []int{0, 2, 4} {
+		if !reflect.DeepEqual(sub.Instances[k], d.Instances[i]) {
+			t.Fatalf("subset instance %d = %+v, want %+v", k, sub.Instances[k], d.Instances[i])
+		}
+		if &sub.Instances[k].Values[0] == &d.Instances[i].Values[0] {
+			t.Fatal("Subset must deep-copy Values")
 		}
 	}
 }
@@ -129,15 +120,5 @@ func TestValidate(t *testing.T) {
 	noClass := New("e", attrs, nil)
 	if err := noClass.Validate(); !errors.Is(err, ErrNoClass) {
 		t.Errorf("no class error = %v", err)
-	}
-}
-
-func TestMajorityClassTieBreaksLow(t *testing.T) {
-	attrs, classes := twoClassSchema()
-	d := New("tie", attrs, classes)
-	d.MustAdd(Instance{Values: []float64{0, 0, 0}, Class: 0, Weight: 1})
-	d.MustAdd(Instance{Values: []float64{0, 0, 0}, Class: 1, Weight: 1})
-	if d.MajorityClass() != 0 {
-		t.Fatal("ties must resolve to the lower class index")
 	}
 }

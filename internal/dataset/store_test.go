@@ -396,22 +396,6 @@ func TestHasMissingCache(t *testing.T) {
 	}
 }
 
-func TestSharedVariantsAliasValues(t *testing.T) {
-	d := storeTestDataset(6, 23)
-	cs := d.CloneShared()
-	if &cs.Instances[0].Values[0] != &d.Instances[0].Values[0] {
-		t.Fatal("CloneShared must alias Values")
-	}
-	cs.Instances[0].Weight = 42
-	if d.Instances[0].Weight == 42 {
-		t.Fatal("CloneShared weight mutation leaked into the receiver")
-	}
-	deep := d.Subset([]int{2, 4})
-	if &deep.Instances[0].Values[0] == &d.Instances[2].Values[0] {
-		t.Fatal("Subset must deep-copy Values")
-	}
-}
-
 // viewSnapshot deep-copies the arrays a view exposes, so they can be
 // compared after the view's arena is reused.
 type viewSnapshot struct {

@@ -36,7 +36,11 @@ func undersampleOracle(d *dataset.Dataset, majorityClass int, keepPercent float6
 
 // cloneDataset returns a deep copy of d.
 func cloneDataset(d *dataset.Dataset) *dataset.Dataset {
-	return d.Filter(func(dataset.Instance) bool { return true })
+	idx := make([]int, d.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	return d.Subset(idx)
 }
 
 func oversampleOracle(d *dataset.Dataset, minorityClass int, percent float64, rng *stats.RNG) (*dataset.Dataset, error) {

@@ -51,20 +51,6 @@ type Learner struct {
 	Config Config
 }
 
-var _ mining.Learner = Learner{}
-
-// Name implements mining.Learner.
-func (Learner) Name() string { return "C4.5" }
-
-// Fit implements mining.Learner.
-func (l Learner) Fit(d *dataset.Dataset) (mining.Classifier, error) {
-	t, err := l.FitTree(d)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // ErrEmptyTraining is returned when the training set has no instances.
 var ErrEmptyTraining = errors.New("tree: empty training set")
 
@@ -108,7 +94,7 @@ func fitGeneral(cfg Config, d *dataset.Dataset) *Node {
 	return root
 }
 
-// FitView implements mining.ViewFitter: induction straight from a
+// FitView implements mining.Learner: induction straight from a
 // columnar training view, skipping instance materialisation.
 func (l Learner) FitView(v *dataset.View) (mining.Classifier, error) {
 	t, err := l.FitTreeView(v)
@@ -118,7 +104,7 @@ func (l Learner) FitView(v *dataset.View) (mining.Classifier, error) {
 	return t, nil
 }
 
-var _ mining.ViewFitter = Learner{}
+var _ mining.Learner = Learner{}
 
 // FitTreeView induces a tree from a columnar dataset.View. When the
 // view carries pre-merged sort orders and unit weights, the counting

@@ -7,12 +7,13 @@
 // Role in the methodology: the model generator of Step 3 and, re-run
 // per sampling configuration, of Step 4; its trees are what
 // internal/predicate reads off as detectors. Concurrency: Learner is a
-// value-type configuration safe to share; every Fit call constructs its
-// own builder and takes its own pooled partition scratch, so concurrent
-// fits from fold and grid workers never share mutable state; a fitted
-// *Node tree is immutable and safe for concurrent classification. Fit
-// reads the training data without mutating it and may retain
-// store-backed sorted orders only for the duration of the call.
+// value-type configuration safe to share; every fit (FitTree,
+// FitTreeView, FitView) constructs its own builder and takes its own
+// pooled partition scratch, so concurrent fits from fold and grid
+// workers never share mutable state; a fitted *Node tree is immutable
+// and safe for concurrent classification. A fit reads the training
+// data without mutating it and may retain store-backed sorted orders
+// only for the duration of the call.
 package tree
 
 import (

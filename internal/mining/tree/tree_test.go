@@ -340,12 +340,6 @@ func TestWeightedInstances(t *testing.T) {
 	}
 }
 
-func TestLearnerName(t *testing.T) {
-	if (Learner{}).Name() != "C4.5" {
-		t.Fatal("name")
-	}
-}
-
 func TestGainRatioVsPlainGain(t *testing.T) {
 	// An id-like nominal attribute (many values, each nearly unique)
 	// seduces plain gain; gain ratio resists it.

@@ -7,14 +7,12 @@ import (
 	"slices"
 	"testing"
 
-	"edem/internal/mining/eval"
-	"edem/internal/mining/rules"
 	"edem/internal/propane"
 	"edem/internal/stats"
 )
 
 // The differential equivalence suite: for every predicate family the
-// pipeline can emit — tree-derived, rule-derived, range-check baselines
+// pipeline can emit — tree-derived, range-check baselines
 // and hand-built edge cases — the compiled program must agree with the
 // interpreted Predicate.Eval on every input, including exhaustive
 // boundary grids around every threshold (just below, exactly at, just
@@ -138,27 +136,6 @@ func TestCompiledEquivalenceFromTree(t *testing.T) {
 		t.Fatal("tree yielded no clauses")
 	}
 	assertEquivalent(t, pred, 101)
-}
-
-func TestCompiledEquivalenceFromRules(t *testing.T) {
-	_, d := trainTree(t, 500, 12)
-	model, err := (rules.PRISM{}).Fit(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, ok := model.(*rules.RuleSet)
-	if !ok {
-		t.Fatalf("unexpected model type %T", model)
-	}
-	vars := make([]string, len(d.Attrs))
-	for i, a := range d.Attrs {
-		vars[i] = a.Name
-	}
-	pred, err := FromRules(rs, eval.PositiveClass, vars, "rules-diff")
-	if err != nil {
-		t.Skipf("rule set not convertible: %v", err)
-	}
-	assertEquivalent(t, pred, 102)
 }
 
 func TestCompiledEquivalenceRangeCheck(t *testing.T) {

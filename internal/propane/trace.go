@@ -47,7 +47,8 @@ type TraceSpec struct {
 // RunTrace executes one injected run recording the module state at
 // every activation of the traced location from the injection onward.
 // The golden output must come from a prior fault-free run of the same
-// test case.
+// test case. A bit flip the variable refuses (VarRef.FlipBit's error)
+// fails the trace instead of tracing an uninjected run.
 func RunTrace(target Target, tc TestCase, golden any, spec TraceSpec) (*Trace, error) {
 	if spec.InjectionTime < 1 {
 		return nil, fmt.Errorf("propane: trace injection time %d must be >= 1", spec.InjectionTime)
@@ -61,6 +62,9 @@ func RunTrace(target Target, tc TestCase, golden any, spec TraceSpec) (*Trace, e
 		bit:      spec.Bit,
 	}
 	out, err := runSafely(target, tc, probe)
+	if probe.flipErr != nil {
+		return nil, fmt.Errorf("propane: trace flip %s bit %d: %w", spec.Var, spec.Bit, probe.flipErr)
+	}
 	tr := &Trace{
 		Module:        spec.Module,
 		Location:      spec.TraceAt,
@@ -93,6 +97,7 @@ type traceProbe struct {
 	injections int
 	traces     int
 	injected   bool
+	flipErr    error
 	entries    []TraceEntry
 }
 
@@ -112,7 +117,7 @@ func (p *traceProbe) Visit(module string, loc Location, vars []VarRef) {
 	if inject {
 		for _, v := range vars {
 			if v.Name == p.varName {
-				_ = v.FlipBit(p.bit)
+				p.flipErr = v.FlipBit(p.bit)
 				break
 			}
 		}

@@ -1,6 +1,7 @@
 package propane
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -119,5 +120,31 @@ func TestRunTraceCrash(t *testing.T) {
 	}
 	if tr.Entries[0].State[0] < 1e6 {
 		t.Fatalf("recorded state should show the corrupted accumulator: %v", tr.Entries[0].State)
+	}
+}
+
+// TestRunTraceFlipError: a flip the variable refuses (a bit outside
+// float64) fails the trace with the variable and bit named, instead of
+// tracing a run that was never injected.
+func TestRunTraceFlipError(t *testing.T) {
+	target := faultlessTarget{}
+	tc := target.TestCases(1, 1)[0]
+	golden, err := target.Run(tc, NopProbe{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := RunTrace(target, tc, golden, TraceSpec{
+		Module:        "M",
+		InjectAt:      Entry,
+		TraceAt:       Exit,
+		Var:           "x",
+		Bit:           64,
+		InjectionTime: 1,
+	})
+	if err == nil {
+		t.Fatalf("out-of-range flip traced without error: %+v", tr)
+	}
+	if !strings.Contains(err.Error(), "x bit 64") {
+		t.Fatalf("error %q does not name the variable and bit", err)
 	}
 }

@@ -228,7 +228,7 @@ func (s *Server) evalMirror(st *bundleState, detID string, samples []Sample) (ve
 	if len(samples) > 0 && len(samples[0]) != len(det.entry.Predicate.Vars) {
 		return nil, false
 	}
-	verdicts, err := evalBatch(context.Background(), det.eval, samples, s.cfg.Workers)
+	verdicts, err := evalBatch(context.Background(), det.eval, samples)
 	return verdicts, err == nil
 }
 

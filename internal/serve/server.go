@@ -62,9 +62,8 @@ type Config struct {
 	QueueDepth int
 	// Workers is the evaluation concurrency that, with QueueDepth, sizes
 	// admission; 0 resolves against the shared parallel budget (all
-	// cores). Each admitted request evaluates on its own handler
-	// goroutine; a batch above 64 samples additionally fans out through
-	// parallel.ForEach under the same global budget.
+	// cores). Each admitted request evaluates its whole batch on its own
+	// handler goroutine.
 	Workers int
 	// DefaultDeadline is the per-request evaluation deadline applied
 	// when the client sends none (default 2s).
@@ -325,41 +324,31 @@ func (s *Server) evaluate(ctx context.Context, det *servedDetector, samples []Sa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return evalBatch(ctx, det.eval, samples, s.cfg.Workers)
+	return evalBatch(ctx, det.eval, samples)
 }
 
-// evalBatch evaluates every sample with panic isolation: a panicking
-// evaluation becomes an error. Batches of up to inlineEvalBatch samples
-// run on the calling goroutine — one compiled-program eval is tens of
-// nanoseconds, far below the cost of a fan-out; larger ones fan out
-// through parallel.ForEach, which stops claiming samples once ctx ends.
-func evalBatch(ctx context.Context, eval func([]float64) bool, samples []Sample, workers int) (verdicts []bool, err error) {
+// evalBatch evaluates every sample on the calling goroutine with panic
+// isolation: a panicking evaluation becomes an error. One compiled
+// program eval is tens of nanoseconds and requests already evaluate
+// concurrently on their handler goroutines, so a batch is not spread
+// further. ctx is checked every evalCtxStride samples, so a deadline
+// still stops a large batch part-way.
+func evalBatch(ctx context.Context, eval func([]float64) bool, samples []Sample) (verdicts []bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			verdicts, err = nil, fmt.Errorf("serve: evaluation panic: %v", r)
+		}
+	}()
 	verdicts = make([]bool, len(samples))
-	if len(samples) <= inlineEvalBatch {
-		func() {
-			defer recoverEval(&err)
-			for i := range samples {
-				verdicts[i] = eval(samples[i])
+	for i := range samples {
+		if i%evalCtxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-		}()
-	} else {
-		err = parallel.ForEach(ctx, len(samples), workers, func(i int) (rerr error) {
-			defer recoverEval(&rerr)
-			verdicts[i] = eval(samples[i])
-			return nil
-		})
-	}
-	if err != nil {
-		return nil, err
+		}
+		verdicts[i] = eval(samples[i])
 	}
 	return verdicts, nil
-}
-
-// recoverEval, deferred, turns an evaluation panic into *err.
-func recoverEval(err *error) {
-	if r := recover(); r != nil {
-		*err = fmt.Errorf("serve: evaluation panic: %v", r)
-	}
 }
 
 // Handler returns the service's HTTP handler on a dedicated mux.
@@ -483,10 +472,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // far past any sane batch; reject early rather than buffer).
 const maxRequestBody = 16 << 20
 
-// inlineEvalBatch is the batch size at or below which a batch evaluates
-// on its handler goroutine instead of fanning out through the shared
-// pool.
-const inlineEvalBatch = 64
+// evalCtxStride is how many samples evalBatch evaluates between two
+// checks of the request context.
+const evalCtxStride = 64
 
 // respPool recycles evaluate response encode buffers, JSON and binary;
 // the HTTP layer copies on Write, so a buffer is reusable as soon as
@@ -599,7 +587,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Per-request deadline: the client's deadline_ms wins over the
-	// server default; both propagate into the evaluation fan-out.
+	// server default; both bound the evaluation loop.
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond

@@ -251,10 +251,10 @@ func TestServeAdmissionSemaphore(t *testing.T) {
 	}
 }
 
-// TestServeDeadlineDuringFanOut fires the deadline while a batch above
-// inlineEvalBatch is fanned out through parallel.ForEach: the client
-// gets 504, and the breaker sees a cancellation, not a failure.
-func TestServeDeadlineDuringFanOut(t *testing.T) {
+// TestServeDeadlineMidBatch fires the deadline part-way through a batch
+// several evalCtxStride strides long: the client gets 504, and the
+// breaker sees a cancellation, not a failure.
+func TestServeDeadlineMidBatch(t *testing.T) {
 	reg := telemetry.New()
 	s, hs := newTestServer(t, Config{
 		Workers:  2,
@@ -268,17 +268,17 @@ func TestServeDeadlineDuringFanOut(t *testing.T) {
 		return fast(vs)
 	}
 
-	samples := make([]Sample, 4*inlineEvalBatch)
+	samples := make([]Sample, 4*evalCtxStride)
 	for i := range samples {
 		samples[i] = Sample{float64(i)}
 	}
 	start := time.Now()
 	code, _, bad := postEval(t, hs.URL, EvalRequest{Detector: "D1", Samples: samples, DeadlineMS: 30})
 	if code != http.StatusGatewayTimeout {
-		t.Fatalf("fan-out deadline: code = %d (%s), want 504", code, bad.Error)
+		t.Fatalf("mid-batch deadline: code = %d (%s), want 504", code, bad.Error)
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("504 took %v; the fan-out must stop at the deadline", d)
+		t.Fatalf("504 took %v; the batch must stop at the deadline", d)
 	}
 	if st := det.breaker.State(); st != Closed {
 		t.Fatalf("breaker = %v after a deadline, want closed (threshold 1 would trip on a failure)", st)
@@ -289,6 +289,45 @@ func TestServeDeadlineDuringFanOut(t *testing.T) {
 	det.eval = fast
 	if code, ok, _ := postEval(t, hs.URL, EvalRequest{Detector: "D1", Samples: samples}); code != http.StatusOK || ok.Evaluated != len(samples) {
 		t.Fatalf("after the deadline: code %d evaluated %d", code, ok.Evaluated)
+	}
+}
+
+// TestServePanicMidBatch panics at sample 300 of a 512-sample batch:
+// the client gets 500 under fail-closed, and the breaker counts the
+// request as a failure (threshold 1 trips it).
+func TestServePanicMidBatch(t *testing.T) {
+	reg := telemetry.New()
+	s, hs := newTestServer(t, Config{
+		Policy:   FailClosed,
+		Breaker:  BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+		Registry: reg,
+	}, "D1")
+	det := s.bundle.Load().dets["D1"]
+	fast := det.eval
+	det.eval = func(vs []float64) bool {
+		if vs[0] == 300 {
+			panic("synthetic mid-batch fault")
+		}
+		return fast(vs)
+	}
+
+	samples := make([]Sample, 512)
+	for i := range samples {
+		samples[i] = Sample{float64(i)}
+	}
+	code, _, bad := postEval(t, hs.URL, EvalRequest{Detector: "D1", Samples: samples})
+	if code != http.StatusInternalServerError {
+		t.Fatalf("mid-batch panic: code = %d (%s), want 500", code, bad.Error)
+	}
+	if !strings.Contains(bad.Error, "synthetic mid-batch fault") {
+		t.Fatalf("error %q does not carry the panic", bad.Error)
+	}
+	if st := det.breaker.State(); st != Open {
+		t.Fatalf("breaker = %v after a panic, want open (threshold 1)", st)
+	}
+	if reg.Counter("serve.eval_errors").Value() != 1 || reg.Counter("serve.breaker_trips").Value() != 1 {
+		t.Fatalf("eval_errors = %d, breaker_trips = %d, want 1 and 1",
+			reg.Counter("serve.eval_errors").Value(), reg.Counter("serve.breaker_trips").Value())
 	}
 }
 
