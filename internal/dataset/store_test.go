@@ -396,6 +396,39 @@ func TestHasMissingCache(t *testing.T) {
 	}
 }
 
+// TestSharedVariantsAliasValues pins which variants share storage:
+// IdentityView and SelectView alias the store's column, class and
+// weight arrays (O(1) construction), while Subset and Materialize
+// deep-copy Values so their results may be mutated freely.
+func TestSharedVariantsAliasValues(t *testing.T) {
+	d := storeTestDataset(6, 23)
+	st := NewStore(d, nil)
+	for name, v := range map[string]*View{
+		"identity": st.IdentityView(),
+		"select":   st.SelectView([]int32{4, 1}),
+	} {
+		if &v.Cols()[0][0] != &st.Cols()[0][0] {
+			t.Fatalf("%s view must alias the store's columns", name)
+		}
+		if &v.Classes()[0] != &st.Classes()[0] || &v.weights[0] != &st.Weights()[0] {
+			t.Fatalf("%s view must alias the store's classes and weights", name)
+		}
+	}
+	md := st.SelectView([]int32{4, 1}).Materialize()
+	md.Instances[0].Values[0] = -1
+	if st.Cols()[0][4] == -1 || d.Instances[4].Values[0] == -1 {
+		t.Fatal("Materialize must deep-copy Values")
+	}
+	deep := d.Subset([]int{2, 4})
+	if &deep.Instances[0].Values[0] == &d.Instances[2].Values[0] {
+		t.Fatal("Subset must deep-copy Values")
+	}
+	deep.Instances[0].Weight = 42
+	if d.Instances[2].Weight == 42 {
+		t.Fatal("Subset weight mutation leaked into the receiver")
+	}
+}
+
 // viewSnapshot deep-copies the arrays a view exposes, so they can be
 // compared after the view's arena is reused.
 type viewSnapshot struct {
