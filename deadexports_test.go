@@ -33,17 +33,14 @@ var deadExportKeeps = map[string]string{
 	"mining/eval.BinaryCounts.DistanceFromPerfect": "paper Table I metric, pinned by TestConfusionMatrixPaperExample",
 
 	// Test oracles and cross-package fixtures.
-	"dataset.Dataset.MustAdd":           "test fixture builder used across packages",
-	"dataset.Dataset.InvalidateMissing": "test fixture for missing-value handling across packages",
-	"dataset.Dataset.Subset":            "test fixture and oracle of the columnar views",
-	"predicate.Detector.AlarmIndices":   "oracle of TestServeChunkedAgreesWithDetectorVisit",
-	"predicate.Detector.VisitCount":     "oracle of TestServeChunkedAgreesWithDetectorVisit",
-	"propane.Run":                       "the reference engine the fork and campaign equivalence tests compare against",
-	"dataset.Missing":                   "cross-package fixture builder for missing values until ROADMAP item 10 narrows the value domain",
-	"dataset.NominalAttr":               "cross-package fixture builder for nominal attributes until ROADMAP item 10 narrows the value domain",
-	"telemetry.WithRegistry":            "the seam that gives a test its own registry per context",
-	"serve.DecodeJSONRequest":           "the JSON decode kernel bench/tracer is to time (ROADMAP item 3)",
-	"core.CompareWithRangeCheckEA":      "source of EXPERIMENTS \"The headline contrast\" (paper §II-A), pinned by TestRangeCheckEAComparison",
+	"dataset.Dataset.MustAdd":         "test fixture builder used across packages",
+	"dataset.Dataset.Subset":          "test fixture and oracle of the columnar views",
+	"predicate.Detector.AlarmIndices": "oracle of TestServeChunkedAgreesWithDetectorVisit",
+	"predicate.Detector.VisitCount":   "oracle of TestServeChunkedAgreesWithDetectorVisit",
+	"propane.Run":                     "the reference engine the fork and campaign equivalence tests compare against",
+	"telemetry.WithRegistry":          "the seam that gives a test its own registry per context",
+	"serve.DecodeJSONRequest":         "the JSON decode kernel bench/tracer is to time (ROADMAP item 3)",
+	"core.CompareWithRangeCheckEA":    "source of EXPERIMENTS \"The headline contrast\" (paper §II-A), pinned by TestRangeCheckEAComparison",
 }
 
 // TestNoDeadExports type-checks every non-test file of the module and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -36,19 +37,19 @@ func transformThenFit(t *testing.T, d *dataset.Dataset, cfg SamplingConfig, opts
 
 // The traced benchmark fails a run whose in-process predicate differs
 // from edem run's, so Transform followed by FitTree must reproduce the
-// final fit for every sampling kind, with and without missing values.
+// final fit for every sampling kind, with and without the ±1e308
+// clamps propane.ToDataset substitutes for non-finite values.
 func TestTransformThenFitTreeMatchesFinalFit(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Seed = 5
-	missing := refineDataset(300, 7)
-	for i := 0; i < missing.Len(); i += 13 {
-		missing.Instances[i].Values[0] = dataset.Missing
+	clamped := refineDataset(300, 7)
+	for i := 0; i < clamped.Len(); i += 13 {
+		clamped.Instances[i].Values[0] = math.Copysign(1e308, float64(i%2)-0.5)
 	}
-	missing.InvalidateMissing()
 	sets := []struct {
 		name string
 		d    *dataset.Dataset
-	}{{"clean", refineDataset(300, 5)}, {"missing", missing}}
+	}{{"plain", refineDataset(300, 5)}, {"clamped", clamped}}
 	cfgs := []SamplingConfig{
 		{Kind: NoSampling},
 		{Kind: Undersampling, Percent: 35},

@@ -98,11 +98,9 @@ func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, co
 	cellsScored := reg.Counter("refine.cells_scored")
 	cellNS := reg.Histogram("refine.cell_ns")
 	ctrs := refineCounters{
-		viewHits:    reg.Counter("refine.view_hits"),
-		generalFits: reg.Counter("refine.general_fits"),
-		mergeSyn:    reg.Counter("refine.merge_synthetic_rows"),
-		viewNS:      reg.Histogram("refine.view_ns"),
-		induceNS:    reg.Histogram("refine.induce_ns"),
+		mergeSyn: reg.Counter("refine.merge_synthetic_rows"),
+		viewNS:   reg.Histogram("refine.view_ns"),
+		induceNS: reg.Histogram("refine.induce_ns"),
 	}
 
 	shared := make([]foldShared, len(folds))
@@ -187,11 +185,9 @@ type foldShared struct {
 // counters and the histograms' counts are worker-count-invariant by
 // construction.
 type refineCounters struct {
-	viewHits    *telemetry.Counter
-	generalFits *telemetry.Counter
-	mergeSyn    *telemetry.Counter
-	viewNS      *telemetry.Histogram
-	induceNS    *telemetry.Histogram
+	mergeSyn *telemetry.Counter
+	viewNS   *telemetry.Histogram
+	induceNS *telemetry.Histogram
 }
 
 // refineCellEval evaluates one configuration on one fold. The cell RNG
@@ -201,10 +197,9 @@ type refineCounters struct {
 // configuration sits in the grid (ROADMAP item 11 keys it by the
 // configuration instead). Each cell trains the learner from a
 // per-configuration view of the fold's shared store. The shared
-// neighbour index yields the same views as per-cell neighbour searches. A view the C4.5 counting builder cannot
-// take (missing values, or a weight other than 1) counts as a general
-// fit. The view is released once the model is scored, so the next cell
-// on this worker reuses its arrays; the model keeps none of them.
+// neighbour index yields the same views as per-cell neighbour searches.
+// The view is released once the model is scored, so the next cell on
+// this worker reuses its arrays; the model keeps none of them.
 func refineCellEval(l mining.Learner, d *dataset.Dataset, fold dataset.Fold, sh *foldShared, cfg SamplingConfig, opts Options, fi, ci int, cell *refineCell, ctrs refineCounters) error {
 	rng := stats.NewRNG(opts.Seed ^ (uint64(fi+1) << 20) ^ uint64(ci+1))
 	var ni *sampling.NeighborIndex
@@ -220,13 +215,8 @@ func refineCellEval(l mining.Learner, d *dataset.Dataset, fold dataset.Fold, sh 
 		return fmt.Errorf("transform: %w", err)
 	}
 	ctrs.viewNS.ObserveDuration(time.Since(start))
-	if v.HasMissing() || !v.UnitWeights() {
-		ctrs.generalFits.Inc()
-	} else {
-		ctrs.viewHits.Inc()
-		if cfg.Kind == Smote {
-			ctrs.mergeSyn.Add(int64(v.Appended()))
-		}
+	if cfg.Kind == Smote {
+		ctrs.mergeSyn.Add(int64(v.Appended()))
 	}
 	start = time.Now()
 	model, err := l.FitView(v)

@@ -10,7 +10,6 @@ import (
 	"edem/internal/mining/sampling"
 	"edem/internal/parallel"
 	"edem/internal/stats"
-	"edem/internal/telemetry"
 )
 
 // refineReference is the unshared refinement loop: a fresh store per
@@ -126,66 +125,6 @@ func TestRefineMatchesInstancePath(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("seed %d workers %d: Refine diverges from the unshared reference", seed, workers)
 			}
-		}
-	}
-}
-
-// TestRefineMatchesInstancePathMissing covers the fallback route: a
-// dataset with missing values disables the store's merge orders, so
-// every cell materialises its view and lands in the general builder —
-// still byte-identical to the reference.
-func TestRefineMatchesInstancePathMissing(t *testing.T) {
-	d := refineDataset(150, 29)
-	for i := 0; i < 150; i += 11 {
-		d.Instances[i].Values[1] = dataset.Missing
-	}
-	d.InvalidateMissing()
-	checkGeneralFallback(t, d)
-}
-
-// TestRefineMatchesInstancePathFractional covers the other fallback: a
-// dataset with fractional weights breaks the counting builder's
-// unit-weight precondition, so every cell lands in the general builder.
-func TestRefineMatchesInstancePathFractional(t *testing.T) {
-	d := refineDataset(150, 30)
-	for i := range d.Instances {
-		d.Instances[i].Weight = float64(i%4+1) / 2
-	}
-	checkGeneralFallback(t, d)
-}
-
-// checkGeneralFallback requires Refine on d, whose every view the
-// general builder must take, to match the unshared reference for any
-// worker count and to count every cell in refine.general_fits.
-func checkGeneralFallback(t *testing.T, d *dataset.Dataset) {
-	t.Helper()
-	grid := []SamplingConfig{
-		{Kind: Undersampling, Percent: 50},
-		{Kind: Oversampling, Percent: 200},
-		{Kind: Smote, Percent: 200, K: 3},
-	}
-	opts := DefaultOptions()
-	opts.Seed = 29
-	opts.Folds = 5
-
-	want, err := refineReference(d, grid, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		opts.Workers = workers
-		reg := telemetry.New()
-		got, err := Refine(telemetry.WithRegistry(context.Background(), reg), d, grid, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers %d: fallback diverges from the unshared reference", workers)
-		}
-		c := reg.Snapshot().Counters
-		if c["refine.general_fits"] != c["refine.cells_scored"] || c["refine.view_hits"] != 0 {
-			t.Errorf("workers %d: general_fits %d, view_hits %d, cells_scored %d", workers,
-				c["refine.general_fits"], c["refine.view_hits"], c["refine.cells_scored"])
 		}
 	}
 }

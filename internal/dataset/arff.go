@@ -9,10 +9,10 @@ import (
 )
 
 // The ARFF subset written here covers what the methodology needs:
-// @relation, @attribute (numeric and {nominal}) and dense @data rows with
-// '?' for missing values — the format the purpose-built conversion tool
-// of paper §VII-B emits for the Weka suite. The last attribute is the
-// class, following Weka's convention. edem only writes ARFF; the reader
+// @relation, numeric @attributes, a nominal class and dense @data rows
+// — the format the purpose-built conversion tool of paper §VII-B emits
+// for the Weka suite. The last attribute is the class, following
+// Weka's convention. edem only writes ARFF; the reader
 // that checks the writer is a test oracle (arff_reader_test.go).
 
 // WriteARFF serialises the dataset in ARFF. The class is emitted as the
@@ -25,18 +25,7 @@ func WriteARFF(w io.Writer, d *Dataset) error {
 	}
 	fmt.Fprintf(bw, "@relation %s\n\n", quoteIfNeeded(name))
 	for _, a := range d.Attrs {
-		switch a.Type {
-		case Numeric:
-			fmt.Fprintf(bw, "@attribute %s numeric\n", quoteIfNeeded(a.Name))
-		case Nominal:
-			vals := make([]string, len(a.Values))
-			for i, v := range a.Values {
-				vals[i] = quoteIfNeeded(v)
-			}
-			fmt.Fprintf(bw, "@attribute %s {%s}\n", quoteIfNeeded(a.Name), strings.Join(vals, ","))
-		default:
-			return fmt.Errorf("arff: attribute %q has unsupported type %v", a.Name, a.Type)
-		}
+		fmt.Fprintf(bw, "@attribute %s numeric\n", quoteIfNeeded(a.Name))
 	}
 	classVals := make([]string, len(d.ClassValues))
 	for i, v := range d.ClassValues {
@@ -47,15 +36,8 @@ func WriteARFF(w io.Writer, d *Dataset) error {
 	for i := range d.Instances {
 		in := &d.Instances[i]
 		fields := make([]string, 0, len(in.Values)+1)
-		for j, v := range in.Values {
-			switch {
-			case IsMissing(v):
-				fields = append(fields, "?")
-			case d.Attrs[j].Type == Nominal:
-				fields = append(fields, quoteIfNeeded(d.Attrs[j].Values[int(v)]))
-			default:
-				fields = append(fields, strconv.FormatFloat(v, 'g', -1, 64))
-			}
+		for _, v := range in.Values {
+			fields = append(fields, strconv.FormatFloat(v, 'g', -1, 64))
 		}
 		fields = append(fields, quoteIfNeeded(d.ClassValues[in.Class]))
 		fmt.Fprintln(bw, strings.Join(fields, ","))

@@ -19,17 +19,28 @@ func (e *parseError) Error() string {
 	return fmt.Sprintf("arff: line %d: %s", e.Line, e.Msg)
 }
 
+// arffAttr is one parsed @attribute declaration: numeric, or nominal
+// over a domain.
+type arffAttr struct {
+	name    string
+	nominal bool
+	values  []string
+}
+
 // readARFF parses an ARFF stream produced by WriteARFF or a compatible
 // tool. The final attribute is taken as the class and must be nominal.
-// It is the test oracle of WriteARFF: FuzzARFFRoundTrip requires every
-// input it accepts to survive write→read→write unchanged.
+// Only the training domain is accepted: every other attribute numeric,
+// no missing value ('?') and no instance weight ({w}); each is refused
+// with an error that says so, as is a NaN value (through Add). It is
+// the test oracle of WriteARFF: FuzzARFFRoundTrip requires every input
+// it accepts to survive write→read→write unchanged.
 func readARFF(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
 
 	var (
 		name    string
-		attrs   []Attribute
+		attrs   []arffAttr
 		lineNo  int
 		inData  bool
 		dataset *Dataset
@@ -56,10 +67,17 @@ func readARFF(r io.Reader) (*Dataset, error) {
 					return nil, &parseError{Line: lineNo, Msg: "need at least one attribute plus a class"}
 				}
 				class := attrs[len(attrs)-1]
-				if class.Type != Nominal {
+				if !class.nominal {
 					return nil, &parseError{Line: lineNo, Msg: "class attribute must be nominal"}
 				}
-				dataset = New(name, attrs[:len(attrs)-1], class.Values)
+				schema := make([]Attribute, len(attrs)-1)
+				for i, a := range attrs[:len(attrs)-1] {
+					if a.nominal {
+						return nil, &parseError{Line: lineNo, Msg: fmt.Sprintf("nominal attribute %q: only the class may be nominal", a.name)}
+					}
+					schema[i] = NumericAttr(a.name)
+				}
+				dataset = New(name, schema, class.values)
 				inData = true
 			default:
 				return nil, &parseError{Line: lineNo, Msg: "unexpected header line: " + line}
@@ -79,16 +97,16 @@ func readARFF(r io.Reader) (*Dataset, error) {
 	return dataset, nil
 }
 
-func parseAttribute(rest string, lineNo int) (Attribute, error) {
+func parseAttribute(rest string, lineNo int) (arffAttr, error) {
 	attrName, rest, err := takeToken(rest)
 	if err != nil {
-		return Attribute{}, &parseError{Line: lineNo, Msg: "attribute missing name"}
+		return arffAttr{}, &parseError{Line: lineNo, Msg: "attribute missing name"}
 	}
 	rest = strings.TrimSpace(rest)
 	lower := strings.ToLower(rest)
 	switch {
 	case lower == "numeric" || lower == "real" || lower == "integer":
-		return NumericAttr(attrName), nil
+		return arffAttr{name: attrName}, nil
 	case strings.HasPrefix(rest, "{") && strings.HasSuffix(rest, "}"):
 		inner := rest[1 : len(rest)-1]
 		parts := splitCSV(inner)
@@ -96,32 +114,28 @@ func parseAttribute(rest string, lineNo int) (Attribute, error) {
 		for _, p := range parts {
 			vals = append(vals, unquote(strings.TrimSpace(p)))
 		}
-		return NominalAttr(attrName, vals...), nil
+		return arffAttr{name: attrName, nominal: true, values: vals}, nil
 	default:
-		return Attribute{}, &parseError{Line: lineNo, Msg: "unsupported attribute type: " + rest}
+		return arffAttr{}, &parseError{Line: lineNo, Msg: "unsupported attribute type: " + rest}
 	}
 }
 
 func parseDataRow(d *Dataset, line string, lineNo int) error {
 	parts := splitCSV(line)
+	if last := strings.TrimSpace(parts[len(parts)-1]); strings.HasPrefix(last, "{") && strings.HasSuffix(last, "}") {
+		return &parseError{Line: lineNo, Msg: "instance weight " + last + ": every row weighs 1"}
+	}
 	if len(parts) != len(d.Attrs)+1 {
 		return &parseError{Line: lineNo, Msg: fmt.Sprintf("got %d fields, want %d", len(parts), len(d.Attrs)+1)}
+	}
+	for _, p := range parts {
+		if unquote(strings.TrimSpace(p)) == "?" {
+			return &parseError{Line: lineNo, Msg: "missing value '?': the training domain has none"}
+		}
 	}
 	in := Instance{Values: make([]float64, len(d.Attrs)), Weight: 1}
 	for j := 0; j < len(d.Attrs); j++ {
 		field := unquote(strings.TrimSpace(parts[j]))
-		if field == "?" {
-			in.Values[j] = Missing
-			continue
-		}
-		if d.Attrs[j].Type == Nominal {
-			idx := slices.Index(d.Attrs[j].Values, field)
-			if idx < 0 {
-				return &parseError{Line: lineNo, Msg: fmt.Sprintf("value %q not in domain of %q", field, d.Attrs[j].Name)}
-			}
-			in.Values[j] = float64(idx)
-			continue
-		}
 		v, err := strconv.ParseFloat(field, 64)
 		if err != nil {
 			return &parseError{Line: lineNo, Msg: fmt.Sprintf("bad numeric value %q", field)}
@@ -129,18 +143,14 @@ func parseDataRow(d *Dataset, line string, lineNo int) error {
 		in.Values[j] = v
 	}
 	classField := unquote(strings.TrimSpace(parts[len(parts)-1]))
-	found := false
-	for c, v := range d.ClassValues {
-		if v == classField {
-			in.Class = c
-			found = true
-			break
-		}
-	}
-	if !found {
+	in.Class = slices.Index(d.ClassValues, classField)
+	if in.Class < 0 {
 		return &parseError{Line: lineNo, Msg: fmt.Sprintf("unknown class %q", classField)}
 	}
-	return d.Add(in)
+	if err := d.Add(in); err != nil {
+		return &parseError{Line: lineNo, Msg: err.Error()}
+	}
+	return nil
 }
 
 // takeToken splits off the first whitespace- or quote-delimited token.

@@ -11,8 +11,8 @@ import (
 
 func TestARFFRoundTrip(t *testing.T) {
 	d := sampleDataset(t, 25)
-	d.Instances[3].Values[1] = Missing
-	d.Instances[7].Values[2] = Missing
+	d.Instances[3].Values[1] = 1e308
+	d.Instances[7].Values[2] = -1e308
 
 	var sb strings.Builder
 	if err := WriteARFF(&sb, d); err != nil {
@@ -31,11 +31,7 @@ func TestARFFRoundTrip(t *testing.T) {
 			t.Fatalf("instance %d class %d != %d", i, a.Class, b.Class)
 		}
 		for j := range a.Values {
-			av, bv := a.Values[j], b.Values[j]
-			if IsMissing(av) != IsMissing(bv) {
-				t.Fatalf("instance %d value %d missing mismatch", i, j)
-			}
-			if !IsMissing(av) && av != bv {
+			if av, bv := a.Values[j], b.Values[j]; av != bv {
 				t.Fatalf("instance %d value %d: %v != %v", i, j, av, bv)
 			}
 		}
@@ -45,13 +41,13 @@ func TestARFFRoundTrip(t *testing.T) {
 func TestARFFRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
-		attrs := []Attribute{NumericAttr("a"), NominalAttr("b", "u", "v", "w")}
+		attrs := []Attribute{NumericAttr("a"), NumericAttr("b")}
 		d := New("prop", attrs, []string{"c0", "c1", "c2"})
 		rng := stats.NewRNG(seed)
 		for i := 0; i < n; i++ {
 			v := rng.Float64()*2e6 - 1e6
 			if rng.Intn(10) == 0 {
-				v = Missing
+				v = math.Inf(1 - 2*rng.Intn(2))
 			}
 			d.MustAdd(Instance{
 				Values: []float64{v, float64(rng.Intn(3))},
@@ -69,8 +65,7 @@ func TestARFFRoundTripProperty(t *testing.T) {
 		}
 		for i := range d.Instances {
 			for j := range d.Instances[i].Values {
-				av, bv := d.Instances[i].Values[j], got.Instances[i].Values[j]
-				if IsMissing(av) != IsMissing(bv) || (!IsMissing(av) && av != bv) {
+				if d.Instances[i].Values[j] != got.Instances[i].Values[j] {
 					return false
 				}
 			}
@@ -85,8 +80,8 @@ func TestARFFRoundTripProperty(t *testing.T) {
 func TestARFFQuotedNames(t *testing.T) {
 	d := New("data set", []Attribute{
 		NumericAttr("weird name"),
-		NominalAttr("mode", "on off", "half,way"),
-	}, []string{"no", "yes"})
+		NumericAttr("it's"),
+	}, []string{"on off", "half,way"})
 	d.MustAdd(Instance{Values: []float64{1.5, 1}, Class: 1, Weight: 1})
 	var sb strings.Builder
 	if err := WriteARFF(&sb, d); err != nil {
@@ -96,14 +91,14 @@ func TestARFFQuotedNames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readARFF: %v\n%s", err, sb.String())
 	}
-	if got.Attrs[0].Name != "weird name" {
-		t.Errorf("attr name = %q", got.Attrs[0].Name)
+	if got.Attrs[0].Name != "weird name" || got.Attrs[1].Name != "it's" {
+		t.Errorf("attr names = %q, %q", got.Attrs[0].Name, got.Attrs[1].Name)
 	}
-	if got.Attrs[1].Values[0] != "on off" || got.Attrs[1].Values[1] != "half,way" {
-		t.Errorf("nominal domain = %v", got.Attrs[1].Values)
+	if got.ClassValues[0] != "on off" || got.ClassValues[1] != "half,way" {
+		t.Errorf("class domain = %v", got.ClassValues)
 	}
-	if got.Instances[0].Values[1] != 1 {
-		t.Errorf("nominal value = %v", got.Instances[0].Values[1])
+	if got.Instances[0].Class != 1 {
+		t.Errorf("class = %v", got.Instances[0].Class)
 	}
 }
 
@@ -156,13 +151,32 @@ func TestARFFParseErrors(t *testing.T) {
 		"bad field count":    "@relation r\n@attribute x numeric\n@attribute class {a,b}\n@data\n1,2,a\n",
 		"unknown class":      "@relation r\n@attribute x numeric\n@attribute class {a,b}\n@data\n1,zzz\n",
 		"bad numeric":        "@relation r\n@attribute x numeric\n@attribute class {a,b}\n@data\nqq,a\n",
-		"bad nominal":        "@relation r\n@attribute x {u,v}\n@attribute class {a,b}\n@data\nw,a\n",
 		"bad attribute type": "@relation r\n@attribute x matrix\n@attribute class {a,b}\n@data\n",
 		"garbage header":     "@relation r\nnonsense\n@data\n",
 	}
 	for name, src := range cases {
 		if _, err := readARFF(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected parse error", name)
+		}
+	}
+}
+
+// TestARFFRefusesOutsideDomain: the reader accepts only the training
+// domain, and each refusal says what it refused.
+func TestARFFRefusesOutsideDomain(t *testing.T) {
+	const header = "@relation r\n@attribute x numeric\n@attribute class {a,b}\n@data\n"
+	cases := map[string]struct{ src, want string }{
+		"missing value":     {header + "?,a\n", "missing value"},
+		"quoted missing":    {header + "'?',b\n", "missing value"},
+		"instance weight":   {header + "1,a,{2}\n", "instance weight"},
+		"unit weight":       {header + "1,a, {1}\n", "instance weight"},
+		"nominal attribute": {"@relation r\n@attribute m {u,v}\n@attribute class {a,b}\n@data\nu,a\n", "nominal attribute"},
+		"NaN":               {header + "NaN,a\n", "NaN"},
+	}
+	for name, c := range cases {
+		_, err := readARFF(strings.NewReader(c.src))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, c.want)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 // Package dataset provides the relational data model consumed by the
-// mining algorithms: attributes, weighted instances, datasets, stratified
-// cross-validation folds, and the two on-disk formats used by the
-// methodology — the PROPANE fault-injection log format and the ARFF
-// format of the Weka suite (paper §V-C step 1: format transformation).
+// mining algorithms: attributes, instances, datasets, stratified
+// cross-validation folds, and the ARFF and CSV writers (the ARFF
+// format of the Weka suite; paper §V-C step 1: format transformation).
+//
+// The training domain is numeric, NaN-free rows of weight 1: that is
+// what propane.ToDataset produces, and Add and Validate refuse
+// anything else. There are no missing values, nominal attributes or
+// instance weights (DESIGN.md §10).
 //
 // Role in the methodology: Step 2 (preprocessing) — campaign logs
-// become weighted instances here, and every later step consumes this
-// model. Ownership/concurrency: Subset deep-copies and yields an
+// become instances here, and every later step consumes this model. Ownership/concurrency: Subset deep-copies and yields an
 // independently mutable dataset; Store and View
 // (DESIGN.md §10) are immutable after construction and safe for
 // concurrent read — many fold workers train from one store without
@@ -17,68 +20,30 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
-// AttrType distinguishes numeric from nominal attributes.
-type AttrType int
-
-// Attribute types.
-const (
-	Numeric AttrType = iota + 1
-	Nominal
-)
-
-// String returns the ARFF spelling of the type.
-func (t AttrType) String() string {
-	switch t {
-	case Numeric:
-		return "numeric"
-	case Nominal:
-		return "nominal"
-	default:
-		return fmt.Sprintf("AttrType(%d)", int(t))
-	}
-}
-
-// Attribute describes one column of a dataset.
+// Attribute describes one column of a dataset. Every attribute is
+// numeric: a sampled module variable (or a fault-model parameter).
 type Attribute struct {
 	Name string
-	Type AttrType
-	// Values is the domain of a nominal attribute, in declaration order.
-	// Instance values for nominal attributes are indices into this slice.
-	Values []string
 }
 
 // NumericAttr constructs a numeric attribute.
 func NumericAttr(name string) Attribute {
-	return Attribute{Name: name, Type: Numeric}
+	return Attribute{Name: name}
 }
-
-// NominalAttr constructs a nominal attribute over the given domain.
-func NominalAttr(name string, values ...string) Attribute {
-	vs := make([]string, len(values))
-	copy(vs, values)
-	return Attribute{Name: name, Type: Nominal, Values: vs}
-}
-
-// Missing is the sentinel for an absent attribute value.
-var Missing = math.NaN()
-
-// IsMissing reports whether v is the missing-value sentinel.
-func IsMissing(v float64) bool { return math.IsNaN(v) }
 
 // Instance is one sampled program state: attribute values plus a class
-// label and an instance weight (C4.5 uses fractional weights for
-// missing-value handling).
+// label.
 type Instance struct {
-	// Values holds one entry per attribute: the numeric value for numeric
-	// attributes, or the index into Attribute.Values for nominal ones.
-	// NaN marks a missing value.
+	// Values holds one number per attribute, never NaN: propane.ToDataset
+	// clamps non-finite sampled values before they get here.
 	Values []float64
 	// Class is the index into Dataset.ClassValues.
 	Class int
-	// Weight is the instance weight; 1 for raw data.
+	// Weight is always 1: Add stores 0 as 1 and refuses any other
+	// value. It remains for the benchmark's tracer, which passes it to
+	// ConfusionMatrix.Record.
 	Weight float64
 }
 
@@ -100,17 +65,7 @@ type Dataset struct {
 	Attrs       []Attribute
 	ClassValues []string
 	Instances   []Instance
-
-	// missing caches the HasMissing answer; see missingUnknown et al.
-	missing int8
 }
-
-// HasMissing cache states.
-const (
-	missingUnknown int8 = iota
-	missingNo
-	missingYes
-)
 
 // Common validation errors.
 var (
@@ -118,6 +73,8 @@ var (
 	ErrNoClass      = errors.New("dataset: no class values")
 	ErrArity        = errors.New("dataset: instance arity does not match attributes")
 	ErrClassRange   = errors.New("dataset: class index out of range")
+	ErrNaN          = errors.New("dataset: NaN value (the training domain is numeric and NaN-free)")
+	ErrWeight       = errors.New("dataset: instance weight other than 1 (every training row weighs 1; 0 means 1)")
 )
 
 // New constructs an empty dataset with the given schema.
@@ -129,64 +86,36 @@ func New(name string, attrs []Attribute, classValues []string) *Dataset {
 	return &Dataset{Name: name, Attrs: as, ClassValues: cs}
 }
 
-// Add appends an instance after validating it against the schema.
+// Add appends an instance after validating it against the schema and
+// the training domain: no NaN value, and a weight of 1 (0 is stored as
+// 1).
 func (d *Dataset) Add(in Instance) error {
+	if err := d.check(in); err != nil {
+		return err
+	}
+	in.Weight = 1
+	d.Instances = append(d.Instances, in)
+	return nil
+}
+
+// check validates one instance against the schema and the training
+// domain.
+func (d *Dataset) check(in Instance) error {
 	if len(in.Values) != len(d.Attrs) {
 		return fmt.Errorf("%w: got %d values, want %d", ErrArity, len(in.Values), len(d.Attrs))
 	}
 	if in.Class < 0 || in.Class >= len(d.ClassValues) {
 		return fmt.Errorf("%w: %d", ErrClassRange, in.Class)
 	}
-	if in.Weight == 0 {
-		in.Weight = 1
+	if in.Weight != 1 && in.Weight != 0 {
+		return fmt.Errorf("%w: %v", ErrWeight, in.Weight)
 	}
-	if d.missing == missingNo && instanceHasMissing(in) {
-		d.missing = missingYes
+	for j, v := range in.Values {
+		if v != v {
+			return fmt.Errorf("%w: attribute %q", ErrNaN, d.Attrs[j].Name)
+		}
 	}
-	d.Instances = append(d.Instances, in)
 	return nil
-}
-
-func instanceHasMissing(in Instance) bool {
-	for _, v := range in.Values {
-		if IsMissing(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasMissing reports whether any instance value is missing. The answer
-// is computed on the first call and cached; Add maintains the cache
-// incrementally, and Subset propagates what the cache can
-// prove (a subset of a missing-free dataset is missing-free). Code that
-// appends to Instances directly, or mutates Values after the first
-// call, must call InvalidateMissing. Not safe for a concurrent first
-// call with other accesses; compute it before fanning out.
-func (d *Dataset) HasMissing() bool {
-	if d.missing == missingUnknown {
-		d.missing = missingNo
-		for i := range d.Instances {
-			if instanceHasMissing(d.Instances[i]) {
-				d.missing = missingYes
-				break
-			}
-		}
-	}
-	return d.missing == missingYes
-}
-
-// InvalidateMissing drops the cached HasMissing answer. Call it after
-// mutating Instances or Values outside Add.
-func (d *Dataset) InvalidateMissing() { d.missing = missingUnknown }
-
-// inheritMissing propagates the receiver's cache to a dataset holding a
-// subset of its instances: only the missing-free answer survives (a
-// subset of a dataset with missing values may or may not have any).
-func (d *Dataset) inheritMissing(out *Dataset) {
-	if d.missing == missingNo {
-		out.missing = missingNo
-	}
 }
 
 // MustAdd appends an instance and panics on schema mismatch. It is meant
@@ -209,7 +138,6 @@ func (d *Dataset) CloneSchema() *Dataset {
 // given indices.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	out := d.CloneSchema()
-	d.inheritMissing(out)
 	out.Instances = make([]Instance, 0, len(idx))
 	for _, i := range idx {
 		out.Instances = append(out.Instances, d.Instances[i].Clone())
@@ -218,7 +146,9 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 }
 
 // Validate checks the structural invariants of the dataset: non-empty
-// schema, matching arities, in-range class and nominal indices.
+// schema, and instances that Add would accept (matching arity,
+// in-range class, no NaN, weight 0 or 1). It catches what direct
+// writes to Instances slipped past Add.
 func (d *Dataset) Validate() error {
 	if len(d.Attrs) == 0 {
 		return ErrNoAttributes
@@ -227,20 +157,8 @@ func (d *Dataset) Validate() error {
 		return ErrNoClass
 	}
 	for i := range d.Instances {
-		in := &d.Instances[i]
-		if len(in.Values) != len(d.Attrs) {
-			return fmt.Errorf("instance %d: %w", i, ErrArity)
-		}
-		if in.Class < 0 || in.Class >= len(d.ClassValues) {
-			return fmt.Errorf("instance %d: %w", i, ErrClassRange)
-		}
-		for j, v := range in.Values {
-			if d.Attrs[j].Type == Nominal && !IsMissing(v) {
-				k := int(v)
-				if float64(k) != v || k < 0 || k >= len(d.Attrs[j].Values) {
-					return fmt.Errorf("instance %d attr %q: nominal index %v out of domain", i, d.Attrs[j].Name, v)
-				}
-			}
+		if err := d.check(d.Instances[i]); err != nil {
+			return fmt.Errorf("instance %d: %w", i, err)
 		}
 	}
 	return nil

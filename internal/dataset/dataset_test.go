@@ -13,7 +13,7 @@ func twoClassSchema() ([]Attribute, []string) {
 	return []Attribute{
 		NumericAttr("x"),
 		NumericAttr("y"),
-		NominalAttr("color", "red", "green", "blue"),
+		NumericAttr("z"),
 	}, []string{"neg", "pos"}
 }
 
@@ -55,12 +55,27 @@ func TestAddValidation(t *testing.T) {
 	if err := d.Add(Instance{Values: []float64{1, 2, 0}, Class: 7}); !errors.Is(err, ErrClassRange) {
 		t.Errorf("class error = %v", err)
 	}
+	// The training domain: a weight of 1 (0 means 1); for NaN see
+	// TestMissingSentinel.
+	if err := d.Add(Instance{Values: []float64{1, 2, 0}, Class: 1, Weight: 2}); !errors.Is(err, ErrWeight) {
+		t.Errorf("weight 2 error = %v", err)
+	}
+	if err := d.Add(Instance{Values: []float64{1, 2, 0}, Class: 1, Weight: 0.5}); !errors.Is(err, ErrWeight) {
+		t.Errorf("weight 0.5 error = %v", err)
+	}
+	if d.Len() != 0 {
+		t.Fatalf("refused instances were added: %d", d.Len())
+	}
+	// ±Inf is a number: the domain holds the clamps and beyond.
+	if err := d.Add(Instance{Values: []float64{math.Inf(1), -1e308, 0}, Class: 1, Weight: 1}); err != nil {
+		t.Errorf("valid add: %v", err)
+	}
+	// Zero weight is stored as 1.
 	if err := d.Add(Instance{Values: []float64{1, 2, 0}, Class: 1}); err != nil {
 		t.Errorf("valid add: %v", err)
 	}
-	// Zero weight defaults to 1.
-	if d.Instances[0].Weight != 1 {
-		t.Errorf("weight = %v, want 1", d.Instances[0].Weight)
+	if d.Instances[1].Weight != 1 {
+		t.Errorf("weight = %v, want 1", d.Instances[1].Weight)
 	}
 }
 
@@ -82,12 +97,22 @@ func TestSubset(t *testing.T) {
 	}
 }
 
+// TestMissingSentinel: the training domain has no missing-value
+// sentinel. Add refuses NaN, leaving the dataset as it was, and
+// Validate refuses NaN written past Add.
 func TestMissingSentinel(t *testing.T) {
-	if !IsMissing(Missing) {
-		t.Fatal("Missing must be missing")
+	attrs, classes := twoClassSchema()
+	d := New("m", attrs, classes)
+	d.MustAdd(Instance{Values: []float64{1, 2, 3}, Class: 0})
+	if err := d.Add(Instance{Values: []float64{1, math.NaN(), 0}, Class: 1}); !errors.Is(err, ErrNaN) {
+		t.Errorf("Add of NaN: err = %v, want ErrNaN", err)
 	}
-	if IsMissing(0) || IsMissing(math.Inf(1)) {
-		t.Fatal("0 and Inf are not missing")
+	if d.Len() != 1 {
+		t.Fatalf("the refused row was added: %d rows", d.Len())
+	}
+	d.Instances[0].Values[1] = math.NaN()
+	if err := d.Validate(); !errors.Is(err, ErrNaN) {
+		t.Errorf("Validate of NaN: err = %v, want ErrNaN", err)
 	}
 }
 
@@ -98,19 +123,24 @@ func TestValidate(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("valid dataset: %v", err)
 	}
-	// Out-of-domain nominal index.
-	d.Instances[0].Values[2] = 9
-	if err := d.Validate(); err == nil {
-		t.Fatal("nominal out of domain must fail validation")
-	}
-	d.Instances[0].Values[2] = 0.5
-	if err := d.Validate(); err == nil {
-		t.Fatal("non-integer nominal index must fail validation")
-	}
-	// Missing nominal is allowed.
-	d.Instances[0].Values[2] = Missing
+	// Direct writes bypass Add; Validate catches what Add would refuse.
+	d.Instances = append(d.Instances, Instance{Values: []float64{3, 4, 5}, Class: 1})
 	if err := d.Validate(); err != nil {
-		t.Fatalf("missing nominal should validate: %v", err)
+		t.Fatalf("weight 0 means 1 and should validate: %v", err)
+	}
+	d.Instances[1].Values[2] = math.NaN()
+	if err := d.Validate(); !errors.Is(err, ErrNaN) {
+		t.Fatalf("NaN value: Validate = %v", err)
+	}
+	d.Instances[1].Values[2] = 5
+	d.Instances[1].Weight = 2
+	if err := d.Validate(); !errors.Is(err, ErrWeight) {
+		t.Fatalf("weight 2: Validate = %v", err)
+	}
+	d.Instances[1].Weight = 1
+	d.Instances[1].Class = 2
+	if err := d.Validate(); !errors.Is(err, ErrClassRange) {
+		t.Fatalf("class out of range: Validate = %v", err)
 	}
 
 	empty := New("e", nil, classes)

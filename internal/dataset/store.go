@@ -10,9 +10,10 @@ import (
 // built once per cross-validation fold and shared by every refinement
 // cell that trains on that fold. It holds what tree induction and the
 // sampling transforms otherwise recompute per cell: per-attribute value
-// columns, class and (clamped) weight arrays, the ascending row order
-// of every numeric attribute with the end of every row's value group in
-// it, and the missingness and unit-weight answers.
+// columns, the class array, and the ascending row order of every
+// attribute with the end of every row's value group in it. Its rows
+// come from a dataset that Add or Validate checked, so every value is
+// a number and every row weighs 1.
 //
 // Concurrency contract: a Store is immutable after NewStore returns.
 // Views hand the store's arrays to concurrent tree builders, which read
@@ -23,22 +24,16 @@ type Store struct {
 	attrs       []Attribute
 	classValues []string
 	n           int
-	nNumeric    int
 
 	cols    [][]float64 // [attr][row]
 	classes []int
-	weights []float64 // clamped: w <= 0 stored as 1, matching induction
-	sorted  [][]int32 // [attr] ascending row order; nil for nominal attrs
-	// and nil everywhere when the partition has missing values (the
-	// general missing-value builder re-sorts per node anyway).
+	sorted  [][]int32 // [attr] ascending row order
 	// groupEnd[a][r] is where row r's value group (its run of == values,
 	// so -0 and +0 share one) ends in sorted[a]: the position after its
 	// last member. ExtendView places a synthetic row equal to its seed's
-	// value there. Nil exactly where sorted is.
-	groupEnd   [][]int32
-	identity   []int32 // cached rows 0..n-1 for identity views
-	hasMissing bool
-	unit       bool // every clamped weight is 1
+	// value there.
+	groupEnd [][]int32
+	identity []int32 // cached rows 0..n-1 for identity views
 }
 
 // NewStore snapshots the instances of d at the given indices (all of d
@@ -63,63 +58,40 @@ func NewStore(d *Dataset, rows []int) *Store {
 		n:           n,
 		cols:        make([][]float64, len(d.Attrs)),
 		classes:     make([]int, n),
-		weights:     make([]float64, n),
+		sorted:      make([][]int32, len(d.Attrs)),
+		groupEnd:    make([][]int32, len(d.Attrs)),
 		identity:    make([]int32, n),
-		unit:        true,
 	}
 	colArena := make([]float64, n*len(d.Attrs))
 	for a := range d.Attrs {
 		col := colArena[a*n : (a+1)*n]
 		for i := 0; i < n; i++ {
-			v := at(i).Values[a]
-			col[i] = v
-			if IsMissing(v) {
-				s.hasMissing = true
-			}
+			col[i] = at(i).Values[a]
 		}
 		s.cols[a] = col
-		if d.Attrs[a].Type == Numeric {
-			s.nNumeric++
-		}
 	}
 	for i := 0; i < n; i++ {
-		in := at(i)
-		s.classes[i] = in.Class
-		w := in.Weight
-		if w <= 0 {
-			w = 1
-		}
-		s.weights[i] = w
-		s.unit = s.unit && w == 1
+		s.classes[i] = at(i).Class
 		s.identity[i] = int32(i)
 	}
-	if !s.hasMissing {
-		s.sorted = make([][]int32, len(d.Attrs))
-		s.groupEnd = make([][]int32, len(d.Attrs))
-		sortArena := make([]int32, 2*n*s.nNumeric)
-		slab := 0
-		for a := range d.Attrs {
-			if d.Attrs[a].Type != Numeric {
-				continue
+	sortArena := make([]int32, 2*n*len(d.Attrs))
+	for a := range d.Attrs {
+		idx := sortArena[2*a*n : (2*a+1)*n]
+		ends := sortArena[(2*a+1)*n : (2*a+2)*n]
+		copy(idx, s.identity)
+		col := s.cols[a]
+		sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
+		for i := 0; i < n; {
+			e := i + 1
+			for e < n && col[idx[e]] == col[idx[i]] {
+				e++
 			}
-			idx := sortArena[slab : slab+n]
-			ends := sortArena[slab+n : slab+2*n]
-			slab += 2 * n
-			copy(idx, s.identity)
-			col := s.cols[a]
-			sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
-			for i := 0; i < n; {
-				e := i + 1
-				for e < n && col[idx[e]] == col[idx[i]] {
-					e++
-				}
-				for ; i < e; i++ {
-					ends[idx[i]] = int32(e)
-				}
+			for ; i < e; i++ {
+				ends[idx[i]] = int32(e)
 			}
-			s.sorted[a] = idx
-			s.groupEnd[a] = ends
 		}
+		s.sorted[a] = idx
+		s.groupEnd[a] = ends
 	}
 	return s
 }
@@ -130,17 +102,11 @@ func (s *Store) Attrs() []Attribute { return s.attrs }
 // ClassValues returns the class domain (shared; read-only).
 func (s *Store) ClassValues() []string { return s.classValues }
 
-// HasMissing reports whether any stored value is missing.
-func (s *Store) HasMissing() bool { return s.hasMissing }
-
 // Cols returns the column-major value arrays (shared; read-only).
 func (s *Store) Cols() [][]float64 { return s.cols }
 
 // Classes returns the per-row class indices (shared; read-only).
 func (s *Store) Classes() []int { return s.classes }
-
-// Weights returns the per-row clamped weights (shared; read-only).
-func (s *Store) Weights() []float64 { return s.weights }
 
 // Synthetic is one generated training row (a SMOTE interpolation) to be
 // appended to a store's base rows through ExtendView. Seed is the base
@@ -150,18 +116,18 @@ func (s *Store) Weights() []float64 { return s.weights }
 type Synthetic struct {
 	Values []float64
 	Class  int
-	Weight float64
 	Seed   int
 }
 
 // View is a training set described against a Store: the base rows it
 // keeps (possibly repeated), any synthetic rows appended after them,
-// and — when the store is missing-free — the pre-merged ascending row
-// order of every numeric attribute, so tree induction starts without
-// re-sorting anything. Each order holds every view row exactly once,
-// and within a run of equal values the base rows come first, in the
-// store's order; the order of the other rows inside a run is not
-// specified, since it cannot change a unit-weight tree (DESIGN.md §10).
+// and the pre-merged ascending row order of every attribute, so tree
+// induction starts without re-sorting anything. Each order holds every
+// view row exactly once, and within a run of equal values the base
+// rows come first, in the store's order; the order of the other rows
+// inside a run is not specified, since it cannot change a tree
+// (DESIGN.md §10). Every row weighs 1: a sampled row is a copy or an
+// interpolation of a store row.
 // Views are cheap (O(rows) to build, no instance cloning) and immutable
 // until released; all cells of a fold may read them, and the arrays
 // they share with the store, concurrently. Repeat and extend views
@@ -171,21 +137,17 @@ type View struct {
 	store *Store
 	// rows lists the view's training rows in instance order — the order
 	// the equivalent materialised dataset would hold them. Entries are
-	// row ids into cols/classes/weights; ids < store.Len() are base
-	// rows (and may repeat), ids >= store.Len() are synthetic.
+	// row ids into cols/classes; ids < store.Len() are base rows (and
+	// may repeat), ids >= store.Len() are synthetic.
 	rows []int32
-	// cols/classes/weights are the store's arrays, or extended copies
-	// when synthetic rows exist.
+	// cols/classes are the store's arrays, or extended copies when
+	// synthetic rows exist.
 	cols    [][]float64
 	classes []int
-	weights []float64
-	// sorted is the per-numeric-attribute ascending order over exactly
-	// the ids in rows (duplicates included); nil when the store has
-	// missing values, in which case FitView falls back to the general
-	// builder via Materialize.
+	// sorted is the per-attribute ascending order over exactly the ids
+	// in rows (duplicates included).
 	sorted   [][]int32
-	appended int  // rows beyond the base partition (duplicates + synthetic)
-	unit     bool // every weight is 1 (see UnitWeights)
+	appended int // rows beyond the base partition (duplicates + synthetic)
 	// arena backs rows, sorted and any extended arrays of a repeat or
 	// extend view; nil for identity and select views. Release returns it.
 	arena *viewArena
@@ -199,7 +161,6 @@ type viewArena struct {
 	colHdr  [][]float64
 	colVals []float64
 	classes []int
-	weights []float64
 	sorted  [][]int32
 	slabs   []int32
 	times   []int32 // per base row: duplicate count (RepeatView)
@@ -228,19 +189,13 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// sortedSlabs lays out one n-id slab per numeric attribute of the store
-// in the arena, returning the per-attribute table (nil for nominal
-// attributes).
+// sortedSlabs lays out one n-id slab per attribute of the store in the
+// arena, returning the per-attribute table.
 func (ar *viewArena) sortedSlabs(s *Store, n int) [][]int32 {
 	ar.sorted = grow(ar.sorted, len(s.attrs))
-	ar.slabs = grow(ar.slabs, n*s.nNumeric)
-	off := 0
-	for a := range s.attrs {
-		ar.sorted[a] = nil
-		if s.sorted[a] != nil {
-			ar.sorted[a] = ar.slabs[off : off+n]
-			off += n
-		}
+	ar.slabs = grow(ar.slabs, n*len(s.attrs))
+	for a := range ar.sorted {
+		ar.sorted[a] = ar.slabs[a*n : (a+1)*n]
 	}
 	return ar.sorted
 }
@@ -254,15 +209,13 @@ func (s *Store) IdentityView() *View {
 		rows:    s.identity,
 		cols:    s.cols,
 		classes: s.classes,
-		weights: s.weights,
 		sorted:  s.sorted,
-		unit:    s.unit,
 	}
 }
 
 // SelectView returns the view keeping exactly the given base rows (no
 // duplicates), in the given instance order — the undersampling shape.
-// Each numeric attribute's sorted order is the store's presorted order
+// Each attribute's sorted order is the store's presorted order
 // filtered by membership: O(n) per attribute instead of O(k log k)
 // re-sorting.
 func (s *Store) SelectView(rows []int32) *View {
@@ -271,25 +224,15 @@ func (s *Store) SelectView(rows []int32) *View {
 		rows:    rows,
 		cols:    s.cols,
 		classes: s.classes,
-		weights: s.weights,
-		unit:    s.unit,
-	}
-	if s.sorted == nil {
-		return v
 	}
 	keep := make([]bool, s.n)
 	for _, r := range rows {
 		keep[r] = true
 	}
 	v.sorted = make([][]int32, len(s.attrs))
-	arena := make([]int32, len(rows)*s.nNumeric)
-	slab := 0
+	arena := make([]int32, len(rows)*len(s.attrs))
 	for a := range s.attrs {
-		if s.sorted[a] == nil {
-			continue
-		}
-		out := arena[slab : slab+len(rows)]
-		slab += len(rows)
+		out := arena[a*len(rows) : (a+1)*len(rows)]
 		i := 0
 		for _, r := range s.sorted[a] {
 			if keep[r] {
@@ -305,8 +248,8 @@ func (s *Store) SelectView(rows []int32) *View {
 // RepeatView returns the view holding every base row plus the given
 // duplicate row references appended in order — the oversampling-with-
 // replacement shape. A duplicate's sorted position is already known
-// (it is its base row's), so each numeric attribute's order is the
-// store's presorted order with every id emitted once per occurrence:
+// (it is its base row's), so each attribute's order is the store's
+// presorted order with every id emitted once per occurrence:
 // O(n + m), no sorting and no value copies at all. The row list and the
 // orders live in a pooled arena that Release returns.
 func (s *Store) RepeatView(extra []int32) *View {
@@ -324,13 +267,8 @@ func (s *Store) repeatView(extra []int32, ar *viewArena) *View {
 		rows:     ar.rows,
 		cols:     s.cols,
 		classes:  s.classes,
-		weights:  s.weights,
 		appended: m,
-		unit:     s.unit,
 		arena:    ar,
-	}
-	if s.sorted == nil {
-		return v
 	}
 	ar.times = grow(ar.times, n)
 	times := ar.times
@@ -340,9 +278,6 @@ func (s *Store) repeatView(extra []int32, ar *viewArena) *View {
 	}
 	v.sorted = ar.sortedSlabs(s, n+m)
 	for a, out := range v.sorted {
-		if out == nil {
-			continue
-		}
 		i := 0
 		for _, r := range s.sorted[a] {
 			out[i] = r
@@ -357,16 +292,17 @@ func (s *Store) repeatView(extra []int32, ar *viewArena) *View {
 }
 
 // ExtendView returns the view holding every base row plus the given
-// synthetic rows appended in order — the SMOTE shape. Columns, classes
-// and weights are extended copies (flat arenas, no per-instance
-// allocations). Each numeric attribute's order is the store's presorted
-// base order with the synthetic rows merged in, in O(n + m): a
+// synthetic rows appended in order — the SMOTE shape. Columns and
+// classes are extended copies (flat arenas, no per-instance
+// allocations). Each attribute's order is the store's presorted base
+// order with the synthetic rows merged in, in O(n + m): a
 // synthetic equal to its seed's value goes to the end of the seed's
 // value group, where the store says that group ends, and only the
 // others are sorted, by a stable radix sort. Within every value group
 // the base rows come first, in the store's order, then the synthetic
-// ones. Every array lives in a pooled arena that Release returns; the
-// view keeps nothing of syn.
+// ones. A synthetic value must not be NaN; ±Inf is ordered like any
+// other number. Every array lives in a pooled arena that Release
+// returns; the view keeps nothing of syn.
 func (s *Store) ExtendView(syn []Synthetic) *View {
 	return s.extendView(syn, viewArenas.Get().(*viewArena))
 }
@@ -378,7 +314,6 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 	ar.colHdr = grow(ar.colHdr, len(s.attrs))
 	ar.colVals = grow(ar.colVals, (n+m)*len(s.attrs))
 	ar.classes = grow(ar.classes, n+m)
-	ar.weights = grow(ar.weights, n+m)
 	rows := ar.rows
 	copy(rows, s.identity)
 	v := &View{
@@ -386,40 +321,21 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 		rows:     rows,
 		cols:     ar.colHdr,
 		classes:  ar.classes,
-		weights:  ar.weights,
 		appended: m,
-		unit:     s.unit,
 		arena:    ar,
 	}
-	synMissing := false
 	for a := range s.attrs {
 		col := ar.colVals[a*(n+m) : (a+1)*(n+m)]
 		copy(col, s.cols[a])
 		for j := range syn {
-			val := syn[j].Values[a]
-			col[n+j] = val
-			if IsMissing(val) {
-				synMissing = true
-			}
+			col[n+j] = syn[j].Values[a]
 		}
 		v.cols[a] = col
 	}
 	copy(v.classes, s.classes)
-	copy(v.weights, s.weights)
 	for j := range syn {
 		rows[n+j] = int32(n + j)
 		v.classes[n+j] = syn[j].Class
-		w := syn[j].Weight
-		if w <= 0 {
-			w = 1
-		}
-		v.weights[n+j] = w
-		v.unit = v.unit && w == 1
-	}
-	// Interpolating infinite base values can produce NaN synthetics on
-	// a missing-free store; those views fall back like missing data.
-	if s.sorted == nil || synMissing {
-		return v
 	}
 	v.sorted = ar.sortedSlabs(s, n+m)
 	ar.seeds = grow(ar.seeds, m)
@@ -435,9 +351,7 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 	ar.keys = grow(ar.keys, m)
 	ar.keys2 = grow(ar.keys2, m)
 	for a, out := range v.sorted {
-		if out != nil {
-			ar.mergeSynthetic(out, s.sorted[a], s.groupEnd[a], v.cols[a])
-		}
+		ar.mergeSynthetic(out, s.sorted[a], s.groupEnd[a], v.cols[a])
 	}
 	return v
 }
@@ -610,26 +524,13 @@ func (v *View) Cols() [][]float64 { return v.cols }
 // Classes returns per-row class indices (shared; read-only).
 func (v *View) Classes() []int { return v.classes }
 
-// UnitWeights reports whether every row of the view weighs 1. Campaign
-// rows do, and a sampled row takes its seed's weight, so every view
-// edem trains on does; tree induction counts such views' classes in
-// integers.
-func (v *View) UnitWeights() bool { return v.unit }
-
-// Sorted returns the per-numeric-attribute ascending row orders, or nil
-// when the view cannot guarantee them (missing values in the store, or
-// NaN-valued synthetics); see FitView's fallback.
+// Sorted returns the per-attribute ascending row orders (shared;
+// read-only).
 func (v *View) Sorted() [][]int32 { return v.sorted }
 
-// HasMissing reports whether fast induction must fall back to the
-// general missing-value builder for this view. It is true exactly when
-// Sorted is unavailable: the store holds missing values, or a synthetic
-// row interpolated to NaN.
-func (v *View) HasMissing() bool { return v.sorted == nil }
-
 // Materialize builds the instance-major dataset the view describes, in
-// the view's instance order. Used by the missing-value fallback, by
-// learners without FitView, and by equivalence tests.
+// the view's instance order. Used by SamplingConfig.Transform and by
+// equivalence tests.
 func (v *View) Materialize() *Dataset {
 	out := New(v.store.name, v.store.attrs, v.store.classValues)
 	out.Instances = make([]Instance, 0, len(v.rows))
@@ -638,7 +539,7 @@ func (v *View) Materialize() *Dataset {
 		for a := range v.store.attrs {
 			vs[a] = v.cols[a][r]
 		}
-		out.Instances = append(out.Instances, Instance{Values: vs, Class: v.classes[r], Weight: v.weights[r]})
+		out.Instances = append(out.Instances, Instance{Values: vs, Class: v.classes[r], Weight: 1})
 	}
 	return out
 }

@@ -12,7 +12,7 @@ import (
 func storeTestDataset(n int, seed uint64) *Dataset {
 	attrs := []Attribute{
 		NumericAttr("x"),
-		NominalAttr("mode", "a", "b", "c"),
+		NumericAttr("mode"),
 		NumericAttr("y"),
 	}
 	d := New("store-test", attrs, []string{"neg", "pos"})
@@ -25,27 +25,21 @@ func storeTestDataset(n int, seed uint64) *Dataset {
 		if x > 7 {
 			class = 1
 		}
-		d.MustAdd(Instance{Values: []float64{x, mode, y}, Class: class, Weight: 1})
+		d.MustAdd(Instance{Values: []float64{x, mode, y}, Class: class})
 	}
 	return d
 }
 
-// checkSorted verifies a view's per-attribute orders: each numeric
-// order must be a value-ascending permutation of exactly the view's
-// rows (duplicates included).
+// checkSorted verifies a view's per-attribute orders: each order must
+// be a value-ascending permutation of exactly the view's rows
+// (duplicates included).
 func checkSorted(t *testing.T, v *View) {
 	t.Helper()
 	want := make(map[int32]int)
 	for _, r := range v.Rows() {
 		want[r]++
 	}
-	for a, attr := range v.Attrs() {
-		if attr.Type != Numeric {
-			if v.Sorted()[a] != nil {
-				t.Fatalf("attr %d: nominal attribute has a sort order", a)
-			}
-			continue
-		}
+	for a := range v.Attrs() {
 		idx := v.Sorted()[a]
 		if len(idx) != v.Len() {
 			t.Fatalf("attr %d: sorted len %d, want %d", a, len(idx), v.Len())
@@ -80,7 +74,7 @@ func TestStoreMatchesSubset(t *testing.T) {
 	}
 	for i := range sub.Instances {
 		a, b := sub.Instances[i], md.Instances[i]
-		if a.Class != b.Class || a.Weight != b.Weight {
+		if a.Class != b.Class || b.Weight != 1 {
 			t.Fatalf("row %d: class/weight mismatch", i)
 		}
 		for j := range a.Values {
@@ -101,10 +95,7 @@ func TestStoreSortMatchesSortSlice(t *testing.T) {
 		d.Instances[i].Values[0] = 5
 	}
 	st := NewStore(d, nil)
-	for a, attr := range d.Attrs {
-		if attr.Type != Numeric {
-			continue
-		}
+	for a := range d.Attrs {
 		want := make([]int32, d.Len())
 		for i := range want {
 			want[i] = int32(i)
@@ -162,9 +153,9 @@ func TestExtendView(t *testing.T) {
 	d := storeTestDataset(30, 11)
 	st := NewStore(d, nil)
 	syn := []Synthetic{
-		{Values: []float64{2.5, 1, 0.5}, Class: 1, Weight: 1},
-		{Values: []float64{9.9, 0, 4.4}, Class: 1, Weight: 1},
-		{Values: []float64{0.1, 2, 2.2}, Class: 1, Weight: 1},
+		{Values: []float64{2.5, 1, 0.5}, Class: 1},
+		{Values: []float64{9.9, 0, 4.4}, Class: 1},
+		{Values: []float64{0.1, 2, 2.2}, Class: 1},
 	}
 	v := st.ExtendView(syn)
 	if v.Len() != 33 || v.Appended() != 3 {
@@ -190,10 +181,10 @@ func TestExtendView(t *testing.T) {
 func TestExtendViewTieOrder(t *testing.T) {
 	d := New("ties", []Attribute{NumericAttr("x")}, []string{"n", "p"})
 	for _, x := range []float64{1, 2, 2, 3} {
-		d.MustAdd(Instance{Values: []float64{x}, Class: 0, Weight: 1})
+		d.MustAdd(Instance{Values: []float64{x}, Class: 0})
 	}
 	st := NewStore(d, nil)
-	v := st.ExtendView([]Synthetic{{Values: []float64{2}, Class: 1, Weight: 1}})
+	v := st.ExtendView([]Synthetic{{Values: []float64{2}, Class: 1}})
 	idx := v.Sorted()[0]
 	want := []int32{0, 1, 2, 4, 3}
 	for i := range want {
@@ -203,18 +194,15 @@ func TestExtendViewTieOrder(t *testing.T) {
 	}
 }
 
-// checkExtendOrder holds every numeric order of an extend view over st
-// to the view contract: each view row exactly once, values ascending,
-// the base rows in the store's order, and no base row after a
-// synthetic one of the same value. The order of synthetic rows within
-// a value group is free: it cannot change a unit-weight tree.
+// checkExtendOrder holds every order of an extend view over st to the
+// view contract: each view row exactly once, values ascending, the
+// base rows in the store's order, and no base row after a synthetic
+// one of the same value. The order of synthetic rows within a value
+// group is free: it cannot change a tree.
 func checkExtendOrder(t *testing.T, st *Store, v *View) {
 	t.Helper()
 	n := st.n
 	for a, got := range v.Sorted() {
-		if got == nil {
-			continue
-		}
 		col := v.Cols()[a]
 		seen := make([]bool, v.Len())
 		var base []int32
@@ -247,8 +235,9 @@ func checkExtendOrder(t *testing.T, st *Store, v *View) {
 }
 
 // extendPool is the value pool of the extend-view checks: duplicates,
-// both zeros and both infinities.
-var extendPool = []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, 2, math.Inf(1)}
+// both zeros, both infinities, and both of the clamps propane.ToDataset
+// substitutes for non-finite values.
+var extendPool = []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, 2, math.Inf(1), 1e308, -1e308}
 
 // TestExtendViewMatchesSortSliceOrder holds the merged orders to the
 // view contract (checkExtendOrder) on random base and synthetic values
@@ -269,7 +258,7 @@ func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 		d := New("ties", []Attribute{NumericAttr("x"), NumericAttr("y")}, []string{"n", "p"})
 		n := 1 + rng.Intn(40)
 		for i := 0; i < n; i++ {
-			d.MustAdd(Instance{Values: []float64{value(), value()}, Weight: 1})
+			d.MustAdd(Instance{Values: []float64{value(), value()}})
 		}
 		syn := make([]Synthetic, 1+rng.Intn(400))
 		for j := range syn {
@@ -280,7 +269,7 @@ func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 					vs[a] = d.Instances[seed].Values[a]
 				}
 			}
-			syn[j] = Synthetic{Values: vs, Class: 1, Weight: 1, Seed: seed}
+			syn[j] = Synthetic{Values: vs, Class: 1, Seed: seed}
 		}
 		st := NewStore(d, nil)
 		checkExtendOrder(t, st, st.ExtendView(syn))
@@ -295,6 +284,9 @@ func FuzzExtendView(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 3, 0, 7, 0, 2, 0x81, 3, 0x82, 5, 0x80})
 	f.Add([]byte{5, 2, 0, 3, 0, 2, 0, 3, 0, 9, 0, 2, 0x83, 3, 0x84, 2, 0x01, 3, 0x02})
 	f.Add([]byte{1, 7, 0, 0, 0x80, 7, 0x80, 1, 0x00, 200, 0x80})
+	// One column holding both ±1e308 clamps, with synthetics tied to
+	// each and one at +Inf.
+	f.Add([]byte{3, 8, 0, 9, 0, 3, 0, 8, 0, 9, 0x81, 8, 0x02, 7, 0x00, 0, 0x83})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
@@ -312,7 +304,7 @@ func FuzzExtendView(f *testing.F) {
 		}
 		d := New("fuzz", []Attribute{NumericAttr("x")}, []string{"n", "p"})
 		for i := 0; i < n; i++ {
-			d.MustAdd(Instance{Values: []float64{value(rows[2*i])}, Weight: 1})
+			d.MustAdd(Instance{Values: []float64{value(rows[2*i])}})
 		}
 		var syn []Synthetic
 		for i := 2 * n; i+1 < len(rows); i += 2 {
@@ -321,7 +313,7 @@ func FuzzExtendView(f *testing.F) {
 			if rows[i+1]&0x80 != 0 && seed < n {
 				x = d.Instances[seed].Values[0]
 			}
-			syn = append(syn, Synthetic{Values: []float64{x}, Class: 1, Weight: 1, Seed: seed})
+			syn = append(syn, Synthetic{Values: []float64{x}, Class: 1, Seed: seed})
 		}
 		st := NewStore(d, nil)
 		v := st.ExtendView(syn)
@@ -330,76 +322,10 @@ func FuzzExtendView(f *testing.F) {
 	})
 }
 
-func TestStoreMissingDisablesSorted(t *testing.T) {
-	d := storeTestDataset(20, 13)
-	d.Instances[4].Values[2] = Missing
-	st := NewStore(d, nil)
-	if !st.HasMissing() {
-		t.Fatal("missing not detected")
-	}
-	if st.sorted != nil {
-		t.Fatal("sorted orders built despite missing values")
-	}
-	for _, v := range []*View{st.IdentityView(), st.SelectView([]int32{0, 1, 2}), st.RepeatView([]int32{5})} {
-		if !v.HasMissing() {
-			t.Fatal("view over a missing store must report missing")
-		}
-	}
-}
-
-// A synthetic row that interpolates to NaN (possible from infinite base
-// values) must disable the merge order so induction falls back to the
-// general missing-value builder, exactly like the materialised view.
-func TestExtendViewNaNSynthetic(t *testing.T) {
-	d := storeTestDataset(10, 17)
-	st := NewStore(d, nil)
-	v := st.ExtendView([]Synthetic{{Values: []float64{math.NaN(), 0, 1}, Class: 1, Weight: 1}})
-	if !v.HasMissing() {
-		t.Fatal("NaN synthetic must disable the merge order")
-	}
-	if !v.Materialize().HasMissing() {
-		t.Fatal("materialised fallback dataset must contain the NaN")
-	}
-}
-
-func TestHasMissingCache(t *testing.T) {
-	d := storeTestDataset(10, 19)
-	if d.HasMissing() {
-		t.Fatal("fresh dataset reported missing")
-	}
-	// Add maintains the cached answer incrementally.
-	vals := make([]float64, 3)
-	vals[0] = Missing
-	d.MustAdd(Instance{Values: vals, Class: 0, Weight: 1})
-	if !d.HasMissing() {
-		t.Fatal("Add did not maintain the cache")
-	}
-	// Subsetting only preserves a missing-free answer.
-	clean := storeTestDataset(10, 19)
-	_ = clean.HasMissing()
-	sub := clean.Subset([]int{0, 1})
-	if sub.missing != missingNo {
-		t.Fatal("subset of a missing-free dataset should inherit the answer")
-	}
-	dirtySub := d.Subset([]int{0, 1})
-	if dirtySub.missing != missingUnknown {
-		t.Fatal("subset of a dataset with missing values must rescan")
-	}
-	// Direct mutation requires invalidation.
-	clean.Instances[0].Values[0] = Missing
-	if clean.HasMissing() {
-		t.Fatal("stale cache expected before invalidation")
-	}
-	clean.InvalidateMissing()
-	if !clean.HasMissing() {
-		t.Fatal("invalidation did not force a rescan")
-	}
-}
-
 // TestSharedVariantsAliasValues pins which variants share storage:
-// IdentityView and SelectView alias the store's column, class and
-// weight arrays (O(1) construction), while Subset and Materialize
-// deep-copy Values so their results may be mutated freely.
+// IdentityView and SelectView alias the store's column and class
+// arrays (O(1) construction), while Subset and Materialize deep-copy
+// Values so their results may be mutated freely.
 func TestSharedVariantsAliasValues(t *testing.T) {
 	d := storeTestDataset(6, 23)
 	st := NewStore(d, nil)
@@ -410,8 +336,8 @@ func TestSharedVariantsAliasValues(t *testing.T) {
 		if &v.Cols()[0][0] != &st.Cols()[0][0] {
 			t.Fatalf("%s view must alias the store's columns", name)
 		}
-		if &v.Classes()[0] != &st.Classes()[0] || &v.weights[0] != &st.Weights()[0] {
-			t.Fatalf("%s view must alias the store's classes and weights", name)
+		if &v.Classes()[0] != &st.Classes()[0] {
+			t.Fatalf("%s view must alias the store's classes", name)
 		}
 	}
 	md := st.SelectView([]int32{4, 1}).Materialize()
@@ -435,7 +361,6 @@ type viewSnapshot struct {
 	rows    []int32
 	cols    [][]float64
 	classes []int
-	weights []float64
 	sorted  [][]int32
 }
 
@@ -443,7 +368,6 @@ func snapshotView(v *View) viewSnapshot {
 	s := viewSnapshot{
 		rows:    slices.Clone(v.Rows()),
 		classes: slices.Clone(v.Classes()),
-		weights: slices.Clone(v.weights),
 	}
 	for _, col := range v.Cols() {
 		s.cols = append(s.cols, slices.Clone(col))
@@ -465,9 +389,8 @@ func checkSnapshot(t *testing.T, name string, v *View, want viewSnapshot) {
 	bitsEqual := func(a, b []float64) bool {
 		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
-	if !slices.Equal(got.rows, want.rows) || !slices.Equal(got.classes, want.classes) ||
-		!bitsEqual(got.weights, want.weights) {
-		t.Fatalf("%s: rows, classes or weights differ from a fresh-arena view", name)
+	if !slices.Equal(got.rows, want.rows) || !slices.Equal(got.classes, want.classes) {
+		t.Fatalf("%s: rows or classes differ from a fresh-arena view", name)
 	}
 	if !slices.EqualFunc(got.cols, want.cols, bitsEqual) {
 		t.Fatalf("%s: columns differ from a fresh-arena view", name)
@@ -484,11 +407,7 @@ func checkSnapshot(t *testing.T, name string, v *View, want viewSnapshot) {
 // from the pool. Release is a no-op on identity and select views and
 // safe to call twice.
 func TestViewReleaseReuse(t *testing.T) {
-	// The larger views' schema is all numeric, so a stale order in the
-	// smaller views' nominal slot would show.
-	bigData := storeTestDataset(300, 21)
-	bigData.Attrs = []Attribute{NumericAttr("x"), NumericAttr("mode"), NumericAttr("y")}
-	big := NewStore(bigData, nil)
+	big := NewStore(storeTestDataset(300, 21), nil)
 	st := NewStore(storeTestDataset(80, 22), nil)
 	var bigExtra, extra []int32
 	for i := 0; i < big.n; i += 2 {
@@ -501,7 +420,7 @@ func TestViewReleaseReuse(t *testing.T) {
 		var syn []Synthetic
 		for i := 0; i < s.n; i += every {
 			vs := []float64{s.Cols()[0][i] + 0.25, s.Cols()[1][i], s.Cols()[2][i] - 0.5}
-			syn = append(syn, Synthetic{Values: vs, Class: 1, Weight: float64(i%3) + 0.5})
+			syn = append(syn, Synthetic{Values: vs, Class: i % 2})
 		}
 		return syn
 	}

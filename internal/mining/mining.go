@@ -29,8 +29,7 @@ package mining
 import "edem/internal/dataset"
 
 // Classifier labels instances. Values follow the dataset convention:
-// one float64 per attribute (nominal values as domain indices, NaN for
-// missing); the returned label is a class index.
+// one float64 per attribute; the returned label is a class index.
 type Classifier interface {
 	Classify(values []float64) int
 }

@@ -10,17 +10,12 @@ import (
 )
 
 // neighborDataset builds a dataset of one minority (class 1) row per
-// entry of rows, after a majority row repeating the first, over
-// numeric attributes except where nominal marks one. The repeat keeps
-// the minority rows' column spans.
-func neighborDataset(nominal []bool, rows [][]float64) *dataset.Dataset {
-	attrs := make([]dataset.Attribute, len(nominal))
-	for a, nom := range nominal {
-		if nom {
-			attrs[a] = dataset.NominalAttr("n", "a", "b", "c")
-		} else {
-			attrs[a] = dataset.NumericAttr("x")
-		}
+// entry of rows, after a majority row repeating the first. The repeat
+// keeps the minority rows' column spans.
+func neighborDataset(rows [][]float64) *dataset.Dataset {
+	attrs := make([]dataset.Attribute, len(rows[0]))
+	for a := range attrs {
+		attrs[a] = dataset.NumericAttr("x")
 	}
 	d := dataset.New("nn", attrs, []string{"neg", "pos"})
 	d.MustAdd(dataset.Instance{Values: rows[0], Class: 0, Weight: 1})
@@ -48,39 +43,28 @@ func matchOracle(t *testing.T, d *dataset.Dataset, k int) [][]int {
 }
 
 func TestNearestNeighborsMatchOracle(t *testing.T) {
-	nan := math.NaN()
 	cases := []struct {
-		name    string
-		nominal []bool
-		rows    [][]float64
+		name string
+		rows [][]float64
 	}{
-		{"duplicate rows", []bool{false, false}, [][]float64{
+		{"duplicate rows", [][]float64{
 			{1, 2}, {1, 2}, {3, 4}, {1, 2}, {3, 4}, {0, 0}, {1, 2},
 		}},
-		{"zero span", []bool{false, false, false}, [][]float64{
+		{"zero span", [][]float64{
 			{5, 1, 7}, {5, 2, 7}, {5, 4, 7}, {5, 8, 7},
 		}},
-		{"nominal", []bool{true, false, true}, [][]float64{
-			{0, 0.5, 2}, {1, 0.5, 2}, {0, 0.7, 1}, {2, 0.1, 0}, {1, 0.9, 2},
-		}},
-		{"missing", []bool{false, true, false}, [][]float64{
-			{nan, 0, 1}, {1, nan, 1}, {2, 1, nan}, {nan, nan, nan}, {3, 2, 4}, {3, 2, 4},
-		}},
-		{"missing in a zero-span column", []bool{false, false}, [][]float64{
-			{1, 9}, {nan, 9}, {2, 9}, {3, nan},
-		}},
-		{"opposite 1e308 clamps", []bool{false, false}, [][]float64{
+		{"opposite 1e308 clamps", [][]float64{
 			{1e308, 1}, {-1e308, 2}, {1e308, 3}, {-1e308, 1}, {0, 2}, {1e308, 2},
 		}},
-		{"squares near the subnormal range", []bool{false}, [][]float64{
+		{"squares near the subnormal range", [][]float64{
 			{1e308}, {0}, {1e146}, {2e146}, {1.5e146}, {2.8e145}, {3e145}, {1}, {0},
 		}},
-		{"one minority row", []bool{false}, [][]float64{{1}}},
-		{"two minority rows", []bool{false, true}, [][]float64{{1, 0}, {2, 1}}},
+		{"one minority row", [][]float64{{1}}},
+		{"two minority rows", [][]float64{{1, 0}, {2, 1}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			d := neighborDataset(c.nominal, c.rows)
+			d := neighborDataset(c.rows)
 			for _, k := range []int{1, 2, 3, len(c.rows) - 1, len(c.rows), len(c.rows) + 5} {
 				if k >= 1 {
 					matchOracle(t, d, k)
@@ -94,7 +78,7 @@ func TestNearestNeighborsMatchOracle(t *testing.T) {
 // at opposite clamps is NaN apart. NaN ranks after every number, and
 // NaN ties break by row index.
 func TestNearestNeighborsNaNLast(t *testing.T) {
-	d := neighborDataset([]bool{false, false}, [][]float64{
+	d := neighborDataset([][]float64{
 		{1e308, 0}, {-1e308, 0}, {1e308, 1}, {-1e308, 1}, {1e308, 0.5},
 	})
 	got := matchOracle(t, d, 4)
@@ -112,8 +96,10 @@ func TestNearestNeighborsNaNLast(t *testing.T) {
 }
 
 // FuzzNeighborIndex builds a small store from fuzzed float64 bit
-// patterns (NaN is a missing value; infinities and subnormals pass
-// through) and requires the kernel to match the oracle.
+// patterns (a NaN pattern becomes the infinity of its sign, since the
+// training domain has no NaN; infinities and subnormals pass through)
+// and requires the kernel to match the oracle. shape picks the
+// attribute count, 1 to 4.
 func FuzzNeighborIndex(f *testing.F) {
 	row := func(vs ...float64) []byte {
 		b := []byte{1}
@@ -129,13 +115,15 @@ func FuzzNeighborIndex(f *testing.F) {
 	f.Add(uint8(1), uint8(3), clamps)
 	f.Add(uint8(0x21), uint8(2), append(row(1, 1), row(1, math.NaN())...))
 	f.Add(uint8(0), uint8(14), append(row(math.Inf(1)), row(math.Inf(1))...))
+	// Three columns, only the middle one holding both ±1e308 clamps.
+	var mixed []byte
+	for i, v := range []float64{1e308, -1e308, 0, 1e308, -1e308, 3} {
+		mixed = append(mixed, row(float64(i%3), v, 0.25*float64(i))...)
+	}
+	f.Add(uint8(2), uint8(4), mixed)
 
 	f.Fuzz(func(t *testing.T, shape, k uint8, raw []byte) {
 		na := 1 + int(shape%4)
-		nominal := make([]bool, na)
-		for a := range nominal {
-			nominal[a] = shape>>(4+a)&1 == 1
-		}
 		var rows [][]float64
 		for width := 1 + 8*na; len(raw) >= width && len(rows) < 64; raw = raw[width:] {
 			if raw[0]&1 == 0 {
@@ -145,8 +133,8 @@ func FuzzNeighborIndex(f *testing.F) {
 			for a := range vs {
 				bits := binary.LittleEndian.Uint64(raw[1+8*a:])
 				vs[a] = math.Float64frombits(bits)
-				if nominal[a] && !dataset.IsMissing(vs[a]) {
-					vs[a] = float64(bits % 3)
+				if math.IsNaN(vs[a]) {
+					vs[a] = math.Inf(1 - 2*int(bits>>63))
 				}
 			}
 			rows = append(rows, vs)
@@ -154,6 +142,6 @@ func FuzzNeighborIndex(f *testing.F) {
 		if len(rows) == 0 {
 			return
 		}
-		matchOracle(t, neighborDataset(nominal, rows), 1+int(k%16))
+		matchOracle(t, neighborDataset(rows), 1+int(k%16))
 	})
 }

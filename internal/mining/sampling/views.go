@@ -6,8 +6,7 @@ package sampling
 // presorted orders, oversampling repeats row references, and SMOTE
 // appends synthetic rows that carry their seed row, so the extend view
 // places every value still equal to its seed's without sorting it
-// (DESIGN.md §10). A synthetic row takes its seed's weight, so views of
-// a unit-weight store stay unit-weight.
+// (DESIGN.md §10).
 
 import (
 	"fmt"
@@ -56,8 +55,8 @@ func OversampleView(st *dataset.Store, minorityClass int, percent float64, rng *
 
 // SMOTEView adds percent% synthetic minority rows, each interpolated
 // from a seed row towards one of its k nearest minority neighbours:
-// s = t + q*(n - t) with q uniform in (0,1). The rows are appended to
-// the store through an extend view.
+// s = t + q*(n - t) with q uniform in [0,1) (see interpolate). The rows
+// are appended to the store through an extend view.
 func SMOTEView(st *dataset.Store, minorityClass int, percent float64, k int, rng *stats.RNG) (*dataset.View, error) {
 	if k < 1 {
 		return nil, ErrBadK
@@ -117,7 +116,6 @@ func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []s
 
 	attrs := st.Attrs()
 	cols := st.Cols()
-	weights := st.Weights()
 	sb := synPool.Get().(*synBuf)
 	defer synPool.Put(sb)
 	nVals := len(specs) * len(attrs)
@@ -128,24 +126,26 @@ func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []s
 		seedRow := minIdx[sp.seedPos]
 		vs := valArena[i*len(attrs) : (i+1)*len(attrs)]
 		for a := range attrs {
-			sv := cols[a][seedRow]
-			vs[a] = sv
-			if sp.nn < 0 {
-				continue
-			}
-			nv := cols[a][sp.nn]
-			if dataset.IsMissing(sv) || dataset.IsMissing(nv) {
-				continue
-			}
-			if attrs[a].Type == dataset.Numeric {
-				vs[a] = sv + sp.q*(nv-sv)
-			} else if sp.q >= 0.5 {
-				vs[a] = nv
+			vs[a] = cols[a][seedRow]
+			if sp.nn >= 0 {
+				vs[a] = interpolate(vs[a], cols[a][sp.nn], sp.q)
 			}
 		}
-		syn[i] = dataset.Synthetic{Values: vs, Class: minorityClass, Weight: weights[seedRow], Seed: seedRow}
+		syn[i] = dataset.Synthetic{Values: vs, Class: minorityClass, Seed: seedRow}
 	}
 	return st.ExtendView(syn)
+}
+
+// interpolate returns the SMOTE coordinate sv + q*(nv-sv) between a
+// seed value sv and a neighbour value nv. Where that is NaN it returns
+// sv: on a column holding both ±1e308 clamps nv-sv overflows to ±Inf,
+// and q = 0 makes 0·Inf. The seed's value is what q = 0 means. A ±Inf
+// result stays: the view's sorted merge orders it like any number.
+func interpolate(sv, nv, q float64) float64 {
+	if x := sv + q*(nv-sv); x == x {
+		return x
+	}
+	return sv
 }
 
 // synBuf is viewFromSpecs' synthetic-row staging memory. ExtendView

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"edem/internal/dataset"
@@ -10,7 +12,7 @@ import (
 func imbalancedDataset(n int, seed uint64) *dataset.Dataset {
 	attrs := []dataset.Attribute{
 		dataset.NumericAttr("x"),
-		dataset.NominalAttr("mode", "a", "b"),
+		dataset.NumericAttr("mode"),
 		dataset.NumericAttr("y"),
 	}
 	d := dataset.New("views-test", attrs, []string{"nonfailure", "failure"})
@@ -45,8 +47,7 @@ func datasetsEqual(t *testing.T, label string, want, got *dataset.Dataset) {
 			t.Fatalf("%s: instance %d weight %v, want %v", label, i, b.Weight, a.Weight)
 		}
 		for j := range a.Values {
-			av, bv := a.Values[j], b.Values[j]
-			if av != bv && !(dataset.IsMissing(av) && dataset.IsMissing(bv)) {
+			if av, bv := a.Values[j], b.Values[j]; av != bv {
 				t.Fatalf("%s: instance %d attr %d: %v, want %v", label, i, j, bv, av)
 			}
 		}
@@ -171,9 +172,6 @@ func TestSMOTEViewSingleMinority(t *testing.T) {
 		t.Fatal(err)
 	}
 	datasetsEqual(t, "single minority", want, v.Materialize())
-	if v.HasMissing() {
-		t.Fatal("repeat view should keep the merge order")
-	}
 }
 
 func TestViewErrorsMatchDataset(t *testing.T) {
@@ -197,5 +195,36 @@ func TestViewErrorsMatchDataset(t *testing.T) {
 	}
 	if _, err := OversampleView(dataset.NewStore(onlyMaj, nil), 1, 100, stats.NewRNG(1)); err != ErrNoMinority {
 		t.Fatalf("empty minority: %v, want ErrNoMinority", err)
+	}
+}
+
+// TestSMOTEInterpolationAcrossClampsKeepsSeed: on a column holding both
+// ±1e308 clamps, nv-sv overflows to ±Inf, and q = 0 would give
+// 0·Inf = NaN. That coordinate takes the seed's value instead, while a
+// q > 0 interpolation across the clamps stays +Inf; the view keeps its
+// merged sort orders, which place both.
+func TestSMOTEInterpolationAcrossClampsKeepsSeed(t *testing.T) {
+	d := dataset.New("clamps", []dataset.Attribute{dataset.NumericAttr("x"), dataset.NumericAttr("y")}, []string{"neg", "pos"})
+	for i, vs := range [][]float64{{0, 0}, {1e308, 1}, {-1e308, 2}} {
+		d.MustAdd(dataset.Instance{Values: vs, Class: min(i, 1), Weight: 1})
+	}
+	st := dataset.NewStore(d, nil)
+	v := viewFromSpecs(st, 1, []int{1, 2}, []synSpec{
+		{seedPos: 0, nn: 2, q: 0},   // from +1e308 towards -1e308
+		{seedPos: 1, nn: 1, q: 0.5}, // from -1e308 towards +1e308
+	})
+	defer v.Release()
+	x, y := v.Cols()[0], v.Cols()[1]
+	if x[3] != 1e308 || y[3] != 1 {
+		t.Fatalf("q = 0 synthetic (%v, %v), want the seed's (1e308, 1)", x[3], y[3])
+	}
+	if !math.IsInf(x[4], 1) || y[4] != 1.5 {
+		t.Fatalf("q = 0.5 synthetic (%v, %v), want (+Inf, 1.5)", x[4], y[4])
+	}
+	if v.Sorted() == nil {
+		t.Fatal("the view lost its sort orders")
+	}
+	if got, want := v.Sorted()[0], []int32{2, 0, 1, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("x order %v, want %v", got, want)
 	}
 }

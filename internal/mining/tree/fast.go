@@ -8,15 +8,16 @@ import (
 	"edem/internal/dataset"
 )
 
-// The fast induction path applies when the training view has no
-// missing values and unit weights. Every view edem trains on qualifies:
-// campaign rows weigh 1, and an oversampled or SMOTE row takes its
-// seed's weight. It starts from a dataset.View whose numeric attributes
-// come presorted by the store (and merged by the sampling views), and
-// the sort order is preserved through partitioning, removing the
-// per-node sort that dominates induction cost on large fault-injection
-// datasets. Any other view is materialised for the general builder,
-// which handles missing values and fractional instance weights.
+// The counting builder is the one C4.5 builder. Its training domain is
+// numeric, NaN-free rows of weight 1 (DESIGN.md §10): every view edem
+// trains on comes from a propane.ToDataset dataset, and an oversampled
+// or SMOTE row is a copy or an interpolation of one of its rows. It
+// starts from a dataset.View whose attributes come presorted by the
+// store (and merged by the sampling views), and the sort order is
+// preserved through partitioning, removing the per-node sort that
+// dominates induction cost on large fault-injection datasets. The
+// general builder that re-sorts per node is kept in the tests as the
+// oracle (general_test.go).
 //
 // Unit weights make every class sum a split sees an exact integer, so
 // the builder counts: the split scan reads a value and a one-byte class
@@ -36,14 +37,13 @@ import (
 // up to about ten times the base partition's rows, and the trees are
 // chain-shaped, so every row is re-partitioned several times. The
 // builder therefore keeps split-scan scratch (class counts, candidate
-// splits, branch counters) on the builder, and partitions every node
-// into one of two ping-pong buffers (see partition) taken, with the
-// per-row branch and class arrays and the child node headers, from a
-// pool of buildScratch: a tree allocates its Nodes and their class
+// splits) on the builder, and partitions every node into one of two
+// ping-pong buffers (see partition) taken, with the per-row side and
+// class arrays and the child node pairs, from a pool of buildScratch: a tree allocates its Nodes and their class
 // distributions, and almost nothing else. Partition reuses what the
-// scan found: a numeric split's children take their class counts from
-// the scan and their rows from the split attribute's own order, and a
-// child that is certainly a leaf gets no orders at all. A builder and
+// scan found: a split's children take their class counts from the scan
+// and their rows from the split attribute's own order, and a child
+// that is certainly a leaf gets no orders at all. A builder and
 // its scratch are used by one goroutine; fold- and grid-level
 // parallelism each construct their own builder and take their own
 // scratch.
@@ -58,49 +58,37 @@ type fastBuilder struct {
 	cols     [][]float64 // column-major attribute values [attr][row]
 	cls      []uint8     // per row id: class
 	nClasses int
-	nNumeric int // numeric attribute count: sorted-order slabs per buffer
-	// firstNum is the first numeric attribute, whose order doubles as a
-	// node's row list; -1 when there is none, and node rows then take a
-	// slab of their own.
-	firstNum int
 	sc       *buildScratch // partition memory
 
 	// Split-scan scratch, reused across bestSplit calls. Safe because a
 	// node's best split is fully consumed (partition + node labelling)
 	// before any child recursion runs the next scan.
-	total     []int // the node's class counts
-	left      []int
-	snap      []int
-	right     []int
-	bestLeft  []int     // flat [attr*nClasses]: a numeric candidate's left counts at its cut
-	branchBuf []int     // flat [nVals*nClasses] nominal class counts
-	branchW   []float64 // per nominal branch: its row count
-	splitBuf  []split   // cap len(Attrs): addresses stay stable
-	candBuf   []*split  // views into splitBuf for selectSplit
-	countBuf  []int     // per-branch row counts
-	startBuf  []int     // per-branch offsets within the node's range
-	fillBuf   []int     // per-branch fill cursors
-	leafBuf   []bool    // per-branch: the child is certainly a leaf
+	total    []int // the node's class counts
+	left     []int
+	snap     []int
+	right    []int
+	bestLeft []int    // flat [attr*nClasses]: a candidate's left counts at its cut
+	splitBuf []split  // cap len(Attrs): addresses stay stable
+	candBuf  []*split // views into splitBuf for selectSplit
+	counts   [2]int   // per-branch row counts of the node being partitioned
+	leaves   [2]bool  // per branch: the child is certainly a leaf
 
 	scored int // cuts whose child entropies numericSplit computed
 }
 
-// fastNode is the per-node view: its row count and class counts, a row
-// list, and per-numeric-attribute row ids in ascending value order. A
-// node owns the range [lo, lo+n) of the root's rootN positions, and its
-// order for attribute a is sorted[a][lo:lo+n] (see order). Its rows
-// are its first numeric attribute's order, or, with no numeric
-// attribute, the same range of a row slab. At the root, rows and sorted
-// are the view's own, possibly shared with a fold-wide store other
-// goroutines are reading, so the builder only reads them; below the
-// root they point into the ping-pong buffers. A node that is certainly
-// a leaf has neither.
+// fastNode is the per-node view: its row count and class counts, and
+// per-attribute row ids in ascending value order. A node owns the
+// range [lo, lo+n) of the root's rootN positions, and its order for
+// attribute a is sorted[a][lo:lo+n] (see order). At the root, sorted
+// is the view's own, possibly shared with a fold-wide store other
+// goroutines are reading, so the builder only reads it; below the root
+// it points into the ping-pong buffers. A node that is certainly a
+// leaf has none.
 type fastNode struct {
 	lo     int
 	n      int
 	dist   []float64 // class counts, exact integers; becomes Node.Dist
-	rows   []int32
-	sorted [][]int32 // indexed by attr: rootN-id slabs; nil for nominal attributes
+	sorted [][]int32 // indexed by attr: rootN-id slabs
 }
 
 // order returns the node's rows in ascending order of attribute a.
@@ -110,13 +98,11 @@ func (nd *fastNode) order(a int) []int32 { return nd.sorted[a][nd.lo : nd.lo+nd.
 // written by the tree before it is read, so scratch handed over from
 // another tree needs no clearing, only growing.
 type buildScratch struct {
-	pp     [2][]int32   // ping-pong buffers: rootN ids per numeric attribute (or one row slab)
-	slabs  [2][][]int32 // per attr: pp[k]'s rootN-id slab; nil for nominal attributes
-	rows   [2][]int32   // pp[k]'s row slab, only when no attribute is numeric
-	branch []int32      // per row id: its branch at a nominal split (holds any arity)
-	side   []uint8      // per row id: its side at a numeric split (0 left, 1 right)
-	cls    []uint8      // per row id: its class
-	levels [][]fastNode // per depth: the children of the node being partitioned
+	pp     [2][]int32     // ping-pong buffers: rootN ids per attribute
+	slabs  [2][][]int32   // per attr: pp[k]'s rootN-id slab
+	side   []uint8        // per row id: its side at a split (0 left, 1 right)
+	cls    []uint8        // per row id: its class
+	levels []*[2]fastNode // per depth: the children of the node being partitioned
 }
 
 // scratchPool recycles buildScratch across FitTreeView calls, so a
@@ -127,26 +113,16 @@ var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 // reset sizes the scratch for a tree over rootN rows whose ids lie in
 // [0, len(classes)), growing any buffer that is too small, and fills
 // the class bytes.
-func (sc *buildScratch) reset(attrs []dataset.Attribute, rootN, nNumeric int, classes []int) {
-	size := rootN * max(nNumeric, 1)
+func (sc *buildScratch) reset(nAttrs, rootN int, classes []int) {
+	size := rootN * nAttrs
 	for k := range sc.pp {
 		sc.pp[k] = slices.Grow(sc.pp[k][:0], size)[:size]
-		sc.slabs[k] = slices.Grow(sc.slabs[k][:0], len(attrs))[:len(attrs)]
-		off := 0
-		for a := range attrs {
-			sc.slabs[k][a] = nil
-			if attrs[a].Type == dataset.Numeric {
-				sc.slabs[k][a] = sc.pp[k][off : off+rootN]
-				off += rootN
-			}
-		}
-		sc.rows[k] = nil
-		if nNumeric == 0 {
-			sc.rows[k] = sc.pp[k][:rootN]
+		sc.slabs[k] = slices.Grow(sc.slabs[k][:0], nAttrs)[:nAttrs]
+		for a := range sc.slabs[k] {
+			sc.slabs[k][a] = sc.pp[k][a*rootN : (a+1)*rootN]
 		}
 	}
 	nIDs := len(classes)
-	sc.branch = slices.Grow(sc.branch[:0], nIDs)[:nIDs]
 	sc.side = slices.Grow(sc.side[:0], nIDs)[:nIDs]
 	sc.cls = slices.Grow(sc.cls[:0], nIDs)[:nIDs]
 	for i, c := range classes {
@@ -154,22 +130,18 @@ func (sc *buildScratch) reset(attrs []dataset.Attribute, rootN, nNumeric int, cl
 	}
 }
 
-// level returns the child-node array for a node at the given depth. A
+// level returns the child-node pair for a node at the given depth. A
 // node's children stay intact while deeper nodes partition, because
 // those use the deeper levels.
-func (sc *buildScratch) level(depth, width int) []fastNode {
+func (sc *buildScratch) level(depth int) *[2]fastNode {
 	for len(sc.levels) <= depth {
-		sc.levels = append(sc.levels, nil)
+		sc.levels = append(sc.levels, new([2]fastNode))
 	}
-	if cap(sc.levels[depth]) < width {
-		sc.levels[depth] = make([]fastNode, width)
-	}
-	return sc.levels[depth][:width]
+	return sc.levels[depth]
 }
 
-// fitView grows and prunes a tree from a missing-free, unit-weight view
-// of at most maxFastClasses classes, using sc as the builder's
-// partition memory.
+// fitView grows and prunes a tree from a view of at most
+// maxFastClasses classes, using sc as the builder's partition memory.
 func fitView(cfg Config, v *dataset.View, sc *buildScratch) *Node {
 	fb := newViewBuilder(cfg, v, sc)
 	// The root starts from the view's presorted orders: no root sort.
@@ -188,56 +160,34 @@ func newViewBuilder(cfg Config, v *dataset.View, sc *buildScratch) *fastBuilder 
 		attrs:    v.Attrs(),
 		cols:     v.Cols(),
 		nClasses: len(v.ClassValues()),
-		firstNum: -1,
 		sc:       sc,
 	}
 	fb.initScratch()
-	sc.reset(fb.attrs, v.Len(), fb.nNumeric, v.Classes())
+	sc.reset(len(fb.attrs), v.Len(), v.Classes())
 	fb.cls = sc.cls
 	return fb
 }
 
 // root returns the root node of a view.
 func (fb *fastBuilder) root(v *dataset.View) *fastNode {
-	rows := v.Rows()
-	if fb.firstNum >= 0 {
-		rows = v.Sorted()[fb.firstNum]
-	}
 	dist := make([]float64, fb.nClasses)
-	for _, r := range rows {
+	for _, r := range v.Rows() {
 		dist[fb.cls[r]]++
 	}
-	return &fastNode{n: len(rows), dist: dist, rows: rows, sorted: v.Sorted()}
+	return &fastNode{n: v.Len(), dist: dist, sorted: v.Sorted()}
 }
 
 // initScratch sizes the split-scan scratch from the schema; attrs and
 // nClasses must already be set.
 func (fb *fastBuilder) initScratch() {
-	maxBranches := 2
-	for a := range fb.attrs {
-		if fb.attrs[a].Type == dataset.Numeric {
-			if fb.firstNum < 0 {
-				fb.firstNum = a
-			}
-			fb.nNumeric++
-		} else if v := len(fb.attrs[a].Values); v > maxBranches {
-			maxBranches = v
-		}
-	}
 	nC := fb.nClasses
-	counts := make([]int, 4*nC+len(fb.attrs)*nC+maxBranches*nC)
+	counts := make([]int, 4*nC+len(fb.attrs)*nC)
 	fb.total, counts = counts[:nC], counts[nC:]
 	fb.left, counts = counts[:nC], counts[nC:]
 	fb.snap, counts = counts[:nC], counts[nC:]
-	fb.right, counts = counts[:nC], counts[nC:]
-	fb.bestLeft, fb.branchBuf = counts[:len(fb.attrs)*nC], counts[len(fb.attrs)*nC:]
-	fb.branchW = make([]float64, 0, maxBranches)
+	fb.right, fb.bestLeft = counts[:nC], counts[nC:]
 	fb.splitBuf = make([]split, 0, len(fb.attrs))
 	fb.candBuf = make([]*split, 0, len(fb.attrs))
-	fb.countBuf = make([]int, maxBranches)
-	fb.startBuf = make([]int, maxBranches)
-	fb.fillBuf = make([]int, maxBranches)
-	fb.leafBuf = make([]bool, maxBranches)
 }
 
 // leaf reports whether a node of n rows with class counts dist at the
@@ -287,13 +237,7 @@ func (fb *fastBuilder) bestSplit(nd *fastNode) *split {
 	baseEntropy := entropy(nd.dist)
 	for a := range fb.attrs {
 		var s split
-		var ok bool
-		if fb.attrs[a].Type == dataset.Numeric {
-			ok = fb.numericSplit(nd.order(a), a, fb.total, baseEntropy, &s)
-		} else {
-			ok = fb.nominalSplit(nd.rows, a, baseEntropy, &s)
-		}
-		if ok && s.gain > 1e-12 {
+		if fb.numericSplit(nd.order(a), a, fb.total, baseEntropy, &s) && s.gain > 1e-12 {
 			fb.splitBuf = append(fb.splitBuf, s)
 			fb.candBuf = append(fb.candBuf, &fb.splitBuf[len(fb.splitBuf)-1])
 		}
@@ -318,8 +262,8 @@ func entropyCounts(counts []int, total float64) float64 {
 	return e
 }
 
-// numericSplit scans the pre-sorted rows of a numeric attribute, whose
-// class counts are total, writing the winning split into out. It
+// numericSplit scans the pre-sorted rows of an attribute, whose class
+// counts are total, writing the winning split into out. It
 // reports whether a split was found. A node whose first and last
 // values are equal has no cut, and returns at once.
 //
@@ -454,233 +398,115 @@ func (fb *fastBuilder) numericSplit(sorted []int32, attr int, total []int, baseE
 	return true
 }
 
-// nominalSplit evaluates a multi-way nominal split into out, counting
-// branch class counts in the builder's flat scratch.
-func (fb *fastBuilder) nominalSplit(rows []int32, attr int, baseEntropy float64, out *split) bool {
-	nVals := len(fb.attrs[attr].Values)
-	if nVals < 2 {
-		return false
-	}
-	nC := fb.nClasses
-	flat := fb.branchBuf[:nVals*nC]
-	clear(flat)
-	col, cls := fb.cols[attr], fb.cls
-	for _, r := range rows {
-		flat[int(col[r])*nC+int(cls[r])]++
-	}
-	totalW := float64(len(rows))
-	nonEmpty := 0
-	childEntropy := 0.0
-	branchW := fb.branchW[:0]
-	for b := 0; b < nVals; b++ {
-		bd := flat[b*nC : (b+1)*nC]
-		n := 0
-		for _, c := range bd {
-			n += c
-		}
-		w := float64(n)
-		branchW = append(branchW, w)
-		if w > 0 {
-			nonEmpty++
-			childEntropy += w * entropyCounts(bd, w)
-		}
-	}
-	if nonEmpty < 2 {
-		return false
-	}
-	childEntropy /= totalW
-	gain := baseEntropy - childEntropy
-	if gain <= 0 {
-		return false
-	}
-	si := splitInfo(branchW, totalW)
-	gr := gain
-	if si > 1e-12 {
-		gr = gain / si
-	}
-	*out = split{attr: attr, gain: gain, gainRatio: gr}
-	return true
-}
-
 // partition splits the node preserving every attribute's sort order,
-// and returns its children, or nil when fewer than two of them would
-// hold minLeaf weight (the node then stays a leaf).
+// and returns its two children, or nil when fewer than two of them
+// would hold minLeaf rows (the node then stays a leaf).
 //
-// The children's class counts come first: a numeric split's from the
-// scan (its left side is the first leftN rows of the split attribute's
-// order), a nominal split's from one counting pass over the node's
-// rows, which also records each row's branch in the branch array. A
-// child that is certainly a leaf (see leaf) needs no orders, so when
-// every child is one nothing is filled.
+// The children's class counts come from the scan: the left side is the
+// first leftN rows of the split attribute's order. A child that is
+// certainly a leaf (see leaf) needs no orders, so when both children
+// are leaves nothing is filled.
 //
 // The other children's orders go into the ping-pong buffer of the
 // node's depth, pp[depth%2], at the node's own range [lo, lo+n) within
-// each rootN-id slab; child b takes [lo+start_b, lo+start_b+count_b).
-// The node reads its own orders from the other buffer (or, at the root,
-// from the view, which is never written). The write is safe because a
-// node's range lies inside its parent's: in pp[depth%2] it overwrites
-// only orders of ancestors that have already partitioned, while the
-// ranges of siblings still waiting for their turn are disjoint from it.
-// A numeric split's own order is split by position, with no per-row
-// value test, and marks each row's side from it; the other attributes'
-// fills read that side (or a nominal split's branch). Nothing is
+// each rootN-id slab; the left child takes [lo, lo+leftN) and the right
+// one the rest. The node reads its own orders from the other buffer
+// (or, at the root, from the view, which is never written). The write
+// is safe because a node's range lies inside its parent's: in
+// pp[depth%2] it overwrites only orders of ancestors that have already
+// partitioned, while the ranges of siblings still waiting for their
+// turn are disjoint from it. The split attribute's own order is split
+// by position, with no per-row value test, and marks each row's side
+// from it; the other attributes' fills read that side. Nothing is
 // allocated but the children's class distributions, which become their
 // Nodes' Dist.
 func (fb *fastBuilder) partition(nd *fastNode, s *split, depth int) []fastNode {
 	n, nC := nd.n, fb.nClasses
 	minLeaf := fb.cfg.minLeaf()
-	numeric := fb.attrs[s.attr].Type == dataset.Numeric
-	nBranches := 2
-	if !numeric {
-		nBranches = len(fb.attrs[s.attr].Values)
-	}
-	counts := fb.countBuf[:nBranches]
-	br := fb.sc.branch
-	if numeric {
-		counts[0], counts[1] = s.leftN, n-s.leftN
-	} else {
-		flat := fb.branchBuf[:nBranches*nC]
-		clear(flat)
-		clear(counts)
-		col := fb.cols[s.attr]
-		for _, r := range nd.rows {
-			b := int32(col[r])
-			br[r] = b
-			counts[b]++
-			flat[int(b)*nC+int(fb.cls[r])]++
-		}
-	}
-	strong := 0
-	for _, c := range counts {
-		if float64(c) >= minLeaf {
-			strong++
-		}
-	}
-	if strong < 2 {
+	counts := &fb.counts
+	counts[0], counts[1] = s.leftN, n-s.leftN
+	if float64(counts[0]) < minLeaf || float64(counts[1]) < minLeaf {
 		return nil
 	}
 
-	nodes := fb.sc.level(depth, nBranches)
-	dists := make([]float64, nBranches*nC)
-	starts := fb.startBuf[:nBranches]
-	leaves := fb.leafBuf[:nBranches]
-	fillAny := false
-	off := 0
-	for b := range nodes {
-		dist := dists[b*nC : (b+1)*nC : (b+1)*nC]
-		switch {
-		case !numeric:
-			for c := range dist {
-				dist[c] = float64(fb.branchBuf[b*nC+c])
-			}
-		case b == 0:
-			for c := range dist {
-				dist[c] = float64(fb.bestLeft[s.attr*nC+c])
-			}
-		default:
-			for c := range dist {
-				dist[c] = nd.dist[c] - dists[c]
-			}
-		}
-		starts[b] = off
-		leaves[b] = fb.leaf(counts[b], dist, depth+1)
-		fillAny = fillAny || !leaves[b]
-		nodes[b] = fastNode{lo: nd.lo + off, n: counts[b], dist: dist}
-		off += counts[b]
+	nodes := fb.sc.level(depth)
+	dists := make([]float64, 2*nC)
+	left, right := dists[:nC:nC], dists[nC:]
+	for c := range left {
+		left[c] = float64(fb.bestLeft[s.attr*nC+c])
+		right[c] = nd.dist[c] - left[c]
 	}
-	if !fillAny {
-		return nodes
+	leaves := &fb.leaves
+	leaves[0] = fb.leaf(counts[0], left, depth+1)
+	leaves[1] = fb.leaf(counts[1], right, depth+1)
+	nodes[0] = fastNode{lo: nd.lo, n: counts[0], dist: left}
+	nodes[1] = fastNode{lo: nd.lo + counts[0], n: counts[1], dist: right}
+	if leaves[0] && leaves[1] {
+		return nodes[:]
 	}
 
-	k := depth % 2
-	slabs := fb.sc.slabs[k]
-	if numeric {
-		ord, side := nd.order(s.attr), fb.sc.side
-		for _, r := range ord[:s.leftN] {
-			side[r] = 0
-		}
-		for _, r := range ord[s.leftN:] {
-			side[r] = 1
-		}
+	slabs := fb.sc.slabs[depth%2]
+	ord, side := nd.order(s.attr), fb.sc.side
+	for _, r := range ord[:s.leftN] {
+		side[r] = 0
+	}
+	for _, r := range ord[s.leftN:] {
+		side[r] = 1
 	}
 	for a, slab := range slabs {
-		if slab == nil {
-			continue
-		}
 		dst, src := slab[nd.lo:nd.lo+n], nd.order(a)
 		if a != s.attr {
-			fb.fill(dst, src, nBranches, numeric)
+			fb.fill(dst, src)
 			continue
 		}
-		for b := range nodes {
-			if !leaves[b] {
-				copy(dst[starts[b]:starts[b]+counts[b]], src[starts[b]:])
-			}
+		if !leaves[0] {
+			copy(dst[:counts[0]], src)
 		}
-	}
-	if rows := fb.sc.rows[k]; rows != nil {
-		fb.fill(rows[nd.lo:nd.lo+n], nd.rows, nBranches, numeric)
+		if !leaves[1] {
+			copy(dst[counts[0]:], src[counts[0]:])
+		}
 	}
 	for b := range nodes {
-		if leaves[b] {
-			continue
-		}
-		nodes[b].sorted = slabs
-		if fb.firstNum >= 0 {
-			nodes[b].rows = nodes[b].order(fb.firstNum)
-		} else {
-			nodes[b].rows = fb.sc.rows[k][nodes[b].lo : nodes[b].lo+counts[b]]
+		if !leaves[b] {
+			nodes[b].sorted = slabs
 		}
 	}
-	return nodes
+	return nodes[:]
 }
 
-// fill copies src into dst grouped by branch, as partition's counts and
-// starts lay the branches out, keeping src order within each branch. A
-// numeric split reads each row's side, and skips a child that is
-// certainly a leaf; a nominal one reads its branch.
-func (fb *fastBuilder) fill(dst, src []int32, nBranches int, numeric bool) {
-	br := fb.sc.branch
-	if numeric {
-		side := fb.sc.side
-		leaves := fb.leafBuf
-		switch {
-		case leaves[1]:
-			l := 0
-			for _, id := range src {
-				if side[id] == 0 {
-					dst[l] = id
-					l++
-				}
-			}
-		case leaves[0]:
-			r := fb.countBuf[0]
-			for _, id := range src {
-				if side[id] != 0 {
-					dst[r] = id
-					r++
-				}
-			}
-		default:
-			l, r := 0, fb.countBuf[0]
-			for _, id := range src {
-				if side[id] == 0 {
-					dst[l] = id
-					l++
-				} else {
-					dst[r] = id
-					r++
-				}
+// fill copies src into dst grouped by side, left rows first, keeping
+// src order within each side, as partition lays the children out. It
+// reads each row's side, and skips a child that is certainly a leaf.
+func (fb *fastBuilder) fill(dst, src []int32) {
+	side := fb.sc.side
+	switch {
+	case fb.leaves[1]:
+		l := 0
+		for _, id := range src {
+			if side[id] == 0 {
+				dst[l] = id
+				l++
 			}
 		}
-		return
-	}
-	cur := fb.fillBuf[:nBranches]
-	copy(cur, fb.startBuf)
-	for _, id := range src {
-		b := br[id]
-		dst[cur[b]] = id
-		cur[b]++
+	case fb.leaves[0]:
+		r := fb.counts[0]
+		for _, id := range src {
+			if side[id] != 0 {
+				dst[r] = id
+				r++
+			}
+		}
+	default:
+		l, r := 0, fb.counts[0]
+		for _, id := range src {
+			if side[id] == 0 {
+				dst[l] = id
+				l++
+			} else {
+				dst[r] = id
+				r++
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -28,18 +29,22 @@ func treesEqual(a, b *Node) bool {
 	return true
 }
 
+// oracleConfigs are the configurations the counting builder is held to
+// the general builder under.
+var oracleConfigs = []Config{
+	{},
+	{NoPrune: true},
+	{PlainGain: true},
+	{MinLeaf: 5},
+	{NoMDLPenalty: true},
+	{MaxDepth: 3},
+}
+
 // TestFastMatchesGeneral verifies the optimisation is behaviour-
-// preserving: on missing-free data FitTree (the store-backed fast
-// builder) and the general builder must produce identical trees.
+// preserving: FitTree (the store-backed counting builder) and the
+// general builder must produce identical trees.
 func TestFastMatchesGeneral(t *testing.T) {
-	for _, cfg := range []Config{
-		{},
-		{NoPrune: true},
-		{PlainGain: true},
-		{MinLeaf: 5},
-		{NoMDLPenalty: true},
-		{MaxDepth: 3},
-	} {
+	for _, cfg := range oracleConfigs {
 		for seed := uint64(1); seed <= 4; seed++ {
 			d := mixedDataset(300, seed)
 			fast, err := (Learner{Config: cfg}).FitTree(d)
@@ -54,13 +59,13 @@ func TestFastMatchesGeneral(t *testing.T) {
 	}
 }
 
-// mixedDataset mixes numeric and nominal attributes with an interaction
-// concept and label noise.
+// mixedDataset mixes continuous attributes with a three-valued one (a
+// mode code) under an interaction concept and label noise.
 func mixedDataset(n int, seed uint64) *dataset.Dataset {
 	d := dataset.New("mixed", []dataset.Attribute{
 		dataset.NumericAttr("x"),
 		dataset.NumericAttr("y"),
-		dataset.NominalAttr("mode", "m0", "m1", "m2"),
+		dataset.NumericAttr("mode"),
 	}, []string{"neg", "pos"})
 	rng := stats.NewRNG(seed)
 	for i := 0; i < n; i++ {
@@ -93,18 +98,99 @@ func TestFastMatchesGeneralProperty(t *testing.T) {
 	}
 }
 
-func TestHasMissing(t *testing.T) {
-	d := mixedDataset(10, 1)
-	if d.HasMissing() {
-		t.Fatal("no missing expected")
+// fitTreeCase decodes bytes into a dataset for FuzzFitTree. data[0]
+// picks the attribute count (1 to 3) and the class count (2 or 3).
+// Each row then takes one byte and one little-endian float64 bit
+// pattern per attribute: the byte's low bits pick the class, and with
+// its top bit set the row repeats the previous row's values, so equal
+// runs grow long. A NaN pattern becomes the infinity of its sign: the
+// training domain has no NaN.
+func fitTreeCase(data []byte) *dataset.Dataset {
+	if len(data) < 1 {
+		return nil
 	}
-	// Direct Values mutation bypasses the cache maintenance in Add, so
-	// the cached answer must be dropped explicitly.
-	d.Instances[3].Values[0] = dataset.Missing
-	d.InvalidateMissing()
-	if !d.HasMissing() {
-		t.Fatal("missing not detected")
+	nAttrs := 1 + int(data[0]%3)
+	nClasses := 2 + int(data[0]/3%2)
+	attrs := make([]dataset.Attribute, nAttrs)
+	for a := range attrs {
+		attrs[a] = dataset.NumericAttr(fmt.Sprintf("x%d", a))
 	}
+	d := dataset.New("fuzz", attrs, []string{"c0", "c1", "c2"}[:nClasses])
+	width := 1 + 8*nAttrs
+	for rows := data[1:]; len(rows) >= width && d.Len() < 256; rows = rows[width:] {
+		vs := make([]float64, nAttrs)
+		if rows[0]&0x80 != 0 && d.Len() > 0 {
+			copy(vs, d.Instances[d.Len()-1].Values)
+		} else {
+			for a := range vs {
+				bits := binary.LittleEndian.Uint64(rows[1+8*a:])
+				vs[a] = math.Float64frombits(bits)
+				if vs[a] != vs[a] {
+					vs[a] = math.Inf(1 - 2*int(bits>>63))
+				}
+			}
+		}
+		d.MustAdd(dataset.Instance{Values: vs, Class: int(rows[0]&0x7f) % nClasses, Weight: 1})
+	}
+	if d.Len() == 0 {
+		return nil
+	}
+	return d
+}
+
+// FuzzFitTree holds FitTree to the general builder on fuzzer-chosen
+// float64 bit patterns (±0, ±Inf, the ±1e308 clamps, subnormals, long
+// equal runs) under every oracle configuration: the same tree, node
+// for node, distributions included, up to the sign of a zero
+// threshold, which the two builders' unstable sorts may pick
+// differently.
+func FuzzFitTree(f *testing.F) {
+	row := func(class byte, vs ...float64) []byte {
+		b := []byte{class}
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	seed := func(shape byte, rows ...[]byte) []byte {
+		b := []byte{shape}
+		for _, r := range rows {
+			b = append(b, r...)
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(seed(0,
+		row(0, 0), row(1, negZero), row(0, math.Inf(1)), row(1, math.Inf(-1)),
+		row(0, 1e308), row(1, -1e308), row(1, 5e-324), row(0, -5e-324),
+		row(1, 0x1p-1022), row(0, 0), row(1, negZero), row(1, 1e308)))
+	var runs [][]byte
+	for i := 0; i < 40; i++ {
+		runs = append(runs, row(byte(i/10%2)|0x80, 0))
+		if i%10 == 0 {
+			runs[i] = row(byte(i/10%2), float64(i/10))
+		}
+	}
+	f.Add(seed(0, runs...))
+	f.Add(seed(5,
+		row(0, 1e308, 0, 1), row(1, -1e308, negZero, 2), row(2, 1e308, 1, 1),
+		row(0x80, 0, 0, 0), row(1, 2, math.Inf(1), 5e-324), row(2, 2, math.Inf(-1), 0),
+		row(1, -1e308, 0, 1), row(0, 3, 3, 3), row(1, 1e308, negZero, 2)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := fitTreeCase(data)
+		if d == nil {
+			return
+		}
+		for _, cfg := range oracleConfigs {
+			got, err := (Learner{Config: cfg}).FitTree(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameTreeUpToZeroSign(got.Root, fitGeneral(cfg, d)) {
+				t.Fatalf("cfg %+v: FitTree differs from the general builder\n%s", cfg, got)
+			}
+		}
+	})
 }
 
 func BenchmarkFastInduction(b *testing.B) {
@@ -117,15 +203,13 @@ func BenchmarkFastInduction(b *testing.B) {
 	}
 }
 
+// BenchmarkGeneralInduction times the oracle, for comparison with
+// BenchmarkFastInduction.
 func BenchmarkGeneralInduction(b *testing.B) {
 	d := mixedDataset(5000, 1)
-	// A single missing value routes induction through the general path.
-	d.Instances[0].Values[0] = dataset.Missing
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Learner{}).FitTree(d); err != nil {
-			b.Fatal(err)
-		}
+		fitGeneral(Config{}, d)
 	}
 }
 
@@ -206,18 +290,15 @@ var splitValues = []float64{math.Inf(-1), -2, -1, math.Copysign(0, -1), 0, 0.5, 
 // splitCase decodes bytes into a one-attribute store and a builder on
 // its identity view. data[0] picks the class count (2 or 3) and the
 // minLeaf (0, 1, 2, 5, half of the row count, or just above half);
-// data[1] picks unit or fractional weights. Each further byte pair is
-// one row: a value from splitValues, and a class that follows the value
-// (long same-class runs) or is free (mixed value groups). A case whose
-// weights are not all 1 returns its view and no builder: the counting
-// kernel never sees one.
+// data[1] is skipped. Each further byte pair is one row: a value from
+// splitValues, and a class that follows the value (long same-class
+// runs) or is free (mixed value groups).
 func splitCase(data []byte) (fb *fastBuilder, v *dataset.View) {
 	if len(data) < 6 {
 		return nil, nil
 	}
 	nClasses := 2 + int(data[0]%2)
 	leafMode := int(data[0]/2) % 6
-	fractional := data[1]%2 == 1
 	rows := data[2:]
 	if len(rows) > 128 {
 		rows = rows[:128]
@@ -231,19 +312,12 @@ func splitCase(data []byte) (fb *fastBuilder, v *dataset.View) {
 		if cb&0x80 != 0 {
 			class = int(cb) % nClasses
 		}
-		w := 1.0
-		if fractional {
-			w = float64((cb>>2)&15+1) / 8
-		}
-		d.MustAdd(dataset.Instance{Values: []float64{splitValues[vi]}, Class: class, Weight: w})
+		d.MustAdd(dataset.Instance{Values: []float64{splitValues[vi]}, Class: class, Weight: 1})
 	}
 	v = dataset.NewStore(d, nil).IdentityView()
 	cfg := Config{}
 	totalW := float64(d.Len())
 	cfg.MinLeaf = []float64{0, 1, 2, 5, totalW / 2, totalW/2 + 0.125}[leafMode]
-	if !v.UnitWeights() {
-		return nil, v
-	}
 	return newViewBuilder(cfg, v, new(buildScratch)), v
 }
 
@@ -280,28 +354,10 @@ func checkNumericSplit(t *testing.T, fb *fastBuilder, sorted []int32) {
 	}
 }
 
-// checkGeneralFallback requires FitTreeView on a view the counting
-// builder cannot take (here, fractional weights) to return the general
-// builder's tree for the materialised view.
-func checkGeneralFallback(t *testing.T, cfg Config, v *dataset.View) {
-	t.Helper()
-	if v.UnitWeights() {
-		t.Fatal("fallback case has unit weights")
-	}
-	got, err := (Learner{Config: cfg}).FitTreeView(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nodesEqual(got.Root, fitGeneral(cfg, v.Materialize())) {
-		t.Fatalf("cfg %+v: FitTreeView on a fractional view differs from the general builder", cfg)
-	}
-}
-
 // TestNumericSplitMatchesFullScan pins the boundary-point counting scan
-// to the full float scan on random unit-weight nodes: mixed-class value
-// groups, long same-class runs, ±0 and ±Inf, every minLeaf mode, two
-// and three classes, and n from 2 up. Fractional cases never reach the
-// kernel; they must get the general builder's tree.
+// to the full float scan on random nodes: mixed-class value groups,
+// long same-class runs, ±0 and ±Inf, every minLeaf mode, two and three
+// classes, and n from 2 up.
 func TestNumericSplitMatchesFullScan(t *testing.T) {
 	rng := stats.NewRNG(16)
 	for iter := 0; iter < 20000; iter++ {
@@ -310,12 +366,6 @@ func TestNumericSplitMatchesFullScan(t *testing.T) {
 			data[i] = byte(rng.Intn(256))
 		}
 		fb, v := splitCase(data)
-		if fb == nil {
-			if iter%20 == 1 {
-				checkGeneralFallback(t, Config{}, v)
-			}
-			continue
-		}
 		sorted := v.Sorted()[0]
 		checkNumericSplit(t, fb, sorted)
 		// A child node: every other row, in the parent's sorted order.
@@ -336,12 +386,7 @@ func FuzzNumericSplit(f *testing.F) {
 	f.Add([]byte{9, 1, 0, 0, 1, 0, 12, 0xff, 12, 0x80, 3, 0x85, 4, 0x86})
 	f.Add([]byte{5, 1, 3, 0x80, 4, 0x81, 3, 0x81, 4, 0x80, 7, 0x12, 8, 0x34})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fb, v := splitCase(data)
-		switch {
-		case v == nil:
-		case fb == nil:
-			checkGeneralFallback(t, Config{}, v)
-		default:
+		if fb, v := splitCase(data); fb != nil {
 			checkNumericSplit(t, fb, v.Sorted()[0])
 		}
 	})
@@ -388,28 +433,22 @@ func TestNumericSplitConstantNode(t *testing.T) {
 
 // partitionArena is the count-then-fill partition the builder used
 // before the ping-pong buffers, kept as the oracle: every child's row
-// list and per-attribute order are carved out of a fresh arena per
-// node, re-testing the split once per row and attribute, and every
-// child's distribution is counted from its rows.
-func (fb *fastBuilder) partitionArena(nd *fastNode, s *split) []fastNode {
-	numeric := fb.attrs[s.attr].Type == dataset.Numeric
-	nBranches := 2
-	if !numeric {
-		nBranches = len(fb.attrs[s.attr].Values)
-	}
+// list (returned beside the children) and per-attribute order are
+// carved out of a fresh arena per node, re-testing the split once per
+// row and attribute, and every child's distribution is counted from
+// its rows.
+func (fb *fastBuilder) partitionArena(nd *fastNode, s *split, rows []int32) ([]fastNode, [][]int32) {
+	const nBranches = 2
 	col := fb.cols[s.attr]
 	branchOf := func(r int32) int {
-		if numeric {
-			if col[r] <= s.threshold {
-				return 0
-			}
-			return 1
+		if col[r] <= s.threshold {
+			return 0
 		}
-		return int(col[r])
+		return 1
 	}
 
 	counts := make([]int, nBranches)
-	for _, r := range nd.rows {
+	for _, r := range rows {
 		counts[branchOf(r)]++
 	}
 	starts := make([]int, nBranches)
@@ -421,32 +460,30 @@ func (fb *fastBuilder) partitionArena(nd *fastNode, s *split) []fastNode {
 
 	n := nd.n
 	nAttrs := len(fb.attrs)
-	arena := make([]int32, n*(1+fb.nNumeric))
+	arena := make([]int32, n*(1+nAttrs))
 	hdrs := make([][]int32, nBranches*nAttrs)
 	nodes := make([]fastNode, nBranches)
+	childRows := make([][]int32, nBranches)
 
 	rowsArena := arena[:n]
 	for b := range nodes {
 		nodes[b].n = counts[b]
-		nodes[b].rows = rowsArena[starts[b] : starts[b]+counts[b]]
+		childRows[b] = rowsArena[starts[b] : starts[b]+counts[b]]
 		nodes[b].sorted = hdrs[b*nAttrs : (b+1)*nAttrs]
 	}
 	fill := make([]int, nBranches)
 	copy(fill, starts)
-	for _, r := range nd.rows {
+	for _, r := range rows {
 		b := branchOf(r)
 		rowsArena[fill[b]] = r
 		fill[b]++
 	}
 	for b := range nodes {
-		nodes[b].dist = fb.classDist(nodes[b].rows)
+		nodes[b].dist = fb.classDist(childRows[b])
 	}
 
 	slabOff := n
 	for a := 0; a < nAttrs; a++ {
-		if nd.sorted[a] == nil {
-			continue
-		}
 		slab := arena[slabOff : slabOff+n]
 		slabOff += n
 		copy(fill, starts)
@@ -459,11 +496,12 @@ func (fb *fastBuilder) partitionArena(nd *fastNode, s *split) []fastNode {
 			nodes[b].sorted[a] = slab[starts[b] : starts[b]+counts[b]]
 		}
 	}
-	return nodes
+	return nodes, childRows
 }
 
-// buildArena is build with partitionArena in place of partition.
-func (fb *fastBuilder) buildArena(nd *fastNode, depthSoFar int) *Node {
+// buildArena is build with partitionArena in place of partition; rows
+// is the node's row list.
+func (fb *fastBuilder) buildArena(nd *fastNode, rows []int32, depthSoFar int) *Node {
 	node := &Node{Attr: -1, Dist: nd.dist, Class: argmax(nd.dist)}
 	if fb.leaf(nd.n, nd.dist, depthSoFar) {
 		return node
@@ -472,7 +510,7 @@ func (fb *fastBuilder) buildArena(nd *fastNode, depthSoFar int) *Node {
 	if best == nil {
 		return node
 	}
-	children := fb.partitionArena(nd, best)
+	children, childRows := fb.partitionArena(nd, best, rows)
 	strong := 0
 	for i := range children {
 		if float64(children[i].n) >= fb.cfg.minLeaf() {
@@ -490,7 +528,7 @@ func (fb *fastBuilder) buildArena(nd *fastNode, depthSoFar int) *Node {
 			node.Children[i] = &Node{Attr: -1, Dist: make([]float64, fb.nClasses), Class: node.Class}
 			continue
 		}
-		node.Children[i] = fb.buildArena(&children[i], depthSoFar+1)
+		node.Children[i] = fb.buildArena(&children[i], childRows[i], depthSoFar+1)
 	}
 	return node
 }
@@ -501,7 +539,7 @@ func (fb *fastBuilder) buildArena(nd *fastNode, depthSoFar int) *Node {
 func fitArena(cfg Config, v *dataset.View) *Node {
 	fb := newViewBuilder(cfg, v, new(buildScratch))
 	rows := v.Rows()
-	root := fb.buildArena(&fastNode{n: len(rows), dist: fb.classDist(rows), rows: rows, sorted: v.Sorted()}, 0)
+	root := fb.buildArena(&fastNode{n: len(rows), dist: fb.classDist(rows), sorted: v.Sorted()}, rows, 0)
 	if !cfg.NoPrune {
 		prune(root, cfg.confidence())
 	}
@@ -523,12 +561,10 @@ func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 		if i%4 == 0 {
 			in := d.Instances[i]
 			vs := append([]float64(nil), in.Values...)
-			for a, attr := range d.Attrs {
-				if attr.Type == dataset.Numeric {
-					vs[a] += 0.001 * float64(i%5)
-				}
+			for a := range vs {
+				vs[a] += 0.001 * float64(i%5)
 			}
-			syn = append(syn, dataset.Synthetic{Values: vs, Class: in.Class, Weight: in.Weight})
+			syn = append(syn, dataset.Synthetic{Values: vs, Class: in.Class})
 		}
 	}
 	return map[string]*dataset.View{
@@ -540,14 +576,9 @@ func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 
 // checkPartition fits the view with ping-pong partitioning on fresh
 // scratch and with the arena oracle, requiring the same tree, and
-// returns its depth. A view with fractional weights must instead get
-// the general builder's tree.
+// returns its depth.
 func checkPartition(t *testing.T, name string, cfg Config, v *dataset.View) int {
 	t.Helper()
-	if !v.UnitWeights() {
-		checkGeneralFallback(t, cfg, v)
-		return 0
-	}
 	got := fitView(cfg, v, new(buildScratch))
 	want := fitArena(cfg, v)
 	if !nodesEqual(got, want) {
@@ -559,17 +590,15 @@ func checkPartition(t *testing.T, name string, cfg Config, v *dataset.View) int 
 // chainDataset peels one small pure leaf off per split: class
 // alternates across eight bands of x, each band smaller than the last,
 // so the tree is a deep, very unbalanced chain.
-func chainDataset(weight func(i int) float64) *dataset.Dataset {
+func chainDataset() *dataset.Dataset {
 	d := dataset.New("chain", []dataset.Attribute{
 		dataset.NumericAttr("x"),
 		dataset.NumericAttr("noise"),
 	}, []string{"neg", "pos"})
 	rng := stats.NewRNG(5)
-	i := 0
 	for band, size := 0, 256; size >= 2; band, size = band+1, size/2 {
 		for k := 0; k < size; k++ {
-			d.MustAdd(dataset.Instance{Values: []float64{float64(band) + float64(k)/float64(size), rng.Float64()}, Class: band % 2, Weight: weight(i)})
-			i++
+			d.MustAdd(dataset.Instance{Values: []float64{float64(band) + float64(k)/float64(size), rng.Float64()}, Class: band % 2, Weight: 1})
 		}
 	}
 	return d
@@ -598,75 +627,15 @@ func signedZeroDataset(n int, seed uint64) *dataset.Dataset {
 	return d
 }
 
-// wideNominalDataset makes a 300-valued nominal attribute the only
-// informative one. Values v and v−256 carry opposite classes, so a
-// branch index that wraps at 256 sends rows to the wrong child.
-func wideNominalDataset(seed uint64) *dataset.Dataset {
-	values := make([]string, 300)
-	for i := range values {
-		values[i] = fmt.Sprintf("v%d", i)
-	}
-	d := dataset.New("wide", []dataset.Attribute{
-		dataset.NumericAttr("noise"),
-		dataset.NominalAttr("code", values...),
-	}, []string{"neg", "pos"})
-	rng := stats.NewRNG(seed)
-	for i := 0; i < 1200; i++ {
-		v := rng.Intn(300)
-		class := v % 2
-		if v >= 256 {
-			class = 1 - class
-		}
-		d.MustAdd(dataset.Instance{Values: []float64{rng.Float64(), float64(v)}, Class: class, Weight: 1})
-	}
-	return d
-}
-
-// allNominalDataset has no numeric attribute, so node rows take the
-// row slab of their own instead of a numeric attribute's order.
-func allNominalDataset(seed uint64) *dataset.Dataset {
-	d := dataset.New("nominal", []dataset.Attribute{
-		dataset.NominalAttr("a", "a0", "a1", "a2", "a3"),
-		dataset.NominalAttr("b", "b0", "b1", "b2"),
-		dataset.NominalAttr("c", "c0", "c1"),
-	}, []string{"neg", "pos"})
-	rng := stats.NewRNG(seed)
-	for i := 0; i < 500; i++ {
-		a, b, c := rng.Intn(4), rng.Intn(3), rng.Intn(2)
-		class := 0
-		if (a == 1 && b != 2) || (a == 3 && c == 1) {
-			class = 1
-		}
-		if rng.Float64() < 0.1 {
-			class = 1 - class
-		}
-		d.MustAdd(dataset.Instance{Values: []float64{float64(a), float64(b), float64(c)}, Class: class, Weight: 1})
-	}
-	return d
-}
-
 // TestPartitionMatchesArena pins ping-pong partitioning to the arena
-// oracle on whole unit-weight trees, node for node: ±0 thresholds and
-// duplicates, very unbalanced chains, nominal splits (one with 300
-// values), and trees deep enough that both ping-pong buffers are
-// written and overwritten several times. The fractional-weight cases
-// must get the general builder's tree from FitTreeView.
+// oracle on whole trees, node for node: ±0 thresholds and duplicates,
+// very unbalanced chains, and trees deep enough that both ping-pong
+// buffers are written and overwritten several times.
 func TestPartitionMatchesArena(t *testing.T) {
-	fractional := func(d *dataset.Dataset) *dataset.Dataset {
-		for i := range d.Instances {
-			d.Instances[i].Weight = float64(i%7+1) / 4
-		}
-		return d
-	}
 	cases := map[string]*dataset.Dataset{
-		"mixed":            mixedDataset(600, 1),
-		"mixed-fractional": fractional(mixedDataset(600, 2)),
-		"zeros":            signedZeroDataset(400, 3),
-		"zeros-fractional": fractional(signedZeroDataset(400, 4)),
-		"chain":            chainDataset(func(int) float64 { return 1 }),
-		"chain-fractional": chainDataset(func(i int) float64 { return float64(i%5+1) / 2 }),
-		"wide-nominal":     wideNominalDataset(6),
-		"all-nominal":      allNominalDataset(7),
+		"mixed": mixedDataset(600, 1),
+		"zeros": signedZeroDataset(400, 3),
+		"chain": chainDataset(),
 	}
 	deepest := 0
 	for name, d := range cases {
@@ -679,26 +648,18 @@ func TestPartitionMatchesArena(t *testing.T) {
 	if deepest < 4 {
 		t.Fatalf("deepest tree has %d levels; the cases must reach 4", deepest)
 	}
-	// The wide case must actually split on the 300-valued attribute.
-	v := dataset.NewStore(cases["wide-nominal"], nil).IdentityView()
-	if root := fitView(Config{}, v, new(buildScratch)); root.Attr != 1 || len(root.Children) != 300 {
-		t.Fatalf("wide-nominal root splits attr %d into %d branches, want attr 1 into 300", root.Attr, len(root.Children))
-	}
 }
 
 // partitionCase decodes bytes into a view for FuzzPartition. data[0]
-// picks unit or fractional weights (which checkPartition holds to the
-// general builder) and the minLeaf; data[1] how many
-// rows get a duplicate (a repeat view when non-zero). Each further
-// triple is one row: x and y from splitValues, and a byte whose low
-// bits pick a 5-valued nominal and whose top bit flips the class that
-// otherwise follows x.
+// picks the minLeaf; data[1] how many rows get a duplicate (a repeat
+// view when non-zero). Each further triple is one row: x and y from
+// splitValues, and a byte whose low bits pick a 5-valued code m and
+// whose top bit flips the class that otherwise follows x.
 func partitionCase(data []byte) (Config, *dataset.View) {
 	if len(data) < 8 {
 		return Config{}, nil
 	}
 	cfg := Config{NoPrune: true, MinLeaf: []float64{1, 2, 3}[data[0]%3]}
-	fractional := data[0]&4 != 0
 	dups := int(data[1])
 	rows := data[2:]
 	if len(rows) > 3*256 {
@@ -707,7 +668,7 @@ func partitionCase(data []byte) (Config, *dataset.View) {
 	d := dataset.New("fuzz", []dataset.Attribute{
 		dataset.NumericAttr("x"),
 		dataset.NumericAttr("y"),
-		dataset.NominalAttr("m", "a", "b", "c", "d", "e"),
+		dataset.NumericAttr("m"),
 	}, []string{"neg", "pos"})
 	for i := 0; i+2 < len(rows); i += 3 {
 		xi := int(rows[i]) % len(splitValues)
@@ -717,11 +678,7 @@ func partitionCase(data []byte) (Config, *dataset.View) {
 		if b&0x80 != 0 {
 			class = 1 - class
 		}
-		w := 1.0
-		if fractional {
-			w = float64((b>>3)&15+1) / 8
-		}
-		d.MustAdd(dataset.Instance{Values: []float64{splitValues[xi], y, float64(b % 5)}, Class: class, Weight: w})
+		d.MustAdd(dataset.Instance{Values: []float64{splitValues[xi], y, float64(b % 5)}, Class: class, Weight: 1})
 	}
 	if d.Len() == 0 {
 		return Config{}, nil
@@ -758,10 +715,10 @@ func FuzzPartition(f *testing.F) {
 func TestFitTreeViewScratchReuse(t *testing.T) {
 	large := partitionViews(mixedDataset(1500, 7))
 	small := partitionViews(signedZeroDataset(60, 8))
-	wide := partitionViews(wideNominalDataset(9))
+	chain := partitionViews(chainDataset())
 	var seq []*dataset.View
 	for _, name := range []string{"repeat", "identity", "extend"} {
-		seq = append(seq, large[name], small[name], wide[name], large[name])
+		seq = append(seq, large[name], small[name], chain[name], large[name])
 	}
 	shared := new(buildScratch)
 	for i, v := range seq {

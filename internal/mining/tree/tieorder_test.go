@@ -29,18 +29,14 @@ func sameTreeUpToZeroSign(a, b *Node) bool {
 	return true
 }
 
-// fitPermuted grows the tree of a view whose every numeric order has
-// been shuffled inside each run of equal values (and whose row list,
-// with no numeric attribute, is shuffled whole): another order the
-// view contract allows.
+// fitPermuted grows the tree of a view whose every order has been
+// shuffled inside each run of equal values: another order the view
+// contract allows.
 func fitPermuted(cfg Config, v *dataset.View, rng *stats.RNG) *Node {
 	fb := newViewBuilder(cfg, v, new(buildScratch))
 	root := fb.root(v)
 	sorted := make([][]int32, len(v.Sorted()))
 	for a, ord := range v.Sorted() {
-		if ord == nil {
-			continue
-		}
 		ord = append([]int32(nil), ord...)
 		col := v.Cols()[a]
 		for i := 0; i < len(ord); {
@@ -55,12 +51,6 @@ func fitPermuted(cfg Config, v *dataset.View, rng *stats.RNG) *Node {
 		sorted[a] = ord
 	}
 	root.sorted = sorted
-	if fb.firstNum >= 0 {
-		root.rows = sorted[fb.firstNum]
-	} else {
-		root.rows = append([]int32(nil), root.rows...)
-		rng.Shuffle(len(root.rows), func(x, y int) { root.rows[x], root.rows[y] = root.rows[y], root.rows[x] })
-	}
 	tree := fb.build(root, 0)
 	if !cfg.NoPrune {
 		prune(tree, cfg.confidence())
@@ -79,7 +69,7 @@ func tieViews(seed uint64) []*dataset.View {
 	nClasses := 2 + rng.Intn(2)
 	attrs := []dataset.Attribute{dataset.NumericAttr("x"), dataset.NumericAttr("y"), dataset.NumericAttr("z")}
 	if rng.Intn(2) == 0 {
-		attrs = append(attrs, dataset.NominalAttr("m", "a", "b", "c"))
+		attrs = append(attrs, dataset.NumericAttr("m"))
 	}
 	d := dataset.New("ties", attrs, []string{"c0", "c1", "c2"}[:nClasses])
 	n := 20 + rng.Intn(200)
@@ -117,7 +107,7 @@ func tieViews(seed uint64) []*dataset.View {
 				vs[a] = 0
 			}
 		}
-		syn[j] = dataset.Synthetic{Values: vs, Class: d.Instances[s].Class, Weight: 1, Seed: s}
+		syn[j] = dataset.Synthetic{Values: vs, Class: d.Instances[s].Class, Seed: s}
 	}
 	return []*dataset.View{st.IdentityView(), st.RepeatView(extra), st.ExtendView(syn)}
 }

@@ -1,8 +1,10 @@
 // Package tree implements C4.5 decision tree induction (Quinlan [34]),
 // the symbolic pattern learning algorithm used by the paper to generate
 // error detection predicates: gain-ratio splitting with the average-gain
-// gate, MDL-corrected continuous thresholds, fractional instance weights
-// for missing values, and pessimistic error-based pruning.
+// gate, MDL-corrected continuous thresholds, and pessimistic error-based
+// pruning. It trains on numeric, NaN-free rows of weight 1, the domain
+// propane.ToDataset produces, so Quinlan's missing-value and nominal
+// machinery is absent (DESIGN.md §10).
 //
 // Role in the methodology: the model generator of Step 3 and, re-run
 // per sampling configuration, of Step 4; its trees are what
@@ -27,21 +29,19 @@ import (
 )
 
 // Node is one node of an induced decision tree. Internal nodes test an
-// attribute (a binary threshold for numeric attributes, a multiway
-// branch for nominal ones); every node carries the training class
-// distribution observed at it, used for missing-value classification
-// and pruning.
+// attribute against a binary threshold; every node carries the training
+// class distribution observed at it, used for classification and
+// pruning.
 type Node struct {
 	// Attr is the tested attribute index, or -1 for a leaf.
 	Attr int
-	// Threshold splits numeric attributes: <= goes to Children[0],
-	// > to Children[1].
+	// Threshold splits the attribute: <= goes to Children[0], > to
+	// Children[1].
 	Threshold float64
-	// Children are the branch subtrees: two for numeric splits, one per
-	// domain value for nominal splits. Nil for leaves.
+	// Children are the two branch subtrees. Nil for leaves.
 	Children []*Node
 
-	// Dist is the training class weight distribution at this node.
+	// Dist is the training class count distribution at this node.
 	Dist []float64
 	// Class is the majority class at this node.
 	Class int
@@ -62,99 +62,23 @@ var (
 	_ mining.Sizer      = (*Tree)(nil)
 )
 
-// Classify returns the majority class of the distribution reached by
-// the instance (fractional across branches for missing values).
+// Classify descends to the one leaf the instance reaches and returns
+// the argmax of its training distribution, ties going to the lower
+// class, or the leaf's Class when it saw no training rows. A NaN value
+// fails every <= test and so takes the > branch.
 func (t *Tree) Classify(values []float64) int {
-	dist := t.Distribution(values)
-	best := 0
-	for c := 1; c < len(dist); c++ {
-		if dist[c] > dist[best] {
-			best = c
-		}
-	}
-	return best
-}
-
-// Distribution returns normalised class scores for the instance.
-func (t *Tree) Distribution(values []float64) []float64 {
-	dist := make([]float64, len(t.ClassValues))
-	t.accumulate(t.Root, values, 1, dist)
-	total := 0.0
-	for _, v := range dist {
-		total += v
-	}
-	if total <= 0 {
-		// Degenerate: fall back to the root's training distribution.
-		copy(dist, t.Root.Dist)
-		total = 0
-		for _, v := range dist {
-			total += v
-		}
-		if total == 0 {
-			return dist
-		}
-	}
-	for i := range dist {
-		dist[i] /= total
-	}
-	return dist
-}
-
-// accumulate walks the tree adding weight*P(class|leaf) into dist,
-// splitting the instance's weight across branches when the tested value
-// is missing (C4.5's fractional classification).
-func (t *Tree) accumulate(n *Node, values []float64, weight float64, dist []float64) {
-	if weight <= 0 {
-		return
-	}
-	if n.IsLeaf() {
-		total := 0.0
-		for _, w := range n.Dist {
-			total += w
-		}
-		if total <= 0 {
-			dist[n.Class] += weight
-			return
-		}
-		for c, w := range n.Dist {
-			dist[c] += weight * w / total
-		}
-		return
-	}
-	v := values[n.Attr]
-	if dataset.IsMissing(v) {
-		// Distribute across children in proportion to training weight.
-		var childW []float64
-		total := 0.0
-		for _, ch := range n.Children {
-			w := sum(ch.Dist)
-			childW = append(childW, w)
-			total += w
-		}
-		if total <= 0 {
-			t.accumulate(n.Children[0], values, weight, dist)
-			return
-		}
-		for i, ch := range n.Children {
-			t.accumulate(ch, values, weight*childW[i]/total, dist)
-		}
-		return
-	}
-	if t.Attrs[n.Attr].Type == dataset.Numeric {
-		if v <= n.Threshold {
-			t.accumulate(n.Children[0], values, weight, dist)
+	n := t.Root
+	for !n.IsLeaf() {
+		if values[n.Attr] <= n.Threshold {
+			n = n.Children[0]
 		} else {
-			t.accumulate(n.Children[1], values, weight, dist)
+			n = n.Children[1]
 		}
-		return
 	}
-	idx := int(v)
-	if idx < 0 || idx >= len(n.Children) {
-		// Out-of-domain nominal value: treat as missing.
-		t.accumulate(n.Children[0], values, weight, dist)
-		return
+	if sum(n.Dist) <= 0 {
+		return n.Class
 	}
-	t.accumulate(n.Children[idx], values, weight, dist)
+	return argmax(n.Dist)
 }
 
 // Size returns the total number of nodes (decision plus leaf), the
@@ -224,15 +148,11 @@ func (t *Tree) render(sb *strings.Builder, n *Node, indent int) {
 		for k := 0; k < indent; k++ {
 			sb.WriteString("|   ")
 		}
-		if attr.Type == dataset.Numeric {
-			op := "<="
-			if i == 1 {
-				op = ">"
-			}
-			fmt.Fprintf(sb, "%s %s %s", attr.Name, op, strconv.FormatFloat(n.Threshold, 'g', 6, 64))
-		} else {
-			fmt.Fprintf(sb, "%s = %s", attr.Name, attr.Values[i])
+		op := "<="
+		if i == 1 {
+			op = ">"
 		}
+		fmt.Fprintf(sb, "%s %s %s", attr.Name, op, strconv.FormatFloat(n.Threshold, 'g', 6, 64))
 		t.render(sb, ch, indent+1)
 	}
 }

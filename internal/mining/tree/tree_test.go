@@ -2,6 +2,7 @@ package tree
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -46,13 +47,16 @@ func thresholdDataset(n int, cut float64, seed uint64) *dataset.Dataset {
 	return d
 }
 
-// weatherDataset is the classic (nominal) play-tennis set from Quinlan.
+// weatherDataset is the classic play-tennis set from Quinlan, each
+// attribute coded as a number: outlook sunny 0, overcast 1, rainy 2;
+// temperature hot 0, mild 1, cool 2; humidity high 0, normal 1; windy
+// false 0, true 1.
 func weatherDataset() *dataset.Dataset {
 	d := dataset.New("weather", []dataset.Attribute{
-		dataset.NominalAttr("outlook", "sunny", "overcast", "rainy"),
-		dataset.NominalAttr("temperature", "hot", "mild", "cool"),
-		dataset.NominalAttr("humidity", "high", "normal"),
-		dataset.NominalAttr("windy", "false", "true"),
+		dataset.NumericAttr("outlook"),
+		dataset.NumericAttr("temperature"),
+		dataset.NumericAttr("humidity"),
+		dataset.NumericAttr("windy"),
 	}, []string{"no", "yes"})
 	rows := []struct {
 		o, te, h, w float64
@@ -141,20 +145,22 @@ func TestFitXORIsMyopic(t *testing.T) {
 	}
 }
 
+// TestFitWeather fits Quinlan's weather data with binary cuts on the
+// coded attributes: the root splits on humidity, under it a cut on
+// outlook isolates the sunny days (all no), and the unpruned tree
+// with MinLeaf 1 classifies every day right.
 func TestFitWeather(t *testing.T) {
 	d := weatherDataset()
-	model, err := Learner{Config: Config{NoPrune: true}}.FitTree(d)
+	model, err := Learner{Config: Config{NoPrune: true, MinLeaf: 1}}.FitTree(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// C4.5 famously splits the weather data on outlook first.
-	if model.Root.IsLeaf() || model.Root.Attr != 0 {
-		t.Errorf("root attr = %d, want outlook(0)", model.Root.Attr)
+	if model.Root.IsLeaf() || model.Root.Attr != 2 {
+		t.Fatalf("root attr = %d, want humidity(2)", model.Root.Attr)
 	}
-	// The overcast branch is pure "yes".
-	overcast := model.Root.Children[1]
-	if !overcast.IsLeaf() || overcast.Class != 1 {
-		t.Errorf("overcast branch should be a pure yes leaf")
+	sunny := model.Root.Children[0].Children[0]
+	if model.Root.Children[0].Attr != 0 || !sunny.IsLeaf() || sunny.Class != 0 {
+		t.Errorf("high humidity should split on outlook into a pure sunny no leaf")
 	}
 	if acc := resubAccuracy(t, model, d); acc != 1 {
 		t.Errorf("unpruned weather accuracy = %.3f, want 1", acc)
@@ -242,64 +248,74 @@ func TestSizeLeavesDepthConsistency(t *testing.T) {
 	}
 }
 
-func TestDistributionSumsToOne(t *testing.T) {
+// TestClassifyIsLeafArgmax: Classify descends to one leaf and returns
+// the argmax of its training distribution, ties to the lower class, or
+// the leaf's Class when the distribution is empty.
+func TestClassifyIsLeafArgmax(t *testing.T) {
 	d := andDataset(300, 10)
-	model, err := Learner{}.FitTree(d)
+	model, err := Learner{Config: Config{MinLeaf: 1, NoPrune: true}}.FitTree(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		dist := model.Distribution(d.Instances[i].Values)
-		sum := 0.0
-		for _, p := range dist {
-			sum += p
+	for i := range d.Instances {
+		vs := d.Instances[i].Values
+		n := model.Root
+		for !n.IsLeaf() {
+			if vs[n.Attr] <= n.Threshold {
+				n = n.Children[0]
+			} else {
+				n = n.Children[1]
+			}
 		}
-		if sum < 0.999 || sum > 1.001 {
-			t.Fatalf("distribution sums to %v", sum)
+		if got, want := model.Classify(vs), argmax(n.Dist); got != want {
+			t.Fatalf("instance %d: Classify %d, leaf argmax %d", i, got, want)
 		}
+	}
+	leaf := func(class int, dist ...float64) *Node { return &Node{Attr: -1, Class: class, Dist: dist} }
+	hand := &Tree{
+		Attrs:       []dataset.Attribute{dataset.NumericAttr("x")},
+		ClassValues: []string{"a", "b", "c"},
+		Root: &Node{Attr: 0, Threshold: 0, Children: []*Node{
+			leaf(2, 0, 0, 0), // empty: its Class
+			leaf(2, 1, 3, 3), // tie: the lower class
+		}},
+	}
+	if got := hand.Classify([]float64{-1}); got != 2 {
+		t.Errorf("empty leaf: class %d, want its Class 2", got)
+	}
+	if got := hand.Classify([]float64{1}); got != 1 {
+		t.Errorf("tied leaf: class %d, want the lower class 1", got)
 	}
 }
 
+// A NaN value (which no training row holds) fails the <= test and
+// takes the > branch to one leaf; classification still returns a valid
+// class.
 func TestClassifyMissingValue(t *testing.T) {
 	d := thresholdDataset(300, 0.5, 11)
 	model, err := Learner{}.FitTree(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Missing split value: classification must still return a valid
-	// class via fractional descent.
-	got := model.Classify([]float64{dataset.Missing, 0.5})
-	if got != 0 && got != 1 {
-		t.Fatalf("class = %d", got)
+	if model.Root.IsLeaf() {
+		t.Fatal("tree degenerated to a leaf")
+	}
+	got := model.Classify([]float64{math.NaN(), 0.5})
+	if want := model.Classify([]float64{math.Inf(1), 0.5}); got != want {
+		t.Fatalf("NaN class %d, want the +Inf class %d", got, want)
 	}
 }
 
+// The training domain has no missing values: FitTree refuses a dataset
+// that holds NaN, here written past Add, with dataset.ErrNaN.
 func TestFitWithMissingValues(t *testing.T) {
-	// The general (weighted) path handles missing values end to end.
 	d := thresholdDataset(400, 0.5, 12)
-	rng := stats.NewRNG(13)
-	for i := range d.Instances {
-		if rng.Float64() < 0.1 {
-			d.Instances[i].Values[1] = dataset.Missing
-		}
+	d.Instances[7].Values[1] = math.NaN()
+	if _, err := (Learner{}).FitTree(d); !errors.Is(err, dataset.ErrNaN) {
+		t.Fatalf("FitTree on NaN data: err = %v, want dataset.ErrNaN", err)
 	}
-	model, err := Learner{}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := resubAccuracy(t, model, d); acc < 0.98 {
-		t.Errorf("accuracy with missing distractor = %.3f", acc)
-	}
-	// Missing values on the split attribute itself.
-	for i := 0; i < 40; i++ {
-		d.Instances[i].Values[0] = dataset.Missing
-	}
-	model, err = Learner{}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := resubAccuracy(t, model, d); acc < 0.85 {
-		t.Errorf("accuracy with missing split attr = %.3f", acc)
+	if err := d.Add(dataset.Instance{Values: []float64{math.NaN(), 0}, Class: 0}); !errors.Is(err, dataset.ErrNaN) {
+		t.Fatalf("Add of a NaN row: err = %v, want dataset.ErrNaN", err)
 	}
 }
 
@@ -310,7 +326,7 @@ func TestStringRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := model.String()
-	for _, want := range []string{"outlook = sunny", "outlook = overcast", ": yes", ": no"} {
+	for _, want := range []string{"outlook <= 0", "outlook > 0", ": yes", ": no"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendering missing %q:\n%s", want, s)
 		}
@@ -324,44 +340,59 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// Every training row weighs 1: Add refuses a heavier row, and FitTree
+// refuses one written past Add, with dataset.ErrWeight.
 func TestWeightedInstances(t *testing.T) {
-	// A heavily weighted minority flips the majority class.
 	d := dataset.New("w", []dataset.Attribute{dataset.NumericAttr("x")}, []string{"a", "b"})
 	for i := 0; i < 10; i++ {
 		d.MustAdd(dataset.Instance{Values: []float64{0.5}, Class: 0, Weight: 1})
 	}
-	d.MustAdd(dataset.Instance{Values: []float64{0.5}, Class: 1, Weight: 100})
-	model, err := Learner{}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
+	if err := d.Add(dataset.Instance{Values: []float64{0.5}, Class: 1, Weight: 100}); !errors.Is(err, dataset.ErrWeight) {
+		t.Fatalf("Add of weight 100: err = %v, want dataset.ErrWeight", err)
 	}
-	if model.Classify([]float64{0.5}) != 1 {
-		t.Fatal("instance weights must drive the majority")
+	d.Instances[3].Weight = 100
+	if _, err := (Learner{}).FitTree(d); !errors.Is(err, dataset.ErrWeight) {
+		t.Fatalf("FitTree on a weight-100 row: err = %v, want dataset.ErrWeight", err)
 	}
 }
 
+// TestGainRatioVsPlainGain: a cut isolating a small pure group (b) has
+// less gain than a balanced, noisy cut (a) but a higher gain ratio, and
+// a weak third attribute (c) keeps b above the average-gain gate. Gain
+// ratio picks b, plain gain picks a.
 func TestGainRatioVsPlainGain(t *testing.T) {
-	// An id-like nominal attribute (many values, each nearly unique)
-	// seduces plain gain; gain ratio resists it.
-	d := dataset.New("id", []dataset.Attribute{
-		dataset.NominalAttr("id", "a", "b", "c", "d", "e", "f", "g", "h"),
-		dataset.NumericAttr("x"),
-	}, []string{"no", "yes"})
-	rng := stats.NewRNG(21)
-	for i := 0; i < 240; i++ {
-		x := rng.Float64()
-		class := 0
-		if x > 0.5 {
+	d := dataset.New("gr", []dataset.Attribute{
+		dataset.NumericAttr("a"),
+		dataset.NumericAttr("b"),
+		dataset.NumericAttr("c"),
+	}, []string{"neg", "pos"})
+	for i := 0; i < 100; i++ {
+		pos := (i >= 50) != (i%5 == 0)
+		class, b, c := 0, 0.0, 0.0
+		if pos {
 			class = 1
 		}
-		d.MustAdd(dataset.Instance{Values: []float64{float64(i % 8), x}, Class: class, Weight: 1})
+		if pos && i > 50 && i < 80 && i%2 == 1 {
+			b = 1
+		}
+		if i < 8 {
+			c = 1
+		}
+		d.MustAdd(dataset.Instance{Values: []float64{float64(i), b, c}, Class: class, Weight: 1})
 	}
 	gr, err := Learner{Config: Config{NoPrune: true}}.FitTree(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gr.Root.Attr != 1 {
-		t.Errorf("gain ratio root = attr %d, want x(1)", gr.Root.Attr)
+		t.Errorf("gain ratio root = attr %d, want b(1)", gr.Root.Attr)
+	}
+	plain, err := Learner{Config: Config{NoPrune: true, PlainGain: true}}.FitTree(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Root.Attr != 0 {
+		t.Errorf("plain gain root = attr %d, want a(0)", plain.Root.Attr)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"edem/internal/dataset"
@@ -81,9 +82,6 @@ func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if v.HasMissing() {
-			t.Fatalf("%s: view lost its sort orders", tc.name)
-		}
 		want := fitGeneral(Config{}, v.Materialize())
 		got, err := (Learner{}).FitTreeView(v)
 		if err != nil {
@@ -95,79 +93,36 @@ func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 	}
 }
 
-// A view over a store with missing values must fall back to the general
-// fractional-weight builder and still match FitTree.
-func TestFitTreeViewMissingFallback(t *testing.T) {
-	d := mixedDataset(200, 23)
-	for i := 0; i < 200; i += 9 {
-		d.Instances[i].Values[0] = dataset.Missing
+// A class domain wider than a byte is refused, since the counting
+// builder keeps one class byte per row; one of exactly 256 classes
+// fits, and matches the general builder.
+func TestFitTreeViewRefusesManyClasses(t *testing.T) {
+	fit := func(nClasses int) (*Tree, *dataset.Dataset, error) {
+		classes := make([]string, nClasses)
+		for i := range classes {
+			classes[i] = fmt.Sprintf("c%d", i)
+		}
+		d := dataset.New("wide-classes", []dataset.Attribute{dataset.NumericAttr("x")}, classes)
+		rng := stats.NewRNG(26)
+		for i := 0; i < 2000; i++ {
+			x := rng.Float64()
+			d.MustAdd(dataset.Instance{Values: []float64{x}, Class: int(x*float64(nClasses)) % nClasses, Weight: 1})
+		}
+		tr, err := (Learner{Config: Config{MinLeaf: 1}}).FitTreeView(dataset.NewStore(d, nil).IdentityView())
+		return tr, d, err
 	}
-	d.InvalidateMissing()
-	want, err := (Learner{}).FitTree(d)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := fit(maxFastClasses + 1); err == nil || !strings.Contains(err.Error(), "more than 256 classes") {
+		t.Fatalf("257 classes: err = %v, want a refusal", err)
 	}
-	st := dataset.NewStore(d, nil)
-	v := st.IdentityView()
-	if !v.HasMissing() {
-		t.Fatal("view must report missing values")
-	}
-	got, err := (Learner{}).FitTreeView(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nodesEqual(want.Root, got.Root) {
-		t.Fatal("fallback tree diverges from instance-based tree")
-	}
-}
-
-// A class domain wider than a byte must fall back to the general
-// builder, since the counting builder keeps one class byte per row.
-func TestFitTreeViewManyClassesFallback(t *testing.T) {
-	classes := make([]string, maxFastClasses+44)
-	for i := range classes {
-		classes[i] = fmt.Sprintf("c%d", i)
-	}
-	d := dataset.New("wide-classes", []dataset.Attribute{dataset.NumericAttr("x")}, classes)
-	rng := stats.NewRNG(26)
-	for i := 0; i < 2000; i++ {
-		x := rng.Float64()
-		d.MustAdd(dataset.Instance{Values: []float64{x}, Class: int(x*float64(len(classes))) % len(classes), Weight: 1})
-	}
-	got, err := (Learner{Config: Config{MinLeaf: 1}}).FitTreeView(dataset.NewStore(d, nil).IdentityView())
+	got, d, err := fit(maxFastClasses)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !nodesEqual(got.Root, fitGeneral(Config{MinLeaf: 1}, d)) {
-		t.Fatal("a 300-class view diverges from the general builder")
+		t.Fatal("a 256-class view diverges from the general builder")
 	}
 	if got.Root.IsLeaf() {
-		t.Fatal("the 300-class tree must split")
-	}
-}
-
-// FitTree must route missing-valued data through the general builder
-// even when the cached answer was computed before the data existed —
-// pinning the cache-maintenance contract of dataset.Add.
-func TestFitTreeMissingFallbackAfterAdd(t *testing.T) {
-	d := mixedDataset(100, 24)
-	if d.HasMissing() {
-		t.Fatal("unexpected missing values")
-	}
-	vals := make([]float64, len(d.Attrs))
-	vals[0] = dataset.Missing
-	vals[2] = 0
-	d.MustAdd(dataset.Instance{Values: vals, Class: 0, Weight: 1})
-	if !d.HasMissing() {
-		t.Fatal("Add must maintain the missing cache")
-	}
-	general := fitGeneral(Config{}, d)
-	got, err := (Learner{}).FitTree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nodesEqual(general, got.Root) {
-		t.Fatal("FitTree did not use the general builder for missing data")
+		t.Fatal("the 256-class tree must split")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // ZOFI spirit: cost at compile, not per evaluation).
 //
 // The compiled form is required to be bit-identical to the interpreted
-// Predicate.Eval on every input, including NaN (missing) values, ±Inf
+// Predicate.Eval on every input, including NaN values, ±Inf
 // thresholds and state vectors whose length disagrees with the
 // predicate's arity. Atoms have no side effects, so the value of the
 // disjunction does not depend on the order its atoms are tested in,
@@ -179,8 +179,8 @@ func (t *trieNode) flatten(nodes []node) []node {
 }
 
 // Eval runs the compiled program over a state vector. It is
-// bit-identical to the interpreted Predicate.Eval: NaN values (the
-// missing marker) fail every atom, as do indices outside the vector.
+// bit-identical to the interpreted Predicate.Eval: NaN values fail
+// every atom, as do indices outside the vector.
 // Zero allocations per call.
 func (p *Program) Eval(values []float64) bool {
 	if p.vacuous {

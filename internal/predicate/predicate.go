@@ -24,7 +24,6 @@ import (
 	"math"
 	"strings"
 
-	"edem/internal/dataset"
 	"edem/internal/mining/tree"
 )
 
@@ -35,8 +34,8 @@ type Op int
 const (
 	LE Op = iota + 1 // value <= threshold
 	GT               // value >  threshold
-	EQ               // nominal equality
-	NE               // nominal inequality
+	EQ               // value == threshold; FromTree never emits it
+	NE               // value != threshold; FromTree never emits it
 )
 
 // String returns the surface syntax of the operator.
@@ -86,19 +85,18 @@ type Atom struct {
 	// Index is the variable's position in the sampled state vector.
 	Index int `json:"index"`
 	Op    Op  `json:"op"`
-	// Threshold is the numeric bound (LE/GT) or the nominal value index
-	// (EQ/NE).
+	// Threshold is the bound (LE/GT) or the compared value (EQ/NE).
 	Threshold float64 `json:"threshold"`
 }
 
-// Eval tests the atom against a state vector. Missing values fail every
+// Eval tests the atom against a state vector. A NaN value fails every
 // atom (a detector cannot flag what it cannot read).
 func (a Atom) Eval(values []float64) bool {
 	if a.Index < 0 || a.Index >= len(values) {
 		return false
 	}
 	v := values[a.Index]
-	if dataset.IsMissing(v) {
+	if math.IsNaN(v) {
 		return false
 	}
 	switch a.Op {
@@ -180,16 +178,11 @@ func FromTree(t *tree.Tree, positiveClass int, name string) (*Predicate, error) 
 		}
 		attr := t.Attrs[n.Attr]
 		for i, ch := range n.Children {
-			var atom Atom
-			if attr.Type == dataset.Numeric {
-				op := LE
-				if i == 1 {
-					op = GT
-				}
-				atom = Atom{Var: attr.Name, Index: n.Attr, Op: op, Threshold: n.Threshold}
-			} else {
-				atom = Atom{Var: attr.Name, Index: n.Attr, Op: EQ, Threshold: float64(i)}
+			op := LE
+			if i == 1 {
+				op = GT
 			}
+			atom := Atom{Var: attr.Name, Index: n.Attr, Op: op, Threshold: n.Threshold}
 			next := make(Clause, len(path), len(path)+1)
 			copy(next, path)
 			next = append(next, atom)

@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ func trainTree(t testing.TB, n int, seed uint64) (*tree.Tree, *dataset.Dataset) 
 	d := dataset.New("train", []dataset.Attribute{
 		dataset.NumericAttr("a"),
 		dataset.NumericAttr("b"),
-		dataset.NominalAttr("mode", "m0", "m1", "m2"),
+		dataset.NumericAttr("mode"),
 	}, []string{"nonfailure", "failure"})
 	rng := stats.NewRNG(seed)
 	for i := 0; i < n; i++ {
@@ -35,8 +36,8 @@ func trainTree(t testing.TB, n int, seed uint64) (*tree.Tree, *dataset.Dataset) 
 }
 
 // TestPredicateMatchesTree is the core extraction property: for every
-// complete (non-missing) instance, the predicate fires exactly when the
-// tree predicts the positive class.
+// training instance, the predicate fires exactly when the tree predicts
+// the positive class.
 func TestPredicateMatchesTree(t *testing.T) {
 	model, d := trainTree(t, 600, 1)
 	pred, err := FromTree(model, 1, "demo")
@@ -158,9 +159,9 @@ func TestAtomEval(t *testing.T) {
 			t.Errorf("%v on %v = %v", tt.atom, tt.val, got)
 		}
 	}
-	// Missing values and out-of-range indices never fire.
-	if (Atom{Index: 0, Op: LE, Threshold: 5}).Eval([]float64{dataset.Missing}) {
-		t.Error("missing value fired an atom")
+	// NaN values and out-of-range indices never fire.
+	if (Atom{Index: 0, Op: LE, Threshold: 5}).Eval([]float64{math.NaN()}) {
+		t.Error("NaN value fired an atom")
 	}
 	if (Atom{Index: 3, Op: LE, Threshold: 5}).Eval([]float64{1}) {
 		t.Error("out-of-range index fired an atom")

@@ -20,9 +20,11 @@ var ErrNoRecords = errors.New("propane: campaign has no sampled records")
 
 // ToDataset converts a campaign into a mining dataset: one instance per
 // sampled injected run, attributes the module's variables, class
-// failure / nonfailure. Non-finite sampled values (NaN/Inf produced by
-// corrupted floating-point state) are clamped to large sentinels so the
-// learners see them as extreme but ordered magnitudes.
+// failure / nonfailure. Its output is the whole training domain:
+// numeric attributes, no NaN, every row of weight 1. Non-finite sampled
+// values (NaN/Inf produced by corrupted floating-point state) are
+// clamped to ±1e308 so the learners see them as extreme but ordered
+// magnitudes: NaN and +Inf to +1e308, -Inf to -1e308.
 //
 // Campaigns run under a non-transient fault model additionally carry
 // three fault-model attributes (fault_model as the Model ordinal,
@@ -80,9 +82,8 @@ const finiteBound = 1e308
 func finite(v float64) float64 {
 	switch {
 	case math.IsNaN(v):
-		// NaN carries no ordering; map it beyond the positive sentinel
-		// region is ambiguous, so use the positive bound: a NaN state is
-		// as anomalous as an overflowed one.
+		// NaN has no place in the order, so it takes the positive
+		// bound: a NaN state is as anomalous as an overflowed one.
 		return finiteBound
 	case math.IsInf(v, 1):
 		return finiteBound
