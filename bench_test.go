@@ -195,7 +195,7 @@ func BenchmarkValidation_DeployedDetector(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		val, err := core.ValidateDetector(context.Background(), "MG-B1", pred, opts)
+		val, err := core.Confirm(context.Background(), "MG-B1", pred, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -74,8 +74,6 @@ func run(args []string) error {
 		return cmdLifecycle(rest)
 	case "bench-serve":
 		return cmdBenchServe(rest)
-	case "latency":
-		return cmdLatency(rest)
 	case "list":
 		return cmdList()
 	case "help", "-h", "--help":
@@ -105,7 +103,7 @@ commands:
   run       -dataset ID [-full]                           run Steps 1-4 on one dataset
   tree      -dataset ID                                   print the induced tree (Figure 2)
   inject    -dataset ID [-log F] [-arff F]                run Step 1, dump PROPANE log / ARFF
-  validate  -dataset ID [-full]                           learn, deploy and re-validate a detector
+  validate  -dataset ID [-full] [-pred FILE]              deploy a detector, re-validate it and trace its latency
   export    -dataset ID[,ID...]|-all -out FILE [-full]    learn predicates and write a detector bundle
   serve     -bundle FILE [-addr HOST:PORT] [-queue N]     serve detector evaluations over HTTP/JSON
             [-deadline D] [-drain D] [-policy fail-open|fail-closed]
@@ -118,7 +116,6 @@ commands:
             promote: [-percent N]   rollback: [-reason S]  feedback: -detector ID -outcome L
   bench-serve -bundle FILE [-out FILE] [-duration D]      measure serving throughput/latency per codec
             [-conns N] [-batch N] [-detector ID] [-shadow] and evaluation mode, write BENCH_serve.json
-  latency   -dataset ID                                   trace detection latency of a learnt detector
   list                                                    list Table II dataset IDs
 
 common flags (all commands): -seed N -scale N -stride N -workers N -journal DIR
@@ -130,9 +127,9 @@ telemetry:  -metrics-out FILE   write a JSON metrics snapshot on exit
             -debug-addr ADDR    serve pprof + expvar (e.g. localhost:6060)
 
 With -journal DIR, every command that builds fault-injection datasets
-(tables, run, tree, inject, validate, latency) checkpoints
-campaigns to DIR/<dataset-id> and resumes whatever is already there, so
-a completed "edem campaign" journal makes Tables II-IV a pure replay.
+(tables, run, tree, inject, validate) checkpoints campaigns to
+DIR/<dataset-id> and resumes whatever is already there, so a completed
+"edem campaign" journal makes Tables II-IV a pure replay.
 "edem campaign" itself refuses an existing journal without -resume.
 `
 
@@ -741,17 +738,25 @@ func cmdValidate(args []string) error {
 		pred = rep.Predicate
 		cvTPR, cvFPR = rep.Refined.BestCV.MeanTPR, rep.Refined.BestCV.MeanFPR
 	}
-	val, err := core.ValidateDetector(ctx, *id, pred, *opts)
+	c, err := core.Confirm(ctx, *id, pred, *opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("re-validation across %d repeated injected runs:\n", val.Runs)
+	fmt.Printf("re-validation across %d repeated injected runs:\n", c.Runs)
 	if *predPath != "" {
-		fmt.Printf("  deployed TPR=%.4f FPR=%.2e\n", val.Counts.TPR(), val.Counts.FPR())
+		fmt.Printf("  deployed TPR=%.4f FPR=%.2e\n", c.Counts.TPR(), c.Counts.FPR())
 	} else {
 		fmt.Printf("  deployed TPR=%.4f FPR=%.2e  (CV estimates: TPR=%.4f FPR=%.2e)\n",
-			val.Counts.TPR(), val.Counts.FPR(), cvTPR, cvFPR)
+			c.Counts.TPR(), c.Counts.FPR(), cvTPR, cvFPR)
 	}
+	fmt.Printf("latency for %s: %d failures traced\n", *id, c.Failures)
+	detected := 0.0
+	if c.Failures > 0 {
+		detected = 100 * float64(c.Detected) / float64(c.Failures)
+	}
+	fmt.Printf("  detected %d (%.1f%%), missed %d\n", c.Detected, detected, c.Missed)
+	fmt.Printf("  mean detection latency %.2f activations (max %d, %.1f%% immediate)\n",
+		c.MeanLatency, c.MaxLatency, 100*c.ImmediateRate)
 	return nil
 }
 
@@ -916,39 +921,6 @@ func cmdServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "serving %d detectors on http://%s/ (policy %s, queue %d, deadline %v)\n",
 			len(s.Detectors()), a, pol, *queue, *deadline)
 	})
-}
-
-func cmdLatency(args []string) error {
-	fs := flag.NewFlagSet("latency", flag.ContinueOnError)
-	id := fs.String("dataset", "MG-B1", "Table II dataset ID")
-	opts, tel := commonOpts(fs)
-	if err := parseArgs(fs, args, opts, tel); err != nil {
-		return err
-	}
-	defer tel.finish()
-	ctx := context.Background()
-	d, _, err := core.BuildDataset(ctx, *id, *opts)
-	if err != nil {
-		return err
-	}
-	t, err := core.DefaultLearner().FitTree(d)
-	if err != nil {
-		return err
-	}
-	pred, err := predicate.FromTree(t, eval.PositiveClass, *id)
-	if err != nil {
-		return err
-	}
-	res, err := core.MeasureLatency(ctx, *id, pred, *opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("latency for %s: %d failures traced\n", *id, res.Failures)
-	fmt.Printf("  detected %d (%.1f%%), missed %d\n",
-		res.Detected, 100*float64(res.Detected)/float64(res.Failures), res.Missed)
-	fmt.Printf("  mean detection latency %.2f activations (max %d, %.1f%% immediate)\n",
-		res.MeanLatency, res.MaxLatency, 100*res.ImmediateRate)
-	return nil
 }
 
 func cmdList() error {

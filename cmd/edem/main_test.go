@@ -154,3 +154,19 @@ func TestCmdValidateRefusesUncompilable(t *testing.T) {
 		t.Fatalf("validate -pred = %v, want a compile error", err)
 	}
 }
+
+// TestCmdValidateRefusesForeignPredicate checks that `edem validate
+// -pred` refuses a predicate learnt for another dataset, whose
+// variables are not the campaign's, instead of scoring it.
+func TestCmdValidateRefusesForeignPredicate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mg.json")
+	mg := `{"name":"MG-B1","vars":["targetDB","gainDB","scale","clipCount","trackIndex"],` +
+		`"clauses":[[{"var":"targetDB","index":0,"op":"<=","threshold":81}]]}`
+	if err := os.WriteFile(path, []byte(mg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"validate", "-dataset", "KV-A2", "-pred", path, "-scale", "2", "-stride", "8"})
+	if err == nil || !strings.Contains(err.Error(), `reads "targetDB" at position 0`) {
+		t.Fatalf("validate -pred = %v, want a variable mismatch", err)
+	}
+}

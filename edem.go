@@ -17,7 +17,7 @@
 //     bundled dataset, grid-searching sampling treatments
 //     (undersampling, oversampling, SMOTE) for the best mean AUC
 //     (Table IV), and extracts the winning tree as a deployable
-//     predicate; edem.ValidateDetector and edem.NewDetector deploy it
+//     predicate; edem.Confirm and edem.NewDetector deploy it
 //     (§VII-D).
 //
 // The bundled target systems (7-Zip, FlightGear and Mp3Gain analogues)
@@ -52,8 +52,8 @@ type (
 	Report = core.Report
 	// SamplingConfig is one refinement grid point.
 	SamplingConfig = core.SamplingConfig
-	// ValidationResult is the §VII-D re-validation outcome.
-	ValidationResult = core.ValidationResult
+	// Confirmation is the §VII-D outcome: rates and detection latency.
+	Confirmation = core.Confirmation
 	// CampaignResult holds the injected-run records.
 	CampaignResult = propane.Campaign
 	// Dataset is the mining data model.
@@ -107,10 +107,11 @@ func RunMethodology(ctx context.Context, id string, grid []SamplingConfig, opts 
 	return core.RunMethodology(ctx, id, grid, opts)
 }
 
-// ValidateDetector re-runs fault injection on a fresh workload with the
-// predicate installed as a runtime assertion (§VII-D).
-func ValidateDetector(ctx context.Context, id string, pred *Predicate, opts Options) (*ValidationResult, error) {
-	return core.ValidateDetector(ctx, id, pred, opts)
+// Confirm repeats fault injection with the predicate installed as a
+// runtime assertion and traces every failing run to its first alarm
+// (§VII-D).
+func Confirm(ctx context.Context, id string, pred *Predicate, opts Options) (*Confirmation, error) {
+	return core.Confirm(ctx, id, pred, opts)
 }
 
 // NewDetector wraps a predicate as a runtime assertion probe at the

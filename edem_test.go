@@ -76,7 +76,7 @@ func TestFacadeDetectorLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	val, err := ValidateDetector(ctx, rep.ID, rep.Predicate, opts)
+	val, err := Confirm(ctx, rep.ID, rep.Predicate, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func run() error {
 
 	// Aggregate re-validation: repeat the fault injection experiments
 	// with the detector's verdicts recorded (paper §VII-D).
-	val, err := edem.ValidateDetector(ctx, rep.ID, rep.Predicate, opts)
+	val, err := edem.Confirm(ctx, rep.ID, rep.Predicate, opts)
 	if err != nil {
 		return err
 	}

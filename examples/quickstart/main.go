@@ -48,11 +48,13 @@ func run() error {
 
 	// Deploy the predicate as a runtime assertion and repeat the fault
 	// injection experiments (paper §VII-D).
-	val, err := edem.ValidateDetector(context.Background(), rep.ID, rep.Predicate, opts)
+	val, err := edem.Confirm(context.Background(), rep.ID, rep.Predicate, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("re-validation across %d repeated injected runs: TPR=%.4f FPR=%.2e\n",
 		val.Runs, val.Counts.TPR(), val.Counts.FPR())
+	fmt.Printf("detection latency over %d failing runs: %d detected, mean %.2f activations (max %d)\n",
+		val.Failures, val.Detected, val.MeanLatency, val.MaxLatency)
 	return nil
 }

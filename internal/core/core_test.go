@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"edem/internal/mining/eval"
-	"edem/internal/predicate"
 	"edem/internal/propane"
 )
 
@@ -188,7 +187,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// Re-validation on a fresh workload: rates must be commensurate
 	// with cross-validation (paper §VII-D).
-	val, err := ValidateDetector(context.Background(), rep.ID, rep.Predicate, opts)
+	val, err := Confirm(context.Background(), rep.ID, rep.Predicate, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,57 +270,12 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestValidationCounts(t *testing.T) {
-	// eval.BinaryCounts arithmetic on the validation path.
-	var v ValidationResult
+	// eval.BinaryCounts arithmetic on the confirmation path.
+	var v Confirmation
 	v.Counts = eval.BinaryCounts{TP: 9, FN: 1, FP: 0, TN: 90}
 	if v.Counts.TPR() != 0.9 || v.Counts.FPR() != 0 {
 		t.Fatal("counts arithmetic")
 	}
-}
-
-// TestMeasureLatency traces every failing run of a small campaign with
-// a learnt detector installed and checks the latency accounting.
-func TestMeasureLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tracing campaign; skipped in -short mode")
-	}
-	opts := DefaultOptions()
-	opts.TestCases = 3
-	opts.BitStride = 8
-	ctx := context.Background()
-	d, _, err := BuildDataset(ctx, "MG-B1", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := DefaultLearner().FitTree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := predicate.FromTree(tr, eval.PositiveClass, "MG-B1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := MeasureLatency(ctx, "MG-B1", pred, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failures == 0 {
-		t.Fatal("no failures traced")
-	}
-	if res.Detected+res.Missed != res.Failures {
-		t.Fatalf("accounting: %d + %d != %d", res.Detected, res.Missed, res.Failures)
-	}
-	if res.Detected == 0 {
-		t.Fatal("detector found nothing")
-	}
-	if res.MeanLatency < 0 || float64(res.MaxLatency) < res.MeanLatency {
-		t.Fatalf("latency stats inconsistent: mean %v max %d", res.MeanLatency, res.MaxLatency)
-	}
-	if res.ImmediateRate < 0 || res.ImmediateRate > 1 {
-		t.Fatalf("immediate rate = %v", res.ImmediateRate)
-	}
-	t.Logf("failures=%d detected=%d missed=%d meanLat=%.2f maxLat=%d immediate=%.2f",
-		res.Failures, res.Detected, res.Missed, res.MeanLatency, res.MaxLatency, res.ImmediateRate)
 }
 
 // TestRangeCheckEAComparison measures the paper's headline contrast:

@@ -18,6 +18,10 @@ const (
 // ErrNoRecords reports a campaign with no usable (sampled) records.
 var ErrNoRecords = errors.New("propane: campaign has no sampled records")
 
+// FaultAttrs names the fault-model attributes ToDataset appends, in
+// order, after the module's variables.
+var FaultAttrs = [...]string{"fault_model", "fault_width", "fault_persist"}
+
 // ToDataset converts a campaign into a mining dataset: one instance per
 // sampled injected run, attributes the module's variables, class
 // failure / nonfailure. Its output is the whole training domain:
@@ -40,10 +44,9 @@ func ToDataset(c *Campaign) (*dataset.Dataset, error) {
 		attrs[i] = dataset.NumericAttr(name)
 	}
 	if faultAttrs {
-		attrs = append(attrs,
-			dataset.NumericAttr("fault_model"),
-			dataset.NumericAttr("fault_width"),
-			dataset.NumericAttr("fault_persist"))
+		for _, name := range FaultAttrs {
+			attrs = append(attrs, dataset.NumericAttr(name))
+		}
 	}
 	d := dataset.New(c.Spec.Dataset, attrs, []string{ClassNonFailure, ClassFailure})
 	for i := range c.Records {

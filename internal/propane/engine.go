@@ -385,36 +385,32 @@ func RunGolden(target Target, tc TestCase) (any, error) {
 // provoked by the injected corruption are data (Record.Crashed), not
 // failures of the campaign machinery.
 func RunJob(target Target, spec Spec, mod ModuleInfo, tc TestCase, golden any, j Job) Record {
-	return runInjected(target, spec, mod, tc, golden, j.Var, j.Bit, j.Time)
+	p := newInjectProbe(spec, mod.Vars[j.Var].Name, j.Bit, j.Time)
+	return runInjected(target, tc, golden, p, p)
 }
 
-// runInjected performs one injected run and classifies the outcome.
-func runInjected(target Target, spec Spec, mod ModuleInfo, tc TestCase, golden any, varIdx, bit, injTime int) Record {
-	probe := &injectProbe{
-		module:   spec.Module,
-		injectAt: spec.InjectAt,
-		sampleAt: spec.SampleAt,
-		injTime:  injTime,
-		varName:  mod.Vars[varIdx].Name,
-		bit:      bit,
-		fault:    spec.Fault.Normalized(),
-	}
-	out, err := runSafely(target, tc, probe)
-	rec := Record{
-		TestCase:      tc.ID,
-		Var:           mod.Vars[varIdx].Name,
-		Bit:           bit,
-		InjectionTime: injTime,
-		State:         probe.state,
-		Injected:      probe.injected,
-		Sampled:       probe.sampled,
-		FlipErr:       probe.flipErr,
-	}
+// FirstAlarm re-executes job j exactly as RunJob does, with a detector
+// installed at the sampling location behind the injector: from the
+// visit that takes the record's sample on, alarm sees the module state
+// at every visit of spec.SampleAt until it first returns true. It
+// returns the record and the index of the first alarming visit (0 is
+// the sampled state itself), or -1 if alarm never fired. The slice
+// passed to alarm is reused between calls.
+func FirstAlarm(target Target, spec Spec, mod ModuleInfo, tc TestCase, golden any, j Job, alarm func([]float64) bool) (Record, int) {
+	p := &alarmProbe{inner: newInjectProbe(spec, mod.Vars[j.Var].Name, j.Bit, j.Time), alarm: alarm, first: -1}
+	return runInjected(target, tc, golden, p.inner, p), p.first
+}
+
+// runInjected runs tc with visitor, which is p itself or a probe that
+// wraps it, and classifies the outcome of p's injection.
+func runInjected(target Target, tc TestCase, golden any, p *injectProbe, visitor Probe) Record {
+	out, err := runSafely(target, tc, visitor)
+	rec := p.record(tc.ID, p.injTime)
 	switch {
 	case err != nil:
 		rec.Crashed = true
-		rec.Failure = probe.injected
-	case probe.injected:
+		rec.Failure = p.injected
+	case p.injected:
 		rec.Failure = target.Failed(tc, golden, out)
 	}
 	return rec
@@ -472,6 +468,35 @@ type injectProbe struct {
 }
 
 var _ Probe = (*injectProbe)(nil)
+
+// newInjectProbe returns the injector of one cell of spec: varName's
+// bit under spec's fault model at activation injTime.
+func newInjectProbe(spec Spec, varName string, bit, injTime int) *injectProbe {
+	return &injectProbe{
+		module:   spec.Module,
+		injectAt: spec.InjectAt,
+		sampleAt: spec.SampleAt,
+		injTime:  injTime,
+		varName:  varName,
+		bit:      bit,
+		fault:    spec.Fault.Normalized(),
+	}
+}
+
+// record returns what the probe observed of its run; the caller
+// classifies Failure and Crashed from the run's outcome.
+func (p *injectProbe) record(tcID, injTime int) Record {
+	return Record{
+		TestCase:      tcID,
+		Var:           p.varName,
+		Bit:           p.bit,
+		InjectionTime: injTime,
+		State:         p.state,
+		Injected:      p.injected,
+		Sampled:       p.sampled,
+		FlipErr:       p.flipErr,
+	}
+}
 
 func (p *injectProbe) Visit(module string, loc Location, vars []VarRef) {
 	if module != p.module {
@@ -562,4 +587,34 @@ func (p *injectProbe) sample(vars []VarRef) {
 		p.state[i] = v.Read()
 	}
 	p.sampled = true
+}
+
+// alarmProbe is a detector installed behind an injectProbe, the
+// paper's §VII-D deployment: the injector acts first, then alarm is
+// evaluated on the module state at the visit that takes the sample and
+// at every later visit of the sampling location, until it first fires.
+// The injector itself is untouched, so the run and its record are the
+// campaign's.
+type alarmProbe struct {
+	inner  *injectProbe
+	alarm  func([]float64) bool
+	state  []float64 // reused by every evaluation
+	visits int       // sampling-location visits evaluated so far
+	first  int       // index of the first alarm, -1 before it
+}
+
+func (p *alarmProbe) Visit(module string, loc Location, vars []VarRef) {
+	in := p.inner
+	in.Visit(module, loc, vars)
+	if p.first >= 0 || !in.sampled || module != in.module || loc != in.sampleAt {
+		return
+	}
+	p.state = p.state[:0]
+	for _, v := range vars {
+		p.state = append(p.state, v.Read())
+	}
+	if p.alarm(p.state) {
+		p.first = p.visits
+	}
+	p.visits++
 }

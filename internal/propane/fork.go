@@ -368,15 +368,7 @@ func (f *ForkRunner) runForked(tcIdx int, tc TestCase, golden any, j Job) (Recor
 
 	// The resumed visit stream starts exactly at the trigger visit, so
 	// the probe fires on its first activation.
-	probe := &injectProbe{
-		module:   f.spec.Module,
-		injectAt: f.spec.InjectAt,
-		sampleAt: f.spec.SampleAt,
-		injTime:  1,
-		varName:  f.mod.Vars[j.Var].Name,
-		bit:      j.Bit,
-		fault:    f.spec.Fault.Normalized(),
-	}
+	probe := newInjectProbe(f.spec, f.mod.Vars[j.Var].Name, j.Bit, 1)
 
 	var (
 		memoV   *verdict
@@ -413,16 +405,7 @@ func (f *ForkRunner) runForked(tcIdx int, tc TestCase, golden any, j Job) (Recor
 	out, err := runFromSafely(f.ft, col.base.Clone(), probe, ctl)
 	f.forked.Add(1)
 
-	rec := Record{
-		TestCase:      tc.ID,
-		Var:           f.mod.Vars[j.Var].Name,
-		Bit:           j.Bit,
-		InjectionTime: j.Time,
-		State:         probe.state,
-		Injected:      probe.injected,
-		Sampled:       probe.sampled,
-		FlipErr:       probe.flipErr,
-	}
+	rec := probe.record(tc.ID, j.Time)
 	switch {
 	case errors.Is(err, ErrConverged) && memoV != nil:
 		// An earlier cell of this column reached the same complete

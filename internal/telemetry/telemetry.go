@@ -6,9 +6,8 @@
 // Every instrumented layer — fault-injection campaigns (propane.Run),
 // preprocessing (core.Preprocess), cross-validation cells (core.Refine's
 // engine, which core.Baseline and core.CrossValidate share) and detector
-// re-validation (core.ValidateDetector) —
-// reports into whichever Registry is active. A Registry reaches the
-// pipeline one of two ways:
+// confirmation (core.Confirm) — reports into whichever Registry is
+// active. A Registry reaches the pipeline one of two ways:
 //
 //   - through context (WithRegistry), which scopes metrics to one
 //     pipeline invocation and makes concurrent runs independently
