@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edem/internal/mining/eval"
+	"edem/internal/predicate"
 	"edem/internal/propane"
 )
 
@@ -276,6 +277,52 @@ func TestValidationCounts(t *testing.T) {
 	if v.Counts.TPR() != 0.9 || v.Counts.FPR() != 0 {
 		t.Fatal("counts arithmetic")
 	}
+}
+
+// TestMeasureLatency confirms a learnt detector on a small campaign,
+// tracing every failing run to the first alarm, and checks the latency
+// accounting.
+func TestMeasureLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tracing campaign; skipped in -short mode")
+	}
+	opts := DefaultOptions()
+	opts.TestCases = 3
+	opts.BitStride = 8
+	ctx := context.Background()
+	d, _, err := BuildDataset(ctx, "MG-B1", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := DefaultLearner().FitTree(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := predicate.FromTree(tr, eval.PositiveClass, "MG-B1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Confirm(ctx, "MG-B1", pred, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failures == 0 {
+		t.Fatal("no failures traced")
+	}
+	if res.Detected+res.Missed != res.Failures {
+		t.Fatalf("accounting: %d + %d != %d", res.Detected, res.Missed, res.Failures)
+	}
+	if res.Detected == 0 {
+		t.Fatal("detector found nothing")
+	}
+	if res.MeanLatency < 0 || float64(res.MaxLatency) < res.MeanLatency {
+		t.Fatalf("latency stats inconsistent: mean %v max %d", res.MeanLatency, res.MaxLatency)
+	}
+	if res.ImmediateRate < 0 || res.ImmediateRate > 1 {
+		t.Fatalf("immediate rate = %v", res.ImmediateRate)
+	}
+	t.Logf("failures=%d detected=%d missed=%d meanLat=%.2f maxLat=%d immediate=%.2f",
+		res.Failures, res.Detected, res.Missed, res.MeanLatency, res.MaxLatency, res.ImmediateRate)
 }
 
 // TestRangeCheckEAComparison measures the paper's headline contrast:
