@@ -349,7 +349,7 @@ func BenchmarkMicro_PredicateEval(b *testing.B) {
 	}
 }
 
-func sinkTable(rows []core.Row) string { return core.FormatTable("bench", rows) }
+func sinkTable(rows []core.TableRow) string { return core.FormatTables(rows, 3) }
 
 // BenchmarkTables_EndToEnd regenerates Table III rows end to end
 // (campaign + preprocessing + cross-validation) for one dataset per
@@ -360,12 +360,12 @@ func BenchmarkTables_EndToEnd(b *testing.B) {
 		id := id
 		b.Run(id, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				row, err := core.Table3Row(context.Background(), id, opts)
+				rows, err := core.Tables(context.Background(), []string{id}, 3, false, opts, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				_ = sinkTable([]core.Row{row})
-				b.ReportMetric(row.AUC, "AUC")
+				_ = sinkTable(rows)
+				b.ReportMetric(rows[0].Baseline.AUC, "AUC")
 			}
 		})
 	}
@@ -553,7 +553,7 @@ func BenchmarkTables_ParallelRows(b *testing.B) {
 	opts := benchOpts()
 	ids := []string{"7Z-A1", "FG-B1", "MG-B1"}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Table3Rows(context.Background(), ids, opts, nil); err != nil {
+		if _, err := core.Tables(context.Background(), ids, 3, false, opts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,9 @@ package main
 import (
 	"context"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"edem/internal/serve"
@@ -57,5 +59,29 @@ func TestCmdExportThenServe(t *testing.T) {
 	}
 	if resp.Evaluated != 4 || len(resp.Verdicts) != 4 {
 		t.Fatalf("resp = %+v", resp)
+	}
+}
+
+// TestCmdExportRefusesIDsBeforeWork checks that `edem export` resolves
+// every dataset id and refuses duplicates before the first campaign:
+// the refusal prints no per-dataset progress line and writes no bundle.
+func TestCmdExportRefusesIDsBeforeWork(t *testing.T) {
+	for _, tc := range []struct{ ids, want string }{
+		{"MG-B1,MG-B1", "MG-B1 listed twice"},
+		{"MG-B1,XX-A1", "unknown system prefix"},
+	} {
+		out := filepath.Join(t.TempDir(), "bundle.json")
+		stderr, err := capture(t, &os.Stderr, func() error {
+			return run([]string{"export", "-dataset", tc.ids, "-out", out, "-scale", "2", "-stride", "16"})
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("export -dataset %s = %v, want %q", tc.ids, err, tc.want)
+		}
+		if stderr != "" {
+			t.Errorf("export -dataset %s printed before refusing:\n%s", tc.ids, stderr)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("export -dataset %s left a bundle (stat err %v)", tc.ids, err)
+		}
 	}
 }

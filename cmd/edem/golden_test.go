@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,26 +25,34 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 // the process-global fmt.Print*, so golden tests capture at that level.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
-	old := os.Stdout
+	out, err := capture(t, &os.Stdout, fn)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return out
+}
+
+// capture runs fn with *f (os.Stdout or os.Stderr) redirected into a
+// pipe and returns everything fn wrote there, and fn's error.
+func capture(t *testing.T, f **os.File, fn func() error) (string, error) {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	done := make(chan string)
 	go func() {
 		data, _ := io.ReadAll(r)
 		done <- string(data)
 	}()
 	ferr := fn()
-	os.Stdout = old
+	*f = old
 	w.Close()
 	out := <-done
 	r.Close()
-	if ferr != nil {
-		t.Fatalf("run: %v", ferr)
-	}
-	return out
+	return out, ferr
 }
 
 // goldenArgs pins the experiment scale of every golden run: small
@@ -54,13 +63,26 @@ func goldenArgs(table string) []string {
 	return []string{"tables", "-table", table, "-scale", "2", "-stride", "16", "-seed", "1"}
 }
 
-func testGoldenTable(t *testing.T, table string) {
+// testGoldenTable runs `edem tables -table N` and checks that it
+// prints the golden files of Tables II through N, joined by one blank
+// line: the tables hold no blank line of their own, so the output
+// splits back into them exactly.
+func testGoldenTable(t *testing.T, table int) {
 	if testing.Short() {
 		t.Skip("full table generation; skipped in -short mode")
 	}
 	defer parallel.SetBudget(0)
-	out := captureStdout(t, func() error { return run(goldenArgs(table)) })
-	checkGolden(t, "table"+table+".txt", out)
+	out := captureStdout(t, func() error { return run(goldenArgs(strconv.Itoa(table))) })
+	tables := strings.Split(out, "\n\n")
+	if len(tables) != table-1 {
+		t.Fatalf("-table %d printed %d tables, want %d:\n%s", table, len(tables), table-1, out)
+	}
+	for i, text := range tables {
+		if i < len(tables)-1 {
+			text += "\n"
+		}
+		checkGolden(t, fmt.Sprintf("table%d.txt", i+2), text)
+	}
 }
 
 // checkGolden compares got with testdata/golden/name, or rewrites the
@@ -110,9 +132,9 @@ func diffLines(want, got string) string {
 	return sb.String()
 }
 
-func TestGoldenTable2(t *testing.T) { testGoldenTable(t, "2") }
-func TestGoldenTable3(t *testing.T) { testGoldenTable(t, "3") }
-func TestGoldenTable4(t *testing.T) { testGoldenTable(t, "4") }
+func TestGoldenTable2(t *testing.T) { testGoldenTable(t, 2) }
+func TestGoldenTable3(t *testing.T) { testGoldenTable(t, 3) }
+func TestGoldenTable4(t *testing.T) { testGoldenTable(t, 4) }
 
 // TestGoldenRun pins `edem run` end to end (Steps 1-4 and predicate
 // extraction): its stdout, whose baseline and refined lines carry the
@@ -185,7 +207,8 @@ func TestMetricsSnapshotCoversWallClock(t *testing.T) {
 	}
 
 	// The pipeline counters must reflect a full 18-dataset Table III
-	// run: one cross-validation cell per dataset and fold.
+	// run: one cross-validation cell per dataset and fold, scored by the
+	// refine over the empty grid whose untouched column Table III is.
 	if got := snap.Counters["refine.cells_scored"]; got != 18*10 {
 		t.Errorf("refine.cells_scored = %d, want %d", got, 18*10)
 	}
@@ -197,7 +220,7 @@ func TestMetricsSnapshotCoversWallClock(t *testing.T) {
 			t.Errorf("counter %s = %d, want > 0", name, snap.Counters[name])
 		}
 	}
-	for _, phase := range []string{"campaign", "preprocess", "baseline", "baseline/cell"} {
+	for _, phase := range []string{"campaign", "preprocess", "refine", "refine/cell"} {
 		if snap.Phases[phase].Count == 0 {
 			t.Errorf("phase %s missing from snapshot", phase)
 		}

@@ -1,6 +1,6 @@
 // Command edem drives the methodology from the command line:
 //
-//	edem tables -table 1|2|3|4      regenerate a paper table
+//	edem tables -table 1|2|3|4      regenerate Table I, or Tables II through N
 //	edem run -dataset FG-A2         run Steps 1-4 on one dataset
 //	edem tree -dataset FG-A2        print the induced tree (Figure 2)
 //	edem inject -dataset 7Z-B1      run Step 1 and dump PROPANE log/ARFF
@@ -20,6 +20,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -99,7 +100,7 @@ commands:
             [-auth-token T] [-tls-cert F -tls-key F]  bearer auth + TLS on /fabric/v1
             work  -dataset ID -coordinator URL [-name N]  execute leased shards for a coordinator
             [-auth-token T]
-  tables    -table 1|2|3|4 [-full] [-scale N] [-stride N] regenerate a paper table
+  tables    -table 1|2|3|4 [-full] [-scale N] [-stride N] print Table I, or Tables II through N from one pass
   run       -dataset ID [-full]                           run Steps 1-4 on one dataset
   tree      -dataset ID                                   print the induced tree (Figure 2)
   inject    -dataset ID [-log F] [-arff F]                run Step 1, dump PROPANE log / ARFF
@@ -532,7 +533,7 @@ func stderrLogf(format string, args ...any) {
 
 func cmdTables(args []string) error {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
-	table := fs.Int("table", 3, "table number: 1, 2, 3 or 4")
+	table := fs.Int("table", 3, "table number: 1, or 2, 3, 4 to print Tables II through it")
 	full := fs.Bool("full", false, "use the paper-scale refinement grid (table 4)")
 	opts, tel := commonOpts(fs)
 	if err := parseArgs(fs, args, opts, tel); err != nil {
@@ -547,27 +548,12 @@ func cmdTables(args []string) error {
 		fmt.Print(cm.String())
 		fmt.Println("TP/FN/FP/TN cells; see internal/mining/eval.")
 		return nil
-	case 2:
-		rows, err := core.Table2(ctx, *opts)
+	case 2, 3, 4:
+		rows, err := core.Tables(ctx, core.AllDatasetIDs(), *table, *full, *opts, tableProgress)
 		if err != nil {
 			return err
 		}
-		fmt.Print(core.FormatTable2Rows(rows))
-		return nil
-	case 3:
-		rows, err := core.Table3Rows(ctx, core.AllDatasetIDs(), *opts, tableProgress)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.FormatTable("Table III: decision tree induction results (no sampling)", rows))
-		return nil
-	case 4:
-		grid := core.RefineGrid(*full)
-		rows, err := core.Table4Rows(ctx, core.AllDatasetIDs(), grid, *opts, tableProgress)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.FormatTable("Table IV: decision tree induction results (refined)", rows))
+		fmt.Print(core.FormatTables(rows, *table))
 		return nil
 	default:
 		return fmt.Errorf("unknown table %d", *table)
@@ -575,9 +561,9 @@ func cmdTables(args []string) error {
 }
 
 // tableProgress is the stderr progress line for table generation: one
-// line per finished dataset. Per-phase cost attribution now comes from
-// the telemetry layer (-trace / -metrics-out).
-func tableProgress(id string, _ core.Row) {
+// line per finished dataset. Per-phase cost attribution comes from the
+// telemetry layer (-trace / -metrics-out).
+func tableProgress(id string) {
 	fmt.Fprintf(os.Stderr, "  %s done\n", id)
 }
 
@@ -790,13 +776,21 @@ func cmdExport(args []string) error {
 			}
 		}
 	}
-	ctx := context.Background()
-	bundle := &serve.Bundle{Version: serve.BundleVersion}
-	for _, id := range list {
-		info, err := core.Info(id, *opts)
-		if err != nil {
+	// Every id resolves, once, before the first campaign runs.
+	infos := make([]core.DatasetInfo, len(list))
+	for i, id := range list {
+		var err error
+		if infos[i], err = core.Info(id, *opts); err != nil {
 			return err
 		}
+		if slices.Contains(list[:i], id) {
+			return fmt.Errorf("export: dataset %s listed twice", id)
+		}
+	}
+	ctx := context.Background()
+	bundle := &serve.Bundle{Version: serve.BundleVersion}
+	for i, id := range list {
+		info := infos[i]
 		rep, err := core.RunMethodology(ctx, id, core.RefineGrid(*full), *opts)
 		if err != nil {
 			return err

@@ -155,6 +155,22 @@ func TestCmdValidateRefusesUncompilable(t *testing.T) {
 	}
 }
 
+// TestCmdValidateRefusesMisreadAtom checks that `edem validate -pred`
+// refuses a predicate whose atom names gainDB but indexes targetDB's
+// position, instead of scoring targetDB.
+func TestCmdValidateRefusesMisreadAtom(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "misread.json")
+	bad := `{"name":"MG-B1","vars":["targetDB","gainDB","scale","clipCount","trackIndex"],` +
+		`"clauses":[[{"var":"gainDB","index":0,"op":"<=","threshold":81}]]}`
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"validate", "-dataset", "MG-B1", "-pred", path, "-scale", "2", "-stride", "8"})
+	if err == nil || !strings.Contains(err.Error(), `names "gainDB" but index 0 is "targetDB"`) {
+		t.Fatalf("validate -pred = %v, want the misread atom refused", err)
+	}
+}
+
 // TestCmdValidateRefusesForeignPredicate checks that `edem validate
 // -pred` refuses a predicate learnt for another dataset, whose
 // variables are not the campaign's, instead of scoring it.

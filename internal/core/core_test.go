@@ -134,12 +134,12 @@ func TestSamplingConfigLabels(t *testing.T) {
 
 func TestFormatTable(t *testing.T) {
 	rows := []Row{{Dataset: "7Z-A1", FPR: 2e-5, TPR: 0.9979, AUC: 0.9989, Comp: 19, Var: 3e-8}}
-	s := FormatTable("Table III", rows)
+	s := formatTable("Table III", rows)
 	if !strings.Contains(s, "7Z-A1") || !strings.Contains(s, "Dataset") {
 		t.Errorf("format:\n%s", s)
 	}
 	rows[0].S, rows[0].N = "85(U)", "-"
-	s4 := FormatTable("Table IV", rows)
+	s4 := formatTable("Table IV", rows)
 	if !strings.Contains(s4, "85(U)") {
 		t.Errorf("refined format:\n%s", s4)
 	}
@@ -250,14 +250,14 @@ func TestTable2Shape(t *testing.T) {
 	opts := DefaultOptions()
 	opts.TestCases = 2
 	opts.BitStride = 16
-	rows, err := Table2(context.Background(), opts)
+	rows, err := Tables(context.Background(), AllDatasetIDs(), 2, false, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 18 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	s := FormatTable2Rows(rows)
+	s := FormatTables(rows, 2)
 	for _, want := range []string{"7Z-A1", "FlightGear", "GAnalysis", "Exit"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("table II missing %q", want)

@@ -110,7 +110,7 @@ func DefaultLearner() tree.Learner { return tree.Learner{} }
 // baseline C4.5 configuration, producing one Table III row. The run is
 // recorded as a "baseline" telemetry phase, its cells as
 // "baseline/cell". It equals Refine's NoSampling column, which is where
-// RunMethodologyOn takes Step 3 from.
+// RunMethodologyOn and Tables take Step 3 from.
 func Baseline(ctx context.Context, d *dataset.Dataset, opts Options) (*eval.CVResult, error) {
 	ctx, span := telemetry.StartSpan(ctx, "baseline")
 	defer span.End()

@@ -31,10 +31,11 @@ func TestBaselineQuality(t *testing.T) {
 		tt := tt
 		t.Run(tt.id, func(t *testing.T) {
 			t.Parallel()
-			row, err := Table3Row(context.Background(), tt.id, opts)
+			rows, err := Tables(context.Background(), []string{tt.id}, 3, false, opts, nil)
 			if err != nil {
-				t.Fatalf("Table3Row: %v", err)
+				t.Fatalf("Tables: %v", err)
 			}
+			row := rows[0].Baseline
 			t.Log(fmt.Sprintf("%s FPR=%.2e TPR=%.4f AUC=%.4f Comp=%.1f Var=%.2e",
 				row.Dataset, row.FPR, row.TPR, row.AUC, row.Comp, row.Var))
 			if row.TPR < tt.minTPR || row.TPR > tt.maxTPR {

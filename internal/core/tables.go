@@ -34,68 +34,69 @@ func rowFromCV(id string, cv *eval.CVResult) Row {
 	}
 }
 
-// Table3Row runs Steps 1-3 for one dataset and returns its Table III
-// row. Per-phase cost attribution comes from the telemetry layer (the
-// "campaign", "preprocess" and "baseline" phases), not from the row
-// builder.
-func Table3Row(ctx context.Context, id string, opts Options) (Row, error) {
-	d, _, err := BuildDataset(ctx, id, opts)
-	if err != nil {
-		return Row{}, err
-	}
-	cv, err := Baseline(ctx, d, opts)
-	if err != nil {
-		return Row{}, err
-	}
-	return rowFromCV(id, cv), nil
+// TableRow is one dataset's line in each of Tables II-IV.
+type TableRow struct {
+	// DatasetInfo, Instances and Failures are the Table II inventory:
+	// the campaign's usable sampled states and failure-inducing ones.
+	DatasetInfo
+	Instances int
+	Failures  int
+	// Baseline is the Table III row (tables 3 and 4): the untouched
+	// column of the refinement search.
+	Baseline Row
+	// Refined is the Table IV row (table 4): the search's best
+	// configuration.
+	Refined Row
 }
 
-// Table4Row runs Steps 1-4 for one dataset and returns its Table IV row.
-func Table4Row(ctx context.Context, id string, grid []SamplingConfig, opts Options) (Row, error) {
-	d, _, err := BuildDataset(ctx, id, opts)
-	if err != nil {
-		return Row{}, err
+// Tables builds Tables II through table (2, 3 or 4) for ids in one pass
+// per dataset: one campaign, and for tables 3 and 4 one preprocess and
+// one Refine, whose untouched column is Table III and whose best
+// configuration is Table IV (paper §VII-C computes both from the same
+// stratified folds). Table 3 refines over the empty grid, table 4 over
+// RefineGrid(full). Datasets run concurrently on the shared scheduler;
+// rows keep ids order. progress, if non-nil, is called once per
+// finished dataset (serialized, in completion order).
+func Tables(ctx context.Context, ids []string, table int, full bool, opts Options, progress func(id string)) ([]TableRow, error) {
+	if table < 2 || table > 4 {
+		return nil, fmt.Errorf("core: no table %d to build (want 2, 3 or 4)", table)
 	}
-	ref, err := Refine(ctx, d, grid, opts)
-	if err != nil {
-		return Row{}, err
+	var grid []SamplingConfig
+	if table == 4 {
+		grid = RefineGrid(full)
 	}
-	row := rowFromCV(id, ref.BestCV)
-	row.S = ref.Best.Label()
-	row.N = ref.Best.KLabel()
-	return row, nil
-}
-
-// Table3Rows computes the Table III rows of ids concurrently on the
-// shared scheduler, preserving ids order in the result. progress, if
-// non-nil, is called once per finished dataset (serialized, but not in
-// any guaranteed order — datasets finish as they complete).
-func Table3Rows(ctx context.Context, ids []string, opts Options, progress func(id string, row Row)) ([]Row, error) {
-	return tableRows(ctx, ids, opts, progress, func(id string) (Row, error) {
-		return Table3Row(ctx, id, opts)
-	})
-}
-
-// Table4Rows computes the Table IV rows of ids concurrently on the
-// shared scheduler, preserving ids order in the result.
-func Table4Rows(ctx context.Context, ids []string, grid []SamplingConfig, opts Options, progress func(id string, row Row)) ([]Row, error) {
-	return tableRows(ctx, ids, opts, progress, func(id string) (Row, error) {
-		return Table4Row(ctx, id, grid, opts)
-	})
-}
-
-func tableRows(ctx context.Context, ids []string, opts Options, progress func(string, Row), one func(string) (Row, error)) ([]Row, error) {
-	rows := make([]Row, len(ids))
+	rows := make([]TableRow, len(ids))
 	var mu sync.Mutex
 	err := parallel.ForEach(ctx, len(ids), opts.Workers, func(i int) error {
-		row, err := one(ids[i])
+		id := ids[i]
+		info, err := Info(id, opts)
 		if err != nil {
 			return err
+		}
+		camp, err := Campaign(ctx, id, opts)
+		if err != nil {
+			return err
+		}
+		row := TableRow{DatasetInfo: info, Instances: camp.Usable(), Failures: camp.Failures()}
+		if table >= 3 {
+			d, err := Preprocess(ctx, camp)
+			if err != nil {
+				return err
+			}
+			ref, err := Refine(ctx, d, grid, opts)
+			if err != nil {
+				return err
+			}
+			row.Baseline = rowFromCV(id, ref.Evaluated[0].CV)
+			if table == 4 {
+				row.Refined = rowFromCV(id, ref.BestCV)
+				row.Refined.S, row.Refined.N = ref.Best.Label(), ref.Best.KLabel()
+			}
 		}
 		rows[i] = row
 		if progress != nil {
 			mu.Lock()
-			progress(ids[i], row)
+			progress(id)
 			mu.Unlock()
 		}
 		return nil
@@ -106,16 +107,28 @@ func tableRows(ctx context.Context, ids []string, opts Options, progress func(st
 	return rows, nil
 }
 
-// FormatTable renders rows in the layout of Tables III/IV. When any row
-// carries an S label the refinement columns are included.
-func FormatTable(title string, rows []Row) string {
-	refined := false
-	for _, r := range rows {
-		if r.S != "" {
-			refined = true
-			break
-		}
+// FormatTables renders Tables II through table from rows built by
+// Tables, one blank line between tables.
+func FormatTables(rows []TableRow, table int) string {
+	tables := []string{formatTable2(rows)}
+	baseline := make([]Row, len(rows))
+	refined := make([]Row, len(rows))
+	for i, r := range rows {
+		baseline[i], refined[i] = r.Baseline, r.Refined
 	}
+	if table >= 3 {
+		tables = append(tables, formatTable("Table III: decision tree induction results (no sampling)", baseline))
+	}
+	if table >= 4 {
+		tables = append(tables, formatTable("Table IV: decision tree induction results (refined)", refined))
+	}
+	return strings.Join(tables, "\n")
+}
+
+// formatTable renders rows in the layout of Tables III/IV. Table IV
+// rows carry an S label, and then the refinement columns are included.
+func formatTable(title string, rows []Row) string {
+	refined := len(rows) > 0 && rows[0].S != ""
 	var sb strings.Builder
 	sb.WriteString(title)
 	sb.WriteByte('\n')
@@ -138,44 +151,9 @@ func FormatTable(title string, rows []Row) string {
 	return sb.String()
 }
 
-// FormatTable2 renders Table II (the dataset inventory) with measured
+// formatTable2 renders Table II, the dataset inventory, with measured
 // campaign sizes appended.
-type Table2Row struct {
-	DatasetInfo
-	Instances int
-	Failures  int
-}
-
-// Table2 runs Step 1 for every dataset ID and returns the inventory.
-// Campaigns run concurrently on the shared scheduler; rows keep
-// Table II order.
-func Table2(ctx context.Context, opts Options) ([]Table2Row, error) {
-	ids := AllDatasetIDs()
-	rows := make([]Table2Row, len(ids))
-	err := parallel.ForEach(ctx, len(ids), opts.Workers, func(i int) error {
-		info, err := Info(ids[i], opts)
-		if err != nil {
-			return err
-		}
-		camp, err := Campaign(ctx, ids[i], opts)
-		if err != nil {
-			return err
-		}
-		rows[i] = Table2Row{
-			DatasetInfo: info,
-			Instances:   camp.Usable(),
-			Failures:    camp.Failures(),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// FormatTable2Rows renders the Table II inventory.
-func FormatTable2Rows(rows []Table2Row) string {
+func formatTable2(rows []TableRow) string {
 	var sb strings.Builder
 	sb.WriteString("Table II: summary of fault injection datasets\n")
 	fmt.Fprintf(&sb, "%-8s %-11s %-10s %-9s %-8s %10s %10s\n",

@@ -2,7 +2,7 @@
 // hot loop in the repository: fault-injection campaigns (propane.Run),
 // the (configuration × fold) cross-validation cells of core.Refine's
 // engine (which core.Baseline and core.CrossValidate share) and the
-// per-dataset table loops (core.Table3Rows / core.Table4Rows).
+// per-dataset table pass (core.Tables).
 //
 // The design solves two problems the previous per-package worker pools
 // had:

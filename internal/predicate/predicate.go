@@ -303,12 +303,33 @@ func (p *Predicate) MarshalText() ([]byte, error) {
 	return json.MarshalIndent((*plainPredicate)(p), "", "  ")
 }
 
-// Parse decodes a predicate serialised by MarshalText.
+// Parse decodes a predicate serialised by MarshalText and refuses one
+// that fails CheckVars.
 func Parse(data []byte) (*Predicate, error) {
 	var p plainPredicate
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("predicate: parse: %w", err)
 	}
 	out := Predicate(p)
+	if err := out.CheckVars(); err != nil {
+		return nil, err
+	}
 	return &out, nil
+}
+
+// CheckVars reports an atom that reads a variable other than the one it
+// names: evaluation reads by index alone, so an atom whose Index lies
+// within Vars must name Vars[Index]. An atom indexing outside Vars
+// reads nothing (it fails on every state of the predicate's arity) and
+// passes, as does every atom of a predicate with no Vars. FromTree and
+// RangeCheck build predicates that pass.
+func (p *Predicate) CheckVars() error {
+	for ci, c := range p.Clauses {
+		for _, a := range c {
+			if a.Index >= 0 && a.Index < len(p.Vars) && a.Var != p.Vars[a.Index] {
+				return fmt.Errorf("predicate %s: clause %d: atom names %q but index %d is %q", p.Name, ci, a.Var, a.Index, p.Vars[a.Index])
+			}
+		}
+	}
+	return nil
 }

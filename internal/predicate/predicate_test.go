@@ -141,6 +141,35 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefusesMisreadAtom checks that Parse refuses an atom that
+// does not read the variable it names: evaluation reads by index, so
+// the atom below would score targetDB while saying gainDB.
+func TestParseRefusesMisreadAtom(t *testing.T) {
+	parse := func(atom string) error {
+		_, err := Parse([]byte(`{"name":"MG-B1","vars":["targetDB","gainDB","scale"],"clauses":[[` + atom + `]]}`))
+		return err
+	}
+	err := parse(`{"var":"gainDB","index":0,"op":"<=","threshold":81}`)
+	if want := `names "gainDB" but index 0 is "targetDB"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Parse err = %v, want %q", err, want)
+	}
+	// A matching atom, and atoms indexing outside vars, which read
+	// nothing and fail on every state, are accepted.
+	for _, atom := range []string{
+		`{"var":"gainDB","index":1,"op":"<=","threshold":81}`,
+		`{"var":"gainDB","index":3,"op":"<=","threshold":81}`,
+		`{"var":"gainDB","index":-1,"op":"<=","threshold":81}`,
+	} {
+		if err := parse(atom); err != nil {
+			t.Errorf("%s refused: %v", atom, err)
+		}
+	}
+	// A predicate with no vars names no positions to check against.
+	if _, err := Parse([]byte(`{"name":"n","clauses":[[{"var":"x","index":0,"op":">","threshold":0}]]}`)); err != nil {
+		t.Errorf("predicate without vars refused: %v", err)
+	}
+}
+
 func TestAtomEval(t *testing.T) {
 	for _, tt := range []struct {
 		atom Atom

@@ -128,7 +128,8 @@ func (e BundleEntry) ParseLocation() (propane.Location, error) {
 // Validate checks structural invariants: supported version, at least
 // one detector, unique non-empty IDs, parseable locations, and
 // predicates that compile to threshold programs (the only form the
-// serving runtime evaluates).
+// serving runtime evaluates) and whose atoms read the variables they
+// name (predicate.CheckVars).
 func (b *Bundle) Validate() error {
 	if b.Version != BundleVersion {
 		return fmt.Errorf("serve: unsupported bundle version %d (want %d)", b.Version, BundleVersion)
@@ -152,6 +153,9 @@ func (b *Bundle) Validate() error {
 			return fmt.Errorf("serve: detector %q has no predicate", e.ID)
 		}
 		if _, err := predicate.Compile(e.Predicate); err != nil {
+			return fmt.Errorf("serve: detector %q: %w", e.ID, err)
+		}
+		if err := e.Predicate.CheckVars(); err != nil {
 			return fmt.Errorf("serve: detector %q: %w", e.ID, err)
 		}
 	}

@@ -87,6 +87,8 @@ func TestBundleValidate(t *testing.T) {
 		{"duplicate id", func(b *Bundle) { b.Detectors[1].ID = b.Detectors[0].ID }, "duplicate"},
 		{"bad location", func(b *Bundle) { b.Detectors[0].Location = "Middle" }, "location"},
 		{"nil predicate", func(b *Bundle) { b.Detectors[0].Predicate = nil }, "no predicate"},
+		// The atom names w but reads index 0, which is v.
+		{"misread atom", func(b *Bundle) { b.Detectors[0].Predicate.Clauses[0][0].Var = "w" }, `names "w" but index 0 is "v"`},
 	}
 	for _, tc := range cases {
 		b := testBundle("A", "B")
