@@ -48,7 +48,7 @@ func cmdLifecycle(args []string) error {
 			return err
 		}
 		var resp serve.ShadowResponse
-		if err := lifecyclePost(*server, "/admin/shadow", serve.ShadowRequest{Path: path}, &resp); err != nil {
+		if err := adminCall(*server, "/admin/shadow", serve.ShadowRequest{Path: path}, &resp); err != nil {
 			return err
 		}
 		fmt.Printf("shadowing %d detectors from %s (candidate generation %d)\n",
@@ -61,7 +61,7 @@ func cmdLifecycle(args []string) error {
 			return err
 		}
 		var resp serve.PromoteResponse
-		if err := lifecyclePost(*server, "/admin/promote", serve.PromoteRequest{Percent: *pct}, &resp); err != nil {
+		if err := adminCall(*server, "/admin/promote", serve.PromoteRequest{Percent: *pct}, &resp); err != nil {
 			return err
 		}
 		if resp.State == "canary" {
@@ -79,7 +79,7 @@ func cmdLifecycle(args []string) error {
 			return err
 		}
 		var resp serve.RollbackResponse
-		if err := lifecyclePost(*server, "/admin/rollback", serve.RollbackRequest{Reason: *reason}, &resp); err != nil {
+		if err := adminCall(*server, "/admin/rollback", serve.RollbackRequest{Reason: *reason}, &resp); err != nil {
 			return err
 		}
 		fmt.Printf("rolled back (%s): from %s, live generation now %d\n",
@@ -91,7 +91,7 @@ func cmdLifecycle(args []string) error {
 			return err
 		}
 		var resp serve.LifecycleStatusResponse
-		if err := lifecyclePost(*server, "/admin/baseline", struct{}{}, &resp); err != nil {
+		if err := adminCall(*server, "/admin/baseline", struct{}{}, &resp); err != nil {
 			return err
 		}
 		fmt.Printf("drift baseline frozen at live generation %d\n", resp.LiveGeneration)
@@ -123,7 +123,7 @@ func cmdLifecycle(args []string) error {
 			}
 		}
 		var resp serve.FeedbackResponse
-		if err := lifecyclePost(*server, "/v1/feedback", req, &resp); err != nil {
+		if err := adminCall(*server, "/v1/feedback", req, &resp); err != nil {
 			return err
 		}
 		fmt.Printf("recorded %s/%s for %s (generation %d)\n", *outcome, *source, *detector, resp.Generation)
@@ -139,7 +139,7 @@ func cmdLifecycle(args []string) error {
 // detectors the drift verdicts say to re-refine.
 func lifecycleStatus(base string) error {
 	var st serve.LifecycleStatusResponse
-	if err := lifecycleGet(base, "/admin/lifecycle", &st); err != nil {
+	if err := adminCall(base, "/admin/lifecycle", nil, &st); err != nil {
 		return err
 	}
 	if !st.Enabled {
@@ -189,39 +189,24 @@ func lifecycleStatus(base string) error {
 	return nil
 }
 
-// lifecyclePost POSTs a JSON body to the serve admin API and decodes
-// the 200 response into out; a non-2xx response surfaces the server's
-// error message.
-func lifecyclePost(base, path string, body, out any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(strings.TrimRight(base, "/")+path, "application/json", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeLifecycle(resp, out)
-}
-
-// lifecycleGet GETs a serve admin endpoint and decodes the response.
-func lifecycleGet(base, path string, out any) error {
-	resp, err := http.Get(strings.TrimRight(base, "/") + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeLifecycle(resp, out)
-}
-
-func decodeLifecycle(resp *http.Response, out any) error {
-	if resp.StatusCode != http.StatusOK {
-		var e serve.ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("%s", e.Error)
+// adminCall sends one request to the serve admin API through
+// serve.Do: a GET when in is nil, otherwise a POST of in as JSON. The
+// 2xx reply decodes into out; any other status comes back as a
+// *serve.StatusError carrying the server's message.
+func adminCall(base, path string, in, out any) error {
+	method, body := http.MethodGet, []byte(nil)
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
 		}
-		return fmt.Errorf("server returned %s", resp.Status)
+		method = http.MethodPost
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	req, err := http.NewRequest(method, strings.TrimRight(base, "/")+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", serve.ContentTypeJSON)
+	_, err = serve.Do(nil, req, out)
+	return err
 }

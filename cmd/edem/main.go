@@ -11,7 +11,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -97,7 +96,7 @@ commands:
             [-incremental]  after a spec change, re-run only invalidated shards
   fabric    serve -dataset ID -journal DIR [-addr H:P]    coordinate a distributed campaign
             [-resume] [-incremental] [-lease-ttl D] [-linger D]
-            [-auth-token T] [-tls-cert F -tls-key F]  bearer auth + TLS on /fabric/v1
+            [-auth-token T] [-tls-cert F -tls-key F]  bearer auth (all but /healthz) + TLS
             work  -dataset ID -coordinator URL [-name N]  execute leased shards for a coordinator
             [-auth-token T]
   tables    -table 1|2|3|4 [-full] [-scale N] [-stride N] print Table I, or Tables II through N from one pass
@@ -125,7 +124,7 @@ fault model:  -fault-model transient|burst|stuckat|intermittent
               non-transient models version the plan hash; transient stays byte-identical
 telemetry:  -metrics-out FILE   write a JSON metrics snapshot on exit
             -trace              print the phase span tree to stderr
-            -debug-addr ADDR    serve pprof + expvar (e.g. localhost:6060)
+            -debug-addr ADDR    serve pprof + /metrics (e.g. localhost:6060)
 
 With -journal DIR, every command that builds fault-injection datasets
 (tables, run, tree, inject, validate) checkpoints campaigns to
@@ -154,7 +153,7 @@ func commonOpts(fs *flag.FlagSet) (*core.Options, *telemetryCfg) {
 	tel := &telemetryCfg{}
 	fs.StringVar(&tel.metricsOut, "metrics-out", "", "write a JSON telemetry snapshot to this file on exit")
 	fs.BoolVar(&tel.trace, "trace", false, "print the phase span tree to stderr on exit")
-	fs.StringVar(&tel.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+	fs.StringVar(&tel.debugAddr, "debug-addr", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	return &opts, tel
 }
 
@@ -183,26 +182,24 @@ type telemetryCfg struct {
 	debugSrv   *http.Server
 }
 
-// expvarPublished guards the process-global expvar name: expvar.Publish
-// panics on duplicates, and tests drive run() repeatedly in one process.
-var expvarPublished bool
-
 func (t *telemetryCfg) start() error {
 	if t.metricsOut == "" && !t.trace && t.debugAddr == "" {
 		telemetry.SetDefault(nil)
 		return nil
 	}
-	t.reg = telemetry.New()
-	telemetry.SetDefault(t.reg)
+	// Listen before installing the registry: a refused address returns
+	// without the deferred finish, which would otherwise leave the
+	// registry installed for whatever runs next in the process.
+	var ln net.Listener
 	if t.debugAddr != "" {
-		if !expvarPublished {
-			expvarPublished = true
-			telemetry.PublishExpvar("edem")
-		}
-		ln, err := net.Listen("tcp", t.debugAddr)
-		if err != nil {
+		var err error
+		if ln, err = net.Listen("tcp", t.debugAddr); err != nil {
 			return fmt.Errorf("debug server: %w", err)
 		}
+	}
+	t.reg = telemetry.New()
+	telemetry.SetDefault(t.reg)
+	if ln != nil {
 		// Dedicated mux: the DefaultServeMux is process-global mutable
 		// state that any imported package can extend, which is exactly
 		// what a diagnostic port must not expose. The generous write
@@ -213,7 +210,7 @@ func (t *telemetryCfg) start() error {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/debug/vars", expvar.Handler())
+		mux.Handle("/metrics", t.reg)
 		t.debugSrv = &http.Server{
 			Handler:           mux,
 			ReadHeaderTimeout: 5 * time.Second,
@@ -221,10 +218,20 @@ func (t *telemetryCfg) start() error {
 			WriteTimeout:      5 * time.Minute,
 			IdleTimeout:       time.Minute,
 		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof/ (metrics at /debug/vars)\n", ln.Addr())
+		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof/ (metrics at /metrics)\n", ln.Addr())
 		go func() { _ = t.debugSrv.Serve(ln) }()
 	}
 	return nil
+}
+
+// serviceRegistry returns the registry of a long-running service,
+// whose /metrics endpoint is part of its API: the -metrics-out, -trace
+// or -debug-addr registry when there is one, else a fresh one.
+func (t *telemetryCfg) serviceRegistry() *telemetry.Registry {
+	if t.reg != nil {
+		return t.reg
+	}
+	return telemetry.New()
 }
 
 // finish reports the collected telemetry (span tree on stderr, JSON
@@ -412,7 +419,7 @@ func cmdFabricServe(args []string) error {
 	incremental := fs.Bool("incremental", false, "with -resume: re-run only shards invalidated by a spec/target change")
 	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "shard lease lifetime without a heartbeat")
 	linger := fs.Duration("linger", time.Second, "how long to keep serving after completion so idle workers see it")
-	authToken := fs.String("auth-token", "", "require this bearer token on every /fabric/v1 call (empty = no auth)")
+	authToken := fs.String("auth-token", "", "require this bearer token on every call but /healthz (empty = no auth)")
 	tlsCert := fs.String("tls-cert", "", "serve TLS with this PEM certificate (requires -tls-key)")
 	tlsKey := fs.String("tls-key", "", "PEM private key for -tls-cert")
 	opts, tel := commonOpts(fs)
@@ -442,6 +449,7 @@ func cmdFabricServe(args []string) error {
 	co, err := fabric.NewCoordinator(target, spec, opts.CampaignConfig(*id), fabric.CoordinatorConfig{
 		LeaseTTL:  *leaseTTL,
 		Linger:    *linger,
+		Registry:  tel.serviceRegistry(),
 		Logf:      stderrLogf,
 		AuthToken: *authToken,
 		TLSCert:   *tlsCert,
@@ -841,6 +849,12 @@ func cmdServe(args []string) error {
 	if *bundlePath == "" {
 		return fmt.Errorf("serve needs -bundle FILE (produce one with edem export)")
 	}
+	if *canaryPct != 0 && *shadowPath == "" {
+		return fmt.Errorf("serve: -canary needs a -shadow FILE candidate")
+	}
+	if *canaryPct < 0 || *canaryPct > 99 {
+		return fmt.Errorf("serve: -canary %d is outside 1-99 (promote fully with edem lifecycle promote)", *canaryPct)
+	}
 	pol, err := serve.ParsePolicy(*policy)
 	if err != nil {
 		return err
@@ -849,12 +863,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The service always collects metrics (the /metrics endpoint is part
-	// of its API); reuse the -metrics-out/-trace registry when present.
-	reg := tel.reg
-	if reg == nil {
-		reg = telemetry.New()
-	}
+	reg := tel.serviceRegistry()
 	var mon *lifecycle.Monitor
 	if *lifecycleDir != "" {
 		mon, err = lifecycle.NewMonitor(lifecycle.MonitorConfig{

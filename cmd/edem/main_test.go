@@ -1,11 +1,14 @@
 package main
 
 import (
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"edem/internal/telemetry"
 )
 
 func TestRunRejectsUnknownCommands(t *testing.T) {
@@ -74,6 +77,25 @@ func TestUsageVerbsDispatch(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
 			t.Errorf("run(%q) = %v, want an unknown subcommand error", v, err)
 		}
+	}
+}
+
+// TestDebugAddrTakenLeavesNoRegistry: a -debug-addr that cannot be
+// listened on fails the command and leaves no default registry
+// installed for later commands in the process.
+func TestDebugAddrTakenLeavesNoRegistry(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	err = run([]string{"tables", "-table", "1", "-debug-addr", ln.Addr().String()})
+	if err == nil || !strings.Contains(err.Error(), "debug server") {
+		t.Fatalf("run with a taken -debug-addr = %v, want a debug server error", err)
+	}
+	if reg := telemetry.Default(); reg != nil {
+		telemetry.SetDefault(nil)
+		t.Fatal("a failed -debug-addr listen left the default registry installed")
 	}
 }
 

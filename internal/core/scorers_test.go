@@ -206,10 +206,10 @@ func TestConfirmRefusesForeignPredicate(t *testing.T) {
 // when the sampled state is flagged.
 func TestConfirmFaultModels(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eight campaigns; skipped in -short mode")
+		t.Skip("sixteen campaigns; skipped in -short mode")
 	}
 	ctx := context.Background()
-	for _, id := range []string{"MG-B1", "KV-A2"} {
+	for _, id := range []string{"MG-B1", "KV-A2", "FG-A2", "7Z-B2"} {
 		for _, f := range []bitflip.Fault{
 			{},
 			{Model: bitflip.Burst, Width: 2},

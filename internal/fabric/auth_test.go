@@ -3,7 +3,6 @@ package fabric
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,9 +16,9 @@ import (
 )
 
 // TestBearerAuthRejectsUnauthenticated: with an auth token configured,
-// every /fabric/v1 endpoint rejects missing and wrong tokens with 401
-// (no lease granted, no frame merged), accepts the right one, and
-// leaves /healthz open for probes.
+// every /fabric/v1 endpoint and /metrics reject missing and wrong
+// tokens with 401 (no lease granted, no line merged), accept the right
+// one, and /healthz stays open for probes.
 func TestBearerAuthRejectsUnauthenticated(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "journal")
 	cfg := coordConfig(time.Minute)
@@ -48,17 +47,12 @@ func TestBearerAuthRejectsUnauthenticated(t *testing.T) {
 		return res
 	}
 
-	lease, _ := json.Marshal(LeaseRequest{Worker: "intruder"})
-	frame, err := EncodeCompletion("intruder", "l0-s0", []byte("{}\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		path string
 		body []byte
 	}{
-		{"/fabric/v1/lease", lease},
-		{"/fabric/v1/complete", frame},
+		{"/fabric/v1/lease", nil},
+		{"/fabric/v1/complete", []byte("{}\n")},
 		{"/fabric/v1/renew", []byte(`{"lease":"x"}`)},
 	} {
 		if res := post(c.path, "", c.body); res.StatusCode != http.StatusUnauthorized {
@@ -68,8 +62,10 @@ func TestBearerAuthRejectsUnauthenticated(t *testing.T) {
 			t.Errorf("POST %s with wrong token: %d, want 401", c.path, res.StatusCode)
 		}
 	}
-	if res, err := http.Get(srv.URL + "/fabric/v1/plan"); err != nil || res.StatusCode != http.StatusUnauthorized {
-		t.Errorf("GET plan without token: %v %v, want 401", res.StatusCode, err)
+	for _, path := range []string{"/fabric/v1/plan", "/metrics"} {
+		if res, err := http.Get(srv.URL + path); err != nil || res.StatusCode != http.StatusUnauthorized {
+			t.Errorf("GET %s without token: %v %v, want 401", path, res.StatusCode, err)
+		}
 	}
 
 	// Nothing leaked through: no lease outstanding, no shard committed.
@@ -78,11 +74,23 @@ func TestBearerAuthRejectsUnauthenticated(t *testing.T) {
 	}
 
 	// The right token works end to end.
-	if res := post("/fabric/v1/lease", "hunter2", lease); res.StatusCode != http.StatusOK {
+	if res := post("/fabric/v1/lease", "hunter2", nil); res.StatusCode != http.StatusOK {
 		t.Errorf("authenticated lease: %d, want 200", res.StatusCode)
 	}
 	if st := co.Status(); st.Leases != 1 {
 		t.Errorf("authenticated lease not granted: %+v", st)
+	}
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer hunter2")
+	var snap telemetry.Snapshot
+	if _, err := serve.Do(nil, req, &snap); err != nil {
+		t.Fatalf("authenticated /metrics: %v", err)
+	}
+	if snap.Counters["fabric.leases"] != 1 {
+		t.Errorf("/metrics fabric.leases = %d, want 1", snap.Counters["fabric.leases"])
 	}
 	// Health stays open for load-balancer probes.
 	if res, err := http.Get(srv.URL + "/healthz"); err != nil || res.StatusCode != http.StatusOK {

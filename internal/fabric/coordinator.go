@@ -35,15 +35,15 @@ type CoordinatorConfig struct {
 	Linger time.Duration
 	// DrainTimeout bounds the graceful shutdown (default 10s).
 	DrainTimeout time.Duration
-	// Registry receives the fabric.* metrics; nil falls back to the
-	// process default registry.
+	// Registry receives the fabric.* metrics and backs GET /metrics; nil
+	// falls back to the process default registry.
 	Registry *telemetry.Registry
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// AuthToken, when non-empty, requires every /fabric/v1 request to
-	// carry "Authorization: Bearer <token>". Tokens are compared in
-	// constant time (over SHA-256 digests, so length leaks nothing).
-	// /healthz stays open for load-balancer probes.
+	// AuthToken, when non-empty, requires every request, /metrics
+	// included, to carry "Authorization: Bearer <token>". Tokens are
+	// compared in constant time (over SHA-256 digests, so length leaks
+	// nothing). /healthz stays open for load-balancer probes.
 	AuthToken string
 	// TLSCert/TLSKey are PEM file paths; when both are set Serve wraps
 	// its listener in TLS, protecting the bearer token (and the shard
@@ -307,14 +307,15 @@ func (co *Coordinator) complete(worker string, line []byte) (CompleteResponse, e
 }
 
 // Handler returns the coordinator's HTTP handler on a dedicated mux.
-// With cfg.AuthToken set, every /fabric/v1 endpoint demands bearer
-// auth; /healthz stays open.
+// With cfg.AuthToken set, every endpoint but /healthz demands bearer
+// auth.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fabric/v1/plan", co.handlePlan)
 	mux.HandleFunc("/fabric/v1/lease", co.handleLease)
 	mux.HandleFunc("/fabric/v1/renew", co.handleRenew)
 	mux.HandleFunc("/fabric/v1/complete", co.handleComplete)
+	mux.Handle("/metrics", co.cfg.Registry)
 	mux.HandleFunc("/healthz", co.handlePlan)
 	if co.cfg.AuthToken == "" {
 		return mux
@@ -322,14 +323,14 @@ func (co *Coordinator) Handler() http.Handler {
 	return requireBearer(co.cfg.AuthToken, mux)
 }
 
-// requireBearer rejects /fabric/v1 requests whose Authorization header
-// does not carry the expected bearer token. Both sides are hashed
+// requireBearer rejects every request but /healthz whose Authorization
+// header does not carry the expected bearer token. Both sides are hashed
 // before comparing so the comparison is constant-time and independent
 // of token length.
 func requireBearer(token string, next http.Handler) http.Handler {
 	want := sha256.Sum256([]byte(token))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/fabric/v1/") {
+		if r.URL.Path == "/healthz" {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -341,7 +342,7 @@ func requireBearer(token string, next http.Handler) http.Handler {
 			ok = subtle.ConstantTimeCompare(got[:], want[:]) == 1
 		}
 		if !ok {
-			writeJSON(w, http.StatusUnauthorized, ErrorResponse{Error: "unauthorized"})
+			serve.WriteJSON(w, http.StatusUnauthorized, serve.ErrorResponse{Error: "unauthorized"})
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -403,40 +404,44 @@ func (co *Coordinator) ListenAndServe(ctx context.Context, addr string, onListen
 	return co.Serve(ctx, ln)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (co *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, co.Status())
+	serve.WriteJSON(w, http.StatusOK, co.Status())
 }
 
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST only"})
 		return
 	}
-	var req LeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
-		return
+	if worker, ok := workerOf(w, r); ok {
+		serve.WriteJSON(w, http.StatusOK, co.grant(worker))
 	}
-	if req.Worker == "" {
-		req.Worker = r.RemoteAddr
+}
+
+// workerOf returns the worker a request names in its X-Fabric-Worker
+// header, or its remote address when it names none. A name over
+// maxNameLen bytes answers 400 and reports false.
+func workerOf(w http.ResponseWriter, r *http.Request) (string, bool) {
+	worker := r.Header.Get(workerHeader)
+	if len(worker) > maxNameLen {
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{
+			Error: fmt.Sprintf("worker name of %d bytes exceeds limit %d", len(worker), maxNameLen)})
+		return "", false
 	}
-	writeJSON(w, http.StatusOK, co.grant(req.Worker))
+	if worker == "" {
+		worker = r.RemoteAddr
+	}
+	return worker, true
 }
 
 func (co *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST only"})
 		return
 	}
 	var req RenewRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	resp := co.renew(req.Lease)
@@ -447,14 +452,14 @@ func (co *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 		if shard, ok := shardOfLease(req.Lease); ok {
 			for _, s := range co.ledger.Pending() {
 				if s == shard {
-					writeJSON(w, http.StatusOK, resp)
+					serve.WriteJSON(w, http.StatusOK, resp)
 					return
 				}
 			}
 			resp.Done = true
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // shardOfLease recovers the shard index embedded in a lease ID.
@@ -468,23 +473,22 @@ func shardOfLease(id string) (int, bool) {
 
 func (co *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST only"})
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFrameLineLen+1024))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+	worker, ok := workerOf(w, r)
+	if !ok {
 		return
 	}
-	worker, _, line, err := DecodeCompletion(data)
+	line, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxLineLen))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	resp, err := co.complete(worker, line)
 	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusUnprocessableEntity, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }

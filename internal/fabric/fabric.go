@@ -10,16 +10,20 @@
 // # Protocol
 //
 // The fabric speaks HTTP on the shared internal/serve plumbing
-// (RunHTTP drain semantics, Backoff retries). Control messages are
-// JSON; completed shards travel as a length-prefixed binary frame
-// wrapping the canonical journal line, whose sampled states are hex
-// IEEE-754 bit patterns — the same exact transport the journal and the
-// serving codecs use, so records cross the wire bit-exactly.
+// (RunHTTP drain semantics, serve.Do requests, serve.ErrorResponse
+// error bodies, Backoff retries). Every message is JSON, and every
+// worker request names its worker in the X-Fabric-Worker header. A
+// completed shard travels as its canonical journal line, whose sampled
+// states are hex IEEE-754 bit patterns — the same exact transport the
+// journal and the serving codecs use, so records cross the wire
+// bit-exactly.
 //
 //	GET  /fabric/v1/plan      → PlanStatus (identity check + progress)
-//	POST /fabric/v1/lease     LeaseRequest → LeaseResponse
+//	POST /fabric/v1/lease     → LeaseResponse
 //	POST /fabric/v1/renew     RenewRequest → RenewResponse
-//	POST /fabric/v1/complete  completion frame → CompleteResponse
+//	POST /fabric/v1/complete  checkpoint line → CompleteResponse
+//	GET  /metrics             telemetry Snapshot (the fabric.* counters)
+//	GET  /healthz             PlanStatus, open even with an auth token
 //
 // # Leases
 //
@@ -53,11 +57,6 @@
 // and workers re-execute exactly those.
 package fabric
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // Wire types of the JSON control endpoints.
 
 // PlanStatus is the coordinator's identity and progress: workers check
@@ -68,21 +67,15 @@ type PlanStatus struct {
 	Dataset string `json:"dataset"`
 	Target  string `json:"target"`
 	// Fault is the campaign's fault-model axis ("burst(width=3)", ...),
-	// omitted for the default transient model — older coordinators and
-	// workers that predate the axis interoperate unchanged on transient
-	// campaigns, and a fault-model mismatch still fails the plan-hash
-	// identity check before any shard is leased.
+	// omitted for the default transient model, whose PlanStatus reads as
+	// it did before the axis existed; a fault-model mismatch still fails
+	// the plan-hash identity check before any shard is leased.
 	Fault    string `json:"fault,omitempty"`
 	Jobs     int    `json:"jobs"`
 	Shards   int    `json:"shards"`
 	Done     int    `json:"done"`
 	Leases   int    `json:"leases"`
 	Complete bool   `json:"complete"`
-}
-
-// LeaseRequest asks for one shard to execute.
-type LeaseRequest struct {
-	Worker string `json:"worker"`
 }
 
 // LeaseResponse grants a shard (Shard >= 0) or reports why not:
@@ -119,130 +112,11 @@ type CompleteResponse struct {
 	Complete  bool `json:"complete"`
 }
 
-// ErrorResponse mirrors serve's error body shape.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
-// Completion frame layout (all integers little-endian):
-//
-//	u32  length of the remainder (self-delimiting length prefix)
-//	u32  magic "EDFB"
-//	u8   version (1)
-//	u16  worker name length, then that many UTF-8 bytes
-//	u16  lease ID length, then that many UTF-8 bytes
-//	u32  checkpoint line length, then that many bytes — the canonical
-//	     journal line (encodeCheckpointLine output), hex-IEEE-754
-//	     states inside
-//
-// Decoding is strict: truncated fields, trailing bytes or a
-// disagreeing length prefix are errors.
+// The worker-name header and the upload limits: the coordinator
+// refuses (400) a worker name over maxNameLen bytes or a checkpoint
+// line over maxLineLen bytes.
 const (
-	frameMagic      = 0x42464445 // "EDFB"
-	frameVersion    = 1
-	maxNameLen      = 1 << 10
-	maxFrameLineLen = 256 << 20 // a shard of very wide records; generous
+	workerHeader = "X-Fabric-Worker"
+	maxNameLen   = 1 << 10
+	maxLineLen   = 256 << 20 // a shard of very wide records; generous
 )
-
-// EncodeCompletion renders one completion frame.
-func EncodeCompletion(worker, lease string, line []byte) ([]byte, error) {
-	if len(worker) > maxNameLen || len(lease) > maxNameLen {
-		return nil, fmt.Errorf("fabric: frame: name too long")
-	}
-	if len(line) > maxFrameLineLen {
-		return nil, fmt.Errorf("fabric: frame: checkpoint line of %d bytes exceeds limit", len(line))
-	}
-	n := 4 + 1 + 2 + len(worker) + 2 + len(lease) + 4 + len(line)
-	buf := make([]byte, 0, 4+n)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	buf = binary.LittleEndian.AppendUint32(buf, frameMagic)
-	buf = append(buf, frameVersion)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(worker)))
-	buf = append(buf, worker...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(lease)))
-	buf = append(buf, lease...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(line)))
-	buf = append(buf, line...)
-	return buf, nil
-}
-
-// DecodeCompletion parses one completion frame.
-func DecodeCompletion(data []byte) (worker, lease string, line []byte, err error) {
-	r := frameReader{data: data}
-	if n := r.u32(); int(n) != len(data)-4 {
-		return "", "", nil, fmt.Errorf("fabric: frame: length prefix %d disagrees with body %d", n, len(data)-4)
-	}
-	if m := r.u32(); m != frameMagic {
-		return "", "", nil, fmt.Errorf("fabric: frame: bad magic %#x", m)
-	}
-	if v := r.u8(); v != frameVersion {
-		return "", "", nil, fmt.Errorf("fabric: frame: unsupported version %d", v)
-	}
-	worker = r.str(int(r.u16()), maxNameLen)
-	lease = r.str(int(r.u16()), maxNameLen)
-	lineLen := int(r.u32())
-	if lineLen > maxFrameLineLen {
-		return "", "", nil, fmt.Errorf("fabric: frame: checkpoint line of %d bytes exceeds limit", lineLen)
-	}
-	line = r.take(lineLen)
-	if r.err != nil {
-		return "", "", nil, r.err
-	}
-	if r.off != len(data) {
-		return "", "", nil, fmt.Errorf("fabric: frame: %d trailing bytes", len(data)-r.off)
-	}
-	return worker, lease, line, nil
-}
-
-// frameReader is a bounds-checked little-endian cursor (the serve
-// binary codec's reader, specialised for this frame).
-type frameReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *frameReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.data) {
-		r.err = fmt.Errorf("fabric: frame: truncated (want %d bytes at offset %d of %d)", n, r.off, len(r.data))
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *frameReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *frameReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *frameReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *frameReader) str(n, max int) string {
-	if r.err == nil && n > max {
-		r.err = fmt.Errorf("fabric: frame: name of %d bytes exceeds limit %d", n, max)
-		return ""
-	}
-	return string(r.take(n))
-}

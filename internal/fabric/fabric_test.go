@@ -6,8 +6,11 @@ import (
 	"errors"
 	"math"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -78,40 +81,62 @@ func testSpec(tcs int) propane.Spec {
 	}
 }
 
-func TestCompletionFrameRoundTrip(t *testing.T) {
-	line := []byte(`{"plan":"abc","shard":3}` + "\n")
-	frame, err := EncodeCompletion("worker-1", "l7-s3", line)
+// TestCompleteTakesRawLine: POST /fabric/v1/complete merges the
+// checkpoint line its body carries, and refuses an oversized worker
+// name (400) and a body that is no checkpoint line (422) without
+// committing anything.
+func TestCompleteTakesRawLine(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	co, err := NewCoordinator(testTarget{}, testSpec(1), campaign.Config{Journal: dir, Shards: 1}, coordConfig(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker, lease, got, err := DecodeCompletion(frame)
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+	x, err := campaign.NewExecutorShards(context.Background(), testTarget{}, testSpec(1), campaign.Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if worker != "worker-1" || lease != "l7-s3" || !bytes.Equal(got, line) {
-		t.Errorf("round trip: worker=%q lease=%q line=%q", worker, lease, got)
+	line, err := x.RunShard(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(worker string, body []byte) (CompleteResponse, error) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/fabric/v1/complete", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(workerHeader, worker)
+		var cr CompleteResponse
+		_, err = serve.Do(nil, req, &cr)
+		return cr, err
 	}
 
-	bad := map[string][]byte{
-		"empty":          {},
-		"truncated":      frame[:len(frame)-3],
-		"trailing bytes": append(append([]byte{}, frame...), 0xff),
-		"length lies":    append([]byte{byte(len(frame)), 0, 0, 0}, frame[4:]...),
-	}
-	corrupt := append([]byte{}, frame...)
-	corrupt[4] ^= 0xff // magic
-	bad["bad magic"] = corrupt
-	vers := append([]byte{}, frame...)
-	vers[8] = 99
-	bad["bad version"] = vers
-	for name, data := range bad {
-		if _, _, _, err := DecodeCompletion(data); err == nil {
-			t.Errorf("%s: decode succeeded, want error", name)
+	for _, c := range []struct {
+		name, worker string
+		body         []byte
+		code         int
+	}{
+		{"oversized name", strings.Repeat("w", maxNameLen+1), line, http.StatusBadRequest},
+		{"not a checkpoint line", "w1", []byte("{}\n"), http.StatusUnprocessableEntity},
+	} {
+		_, err := post(c.worker, c.body)
+		var se *serve.StatusError
+		if !errors.As(err, &se) || se.Code != c.code {
+			t.Errorf("%s: err = %v, want status %d", c.name, err, c.code)
 		}
 	}
+	if st := co.Status(); st.Done != 0 {
+		t.Fatalf("refused uploads committed %d shards", st.Done)
+	}
 
-	if _, err := EncodeCompletion(string(make([]byte, maxNameLen+1)), "l", line); err == nil {
-		t.Error("oversized worker name: encode succeeded, want error")
+	cr, err := post("w1", line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cr.Accepted || !cr.Complete || cr.Shard != 0 {
+		t.Errorf("completion: %+v, want shard 0 accepted and complete", cr)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -189,7 +188,7 @@ func (w *Worker) runLeased(ctx context.Context, lr LeaseResponse) (bool, error) 
 		}
 		return false, err
 	}
-	resp, err := w.complete(ctx, lr.Lease, line)
+	resp, err := w.complete(ctx, line)
 	if err != nil {
 		return false, err
 	}
@@ -204,7 +203,7 @@ func (w *Worker) runLeased(ctx context.Context, lr LeaseResponse) (bool, error) 
 func (w *Worker) fetchPlan(ctx context.Context) (PlanStatus, error) {
 	var st PlanStatus
 	err := w.cfg.Retry.Retry(ctx, "fabric: plan", permanentStatus, func() error {
-		return w.getJSON(ctx, "/fabric/v1/plan", &st)
+		return w.call(ctx, http.MethodGet, "/fabric/v1/plan", nil, &st)
 	})
 	return st, err
 }
@@ -212,111 +211,53 @@ func (w *Worker) fetchPlan(ctx context.Context) (PlanStatus, error) {
 func (w *Worker) lease(ctx context.Context) (LeaseResponse, error) {
 	var lr LeaseResponse
 	err := w.cfg.Retry.Retry(ctx, "fabric: lease", permanentStatus, func() error {
-		return w.postJSON(ctx, "/fabric/v1/lease", LeaseRequest{Worker: w.cfg.Name}, &lr)
+		return w.call(ctx, http.MethodPost, "/fabric/v1/lease", nil, &lr)
 	})
 	return lr, err
 }
 
 func (w *Worker) renew(ctx context.Context, lease string) (RenewResponse, error) {
+	body, err := json.Marshal(RenewRequest{Lease: lease})
+	if err != nil {
+		return RenewResponse{}, err
+	}
 	var rr RenewResponse
 	// Renewals do not retry: the next tick is another chance, and a
 	// retry storm during a coordinator hiccup helps nobody.
-	err := w.postJSON(ctx, "/fabric/v1/renew", RenewRequest{Lease: lease}, &rr)
+	err = w.call(ctx, http.MethodPost, "/fabric/v1/renew", body, &rr)
 	return rr, err
 }
 
-func (w *Worker) complete(ctx context.Context, lease string, line []byte) (CompleteResponse, error) {
-	frame, err := EncodeCompletion(w.cfg.Name, lease, line)
-	if err != nil {
-		return CompleteResponse{}, err
-	}
+// complete uploads one shard's checkpoint line, which is the body of
+// the request as it is.
+func (w *Worker) complete(ctx context.Context, line []byte) (CompleteResponse, error) {
 	var cr CompleteResponse
-	err = w.cfg.Retry.Retry(ctx, "fabric: complete", permanentStatus, func() error {
-		return w.postRaw(ctx, "/fabric/v1/complete", frame, &cr)
+	err := w.cfg.Retry.Retry(ctx, "fabric: complete", permanentStatus, func() error {
+		return w.call(ctx, http.MethodPost, "/fabric/v1/complete", line, &cr)
 	})
 	return cr, err
 }
 
-// permanentStatus mirrors the serve client's classification: 4xx (bad
-// frame, plan mismatch) will not improve with retries; 5xx and
-// transport errors might.
+// permanentStatus classifies errors not worth another attempt: a 4xx
+// (a refused upload, a missing token) will not improve with retries;
+// 5xx and transport errors might.
 func permanentStatus(err error) bool {
-	var se *statusError
-	return errors.As(err, &se) && se.code >= 400 && se.code < 500
+	var se *serve.StatusError
+	return errors.As(err, &se) && se.Code/100 == 4
 }
 
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("fabric: coordinator returned %d: %s", e.code, e.msg)
-}
-
-func (w *Worker) httpClient() *http.Client {
-	if w.cfg.HTTP != nil {
-		return w.cfg.HTTP
-	}
-	return http.DefaultClient
-}
-
-func (w *Worker) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.cfg.Coordinator+path, nil)
+// call sends one coordinator request through serve.Do, naming this
+// worker and, when configured, carrying its bearer token.
+func (w *Worker) call(ctx context.Context, method, path string, body []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, w.cfg.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	return w.do(req, out)
-}
-
-func (w *Worker) postJSON(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return w.do(req, out)
-}
-
-func (w *Worker) postRaw(ctx context.Context, path string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	return w.do(req, out)
-}
-
-func (w *Worker) do(req *http.Request, out any) error {
+	req.Header.Set("Content-Type", serve.ContentTypeJSON)
+	req.Header.Set(workerHeader, w.cfg.Name)
 	if w.cfg.AuthToken != "" {
 		req.Header.Set("Authorization", "Bearer "+w.cfg.AuthToken)
 	}
-	res, err := w.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer res.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(res.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if res.StatusCode/100 != 2 {
-		var er ErrorResponse
-		msg := string(data)
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			msg = er.Error
-		}
-		return &statusError{code: res.StatusCode, msg: msg}
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("fabric: decode %s response: %w", req.URL.Path, err)
-	}
-	return nil
+	_, err = serve.Do(w.cfg.HTTP, req, out)
+	return err
 }

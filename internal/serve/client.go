@@ -3,26 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 )
-
-// StatusError is a non-2xx response from the serving runtime. Code 429
-// (shed) and 503 (draining / circuit open under fail-closed) are
-// retryable; the client retries them automatically.
-type StatusError struct {
-	Code int
-	Msg  string
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("serve: server returned %d: %s", e.Code, e.Msg)
-}
 
 // retryable reports whether the status is worth another attempt:
 // shedding and transient unavailability are; client errors are not.
@@ -82,13 +67,6 @@ type Client struct {
 	MaxBackoff time.Duration
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 // policy returns the client's shared Backoff retry policy.
 func (c *Client) policy() Backoff {
 	return Backoff{MaxRetries: c.MaxRetries, Base: c.Backoff, Max: c.MaxBackoff}
@@ -129,9 +107,9 @@ func (c *Client) Evaluate(ctx context.Context, detector string, samples []Sample
 	return out, nil
 }
 
-// post performs one attempt and maps non-2xx statuses to StatusError.
-// The response codec follows the response Content-Type (the server
-// mirrors the request codec for evaluations; errors stay JSON).
+// post performs one attempt; Do maps non-2xx statuses to StatusError.
+// The server answers an evaluation in the request's codec (error
+// bodies stay JSON).
 func (c *Client) post(ctx context.Context, path string, body []byte) (*EvalResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
@@ -139,36 +117,20 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (*EvalRespo
 	}
 	if c.Codec == CodecBinary {
 		req.Header.Set("Content-Type", ContentTypeBinary)
-	} else {
-		req.Header.Set("Content-Type", ContentTypeJSON)
-	}
-	res, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(res.Body, maxRequestBody))
-	if err != nil {
-		return nil, err
-	}
-	if res.StatusCode/100 != 2 {
-		var er ErrorResponse
-		msg := string(data)
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			msg = er.Error
+		data, err := Do(c.HTTP, req, nil)
+		if err != nil {
+			return nil, err
 		}
-		return nil, &StatusError{Code: res.StatusCode, Msg: msg}
-	}
-	if strings.HasPrefix(res.Header.Get("Content-Type"), ContentTypeBinary) {
 		out, _, err := DecodeBinaryResponse(data)
 		if err != nil {
 			return nil, fmt.Errorf("serve: decode response: %w", err)
 		}
 		return out, nil
 	}
+	req.Header.Set("Content-Type", ContentTypeJSON)
 	var out EvalResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("serve: decode response: %w", err)
+	if _, err := Do(c.HTTP, req, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

@@ -587,11 +587,6 @@ func appendEvalResponse(b []byte, resp *EvalResponse) []byte {
 	return append(b, "}\n"...)
 }
 
-// ErrorResponse is the body of every non-2xx response.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
 // ReloadRequest is the POST /admin/reload body. An empty path re-reads
 // the bundle the server was started with (the SIGHUP behaviour).
 type ReloadRequest struct {

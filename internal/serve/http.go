@@ -1,19 +1,86 @@
 package serve
 
-// Shared HTTP plumbing: the managed listen/drain server loop and the
+// Shared HTTP plumbing: the managed listen/drain server loop, the one
+// error body and JSON writer, the one client call and the
 // deadline-aware retry policy. The detector-serving runtime
-// (Server.Serve, Client) and the campaign fabric (internal/fabric
-// coordinator and worker) both run on these, so drain semantics and
-// retry behaviour stay identical across the two services.
+// (Server.Serve, Client), the campaign fabric (internal/fabric
+// coordinator and worker) and the `edem lifecycle` verbs all run on
+// these, so drain semantics, error bodies and retry behaviour stay
+// identical across the services.
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 )
+
+// ErrorResponse is the body of every non-2xx response.
+type ErrorResponse struct {
+	Error string `json:"error"`
+}
+
+// WriteJSON writes v as the JSON body of a code response.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", ContentTypeJSON)
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// StatusError is a non-2xx reply to a Do call. Msg is the server's
+// ErrorResponse.Error, or the raw body when it sent none. Callers
+// decide from Code which statuses are worth another attempt.
+type StatusError struct {
+	Method string
+	Path   string
+	Code   int
+	Msg    string
+}
+
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("%s %s: %d %s: %s", e.Method, e.Path, e.Code, http.StatusText(e.Code), e.Msg)
+}
+
+// maxReply bounds the reply body Do reads.
+const maxReply = 16 << 20
+
+// Do sends req through hc (nil means http.DefaultClient) and reads the
+// reply, up to maxReply bytes. A non-2xx reply returns a *StatusError.
+// A 2xx reply returns its body and, when out is non-nil, decodes it
+// into out as JSON.
+func Do(hc *http.Client, req *http.Request, out any) ([]byte, error) {
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	res, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer res.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(res.Body, maxReply))
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: read reply: %w", req.Method, req.URL.Path, err)
+	}
+	if res.StatusCode/100 != 2 {
+		msg := strings.TrimSpace(string(data))
+		var er ErrorResponse
+		if json.Unmarshal(data, &er) == nil && er.Error != "" {
+			msg = er.Error
+		}
+		return nil, &StatusError{Method: req.Method, Path: req.URL.Path, Code: res.StatusCode, Msg: msg}
+	}
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			return nil, fmt.Errorf("%s %s: decode reply: %w", req.Method, req.URL.Path, err)
+		}
+	}
+	return data, nil
+}
 
 // HTTPConfig tunes RunHTTP. The zero value selects the defaults
 // documented on each field.

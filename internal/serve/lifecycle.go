@@ -277,16 +277,16 @@ func (s *Server) lifecyclePost(detID string, samples []Sample, servedV []bool,
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
 	if s.monitor == nil {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: errLifecycleDisabled.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: errLifecycleDisabled.Error()})
 		return
 	}
 	var req FeedbackRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	rec := lifecycle.FeedbackRecord{
@@ -300,51 +300,51 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		Note:       req.Note,
 	}
 	if err := s.monitor.RecordFeedback(rec); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, FeedbackResponse{Recorded: true, Generation: rec.Generation})
+	WriteJSON(w, http.StatusOK, FeedbackResponse{Recorded: true, Generation: rec.Generation})
 }
 
 func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
 	var req ShadowRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	resp, err := s.LoadShadow(req.Path)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
 	var req PromoteRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	resp, err := s.Promote(req.Percent)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
 	var req RollbackRequest
@@ -353,28 +353,28 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.Rollback(req.Reason)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
 	if s.monitor == nil {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: errLifecycleDisabled.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: errLifecycleDisabled.Error()})
 		return
 	}
 	s.monitor.Baseline()
 	s.cfg.Logf("serve: drift baseline frozen")
-	writeJSON(w, http.StatusOK, s.LifecycleStatus())
+	WriteJSON(w, http.StatusOK, s.LifecycleStatus())
 }
 
 func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.LifecycleStatus())
+	WriteJSON(w, http.StatusOK, s.LifecycleStatus())
 }
 
 // --- Wire types -------------------------------------------------------

@@ -358,7 +358,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/detectors", s.handleDetectors)
 	mux.HandleFunc("/v1/evaluate", s.handleEvaluate)
 	mux.HandleFunc("/admin/reload", s.handleReload)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.Handle("/metrics", s.reg)
 	mux.HandleFunc("/v1/feedback", s.handleFeedback)
 	mux.HandleFunc("/admin/shadow", s.handleShadow)
 	mux.HandleFunc("/admin/promote", s.handlePromote)
@@ -392,19 +392,13 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, onListen func(
 	return s.Serve(ctx, ln)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.bundle.Load()
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining", Detectors: len(st.ids)})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining", Detectors: len(st.ids)})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Detectors: len(st.ids)})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok", Detectors: len(st.ids)})
 }
 
 func (s *Server) handleDetectors(w http.ResponseWriter, r *http.Request) {
@@ -423,12 +417,12 @@ func (s *Server) handleDetectors(w http.ResponseWriter, r *http.Request) {
 			Alarms:   d.alarms.Load(),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
 	var req ReloadRequest
@@ -438,11 +432,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	ids, err := s.Reload(req.Path)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	st := s.bundle.Load()
-	writeJSON(w, http.StatusOK, ReloadResponse{Path: st.path, Detectors: ids, Generation: st.gen})
+	WriteJSON(w, http.StatusOK, ReloadResponse{Path: st.path, Detectors: ids, Generation: st.gen})
 }
 
 // decodeOptionalBody decodes an admin request body into v, where an
@@ -452,20 +446,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(v)
 	if err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return false
 	}
 	return true
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "telemetry disabled"})
-		return
-	}
-	snap := s.reg.Snapshot()
-	w.Header().Set("Content-Type", "application/json")
-	_ = snap.WriteJSON(w)
 }
 
 // maxRequestBody bounds an evaluate request body (16 MiB of samples is
@@ -487,11 +471,11 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.hRequestNS.ObserveDuration(time.Since(start)) }()
 
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server draining"})
 		return
 	}
 
@@ -517,7 +501,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.hDecodeNS.ObserveDuration(time.Since(decodeStart))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	// req.Samples may alias the pooled parse state; the handler is the
@@ -555,7 +539,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		if isBinary {
 			var err error
 			if buf, err = EncodeBinaryResponse(buf, &resp, gen); err != nil {
-				writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+				WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 				return
 			}
 			contentType = ContentTypeBinary
@@ -570,17 +554,17 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 	det, ok := st.dets[req.Detector]
 	if !ok {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown detector %q", req.Detector)})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown detector %q", req.Detector)})
 		return
 	}
 	if len(req.Samples) == 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "no samples"})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "no samples"})
 		return
 	}
 	arity := len(det.entry.Predicate.Vars)
 	for i, sm := range req.Samples {
 		if len(sm) != arity {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 				Error: fmt.Sprintf("sample %d has %d values, detector %s wants %d", i, len(sm), req.Detector, arity)})
 			return
 		}
@@ -607,7 +591,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{
 			Error: fmt.Sprintf("detector %s: circuit open", req.Detector)})
 		return
 	}
@@ -626,7 +610,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.mSheds.Inc()
 		det.breaker.Cancel() // shedding is not a detector outcome
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "admission queue full"})
+		WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "admission queue full"})
 		return
 	}
 	s.gInFlight.Add(1)
@@ -640,7 +624,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		if ctx.Err() != nil {
 			// Deadline, not a detector fault.
 			det.breaker.Cancel()
-			writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "deadline exceeded"})
+			WriteJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "deadline exceeded"})
 			return
 		}
 		s.mEvalErrors.Inc()
@@ -652,7 +636,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	var alarms []int

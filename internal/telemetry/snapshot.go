@@ -2,15 +2,15 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
+	"net/http"
 	"strings"
 	"time"
 )
 
 // Snapshot is a consistent-enough copy of a registry's state, suitable
-// for JSON serialisation (`edem ... -metrics-out`), expvar exposure and
+// for JSON serialisation (`edem ... -metrics-out`, GET /metrics) and
 // the -trace span tree. Counters and phases are read individually with
 // atomic loads; a snapshot taken while the pipeline runs may therefore
 // be torn across metrics, but any snapshot taken after the instrumented
@@ -99,6 +99,20 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
+// ServeHTTP answers GET /metrics with the registry's Snapshot as JSON:
+// the one metrics endpoint of every long-running edem process (the
+// detector server, the fabric coordinator and the -debug-addr port). A
+// nil registry answers 404 {"error":"telemetry disabled"}.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	if r == nil {
+		w.WriteHeader(http.StatusNotFound)
+		_, _ = io.WriteString(w, `{"error":"telemetry disabled"}`+"\n")
+		return
+	}
+	_ = r.Snapshot().WriteJSON(w)
+}
+
 // RootPhaseNS sums the durations of top-level phases (paths without a
 // '/'). Nested spans are excluded, so the sum does not double-count;
 // for a serial run it should account for nearly all of WallNS.
@@ -154,13 +168,4 @@ func (s *Snapshot) FormatTree() string {
 	}
 	sb.WriteByte('\n')
 	return sb.String()
-}
-
-// PublishExpvar exposes the process-default registry under the given
-// expvar name as a function variable that snapshots on demand
-// (GET /debug/vars). It reads Default() per request, so it tracks
-// registry swaps (and reports an empty snapshot while disabled). Like
-// expvar.Publish it must be called at most once per name per process.
-func PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return Default().Snapshot() }))
 }

@@ -13,7 +13,7 @@
 //     pipeline invocation and makes concurrent runs independently
 //     observable, or
 //   - through the process default (SetDefault), which is what the CLI's
-//     -metrics-out / -trace flags and the expvar endpoint use.
+//     -metrics-out / -trace flags and the -debug-addr /metrics use.
 //
 // Telemetry is disabled by default and the disabled path is engineered
 // to be near-free: a nil *Registry is a valid receiver for every method,

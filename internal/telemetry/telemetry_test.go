@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -146,5 +148,29 @@ func TestDefaultRegistry(t *testing.T) {
 func TestFormatTreeEmpty(t *testing.T) {
 	if !strings.Contains(New().Snapshot().FormatTree(), "no spans") {
 		t.Error("empty tree should say so")
+	}
+}
+
+// TestRegistryServesMetrics pins the one /metrics handler: a registry
+// answers its Snapshot as JSON, a nil one 404 {"error":"telemetry
+// disabled"}.
+func TestRegistryServesMetrics(t *testing.T) {
+	r := New()
+	r.Counter("serve.requests").Add(2)
+	rec := httptest.NewRecorder()
+	r.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var snap Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d %q (%v)", rec.Code, rec.Body, err)
+	}
+	if snap.Counters["serve.requests"] != 2 {
+		t.Errorf("counters = %v, want serve.requests 2", snap.Counters)
+	}
+
+	var off *Registry
+	rec = httptest.NewRecorder()
+	off.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusNotFound || strings.TrimSpace(rec.Body.String()) != `{"error":"telemetry disabled"}` {
+		t.Errorf("nil registry: %d %q, want 404 telemetry disabled", rec.Code, rec.Body)
 	}
 }
