@@ -224,7 +224,7 @@ func runServeLeg(b *serve.Bundle, path string, codec serve.Codec, shadow bool,
 		errors    int
 	}
 	run := func(until time.Time, record bool, w *worker) error {
-		cl := &serve.Client{Base: base, Codec: codec, MaxRetries: -1}
+		cl := &serve.Client{Base: base, Codec: codec}
 		ctx := context.Background()
 		for time.Now().Before(until) {
 			start := time.Now()

@@ -14,7 +14,7 @@ import (
 // TestCmdExportThenServe drives the deployment story end to end at the
 // CLI boundary: `edem export` learns a predicate and writes a bundle,
 // the bundle loads back, and the serving stack evaluates a batch
-// through the retrying client.
+// through serve.Client.
 func TestCmdExportThenServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("methodology run; skipped in -short mode")

@@ -76,11 +76,9 @@ type Config struct {
 	// discarded) and the attempt counts as an infrastructure failure.
 	Timeout time.Duration
 	// MaxRetries is the number of additional attempts after a failed
-	// one before the cell is skipped; <= 0 means none.
+	// one before the cell is skipped; <= 0 means none. Retry n waits
+	// retryDelay(n).
 	MaxRetries int
-	// Backoff is the delay before the first retry, doubling per
-	// attempt and capped at 32×; <= 0 defaults to 50ms.
-	Backoff time.Duration
 	// OnCheckpoint, when non-nil, is called after every shard
 	// checkpoint with the number of completed shards (including
 	// restored ones) and the total. Calls are serialised but may come
@@ -88,11 +86,15 @@ type Config struct {
 	OnCheckpoint func(done, total int)
 }
 
-func (c *Config) backoff() time.Duration {
-	if c.Backoff <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.Backoff
+// retryBackoff is the wait before a cell's first retry; each later
+// retry doubles it, up to 32 times retryBackoff.
+const retryBackoff = 50 * time.Millisecond
+
+// retryDelay returns the wait before retry number attempt (1-based):
+// 50 ms doubling to 1.6 s from the sixth retry on. The exponent is
+// capped before the shift, so no retry count overflows the delay.
+func retryDelay(attempt int) time.Duration {
+	return retryBackoff << min(attempt-1, 5)
 }
 
 // SkippedCell records one cell of the injection space that the engine
@@ -529,7 +531,6 @@ func (e *engine) skipCell(idx int, j propane.Job, attempts int, reason string) *
 // fn panics are converted to errors; a context cancellation aborts
 // immediately (callers check ctx.Err to distinguish abort from skip).
 func (e *engine) attempt(ctx context.Context, fn func() (any, error)) (out any, attempts int, err error) {
-	backoff := e.cfg.backoff()
 	maxRetries := e.cfg.MaxRetries
 	if maxRetries < 0 {
 		maxRetries = 0
@@ -543,12 +544,8 @@ func (e *engine) attempt(ctx context.Context, fn func() (any, error)) (out any, 
 			return nil, attempts, err
 		}
 		e.retries.Add(1)
-		delay := backoff << uint(attempts-1)
-		if max := backoff << 5; delay > max {
-			delay = max
-		}
 		select {
-		case <-time.After(delay):
+		case <-time.After(retryDelay(attempts)):
 		case <-ctx.Done():
 			return nil, attempts, ctx.Err()
 		}

@@ -303,7 +303,6 @@ func TestRetryRecoversFlakyTarget(t *testing.T) {
 		Shards:     4,
 		Timeout:    50 * time.Millisecond,
 		MaxRetries: 3,
-		Backoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +332,6 @@ func TestPersistentHangSkipsCells(t *testing.T) {
 		Shards:     4,
 		Timeout:    20 * time.Millisecond,
 		MaxRetries: 0,
-		Backoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +374,6 @@ func TestGoldenFailureSkipsTestCase(t *testing.T) {
 		Shards:     4,
 		Timeout:    20 * time.Millisecond,
 		MaxRetries: 1,
-		Backoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ type Executor struct {
 // run any shard. The plan's shard count is the explicit shards argument
 // and cfg.Shards is ignored: a fabric worker passes the coordinator's
 // shard count, which is part of the plan identity. The rest of Config
-// is honoured for execution knobs (Timeout, MaxRetries, Backoff);
+// is honoured for execution knobs (Timeout, MaxRetries);
 // journal fields are ignored — executors never touch disk, they hand
 // encoded checkpoint lines to the caller.
 func NewExecutorShards(ctx context.Context, target propane.Target, spec propane.Spec, cfg Config, shards int) (*Executor, error) {

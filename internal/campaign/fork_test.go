@@ -15,7 +15,6 @@ import (
 	"edem/internal/campaign"
 	"edem/internal/fabric"
 	"edem/internal/propane"
-	"edem/internal/serve"
 	"edem/internal/targets/mp3gain"
 	"edem/internal/telemetry"
 )
@@ -249,10 +248,9 @@ func readCheckpointLog(t *testing.T, dir string) []byte {
 func runFabricLoopback(t *testing.T, spec propane.Spec, cfg campaign.Config, n int) {
 	t.Helper()
 	co, err := fabric.NewCoordinator(forkTarget(), spec, cfg, fabric.CoordinatorConfig{
-		LeaseTTL:     5 * time.Second,
-		Linger:       20 * time.Millisecond,
-		DrainTimeout: 2 * time.Second,
-		Registry:     telemetry.New(),
+		LeaseTTL: 5 * time.Second,
+		Linger:   20 * time.Millisecond,
+		Registry: telemetry.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +271,6 @@ func runFabricLoopback(t *testing.T, spec propane.Spec, cfg campaign.Config, n i
 			Coordinator: "http://" + ln.Addr().String(),
 			Name:        "w" + string(rune('1'+i)),
 			Poll:        10 * time.Millisecond,
-			Retry:       serve.Backoff{MaxRetries: 5, Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 			Registry:    telemetry.New(),
 		})
 		if err != nil {

@@ -123,7 +123,6 @@ func TestAuthenticatedWorkerCompletes(t *testing.T) {
 		Coordinator: "http://" + ln.Addr().String(),
 		Name:        "tokenless",
 		Poll:        10 * time.Millisecond,
-		Retry:       serve.Backoff{MaxRetries: 2, Base: 10 * time.Millisecond, Max: 50 * time.Millisecond},
 		Registry:    telemetry.New(),
 	}
 	if _, err := NewWorker(ctx, testTarget{}, spec, campaign.Config{}, wcfg); err == nil {

@@ -26,15 +26,10 @@ type CoordinatorConfig struct {
 	// LeaseTTL is how long a granted (or renewed) lease lives without a
 	// heartbeat before its shard returns to pending (default 30s).
 	LeaseTTL time.Duration
-	// MaxLeases caps concurrent leases per shard — the work-stealing
-	// fan-out limit (default 2: the original plus one thief).
-	MaxLeases int
 	// Linger is how long the coordinator keeps serving after the last
 	// shard commits, so idle workers observe Complete on their next
 	// poll instead of a connection error (default 1s).
 	Linger time.Duration
-	// DrainTimeout bounds the graceful shutdown (default 10s).
-	DrainTimeout time.Duration
 	// Registry receives the fabric.* metrics and backs GET /metrics; nil
 	// falls back to the process default registry.
 	Registry *telemetry.Registry
@@ -56,14 +51,8 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 30 * time.Second
 	}
-	if c.MaxLeases <= 0 {
-		c.MaxLeases = 2
-	}
 	if c.Linger <= 0 {
 		c.Linger = time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default()
@@ -185,9 +174,13 @@ func (co *Coordinator) sweepLocked(now time.Time) {
 	}
 }
 
+// maxLeases caps concurrent leases per shard, the work-stealing
+// fan-out: the original holder plus one thief.
+const maxLeases = 2
+
 // grant implements the lease state machine: lowest pending shard
 // first; when nothing is pending, steal the slowest outstanding shard
-// (oldest grant, fewest leases, under the MaxLeases cap).
+// (oldest grant, fewest leases, under the maxLeases cap).
 func (co *Coordinator) grant(worker string) LeaseResponse {
 	if co.ledger.Complete() {
 		return LeaseResponse{Shard: -1, Complete: true}
@@ -223,7 +216,7 @@ func (co *Coordinator) grant(worker string) LeaseResponse {
 		// preference order: fewest leases, oldest grant, lowest shard.
 		best := -1
 		for _, s := range pending {
-			if mine[s] || held[s] >= co.cfg.MaxLeases {
+			if mine[s] || held[s] >= maxLeases {
 				continue
 			}
 			if best < 0 ||
@@ -377,10 +370,7 @@ func (co *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 		case <-sctx.Done():
 		}
 	}()
-	err := serve.RunHTTP(sctx, ln, co.Handler(), serve.HTTPConfig{
-		DrainTimeout: co.cfg.DrainTimeout,
-		Logf:         co.cfg.Logf,
-	})
+	err := serve.RunHTTP(sctx, ln, co.Handler(), serve.HTTPConfig{Logf: co.cfg.Logf})
 	if co.ledger.Complete() {
 		if serr := co.ledger.Seal(); serr != nil && err == nil {
 			err = serr

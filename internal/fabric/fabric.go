@@ -11,8 +11,9 @@
 //
 // The fabric speaks HTTP on the shared internal/serve plumbing
 // (RunHTTP drain semantics, serve.Do requests, serve.ErrorResponse
-// error bodies, Backoff retries). Every message is JSON, and every
-// worker request names its worker in the X-Fabric-Worker header. A
+// error bodies); a worker retries a coordinator call on a 5xx or a
+// transport error. Every message is JSON, and every worker request
+// names its worker in the X-Fabric-Worker header. A
 // completed shard travels as its canonical journal line, whose sampled
 // states are hex IEEE-754 bit patterns — the same exact transport the
 // journal and the serving codecs use, so records cross the wire

@@ -142,21 +142,20 @@ func TestCompleteTakesRawLine(t *testing.T) {
 
 func coordConfig(ttl time.Duration) CoordinatorConfig {
 	return CoordinatorConfig{
-		LeaseTTL:     ttl,
-		Linger:       20 * time.Millisecond,
-		DrainTimeout: 2 * time.Second,
-		Registry:     telemetry.New(),
+		LeaseTTL: ttl,
+		Linger:   20 * time.Millisecond,
+		Registry: telemetry.New(),
 	}
 }
 
-// TestLeaseExpiryReleasesShard simulates a worker crash mid-shard: the
-// lease expires without renewal or completion, and the shard becomes
-// leasable again for another worker.
+// TestLeaseExpiryReleasesShard simulates worker crashes mid-shard at
+// the constant fan-out of maxLeases per shard: both leases of each
+// shard (the original and a thief's) expire without renewal or
+// completion, and the shard becomes leasable again as a fresh grant,
+// not a steal.
 func TestLeaseExpiryReleasesShard(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "journal")
-	cfg := coordConfig(40 * time.Millisecond)
-	cfg.MaxLeases = 1 // no stealing: expiry is the only way back
-	co, err := NewCoordinator(testTarget{}, testSpec(2), campaign.Config{Journal: dir, Shards: 2}, cfg)
+	co, err := NewCoordinator(testTarget{}, testSpec(2), campaign.Config{Journal: dir, Shards: 2}, coordConfig(40*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,22 +164,28 @@ func TestLeaseExpiryReleasesShard(t *testing.T) {
 	if lr1.Shard != 0 || lr2.Shard != 1 {
 		t.Fatalf("grants: %d, %d; want 0, 1 (lowest pending first)", lr1.Shard, lr2.Shard)
 	}
-	if lr3 := co.grant("w3"); lr3.Shard != -1 {
-		t.Fatalf("saturated grant: shard %d, want -1", lr3.Shard)
+	lr3, lr4 := co.grant("w3"), co.grant("w4")
+	if lr3.Shard != 0 || !lr3.Stolen || lr4.Shard != 1 || !lr4.Stolen {
+		t.Fatalf("steals: %+v, %+v; want shards 0 then 1, both stolen", lr3, lr4)
+	}
+	if lr5 := co.grant("w5"); lr5.Shard != -1 {
+		t.Fatalf("grant past %d leases per shard: shard %d, want -1", maxLeases, lr5.Shard)
 	}
 
-	// w1 "crashes": never renews, never completes. Past the TTL its
-	// shard is re-leased — a fresh grant, not a steal.
+	// Every holder "crashes": none renews or completes. Past the TTL
+	// both leases of shard 0 are gone, and it is re-leased fresh.
 	time.Sleep(100 * time.Millisecond)
-	lr4 := co.grant("w3")
-	if lr4.Shard != 0 || lr4.Stolen {
-		t.Fatalf("post-expiry grant: shard=%d stolen=%v, want shard 0, not stolen", lr4.Shard, lr4.Stolen)
+	lr6 := co.grant("w5")
+	if lr6.Shard != 0 || lr6.Stolen {
+		t.Fatalf("post-expiry grant: shard=%d stolen=%v, want shard 0, not stolen", lr6.Shard, lr6.Stolen)
 	}
-	if !co.renew(lr4.Lease).OK {
+	if !co.renew(lr6.Lease).OK {
 		t.Error("renewing a live lease failed")
 	}
-	if co.renew(lr1.Lease).OK {
-		t.Error("renewing the expired lease succeeded")
+	for _, lr := range []LeaseResponse{lr1, lr3} {
+		if co.renew(lr.Lease).OK {
+			t.Errorf("renewing expired lease %s succeeded", lr.Lease)
+		}
 	}
 }
 
@@ -200,7 +205,7 @@ func TestStealAndDuplicateFirstWins(t *testing.T) {
 		t.Fatalf("grants: %+v then %+v; want both shard 0, second stolen", lr1, lr2)
 	}
 	if lr3 := co.grant("w3"); lr3.Shard != -1 {
-		t.Fatalf("grant past MaxLeases: shard %d, want -1", lr3.Shard)
+		t.Fatalf("grant past %d leases per shard: shard %d, want -1", maxLeases, lr3.Shard)
 	}
 
 	x, err := campaign.NewExecutorShards(context.Background(), testTarget{}, testSpec(1), campaign.Config{}, 1)
@@ -351,7 +356,6 @@ func TestTwoWorkersMatchLocalRun(t *testing.T) {
 	wcfg := WorkerConfig{
 		Coordinator: "http://" + ln.Addr().String(),
 		Poll:        10 * time.Millisecond,
-		Retry:       serve.Backoff{MaxRetries: 5, Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 		Registry:    telemetry.New(),
 	}
 	var wg sync.WaitGroup
@@ -452,4 +456,70 @@ func readJournal(t *testing.T, dir string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// failing returns a coordinator call that fails with err on its first
+// n calls and then succeeds, and the count of calls made.
+func failing(n int, err error) (func() error, *int) {
+	calls := 0
+	return func() error {
+		calls++
+		if calls <= n {
+			return err
+		}
+		return nil
+	}, &calls
+}
+
+// TestRetryRecovers: retry waits out transient 5xx replies (a shedding
+// or draining coordinator) and returns the first success, while a 4xx
+// reply returns at once, unwrapped.
+func TestRetryRecovers(t *testing.T) {
+	unavailable := &serve.StatusError{Method: "POST", Path: "/fabric/v1/lease", Code: http.StatusServiceUnavailable}
+	fn, calls := failing(2, unavailable)
+	if err := retry(context.Background(), "fabric: lease", fn); err != nil || *calls != 3 {
+		t.Fatalf("err %v after %d calls, want success on call 3 (two 503s then success)", err, *calls)
+	}
+	refused := &serve.StatusError{Method: "POST", Path: "/fabric/v1/complete", Code: http.StatusBadRequest}
+	fn, calls = failing(1<<30, refused)
+	if err := retry(context.Background(), "fabric: complete", fn); err != refused || *calls != 1 {
+		t.Fatalf("err %v after %d calls, want the 400 itself after 1 call", err, *calls)
+	}
+}
+
+// TestRetryBudgetExhausted: a call that keeps failing is made
+// 1+maxRetries times, after waits of 50, 100 and 200 ms, and the last
+// failure comes back wrapped.
+func TestRetryBudgetExhausted(t *testing.T) {
+	unavailable := &serve.StatusError{Method: "POST", Path: "/fabric/v1/lease", Code: http.StatusServiceUnavailable}
+	fn, calls := failing(1<<30, unavailable)
+	start := time.Now()
+	err := retry(context.Background(), "fabric: lease", fn)
+	var se *serve.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("err = %v, want the wrapped 503", err)
+	}
+	if *calls != 1+maxRetries {
+		t.Fatalf("calls = %d, want %d (the first and %d retries)", *calls, 1+maxRetries, maxRetries)
+	}
+	if d := time.Since(start); d < 350*time.Millisecond {
+		t.Fatalf("gave up after %v, want at least the 350 ms of backoff", d)
+	}
+}
+
+// TestRetryDeadlineAware pins the no-futile-sleep rule: with a context
+// deadline closer than the first 50 ms backoff, retry gives up after
+// the first failure rather than sleeping into the deadline (a sleep
+// would end in the context's own deadline error instead).
+func TestRetryDeadlineAware(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer cancel()
+	fn, calls := failing(1<<30, errors.New("connection refused"))
+	err := retry(ctx, "fabric: plan", fn)
+	if err == nil || !strings.Contains(err.Error(), "deadline too close to retry") {
+		t.Fatalf("err = %v, want a deadline-too-close refusal", err)
+	}
+	if *calls != 1 {
+		t.Fatalf("calls = %d, want 1", *calls)
+	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"edem/internal/bitflip"
 	"edem/internal/campaign"
-	"edem/internal/serve"
 	"edem/internal/telemetry"
 )
 
@@ -56,7 +55,6 @@ func TestTwoWorkersMatchLocalRunPerModel(t *testing.T) {
 			wcfg := WorkerConfig{
 				Coordinator: "http://" + ln.Addr().String(),
 				Poll:        10 * time.Millisecond,
-				Retry:       serve.Backoff{MaxRetries: 5, Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 				Registry:    telemetry.New(),
 			}
 			var wg sync.WaitGroup

@@ -26,8 +26,6 @@ type WorkerConfig struct {
 	// Poll is the idle wait between lease attempts when nothing is
 	// leasable (default 200ms).
 	Poll time.Duration
-	// Retry is the shared backoff policy for every coordinator call.
-	Retry serve.Backoff
 	// HTTP is the underlying client; nil uses http.DefaultClient.
 	HTTP *http.Client
 	// Registry receives the fabric.worker_* metrics; nil falls back to
@@ -202,7 +200,7 @@ func (w *Worker) runLeased(ctx context.Context, lr LeaseResponse) (bool, error) 
 // fetchPlan GETs /fabric/v1/plan with retries.
 func (w *Worker) fetchPlan(ctx context.Context) (PlanStatus, error) {
 	var st PlanStatus
-	err := w.cfg.Retry.Retry(ctx, "fabric: plan", permanentStatus, func() error {
+	err := retry(ctx, "fabric: plan", func() error {
 		return w.call(ctx, http.MethodGet, "/fabric/v1/plan", nil, &st)
 	})
 	return st, err
@@ -210,7 +208,7 @@ func (w *Worker) fetchPlan(ctx context.Context) (PlanStatus, error) {
 
 func (w *Worker) lease(ctx context.Context) (LeaseResponse, error) {
 	var lr LeaseResponse
-	err := w.cfg.Retry.Retry(ctx, "fabric: lease", permanentStatus, func() error {
+	err := retry(ctx, "fabric: lease", func() error {
 		return w.call(ctx, http.MethodPost, "/fabric/v1/lease", nil, &lr)
 	})
 	return lr, err
@@ -232,18 +230,53 @@ func (w *Worker) renew(ctx context.Context, lease string) (RenewResponse, error)
 // the request as it is.
 func (w *Worker) complete(ctx context.Context, line []byte) (CompleteResponse, error) {
 	var cr CompleteResponse
-	err := w.cfg.Retry.Retry(ctx, "fabric: complete", permanentStatus, func() error {
+	err := retry(ctx, "fabric: complete", func() error {
 		return w.call(ctx, http.MethodPost, "/fabric/v1/complete", line, &cr)
 	})
 	return cr, err
 }
 
-// permanentStatus classifies errors not worth another attempt: a 4xx
-// (a refused upload, a missing token) will not improve with retries;
-// 5xx and transport errors might.
-func permanentStatus(err error) bool {
-	var se *serve.StatusError
-	return errors.As(err, &se) && se.Code/100 == 4
+// The coordinator-call retry policy: at most maxRetries retries, the
+// first after retryBase, each later one after twice the previous wait
+// (50, 100 and 200 ms).
+const (
+	maxRetries = 3
+	retryBase  = 50 * time.Millisecond
+)
+
+// retry runs fn until it succeeds, fails permanently, ctx expires or
+// maxRetries retries have failed. A 4xx reply (a refused upload, a
+// missing token) will not improve with retries and returns at once,
+// unwrapped; 5xx and transport errors are retried. Every wait is
+// deadline-aware: retry never sleeps past ctx's deadline just to fail
+// afterwards. op prefixes the terminal error messages.
+func retry(ctx context.Context, op string, fn func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := fn()
+		if err == nil {
+			return nil
+		}
+		if se := (*serve.StatusError)(nil); errors.As(err, &se) && se.Code/100 == 4 {
+			return err
+		}
+		if ctx.Err() != nil {
+			return fmt.Errorf("%s: %w (last error: %v)", op, ctx.Err(), err)
+		}
+		if attempt == maxRetries {
+			return fmt.Errorf("%s: %d attempts exhausted: %w", op, attempt+1, err)
+		}
+		delay := retryBase << attempt
+		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < delay {
+			return fmt.Errorf("%s: deadline too close to retry: %w", op, err)
+		}
+		t := time.NewTimer(delay)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return fmt.Errorf("%s: %w (last error: %v)", op, ctx.Err(), err)
+		}
+	}
 }
 
 // call sends one coordinator request through serve.Do, naming this

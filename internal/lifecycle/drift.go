@@ -42,15 +42,19 @@ func FeatureKey(v float64) int64 {
 	return 1 << (b - 1)
 }
 
-// DriftConfig tunes the drift verdict thresholds. The zero value
-// selects the defaults documented on each field.
+// The fixed drift thresholds.
+const (
+	// minEvals is the per-detector evaluation count below which either
+	// window is considered insufficient evidence.
+	minEvals = 50
+	// maxAlarmDelta is the absolute alarm-rate change past which the
+	// alarm rate has drifted.
+	maxAlarmDelta = 0.10
+)
+
+// DriftConfig tunes the drift verdict threshold. The zero value
+// selects the default documented on the field.
 type DriftConfig struct {
-	// MinEvals is the per-detector evaluation count below which either
-	// window is considered insufficient evidence (default 50).
-	MinEvals int64
-	// MaxAlarmDelta is the absolute alarm-rate change that constitutes
-	// alarm-rate drift (default 0.10).
-	MaxAlarmDelta float64
 	// MaxFeatureDistance is the telemetry.Distance between baseline and
 	// current feature distributions that constitutes feature drift
 	// (default 0.25).
@@ -58,12 +62,6 @@ type DriftConfig struct {
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
-	if c.MinEvals <= 0 {
-		c.MinEvals = 50
-	}
-	if c.MaxAlarmDelta <= 0 {
-		c.MaxAlarmDelta = 0.10
-	}
 	if c.MaxFeatureDistance <= 0 {
 		c.MaxFeatureDistance = 0.25
 	}
@@ -76,7 +74,7 @@ func (c DriftConfig) withDefaults() DriftConfig {
 const (
 	// VerdictOK: both windows have evidence and neither channel drifted.
 	VerdictOK = "ok"
-	// VerdictInsufficient: either window is below MinEvals.
+	// VerdictInsufficient: either window is below minEvals.
 	VerdictInsufficient = "insufficient-data"
 	// VerdictNoBaseline: no baseline window has been frozen yet.
 	VerdictNoBaseline = "no-baseline"
@@ -86,7 +84,7 @@ const (
 	// VerdictMissing: the detector has baseline presence but no current
 	// traffic at all.
 	VerdictMissing = "missing-detector"
-	// VerdictAlarmDrift: the alarm-rate delta crossed MaxAlarmDelta.
+	// VerdictAlarmDrift: the alarm-rate delta crossed maxAlarmDelta.
 	VerdictAlarmDrift = "drift:alarm-rate"
 	// VerdictFeatureDrift: a feature distribution moved past
 	// MaxFeatureDistance.
@@ -331,10 +329,10 @@ func (t *Tracker) Report() []DriftRow {
 			row.Verdict = VerdictNew
 		case row.CurEvals == 0:
 			row.Verdict = VerdictMissing
-		case row.BaseEvals < t.cfg.MinEvals || row.CurEvals < t.cfg.MinEvals:
+		case row.BaseEvals < minEvals || row.CurEvals < minEvals:
 			row.Verdict = VerdictInsufficient
 		default:
-			alarmDrift := row.AlarmDelta > t.cfg.MaxAlarmDelta
+			alarmDrift := row.AlarmDelta > maxAlarmDelta
 			featDrift := row.FeatureDistance > t.cfg.MaxFeatureDistance
 			switch {
 			case alarmDrift && featDrift:

@@ -60,10 +60,10 @@ func TestFeatureKeyTotality(t *testing.T) {
 // empty: no baseline at all, a detector absent from the baseline (new),
 // and a detector absent from the current window (missing).
 func TestDriftEmptyWindows(t *testing.T) {
-	tr := NewTracker(DriftConfig{MinEvals: 10})
+	tr := NewTracker(DriftConfig{})
 
 	// No baseline frozen: everything is no-baseline.
-	observeN(tr, "a", 20, []float64{1}, false)
+	observeN(tr, "a", 2*minEvals, []float64{1}, false)
 	row := findRow(t, tr.Report(), "a")
 	if row.Verdict != VerdictNoBaseline {
 		t.Fatalf("pre-baseline verdict = %q, want %q", row.Verdict, VerdictNoBaseline)
@@ -79,15 +79,16 @@ func TestDriftEmptyWindows(t *testing.T) {
 
 	// "b" exists only after the baseline (a candidate-only detector):
 	// new, regardless of how much traffic it has.
-	observeN(tr, "b", 50, []float64{1}, false)
+	observeN(tr, "b", minEvals, []float64{1}, false)
 	row = findRow(t, tr.Report(), "b")
 	if row.Verdict != VerdictNew {
 		t.Fatalf("new-detector verdict = %q, want %q", row.Verdict, VerdictNew)
 	}
 
-	// "a" with thin current traffic: insufficient, not drift — even
-	// though its (empty-ish) distributions are far apart.
-	observeN(tr, "a", 3, []float64{1e9}, true)
+	// "a" with thin current traffic, one evaluation short of minEvals:
+	// insufficient, not drift — even though its distributions are far
+	// apart.
+	observeN(tr, "a", minEvals-1, []float64{1e9}, true)
 	row = findRow(t, tr.Report(), "a")
 	if row.Verdict != VerdictInsufficient {
 		t.Fatalf("thin-window verdict = %q, want %q", row.Verdict, VerdictInsufficient)
@@ -98,7 +99,7 @@ func TestDriftEmptyWindows(t *testing.T) {
 // distributions whose whole mass sits in one bucket: identical buckets
 // are zero distance, disjoint buckets are maximal distance.
 func TestDriftSingleBucketMass(t *testing.T) {
-	tr := NewTracker(DriftConfig{MinEvals: 10, MaxFeatureDistance: 0.5})
+	tr := NewTracker(DriftConfig{MaxFeatureDistance: 0.5})
 	observeN(tr, "same", 50, []float64{1}, false)
 	observeN(tr, "moved", 50, []float64{1}, false)
 	tr.Baseline()
@@ -122,7 +123,7 @@ func TestDriftSingleBucketMass(t *testing.T) {
 // in a feature is a distribution shift like any other, not a crash or
 // a silent drop.
 func TestDriftNaNFeature(t *testing.T) {
-	tr := NewTracker(DriftConfig{MinEvals: 10, MaxFeatureDistance: 0.3})
+	tr := NewTracker(DriftConfig{MaxFeatureDistance: 0.3})
 	observeN(tr, "d", 100, []float64{1, 2}, false)
 	tr.Baseline()
 	// Half the current window's second feature went NaN.
@@ -141,21 +142,26 @@ func TestDriftNaNFeature(t *testing.T) {
 	}
 }
 
-// TestDriftAlarmRate pins the alarm-rate channel and the combined
-// verdict.
+// TestDriftAlarmRate pins the alarm-rate channel at its fixed
+// threshold and the combined verdict.
 func TestDriftAlarmRate(t *testing.T) {
-	tr := NewTracker(DriftConfig{MinEvals: 10, MaxAlarmDelta: 0.2, MaxFeatureDistance: 0.5})
+	tr := NewTracker(DriftConfig{MaxFeatureDistance: 0.5})
 	observeN(tr, "d", 100, []float64{1}, false) // 0% alarms
 	tr.Baseline()
-	observeN(tr, "d", 50, []float64{1}, true) // 50% alarms, same feature class
-	observeN(tr, "d", 50, []float64{1}, false)
+	observeN(tr, "d", 10, []float64{1}, true) // 10% alarms, same feature class
+	observeN(tr, "d", 90, []float64{1}, false)
 
 	row := findRow(t, tr.Report(), "d")
+	if row.Verdict != VerdictOK || row.AlarmDelta != maxAlarmDelta {
+		t.Fatalf("row = %+v, want ok at an alarm delta of exactly %v", row, maxAlarmDelta)
+	}
+	observeN(tr, "d", 100, []float64{1}, true) // 55% alarms
+	row = findRow(t, tr.Report(), "d")
 	if row.Verdict != VerdictAlarmDrift {
 		t.Fatalf("verdict = %q, want %q", row.Verdict, VerdictAlarmDrift)
 	}
-	if row.AlarmDelta != 0.5 {
-		t.Fatalf("AlarmDelta = %v, want 0.5", row.AlarmDelta)
+	if row.AlarmDelta != 0.55 {
+		t.Fatalf("AlarmDelta = %v, want 0.55", row.AlarmDelta)
 	}
 
 	// Shift the features too: the combined verdict.
@@ -170,12 +176,12 @@ func TestDriftAlarmRate(t *testing.T) {
 // observations: same traffic, same rows, sorted by detector.
 func TestDriftReportDeterminism(t *testing.T) {
 	build := func() *Tracker {
-		tr := NewTracker(DriftConfig{MinEvals: 5})
-		observeN(tr, "b", 10, []float64{3, math.Inf(1)}, true)
-		observeN(tr, "a", 10, []float64{1, 2}, false)
+		tr := NewTracker(DriftConfig{})
+		observeN(tr, "b", minEvals, []float64{3, math.Inf(1)}, true)
+		observeN(tr, "a", minEvals, []float64{1, 2}, false)
 		tr.Baseline()
-		observeN(tr, "b", 10, []float64{3, math.NaN()}, false)
-		observeN(tr, "a", 10, []float64{1, 2}, false)
+		observeN(tr, "b", minEvals, []float64{3, math.NaN()}, false)
+		observeN(tr, "a", minEvals, []float64{1, 2}, false)
 		return tr
 	}
 	r1, r2 := build().Report(), build().Report()

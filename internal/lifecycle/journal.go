@@ -43,12 +43,14 @@ type asyncJournal struct {
 	once  sync.Once
 }
 
+// diffQueueDepth bounds the verdict-diff writer queue: a burst of
+// that many disagreeing requests waits for the disk, and later ones
+// are dropped and counted.
+const diffQueueDepth = 256
+
 // newAsyncJournal starts the writer goroutine over l with the given
 // queue depth.
 func newAsyncJournal(l *durable.Log, depth int, drops *telemetry.Counter) *asyncJournal {
-	if depth <= 0 {
-		depth = 256
-	}
 	a := &asyncJournal{l: l, ch: make(chan any, depth), drops: drops}
 	a.wg.Add(1)
 	go func() {

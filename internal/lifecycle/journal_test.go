@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"edem/internal/durable"
 	"edem/internal/telemetry"
 )
 
@@ -171,29 +172,28 @@ func TestReadMissingJournal(t *testing.T) {
 // TestAsyncJournalDrops pins the overflow contract: a full queue drops
 // and counts instead of blocking.
 func TestAsyncJournalDrops(t *testing.T) {
-	dir := t.TempDir()
-	reg := telemetry.New()
-	m, err := NewMonitor(MonitorConfig{Dir: dir, DiffQueueDepth: 1, Registry: reg})
+	path := filepath.Join(t.TempDir(), DiffsName)
+	l, err := durable.OpenLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Far more disagreeing requests than the queue can hold; none may
+	drops := telemetry.New().Counter("lifecycle.journal_drops")
+	a := newAsyncJournal(l, 1, drops)
+	// Far more records than the one-slot queue can hold; none may
 	// block, and drops + journalled lines must account for all of them.
 	const n = 500
 	for i := 0; i < n; i++ {
-		m.RecordShadow("d", "live", []bool{false}, []bool{true},
-			[][]float64{{1}}, 1, 2, false)
+		a.append(DiffRecord{Detector: "d", Served: "live", Index: []int{1}, Live: []bool{false}})
 	}
-	if err := m.Close(); err != nil {
+	if err := a.close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := scanAll[DiffRecord](filepath.Join(dir, DiffsName))
+	recs, _, err := scanAll[DiffRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drops := reg.Counter("lifecycle.journal_drops").Value()
-	if int64(len(recs))+drops != n {
-		t.Fatalf("journalled %d + dropped %d != %d submitted", len(recs), drops, n)
+	if int64(len(recs))+drops.Value() != n {
+		t.Fatalf("journalled %d + dropped %d != %d submitted", len(recs), drops.Value(), n)
 	}
 	if len(recs) == 0 {
 		t.Fatal("everything dropped: the writer never ran")

@@ -30,9 +30,6 @@ type MonitorConfig struct {
 	MaxAlarmRegress float64
 	// Drift tunes the drift comparator thresholds.
 	Drift DriftConfig
-	// DiffQueueDepth bounds the async verdict-diff writer queue
-	// (default 256; overflow is dropped and counted).
-	DiffQueueDepth int
 	// Registry receives the lifecycle.* metrics; nil falls back to the
 	// process default registry.
 	Registry *telemetry.Registry
@@ -143,7 +140,7 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		mFeedback:    cfg.Registry.Counter("lifecycle.feedback_records"),
 		mDrops:       cfg.Registry.Counter("lifecycle.journal_drops"),
 	}
-	m.diffs = newAsyncJournal(dj, cfg.DiffQueueDepth, m.mDrops)
+	m.diffs = newAsyncJournal(dj, diffQueueDepth, m.mDrops)
 	return m, nil
 }
 

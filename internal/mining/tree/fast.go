@@ -53,7 +53,6 @@ import (
 const maxFastClasses = 256
 
 type fastBuilder struct {
-	cfg      Config
 	attrs    []dataset.Attribute
 	cols     [][]float64 // column-major attribute values [attr][row]
 	cls      []uint8     // per row id: class
@@ -142,21 +141,23 @@ func (sc *buildScratch) level(depth int) *[2]fastNode {
 
 // fitView grows and prunes a tree from a view of at most
 // maxFastClasses classes, using sc as the builder's partition memory.
-func fitView(cfg Config, v *dataset.View, sc *buildScratch) *Node {
-	fb := newViewBuilder(cfg, v, sc)
-	// The root starts from the view's presorted orders: no root sort.
-	root := fb.build(fb.root(v), 0)
-	if !cfg.NoPrune {
-		prune(root, cfg.confidence())
-	}
+func fitView(v *dataset.View, sc *buildScratch) *Node {
+	root := grow(v, sc)
+	prune(root)
 	return root
+}
+
+// grow grows the unpruned tree of a view.
+func grow(v *dataset.View, sc *buildScratch) *Node {
+	fb := newViewBuilder(v, sc)
+	// The root starts from the view's presorted orders: no root sort.
+	return fb.build(fb.root(v), 0)
 }
 
 // newViewBuilder wires a builder straight to a columnar view's arrays
 // and sizes sc for it: no column materialisation and no weight pass.
-func newViewBuilder(cfg Config, v *dataset.View, sc *buildScratch) *fastBuilder {
+func newViewBuilder(v *dataset.View, sc *buildScratch) *fastBuilder {
 	fb := &fastBuilder{
-		cfg:      cfg,
 		attrs:    v.Attrs(),
 		cols:     v.Cols(),
 		nClasses: len(v.ClassValues()),
@@ -190,17 +191,16 @@ func (fb *fastBuilder) initScratch() {
 	fb.candBuf = make([]*split, 0, len(fb.attrs))
 }
 
-// leaf reports whether a node of n rows with class counts dist at the
-// given depth is a leaf before any split is searched: too light to give
-// two children minLeaf weight, pure, or at the depth cap.
-func (fb *fastBuilder) leaf(n int, dist []float64, depth int) bool {
-	return float64(n) < 2*fb.cfg.minLeaf() || isPure(dist) ||
-		(fb.cfg.MaxDepth > 0 && depth >= fb.cfg.MaxDepth)
+// certainLeaf reports whether a node of n rows with class counts dist
+// is a leaf before any split is searched: too light to give two
+// children minLeaf rows, or pure.
+func certainLeaf(n int, dist []float64) bool {
+	return n < 2*minLeaf || isPure(dist)
 }
 
 func (fb *fastBuilder) build(nd *fastNode, depthSoFar int) *Node {
 	node := &Node{Attr: -1, Dist: nd.dist, Class: argmax(nd.dist)}
-	if fb.leaf(nd.n, nd.dist, depthSoFar) {
+	if certainLeaf(nd.n, nd.dist) {
 		return node
 	}
 	best := fb.bestSplit(nd)
@@ -242,7 +242,7 @@ func (fb *fastBuilder) bestSplit(nd *fastNode) *split {
 			fb.candBuf = append(fb.candBuf, &fb.splitBuf[len(fb.splitBuf)-1])
 		}
 	}
-	return selectSplit(fb.candBuf, fb.cfg.PlainGain)
+	return selectSplit(fb.candBuf)
 }
 
 // entropyCounts is entropy over integer class counts summing to total,
@@ -287,7 +287,6 @@ func (fb *fastBuilder) numericSplit(sorted []int32, attr int, total []int, baseE
 		return false
 	}
 	cls := fb.cls
-	minLeaf := fb.cfg.minLeaf()
 	totalW := float64(n)
 	left, snap, right := fb.left, fb.snap, fb.right
 	clear(left)
@@ -382,7 +381,7 @@ func (fb *fastBuilder) numericSplit(sorted []int32, attr int, total []int, baseE
 		return false
 	}
 	gain := bestGain
-	if !fb.cfg.NoMDLPenalty && distinct > 1 {
+	if distinct > 1 {
 		gain -= math.Log2(float64(distinct-1)) / totalW
 	}
 	if gain <= 0 {
@@ -404,8 +403,8 @@ func (fb *fastBuilder) numericSplit(sorted []int32, attr int, total []int, baseE
 //
 // The children's class counts come from the scan: the left side is the
 // first leftN rows of the split attribute's order. A child that is
-// certainly a leaf (see leaf) needs no orders, so when both children
-// are leaves nothing is filled.
+// certainly a leaf (see certainLeaf) needs no orders, so when both
+// children are leaves nothing is filled.
 //
 // The other children's orders go into the ping-pong buffer of the
 // node's depth, pp[depth%2], at the node's own range [lo, lo+n) within
@@ -422,10 +421,9 @@ func (fb *fastBuilder) numericSplit(sorted []int32, attr int, total []int, baseE
 // Nodes' Dist.
 func (fb *fastBuilder) partition(nd *fastNode, s *split, depth int) []fastNode {
 	n, nC := nd.n, fb.nClasses
-	minLeaf := fb.cfg.minLeaf()
 	counts := &fb.counts
 	counts[0], counts[1] = s.leftN, n-s.leftN
-	if float64(counts[0]) < minLeaf || float64(counts[1]) < minLeaf {
+	if counts[0] < minLeaf || counts[1] < minLeaf {
 		return nil
 	}
 
@@ -437,8 +435,8 @@ func (fb *fastBuilder) partition(nd *fastNode, s *split, depth int) []fastNode {
 		right[c] = nd.dist[c] - left[c]
 	}
 	leaves := &fb.leaves
-	leaves[0] = fb.leaf(counts[0], left, depth+1)
-	leaves[1] = fb.leaf(counts[1], right, depth+1)
+	leaves[0] = certainLeaf(counts[0], left)
+	leaves[1] = certainLeaf(counts[1], right)
 	nodes[0] = fastNode{lo: nd.lo, n: counts[0], dist: left}
 	nodes[1] = fastNode{lo: nd.lo + counts[0], n: counts[1], dist: right}
 	if leaves[0] && leaves[1] {
@@ -511,8 +509,9 @@ func (fb *fastBuilder) fill(dst, src []int32) {
 }
 
 // selectSplit applies C4.5's rule: among candidates whose gain is at
-// least the average gain, pick the best gain ratio (or plain gain).
-func selectSplit(candidates []*split, plainGain bool) *split {
+// least the average gain, pick the best gain ratio, ties going to the
+// lower attribute.
+func selectSplit(candidates []*split) *split {
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -527,19 +526,7 @@ func selectSplit(candidates []*split, plainGain bool) *split {
 		if s.gain+1e-12 < avgGain {
 			continue
 		}
-		score := s.gainRatio
-		if plainGain {
-			score = s.gain
-		}
-		if best == nil {
-			best = s
-			continue
-		}
-		bestScore := best.gainRatio
-		if plainGain {
-			bestScore = best.gain
-		}
-		if score > bestScore || (score == bestScore && s.attr < best.attr) {
+		if best == nil || s.gainRatio > best.gainRatio || (s.gainRatio == best.gainRatio && s.attr < best.attr) {
 			best = s
 		}
 	}

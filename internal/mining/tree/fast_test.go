@@ -29,32 +29,18 @@ func treesEqual(a, b *Node) bool {
 	return true
 }
 
-// oracleConfigs are the configurations the counting builder is held to
-// the general builder under.
-var oracleConfigs = []Config{
-	{},
-	{NoPrune: true},
-	{PlainGain: true},
-	{MinLeaf: 5},
-	{NoMDLPenalty: true},
-	{MaxDepth: 3},
-}
-
 // TestFastMatchesGeneral verifies the optimisation is behaviour-
 // preserving: FitTree (the store-backed counting builder) and the
 // general builder must produce identical trees.
 func TestFastMatchesGeneral(t *testing.T) {
-	for _, cfg := range oracleConfigs {
-		for seed := uint64(1); seed <= 4; seed++ {
-			d := mixedDataset(300, seed)
-			fast, err := (Learner{Config: cfg}).FitTree(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			general := fitGeneral(cfg, d)
-			if !treesEqual(fast.Root, general) {
-				t.Errorf("cfg %+v seed %d: fast and general trees differ", cfg, seed)
-			}
+	for seed := uint64(1); seed <= 4; seed++ {
+		d := mixedDataset(300, seed)
+		fast, err := (Learner{}).FitTree(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !treesEqual(fast.Root, fitGeneral(d)) {
+			t.Errorf("seed %d: fast and general trees differ", seed)
 		}
 	}
 }
@@ -91,7 +77,7 @@ func TestFastMatchesGeneralProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return treesEqual(fast.Root, fitGeneral(Config{}, d))
+		return treesEqual(fast.Root, fitGeneral(d))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -140,8 +126,7 @@ func fitTreeCase(data []byte) *dataset.Dataset {
 
 // FuzzFitTree holds FitTree to the general builder on fuzzer-chosen
 // float64 bit patterns (±0, ±Inf, the ±1e308 clamps, subnormals, long
-// equal runs) under every oracle configuration: the same tree, node
-// for node, distributions included, up to the sign of a zero
+// equal runs): the same tree, node for node, distributions included, up to the sign of a zero
 // threshold, which the two builders' unstable sorts may pick
 // differently.
 func FuzzFitTree(f *testing.F) {
@@ -181,14 +166,12 @@ func FuzzFitTree(f *testing.F) {
 		if d == nil {
 			return
 		}
-		for _, cfg := range oracleConfigs {
-			got, err := (Learner{Config: cfg}).FitTree(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameTreeUpToZeroSign(got.Root, fitGeneral(cfg, d)) {
-				t.Fatalf("cfg %+v: FitTree differs from the general builder\n%s", cfg, got)
-			}
+		got, err := (Learner{}).FitTree(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTreeUpToZeroSign(got.Root, fitGeneral(d)) {
+			t.Fatalf("FitTree differs from the general builder\n%s", got)
 		}
 	})
 }
@@ -209,7 +192,7 @@ func BenchmarkGeneralInduction(b *testing.B) {
 	d := mixedDataset(5000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fitGeneral(Config{}, d)
+		fitGeneral(d)
 	}
 }
 
@@ -243,7 +226,7 @@ func (fb *fastBuilder) numericSplitFullScan(sorted []int32, attr int, dist []flo
 			continue
 		}
 		distinct++
-		if leftW < fb.cfg.minLeaf() || totalW-leftW < fb.cfg.minLeaf() {
+		if leftW < minLeaf || totalW-leftW < minLeaf {
 			continue
 		}
 		childEntropy := (leftW*entropy(left) + (totalW-leftW)*entropy(right)) / totalW
@@ -258,7 +241,7 @@ func (fb *fastBuilder) numericSplitFullScan(sorted []int32, attr int, dist []flo
 		return false
 	}
 	gain := bestGain
-	if !fb.cfg.NoMDLPenalty && distinct > 1 {
+	if distinct > 1 {
 		gain -= math.Log2(float64(distinct-1)) / totalW
 	}
 	if gain <= 0 {
@@ -288,9 +271,8 @@ func (fb *fastBuilder) classDist(rows []int32) []float64 {
 var splitValues = []float64{math.Inf(-1), -2, -1, math.Copysign(0, -1), 0, 0.5, 1, 2, 3, 4, 5, 7, math.Inf(1)}
 
 // splitCase decodes bytes into a one-attribute store and a builder on
-// its identity view. data[0] picks the class count (2 or 3) and the
-// minLeaf (0, 1, 2, 5, half of the row count, or just above half);
-// data[1] is skipped. Each further byte pair is one row: a value from
+// its identity view. data[0] picks the class count (2 or 3); data[1] is
+// skipped. Each further byte pair is one row: a value from
 // splitValues, and a class that follows the value (long same-class
 // runs) or is free (mixed value groups).
 func splitCase(data []byte) (fb *fastBuilder, v *dataset.View) {
@@ -298,7 +280,6 @@ func splitCase(data []byte) (fb *fastBuilder, v *dataset.View) {
 		return nil, nil
 	}
 	nClasses := 2 + int(data[0]%2)
-	leafMode := int(data[0]/2) % 6
 	rows := data[2:]
 	if len(rows) > 128 {
 		rows = rows[:128]
@@ -315,10 +296,7 @@ func splitCase(data []byte) (fb *fastBuilder, v *dataset.View) {
 		d.MustAdd(dataset.Instance{Values: []float64{splitValues[vi]}, Class: class, Weight: 1})
 	}
 	v = dataset.NewStore(d, nil).IdentityView()
-	cfg := Config{}
-	totalW := float64(d.Len())
-	cfg.MinLeaf = []float64{0, 1, 2, 5, totalW / 2, totalW/2 + 0.125}[leafMode]
-	return newViewBuilder(cfg, v, new(buildScratch)), v
+	return newViewBuilder(v, new(buildScratch)), v
 }
 
 // checkNumericSplit runs the kernel and the full-scan oracle on one node
@@ -335,7 +313,7 @@ func checkNumericSplit(t *testing.T, fb *fastBuilder, sorted []int32) {
 	gotOK := fb.numericSplit(sorted, 0, total, base, &got)
 	wantOK := fb.numericSplitFullScan(sorted, 0, dist, base, &want)
 	if gotOK != wantOK {
-		t.Fatalf("ok = %v, full scan %v (n=%d minLeaf=%v)", gotOK, wantOK, len(sorted), fb.cfg.MinLeaf)
+		t.Fatalf("ok = %v, full scan %v (n=%d)", gotOK, wantOK, len(sorted))
 	}
 	if !gotOK {
 		return
@@ -344,7 +322,7 @@ func checkNumericSplit(t *testing.T, fb *fastBuilder, sorted []int32) {
 		math.Float64bits(got.threshold) != math.Float64bits(want.threshold) ||
 		math.Float64bits(got.gain) != math.Float64bits(want.gain) ||
 		math.Float64bits(got.gainRatio) != math.Float64bits(want.gainRatio) {
-		t.Fatalf("split %+v, full scan %+v (n=%d minLeaf=%v)", got, want, len(sorted), fb.cfg.MinLeaf)
+		t.Fatalf("split %+v, full scan %+v (n=%d)", got, want, len(sorted))
 	}
 	left := fb.classDist(sorted[:got.leftN])
 	for c := range left {
@@ -356,8 +334,8 @@ func checkNumericSplit(t *testing.T, fb *fastBuilder, sorted []int32) {
 
 // TestNumericSplitMatchesFullScan pins the boundary-point counting scan
 // to the full float scan on random nodes: mixed-class value groups,
-// long same-class runs, ±0 and ±Inf, every minLeaf mode, two and three
-// classes, and n from 2 up.
+// long same-class runs, ±0 and ±Inf, two and three classes, and n from
+// 2 up, so the minLeaf gate cuts into runs at both ends.
 func TestNumericSplitMatchesFullScan(t *testing.T) {
 	rng := stats.NewRNG(16)
 	for iter := 0; iter < 20000; iter++ {
@@ -402,7 +380,7 @@ func TestNumericSplitScoresOnlyBoundaries(t *testing.T) {
 		d.MustAdd(dataset.Instance{Values: []float64{float64(i)}, Class: i / 50, Weight: 1})
 	}
 	v := dataset.NewStore(d, nil).IdentityView()
-	fb := newViewBuilder(Config{}, v, new(buildScratch))
+	fb := newViewBuilder(v, new(buildScratch))
 	var s split
 	if !fb.numericSplit(v.Sorted()[0], 0, []int{50, 50}, 1, &s) {
 		t.Fatal("no split found")
@@ -424,7 +402,7 @@ func TestNumericSplitConstantNode(t *testing.T) {
 		d.MustAdd(dataset.Instance{Values: []float64{math.Copysign(0, float64(i%2)-0.5)}, Class: i % 2, Weight: 1})
 	}
 	v := dataset.NewStore(d, nil).IdentityView()
-	fb := newViewBuilder(Config{}, v, new(buildScratch))
+	fb := newViewBuilder(v, new(buildScratch))
 	var s split
 	if fb.numericSplit(v.Sorted()[0], 0, []int{10, 10}, 1, &s) || fb.scored != 0 {
 		t.Fatalf("constant attribute split (scored %d)", fb.scored)
@@ -503,7 +481,7 @@ func (fb *fastBuilder) partitionArena(nd *fastNode, s *split, rows []int32) ([]f
 // is the node's row list.
 func (fb *fastBuilder) buildArena(nd *fastNode, rows []int32, depthSoFar int) *Node {
 	node := &Node{Attr: -1, Dist: nd.dist, Class: argmax(nd.dist)}
-	if fb.leaf(nd.n, nd.dist, depthSoFar) {
+	if certainLeaf(nd.n, nd.dist) {
 		return node
 	}
 	best := fb.bestSplit(nd)
@@ -513,7 +491,7 @@ func (fb *fastBuilder) buildArena(nd *fastNode, rows []int32, depthSoFar int) *N
 	children, childRows := fb.partitionArena(nd, best, rows)
 	strong := 0
 	for i := range children {
-		if float64(children[i].n) >= fb.cfg.minLeaf() {
+		if children[i].n >= minLeaf {
 			strong++
 		}
 	}
@@ -533,17 +511,13 @@ func (fb *fastBuilder) buildArena(nd *fastNode, rows []int32, depthSoFar int) *N
 	return node
 }
 
-// fitArena grows the oracle's tree for a view (pruned unless cfg says
-// otherwise), as fitView does with ping-pong partitioning. The root's
-// rows are the view's own, in instance order.
-func fitArena(cfg Config, v *dataset.View) *Node {
-	fb := newViewBuilder(cfg, v, new(buildScratch))
+// growArena grows the oracle's unpruned tree for a view, as grow does
+// with ping-pong partitioning. The root's rows are the view's own, in
+// instance order.
+func growArena(v *dataset.View) *Node {
+	fb := newViewBuilder(v, new(buildScratch))
 	rows := v.Rows()
-	root := fb.buildArena(&fastNode{n: len(rows), dist: fb.classDist(rows), sorted: v.Sorted()}, rows, 0)
-	if !cfg.NoPrune {
-		prune(root, cfg.confidence())
-	}
-	return root
+	return fb.buildArena(&fastNode{n: len(rows), dist: fb.classDist(rows), sorted: v.Sorted()}, rows, 0)
 }
 
 // partitionViews builds the view shapes the refinement grid trains on
@@ -574,15 +548,15 @@ func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 	}
 }
 
-// checkPartition fits the view with ping-pong partitioning on fresh
-// scratch and with the arena oracle, requiring the same tree, and
-// returns its depth.
-func checkPartition(t *testing.T, name string, cfg Config, v *dataset.View) int {
+// checkPartition grows the view's unpruned tree with ping-pong
+// partitioning on fresh scratch and with the arena oracle, requiring
+// the same tree, and returns its depth. Pruning reads only the grown
+// tree, so equal grown trees prune alike.
+func checkPartition(t *testing.T, name string, v *dataset.View) int {
 	t.Helper()
-	got := fitView(cfg, v, new(buildScratch))
-	want := fitArena(cfg, v)
-	if !nodesEqual(got, want) {
-		t.Fatalf("%s cfg %+v: ping-pong and arena trees differ", name, cfg)
+	got := grow(v, new(buildScratch))
+	if !nodesEqual(got, growArena(v)) {
+		t.Fatalf("%s: ping-pong and arena trees differ", name)
 	}
 	return depth(got)
 }
@@ -640,9 +614,7 @@ func TestPartitionMatchesArena(t *testing.T) {
 	deepest := 0
 	for name, d := range cases {
 		for vname, v := range partitionViews(d) {
-			for _, cfg := range []Config{{NoPrune: true}, {}, {NoPrune: true, MinLeaf: 1}} {
-				deepest = max(deepest, checkPartition(t, name+"/"+vname, cfg, v))
-			}
+			deepest = max(deepest, checkPartition(t, name+"/"+vname, v))
 		}
 	}
 	if deepest < 4 {
@@ -651,17 +623,16 @@ func TestPartitionMatchesArena(t *testing.T) {
 }
 
 // partitionCase decodes bytes into a view for FuzzPartition. data[0]
-// picks the minLeaf; data[1] how many rows get a duplicate (a repeat
-// view when non-zero). Each further triple is one row: x and y from
-// splitValues, and a byte whose low bits pick a 5-valued code m and
-// whose top bit flips the class that otherwise follows x.
-func partitionCase(data []byte) (Config, *dataset.View) {
-	if len(data) < 8 {
-		return Config{}, nil
+// is how many rows get a duplicate (a repeat view when non-zero). Each
+// further triple is one row: x and y from splitValues, and a byte whose
+// low bits pick a 5-valued code m and whose top bit flips the class
+// that otherwise follows x.
+func partitionCase(data []byte) *dataset.View {
+	if len(data) < 7 {
+		return nil
 	}
-	cfg := Config{NoPrune: true, MinLeaf: []float64{1, 2, 3}[data[0]%3]}
-	dups := int(data[1])
-	rows := data[2:]
+	dups := int(data[0])
+	rows := data[1:]
 	if len(rows) > 3*256 {
 		rows = rows[:3*256]
 	}
@@ -681,29 +652,27 @@ func partitionCase(data []byte) (Config, *dataset.View) {
 		d.MustAdd(dataset.Instance{Values: []float64{splitValues[xi], y, float64(b % 5)}, Class: class, Weight: 1})
 	}
 	if d.Len() == 0 {
-		return Config{}, nil
+		return nil
 	}
 	st := dataset.NewStore(d, nil)
 	if dups == 0 {
-		return cfg, st.IdentityView()
+		return st.IdentityView()
 	}
 	extra := make([]int32, 0, dups)
 	for i := 0; i < dups; i++ {
 		extra = append(extra, int32(i*7%len(st.Classes())))
 	}
-	return cfg, st.RepeatView(extra)
+	return st.RepeatView(extra)
 }
 
 func FuzzPartition(f *testing.F) {
-	f.Add([]byte{0, 0, 3, 4, 0, 4, 5, 0x81, 5, 6, 2, 6, 7, 0x83, 3, 3, 1})
-	f.Add([]byte{5, 9, 0, 0, 0, 1, 12, 0xff, 12, 0, 0x80, 3, 3, 0x85, 4, 4, 0x86, 2, 9, 7})
-	f.Add([]byte{1, 3, 3, 4, 0x80, 4, 3, 0x81, 3, 3, 0x81, 4, 4, 0x80, 7, 8, 0x12, 8, 7, 0x34})
+	f.Add([]byte{0, 3, 4, 0, 4, 5, 0x81, 5, 6, 2, 6, 7, 0x83, 3, 3, 1})
+	f.Add([]byte{9, 0, 0, 0, 1, 12, 0xff, 12, 0, 0x80, 3, 3, 0x85, 4, 4, 0x86, 2, 9, 7})
+	f.Add([]byte{3, 3, 4, 0x80, 4, 3, 0x81, 3, 3, 0x81, 4, 4, 0x80, 7, 8, 0x12, 8, 7, 0x34})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, v := partitionCase(data)
-		if v == nil {
-			return
+		if v := partitionCase(data); v != nil {
+			checkPartition(t, "fuzz", v)
 		}
-		checkPartition(t, "fuzz", cfg, v)
 	})
 }
 
@@ -722,7 +691,7 @@ func TestFitTreeViewScratchReuse(t *testing.T) {
 	}
 	shared := new(buildScratch)
 	for i, v := range seq {
-		want := fitView(Config{}, v, new(buildScratch))
+		want := fitView(v, new(buildScratch))
 		got, err := (Learner{}).FitTreeView(v)
 		if err != nil {
 			t.Fatal(err)
@@ -730,7 +699,7 @@ func TestFitTreeViewScratchReuse(t *testing.T) {
 		if !nodesEqual(got.Root, want) {
 			t.Fatalf("view %d: FitTreeView on pooled scratch differs from a fresh builder", i)
 		}
-		if !nodesEqual(fitView(Config{}, v, shared), want) {
+		if !nodesEqual(fitView(v, shared), want) {
 			t.Fatalf("view %d: fit on reused scratch differs from a fresh builder", i)
 		}
 	}

@@ -16,17 +16,15 @@ import (
 // builder, and must induce the same tree as FitTree, bit for bit.
 
 // fitGeneral grows and prunes a tree with the general builder.
-func fitGeneral(cfg Config, d *dataset.Dataset) *Node {
-	b := &builder{cfg: cfg, d: d}
+func fitGeneral(d *dataset.Dataset) *Node {
+	b := &builder{d: d}
 	items := make([]item, d.Len())
 	for i := range d.Instances {
 		in := &d.Instances[i]
 		items[i] = item{values: in.Values, class: in.Class, w: 1}
 	}
-	root := b.build(items, 0)
-	if !cfg.NoPrune {
-		prune(root, cfg.confidence())
-	}
+	root := b.build(items)
+	prune(root)
 	return root
 }
 
@@ -38,20 +36,16 @@ type item struct {
 }
 
 type builder struct {
-	cfg Config
-	d   *dataset.Dataset
+	d *dataset.Dataset
 }
 
 // build grows the subtree for the given cases.
-func (b *builder) build(items []item, depthSoFar int) *Node {
+func (b *builder) build(items []item) *Node {
 	dist := b.distribution(items)
 	node := &Node{Attr: -1, Dist: dist, Class: argmax(dist)}
 
 	totalW := sum(dist)
-	if totalW < 2*b.cfg.minLeaf() || isPure(dist) {
-		return node
-	}
-	if b.cfg.MaxDepth > 0 && depthSoFar >= b.cfg.MaxDepth {
+	if totalW < 2*minLeaf || isPure(dist) {
 		return node
 	}
 
@@ -61,10 +55,10 @@ func (b *builder) build(items []item, depthSoFar int) *Node {
 	}
 
 	groups := b.partition(items, split)
-	// Require at least two branches holding MinLeaf weight, as C4.5 does.
+	// Require at least two branches holding minLeaf weight, as C4.5 does.
 	strong := 0
 	for _, g := range groups {
-		if weightOf(g) >= b.cfg.minLeaf() {
+		if weightOf(g) >= minLeaf {
 			strong++
 		}
 	}
@@ -76,7 +70,7 @@ func (b *builder) build(items []item, depthSoFar int) *Node {
 	node.Threshold = split.threshold
 	node.Children = make([]*Node, len(groups))
 	for i, g := range groups {
-		node.Children[i] = b.build(g, depthSoFar+1)
+		node.Children[i] = b.build(g)
 	}
 	return node
 }
@@ -91,8 +85,7 @@ func (b *builder) distribution(items []item) []float64 {
 
 // bestSplit evaluates every attribute and applies C4.5's selection rule:
 // among attributes whose information gain is at least the average of all
-// positive gains, pick the best gain ratio (or plain gain when
-// configured).
+// positive gains, pick the best gain ratio.
 func (b *builder) bestSplit(items []item, dist []float64) *split {
 	totalW := sum(dist)
 
@@ -102,7 +95,7 @@ func (b *builder) bestSplit(items []item, dist []float64) *split {
 			candidates = append(candidates, s)
 		}
 	}
-	return selectSplit(candidates, b.cfg.PlainGain)
+	return selectSplit(candidates)
 }
 
 // numericSplit finds the best binary threshold for an attribute.
@@ -144,7 +137,7 @@ func (b *builder) numericSplit(items []item, attr int, totalW float64) *split {
 			continue
 		}
 		distinct++
-		if leftW < b.cfg.minLeaf() || totalW-leftW < b.cfg.minLeaf() {
+		if leftW < minLeaf || totalW-leftW < minLeaf {
 			continue
 		}
 		childEntropy := (leftW*entropy(left) + (totalW-leftW)*entropy(right)) / totalW
@@ -164,7 +157,7 @@ func (b *builder) numericSplit(items []item, attr int, totalW float64) *split {
 	// The MDL correction for having chosen among distinct-1 candidate
 	// thresholds.
 	gain := bestGain
-	if !b.cfg.NoMDLPenalty && distinct > 1 {
+	if distinct > 1 {
 		gain -= math.Log2(float64(distinct-1)) / totalW
 	}
 	if gain <= 0 {

@@ -9,46 +9,19 @@ import (
 	"edem/internal/mining"
 )
 
-// Config controls C4.5 induction. The zero value selects the standard
-// C4.5 defaults used throughout the paper (CF=0.25, min leaf weight 2,
-// gain ratio, pruning on).
-type Config struct {
-	// MinLeaf is the minimum number of rows required in at least two
-	// branches of a split (C4.5's -m). Default 2.
-	MinLeaf float64
-	// ConfidenceFactor is the pruning confidence (C4.5's -c). Default
-	// 0.25; values >= 0.5 disable the statistical correction.
-	ConfidenceFactor float64
-	// NoPrune disables pessimistic error pruning.
-	NoPrune bool
-	// PlainGain uses raw information gain instead of gain ratio for
-	// split selection (for the ablation benchmarks).
-	PlainGain bool
-	// NoMDLPenalty disables the log2(distinct-1)/|D| correction applied
-	// to continuous-attribute gains.
-	NoMDLPenalty bool
-	// MaxDepth caps tree depth; 0 means unlimited.
-	MaxDepth int
-}
+// The one C4.5 configuration, Quinlan's defaults: gain-ratio splits
+// under the average-gain gate, the MDL penalty on continuous cuts, a
+// minimum leaf of 2 rows and pessimistic pruning at CF 0.25.
+const (
+	// minLeaf is the minimum number of rows in each branch of a split
+	// (C4.5's -m).
+	minLeaf = 2
+	// confidence is the pruning confidence factor (C4.5's -c).
+	confidence = 0.25
+)
 
-func (c Config) minLeaf() float64 {
-	if c.MinLeaf <= 0 {
-		return 2
-	}
-	return c.MinLeaf
-}
-
-func (c Config) confidence() float64 {
-	if c.ConfidenceFactor <= 0 {
-		return 0.25
-	}
-	return c.ConfidenceFactor
-}
-
-// Learner induces C4.5 decision trees.
-type Learner struct {
-	Config Config
-}
+// Learner induces C4.5 decision trees under the one configuration.
+type Learner struct{}
 
 // ErrEmptyTraining is returned when the training set has no instances.
 var ErrEmptyTraining = errors.New("tree: empty training set")
@@ -95,7 +68,7 @@ func (l Learner) FitTreeView(v *dataset.View) (*Tree, error) {
 		return nil, errTooManyClasses
 	}
 	sc := scratchPool.Get().(*buildScratch)
-	root := fitView(l.Config, v, sc)
+	root := fitView(v, sc)
 	scratchPool.Put(sc)
 	return &Tree{Root: root, Attrs: v.Attrs(), ClassValues: v.ClassValues()}, nil
 }

@@ -6,42 +6,30 @@ import (
 )
 
 func TestAddErrsKnownValues(t *testing.T) {
-	// Values cross-checked against Quinlan's published formula
-	// behaviour: the upper confidence bound grows with CF tightening.
-	if got := addErrs(100, 0, 0.25); got <= 0 || got >= 2 {
-		t.Errorf("addErrs(100,0,0.25) = %v, want small positive", got)
+	// Values cross-checked against Quinlan's published formula at the
+	// pruning confidence CF 0.25.
+	if got := addErrs(100, 0); got <= 0 || got >= 2 {
+		t.Errorf("addErrs(100,0) = %v, want small positive", got)
 	}
 	// e=0 base case: N*(1-CF^(1/N)).
 	want := 10 * (1 - math.Pow(0.25, 0.1))
-	if got := addErrs(10, 0, 0.25); math.Abs(got-want) > 1e-9 {
-		t.Errorf("addErrs(10,0,0.25) = %v, want %v", got, want)
-	}
-	// CF >= 0.5 disables the correction.
-	if got := addErrs(50, 5, 0.5); got != 0 {
-		t.Errorf("addErrs with CF 0.5 = %v, want 0", got)
+	if got := addErrs(10, 0); math.Abs(got-want) > 1e-9 {
+		t.Errorf("addErrs(10,0) = %v, want %v", got, want)
 	}
 	// e close to N.
-	if got := addErrs(10, 9.8, 0.25); math.Abs(got-0.2) > 1e-9 {
+	if got := addErrs(10, 9.8); math.Abs(got-0.2) > 1e-9 {
 		t.Errorf("addErrs near N = %v, want ~0.2", got)
 	}
 }
 
 func TestAddErrsMonotonicInE(t *testing.T) {
-	prev := addErrs(100, 1, 0.25) + 1
+	prev := addErrs(100, 1) + 1
 	for e := 2.0; e < 50; e += 3 {
-		total := addErrs(100, e, 0.25) + e
+		total := addErrs(100, e) + e
 		if total < prev {
 			t.Errorf("pessimistic total errors not monotone at e=%v", e)
 		}
 		prev = total
-	}
-}
-
-func TestAddErrsTighterConfidenceIsMorePessimistic(t *testing.T) {
-	loose := addErrs(100, 10, 0.4)
-	tight := addErrs(100, 10, 0.05)
-	if tight <= loose {
-		t.Errorf("CF 0.05 (%v) should exceed CF 0.4 (%v)", tight, loose)
 	}
 }
 
@@ -56,7 +44,7 @@ func TestPruneCollapsesUselessSplit(t *testing.T) {
 		Dist:     []float64{58, 5},
 		Class:    0,
 	}
-	prune(root, 0.25)
+	prune(root)
 	if !root.IsLeaf() {
 		t.Fatal("useless split should be pruned to a leaf")
 	}
@@ -74,7 +62,7 @@ func TestPruneKeepsUsefulSplit(t *testing.T) {
 		Dist:     []float64{50, 50},
 		Class:    0,
 	}
-	prune(root, 0.25)
+	prune(root)
 	if root.IsLeaf() {
 		t.Fatal("a perfectly discriminating split must survive pruning")
 	}
@@ -82,7 +70,7 @@ func TestPruneKeepsUsefulSplit(t *testing.T) {
 
 func TestLeafErrorsEmpty(t *testing.T) {
 	n := &Node{Attr: -1, Dist: []float64{0, 0}, Class: 0}
-	if got := leafErrors(n, 0.25); got != 0 {
+	if got := leafErrors(n); got != 0 {
 		t.Fatalf("empty leaf errors = %v", got)
 	}
 }

@@ -8,8 +8,8 @@
 //
 // Role in the methodology: the model generator of Step 3 and, re-run
 // per sampling configuration, of Step 4; its trees are what
-// internal/predicate reads off as detectors. Concurrency: Learner is a
-// value-type configuration safe to share; every fit (FitTree,
+// internal/predicate reads off as detectors. Concurrency: Learner is an
+// empty value safe to share; every fit (FitTree,
 // FitTreeView, FitView) constructs its own builder and takes its own
 // pooled partition scratch, so concurrent fits from fold and grid
 // workers never share mutable state; a fitted *Node tree is immutable

@@ -73,6 +73,16 @@ func weatherDataset() *dataset.Dataset {
 	return d
 }
 
+// growTree is FitTree without the pruning pass: d's unpruned tree.
+func growTree(t *testing.T, d *dataset.Dataset) *Tree {
+	t.Helper()
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	v := dataset.NewStore(d, nil).IdentityView()
+	return &Tree{Root: grow(v, new(buildScratch)), Attrs: v.Attrs(), ClassValues: v.ClassValues()}
+}
+
 func resubAccuracy(t *testing.T, model *Tree, d *dataset.Dataset) float64 {
 	t.Helper()
 	correct := 0
@@ -148,13 +158,11 @@ func TestFitXORIsMyopic(t *testing.T) {
 // TestFitWeather fits Quinlan's weather data with binary cuts on the
 // coded attributes: the root splits on humidity, under it a cut on
 // outlook isolates the sunny days (all no), and the unpruned tree
-// with MinLeaf 1 classifies every day right.
+// classifies every day right but two, each in a leaf of fewer than
+// 2*minLeaf rows that the minLeaf gate keeps from splitting.
 func TestFitWeather(t *testing.T) {
 	d := weatherDataset()
-	model, err := Learner{Config: Config{NoPrune: true, MinLeaf: 1}}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := growTree(t, d)
 	if model.Root.IsLeaf() || model.Root.Attr != 2 {
 		t.Fatalf("root attr = %d, want humidity(2)", model.Root.Attr)
 	}
@@ -162,8 +170,8 @@ func TestFitWeather(t *testing.T) {
 	if model.Root.Children[0].Attr != 0 || !sunny.IsLeaf() || sunny.Class != 0 {
 		t.Errorf("high humidity should split on outlook into a pure sunny no leaf")
 	}
-	if acc := resubAccuracy(t, model, d); acc != 1 {
-		t.Errorf("unpruned weather accuracy = %.3f, want 1", acc)
+	if acc := resubAccuracy(t, model, d); acc != 12.0/14 {
+		t.Errorf("unpruned weather accuracy = %.3f, want 12/14\n%s", acc, model)
 	}
 }
 
@@ -188,29 +196,42 @@ func TestEmptyTraining(t *testing.T) {
 	}
 }
 
-func TestMaxDepth(t *testing.T) {
-	d := andDataset(500, 3)
-	model, err := Learner{Config: Config{MaxDepth: 1, NoPrune: true}}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.Depth() > 1 {
-		t.Errorf("depth = %d, want <= 1", model.Depth())
-	}
-}
-
+// TestMinLeaf: in the unpruned trees of noisy data and of the weather
+// data, every split gives each child at least minLeaf rows, and the
+// gate binds: some split leaves a child of exactly minLeaf rows, and
+// some impure node too light to give both children minLeaf rows stays
+// a leaf.
 func TestMinLeaf(t *testing.T) {
-	d := thresholdDataset(100, 0.5, 5)
-	big, err := Learner{Config: Config{MinLeaf: 40, NoPrune: true}}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
+	noisy := thresholdDataset(300, 0.5, 5)
+	rng := stats.NewRNG(6)
+	for i := range noisy.Instances {
+		if rng.Float64() < 0.2 {
+			noisy.Instances[i].Class = 1 - noisy.Instances[i].Class
+		}
 	}
-	small, err := Learner{Config: Config{MinLeaf: 2, NoPrune: true}}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
+	atGate, light := false, false
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if n.IsLeaf() {
+			if w := sum(n.Dist); w < 2*minLeaf && !isPure(n.Dist) {
+				light = true
+			}
+			return
+		}
+		for _, ch := range n.Children {
+			w := sum(ch.Dist)
+			if w < minLeaf {
+				t.Fatalf("split on attr %d at %v leaves a child of %v rows", n.Attr, n.Threshold, w)
+			}
+			atGate = atGate || w == minLeaf
+			walk(ch)
+		}
 	}
-	if big.Size() > small.Size() {
-		t.Errorf("larger MinLeaf should not grow a bigger tree (%d vs %d)", big.Size(), small.Size())
+	for _, d := range []*dataset.Dataset{noisy, weatherDataset()} {
+		walk(growTree(t, d).Root)
+	}
+	if !atGate || !light {
+		t.Errorf("gate never binds: child of exactly minLeaf rows %v, impure leaf below 2*minLeaf rows %v", atGate, light)
 	}
 }
 
@@ -223,10 +244,7 @@ func TestPruningShrinksNoisyTrees(t *testing.T) {
 			d.Instances[i].Class = 1 - d.Instances[i].Class
 		}
 	}
-	unpruned, err := Learner{Config: Config{NoPrune: true}}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unpruned := growTree(t, d)
 	pruned, err := Learner{}.FitTree(d)
 	if err != nil {
 		t.Fatal(err)
@@ -253,10 +271,7 @@ func TestSizeLeavesDepthConsistency(t *testing.T) {
 // the leaf's Class when the distribution is empty.
 func TestClassifyIsLeafArgmax(t *testing.T) {
 	d := andDataset(300, 10)
-	model, err := Learner{Config: Config{MinLeaf: 1, NoPrune: true}}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := growTree(t, d)
 	for i := range d.Instances {
 		vs := d.Instances[i].Values
 		n := model.Root
@@ -321,11 +336,7 @@ func TestFitWithMissingValues(t *testing.T) {
 
 func TestStringRendering(t *testing.T) {
 	d := weatherDataset()
-	model, err := Learner{Config: Config{NoPrune: true}}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := model.String()
+	s := growTree(t, d).String()
 	for _, want := range []string{"outlook <= 0", "outlook > 0", ": yes", ": no"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendering missing %q:\n%s", want, s)
@@ -358,8 +369,8 @@ func TestWeightedInstances(t *testing.T) {
 
 // TestGainRatioVsPlainGain: a cut isolating a small pure group (b) has
 // less gain than a balanced, noisy cut (a) but a higher gain ratio, and
-// a weak third attribute (c) keeps b above the average-gain gate. Gain
-// ratio picks b, plain gain picks a.
+// a weak third attribute (c) keeps b above the average-gain gate. The
+// root splits on b, where plain gain would pick a.
 func TestGainRatioVsPlainGain(t *testing.T) {
 	d := dataset.New("gr", []dataset.Attribute{
 		dataset.NumericAttr("a"),
@@ -380,19 +391,20 @@ func TestGainRatioVsPlainGain(t *testing.T) {
 		}
 		d.MustAdd(dataset.Instance{Values: []float64{float64(i), b, c}, Class: class, Weight: 1})
 	}
-	gr, err := Learner{Config: Config{NoPrune: true}}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
+	if root := growTree(t, d).Root; root.Attr != 1 {
+		t.Errorf("gain ratio root = attr %d, want b(1)", root.Attr)
 	}
-	if gr.Root.Attr != 1 {
-		t.Errorf("gain ratio root = attr %d, want b(1)", gr.Root.Attr)
+	v := dataset.NewStore(d, nil).IdentityView()
+	fb := newViewBuilder(v, new(buildScratch))
+	if fb.bestSplit(fb.root(v)) == nil {
+		t.Fatal("no root split")
 	}
-	plain, err := Learner{Config: Config{NoPrune: true, PlainGain: true}}.FitTree(d)
-	if err != nil {
-		t.Fatal(err)
+	gain := map[int]float64{}
+	for _, s := range fb.splitBuf {
+		gain[s.attr] = s.gain
 	}
-	if plain.Root.Attr != 0 {
-		t.Errorf("plain gain root = attr %d, want a(0)", plain.Root.Attr)
+	if gain[0] <= gain[1] {
+		t.Errorf("gain of a %v, of b %v: plain gain must prefer a", gain[0], gain[1])
 	}
 }
 

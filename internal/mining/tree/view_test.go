@@ -37,7 +37,7 @@ func nodesEqual(a, b *Node) bool {
 // general builder's tree bit for bit, distributions included.
 func TestFitTreeViewMatchesFitTree(t *testing.T) {
 	d := mixedDataset(400, 21)
-	want := fitGeneral(Config{}, d)
+	want := fitGeneral(d)
 	fitted, err := (Learner{}).FitTree(d)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want := fitGeneral(Config{}, v.Materialize())
+		want := fitGeneral(v.Materialize())
 		got, err := (Learner{}).FitTreeView(v)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -108,7 +108,7 @@ func TestFitTreeViewRefusesManyClasses(t *testing.T) {
 			x := rng.Float64()
 			d.MustAdd(dataset.Instance{Values: []float64{x}, Class: int(x*float64(nClasses)) % nClasses, Weight: 1})
 		}
-		tr, err := (Learner{Config: Config{MinLeaf: 1}}).FitTreeView(dataset.NewStore(d, nil).IdentityView())
+		tr, err := (Learner{}).FitTreeView(dataset.NewStore(d, nil).IdentityView())
 		return tr, d, err
 	}
 	if _, _, err := fit(maxFastClasses + 1); err == nil || !strings.Contains(err.Error(), "more than 256 classes") {
@@ -118,7 +118,7 @@ func TestFitTreeViewRefusesManyClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !nodesEqual(got.Root, fitGeneral(Config{MinLeaf: 1}, d)) {
+	if !nodesEqual(got.Root, fitGeneral(d)) {
 		t.Fatal("a 256-class view diverges from the general builder")
 	}
 	if got.Root.IsLeaf() {

@@ -51,7 +51,7 @@ func benchServe(b *testing.B, codec Codec) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	cl := &Client{Base: hs.URL, Codec: codec, MaxRetries: -1}
+	cl := &Client{Base: hs.URL, Codec: codec}
 	samples := benchSamples(64)
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -39,9 +39,6 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before admitting a
 	// half-open probe (default 5s).
 	Cooldown time.Duration
-	// Probes is the number of consecutive successful half-open probes
-	// required to close the breaker again (default 1).
-	Probes int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -51,17 +48,14 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
 	}
-	if c.Probes <= 0 {
-		c.Probes = 1
-	}
 	return c
 }
 
 // Breaker is a per-detector circuit breaker: it trips open after
 // Threshold consecutive evaluation failures, rejects evaluation while
 // open, admits a single probe at a time after Cooldown (half-open),
-// and closes again after Probes consecutive probe successes. A failed
-// probe re-opens the circuit and restarts the cooldown.
+// and closes again on the first successful probe. A failed probe
+// re-opens the circuit and restarts the cooldown.
 //
 // All methods are safe for concurrent use. Outcome reports that arrive
 // after the breaker has moved on (e.g. a success recorded while the
@@ -75,12 +69,11 @@ type Breaker struct {
 	// with b.mu held, so it must not call back into the breaker.
 	onTransition func(from, to BreakerState)
 
-	mu        sync.Mutex
-	state     BreakerState
-	fails     int // consecutive failures while closed
-	successes int // consecutive probe successes while half-open
-	probing   bool
-	openedAt  time.Time
+	mu       sync.Mutex
+	state    BreakerState
+	fails    int // consecutive failures while closed
+	probing  bool
+	openedAt time.Time
 }
 
 // NewBreaker returns a closed breaker.
@@ -116,7 +109,6 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		b.transition(HalfOpen)
-		b.successes = 0
 		b.probing = true
 		return true
 	case HalfOpen:
@@ -150,11 +142,8 @@ func (b *Breaker) Record(ok bool) {
 			b.trip()
 			return
 		}
-		b.successes++
-		if b.successes >= b.cfg.Probes {
-			b.transition(Closed)
-			b.fails = 0
-		}
+		b.transition(Closed)
+		b.fails = 0
 	case Open:
 		// Late report from before the trip; the circuit has moved on.
 	}
@@ -179,7 +168,6 @@ func (b *Breaker) trip() {
 	b.openedAt = b.now()
 	b.fails = 0
 	b.probing = false
-	b.successes = 0
 }
 
 // transition moves to state to, notifying the observer. Callers hold

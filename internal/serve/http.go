@@ -1,11 +1,10 @@
 package serve
 
 // Shared HTTP plumbing: the managed listen/drain server loop, the one
-// error body and JSON writer, the one client call and the
-// deadline-aware retry policy. The detector-serving runtime
-// (Server.Serve, Client), the campaign fabric (internal/fabric
-// coordinator and worker) and the `edem lifecycle` verbs all run on
-// these, so drain semantics, error bodies and retry behaviour stay
+// error body and JSON writer, and the one client call. The
+// detector-serving runtime (Server.Serve, Client), the campaign fabric
+// (internal/fabric coordinator and worker) and the `edem lifecycle`
+// verbs all run on these, so drain semantics and error bodies stay
 // identical across the services.
 
 import (
@@ -172,82 +171,4 @@ func (s *silentConns) drain() {
 		c.Close()
 	}
 	s.conns = nil
-}
-
-// Backoff is the shared bounded-exponential retry policy: the first
-// retry waits Base, each further retry doubles, capped at Max, for at
-// most MaxRetries additional attempts. Every wait is deadline-aware —
-// Retry never sleeps past the context deadline just to fail afterwards.
-type Backoff struct {
-	// MaxRetries is the number of additional attempts after the first;
-	// 0 defaults to 3, negative means none.
-	MaxRetries int
-	// Base is the delay before the first retry (default 50ms).
-	Base time.Duration
-	// Max caps the doubling (default 2s).
-	Max time.Duration
-}
-
-func (b Backoff) maxRetries() int {
-	if b.MaxRetries < 0 {
-		return 0
-	}
-	if b.MaxRetries == 0 {
-		return 3
-	}
-	return b.MaxRetries
-}
-
-// Delay returns the wait before retry number attempt (0-based).
-func (b Backoff) Delay(attempt int) time.Duration {
-	base := b.Base
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	max := b.Max
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base << uint(attempt)
-	if d > max || d <= 0 {
-		d = max
-	}
-	return d
-}
-
-// Retry runs fn until it succeeds, fails permanently, the context
-// expires or the retry budget runs out. permanent, when non-nil,
-// classifies errors not worth another attempt (they return
-// immediately, unwrapped). op prefixes the terminal error messages.
-func (b Backoff) Retry(ctx context.Context, op string, permanent func(error) bool, fn func() error) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		err := fn()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if permanent != nil && permanent(err) {
-			return err
-		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("%s: %w (last error: %v)", op, ctx.Err(), lastErr)
-		}
-		if attempt >= b.maxRetries() {
-			return fmt.Errorf("%s: %d attempts exhausted: %w", op, attempt+1, lastErr)
-		}
-		delay := b.Delay(attempt)
-		// Deadline-aware: when the remaining context budget cannot cover
-		// the sleep, give up now instead of sleeping into the deadline.
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < delay {
-			return fmt.Errorf("%s: deadline too close to retry: %w", op, lastErr)
-		}
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return fmt.Errorf("%s: %w (last error: %v)", op, ctx.Err(), lastErr)
-		}
-	}
 }

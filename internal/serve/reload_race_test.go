@@ -131,7 +131,7 @@ func TestServeReloadHammerRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cl := &Client{Base: hs.URL, MaxRetries: -1}
+		cl := &Client{Base: hs.URL}
 		for !stopHammer.Load() {
 			for _, v := range []float64{-777, 50, 50} {
 				_, err := cl.Evaluate(ctx, "TRIP", []Sample{{v}})

@@ -203,7 +203,7 @@ func TestServeAdmissionSemaphore(t *testing.T) {
 	}
 	hs := httptest.NewServer(s.Handler())
 	tr := &http.Transport{}
-	cl := &Client{Base: hs.URL, HTTP: &http.Client{Transport: tr}}
+	hc := &http.Client{Transport: tr}
 	body, err := json.Marshal(EvalRequest{Detector: "D1", Samples: []Sample{{500}}, DelayMS: 600})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,10 @@ func TestServeAdmissionSemaphore(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := cl.post(context.Background(), "/v1/evaluate", body)
+			req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/evaluate", bytes.NewReader(body))
+			if err == nil {
+				_, err = Do(hc, req, nil)
+			}
 			var se *StatusError
 			switch {
 			case err == nil:
