@@ -23,90 +23,58 @@ package campaign
 //
 // The upgrade rewrites the journal under the new plan: new manifest
 // first (atomic rename), then a compacted checkpoint log holding the
-// surviving shards re-tagged with the new plan hash. A kill between the
-// two renames leaves the new manifest over old-plan lines; the next
-// incremental resume hash-matches the manifest and purges the stale
-// lines as foreign (readCheckpoints dropForeign), re-running their
-// shards. That loses work but never correctness — first-wins dedup and
-// bit-identity are keyed by plan position, and no line ever carries the
-// wrong plan hash for its contents.
+// surviving shards re-tagged with the new plan hash, both written by
+// openLedger once every surviving shard has passed the ledger's
+// check. A kill between the two renames leaves the new manifest over
+// old-plan lines; the next incremental resume hash-matches the
+// manifest and purges the stale lines as foreign (readCheckpoints
+// dropForeign), re-running their shards. That loses work but never
+// correctness — first-wins dedup and bit-identity are keyed by plan
+// position, and no line ever carries the wrong plan hash for its
+// contents.
 
 import (
 	"edem/internal/propane"
 )
 
-// prepareIncremental handles the hash-mismatch branch of preparePlan:
-// rebuild the plan with boundary-aligned shards, diff sections against
-// the manifest, keep the still-valid shards and rewrite the journal
-// under the new plan.
-func prepareIncremental(target propane.Target, spec propane.Spec, cfg Config, m manifest) (*prepState, error) {
+// reconcile handles the hash-mismatch branch of openLedger under
+// Config.Incremental, l.plan being the plan at the journal's shard
+// count: it rebuilds the plan with boundary-aligned shards, diffs its
+// sections against the manifest and returns the journaled shards still
+// valid under it, re-tagged with its hash. openLedger then rewrites
+// the journal under the new plan.
+func (l *Ledger) reconcile(target propane.Target, spec propane.Spec, m manifest) (map[int]checkpoint, error) {
 	// Derive the new shard count from the journaled shard size so
 	// unchanged-prefix shards keep identical job ranges (condition 1).
-	plan, err := NewPlan(target, spec, m.Shards)
-	if err != nil {
-		return nil, err
-	}
 	if oldSize := (m.Jobs + m.Shards - 1) / m.Shards; oldSize > 0 {
-		if shards := (len(plan.Jobs) + oldSize - 1) / oldSize; shards != plan.Shards {
-			plan, err = NewPlan(target, spec, shards)
+		if shards := (len(l.plan.Jobs) + oldSize - 1) / oldSize; shards != l.plan.Shards {
+			plan, err := NewPlan(target, spec, shards)
 			if err != nil {
 				return nil, err
 			}
+			l.plan = plan
 		}
 	}
 
-	restored, torn, invalidated, reused, err := reconcileIncremental(cfg.Journal, m, plan)
+	old, torn, foreign, err := readCheckpoints(l.dir, m.Plan, true)
 	if err != nil {
 		return nil, err
 	}
-	jnl, err := openCheckpoints(cfg.Journal)
-	if err != nil {
-		return nil, err
-	}
-	return &prepState{
-		plan:        plan,
-		restored:    restored,
-		jnl:         jnl,
-		torn:        torn,
-		invalidated: invalidated,
-		reused:      reused,
-	}, nil
-}
+	l.torn = torn
+	l.invalid = foreign // stray lines of even older plans re-run too
 
-// reconcileIncremental loads the journaled shards of the superseded
-// plan, keeps those whose ranges and overlapping sections are unchanged
-// under plan, and rewrites the journal (manifest, then checkpoint log)
-// under the new plan. The kept checkpoints are returned re-tagged with
-// the new plan hash, ready to restore.
-func reconcileIncremental(dir string, m manifest, plan *Plan) (restored map[int]checkpoint, torn, invalidated, reused int, err error) {
-	old, torn, foreign, err := readCheckpoints(dir, m.Plan, true)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	invalidated = foreign // stray lines of even older plans re-run too
-
-	valid := validSections(m.Sections, plan.Sections)
-	restored = make(map[int]checkpoint, len(old))
+	valid := validSections(m.Sections, l.plan.Sections)
+	restored := make(map[int]checkpoint, len(old))
 	for s, cp := range old {
-		if !shardReusable(s, m, plan, valid) {
-			invalidated++
+		if !shardReusable(s, m, l.plan, valid) {
+			l.invalid++
 			continue
 		}
-		cp.Plan = plan.Hash
+		cp.Plan = l.plan.Hash
 		restored[s] = cp
-		reused++
+		l.reused++
 	}
-
-	// Manifest first: after this rename the directory claims the new
-	// plan, and any old-plan lines still in the log are recognisably
-	// foreign (see the file comment for the kill-between-renames story).
-	if err := writeManifest(dir, newManifest(plan)); err != nil {
-		return nil, 0, 0, 0, err
-	}
-	if err := writeCheckpointLog(dir, restored, nil); err != nil {
-		return nil, 0, 0, 0, err
-	}
-	return restored, torn, invalidated, reused, nil
+	return restored, nil
 }
 
 // validSections indexes, by test-case index, the journaled sections

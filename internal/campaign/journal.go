@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 
 	"edem/internal/durable"
@@ -22,15 +20,15 @@ import (
 //	<dir>/manifest.json      content-addressed plan description
 //	<dir>/checkpoints.jsonl  one JSON line per completed shard
 //
-// Both files go through internal/durable. The manifest is replaced
-// atomically before any shard executes. Checkpoint lines are appended
-// and fsynced as shards complete, in completion order — which varies
-// with scheduling — so the log is an unordered set keyed by shard
-// index; resume sorts it back into plan order. A line truncated by a
-// kill mid-append fails to decode and is skipped on load: the shard it
-// described simply re-runs. Reopening the log terminates that
-// fragment's line, so it stays in the log as one skipped line until
-// the journal is sealed.
+// Both files go through internal/durable, and the Ledger is their one
+// writer. The manifest is replaced atomically before any shard
+// executes. Checkpoint lines are appended and fsynced as shards are
+// committed, in completion order — which varies with scheduling — so
+// the log is an unordered set keyed by shard index; resume sorts it
+// back into plan order. A line truncated by a kill mid-append fails
+// to decode and is skipped on load: the shard it described simply
+// re-runs. Reopening the log terminates that fragment's line, so it
+// stays in the log as one skipped line until the journal is sealed.
 //
 // Sampled states are serialised as 16-digit hex IEEE-754 bit patterns,
 // not JSON numbers: corrupted runs legitimately sample NaN and ±Inf
@@ -159,6 +157,16 @@ type recordJSON struct {
 	FlipErr  bool     `json:"flip_err,omitempty"`
 }
 
+// newCheckpoint encodes one shard's outcome, its records in job order,
+// as a journal checkpoint of plan planHash.
+func newCheckpoint(planHash string, shard int, recs []propane.Record, skipped []SkippedCell) checkpoint {
+	cp := checkpoint{Plan: planHash, Shard: shard, Records: make([]recordJSON, len(recs)), Skipped: skipped}
+	for i, r := range recs {
+		cp.Records[i] = encodeRecord(r)
+	}
+	return cp
+}
+
 func encodeRecord(r propane.Record) recordJSON {
 	var state []string
 	if r.State != nil {
@@ -207,24 +215,6 @@ func decodeRecord(r recordJSON) (propane.Record, error) {
 	}, nil
 }
 
-// createJournal initialises a fresh journal directory: the checkpoint
-// log first, then the manifest, replaced atomically, so a kill during
-// creation leaves either no manifest — no journal — or a complete one,
-// never a torn manifest. The manifest's directory fsync comes after
-// both files exist, so creation costs one; the log's own waits for its
-// first checkpoint (durable.OpenLog).
-func createJournal(dir string, p *Plan) (*durable.Log, error) {
-	jnl, err := openCheckpoints(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeManifest(dir, newManifest(p)); err != nil {
-		jnl.Close()
-		return nil, err
-	}
-	return jnl, nil
-}
-
 // writeManifest replaces <dir>/manifest.json atomically.
 func writeManifest(dir string, m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -235,17 +225,12 @@ func writeManifest(dir string, m manifest) error {
 	return durable.WriteFile(filepath.Join(dir, manifestName), func(w io.Writer) error { _, err := w.Write(data); return err })
 }
 
-// openCheckpoints opens the checkpoint log for appending. A torn last
-// line is terminated, so it stays one skipped line until sealing.
-func openCheckpoints(dir string) (*durable.Log, error) {
-	return durable.OpenLog(filepath.Join(dir, checkpointsName))
-}
-
 // encodeCheckpointLine renders one checkpoint as its canonical
-// newline-terminated journal line. Every journal writer — the local
-// engine, the fabric worker and the coordinator merge — goes through
-// this one encoder, which is what makes a shard's bytes identical
-// whichever machine executed it.
+// newline-terminated journal line. Every line the ledger keeps —
+// restored, committed by campaign.Run or uploaded by a fabric worker,
+// whose Executor.RunShard encodes it here too — goes through this one
+// encoder, which is what makes a shard's bytes identical whichever
+// machine executed it.
 func encodeCheckpointLine(cp checkpoint) ([]byte, error) {
 	data, err := json.Marshal(cp)
 	if err != nil {
@@ -302,79 +287,4 @@ func readCheckpoints(dir, planHash string, dropForeign bool) (done map[int]check
 		return nil, 0, 0, err
 	}
 	return done, torn, foreign, nil
-}
-
-// writeCheckpointLog makes the checkpoint log hold exactly the given
-// shards, one canonical line each, in ascending shard order: the
-// checkpoints in cps, which it encodes, and the shards whose line is
-// already encoded in lines (lines[s] non-nil; nil lines means none).
-// A log already holding those bytes is left untouched — the common case
-// when sealing an uninterrupted local run; otherwise it is replaced
-// atomically. The log is read back for that comparison only when its
-// size matches.
-func writeCheckpointLog(dir string, cps map[int]checkpoint, lines [][]byte) error {
-	shards := make([]int, 0, len(cps)+len(lines))
-	for s := range cps {
-		shards = append(shards, s)
-	}
-	for s, line := range lines {
-		if line != nil {
-			shards = append(shards, s)
-		}
-	}
-	sort.Ints(shards)
-	var buf []byte
-	for _, s := range shards {
-		cp, ok := cps[s]
-		if !ok {
-			buf = append(buf, lines[s]...)
-			continue
-		}
-		line, err := encodeCheckpointLine(cp)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, line...)
-	}
-	path := filepath.Join(dir, checkpointsName)
-	if fi, err := os.Stat(path); err == nil && fi.Size() == int64(len(buf)) {
-		if cur, err := os.ReadFile(path); err == nil && bytes.Equal(cur, buf) {
-			return nil
-		}
-	}
-	return durable.WriteFile(path, func(w io.Writer) error { _, err := w.Write(buf); return err })
-}
-
-// sealJournal compacts a completed journal into its canonical form:
-// one checkpoint line per shard, in ascending shard order, each line
-// re-encoded by the canonical encoder, duplicates (work-stealing races)
-// and torn tails dropped. Sealing is what makes completed journals
-// comparable byte-for-byte across execution paths — a local run, a
-// resumed run and a multi-worker fabric run of the same plan all seal
-// to identical bytes. Re-encoding also drops fields the current format
-// lacks, such as the per-shard fork statistics older binaries wrote.
-// The fabric ledger seals this way; it holds no checkpoints, so it
-// reads them back from the log.
-func sealJournal(dir, planHash string, shards int) error {
-	cps, _, _, err := readCheckpoints(dir, planHash, false)
-	if err != nil {
-		return err
-	}
-	return sealCheckpoints(dir, cps, nil, shards)
-}
-
-// sealCheckpoints seals the journal from checkpoints already in memory,
-// which must cover all shards: campaign.Run holds the restored ones in
-// cps and the canonical lines it appended for the rest in lines.
-func sealCheckpoints(dir string, cps map[int]checkpoint, lines [][]byte, shards int) error {
-	have := len(cps)
-	for _, line := range lines {
-		if line != nil {
-			have++
-		}
-	}
-	if have != shards {
-		return fmt.Errorf("campaign: seal: journal has %d of %d shards", have, shards)
-	}
-	return writeCheckpointLog(dir, cps, lines)
 }

@@ -28,7 +28,10 @@ type CoordinatorConfig struct {
 	LeaseTTL time.Duration
 	// Linger is how long the coordinator keeps serving after the last
 	// shard commits, so idle workers observe Complete on their next
-	// poll instead of a connection error (default 1s).
+	// poll instead of a connection error (default 1s). A worker still
+	// holding a lease that the completion dissolved keeps it serving
+	// longer: until that worker calls in, plus Linger, or until its
+	// lease lapses.
 	Linger time.Duration
 	// Registry receives the fabric.* metrics and backs GET /metrics; nil
 	// falls back to the process default registry.
@@ -86,7 +89,13 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	leases map[string]*lease
-	seq    int
+	// dissolved holds the leases another worker's completion ended
+	// while their holders may still be executing: each stays until its
+	// holder calls in (a renew that learns Done, or a duplicate upload)
+	// or its expiry passes. quiet is Linger past the last such call.
+	dissolved map[string]*lease
+	quiet     time.Time
+	seq       int
 
 	doneCh   chan struct{}
 	doneOnce sync.Once
@@ -114,10 +123,11 @@ func NewCoordinator(target propane.Target, spec propane.Spec, ccfg campaign.Conf
 		return nil, err
 	}
 	co := &Coordinator{
-		cfg:    cfg,
-		ledger: ledger,
-		leases: make(map[string]*lease),
-		doneCh: make(chan struct{}),
+		cfg:       cfg,
+		ledger:    ledger,
+		leases:    make(map[string]*lease),
+		dissolved: make(map[string]*lease),
+		doneCh:    make(chan struct{}),
 	}
 	reg := cfg.Registry
 	co.mLeases = reg.Counter("fabric.leases")
@@ -162,7 +172,8 @@ func (co *Coordinator) Status() PlanStatus {
 	return st
 }
 
-// sweepLocked drops expired leases. Callers hold co.mu.
+// sweepLocked drops expired leases, live and dissolved. Callers hold
+// co.mu.
 func (co *Coordinator) sweepLocked(now time.Time) {
 	for id, l := range co.leases {
 		if now.After(l.expiry) {
@@ -172,6 +183,37 @@ func (co *Coordinator) sweepLocked(now time.Time) {
 			co.cfg.Logf("fabric: lease %s (shard %d, worker %s) expired", id, l.shard, l.worker)
 		}
 	}
+	for id, l := range co.dissolved {
+		if now.After(l.expiry) {
+			delete(co.dissolved, id)
+		}
+	}
+}
+
+// settleLocked drops dissolved lease id, whose holder has just called
+// in, and gives it Linger to poll again and see the campaign complete.
+// Callers hold co.mu.
+func (co *Coordinator) settleLocked(id string, now time.Time) {
+	delete(co.dissolved, id)
+	co.quiet = now.Add(co.cfg.Linger)
+}
+
+// lingerLeft returns how much longer a complete coordinator keeps
+// serving: until deadline and quiet have passed and every dissolved
+// lease has settled or lapsed.
+func (co *Coordinator) lingerLeft(deadline, now time.Time) time.Duration {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.sweepLocked(now)
+	if co.quiet.After(deadline) {
+		deadline = co.quiet
+	}
+	for _, l := range co.dissolved {
+		if l.expiry.After(deadline) {
+			deadline = l.expiry
+		}
+	}
+	return deadline.Sub(now)
 }
 
 // maxLeases caps concurrent leases per shard, the work-stealing
@@ -262,6 +304,9 @@ func (co *Coordinator) renew(id string) RenewResponse {
 		// Expired, superseded by a completed shard, or granted by a
 		// previous coordinator incarnation. The worker decides whether
 		// to keep going (first-wins makes either choice safe).
+		if _, ok := co.dissolved[id]; ok {
+			co.settleLocked(id, now)
+		}
 		return RenewResponse{OK: false}
 	}
 	l.expiry = now.Add(co.cfg.LeaseTTL)
@@ -269,18 +314,30 @@ func (co *Coordinator) renew(id string) RenewResponse {
 	return RenewResponse{OK: true}
 }
 
-// complete merges one uploaded shard first-wins and dissolves every
-// lease on it (whoever held them).
+// complete merges one uploaded shard first-wins and ends every lease
+// on it. The uploader's own lease is done with; another worker's is
+// dissolved, since its holder may still be executing the shard and
+// call in (see Serve).
 func (co *Coordinator) complete(worker string, line []byte) (CompleteResponse, error) {
 	shard, accepted, err := co.ledger.Commit(line)
 	if err != nil {
 		return CompleteResponse{}, err
 	}
+	now := time.Now()
 	co.mu.Lock()
+	for id, l := range co.dissolved {
+		if l.shard == shard && l.worker == worker {
+			co.settleLocked(id, now)
+			break
+		}
+	}
 	for id, l := range co.leases {
 		if l.shard == shard {
 			delete(co.leases, id)
 			co.gOutstanding.Add(-1)
+			if l.worker != worker {
+				co.dissolved[id] = l
+			}
 		}
 	}
 	co.mu.Unlock()
@@ -343,7 +400,8 @@ func requireBearer(token string, next http.Handler) http.Handler {
 }
 
 // Serve runs the coordinator on ln until ctx is cancelled or the
-// campaign completes (plus the linger window), then drains, closes the
+// campaign completes (plus the linger window, which a dissolved lease
+// stretches; see CoordinatorConfig.Linger), then drains, closes the
 // ledger and — when complete — seals the journal into canonical form.
 // When cfg.TLSCert/TLSKey are set the listener is wrapped in TLS.
 func (co *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
@@ -359,15 +417,26 @@ func (co *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 	go func() {
 		select {
 		case <-co.doneCh:
-			co.cfg.Logf("fabric: campaign complete, lingering %v for worker goodbyes", co.cfg.Linger)
-			t := time.NewTimer(co.cfg.Linger)
-			defer t.Stop()
+		case <-sctx.Done():
+			return
+		}
+		co.cfg.Logf("fabric: campaign complete, lingering %v for worker goodbyes", co.cfg.Linger)
+		// Re-check at least every Linger, so a dissolved lease that
+		// settles early ends the wait a Linger after it settled.
+		deadline := time.Now().Add(co.cfg.Linger)
+		for {
+			wait := co.lingerLeft(deadline, time.Now())
+			if wait <= 0 {
+				cancel()
+				return
+			}
+			t := time.NewTimer(min(wait, co.cfg.Linger))
 			select {
 			case <-t.C:
 			case <-sctx.Done():
+				t.Stop()
+				return
 			}
-			cancel()
-		case <-sctx.Done():
 		}
 	}()
 	err := serve.RunHTTP(sctx, ln, co.Handler(), serve.HTTPConfig{Logf: co.cfg.Logf})
@@ -437,17 +506,10 @@ func (co *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	resp := co.renew(req.Lease)
 	if !resp.OK {
 		// Hint Done when the shard is already committed so the worker
-		// can abandon it. Lease IDs encode their shard (l<seq>-s<shard>);
-		// parsing it back avoids a second lease table for dead IDs.
-		if shard, ok := shardOfLease(req.Lease); ok {
-			for _, s := range co.ledger.Pending() {
-				if s == shard {
-					serve.WriteJSON(w, http.StatusOK, resp)
-					return
-				}
-			}
-			resp.Done = true
-		}
+		// can abandon it. Lease IDs encode their shard (l<seq>-s<shard>),
+		// so even an ID no table holds any more names its shard.
+		shard, ok := shardOfLease(req.Lease)
+		resp.Done = ok && co.ledger.Committed(shard)
 	}
 	serve.WriteJSON(w, http.StatusOK, resp)
 }

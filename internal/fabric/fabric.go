@@ -42,7 +42,9 @@
 //	leased   one or more active leases; expiry (TTL without renewal)
 //	         returns the shard to pending, heartbeat renewal extends it
 //	done     committed to the journal; all its leases dissolve and any
-//	         further completion is a counted duplicate
+//	         further completion is a counted duplicate. A dissolved
+//	         lease of another worker than the uploader keeps a complete
+//	         coordinator serving until its holder calls in or it lapses
 //
 // Work-stealing: when nothing is pending but leases are outstanding,
 // an idle worker is granted a duplicate lease on the slowest
@@ -52,10 +54,12 @@
 //
 // # Incremental invalidation
 //
-// The coordinator opens its journal through the same preparePlan path
-// as a local campaign, so campaign.Config.Incremental works unchanged:
-// per-section sub-hash diffing marks only invalidated shards pending,
-// and workers re-execute exactly those.
+// The coordinator's journal is a campaign.Ledger, the same object a
+// local campaign.Run opens and commits through, so resume,
+// campaign.Config.Incremental and the check on every restored or
+// uploaded checkpoint work unchanged: per-section sub-hash diffing
+// marks only invalidated shards pending, and workers re-execute
+// exactly those.
 package fabric
 
 // Wire types of the JSON control endpoints.
