@@ -1,7 +1,9 @@
 package main
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -14,7 +16,7 @@ import (
 // TestCmdExportThenServe drives the deployment story end to end at the
 // CLI boundary: `edem export` learns a predicate and writes a bundle,
 // the bundle loads back, and the serving stack evaluates a batch
-// through serve.Client.
+// posted through serve.Do.
 func TestCmdExportThenServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("methodology run; skipped in -short mode")
@@ -47,14 +49,21 @@ func TestCmdExportThenServe(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	c := &serve.Client{Base: hs.URL}
 	arity := len(e.Predicate.Vars)
 	samples := make([]serve.Sample, 4)
 	for i := range samples {
 		samples[i] = make(serve.Sample, arity)
 	}
-	resp, err := c.Evaluate(context.Background(), "MG-A1", samples)
+	body, err := json.Marshal(serve.EvalRequest{Detector: "MG-A1", Samples: samples})
 	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/evaluate", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp serve.EvalResponse
+	if _, err := serve.Do(nil, req, &resp); err != nil {
 		t.Fatalf("evaluate against exported bundle: %v", err)
 	}
 	if resp.Evaluated != 4 || len(resp.Verdicts) != 4 {

@@ -72,8 +72,6 @@ func run(args []string) error {
 		return cmdServe(rest)
 	case "lifecycle":
 		return cmdLifecycle(rest)
-	case "bench-serve":
-		return cmdBenchServe(rest)
 	case "list":
 		return cmdList()
 	case "help", "-h", "--help":
@@ -114,8 +112,6 @@ commands:
   lifecycle status|shadow|promote|rollback|baseline|feedback   drive a running serve instance
             [-server URL] status: drift + canary view      shadow: -bundle FILE
             promote: [-percent N]   rollback: [-reason S]  feedback: -detector ID -outcome L
-  bench-serve -bundle FILE [-out FILE] [-duration D]      measure serving throughput/latency per codec
-            [-conns N] [-batch N] [-detector ID] [-shadow] and evaluation mode, write BENCH_serve.json
   list                                                    list Table II dataset IDs
 
 common flags (all commands): -seed N -scale N -stride N -workers N -journal DIR
@@ -179,7 +175,8 @@ type telemetryCfg struct {
 	trace      bool
 	debugAddr  string
 	reg        *telemetry.Registry
-	debugSrv   *http.Server
+	// stopDebug cancels the -debug-addr server and waits for its drain.
+	stopDebug func()
 }
 
 func (t *telemetryCfg) start() error {
@@ -202,8 +199,9 @@ func (t *telemetryCfg) start() error {
 	if ln != nil {
 		// Dedicated mux: the DefaultServeMux is process-global mutable
 		// state that any imported package can extend, which is exactly
-		// what a diagnostic port must not expose. The generous write
-		// timeout accommodates /debug/pprof/profile?seconds=N streams.
+		// what a diagnostic port must not expose. RunHTTP's generous
+		// write timeout accommodates /debug/pprof/profile?seconds=N
+		// streams.
 		mux := http.NewServeMux()
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -211,15 +209,14 @@ func (t *telemetryCfg) start() error {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		mux.Handle("/metrics", t.reg)
-		t.debugSrv = &http.Server{
-			Handler:           mux,
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       time.Minute,
-			WriteTimeout:      5 * time.Minute,
-			IdleTimeout:       time.Minute,
-		}
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof/ (metrics at /metrics)\n", ln.Addr())
-		go func() { _ = t.debugSrv.Serve(ln) }()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = serve.RunHTTP(ctx, ln, mux, serve.HTTPConfig{DrainTimeout: 2 * time.Second})
+		}()
+		t.stopDebug = func() { cancel(); <-done }
 	}
 	return nil
 }
@@ -237,14 +234,12 @@ func (t *telemetryCfg) serviceRegistry() *telemetry.Registry {
 // finish reports the collected telemetry (span tree on stderr, JSON
 // snapshot to -metrics-out) and uninstalls the registry.
 func (t *telemetryCfg) finish() {
-	if t.debugSrv != nil {
+	if t.stopDebug != nil {
 		// The deferred finish runs when the subcommand returns — which
 		// includes returning because the main signal context was
 		// cancelled — so the debug listener never outlives the command.
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_ = t.debugSrv.Shutdown(ctx)
-		cancel()
-		t.debugSrv = nil
+		t.stopDebug()
+		t.stopDebug = nil
 	}
 	if t.reg == nil {
 		return

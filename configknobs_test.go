@@ -19,7 +19,7 @@ var unsetKnobKeeps = map[string]string{
 
 // TestNoUnsetKnobs fails when an exported field of a configuration
 // struct (a type under internal/ whose name ends in Config, plus
-// core.Options and serve.Client) is set by no non-test file of the
+// core.Options) is set by no non-test file of the
 // module or of bench/. A field only tests set is a knob production
 // leaves at one value: make it a constant. Setting means a
 // composite-literal key or a field address (&x.F, a flag binding) in
@@ -79,7 +79,7 @@ func (s *exportScan) knobFields() map[*types.Var]string {
 			if !ok || tn.IsAlias() {
 				continue
 			}
-			if !strings.HasSuffix(name, "Config") && short+"."+name != "core.Options" && short+"."+name != "serve.Client" {
+			if !strings.HasSuffix(name, "Config") && short+"."+name != "core.Options" {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
+	"edem/internal/lifecycle"
 	"edem/internal/predicate"
 	"edem/internal/stats"
 	"edem/internal/telemetry"
@@ -42,22 +44,44 @@ func benchSamples(n int) []Sample {
 
 // benchServe runs the end-to-end request loop — client encode, HTTP
 // round trip, server decode, evaluation, response — for one codec,
-// reporting allocations.
-func benchServe(b *testing.B, codec Codec) {
-	s, err := NewServer(benchBundle(), "", Config{Registry: telemetry.New()})
+// reporting allocations. With shadow, the server runs a lifecycle
+// monitor and holds the bundle as its own shadow candidate, so every
+// request also pays the mirror evaluation and the verdict diff
+// (lifecycle dual evaluation with zero disagreements).
+func benchServe(b *testing.B, codec wireCodec, shadow bool) {
+	reg := telemetry.New()
+	cfg := Config{Registry: reg}
+	if shadow {
+		mon, err := lifecycle.NewMonitor(lifecycle.MonitorConfig{Dir: b.TempDir(), Registry: reg})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer mon.Close()
+		cfg.Monitor = mon
+	}
+	s, err := NewServer(benchBundle(), "", cfg)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if shadow {
+		path := filepath.Join(b.TempDir(), "bundle.json")
+		if err := benchBundle().WriteFile(path); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.LoadShadow(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	cl := &Client{Base: hs.URL, Codec: codec}
+	cl := &testClient{base: hs.URL, codec: codec}
 	samples := benchSamples(64)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := cl.Evaluate(ctx, "B1", samples)
+		resp, err := cl.evaluate(ctx, "B1", samples)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,10 +90,21 @@ func benchServe(b *testing.B, codec Codec) {
 		}
 	}
 	b.ReportMetric(float64(b.N*len(samples))/b.Elapsed().Seconds(), "samples/s")
+	if shadow {
+		// The mirror runs after the response is written; Close waits for
+		// the handlers, so every request's mirror has been counted.
+		b.StopTimer()
+		hs.Close()
+		if reg.Counter("lifecycle.shadow_evals").Value() == 0 {
+			b.Fatal("lifecycle.shadow_evals = 0: no request was mirrored onto the shadow candidate")
+		}
+	}
 }
 
-func BenchmarkServeJSON(b *testing.B)   { benchServe(b, CodecJSON) }
-func BenchmarkServeBinary(b *testing.B) { benchServe(b, CodecBinary) }
+func BenchmarkServeJSON(b *testing.B)         { benchServe(b, codecJSON, false) }
+func BenchmarkServeBinary(b *testing.B)       { benchServe(b, codecBinary, false) }
+func BenchmarkServeJSONShadow(b *testing.B)   { benchServe(b, codecJSON, true) }
+func BenchmarkServeBinaryShadow(b *testing.B) { benchServe(b, codecBinary, true) }
 
 // BenchmarkBinaryCodec isolates the frame codec round trip from HTTP:
 // encode a 64-sample request, decode it, encode the response — the
@@ -82,7 +117,7 @@ func BenchmarkBinaryCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		reqBuf, err = EncodeBinaryRequest(reqBuf[:0], "B1", samples, 0, 0)
+		reqBuf, err = encodeBinaryRequest(reqBuf[:0], "B1", samples, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -173,40 +173,6 @@ func (r *binReader) frameHeader() uint8 {
 	return r.u8()
 }
 
-// EncodeBinaryRequest appends one request frame (including the length
-// prefix) to dst and returns the extended slice.
-func EncodeBinaryRequest(dst []byte, detector string, samples []Sample, deadlineMS, delayMS int64) ([]byte, error) {
-	if len(detector) > binMaxDetectorID {
-		return nil, fmt.Errorf("serve: binary frame: detector ID of %d bytes", len(detector))
-	}
-	arity := 0
-	if len(samples) > 0 {
-		arity = len(samples[0])
-	}
-	for i, s := range samples {
-		if len(s) != arity {
-			return nil, fmt.Errorf("serve: binary frame: sample %d has %d values, sample 0 has %d", i, len(s), arity)
-		}
-	}
-	lenAt := len(dst)
-	dst = appendUint32(dst, 0) // length back-patched below
-	dst = appendUint32(dst, binMagic)
-	dst = append(dst, binVersion, binKindRequest)
-	dst = appendUint16(dst, uint16(len(detector)))
-	dst = append(dst, detector...)
-	dst = appendUint32(dst, uint32(len(samples)))
-	dst = appendUint32(dst, uint32(arity))
-	dst = appendUint64(dst, uint64(deadlineMS))
-	dst = appendUint64(dst, uint64(delayMS))
-	for j := 0; j < arity; j++ {
-		for i := range samples {
-			dst = appendUint64(dst, math.Float64bits(samples[i][j]))
-		}
-	}
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
-	return dst, nil
-}
-
 // decodeInto parses one request frame into the (pooled) receiver,
 // reusing its flat array and sample headers.
 func (br *BinaryRequest) decodeInto(data []byte) error {
@@ -347,62 +313,4 @@ func EncodeBinaryResponse(dst []byte, resp *EvalResponse, generation uint64) ([]
 	}
 	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst, nil
-}
-
-// DecodeBinaryResponse parses one response frame into an EvalResponse
-// plus the serving bundle generation. Strict like the request decoder:
-// padding bits and trailing bytes are rejected.
-func DecodeBinaryResponse(data []byte) (*EvalResponse, uint64, error) {
-	r := &binReader{data: data}
-	if n := r.u32(); r.err == nil && int(n) != len(data)-4 {
-		r.fail("length prefix %d disagrees with body length %d", n, len(data)-4)
-	}
-	if k := r.frameHeader(); r.err == nil && k != binKindResponse {
-		r.fail("kind %d is not a response", k)
-	}
-	gen := r.u64()
-	degLen := int(r.u16())
-	if r.err == nil && degLen > binMaxDegradedLen {
-		r.fail("degraded reason of %d bytes", degLen)
-	}
-	deg := r.take(degLen)
-	evaluated := int(r.u32())
-	nv := int(r.u32())
-	if r.err == nil && nv > binMaxFrameSamples {
-		r.fail("%d verdicts exceeds the request bound", nv)
-	}
-	bitmap := r.take((nv + 7) / 8)
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	resp := &EvalResponse{Degraded: string(deg), Evaluated: evaluated, BundleGeneration: gen}
-	if nv > 0 {
-		resp.Verdicts = make([]bool, nv)
-		for i := range resp.Verdicts {
-			resp.Verdicts[i] = bitmap[i/8]&(1<<(i%8)) != 0
-		}
-	}
-	if nv%8 != 0 && bitmap[nv/8]>>(nv%8) != 0 {
-		return nil, 0, fmt.Errorf("serve: binary frame: nonzero verdict padding bits")
-	}
-	na := int(r.u32())
-	if r.err == nil && na > nv {
-		r.fail("%d alarms for %d verdicts", na, nv)
-	}
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	if na > 0 {
-		resp.Alarms = make([]int, na)
-		for i := range resp.Alarms {
-			resp.Alarms[i] = int(r.u32())
-		}
-	}
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	if r.off != len(data) {
-		return nil, 0, fmt.Errorf("serve: binary frame: %d trailing bytes", len(data)-r.off)
-	}
-	return resp, gen, nil
 }

@@ -13,12 +13,12 @@ import (
 // after the first write (which may normalise exotic-but-valid frames,
 // e.g. a declared arity on a zero-sample batch).
 func FuzzBinaryFrameRoundTrip(f *testing.F) {
-	if seed, err := EncodeBinaryRequest(nil, "D-1", []Sample{
+	if seed, err := encodeBinaryRequest(nil, "D-1", []Sample{
 		{1.5, math.NaN()}, {math.Inf(-1), math.Copysign(0, -1)},
 	}, 250, 7); err == nil {
 		f.Add(seed)
 	}
-	if seed, err := EncodeBinaryRequest(nil, "", nil, 0, 0); err == nil {
+	if seed, err := encodeBinaryRequest(nil, "", nil, 0, 0); err == nil {
 		f.Add(seed)
 	}
 	if seed, err := EncodeBinaryResponse(nil, &EvalResponse{
@@ -32,7 +32,7 @@ func FuzzBinaryFrameRoundTrip(f *testing.F) {
 	f.Add([]byte("EDBF garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if br, err := DecodeBinaryRequest(data); err == nil {
-			first, err := EncodeBinaryRequest(nil, br.Detector, br.Samples, br.DeadlineMS, br.DelayMS)
+			first, err := encodeBinaryRequest(nil, br.Detector, br.Samples, br.DeadlineMS, br.DelayMS)
 			if err != nil {
 				t.Fatalf("re-encode of accepted request failed: %v", err)
 			}
@@ -41,7 +41,7 @@ func FuzzBinaryFrameRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-decode of own request encoding failed: %v", err)
 			}
-			second, err := EncodeBinaryRequest(nil, again.Detector, again.Samples, again.DeadlineMS, again.DelayMS)
+			second, err := encodeBinaryRequest(nil, again.Detector, again.Samples, again.DeadlineMS, again.DelayMS)
 			again.Release()
 			if err != nil {
 				t.Fatalf("second request encode failed: %v", err)
@@ -50,12 +50,12 @@ func FuzzBinaryFrameRoundTrip(f *testing.F) {
 				t.Fatalf("request encode cycle not stable:\nfirst:  %x\nsecond: %x", first, second)
 			}
 		}
-		if resp, gen, err := DecodeBinaryResponse(data); err == nil {
+		if resp, gen, err := decodeBinaryResponse(data); err == nil {
 			first, err := EncodeBinaryResponse(nil, resp, gen)
 			if err != nil {
 				t.Fatalf("re-encode of accepted response failed: %v", err)
 			}
-			resp2, gen2, err := DecodeBinaryResponse(first)
+			resp2, gen2, err := decodeBinaryResponse(first)
 			if err != nil {
 				t.Fatalf("re-decode of own response encoding failed: %v", err)
 			}

@@ -3,9 +3,105 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
+
+// encodeBinaryRequest appends one request frame (including the length
+// prefix) to dst and returns the extended slice: the client side of the
+// frame, the encoder the round-trip tests and the fuzzer check
+// DecodeBinaryRequest against.
+func encodeBinaryRequest(dst []byte, detector string, samples []Sample, deadlineMS, delayMS int64) ([]byte, error) {
+	if len(detector) > binMaxDetectorID {
+		return nil, fmt.Errorf("serve: binary frame: detector ID of %d bytes", len(detector))
+	}
+	arity := 0
+	if len(samples) > 0 {
+		arity = len(samples[0])
+	}
+	for i, s := range samples {
+		if len(s) != arity {
+			return nil, fmt.Errorf("serve: binary frame: sample %d has %d values, sample 0 has %d", i, len(s), arity)
+		}
+	}
+	lenAt := len(dst)
+	dst = appendUint32(dst, 0) // length back-patched below
+	dst = appendUint32(dst, binMagic)
+	dst = append(dst, binVersion, binKindRequest)
+	dst = appendUint16(dst, uint16(len(detector)))
+	dst = append(dst, detector...)
+	dst = appendUint32(dst, uint32(len(samples)))
+	dst = appendUint32(dst, uint32(arity))
+	dst = appendUint64(dst, uint64(deadlineMS))
+	dst = appendUint64(dst, uint64(delayMS))
+	for j := 0; j < arity; j++ {
+		for i := range samples {
+			dst = appendUint64(dst, math.Float64bits(samples[i][j]))
+		}
+	}
+	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
+	return dst, nil
+}
+
+// decodeBinaryResponse parses one response frame into an EvalResponse
+// plus the serving bundle generation: the client side of the frame, the
+// oracle EncodeBinaryResponse is checked against. Strict like the
+// request decoder: padding bits and trailing bytes are rejected.
+func decodeBinaryResponse(data []byte) (*EvalResponse, uint64, error) {
+	r := &binReader{data: data}
+	if n := r.u32(); r.err == nil && int(n) != len(data)-4 {
+		r.fail("length prefix %d disagrees with body length %d", n, len(data)-4)
+	}
+	if k := r.frameHeader(); r.err == nil && k != binKindResponse {
+		r.fail("kind %d is not a response", k)
+	}
+	gen := r.u64()
+	degLen := int(r.u16())
+	if r.err == nil && degLen > binMaxDegradedLen {
+		r.fail("degraded reason of %d bytes", degLen)
+	}
+	deg := r.take(degLen)
+	evaluated := int(r.u32())
+	nv := int(r.u32())
+	if r.err == nil && nv > binMaxFrameSamples {
+		r.fail("%d verdicts exceeds the request bound", nv)
+	}
+	bitmap := r.take((nv + 7) / 8)
+	if r.err != nil {
+		return nil, 0, r.err
+	}
+	resp := &EvalResponse{Degraded: string(deg), Evaluated: evaluated, BundleGeneration: gen}
+	if nv > 0 {
+		resp.Verdicts = make([]bool, nv)
+		for i := range resp.Verdicts {
+			resp.Verdicts[i] = bitmap[i/8]&(1<<(i%8)) != 0
+		}
+	}
+	if nv%8 != 0 && bitmap[nv/8]>>(nv%8) != 0 {
+		return nil, 0, fmt.Errorf("serve: binary frame: nonzero verdict padding bits")
+	}
+	na := int(r.u32())
+	if r.err == nil && na > nv {
+		r.fail("%d alarms for %d verdicts", na, nv)
+	}
+	if r.err != nil {
+		return nil, 0, r.err
+	}
+	if na > 0 {
+		resp.Alarms = make([]int, na)
+		for i := range resp.Alarms {
+			resp.Alarms[i] = int(r.u32())
+		}
+	}
+	if r.err != nil {
+		return nil, 0, r.err
+	}
+	if r.off != len(data) {
+		return nil, 0, fmt.Errorf("serve: binary frame: %d trailing bytes", len(data)-r.off)
+	}
+	return resp, gen, nil
+}
 
 func bitIdentical(t *testing.T, want, got []Sample) {
 	t.Helper()
@@ -31,7 +127,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		{math.Inf(-1), math.Copysign(0, -1), 1e308},
 		{math.Float64frombits(0x7ff8000000000001), 0, -1}, // NaN payload survives
 	}
-	frame, err := EncodeBinaryRequest(nil, "D-1", samples, 250, 7)
+	frame, err := encodeBinaryRequest(nil, "D-1", samples, 250, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +143,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRequestEmptyBatch(t *testing.T) {
-	frame, err := EncodeBinaryRequest(nil, "D", nil, 0, 0)
+	frame, err := encodeBinaryRequest(nil, "D", nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +158,7 @@ func TestBinaryRequestEmptyBatch(t *testing.T) {
 }
 
 func TestBinaryRequestRejectsRaggedBatch(t *testing.T) {
-	if _, err := EncodeBinaryRequest(nil, "D", []Sample{{1, 2}, {3}}, 0, 0); err == nil {
+	if _, err := encodeBinaryRequest(nil, "D", []Sample{{1, 2}, {3}}, 0, 0); err == nil {
 		t.Fatal("ragged batch encoded")
 	}
 }
@@ -79,7 +175,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, gen, err := DecodeBinaryResponse(frame)
+	out, gen, err := decodeBinaryResponse(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +209,7 @@ func TestBinaryResponseDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := DecodeBinaryResponse(frame)
+	out, _, err := decodeBinaryResponse(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +222,7 @@ func TestBinaryResponseDegraded(t *testing.T) {
 // frames: anything but an exact, self-consistent frame is an error, so
 // the round-trip fuzzer can demand fixed-point stability.
 func TestBinaryDecodeStrictness(t *testing.T) {
-	req, err := EncodeBinaryRequest(nil, "D", []Sample{{1, 2}, {3, 4}}, 0, 0)
+	req, err := encodeBinaryRequest(nil, "D", []Sample{{1, 2}, {3, 4}}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +270,7 @@ func TestBinaryDecodeStrictness(t *testing.T) {
 		{"nonzero-padding-bits", corrupt(resp, func(b []byte) { b[len(b)-5] |= 0x80 })},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, _, err := DecodeBinaryResponse(tt.frame); err == nil {
+			if _, _, err := decodeBinaryResponse(tt.frame); err == nil {
 				t.Fatal("malformed response frame decoded")
 			}
 		})
@@ -187,7 +283,7 @@ func TestBinaryDecodeStrictness(t *testing.T) {
 	}
 	// Bump the alarm count field (4 bytes before the single alarm index).
 	binary.LittleEndian.PutUint32(bad[len(bad)-8:], 2)
-	if _, _, err := DecodeBinaryResponse(bad); err == nil {
+	if _, _, err := decodeBinaryResponse(bad); err == nil {
 		t.Fatal("alarm count beyond verdicts decoded")
 	}
 }

@@ -16,8 +16,7 @@
 //
 // Role in the methodology: the deployment half of Step 4 and §VII-D —
 // `edem export` packages learnt predicates into a bundle, `edem serve`
-// evaluates streamed state samples against them, serve.Client
-// re-validates datasets against a remote service, and `edem lifecycle`
+// evaluates streamed state samples against them, and `edem lifecycle`
 // closes the loop back into refinement.
 //
 // Ownership and concurrency: a Bundle is immutable once loaded. A
@@ -27,8 +26,7 @@
 // generation that serves it exactly once, in-flight requests finish on
 // the generation they started with, and the client-visible response is
 // produced solely by the serving generation (candidate evaluation
-// happens after the response is written). A Client is safe for
-// concurrent use.
+// happens after the response is written).
 package serve
 
 import (

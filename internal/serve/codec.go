@@ -60,29 +60,6 @@ func appendValue(b []byte, v float64) []byte {
 	return b
 }
 
-// appendJSONRequest appends the JSON evaluate body for detector and
-// samples, byte-identical to json.Marshal(EvalRequest{Detector:
-// detector, Samples: samples}) without that call's reflection per
-// value and its second pass compacting every sample.
-func appendJSONRequest(b []byte, detector string, samples []Sample) []byte {
-	b = append(b, `{"detector":`...)
-	b = appendJSONString(b, detector)
-	b = append(b, `,"samples":`...)
-	if samples == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, s := range samples {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendSample(b, s)
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}')
-}
-
 // appendJSONString appends s as encoding/json encodes a string, HTML
 // escaping included. Printable ASCII that needs no escape is copied;
 // anything else takes json.Marshal, so the rarer escapes, invalid UTF-8

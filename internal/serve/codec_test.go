@@ -6,6 +6,30 @@ import (
 	"testing"
 )
 
+// appendJSONRequest appends the JSON evaluate body for detector and
+// samples, byte-identical to json.Marshal(EvalRequest{Detector:
+// detector, Samples: samples}): the client side of the JSON codec, with
+// which the test client, the decoder tests, the fuzzer and the
+// benchmarks build their bodies.
+func appendJSONRequest(b []byte, detector string, samples []Sample) []byte {
+	b = append(b, `{"detector":`...)
+	b = appendJSONString(b, detector)
+	b = append(b, `,"samples":`...)
+	if samples == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, s := range samples {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendSample(b, s)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
 func TestSampleRoundTripNaNInf(t *testing.T) {
 	in := Sample{1.5, math.NaN(), math.Inf(1), math.Inf(-1), -0.0, 1e308, math.Float64frombits(0x7ff8000000000001)}
 	data, err := json.Marshal(in)

@@ -2,10 +2,10 @@ package serve
 
 // Shared HTTP plumbing: the managed listen/drain server loop, the one
 // error body and JSON writer, and the one client call. The
-// detector-serving runtime (Server.Serve, Client), the campaign fabric
-// (internal/fabric coordinator and worker) and the `edem lifecycle`
-// verbs all run on these, so drain semantics and error bodies stay
-// identical across the services.
+// detector-serving runtime (Server.Serve), the campaign fabric
+// (internal/fabric coordinator and worker), the `edem lifecycle` verbs
+// and the `-debug-addr` port all run on these, so drain semantics and
+// error bodies stay identical across the services.
 
 import (
 	"context"

@@ -182,7 +182,7 @@ func TestAppendJSONRequestMatchesMarshal(t *testing.T) {
 }
 
 // TestCanonicalBodiesTakeFastPath pins the claim that matters on the
-// wire: bodies from Client and from the benchmark's generator never
+// wire: bodies from the test client and from the benchmark's generator never
 // reach the fallback, and decode to the values that were sent, through
 // pooled state that earlier, larger or smaller, requests reused.
 func TestCanonicalBodiesTakeFastPath(t *testing.T) {

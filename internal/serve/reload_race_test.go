@@ -93,14 +93,14 @@ func TestServeReloadHammerRace(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// Hammers: both codecs, two goroutines each.
-	for _, codec := range []Codec{CodecJSON, CodecBinary, CodecJSON, CodecBinary} {
+	for _, codec := range []wireCodec{codecJSON, codecBinary, codecJSON, codecBinary} {
 		wg.Add(1)
-		go func(codec Codec) {
+		go func(codec wireCodec) {
 			defer wg.Done()
-			cl := &Client{Base: hs.URL, Codec: codec}
+			cl := &testClient{base: hs.URL, codec: codec}
 			var lastGen uint64
 			for !stopHammer.Load() {
-				resp, err := cl.Evaluate(ctx, "HOT", []Sample{{150}, {250}})
+				resp, err := cl.evaluate(ctx, "HOT", []Sample{{150}, {250}})
 				if err != nil {
 					t.Errorf("%v hammer: %v", codec, err)
 					return
@@ -131,10 +131,10 @@ func TestServeReloadHammerRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cl := &Client{Base: hs.URL}
+		cl := &testClient{base: hs.URL}
 		for !stopHammer.Load() {
 			for _, v := range []float64{-777, 50, 50} {
-				_, err := cl.Evaluate(ctx, "TRIP", []Sample{{v}})
+				_, err := cl.evaluate(ctx, "TRIP", []Sample{{v}})
 				if err == nil {
 					continue
 				}
@@ -280,8 +280,8 @@ func TestServeChunkedAgreesWithDetectorVisit(t *testing.T) {
 		t.Fatal("serving path did not compile the predicate")
 	}
 
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		cl := &Client{Base: hs.URL, Codec: codec}
+	for _, codec := range []wireCodec{codecJSON, codecBinary} {
+		cl := &testClient{base: hs.URL, codec: codec}
 		resp, err := evaluateChunks(context.Background(), cl, "A1", samples, 7)
 		if err != nil {
 			t.Fatalf("%v: %v", codec, err)
@@ -304,9 +304,9 @@ func TestServeCodecCountersWorkerInvariant(t *testing.T) {
 		reg := telemetry.New()
 		_, hs := newTestServer(t, Config{Workers: workers, Registry: reg}, "D1")
 		ctx := context.Background()
-		for _, codec := range []Codec{CodecJSON, CodecJSON, CodecJSON, CodecBinary, CodecBinary} {
-			cl := &Client{Base: hs.URL, Codec: codec}
-			if _, err := cl.Evaluate(ctx, "D1", []Sample{{5}, {500}}); err != nil {
+		for _, codec := range []wireCodec{codecJSON, codecJSON, codecJSON, codecBinary, codecBinary} {
+			cl := &testClient{base: hs.URL, codec: codec}
+			if _, err := cl.evaluate(ctx, "D1", []Sample{{5}, {500}}); err != nil {
 				t.Fatalf("workers=%d %v: %v", workers, codec, err)
 			}
 		}

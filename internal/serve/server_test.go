@@ -589,7 +589,7 @@ func TestServeHealthAndDetectors(t *testing.T) {
 	}
 }
 
-// TestServeJSONDecodeCounters pins the decode telemetry: a Client JSON
+// TestServeJSONDecodeCounters pins the decode telemetry: a test-client JSON
 // request takes the one-pass decoder (no fallback, one decode
 // observation), and a body with a case-variant key is decoded by the
 // counted encoding/json fallback into the verdicts the binary codec
@@ -602,18 +602,18 @@ func TestServeJSONDecodeCounters(t *testing.T) {
 	samples := []Sample{{5}, {500}, {math.NaN()}, {101}, {math.Inf(1)}}
 	ctx := context.Background()
 
-	jsonResp, err := (&Client{Base: hs.URL}).Evaluate(ctx, "D1", samples)
+	jsonResp, err := (&testClient{base: hs.URL}).evaluate(ctx, "D1", samples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fallbacks.Value(); got != 0 {
-		t.Fatalf("Client JSON request: serve.json_fallbacks = %d, want 0", got)
+		t.Fatalf("test-client JSON request: serve.json_fallbacks = %d, want 0", got)
 	}
 	if got := decodes.Count(); got != 1 {
 		t.Fatalf("serve.decode_ns count = %d, want 1", got)
 	}
 
-	binResp, err := (&Client{Base: hs.URL, Codec: CodecBinary}).Evaluate(ctx, "D1", samples)
+	binResp, err := (&testClient{base: hs.URL, codec: codecBinary}).evaluate(ctx, "D1", samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,8 +651,8 @@ func TestServeStageHistograms(t *testing.T) {
 	_, hs := newTestServer(t, Config{Registry: reg}, "D1")
 	stages := []string{"serve.decode_ns", "serve.eval_ns", "serve.encode_ns"}
 	ctx := context.Background()
-	for i, codec := range []Codec{CodecJSON, CodecBinary} {
-		if _, err := (&Client{Base: hs.URL, Codec: codec}).Evaluate(ctx, "D1", []Sample{{5}, {500}}); err != nil {
+	for i, codec := range []wireCodec{codecJSON, codecBinary} {
+		if _, err := (&testClient{base: hs.URL, codec: codec}).evaluate(ctx, "D1", []Sample{{5}, {500}}); err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range stages {

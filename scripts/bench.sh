@@ -3,9 +3,9 @@
 # snapshots, so the perf trajectory is comparable PR-over-PR.
 #
 # Usage:
-#   scripts/bench.sh            # writes BENCH_refine.json + BENCH_campaign.json + BENCH_serve.json
+#   scripts/bench.sh            # writes BENCH_refine.json + BENCH_campaign.json + BENCH_fabric.json + BENCH_serve.json
 #   BENCHTIME=3x scripts/bench.sh
-#   OUT=/tmp/refine.json CAMPAIGN_OUT=/tmp/campaign.json SERVE_OUT=/tmp/serve.json scripts/bench.sh
+#   OUT=/tmp/refine.json CAMPAIGN_OUT=/tmp/campaign.json FABRIC_OUT=/tmp/fabric.json SERVE_OUT=/tmp/serve.json scripts/bench.sh
 #
 # BENCH_refine.json covers the refinement grid end-to-end
 # (BenchmarkRefineGrid, serial + budgeted workers) plus the micro
@@ -18,26 +18,33 @@
 # (BenchmarkFabric: one coordinator plus 1/2/4 in-process workers over
 # loopback on a latency-bound synthetic target — the workers=2 over
 # workers=1 runs/s ratio is the scaling figure, target >=1.8x).
-# BENCH_serve.json covers the serving runtime via `edem bench-serve`:
-# latency percentiles, throughput and shed rate for the json and binary
-# codec legs, plus their self-shadow (lifecycle dual-evaluation) legs,
-# against a bundle exported from a real methodology run.
+# BENCH_serve.json covers the serving runtime's request loop
+# (internal/serve BenchmarkServe*: a 64-sample batch over loopback HTTP
+# in the json and binary codecs, each plain and with the bundle loaded
+# as its own lifecycle shadow candidate — the Shadow over plain ns/op
+# ratio is the dual-evaluation cost). A request takes microseconds, so
+# this suite runs for 1s per leg instead of BENCHTIME.
+# The open-loop serving latencies live in the end-to-end benchmark
+# (bench/run.sh, workloads serve-bin64 and serve-json512).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1x}"
 
-# run_suite PATTERN OUT — run one benchmark set and convert the output
-# into a JSON snapshot at OUT.
+# run_suite PATTERN OUT [PKG [BENCHTIME]] — run one benchmark set of
+# package PKG (default .) and convert the output into a JSON snapshot
+# at OUT.
 run_suite() {
     PATTERN="$1"
     SUITE_OUT="$2"
+    PKG="${3:-.}"
+    SUITE_BENCHTIME="${4:-$BENCHTIME}"
 
-    RAW="$(go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem . 2>&1)"
+    RAW="$(go test -run '^$' -bench "$PATTERN" -benchtime "$SUITE_BENCHTIME" -benchmem "$PKG" 2>&1)"
     printf '%s\n' "$RAW"
 
-    printf '%s\n' "$RAW" | awk -v benchtime="$BENCHTIME" '
+    printf '%s\n' "$RAW" | awk -v benchtime="$SUITE_BENCHTIME" '
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { sub(/^cpu: /, ""); cpu = $0 }
@@ -76,15 +83,4 @@ run_suite 'BenchmarkRefineGrid|BenchmarkMicro_C45Induction|BenchmarkMicro_SMOTE|
 run_suite 'BenchmarkCampaign/' "${CAMPAIGN_OUT:-BENCH_campaign.json}"
 run_suite 'BenchmarkFabric/' "${FABRIC_OUT:-BENCH_fabric.json}"
 
-# Serving suite: export a real detector bundle, then drive the load
-# harness. SERVE_DURATION tunes the per-leg measurement window.
-TMPDIR_SERVE="$(mktemp -d)"
-trap 'rm -rf "$TMPDIR_SERVE"' EXIT
-go build -o "$TMPDIR_SERVE/edem" ./cmd/edem
-"$TMPDIR_SERVE/edem" export -dataset MG-A1 -scale 2 -stride 16 \
-    -out "$TMPDIR_SERVE/bundle.json"
-"$TMPDIR_SERVE/edem" bench-serve -bundle "$TMPDIR_SERVE/bundle.json" \
-    -shadow \
-    -out "${SERVE_OUT:-BENCH_serve.json}" \
-    -duration "${SERVE_DURATION:-3s}"
-echo "wrote ${SERVE_OUT:-BENCH_serve.json}"
+run_suite '^BenchmarkServe' "${SERVE_OUT:-BENCH_serve.json}" ./internal/serve 1s
