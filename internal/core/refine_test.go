@@ -167,7 +167,7 @@ func TestRunMethodologyCrossValidatesOnce(t *testing.T) {
 }
 
 // TestRefineNoGeneralFits pins the one training path on the datasets
-// the benchmark generates from: the counting builder is the only one,
+// the benchmark generates from: the group builder is the only one,
 // so the snapshot counts neither general fits nor view hits (which
 // would equal refine.cells_scored), every cell is scored, and the
 // SMOTE points place synthetic rows into extend views.

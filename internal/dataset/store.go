@@ -10,10 +10,16 @@ import (
 // built once per cross-validation fold and shared by every refinement
 // cell that trains on that fold. It holds what tree induction and the
 // sampling transforms otherwise recompute per cell: per-attribute value
-// columns, the class array, and the ascending row order of every
-// attribute with the end of every row's value group in it. Its rows
-// come from a dataset that Add or Validate checked, so every value is
-// a number and every row weighs 1.
+// columns, the class array, and every attribute's value groups. Its
+// rows come from a dataset that Add or Validate checked, so every value
+// is a number and every row weighs 1.
+//
+// A value group is a maximal run of bit-identical values in the
+// attribute's ascending row order (sorted with sort.Slice). Each group
+// is tagged with its run of == values, which differs from the group
+// only where -0 and +0 meet: such a run holds one group per stretch of
+// equal sign, in the order the sort left them, so the last group of a
+// run still says which zero its last row holds.
 //
 // Concurrency contract: a Store is immutable after NewStore returns.
 // Views hand the store's arrays to concurrent tree builders, which read
@@ -27,13 +33,31 @@ type Store struct {
 
 	cols    [][]float64 // [attr][row]
 	classes []int
-	sorted  [][]int32 // [attr] ascending row order
-	// groupEnd[a][r] is where row r's value group (its run of == values,
-	// so -0 and +0 share one) ends in sorted[a]: the position after its
-	// last member. ExtendView places a synthetic row equal to its seed's
-	// value there.
-	groupEnd [][]int32
-	identity []int32 // cached rows 0..n-1 for identity views
+	// groups[a] lists attribute a's value groups in ascending order;
+	// a store group's ID is its index there.
+	groups   [][]Group
+	rowGroup [][]int32   // [attr][row] the row's group ID
+	groupVal [][]float64 // [attr][group ID] the group's value
+	identity []int32     // cached rows 0..n-1 for identity views
+}
+
+// Group is one entry of an attribute's group list: a run of rows that
+// share one value, bit for bit, with the number of them in class 1.
+// A list is ascending; adjacent entries with the same Run hold == values
+// (the two zeros), and every entry holds at least one row.
+type Group struct {
+	ID   int32 // index into the view's GroupValues, the value RowGroups maps the rows to
+	Run  int32 // the run of == values the group belongs to; equal only within a run
+	N    int32 // rows in the group
+	Ones int32 // of them, rows of class 1
+}
+
+// one is 1 for class 1 and 0 otherwise: a group's contribution to Ones.
+func one(class int) int32 {
+	if class == 1 {
+		return 1
+	}
+	return 0
 }
 
 // NewStore snapshots the instances of d at the given indices (all of d
@@ -51,18 +75,20 @@ func NewStore(d *Dataset, rows []int) *Store {
 		return &d.Instances[rows[i]]
 	}
 
+	nAttrs := len(d.Attrs)
 	s := &Store{
 		name:        d.Name,
 		attrs:       d.Attrs,
 		classValues: d.ClassValues,
 		n:           n,
-		cols:        make([][]float64, len(d.Attrs)),
+		cols:        make([][]float64, nAttrs),
 		classes:     make([]int, n),
-		sorted:      make([][]int32, len(d.Attrs)),
-		groupEnd:    make([][]int32, len(d.Attrs)),
+		groups:      make([][]Group, nAttrs),
+		rowGroup:    make([][]int32, nAttrs),
+		groupVal:    make([][]float64, nAttrs),
 		identity:    make([]int32, n),
 	}
-	colArena := make([]float64, n*len(d.Attrs))
+	colArena := make([]float64, n*nAttrs)
 	for a := range d.Attrs {
 		col := colArena[a*n : (a+1)*n]
 		for i := 0; i < n; i++ {
@@ -74,24 +100,44 @@ func NewStore(d *Dataset, rows []int) *Store {
 		s.classes[i] = at(i).Class
 		s.identity[i] = int32(i)
 	}
-	sortArena := make([]int32, 2*n*len(d.Attrs))
+	rgArena := make([]int32, n*nAttrs)
+	idx := make([]int32, n)
 	for a := range d.Attrs {
-		idx := sortArena[2*a*n : (2*a+1)*n]
-		ends := sortArena[(2*a+1)*n : (2*a+2)*n]
 		copy(idx, s.identity)
 		col := s.cols[a]
 		sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
-		for i := 0; i < n; {
-			e := i + 1
-			for e < n && col[idx[e]] == col[idx[i]] {
-				e++
-			}
-			for ; i < e; i++ {
-				ends[idx[i]] = int32(e)
+		rg := rgArena[a*n : (a+1)*n]
+		nGroups := 0
+		for i := range idx {
+			if i == 0 || math.Float64bits(col[idx[i]]) != math.Float64bits(col[idx[i-1]]) {
+				nGroups++
 			}
 		}
-		s.sorted[a] = idx
-		s.groupEnd[a] = ends
+		groups := make([]Group, 0, nGroups)
+		vals := make([]float64, 0, nGroups)
+		for i := 0; i < n; {
+			x := col[idx[i]]
+			run := int32(0)
+			if k := len(vals); k > 0 {
+				run = groups[k-1].Run
+				if vals[k-1] != x {
+					run++
+				}
+			}
+			g := Group{ID: int32(len(groups)), Run: run}
+			bits := math.Float64bits(x)
+			for ; i < n && math.Float64bits(col[idx[i]]) == bits; i++ {
+				r := idx[i]
+				rg[r] = g.ID
+				g.N++
+				g.Ones += one(s.classes[r])
+			}
+			groups = append(groups, g)
+			vals = append(vals, x)
+		}
+		s.groups[a] = groups
+		s.rowGroup[a] = rg
+		s.groupVal[a] = vals
 	}
 	return s
 }
@@ -121,18 +167,22 @@ type Synthetic struct {
 
 // View is a training set described against a Store: the base rows it
 // keeps (possibly repeated), any synthetic rows appended after them,
-// and the pre-merged ascending row order of every attribute, so tree
-// induction starts without re-sorting anything. Each order holds every
-// view row exactly once, and within a run of equal values the base
-// rows come first, in the store's order; the order of the other rows
-// inside a run is not specified, since it cannot change a tree
+// and, per attribute, the view's group list (the store's groups with
+// the view's row and class counts, plus groups of synthetic values) and
+// every row's group ID, so tree induction starts without sorting or
+// grouping anything. A group list orders its groups as the rows would
+// be ordered if sorted: ascending, and within a run of == values the
+// base rows first, in the store's order, then the synthetic rows tied
+// to a seed of that value, then the others, each in row order. That
+// order decides only which zero a threshold on a mixed run records
 // (DESIGN.md §10). Every row weighs 1: a sampled row is a copy or an
 // interpolation of a store row.
-// Views are cheap (O(rows) to build, no instance cloning) and immutable
-// until released; all cells of a fold may read them, and the arrays
-// they share with the store, concurrently. Repeat and extend views
-// borrow their arrays from a pool: the owner that is done with one (and
-// with every fit from it) may Release it.
+// Views are cheap (O(groups + appended rows) per attribute to build, no
+// instance cloning) and immutable until released; all cells of a fold
+// may read them, and the arrays they share with the store,
+// concurrently. Repeat and extend views borrow their arrays from a
+// pool: the owner that is done with one (and with every fit from it)
+// may Release it.
 type View struct {
 	store *Store
 	// rows lists the view's training rows in instance order — the order
@@ -144,33 +194,39 @@ type View struct {
 	// synthetic rows exist.
 	cols    [][]float64
 	classes []int
-	// sorted is the per-attribute ascending order over exactly the ids
-	// in rows (duplicates included).
-	sorted   [][]int32
+	// groups, rowGroup and groupVal are the store's, or the view's own
+	// when its counts or groups differ (see Groups).
+	groups   [][]Group
+	rowGroup [][]int32
+	groupVal [][]float64
 	appended int // rows beyond the base partition (duplicates + synthetic)
-	// arena backs rows, sorted and any extended arrays of a repeat or
-	// extend view; nil for identity and select views. Release returns it.
+	// arena backs the arrays of a repeat or extend view; nil for
+	// identity and select views. Release returns it.
 	arena *viewArena
 }
 
 // viewArena is the reusable memory of a repeat or extend view. Every
 // array a view reads is fully written when the view is built, so an
-// arena from the pool needs no clearing except the times counters.
+// arena from the pool needs no clearing except the join counters.
 type viewArena struct {
-	rows    []int32
-	colHdr  [][]float64
-	colVals []float64
-	classes []int
-	sorted  [][]int32
-	slabs   []int32
-	times   []int32 // per base row: duplicate count (RepeatView)
-	// ExtendView scratch: per synthetic, its seed (-1: none) and the
-	// group end it ties at (-1: sorted instead); per base position, the
-	// tied rows ending there, then their offsets; the tied rows by group
-	// end; the radix keys.
+	rows     []int32
+	colHdr   [][]float64
+	colVals  []float64
+	classes  []int
+	groupHdr [][]Group
+	groups   []Group // group lists (repeat views; extend views take from it)
+	rgHdr    [][]int32
+	rgVals   []int32
+	gvHdr    [][]float64
+	gvVals   []float64 // extend views' group values, beside groups
+	used     int       // entries of groups and gvVals the extend view took
+	want     int       // entries the last extend view's lists needed
+	// ExtendView scratch: per synthetic, its seed (-1: none); per store
+	// group, the rows that join it (rows << 32 | class-1 rows; SelectView
+	// counts the kept rows there); the zeros tied with their seed; the
+	// radix keys.
 	seeds []int32
-	at    []int32
-	ends  []int32
+	joins []uint64
 	tied  []int32
 	keys  []rowKey
 	keys2 []rowKey
@@ -189,69 +245,69 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// sortedSlabs lays out one n-id slab per attribute of the store in the
-// arena, returning the per-attribute table.
-func (ar *viewArena) sortedSlabs(s *Store, n int) [][]int32 {
-	ar.sorted = grow(ar.sorted, len(s.attrs))
-	ar.slabs = grow(ar.slabs, n*len(s.attrs))
-	for a := range ar.sorted {
-		ar.sorted[a] = ar.slabs[a*n : (a+1)*n]
-	}
-	return ar.sorted
-}
-
 // IdentityView returns the whole-partition view (the NoSampling
 // configuration): no filtering, no appended rows, the store's own
-// sorted orders. O(1) — everything is shared.
+// groups. O(1) — everything is shared.
 func (s *Store) IdentityView() *View {
 	return &View{
-		store:   s,
-		rows:    s.identity,
-		cols:    s.cols,
-		classes: s.classes,
-		sorted:  s.sorted,
+		store:    s,
+		rows:     s.identity,
+		cols:     s.cols,
+		classes:  s.classes,
+		groups:   s.groups,
+		rowGroup: s.rowGroup,
+		groupVal: s.groupVal,
 	}
 }
 
 // SelectView returns the view keeping exactly the given base rows (no
 // duplicates), in the given instance order — the undersampling shape.
-// Each attribute's sorted order is the store's presorted order
-// filtered by membership: O(n) per attribute instead of O(k log k)
-// re-sorting.
+// Each attribute's group list is the store's, counted over the kept
+// rows, without the groups they leave empty: O(groups + rows) per
+// attribute, no sorting. Rows and groups keep the store's IDs.
 func (s *Store) SelectView(rows []int32) *View {
 	v := &View{
-		store:   s,
-		rows:    rows,
-		cols:    s.cols,
-		classes: s.classes,
+		store:    s,
+		rows:     rows,
+		cols:     s.cols,
+		classes:  s.classes,
+		groups:   make([][]Group, len(s.attrs)),
+		rowGroup: s.rowGroup,
+		groupVal: s.groupVal,
 	}
-	keep := make([]bool, s.n)
-	for _, r := range rows {
-		keep[r] = true
-	}
-	v.sorted = make([][]int32, len(s.attrs))
-	arena := make([]int32, len(rows)*len(s.attrs))
-	for a := range s.attrs {
-		out := arena[a*len(rows) : (a+1)*len(rows)]
-		i := 0
-		for _, r := range s.sorted[a] {
-			if keep[r] {
-				out[i] = r
-				i++
+	// The counts go to a pooled arena's join counters.
+	ar := viewArenas.Get().(*viewArena)
+	defer viewArenas.Put(ar)
+	for a, base := range s.groups {
+		ar.joins = grow(ar.joins, len(base))
+		count := ar.joins
+		clear(count)
+		kept := 0
+		rg := s.rowGroup[a]
+		for _, r := range rows {
+			c := &count[rg[r]]
+			if *c == 0 {
+				kept++
+			}
+			*c += 1<<32 | uint64(one(s.classes[r]))
+		}
+		list := make([]Group, 0, kept)
+		for _, g := range base {
+			if c := count[g.ID]; c != 0 {
+				list = append(list, Group{ID: g.ID, Run: g.Run, N: int32(c >> 32), Ones: int32(uint32(c))})
 			}
 		}
-		v.sorted[a] = out
+		v.groups[a] = list
 	}
 	return v
 }
 
 // RepeatView returns the view holding every base row plus the given
 // duplicate row references appended in order — the oversampling-with-
-// replacement shape. A duplicate's sorted position is already known
-// (it is its base row's), so each attribute's order is the store's
-// presorted order with every id emitted once per occurrence:
-// O(n + m), no sorting and no value copies at all. The row list and the
-// orders live in a pooled arena that Release returns.
+// replacement shape. A duplicate belongs to its base row's group, so
+// each attribute's group list is the store's with the duplicates
+// counted in: O(groups + m) per attribute, no sorting and no value
+// copies. The group lists live in a pooled arena that Release returns.
 func (s *Store) RepeatView(extra []int32) *View {
 	return s.repeatView(extra, viewArenas.Get().(*viewArena))
 }
@@ -267,53 +323,70 @@ func (s *Store) repeatView(extra []int32, ar *viewArena) *View {
 		rows:     ar.rows,
 		cols:     s.cols,
 		classes:  s.classes,
+		rowGroup: s.rowGroup,
+		groupVal: s.groupVal,
 		appended: m,
 		arena:    ar,
 	}
-	ar.times = grow(ar.times, n)
-	times := ar.times
-	clear(times)
-	for _, r := range extra {
-		times[r]++
+	total := 0
+	for _, base := range s.groups {
+		total += len(base)
 	}
-	v.sorted = ar.sortedSlabs(s, n+m)
-	for a, out := range v.sorted {
-		i := 0
-		for _, r := range s.sorted[a] {
-			out[i] = r
-			i++
-			for t := times[r]; t > 0; t-- {
-				out[i] = r
-				i++
-			}
+	ar.groupHdr = grow(ar.groupHdr, len(s.attrs))
+	ar.groups = grow(ar.groups, total)
+	v.groups = ar.groupHdr
+	off := 0
+	for a, base := range s.groups {
+		list := ar.groups[off : off+len(base)]
+		off += len(base)
+		copy(list, base)
+		rg := s.rowGroup[a]
+		for _, r := range extra {
+			g := &list[rg[r]]
+			g.N++
+			g.Ones += one(s.classes[r])
 		}
+		v.groups[a] = list
 	}
 	return v
 }
 
 // ExtendView returns the view holding every base row plus the given
-// synthetic rows appended in order — the SMOTE shape. Columns and
-// classes are extended copies (flat arenas, no per-instance
-// allocations). Each attribute's order is the store's presorted base
-// order with the synthetic rows merged in, in O(n + m): a
-// synthetic equal to its seed's value goes to the end of the seed's
-// value group, where the store says that group ends, and only the
-// others are sorted, by a stable radix sort. Within every value group
-// the base rows come first, in the store's order, then the synthetic
-// ones. A synthetic value must not be NaN; ±Inf is ordered like any
-// other number. Every array lives in a pooled arena that Release
-// returns; the view keeps nothing of syn.
+// synthetic rows appended in order — the SMOTE shape. Columns, classes
+// and row group IDs are extended copies (flat arenas, no per-instance
+// allocations). Each attribute's group list is the store's with the
+// synthetic values merged in, in O(groups + m): a synthetic equal to
+// its seed's value joins the end of the seed's run of == values, and
+// only the others are sorted, by a stable radix sort. Within every run
+// the base groups come first, then the tied synthetic rows, then the
+// sorted ones of the same value, each in row order. A synthetic row
+// bit-identical to the group before it joins that group; any other
+// starts a new group, whose ID follows the store's. A synthetic value
+// must not be NaN; ±Inf is ordered like any other number. Every array
+// lives in a pooled arena that Release returns; the view keeps nothing
+// of syn.
 func (s *Store) ExtendView(syn []Synthetic) *View {
 	return s.extendView(syn, viewArenas.Get().(*viewArena))
 }
 
 // extendView builds ExtendView's view in the given arena.
 func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
-	n, m := s.n, len(syn)
+	n, m, nAttrs := s.n, len(syn), len(s.attrs)
 	ar.rows = grow(ar.rows, n+m)
-	ar.colHdr = grow(ar.colHdr, len(s.attrs))
-	ar.colVals = grow(ar.colVals, (n+m)*len(s.attrs))
+	ar.colHdr = grow(ar.colHdr, nAttrs)
+	ar.colVals = grow(ar.colVals, (n+m)*nAttrs)
 	ar.classes = grow(ar.classes, n+m)
+	ar.rgHdr = grow(ar.rgHdr, nAttrs)
+	ar.rgVals = grow(ar.rgVals, (n+m)*nAttrs)
+	ar.groupHdr = grow(ar.groupHdr, nAttrs)
+	ar.gvHdr = grow(ar.gvHdr, nAttrs)
+	// The group lists take from slabs at least as large as the last
+	// extend view built in this arena needed, grown by doubling.
+	if c := min(cap(ar.groups), cap(ar.gvVals)); c < ar.want {
+		size := max(ar.want, 2*c)
+		ar.groups, ar.gvVals = make([]Group, size), make([]float64, size)
+	}
+	ar.used, ar.want = 0, 0
 	rows := ar.rows
 	copy(rows, s.identity)
 	v := &View{
@@ -321,6 +394,9 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 		rows:     rows,
 		cols:     ar.colHdr,
 		classes:  ar.classes,
+		groups:   ar.groupHdr,
+		rowGroup: ar.rgHdr,
+		groupVal: ar.gvHdr,
 		appended: m,
 		arena:    ar,
 	}
@@ -331,13 +407,15 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 			col[n+j] = syn[j].Values[a]
 		}
 		v.cols[a] = col
+		rg := ar.rgVals[a*(n+m) : (a+1)*(n+m)]
+		copy(rg, s.rowGroup[a])
+		v.rowGroup[a] = rg
 	}
 	copy(v.classes, s.classes)
 	for j := range syn {
 		rows[n+j] = int32(n + j)
 		v.classes[n+j] = syn[j].Class
 	}
-	v.sorted = ar.sortedSlabs(s, n+m)
 	ar.seeds = grow(ar.seeds, m)
 	for j := range syn {
 		ar.seeds[j] = -1
@@ -345,75 +423,133 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 			ar.seeds[j] = int32(seed)
 		}
 	}
-	ar.at = grow(ar.at, m)
-	ar.ends = grow(ar.ends, n+1)
-	ar.tied = grow(ar.tied, m)
-	ar.keys = grow(ar.keys, m)
-	ar.keys2 = grow(ar.keys2, m)
-	for a, out := range v.sorted {
-		ar.mergeSynthetic(out, s.sorted[a], s.groupEnd[a], v.cols[a])
+	for a, base := range s.groups {
+		gl := ar.mergeSynthetic(base, v, a)
+		v.groups[a], v.groupVal[a] = gl.list, gl.vals
 	}
 	return v
 }
 
-// mergeSynthetic writes into out one attribute's order over the base
-// rows (in base order, with group ends ends) and the synthetic rows
-// n.. of col, whose seeds ar.seeds holds.
-func (ar *viewArena) mergeSynthetic(out, base, ends []int32, col []float64) {
-	n := len(base)
-	// Counting pass: a synthetic tied with its seed goes to the end of
-	// the seed's group; the rest are keyed for the sort.
-	at, cnt := ar.at, ar.ends
-	clear(cnt)
-	keys := ar.keys[:0]
+// take returns an empty group list with room for n groups and their
+// values, carved from the arena's slabs past the lists the view being
+// built already took, or allocated on its own when the slabs are full.
+// It adds n to what the arena's next extend view will reserve.
+func (ar *viewArena) take(n int) groupList {
+	ar.want += n
+	if min(cap(ar.groups), cap(ar.gvVals))-ar.used < n {
+		return groupList{list: make([]Group, 0, n), vals: make([]float64, 0, n)}
+	}
+	lo, hi := ar.used, ar.used+n
+	ar.used = hi
+	return groupList{list: ar.groups[lo:lo:hi], vals: ar.gvVals[lo:lo:hi]}
+}
+
+// groupList is the group list and group values of one attribute of an
+// extend view, as mergeSynthetic appends to them.
+type groupList struct {
+	list []Group
+	vals []float64
+	// nextRun labels the next run of synthetic values no store run
+	// holds.
+	nextRun int32
+}
+
+// add appends one row of value x and class c in ascending order: into
+// the last group when it holds the same bits, else into a new group,
+// of the last group's run when x == its value. It returns the row's
+// group ID.
+func (gl *groupList) add(x float64, c int) int32 {
+	k := len(gl.list)
+	if k > 0 && math.Float64bits(gl.vals[gl.list[k-1].ID]) == math.Float64bits(x) {
+		g := &gl.list[k-1]
+		g.N++
+		g.Ones += one(c)
+		return g.ID
+	}
+	run := gl.nextRun
+	if k > 0 && gl.vals[gl.list[k-1].ID] == x {
+		run = gl.list[k-1].Run
+	} else {
+		gl.nextRun++
+	}
+	id := int32(len(gl.vals))
+	gl.vals = append(gl.vals, x)
+	gl.list = append(gl.list, Group{ID: id, Run: run, N: 1, Ones: one(c)})
+	return id
+}
+
+// mergeSynthetic returns attribute a's group list and group values of
+// v: the store's list base with the synthetic rows n.. of v's column
+// merged in, whose seeds ar.seeds holds. It writes the synthetic rows'
+// group IDs into v's rowGroup.
+//
+// A synthetic value equal to its seed's belongs at the end of the
+// seed's run. Unless it is a zero, that run is one group, the seed's,
+// which the row simply joins: its count goes to joins. Zeros, whose run
+// may end in a group of the other sign, are placed one by one after
+// the zero run's base groups, in row order. The other values are
+// radix-sorted and placed as the merge reaches them.
+func (ar *viewArena) mergeSynthetic(base []Group, v *View, a int) groupList {
+	s := v.store
+	n := s.n
+	col, rg, classes := v.cols[a], v.rowGroup[a], v.classes
+	ar.joins = grow(ar.joins, len(base))
+	joins := ar.joins
+	clear(joins)
+	tied, keys := ar.tied[:0], ar.keys[:0]
+	storeRG := s.rowGroup[a]
 	for j, seed := range ar.seeds {
-		if x := col[n+j]; seed >= 0 && x == col[seed] {
-			e := ends[seed]
-			at[j] = e
-			cnt[e]++
-			continue
-		}
-		at[j] = -1
-		keys = append(keys, rowKey{key: orderKey(col[n+j]), row: int32(n + j)})
-	}
-	keys = radixSort(keys, ar.keys2[:len(keys)])
-	// The tied rows by group end, in row order within each end: cnt
-	// becomes each end's first offset, then its cursor.
-	off := int32(0)
-	for e, c := range cnt {
-		cnt[e] = off
-		off += c
-	}
-	for j, e := range at {
-		if e >= 0 {
-			ar.tied[cnt[e]] = int32(n + j)
-			cnt[e]++
+		r := int32(n + j)
+		switch x := col[r]; {
+		case seed < 0 || x != col[seed]:
+			keys = append(keys, rowKey{key: orderKey(x), row: r})
+		case x != 0:
+			id := storeRG[seed]
+			rg[r] = id
+			joins[id] += 1<<32 | uint64(one(classes[r]))
+		default:
+			tied = append(tied, r)
 		}
 	}
-	// Merge: sorted synthetics strictly below a base value precede it;
-	// after the last row of a group come its tied rows, which cnt[i+1]
-	// now ends.
-	k, t, u := 0, int32(0), 0
-	for i, r := range base {
-		if u < len(keys) {
-			bk := orderKey(col[r])
-			for u < len(keys) && keys[u].key < bk {
-				out[k] = keys[u].row
-				k++
-				u++
+	// Keep what the appends grew for the next attribute; the sort's
+	// buffer need only hold this attribute's keys.
+	ar.tied, ar.keys = tied, keys
+	ar.keys2 = grow(ar.keys2, len(keys))
+	keys = radixSort(keys, ar.keys2)
+	gl := ar.take(len(base) + len(tied) + len(keys))
+	gl.vals = append(gl.vals, s.groupVal[a]...)
+	if len(base) > 0 {
+		gl.nextRun = base[len(base)-1].Run + 1
+	}
+	u := 0
+	for i := 0; i < len(base); {
+		run := base[i].Run
+		x := gl.vals[base[i].ID]
+		bk := orderKey(x)
+		for ; u < len(keys) && keys[u].key < bk; u++ {
+			rg[keys[u].row] = gl.add(col[keys[u].row], classes[keys[u].row])
+		}
+		for ; i < len(base) && base[i].Run == run; i++ {
+			g := base[i]
+			if c := joins[g.ID]; c != 0 {
+				g.N += int32(c >> 32)
+				g.Ones += int32(uint32(c))
+			}
+			gl.list = append(gl.list, g)
+		}
+		if x == 0 {
+			for _, r := range tied {
+				rg[r] = gl.add(col[r], classes[r])
 			}
 		}
-		out[k] = r
-		k++
-		for ; t < cnt[i+1]; t++ {
-			out[k] = ar.tied[t]
-			k++
+		for ; u < len(keys) && keys[u].key == bk; u++ {
+			rg[keys[u].row] = gl.add(col[keys[u].row], classes[keys[u].row])
 		}
 	}
 	for ; u < len(keys); u++ {
-		out[k] = keys[u].row
-		k++
+		rg[keys[u].row] = gl.add(col[keys[u].row], classes[keys[u].row])
 	}
+	return gl
 }
 
 // rowKey pairs a synthetic row with the order key of its value in the
@@ -524,9 +660,18 @@ func (v *View) Cols() [][]float64 { return v.cols }
 // Classes returns per-row class indices (shared; read-only).
 func (v *View) Classes() []int { return v.classes }
 
-// Sorted returns the per-attribute ascending row orders (shared;
+// Groups returns every attribute's group list: ascending, each group
+// with its row and class-1 counts in the view, none empty (shared;
 // read-only).
-func (v *View) Sorted() [][]int32 { return v.sorted }
+func (v *View) Groups() [][]Group { return v.groups }
+
+// RowGroups returns, per attribute, every row id's group ID (shared;
+// read-only). Only the ids in Rows are meaningful.
+func (v *View) RowGroups() [][]int32 { return v.rowGroup }
+
+// GroupValues returns, per attribute, every group ID's value (shared;
+// read-only).
+func (v *View) GroupValues() [][]float64 { return v.groupVal }
 
 // Materialize builds the instance-major dataset the view describes, in
 // the view's instance order. Used by SamplingConfig.Transform and by

@@ -30,35 +30,129 @@ func storeTestDataset(n int, seed uint64) *Dataset {
 	return d
 }
 
-// checkSorted verifies a view's per-attribute orders: each order must
-// be a value-ascending permutation of exactly the view's rows
-// (duplicates included).
-func checkSorted(t *testing.T, v *View) {
-	t.Helper()
-	want := make(map[int32]int)
-	for _, r := range v.Rows() {
-		want[r]++
+// oracleGroup is one group of a view's attribute as sortedGroups
+// recomputes it: its value and the instances (indices into the
+// materialised view) it holds.
+type oracleGroup struct {
+	value   float64
+	members []int
+}
+
+// sortedGroups recomputes attribute a's group list of a view of st by
+// sorting the view's materialised instances, whose row ids are rows:
+// ascending by value with -0 and +0 equal, and within a run of ==
+// values the base instances first, in the order sort.Slice leaves the
+// store's rows (a duplicate right after its base row), then the
+// synthetic instances whose value equals their seed's, then the other
+// synthetic ones, each in instance order. It cuts that order into
+// maximal runs of bit-identical values. syn is the extend view's
+// synthetic rows (nil for the other views).
+func sortedGroups(st *Store, md *Dataset, rows []int32, syn []Synthetic, a int) []oracleGroup {
+	col := st.Cols()[a]
+	storeOrder := make([]int32, st.n)
+	for i := range storeOrder {
+		storeOrder[i] = int32(i)
 	}
+	sort.Slice(storeOrder, func(i, j int) bool { return col[storeOrder[i]] < col[storeOrder[j]] })
+	storePos := make([]int, st.n)
+	for p, r := range storeOrder {
+		storePos[r] = p
+	}
+	type rank struct{ tier, pos int }
+	ranks := make([]rank, md.Len())
+	for i, r := range rows {
+		switch j := int(r) - st.n; {
+		case j < 0:
+			ranks[i] = rank{0, storePos[r]}
+		case uint(syn[j].Seed) < uint(st.n) && syn[j].Values[a] == col[syn[j].Seed]:
+			ranks[i] = rank{1, j}
+		default:
+			ranks[i] = rank{2, j}
+		}
+	}
+	value := func(i int) float64 { return md.Instances[i].Values[a] }
+	order := make([]int, md.Len())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		i, j := order[x], order[y]
+		if ki, kj := orderKey(value(i)), orderKey(value(j)); ki != kj {
+			return ki < kj
+		}
+		if ranks[i].tier != ranks[j].tier {
+			return ranks[i].tier < ranks[j].tier
+		}
+		return ranks[i].pos < ranks[j].pos
+	})
+	var groups []oracleGroup
+	for _, i := range order {
+		x := value(i)
+		if k := len(groups); k == 0 || math.Float64bits(groups[k-1].value) != math.Float64bits(x) {
+			groups = append(groups, oracleGroup{value: x})
+		}
+		g := &groups[len(groups)-1]
+		g.members = append(g.members, i)
+	}
+	return groups
+}
+
+// checkViewGroups holds every attribute's group list and row group IDs
+// of a view of st to sortedGroups. A view's list may hold adjacent
+// groups of identical bits, where a subset dropped the other zero from
+// between two store groups, so its maximal runs of such groups are
+// compared with the recomputed groups, in order: the same values (by
+// bits), row and class-1 counts, and every instance's row in one of the
+// run's groups, each group holding as many instances of each class as
+// it counts. Adjacent groups share a run exactly when their values are
+// ==, and the IDs are distinct.
+func checkViewGroups(t *testing.T, st *Store, v *View, syn []Synthetic) {
+	t.Helper()
+	md := v.Materialize()
 	for a := range v.Attrs() {
-		idx := v.Sorted()[a]
-		if len(idx) != v.Len() {
-			t.Fatalf("attr %d: sorted len %d, want %d", a, len(idx), v.Len())
-		}
-		col := v.Cols()[a]
-		got := make(map[int32]int)
-		for i, r := range idx {
-			got[r]++
-			if i > 0 && col[idx[i-1]] > col[r] {
-				t.Fatalf("attr %d: order violated at %d (%v > %v)", a, i, col[idx[i-1]], col[r])
+		want := sortedGroups(st, md, v.Rows(), syn, a)
+		list, vals, rg := v.Groups()[a], v.GroupValues()[a], v.RowGroups()[a]
+		ids := make(map[int32]int) // group ID -> position in list
+		for k, g := range list {
+			if _, dup := ids[g.ID]; dup {
+				t.Fatalf("attr %d: group ID %d repeats", a, g.ID)
+			}
+			ids[g.ID] = k
+			if g.N < 1 {
+				t.Fatalf("attr %d group %d: empty", a, k)
+			}
+			if k > 0 && (list[k-1].Run == g.Run) != (vals[list[k-1].ID] == vals[g.ID]) {
+				t.Fatalf("attr %d group %d: run %d after run %d, values %v after %v", a, k, g.Run, list[k-1].Run, vals[g.ID], vals[list[k-1].ID])
 			}
 		}
-		for r, c := range want {
-			if got[r] != c {
-				t.Fatalf("attr %d: row %d appears %d times in order, want %d", a, r, got[r], c)
+		bits := func(k int) uint64 { return math.Float64bits(vals[list[k].ID]) }
+		k := 0
+		for w, wg := range want {
+			if k == len(list) || bits(k) != math.Float64bits(wg.value) {
+				t.Fatalf("attr %d: recomputed group %d (%v) is not next in the list", a, w, wg.value)
+			}
+			first := k
+			for k++; k < len(list) && bits(k) == bits(first); k++ {
+			}
+			counts := make(map[int][2]int32) // list position -> rows, class-1 rows
+			for _, i := range wg.members {
+				p, ok := ids[rg[v.Rows()[i]]]
+				if !ok || p < first || p >= k {
+					t.Fatalf("attr %d: instance %d (row %d) maps to group ID %d, outside recomputed group %d (%v)", a, i, v.Rows()[i], rg[v.Rows()[i]], w, wg.value)
+				}
+				c := counts[p]
+				c[0]++
+				c[1] += one(md.Instances[i].Class)
+				counts[p] = c
+			}
+			for p := first; p < k; p++ {
+				if c := counts[p]; c[0] != list[p].N || c[1] != list[p].Ones {
+					t.Fatalf("attr %d group %d (%v): %d rows, %d of class 1; its instances are %d and %d", a, p, wg.value, list[p].N, list[p].Ones, c[0], c[1])
+				}
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("attr %d: order covers %d distinct rows, want %d", a, len(got), len(want))
+		if k != len(list) {
+			t.Fatalf("attr %d: %d groups beyond the recomputed ones", a, len(list)-k)
 		}
 	}
 }
@@ -83,31 +177,25 @@ func TestStoreMatchesSubset(t *testing.T) {
 			}
 		}
 	}
-	checkSorted(t, st.IdentityView())
+	checkViewGroups(t, st, st.IdentityView(), nil)
 }
 
 func TestStoreSortMatchesSortSlice(t *testing.T) {
-	// The store's permutation must equal sort.Slice on the same
-	// comparator and input sequence — ties included.
+	// The store's groups must be the bit-identical runs of sort.Slice's
+	// permutation on the same comparator and input sequence — ties, and
+	// -0 and +0 interleaved in one run, included.
 	d := storeTestDataset(100, 9)
 	// Force ties.
 	for i := 0; i < 100; i += 3 {
 		d.Instances[i].Values[0] = 5
 	}
+	for i := 1; i < 100; i += 4 {
+		d.Instances[i].Values[2] = math.Copysign(0, float64(i%8)-2)
+	}
 	st := NewStore(d, nil)
-	for a := range d.Attrs {
-		want := make([]int32, d.Len())
-		for i := range want {
-			want[i] = int32(i)
-		}
-		col := st.Cols()[a]
-		sort.Slice(want, func(i, j int) bool { return col[want[i]] < col[want[j]] })
-		got := st.sorted[a]
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("attr %d: permutation diverges at %d: %d != %d", a, i, got[i], want[i])
-			}
-		}
+	checkViewGroups(t, st, st.IdentityView(), nil)
+	if n := len(st.groups[2]); n < 3 || st.groups[2][0].Run != st.groups[2][1].Run {
+		t.Fatalf("attr 2: %d groups; the zeros must split into groups of one run", n)
 	}
 }
 
@@ -119,7 +207,7 @@ func TestSelectView(t *testing.T) {
 	if v.Len() != len(rows) {
 		t.Fatalf("len %d, want %d", v.Len(), len(rows))
 	}
-	checkSorted(t, v)
+	checkViewGroups(t, st, v, nil)
 	md := v.Materialize()
 	for i, r := range rows {
 		if md.Instances[i].Values[0] != d.Instances[r].Values[0] {
@@ -139,7 +227,7 @@ func TestRepeatView(t *testing.T) {
 	if v.Appended() != len(extra) {
 		t.Fatalf("appended %d, want %d", v.Appended(), len(extra))
 	}
-	checkSorted(t, v)
+	checkViewGroups(t, st, v, nil)
 	md := v.Materialize()
 	for i, r := range extra {
 		got := md.Instances[40+i]
@@ -161,7 +249,7 @@ func TestExtendView(t *testing.T) {
 	if v.Len() != 33 || v.Appended() != 3 {
 		t.Fatalf("len %d appended %d", v.Len(), v.Appended())
 	}
-	checkSorted(t, v)
+	checkViewGroups(t, st, v, syn)
 	md := v.Materialize()
 	for i, s := range syn {
 		got := md.Instances[30+i]
@@ -177,60 +265,20 @@ func TestExtendView(t *testing.T) {
 }
 
 // Base rows must win ties against synthetic rows in the merged order,
-// as they precede synthetics in the materialised view's instance order.
+// as they precede synthetics in the materialised view's instance order:
+// a synthetic of a base value joins the end of that value's group.
 func TestExtendViewTieOrder(t *testing.T) {
 	d := New("ties", []Attribute{NumericAttr("x")}, []string{"n", "p"})
 	for _, x := range []float64{1, 2, 2, 3} {
 		d.MustAdd(Instance{Values: []float64{x}, Class: 0})
 	}
 	st := NewStore(d, nil)
-	v := st.ExtendView([]Synthetic{{Values: []float64{2}, Class: 1}})
-	idx := v.Sorted()[0]
-	want := []int32{0, 1, 2, 4, 3}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("merged order %v, want %v", idx, want)
-		}
-	}
-}
-
-// checkExtendOrder holds every order of an extend view over st to the
-// view contract: each view row exactly once, values ascending, the
-// base rows in the store's order, and no base row after a synthetic
-// one of the same value. The order of synthetic rows within a value
-// group is free: it cannot change a tree.
-func checkExtendOrder(t *testing.T, st *Store, v *View) {
-	t.Helper()
-	n := st.n
-	for a, got := range v.Sorted() {
-		col := v.Cols()[a]
-		seen := make([]bool, v.Len())
-		var base []int32
-		for k, r := range got {
-			if r < 0 || int(r) >= v.Len() || seen[r] {
-				t.Fatalf("attr %d: row %d missing, repeated or out of range at %d", a, r, k)
-			}
-			seen[r] = true
-			if int(r) < n {
-				base = append(base, r)
-			}
-			if k == 0 {
-				continue
-			}
-			prev := got[k-1]
-			if col[prev] > col[r] {
-				t.Fatalf("attr %d: order violated at %d (%v > %v)", a, k, col[prev], col[r])
-			}
-			if col[prev] == col[r] && int(prev) >= n && int(r) < n {
-				t.Fatalf("attr %d: base row %d follows synthetic row %d in one value group", a, r, prev)
-			}
-		}
-		if len(got) != v.Len() {
-			t.Fatalf("attr %d: order holds %d rows, want %d", a, len(got), v.Len())
-		}
-		if !slices.Equal(base, st.sorted[a]) {
-			t.Fatalf("attr %d: base rows %v, want the store's order %v", a, base, st.sorted[a])
-		}
+	syn := []Synthetic{{Values: []float64{2}, Class: 1}}
+	v := st.ExtendView(syn)
+	checkViewGroups(t, st, v, syn)
+	want := []Group{{ID: 0, Run: 0, N: 1}, {ID: 1, Run: 1, N: 3, Ones: 1}, {ID: 2, Run: 2, N: 1}}
+	if got := v.Groups()[0]; !slices.Equal(got, want) || v.RowGroups()[0][4] != 1 {
+		t.Fatalf("groups %v, synthetic in group %d; want %v and 1", got, v.RowGroups()[0][4], want)
 	}
 }
 
@@ -239,13 +287,12 @@ func checkExtendOrder(t *testing.T, st *Store, v *View) {
 // substitutes for non-finite values.
 var extendPool = []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, 2, math.Inf(1), 1e308, -1e308}
 
-// TestExtendViewMatchesSortSliceOrder holds the merged orders to the
-// view contract (checkExtendOrder) on random base and synthetic values
-// with ties, ±0 and ±Inf, whose seeds point at rows of equal and of
-// different values. Tie order within a group is free, because trees of
-// unit-weight views read a group only through its class counts; the
-// one exception is which of -0 and +0 a threshold prints, and base rows
-// first keeps that as it was.
+// TestExtendViewMatchesSortSliceOrder holds the merged group lists to
+// the ones sorting recomputes (checkViewGroups) on random base and
+// synthetic values with ties, ±0 and ±Inf, whose seeds point at rows
+// of equal and of different values. Only the order of groups within a
+// run of == values can change a tree, by which of -0 and +0 a
+// threshold prints, and base rows first keeps that as it was.
 func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 	rng := stats.NewRNG(27)
 	value := func() float64 {
@@ -272,12 +319,12 @@ func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 			syn[j] = Synthetic{Values: vs, Class: 1, Seed: seed}
 		}
 		st := NewStore(d, nil)
-		checkExtendOrder(t, st, st.ExtendView(syn))
+		checkViewGroups(t, st, st.ExtendView(syn), syn)
 	}
 }
 
-// FuzzExtendView holds ExtendView to the view contract on arbitrary
-// inputs. data[0] sets the base row count; each further byte pair is
+// FuzzExtendView holds ExtendView's group lists to the ones sorting
+// recomputes on arbitrary inputs. data[0] sets the base row count; each further byte pair is
 // one row's value (from extendPool, or a fresh value from the byte) and,
 // for synthetic rows, its seed and whether it copies the seed's value.
 func FuzzExtendView(f *testing.F) {
@@ -317,9 +364,79 @@ func FuzzExtendView(f *testing.F) {
 		}
 		st := NewStore(d, nil)
 		v := st.ExtendView(syn)
-		checkExtendOrder(t, st, v)
+		checkViewGroups(t, st, v, syn)
 		v.Release()
 	})
+}
+
+// FuzzViewGroups holds every view shape to the group lists and row
+// group IDs that sorting its materialised rows recomputes
+// (checkViewGroups): identity, select, repeat (with duplicates) and
+// extend views of one two-attribute store whose values come from
+// extendPool (duplicates, ±0, ±Inf and both ±1e308 clamps) or from the
+// byte. data[0] sets the base row count n; each of the next n byte
+// triples is one base row: two values and a class. Every further byte
+// triple drives all three sampled shapes at once: its first byte's low
+// bits pick a row to keep (select) and to duplicate (repeat), and,
+// with its second and third bytes, one synthetic row (extend), whose
+// values copy its seed's where the third byte's bits say so.
+func FuzzViewGroups(f *testing.F) {
+	f.Add([]byte{4, 3, 2, 0, 2, 3, 1, 3, 3, 0, 2, 2, 1, 0x81, 3, 0x03, 2, 9, 0x01, 3, 2, 0x02})
+	f.Add([]byte{6, 8, 9, 1, 9, 8, 0, 8, 8, 1, 9, 9, 0, 3, 2, 1, 2, 3, 0, 0x85, 7, 0x03, 0x04, 0, 0x00, 1, 3, 0x01, 0x82, 8, 0x02})
+	f.Add([]byte{3, 0, 7, 0, 7, 0, 1, 200, 130, 1, 0, 2, 0x03, 1, 3, 0x00})
+	f.Fuzz(checkViewShapes)
+}
+
+// checkViewShapes is FuzzViewGroups' body.
+func checkViewShapes(t *testing.T, data []byte) {
+	if len(data) < 4 {
+		return
+	}
+	value := func(b byte) float64 {
+		if b >= 128 {
+			return float64(b-128) / 16
+		}
+		return extendPool[int(b)%len(extendPool)]
+	}
+	n := 1 + int(data[0])%48
+	rows := data[1:]
+	if len(rows) < 3*n {
+		return
+	}
+	d := New("fuzz", []Attribute{NumericAttr("x"), NumericAttr("y")}, []string{"n", "p"})
+	for i := 0; i < n; i++ {
+		b := rows[3*i:]
+		d.MustAdd(Instance{Values: []float64{value(b[0]), value(b[1])}, Class: int(b[2] % 2)})
+	}
+	st := NewStore(d, nil)
+	keep := make([]bool, n)
+	var sel, extra []int32
+	var syn []Synthetic
+	for i := 3 * n; i+2 < len(rows); i += 3 {
+		b := rows[i : i+3]
+		r := int(b[0]&0x7f) % n
+		if !keep[r] {
+			keep[r] = true
+			sel = append(sel, int32(r))
+		}
+		extra = append(extra, int32(r))
+		seed := int(b[0]&0x7f) % (n + 1) // n: a seed outside the store
+		vs := []float64{value(b[1]), value(b[2] &^ 0x03)}
+		for a := range vs {
+			if b[2]&(1<<a) != 0 && seed < n {
+				vs[a] = d.Instances[seed].Values[a]
+			}
+		}
+		syn = append(syn, Synthetic{Values: vs, Class: int(b[0] >> 7), Seed: seed})
+	}
+	checkViewGroups(t, st, st.IdentityView(), nil)
+	checkViewGroups(t, st, st.SelectView(sel), nil)
+	rep := st.RepeatView(extra)
+	checkViewGroups(t, st, rep, nil)
+	rep.Release()
+	ext := st.ExtendView(syn)
+	checkViewGroups(t, st, ext, syn)
+	ext.Release()
 }
 
 // TestSharedVariantsAliasValues pins which variants share storage:
@@ -358,31 +475,36 @@ func TestSharedVariantsAliasValues(t *testing.T) {
 // viewSnapshot deep-copies the arrays a view exposes, so they can be
 // compared after the view's arena is reused.
 type viewSnapshot struct {
-	rows    []int32
-	cols    [][]float64
-	classes []int
-	sorted  [][]int32
+	rows      []int32
+	cols      [][]float64
+	classes   []int
+	groups    [][]Group
+	rowGroups [][]int32
+	groupVals [][]float64
 }
 
 func snapshotView(v *View) viewSnapshot {
-	s := viewSnapshot{
-		rows:    slices.Clone(v.Rows()),
-		classes: slices.Clone(v.Classes()),
+	return viewSnapshot{
+		rows:      slices.Clone(v.Rows()),
+		classes:   slices.Clone(v.Classes()),
+		cols:      cloneEach(v.Cols()),
+		groups:    cloneEach(v.Groups()),
+		rowGroups: cloneEach(v.RowGroups()),
+		groupVals: cloneEach(v.GroupValues()),
 	}
-	for _, col := range v.Cols() {
-		s.cols = append(s.cols, slices.Clone(col))
-	}
-	if v.Sorted() != nil {
-		s.sorted = make([][]int32, len(v.Sorted()))
-		for a, idx := range v.Sorted() {
-			s.sorted[a] = slices.Clone(idx)
-		}
-	}
-	return s
 }
 
-// checkSnapshot requires v to expose exactly the arrays of want; column
-// values compare by bits.
+// cloneEach deep-copies a slice of slices.
+func cloneEach[T any](xs [][]T) [][]T {
+	out := make([][]T, len(xs))
+	for i, x := range xs {
+		out[i] = slices.Clone(x)
+	}
+	return out
+}
+
+// checkSnapshot requires v to expose exactly the arrays of want; values
+// compare by bits. Only the row group IDs of the view's rows count.
 func checkSnapshot(t *testing.T, name string, v *View, want viewSnapshot) {
 	t.Helper()
 	got := snapshotView(v)
@@ -392,11 +514,18 @@ func checkSnapshot(t *testing.T, name string, v *View, want viewSnapshot) {
 	if !slices.Equal(got.rows, want.rows) || !slices.Equal(got.classes, want.classes) {
 		t.Fatalf("%s: rows or classes differ from a fresh-arena view", name)
 	}
-	if !slices.EqualFunc(got.cols, want.cols, bitsEqual) {
-		t.Fatalf("%s: columns differ from a fresh-arena view", name)
+	if !slices.EqualFunc(got.cols, want.cols, bitsEqual) || !slices.EqualFunc(got.groupVals, want.groupVals, bitsEqual) {
+		t.Fatalf("%s: columns or group values differ from a fresh-arena view", name)
 	}
-	if (got.sorted == nil) != (want.sorted == nil) || !slices.EqualFunc(got.sorted, want.sorted, slices.Equal[[]int32]) {
-		t.Fatalf("%s: sorted orders differ from a fresh-arena view", name)
+	if !slices.EqualFunc(got.groups, want.groups, slices.Equal[[]Group]) {
+		t.Fatalf("%s: group lists differ from a fresh-arena view", name)
+	}
+	for a := range got.rowGroups {
+		for _, r := range got.rows {
+			if got.rowGroups[a][r] != want.rowGroups[a][r] {
+				t.Fatalf("%s: attr %d row %d group ID differs from a fresh-arena view", name, a, r)
+			}
+		}
 	}
 }
 
@@ -457,7 +586,7 @@ func TestViewReleaseReuse(t *testing.T) {
 
 	v.Release()
 	v.Release()
-	if v.Len() != 0 || v.Rows() != nil || v.Sorted() != nil || v.arena != nil {
+	if v.Len() != 0 || v.Rows() != nil || v.Groups() != nil || v.arena != nil {
 		t.Fatal("released view is not zeroed")
 	}
 

@@ -2,11 +2,11 @@ package sampling
 
 // This file holds the sampling treatments. Each returns a dataset.View
 // describing the transformed training set against the store instead of
-// materialising cloned instances: undersampling filters the store's
-// presorted orders, oversampling repeats row references, and SMOTE
-// appends synthetic rows that carry their seed row, so the extend view
-// places every value still equal to its seed's without sorting it
-// (DESIGN.md §10).
+// materialising cloned instances: undersampling counts the kept rows
+// into the store's value groups, oversampling counts row references,
+// and SMOTE appends synthetic rows that carry their seed row, so the
+// extend view places every value still equal to its seed's without
+// sorting it (DESIGN.md §10).
 
 import (
 	"fmt"
@@ -140,7 +140,7 @@ func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []s
 // seed value sv and a neighbour value nv. Where that is NaN it returns
 // sv: on a column holding both ±1e308 clamps nv-sv overflows to ±Inf,
 // and q = 0 makes 0·Inf. The seed's value is what q = 0 means. A ±Inf
-// result stays: the view's sorted merge orders it like any number.
+// result stays: the view's group merge orders it like any number.
 func interpolate(sv, nv, q float64) float64 {
 	if x := sv + q*(nv-sv); x == x {
 		return x

@@ -201,8 +201,8 @@ func TestViewErrorsMatchDataset(t *testing.T) {
 // TestSMOTEInterpolationAcrossClampsKeepsSeed: on a column holding both
 // ±1e308 clamps, nv-sv overflows to ±Inf, and q = 0 would give
 // 0·Inf = NaN. That coordinate takes the seed's value instead, while a
-// q > 0 interpolation across the clamps stays +Inf; the view keeps its
-// merged sort orders, which place both.
+// q > 0 interpolation across the clamps stays +Inf; the view's group
+// lists place both.
 func TestSMOTEInterpolationAcrossClampsKeepsSeed(t *testing.T) {
 	d := dataset.New("clamps", []dataset.Attribute{dataset.NumericAttr("x"), dataset.NumericAttr("y")}, []string{"neg", "pos"})
 	for i, vs := range [][]float64{{0, 0}, {1e308, 1}, {-1e308, 2}} {
@@ -221,10 +221,19 @@ func TestSMOTEInterpolationAcrossClampsKeepsSeed(t *testing.T) {
 	if !math.IsInf(x[4], 1) || y[4] != 1.5 {
 		t.Fatalf("q = 0.5 synthetic (%v, %v), want (+Inf, 1.5)", x[4], y[4])
 	}
-	if v.Sorted() == nil {
-		t.Fatal("the view lost its sort orders")
+	// x's groups: -1e308, 0, then 1e308 holding its seed row 1 and the
+	// q = 0 synthetic row 3, then +Inf.
+	rg, vals := v.RowGroups()[0], v.GroupValues()[0]
+	var got []float64
+	var rows []int32
+	for _, g := range v.Groups()[0] {
+		got = append(got, vals[g.ID])
+		rows = append(rows, g.N)
 	}
-	if got, want := v.Sorted()[0], []int32{2, 0, 1, 3, 4}; !slices.Equal(got, want) {
-		t.Fatalf("x order %v, want %v", got, want)
+	if want := []float64{-1e308, 0, 1e308, math.Inf(1)}; !slices.Equal(got, want) || !slices.Equal(rows, []int32{1, 1, 2, 1}) {
+		t.Fatalf("x groups %v of %v rows, want %v of [1 1 2 1]", got, rows, want)
+	}
+	if rg[3] != rg[1] || vals[rg[4]] != math.Inf(1) {
+		t.Fatalf("x group IDs %v: row 3 must share row 1's group, row 4 be +Inf's", rg[:5])
 	}
 }

@@ -8,53 +8,52 @@ import (
 	"edem/internal/dataset"
 )
 
-// The counting builder is the one C4.5 builder. Its training domain is
-// numeric, NaN-free rows of weight 1 (DESIGN.md §10): every view edem
-// trains on comes from a propane.ToDataset dataset, and an oversampled
-// or SMOTE row is a copy or an interpolation of one of its rows. It
-// starts from a dataset.View whose attributes come presorted by the
-// store (and merged by the sampling views), and the sort order is
-// preserved through partitioning, removing the per-node sort that
-// dominates induction cost on large fault-injection datasets. The
+// The group builder is the one C4.5 builder. Its training domain is
+// numeric, NaN-free rows of weight 1 in at most two classes (DESIGN.md
+// §10): every view edem trains on comes from a propane.ToDataset
+// dataset, whose classes are benign and failure, and an oversampled or
+// SMOTE row is a copy or an interpolation of one of its rows. It
+// induces over value groups, not rows: the view hands it, per
+// attribute, the ascending list of its value groups with each group's
+// row and class-1 counts, and every row's group ID. The fold's store
+// found the groups once, and the sampling views only counted or merged
+// into them, so the builder neither sorts nor groups anything. The
 // general builder that re-sorts per node is kept in the tests as the
 // oracle (general_test.go).
 //
 // Unit weights make every class sum a split sees an exact integer, so
-// the builder counts: the split scan reads a value and a one-byte class
-// per row and keeps integer class counts, and entropies are computed
-// from those integers with the same float operations a weight sum would
-// take, so every gain has the bits it would have with float weights. It
-// also makes a tree independent of the order of rows inside a run of
-// equal values: split search, the minLeaf gates, MDL's distinct count,
-// leaf distributions and pruning read such a run only through its
-// membership and class counts. The one exception is which of -0 and +0
-// a threshold records when a cut lands on a run holding both; x <= -0
-// and x <= +0 agree on every input. So sampling views may place tied
-// rows anywhere in their run (DESIGN.md §10).
+// the builder counts, and entropies are computed from those integers
+// with the same float operations a weight sum would take, so every gain
+// has the bits it would have with float weights. It also makes a tree
+// independent of the order of rows inside a run of equal values: split
+// search, the minLeaf gates, MDL's distinct count, leaf distributions
+// and pruning read such a run only through its membership and class
+// counts. The one exception is which of -0 and +0 a threshold records
+// when a cut lands on a run holding both: the last group of the run in
+// the node's list, whose sign the group lists keep (DESIGN.md §10).
 //
-// A second cost on large campaigns is allocation churn: the refinement
-// grid induces thousands of trees per dataset, oversampled views hold
-// up to about ten times the base partition's rows, and the trees are
-// chain-shaped, so every row is re-partitioned several times. The
-// builder therefore keeps split-scan scratch (class counts, candidate
-// splits) on the builder, and partitions every node into one of two
-// ping-pong buffers (see partition) taken, with the per-row side and
-// class arrays and the child node pairs, from a pool of buildScratch: a tree allocates its Nodes and their class
-// distributions, and almost nothing else. Partition reuses what the
-// scan found: a split's children take their class counts from the scan
-// and their rows from the split attribute's own order, and a child
-// that is certainly a leaf gets no orders at all. A builder and
-// its scratch are used by one goroutine; fold- and grid-level
-// parallelism each construct their own builder and take their own
-// scratch.
+// A node is a range of one row list plus, per attribute, its group
+// list. Partition splits the row list in place, cuts the split
+// attribute's list at the cut, and builds every other attribute's
+// children lists by counting only the smaller child's rows into their
+// groups: the larger child's list is the parent's minus those counts,
+// written over the parent's. The lists live in one buffer (see
+// partition) taken, with the row list, the class bytes, the group
+// counters and the child node pairs, from a pool of buildScratch: a
+// tree allocates its Nodes and their class distributions, and almost
+// nothing else. A builder and its scratch are used by one goroutine;
+// fold- and grid-level parallelism each construct their own builder and
+// take their own scratch.
 
-// maxFastClasses bounds the class domain of the fast builder, whose
-// per-row class is one byte. edem's class domain has two values.
-const maxFastClasses = 256
+// maxClasses bounds the class domain of the builder, whose group
+// entries count the rows of class 1 and infer class 0.
+const maxClasses = 2
 
-type fastBuilder struct {
+type groupBuilder struct {
 	attrs    []dataset.Attribute
 	cols     [][]float64 // column-major attribute values [attr][row]
+	rowGroup [][]int32   // [attr][row] group ID
+	groupVal [][]float64 // [attr][group ID] value
 	cls      []uint8     // per row id: class
 	nClasses int
 	sc       *buildScratch // partition memory
@@ -62,46 +61,43 @@ type fastBuilder struct {
 	// Split-scan scratch, reused across bestSplit calls. Safe because a
 	// node's best split is fully consumed (partition + node labelling)
 	// before any child recursion runs the next scan.
-	total    []int // the node's class counts
-	left     []int
-	snap     []int
-	right    []int
-	bestLeft []int    // flat [attr*nClasses]: a candidate's left counts at its cut
 	splitBuf []split  // cap len(Attrs): addresses stay stable
 	candBuf  []*split // views into splitBuf for selectSplit
-	counts   [2]int   // per-branch row counts of the node being partitioned
 	leaves   [2]bool  // per branch: the child is certainly a leaf
 
-	scored int // cuts whose child entropies numericSplit computed
+	scored int // cuts whose child entropies scan computed
 }
 
-// fastNode is the per-node view: its row count and class counts, and
-// per-attribute row ids in ascending value order. A node owns the
-// range [lo, lo+n) of the root's rootN positions, and its order for
-// attribute a is sorted[a][lo:lo+n] (see order). At the root, sorted
-// is the view's own, possibly shared with a fold-wide store other
-// goroutines are reading, so the builder only reads it; below the root
-// it points into the ping-pong buffers. A node that is certainly a
-// leaf has none.
-type fastNode struct {
-	lo     int
+// groupNode is the per-node view: its row count and class counts, its
+// rows, and per attribute its group list. A node owns the range
+// [lo, lo+n) of the scratch row list, and the region [glo, glo+n) of
+// every attribute's slab of the list buffer, where its group lists lie
+// (see partition). At the root the lists are the view's own, possibly
+// shared with a fold-wide store other goroutines are reading, so the
+// builder only reads them. A node that is certainly a leaf has no
+// lists.
+type groupNode struct {
+	lo     int // the node's rows are sc.rows[lo : lo+n]
+	glo    int // its group lists lie in sc.slab[a][glo : glo+n]
 	n      int
-	dist   []float64 // class counts, exact integers; becomes Node.Dist
-	sorted [][]int32 // indexed by attr: rootN-id slabs
+	ones   int               // rows of class 1
+	dist   []float64         // class counts, exact integers; becomes Node.Dist
+	groups [][]dataset.Group // indexed by attr
 }
-
-// order returns the node's rows in ascending order of attribute a.
-func (nd *fastNode) order(a int) []int32 { return nd.sorted[a][nd.lo : nd.lo+nd.n] }
 
 // buildScratch is the partition memory of one tree. Every slot is
 // written by the tree before it is read, so scratch handed over from
-// another tree needs no clearing, only growing.
+// another tree needs no clearing, only growing, except the group
+// counters, which every partition leaves zero.
 type buildScratch struct {
-	pp     [2][]int32     // ping-pong buffers: rootN ids per attribute
-	slabs  [2][][]int32   // per attr: pp[k]'s rootN-id slab
-	side   []uint8        // per row id: its side at a split (0 left, 1 right)
-	cls    []uint8        // per row id: its class
-	levels []*[2]fastNode // per depth: the children of the node being partitioned
+	rows   []int32             // the row list: rootN ids
+	buf    []dataset.Group     // the list buffer: rootN entries per attribute
+	slab   [][]dataset.Group   // per attr: its rootN-entry slab of buf
+	tmp    []dataset.Group     // staging for a smaller child's list
+	cls    []uint8             // per row id: its class
+	count  []uint64            // per group ID: the smaller child's rows << 32 | its class-1 rows
+	levels []*[2]groupNode     // per depth: the children of the node being partitioned
+	lists  [][][]dataset.Group // per depth: 2·nAttrs list headers for the children
 }
 
 // scratchPool recycles buildScratch across FitTreeView calls, so a
@@ -109,38 +105,46 @@ type buildScratch struct {
 // their own.
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
-// reset sizes the scratch for a tree over rootN rows whose ids lie in
-// [0, len(classes)), growing any buffer that is too small, and fills
-// the class bytes.
-func (sc *buildScratch) reset(nAttrs, rootN int, classes []int) {
+// reset sizes the scratch for a tree over the view's rows, growing any
+// buffer that is too small, and fills the row list and class bytes.
+func (sc *buildScratch) reset(v *dataset.View) {
+	nAttrs, rootN := len(v.Attrs()), v.Len()
 	size := rootN * nAttrs
-	for k := range sc.pp {
-		sc.pp[k] = slices.Grow(sc.pp[k][:0], size)[:size]
-		sc.slabs[k] = slices.Grow(sc.slabs[k][:0], nAttrs)[:nAttrs]
-		for a := range sc.slabs[k] {
-			sc.slabs[k][a] = sc.pp[k][a*rootN : (a+1)*rootN]
-		}
+	sc.buf = slices.Grow(sc.buf[:0], size)[:size]
+	sc.slab = slices.Grow(sc.slab[:0], nAttrs)[:nAttrs]
+	for a := range sc.slab {
+		sc.slab[a] = sc.buf[a*rootN : (a+1)*rootN]
 	}
-	nIDs := len(classes)
-	sc.side = slices.Grow(sc.side[:0], nIDs)[:nIDs]
-	sc.cls = slices.Grow(sc.cls[:0], nIDs)[:nIDs]
+	sc.tmp = slices.Grow(sc.tmp[:0], rootN/2)
+	sc.rows = append(sc.rows[:0], v.Rows()...)
+	classes := v.Classes()
+	sc.cls = slices.Grow(sc.cls[:0], len(classes))[:len(classes)]
 	for i, c := range classes {
 		sc.cls[i] = uint8(c)
 	}
+	nIDs := 0
+	for _, vals := range v.GroupValues() {
+		nIDs = max(nIDs, len(vals))
+	}
+	if len(sc.count) < nIDs {
+		sc.count = make([]uint64, nIDs)
+	}
 }
 
-// level returns the child-node pair for a node at the given depth. A
-// node's children stay intact while deeper nodes partition, because
-// those use the deeper levels.
-func (sc *buildScratch) level(depth int) *[2]fastNode {
+// level returns the child-node pair for a node at the given depth, each
+// with room for nAttrs list headers. A node's children stay intact
+// while deeper nodes partition, because those use the deeper levels.
+func (sc *buildScratch) level(depth, nAttrs int) *[2]groupNode {
 	for len(sc.levels) <= depth {
-		sc.levels = append(sc.levels, new([2]fastNode))
+		sc.levels = append(sc.levels, new([2]groupNode))
+		sc.lists = append(sc.lists, nil)
 	}
+	sc.lists[depth] = slices.Grow(sc.lists[depth][:0], 2*nAttrs)[:2*nAttrs]
 	return sc.levels[depth]
 }
 
-// fitView grows and prunes a tree from a view of at most
-// maxFastClasses classes, using sc as the builder's partition memory.
+// fitView grows and prunes a tree from a view of at most maxClasses
+// classes, using sc as the builder's partition memory.
 func fitView(v *dataset.View, sc *buildScratch) *Node {
 	root := grow(v, sc)
 	prune(root)
@@ -149,46 +153,46 @@ func fitView(v *dataset.View, sc *buildScratch) *Node {
 
 // grow grows the unpruned tree of a view.
 func grow(v *dataset.View, sc *buildScratch) *Node {
-	fb := newViewBuilder(v, sc)
-	// The root starts from the view's presorted orders: no root sort.
-	return fb.build(fb.root(v), 0)
+	b := newViewBuilder(v, sc)
+	return b.build(b.root(v), 0)
 }
 
 // newViewBuilder wires a builder straight to a columnar view's arrays
 // and sizes sc for it: no column materialisation and no weight pass.
-func newViewBuilder(v *dataset.View, sc *buildScratch) *fastBuilder {
-	fb := &fastBuilder{
+func newViewBuilder(v *dataset.View, sc *buildScratch) *groupBuilder {
+	b := &groupBuilder{
 		attrs:    v.Attrs(),
 		cols:     v.Cols(),
+		rowGroup: v.RowGroups(),
+		groupVal: v.GroupValues(),
 		nClasses: len(v.ClassValues()),
 		sc:       sc,
+		splitBuf: make([]split, 0, len(v.Attrs())),
+		candBuf:  make([]*split, 0, len(v.Attrs())),
 	}
-	fb.initScratch()
-	sc.reset(len(fb.attrs), v.Len(), v.Classes())
-	fb.cls = sc.cls
-	return fb
+	sc.reset(v)
+	b.cls = sc.cls
+	return b
 }
 
-// root returns the root node of a view.
-func (fb *fastBuilder) root(v *dataset.View) *fastNode {
-	dist := make([]float64, fb.nClasses)
-	for _, r := range v.Rows() {
-		dist[fb.cls[r]]++
+// root returns the root node of a view: all of the row list, and the
+// view's group lists, whose first list also gives the class counts.
+func (b *groupBuilder) root(v *dataset.View) *groupNode {
+	nd := &groupNode{n: v.Len(), dist: make([]float64, b.nClasses), groups: v.Groups()}
+	if len(nd.groups) > 0 {
+		for _, g := range nd.groups[0] {
+			nd.ones += int(g.Ones)
+		}
+	} else {
+		for _, r := range v.Rows() {
+			nd.ones += int(b.cls[r])
+		}
 	}
-	return &fastNode{n: v.Len(), dist: dist, sorted: v.Sorted()}
-}
-
-// initScratch sizes the split-scan scratch from the schema; attrs and
-// nClasses must already be set.
-func (fb *fastBuilder) initScratch() {
-	nC := fb.nClasses
-	counts := make([]int, 4*nC+len(fb.attrs)*nC)
-	fb.total, counts = counts[:nC], counts[nC:]
-	fb.left, counts = counts[:nC], counts[nC:]
-	fb.snap, counts = counts[:nC], counts[nC:]
-	fb.right, fb.bestLeft = counts[:nC], counts[nC:]
-	fb.splitBuf = make([]split, 0, len(fb.attrs))
-	fb.candBuf = make([]*split, 0, len(fb.attrs))
+	nd.dist[0] = float64(nd.n - nd.ones)
+	if b.nClasses > 1 {
+		nd.dist[1] = float64(nd.ones)
+	}
+	return nd
 }
 
 // certainLeaf reports whether a node of n rows with class counts dist
@@ -198,16 +202,16 @@ func certainLeaf(n int, dist []float64) bool {
 	return n < 2*minLeaf || isPure(dist)
 }
 
-func (fb *fastBuilder) build(nd *fastNode, depthSoFar int) *Node {
+func (b *groupBuilder) build(nd *groupNode, depthSoFar int) *Node {
 	node := &Node{Attr: -1, Dist: nd.dist, Class: argmax(nd.dist)}
 	if certainLeaf(nd.n, nd.dist) {
 		return node
 	}
-	best := fb.bestSplit(nd)
+	best := b.bestSplit(nd)
 	if best == nil {
 		return node
 	}
-	children := fb.partition(nd, best, depthSoFar)
+	children := b.partition(nd, best, depthSoFar)
 	if children == nil {
 		return node
 	}
@@ -216,11 +220,7 @@ func (fb *fastBuilder) build(nd *fastNode, depthSoFar int) *Node {
 	node.Threshold = best.threshold
 	node.Children = make([]*Node, len(children))
 	for i := range children {
-		if children[i].n == 0 {
-			node.Children[i] = &Node{Attr: -1, Dist: children[i].dist, Class: node.Class}
-			continue
-		}
-		node.Children[i] = fb.build(&children[i], depthSoFar+1)
+		node.Children[i] = b.build(&children[i], depthSoFar+1)
 	}
 	return node
 }
@@ -228,154 +228,144 @@ func (fb *fastBuilder) build(nd *fastNode, depthSoFar int) *Node {
 // bestSplit scans every attribute, collecting candidates into the
 // builder's split scratch. The returned pointer aims into splitBuf and
 // is only valid until the next bestSplit call.
-func (fb *fastBuilder) bestSplit(nd *fastNode) *split {
-	fb.splitBuf = fb.splitBuf[:0]
-	fb.candBuf = fb.candBuf[:0]
-	for c, w := range nd.dist {
-		fb.total[c] = int(w)
-	}
+func (b *groupBuilder) bestSplit(nd *groupNode) *split {
+	b.splitBuf = b.splitBuf[:0]
+	b.candBuf = b.candBuf[:0]
 	baseEntropy := entropy(nd.dist)
-	for a := range fb.attrs {
+	for a := range b.attrs {
 		var s split
-		if fb.numericSplit(nd.order(a), a, fb.total, baseEntropy, &s) && s.gain > 1e-12 {
-			fb.splitBuf = append(fb.splitBuf, s)
-			fb.candBuf = append(fb.candBuf, &fb.splitBuf[len(fb.splitBuf)-1])
+		if b.scan(nd.groups[a], a, nd.n, nd.ones, baseEntropy, &s) && s.gain > 1e-12 {
+			b.splitBuf = append(b.splitBuf, s)
+			b.candBuf = append(b.candBuf, &b.splitBuf[len(b.splitBuf)-1])
 		}
 	}
-	return selectSplit(fb.candBuf)
+	return selectSplit(b.candBuf)
 }
 
-// entropyCounts is entropy over integer class counts summing to total,
-// with the float operations entropy takes on the same counts as
+// entropy2 is entropy over the two class counts c0 and c1 summing to
+// total, with the float operations entropy takes on the same counts as
 // float64s, so the two agree bit for bit.
-func entropyCounts(counts []int, total float64) float64 {
+func entropy2(c0, c1 int, total float64) float64 {
 	if total <= 0 {
 		return 0
 	}
 	e := 0.0
-	for _, c := range counts {
-		if c > 0 {
-			p := float64(c) / total
-			e -= p * math.Log2(p)
-		}
+	if c0 > 0 {
+		p := float64(c0) / total
+		e -= p * math.Log2(p)
+	}
+	if c1 > 0 {
+		p := float64(c1) / total
+		e -= p * math.Log2(p)
 	}
 	return e
 }
 
-// numericSplit scans the pre-sorted rows of an attribute, whose class
-// counts are total, writing the winning split into out. It
-// reports whether a split was found. A node whose first and last
-// values are equal has no cut, and returns at once.
+// scan searches attribute attr's group list of a node of n rows, ones
+// of them in class 1, for the best cut, writing it into out. It reports
+// whether a split was found. A node whose first and last groups share
+// a run has no cut, and returns at once.
 //
-// The scan makes one pass per value group (a run of equal values),
-// counting classes, and scores only the cuts that can hold the maximum:
-// boundary points, where the groups on either side are not both pure in
-// the same class (Fayyad & Irani 1992 prove the gain-maximising cut is
-// one), plus the first and last cuts that pass the minLeaf gate, since
-// the gate can truncate a same-class run and leave its best feasible
+// The scan takes one run of == values at a time (nearly always one
+// group) and scores only the cuts that can hold the maximum: boundary
+// points, where the runs on either side are not both pure in the same
+// class (Fayyad & Irani 1992 prove the gain-maximising cut is one),
+// plus the first and last cuts that pass the minLeaf gate, since the
+// gate can truncate a same-class stretch and leave its best feasible
 // cut at the gate's edge. Whether a cut is a boundary point depends on
-// the group after it, so a cut is decided once that group is counted,
-// from a snapshot of the counts at the cut. The counts are exact, so
-// every scored cut's gain has the same bits as in a scan of every cut
-// (numericSplitFullScan in the tests), and distinct still counts every
-// group for the MDL penalty. The winner's left counts are kept in
-// bestLeft for partition.
-func (fb *fastBuilder) numericSplit(sorted []int32, attr int, total []int, baseEntropy float64, out *split) bool {
-	n := len(sorted)
-	col := fb.cols[attr]
-	if n < 2 || col[sorted[0]] == col[sorted[n-1]] {
+// the run after it, so a cut is decided once that run is counted. Once
+// a run pure in one class is counted past the first feasible cut, the
+// following single-group runs pure in the same class are skipped in a
+// tight loop that only adds their rows and counts them as distinct,
+// while the cut after each stays feasible and is not the node's last:
+// the cut before each joins two runs pure in one class and is neither
+// the first nor the last feasible one, so it is never scored. The
+// counts are exact, so every scored
+// cut's gain has the same bits as in a scan of every cut over sorted
+// rows (numericSplitFullScan in the tests), and distinct still counts
+// every run for the MDL penalty. The threshold is the value of the
+// last group left of the cut.
+func (b *groupBuilder) scan(list []dataset.Group, attr, n, ones int, baseEntropy float64, out *split) bool {
+	L := len(list)
+	if L < 2 || list[0].Run == list[L-1].Run {
 		return false
 	}
-	cls := fb.cls
 	totalW := float64(n)
-	left, snap, right := fb.left, fb.snap, fb.right
-	clear(left)
-	clear(snap)
-
+	limit := n - minLeaf // the most rows a feasible cut leaves on its left
 	var (
 		bestGain  = -1.0
-		bestEnd   int // the winning cut: rows sorted[:bestEnd] go left
+		bestEnd   int // the winning cut: this many rows go left
+		bestOnes  int // of them, rows of class 1
+		bestPos   int // and this many groups
 		distinct  = 1
 		feasible  = false // a cut has passed the minLeaf gate
-		prevClass int     // the class of the group before the cut (-1: mixed)
+		prevClass int     // the class of the run before the cut (-1: mixed)
 	)
-	// Two classes count in registers: ones and snapOnes are the class-1
-	// rows after and before the group, and snap is only written for a
-	// scored cut. Counting in left would chain every row's increment
-	// through memory.
-	binary := len(total) == 2
-	ones, snapOnes := 0, 0
+	left, leftOnes := 0, 0 // rows and class-1 rows left of the run being counted
 	i := 0
-	r := sorted[0]
-	v := col[r]
 	for {
-		// Count the group sorted[start:i]; snap (or snapOnes) holds the
-		// counts before it.
-		start := i
-		c0 := cls[r]
-		class := int(c0)
-		if binary {
-			ones += int(c0)
-			for i++; i < n; i++ {
-				r = sorted[i]
-				if x := col[r]; x != v {
-					v = x
-					break
-				}
-				ones += int(cls[r])
-			}
-			if g := ones - snapOnes; g != 0 && g != i-start {
-				class = -1
-			}
-		} else {
-			left[c0]++
-			for i++; i < n; i++ {
-				r = sorted[i]
-				if x := col[r]; x != v {
-					v = x
-					break
-				}
-				left[cls[r]]++
-			}
-			if left[c0]-snap[c0] != i-start {
-				class = -1
-			}
+		// Count the run starting at list[i].
+		start, startOnes, pos := left, leftOnes, i
+		run := list[i].Run
+		for ; i < L && list[i].Run == run; i++ {
+			left += int(list[i].N)
+			leftOnes += int(list[i].Ones)
 		}
-		// Decide the cut before this group, whose left side is snap.
+		class := -1
+		switch leftOnes - startOnes {
+		case 0:
+			class = 0
+		case left - start:
+			class = 1
+		}
+		// Decide the cut before this run.
 		if leftW := float64(start); start > 0 && !(leftW < minLeaf || totalW-leftW < minLeaf) {
-			nextW := float64(i)
+			nextW := float64(left)
 			score := !feasible || prevClass < 0 || prevClass != class ||
-				i == n || nextW < minLeaf || totalW-nextW < minLeaf
+				i == L || nextW < minLeaf || totalW-nextW < minLeaf
 			feasible = true
 			if score {
-				fb.scored++
-				if binary {
-					snap[0], snap[1] = start-snapOnes, snapOnes
-				}
-				for c := range right {
-					right[c] = total[c] - snap[c]
-				}
-				childEntropy := (leftW*entropyCounts(snap, leftW) + (totalW-leftW)*entropyCounts(right, totalW-leftW)) / totalW
+				b.scored++
+				l0, l1 := start-startOnes, startOnes
+				childEntropy := (leftW*entropy2(l0, l1, leftW) + (totalW-leftW)*entropy2(n-ones-l0, ones-l1, totalW-leftW)) / totalW
 				gain := baseEntropy - childEntropy
 				if gain > bestGain {
-					bestGain = gain
-					bestEnd = start
-					copy(fb.bestLeft[attr*fb.nClasses:], snap)
+					bestGain, bestEnd, bestOnes, bestPos = gain, start, startOnes, pos
 				}
 			}
 		}
-		if i == n {
+		if i == L {
 			break
-		}
-		if binary {
-			snapOnes = ones
-		} else {
-			for c, k := range left {
-				snap[c] = k
-			}
 		}
 		prevClass = class
 		distinct++
+		// Skip the cuts inside a stretch of runs pure in this class: each
+		// is feasible, not the first, not the last, and no boundary.
+		if feasible {
+			switch class {
+			case 0:
+				for i+1 < L {
+					g := list[i]
+					if g.Ones != 0 || left+int(g.N) > limit || list[i+1].Run == g.Run {
+						break
+					}
+					left += int(g.N)
+					distinct++
+					i++
+				}
+			case 1:
+				for i+1 < L {
+					g := list[i]
+					if g.Ones != g.N || left+int(g.N) > limit || list[i+1].Run == g.Run {
+						break
+					}
+					left += int(g.N)
+					leftOnes += int(g.N)
+					distinct++
+					i++
+				}
+			}
+		}
 	}
 	if bestGain < 0 {
 		return false
@@ -393,119 +383,161 @@ func (fb *fastBuilder) numericSplit(sorted []int32, attr int, total []int, baseE
 	if si > 1e-12 {
 		gr = gain / si
 	}
-	*out = split{attr: attr, threshold: col[sorted[bestEnd-1]], gain: gain, gainRatio: gr, leftN: bestEnd}
+	*out = split{
+		attr: attr, threshold: b.groupVal[attr][list[bestPos-1].ID], gain: gain, gainRatio: gr,
+		leftN: bestEnd, leftOnes: bestOnes, leftGroups: bestPos,
+	}
 	return true
 }
 
-// partition splits the node preserving every attribute's sort order,
-// and returns its two children, or nil when fewer than two of them
-// would hold minLeaf rows (the node then stays a leaf).
+// partition splits the node, and returns its two children, or nil when
+// one of them would hold fewer than minLeaf rows (the node then stays a
+// leaf).
 //
-// The children's class counts come from the scan: the left side is the
-// first leftN rows of the split attribute's order. A child that is
-// certainly a leaf (see certainLeaf) needs no orders, so when both
-// children are leaves nothing is filled.
+// The children's class counts come from the scan. A child that is
+// certainly a leaf (see certainLeaf) needs no lists, so when both
+// children are leaves nothing else is done.
 //
-// The other children's orders go into the ping-pong buffer of the
-// node's depth, pp[depth%2], at the node's own range [lo, lo+n) within
-// each rootN-id slab; the left child takes [lo, lo+leftN) and the right
-// one the rest. The node reads its own orders from the other buffer
-// (or, at the root, from the view, which is never written). The write
-// is safe because a node's range lies inside its parent's: in
-// pp[depth%2] it overwrites only orders of ancestors that have already
-// partitioned, while the ranges of siblings still waiting for their
-// turn are disjoint from it. The split attribute's own order is split
-// by position, with no per-row value test, and marks each row's side
-// from it; the other attributes' fills read that side. Nothing is
-// allocated but the children's class distributions, which become their
-// Nodes' Dist.
-func (fb *fastBuilder) partition(nd *fastNode, s *split, depth int) []fastNode {
-	n, nC := nd.n, fb.nClasses
-	counts := &fb.counts
-	counts[0], counts[1] = s.leftN, n-s.leftN
-	if counts[0] < minLeaf || counts[1] < minLeaf {
+// Otherwise the node's range of the row list is split in place, left
+// rows (value <= threshold) first; the order of rows in a range means
+// nothing. The group lists live in one buffer, a slab of rootN entries
+// per attribute, in which every node owns a region of as many entries
+// as it has rows, starting at glo: no list can be longer than its
+// node has rows. The larger child takes the front of the node's region
+// and the smaller child the rest, whichever side each is. The larger
+// child's list is written over the node's own, which the walk that
+// builds it has always read past; the smaller child's is staged and
+// copied behind it. At the root the lists are read from the view, which
+// is never written. The regions of siblings still waiting for their
+// turn are disjoint from every region a node writes. The split
+// attribute's list is cut at the split's group; every other list is
+// split by counting the smaller child's rows into their groups (see
+// splitList). Nothing is allocated but the children's class
+// distributions, which become their Nodes' Dist.
+func (b *groupBuilder) partition(nd *groupNode, s *split, depth int) []groupNode {
+	n, nC := nd.n, b.nClasses
+	nl, nr := s.leftN, n-s.leftN
+	if nl < minLeaf || nr < minLeaf {
 		return nil
 	}
 
-	nodes := fb.sc.level(depth)
+	nodes := b.sc.level(depth, len(b.attrs))
 	dists := make([]float64, 2*nC)
 	left, right := dists[:nC:nC], dists[nC:]
-	for c := range left {
-		left[c] = float64(fb.bestLeft[s.attr*nC+c])
-		right[c] = nd.dist[c] - left[c]
+	left[0], right[0] = float64(nl-s.leftOnes), float64(nr-(nd.ones-s.leftOnes))
+	if nC > 1 {
+		left[1], right[1] = float64(s.leftOnes), float64(nd.ones-s.leftOnes)
 	}
-	leaves := &fb.leaves
-	leaves[0] = certainLeaf(counts[0], left)
-	leaves[1] = certainLeaf(counts[1], right)
-	nodes[0] = fastNode{lo: nd.lo, n: counts[0], dist: left}
-	nodes[1] = fastNode{lo: nd.lo + counts[0], n: counts[1], dist: right}
+	leaves := &b.leaves
+	leaves[0] = certainLeaf(nl, left)
+	leaves[1] = certainLeaf(nr, right)
+	small := 0
+	if 2*nl > n {
+		small = 1
+	}
+	large := 1 - small
+	nodes[0] = groupNode{lo: nd.lo, n: nl, ones: s.leftOnes, dist: left}
+	nodes[1] = groupNode{lo: nd.lo + nl, n: nr, ones: nd.ones - s.leftOnes, dist: right}
+	nodes[large].glo = nd.glo
+	nodes[small].glo = nd.glo + nodes[large].n
 	if leaves[0] && leaves[1] {
 		return nodes[:]
 	}
 
-	slabs := fb.sc.slabs[depth%2]
-	ord, side := nd.order(s.attr), fb.sc.side
-	for _, r := range ord[:s.leftN] {
-		side[r] = 0
-	}
-	for _, r := range ord[s.leftN:] {
-		side[r] = 1
-	}
-	for a, slab := range slabs {
-		dst, src := slab[nd.lo:nd.lo+n], nd.order(a)
-		if a != s.attr {
-			fb.fill(dst, src)
-			continue
-		}
-		if !leaves[0] {
-			copy(dst[:counts[0]], src)
-		}
-		if !leaves[1] {
-			copy(dst[counts[0]:], src[counts[0]:])
+	b.splitRows(nd, s)
+	smallRows := b.sc.rows[nodes[small].lo : nodes[small].lo+nodes[small].n]
+	hdrs := b.sc.lists[depth]
+	nAttrs := len(b.attrs)
+	for k := range nodes {
+		if !leaves[k] {
+			nodes[k].groups = hdrs[k*nAttrs : (k+1)*nAttrs]
 		}
 	}
-	for b := range nodes {
-		if !leaves[b] {
-			nodes[b].sorted = slabs
+	for a, slab := range b.sc.slab {
+		list := nd.groups[a]
+		var lists [2][]dataset.Group
+		if a == s.attr {
+			lists = [2][]dataset.Group{list[:s.leftGroups], list[s.leftGroups:]}
+			// Stage the smaller side, which the larger one's move may
+			// overwrite.
+			lists[small] = append(b.sc.tmp[:0], lists[small]...)
+		} else {
+			lists = b.splitList(list, a, nd, small, smallRows)
+		}
+		for _, k := range [2]int{large, small} {
+			if !leaves[k] {
+				nodes[k].groups[a] = place(slab[nodes[k].glo:], lists[k])
+			}
 		}
 	}
 	return nodes[:]
 }
 
-// fill copies src into dst grouped by side, left rows first, keeping
-// src order within each side, as partition lays the children out. It
-// reads each row's side, and skips a child that is certainly a leaf.
-func (fb *fastBuilder) fill(dst, src []int32) {
-	side := fb.sc.side
-	switch {
-	case fb.leaves[1]:
-		l := 0
-		for _, id := range src {
-			if side[id] == 0 {
-				dst[l] = id
-				l++
-			}
+// place moves list to the front of dst, unless it is there already,
+// and returns it there.
+func place(dst, list []dataset.Group) []dataset.Group {
+	if len(list) > 0 && &dst[0] != &list[0] {
+		copy(dst, list)
+	}
+	return dst[:len(list)]
+}
+
+// splitRows reorders the node's range of the row list so that the rows
+// going left under s come first.
+func (b *groupBuilder) splitRows(nd *groupNode, s *split) {
+	rows := b.sc.rows[nd.lo : nd.lo+nd.n]
+	col, thr := b.cols[s.attr], s.threshold
+	i, j := 0, len(rows)-1
+	for {
+		for i <= j && col[rows[i]] <= thr {
+			i++
 		}
-	case fb.leaves[0]:
-		r := fb.counts[0]
-		for _, id := range src {
-			if side[id] != 0 {
-				dst[r] = id
-				r++
-			}
+		for i <= j && col[rows[j]] > thr {
+			j--
 		}
-	default:
-		l, r := 0, fb.counts[0]
-		for _, id := range src {
-			if side[id] == 0 {
-				dst[l] = id
-				l++
-			} else {
-				dst[r] = id
-				r++
+		if i >= j {
+			return
+		}
+		rows[i], rows[j] = rows[j], rows[i]
+		i++
+		j--
+	}
+}
+
+// splitList returns the left and right children's group lists of
+// attribute a from the node's list. It counts the rows of the smaller
+// child (already split off by splitRows) into their groups, then walks
+// the list once: a group's entry in the smaller child carries those
+// counts, and its entry in the larger child the rest; an empty entry is
+// left out. The larger child's list is written at the front of the
+// node's region, which the walk has always read past; the smaller
+// child's goes to the staging buffer. The walk zeroes the counters it
+// read. A child that is certainly a leaf gets no entries.
+func (b *groupBuilder) splitList(list []dataset.Group, a int, nd *groupNode, small int, rows []int32) [2][]dataset.Group {
+	count, rg, cls := b.sc.count, b.rowGroup[a], b.cls
+	for _, r := range rows {
+		count[rg[r]] += 1<<32 | uint64(cls[r])
+	}
+	large := 1 - small
+	ds, dl := b.sc.tmp[:0], b.sc.slab[a][nd.glo:nd.glo]
+	keepSmall, keepLarge := !b.leaves[small], !b.leaves[large]
+	for _, g := range list {
+		c := count[g.ID]
+		if c != 0 {
+			count[g.ID] = 0
+			if keepSmall {
+				ds = append(ds, dataset.Group{ID: g.ID, Run: g.Run, N: int32(c >> 32), Ones: int32(uint32(c))})
 			}
+			g.N -= int32(c >> 32)
+			g.Ones -= int32(uint32(c))
+		}
+		if keepLarge && g.N > 0 {
+			dl = append(dl, g)
 		}
 	}
+	var lists [2][]dataset.Group
+	lists[small], lists[large] = ds, dl
+	return lists
 }
 
 // selectSplit applies C4.5's rule: among candidates whose gain is at

@@ -30,7 +30,7 @@ func treesEqual(a, b *Node) bool {
 }
 
 // TestFastMatchesGeneral verifies the optimisation is behaviour-
-// preserving: FitTree (the store-backed counting builder) and the
+// preserving: FitTree (the store-backed group builder) and the
 // general builder must produce identical trees.
 func TestFastMatchesGeneral(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -128,7 +128,8 @@ func fitTreeCase(data []byte) *dataset.Dataset {
 // float64 bit patterns (±0, ±Inf, the ±1e308 clamps, subnormals, long
 // equal runs): the same tree, node for node, distributions included, up to the sign of a zero
 // threshold, which the two builders' unstable sorts may pick
-// differently.
+// differently. A three-class case must be refused, as the builder
+// counts two classes; the general builder still grows its tree.
 func FuzzFitTree(f *testing.F) {
 	row := func(class byte, vs ...float64) []byte {
 		b := []byte{class}
@@ -166,11 +167,18 @@ func FuzzFitTree(f *testing.F) {
 		if d == nil {
 			return
 		}
+		want := fitGeneral(d)
 		got, err := (Learner{}).FitTree(d)
+		if len(d.ClassValues) > maxClasses {
+			if err != errTooManyClasses {
+				t.Fatalf("%d classes: err = %v, want a refusal", len(d.ClassValues), err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameTreeUpToZeroSign(got.Root, fitGeneral(d)) {
+		if !sameTreeUpToZeroSign(got.Root, want) {
 			t.Fatalf("FitTree differs from the general builder\n%s", got)
 		}
 	})
@@ -196,17 +204,18 @@ func BenchmarkGeneralInduction(b *testing.B) {
 	}
 }
 
-// numericSplitFullScan is the pre-boundary-point numericSplit over
-// float weights, kept as the oracle: it scores every distinct-value cut
-// that passes minLeaf, adding each row's weight of 1 in sorted order.
-func (fb *fastBuilder) numericSplitFullScan(sorted []int32, attr int, dist []float64, baseEntropy float64, out *split) bool {
+// numericSplitFullScan is the split scan over sorted rows that scores
+// every distinct-value cut, kept as the oracle of the group builder's
+// scan: it adds each row's weight of 1 in sorted order and scores every
+// cut that passes minLeaf.
+func (b *groupBuilder) numericSplitFullScan(sorted []int32, attr int, dist []float64, baseEntropy float64, out *split) bool {
 	if len(sorted) < 2 {
 		return false
 	}
-	col := fb.cols[attr]
+	col := b.cols[attr]
 	totalW := sum(dist)
 
-	left := make([]float64, fb.nClasses)
+	left := make([]float64, b.nClasses)
 	right := append([]float64(nil), dist...)
 
 	var (
@@ -218,7 +227,7 @@ func (fb *fastBuilder) numericSplitFullScan(sorted []int32, attr int, dist []flo
 	)
 	for i := 0; i < len(sorted)-1; i++ {
 		r := sorted[i]
-		c := fb.cls[r]
+		c := b.cls[r]
 		left[c]++
 		right[c]--
 		leftW++
@@ -258,60 +267,80 @@ func (fb *fastBuilder) numericSplitFullScan(sorted []int32, attr int, dist []flo
 
 // classDist counts the classes of rows as float64s, the distribution
 // the builder keeps for a node.
-func (fb *fastBuilder) classDist(rows []int32) []float64 {
-	dist := make([]float64, fb.nClasses)
+func (b *groupBuilder) classDist(rows []int32) []float64 {
+	dist := make([]float64, b.nClasses)
 	for _, r := range rows {
-		dist[fb.cls[r]]++
+		dist[b.cls[r]]++
 	}
 	return dist
+}
+
+// classOnes is the class-1 count of a distribution.
+func classOnes(dist []float64) int {
+	if len(dist) < 2 {
+		return 0
+	}
+	return int(dist[1])
+}
+
+// groupOrder expands attribute a's group list of v into an ascending
+// row order: the view's rows, duplicates included, group by group in
+// list order, and in row-list order within a group.
+func groupOrder(v *dataset.View, a int) []int32 {
+	rg := v.RowGroups()[a]
+	byGroup := make(map[int32][]int32)
+	for _, r := range v.Rows() {
+		byGroup[rg[r]] = append(byGroup[rg[r]], r)
+	}
+	var order []int32
+	for _, g := range v.Groups()[a] {
+		order = append(order, byGroup[g.ID]...)
+	}
+	return order
 }
 
 // splitValues is the value pool of splitCase: duplicates, both zeros
 // and both infinities.
 var splitValues = []float64{math.Inf(-1), -2, -1, math.Copysign(0, -1), 0, 0.5, 1, 2, 3, 4, 5, 7, math.Inf(1)}
 
-// splitCase decodes bytes into a one-attribute store and a builder on
-// its identity view. data[0] picks the class count (2 or 3); data[1] is
-// skipped. Each further byte pair is one row: a value from
-// splitValues, and a class that follows the value (long same-class
+// splitCase decodes bytes into a one-attribute, two-class store. data[0]
+// and data[1] are skipped. Each further byte pair is one row: a value
+// from splitValues, and a class that follows the value (long same-class
 // runs) or is free (mixed value groups).
-func splitCase(data []byte) (fb *fastBuilder, v *dataset.View) {
+func splitCase(data []byte) *dataset.Store {
 	if len(data) < 6 {
-		return nil, nil
+		return nil
 	}
-	nClasses := 2 + int(data[0]%2)
 	rows := data[2:]
 	if len(rows) > 128 {
 		rows = rows[:128]
 	}
-	classes := []string{"c0", "c1", "c2"}[:nClasses]
-	d := dataset.New("split", []dataset.Attribute{dataset.NumericAttr("x")}, classes)
+	d := dataset.New("split", []dataset.Attribute{dataset.NumericAttr("x")}, []string{"c0", "c1"})
 	for i := 0; i+1 < len(rows); i += 2 {
 		vi := int(rows[i]) % len(splitValues)
 		cb := rows[i+1]
-		class := vi * nClasses / len(splitValues)
+		class := vi * 2 / len(splitValues)
 		if cb&0x80 != 0 {
-			class = int(cb) % nClasses
+			class = int(cb) % 2
 		}
 		d.MustAdd(dataset.Instance{Values: []float64{splitValues[vi]}, Class: class, Weight: 1})
 	}
-	v = dataset.NewStore(d, nil).IdentityView()
-	return newViewBuilder(v, new(buildScratch)), v
+	return dataset.NewStore(d, nil)
 }
 
-// checkNumericSplit runs the kernel and the full-scan oracle on one node
-// and requires the same ok and the same split, bit for bit.
-func checkNumericSplit(t *testing.T, fb *fastBuilder, sorted []int32) {
+// checkScan runs the group scan on a node holding all of v's rows and
+// the full-scan oracle on the same rows in sorted order, and requires
+// the same ok and the same split, bit for bit, with the left side's
+// class-1 rows and groups counted right.
+func checkScan(t *testing.T, v *dataset.View) {
 	t.Helper()
-	dist := fb.classDist(sorted)
-	total := make([]int, len(dist))
-	for c, w := range dist {
-		total[c] = int(w)
-	}
+	b := newViewBuilder(v, new(buildScratch))
+	list, sorted := v.Groups()[0], groupOrder(v, 0)
+	dist := b.classDist(sorted)
 	base := entropy(dist)
 	var got, want split
-	gotOK := fb.numericSplit(sorted, 0, total, base, &got)
-	wantOK := fb.numericSplitFullScan(sorted, 0, dist, base, &want)
+	gotOK := b.scan(list, 0, len(sorted), classOnes(dist), base, &got)
+	wantOK := b.numericSplitFullScan(sorted, 0, dist, base, &want)
 	if gotOK != wantOK {
 		t.Fatalf("ok = %v, full scan %v (n=%d)", gotOK, wantOK, len(sorted))
 	}
@@ -324,18 +353,39 @@ func checkNumericSplit(t *testing.T, fb *fastBuilder, sorted []int32) {
 		math.Float64bits(got.gainRatio) != math.Float64bits(want.gainRatio) {
 		t.Fatalf("split %+v, full scan %+v (n=%d)", got, want, len(sorted))
 	}
-	left := fb.classDist(sorted[:got.leftN])
-	for c := range left {
-		if float64(fb.bestLeft[c]) != left[c] {
-			t.Fatalf("left counts %v, want %v", fb.bestLeft[:len(left)], left)
-		}
+	if ones := classOnes(b.classDist(sorted[:got.leftN])); got.leftOnes != ones {
+		t.Fatalf("left class-1 rows %d, want %d", got.leftOnes, ones)
+	}
+	n := 0
+	for _, g := range list[:got.leftGroups] {
+		n += int(g.N)
+	}
+	if n != got.leftN {
+		t.Fatalf("left groups hold %d rows, want %d", n, got.leftN)
 	}
 }
 
-// TestNumericSplitMatchesFullScan pins the boundary-point counting scan
-// to the full float scan on random nodes: mixed-class value groups,
-// long same-class runs, ±0 and ±Inf, two and three classes, and n from
-// 2 up, so the minLeaf gate cuts into runs at both ends.
+// checkScanAndHalf checks the scan on the store's identity view and on
+// the select view of its even rows, a child-shaped node whose groups
+// keep part of their rows.
+func checkScanAndHalf(t *testing.T, st *dataset.Store) {
+	t.Helper()
+	checkScan(t, st.IdentityView())
+	var half []int32
+	for r := range st.Classes() {
+		if r%2 == 0 {
+			half = append(half, int32(r))
+		}
+	}
+	if len(half) > 0 {
+		checkScan(t, st.SelectView(half))
+	}
+}
+
+// TestNumericSplitMatchesFullScan pins the group builder's
+// boundary-point skip-scan to the full float scan on random nodes:
+// mixed-class value groups, long same-class runs, ±0 and ±Inf, and n
+// from 2 up, so the minLeaf gate cuts into runs at both ends.
 func TestNumericSplitMatchesFullScan(t *testing.T) {
 	rng := stats.NewRNG(16)
 	for iter := 0; iter < 20000; iter++ {
@@ -343,19 +393,7 @@ func TestNumericSplitMatchesFullScan(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.Intn(256))
 		}
-		fb, v := splitCase(data)
-		sorted := v.Sorted()[0]
-		checkNumericSplit(t, fb, sorted)
-		// A child node: every other row, in the parent's sorted order.
-		var half []int32
-		for _, r := range sorted {
-			if r%2 == 0 {
-				half = append(half, r)
-			}
-		}
-		if len(half) > 0 {
-			checkNumericSplit(t, fb, half)
-		}
+		checkScanAndHalf(t, splitCase(data))
 	}
 }
 
@@ -364,34 +402,34 @@ func FuzzNumericSplit(f *testing.F) {
 	f.Add([]byte{9, 1, 0, 0, 1, 0, 12, 0xff, 12, 0x80, 3, 0x85, 4, 0x86})
 	f.Add([]byte{5, 1, 3, 0x80, 4, 0x81, 3, 0x81, 4, 0x80, 7, 0x12, 8, 0x34})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if fb, v := splitCase(data); fb != nil {
-			checkNumericSplit(t, fb, v.Sorted()[0])
+		if st := splitCase(data); st != nil {
+			checkScanAndHalf(t, st)
 		}
 	})
 }
 
 // TestNumericSplitScoresOnlyBoundaries proves the skip: on 50 rows of
-// class 0 then 50 of class 1, all values distinct, the kernel scores
-// only the first feasible cut, the one boundary point and the last
-// feasible cut, where the full scan scores 97.
+// class 0 then 50 of class 1, all values distinct, the scan scores only
+// the first feasible cut, the one boundary point and the last feasible
+// cut, where the full scan scores 97.
 func TestNumericSplitScoresOnlyBoundaries(t *testing.T) {
 	d := dataset.New("runs", []dataset.Attribute{dataset.NumericAttr("x")}, []string{"neg", "pos"})
 	for i := 0; i < 100; i++ {
 		d.MustAdd(dataset.Instance{Values: []float64{float64(i)}, Class: i / 50, Weight: 1})
 	}
 	v := dataset.NewStore(d, nil).IdentityView()
-	fb := newViewBuilder(v, new(buildScratch))
+	b := newViewBuilder(v, new(buildScratch))
 	var s split
-	if !fb.numericSplit(v.Sorted()[0], 0, []int{50, 50}, 1, &s) {
+	if !b.scan(v.Groups()[0], 0, 100, 50, 1, &s) {
 		t.Fatal("no split found")
 	}
-	if s.threshold != 49 || s.leftN != 50 {
-		t.Errorf("threshold %v leftN %d, want 49 and 50", s.threshold, s.leftN)
+	if s.threshold != 49 || s.leftN != 50 || s.leftOnes != 0 || s.leftGroups != 50 {
+		t.Errorf("threshold %v leftN %d leftOnes %d leftGroups %d, want 49, 50, 0 and 50", s.threshold, s.leftN, s.leftOnes, s.leftGroups)
 	}
-	if fb.scored > 3 {
-		t.Errorf("scored %d cuts, want at most 3", fb.scored)
+	if b.scored > 3 {
+		t.Errorf("scored %d cuts, want at most 3", b.scored)
 	}
-	checkNumericSplit(t, fb, v.Sorted()[0])
+	checkScan(t, v)
 }
 
 // TestNumericSplitConstantNode: a node whose attribute holds one value
@@ -402,76 +440,50 @@ func TestNumericSplitConstantNode(t *testing.T) {
 		d.MustAdd(dataset.Instance{Values: []float64{math.Copysign(0, float64(i%2)-0.5)}, Class: i % 2, Weight: 1})
 	}
 	v := dataset.NewStore(d, nil).IdentityView()
-	fb := newViewBuilder(v, new(buildScratch))
+	if len(v.Groups()[0]) < 2 {
+		t.Fatalf("%d groups; the zeros must alternate", len(v.Groups()[0]))
+	}
+	b := newViewBuilder(v, new(buildScratch))
 	var s split
-	if fb.numericSplit(v.Sorted()[0], 0, []int{10, 10}, 1, &s) || fb.scored != 0 {
-		t.Fatalf("constant attribute split (scored %d)", fb.scored)
+	if b.scan(v.Groups()[0], 0, 20, 10, 1, &s) || b.scored != 0 {
+		t.Fatalf("constant attribute split (scored %d)", b.scored)
 	}
 }
 
-// partitionArena is the count-then-fill partition the builder used
-// before the ping-pong buffers, kept as the oracle: every child's row
-// list (returned beside the children) and per-attribute order are
-// carved out of a fresh arena per node, re-testing the split once per
-// row and attribute, and every child's distribution is counted from
-// its rows.
-func (fb *fastBuilder) partitionArena(nd *fastNode, s *split, rows []int32) ([]fastNode, [][]int32) {
-	const nBranches = 2
-	col := fb.cols[s.attr]
-	branchOf := func(r int32) int {
-		if col[r] <= s.threshold {
-			return 0
-		}
-		return 1
-	}
-
-	counts := make([]int, nBranches)
+// partitionArena is the partition oracle: it splits the node's rows
+// into fresh per-child slices by re-testing the split on every row, and
+// regroups each child from scratch, counting every one of its rows into
+// fresh per-group counts and walking the node's lists, with no
+// smaller-child subtraction, no shared list buffer and no in-place row
+// split. Every child's distribution is counted from its rows.
+func (b *groupBuilder) partitionArena(nd *groupNode, s *split, rows []int32) ([]groupNode, [][]int32) {
+	col := b.cols[s.attr]
+	childRows := make([][]int32, 2)
 	for _, r := range rows {
-		counts[branchOf(r)]++
-	}
-	starts := make([]int, nBranches)
-	off := 0
-	for b := range counts {
-		starts[b] = off
-		off += counts[b]
-	}
-
-	n := nd.n
-	nAttrs := len(fb.attrs)
-	arena := make([]int32, n*(1+nAttrs))
-	hdrs := make([][]int32, nBranches*nAttrs)
-	nodes := make([]fastNode, nBranches)
-	childRows := make([][]int32, nBranches)
-
-	rowsArena := arena[:n]
-	for b := range nodes {
-		nodes[b].n = counts[b]
-		childRows[b] = rowsArena[starts[b] : starts[b]+counts[b]]
-		nodes[b].sorted = hdrs[b*nAttrs : (b+1)*nAttrs]
-	}
-	fill := make([]int, nBranches)
-	copy(fill, starts)
-	for _, r := range rows {
-		b := branchOf(r)
-		rowsArena[fill[b]] = r
-		fill[b]++
-	}
-	for b := range nodes {
-		nodes[b].dist = fb.classDist(childRows[b])
-	}
-
-	slabOff := n
-	for a := 0; a < nAttrs; a++ {
-		slab := arena[slabOff : slabOff+n]
-		slabOff += n
-		copy(fill, starts)
-		for _, r := range nd.order(a) {
-			b := branchOf(r)
-			slab[fill[b]] = r
-			fill[b]++
+		k := 0
+		if col[r] > s.threshold {
+			k = 1
 		}
-		for b := range nodes {
-			nodes[b].sorted[a] = slab[starts[b] : starts[b]+counts[b]]
+		childRows[k] = append(childRows[k], r)
+	}
+	nodes := make([]groupNode, 2)
+	for k := range nodes {
+		dist := b.classDist(childRows[k])
+		nodes[k] = groupNode{n: len(childRows[k]), ones: classOnes(dist), dist: dist, groups: make([][]dataset.Group, len(b.attrs))}
+		for a := range b.attrs {
+			counts := make(map[int32]dataset.Group)
+			for _, r := range childRows[k] {
+				id := b.rowGroup[a][r]
+				c := counts[id]
+				c.N++
+				c.Ones += int32(b.cls[r])
+				counts[id] = c
+			}
+			for _, g := range nd.groups[a] {
+				if c := counts[g.ID]; c.N > 0 {
+					nodes[k].groups[a] = append(nodes[k].groups[a], dataset.Group{ID: g.ID, Run: g.Run, N: c.N, Ones: c.Ones})
+				}
+			}
 		}
 	}
 	return nodes, childRows
@@ -479,45 +491,38 @@ func (fb *fastBuilder) partitionArena(nd *fastNode, s *split, rows []int32) ([]f
 
 // buildArena is build with partitionArena in place of partition; rows
 // is the node's row list.
-func (fb *fastBuilder) buildArena(nd *fastNode, rows []int32, depthSoFar int) *Node {
+func (b *groupBuilder) buildArena(nd *groupNode, rows []int32) *Node {
 	node := &Node{Attr: -1, Dist: nd.dist, Class: argmax(nd.dist)}
 	if certainLeaf(nd.n, nd.dist) {
 		return node
 	}
-	best := fb.bestSplit(nd)
+	best := b.bestSplit(nd)
 	if best == nil {
 		return node
 	}
-	children, childRows := fb.partitionArena(nd, best, rows)
-	strong := 0
+	children, childRows := b.partitionArena(nd, best, rows)
 	for i := range children {
-		if children[i].n >= minLeaf {
-			strong++
+		if children[i].n < minLeaf {
+			return node
 		}
-	}
-	if strong < 2 {
-		return node
 	}
 	node.Attr = best.attr
 	node.Threshold = best.threshold
 	node.Children = make([]*Node, len(children))
 	for i := range children {
-		if children[i].n == 0 {
-			node.Children[i] = &Node{Attr: -1, Dist: make([]float64, fb.nClasses), Class: node.Class}
-			continue
-		}
-		node.Children[i] = fb.buildArena(&children[i], childRows[i], depthSoFar+1)
+		node.Children[i] = b.buildArena(&children[i], childRows[i])
 	}
 	return node
 }
 
 // growArena grows the oracle's unpruned tree for a view, as grow does
-// with ping-pong partitioning. The root's rows are the view's own, in
-// instance order.
+// with the smaller-child partition. The root's rows are the view's own,
+// in instance order.
 func growArena(v *dataset.View) *Node {
-	fb := newViewBuilder(v, new(buildScratch))
+	b := newViewBuilder(v, new(buildScratch))
 	rows := v.Rows()
-	return fb.buildArena(&fastNode{n: len(rows), dist: fb.classDist(rows), sorted: v.Sorted()}, rows, 0)
+	dist := b.classDist(rows)
+	return b.buildArena(&groupNode{n: len(rows), ones: classOnes(dist), dist: dist, groups: v.Groups()}, rows)
 }
 
 // partitionViews builds the view shapes the refinement grid trains on
@@ -538,7 +543,7 @@ func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 			for a := range vs {
 				vs[a] += 0.001 * float64(i%5)
 			}
-			syn = append(syn, dataset.Synthetic{Values: vs, Class: in.Class})
+			syn = append(syn, dataset.Synthetic{Values: vs, Class: in.Class, Seed: i})
 		}
 	}
 	return map[string]*dataset.View{
@@ -548,15 +553,15 @@ func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 	}
 }
 
-// checkPartition grows the view's unpruned tree with ping-pong
-// partitioning on fresh scratch and with the arena oracle, requiring
-// the same tree, and returns its depth. Pruning reads only the grown
-// tree, so equal grown trees prune alike.
+// checkPartition grows the view's unpruned tree with the smaller-child
+// partition on fresh scratch and with the arena oracle, requiring the
+// same tree, and returns its depth. Pruning reads only the grown tree,
+// so equal grown trees prune alike.
 func checkPartition(t *testing.T, name string, v *dataset.View) int {
 	t.Helper()
 	got := grow(v, new(buildScratch))
 	if !nodesEqual(got, growArena(v)) {
-		t.Fatalf("%s: ping-pong and arena trees differ", name)
+		t.Fatalf("%s: group and arena trees differ", name)
 	}
 	return depth(got)
 }
@@ -601,10 +606,10 @@ func signedZeroDataset(n int, seed uint64) *dataset.Dataset {
 	return d
 }
 
-// TestPartitionMatchesArena pins ping-pong partitioning to the arena
-// oracle on whole trees, node for node: ±0 thresholds and duplicates,
-// very unbalanced chains, and trees deep enough that both ping-pong
-// buffers are written and overwritten several times.
+// TestPartitionMatchesArena pins the smaller-child partition to the
+// arena oracle on whole trees, node for node: ±0 thresholds and
+// duplicates, very unbalanced chains, and trees deep enough that the
+// list buffer's regions are written and overwritten several times.
 func TestPartitionMatchesArena(t *testing.T) {
 	cases := map[string]*dataset.Dataset{
 		"mixed": mixedDataset(600, 1),

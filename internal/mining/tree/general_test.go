@@ -8,11 +8,11 @@ import (
 )
 
 // This file keeps the general C4.5 builder as the induction oracle of
-// the counting builder. It is the textbook algorithm over instance
+// the group builder. It is the textbook algorithm over instance
 // rows: each node re-sorts its rows per attribute and sums float
 // weights (every weight is 1 in the training domain, DESIGN.md §10),
 // and partition copies rows into fresh per-branch slices. It shares
-// only selectSplit, splitInfo, entropy and pruning with the counting
+// only selectSplit, splitInfo, entropy and pruning with the group
 // builder, and must induce the same tree as FitTree, bit for bit.
 
 // fitGeneral grows and prunes a tree with the general builder.

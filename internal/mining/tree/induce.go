@@ -26,9 +26,9 @@ type Learner struct{}
 // ErrEmptyTraining is returned when the training set has no instances.
 var ErrEmptyTraining = errors.New("tree: empty training set")
 
-// errTooManyClasses is returned for a class domain the builder's
-// one-byte class array cannot hold.
-var errTooManyClasses = fmt.Errorf("tree: more than %d classes", maxFastClasses)
+// errTooManyClasses is returned for a class domain wider than the
+// builder's two classes.
+var errTooManyClasses = fmt.Errorf("tree: more than %d classes", maxClasses)
 
 // FitTree induces a tree and returns it with its concrete type, for
 // callers that need predicate extraction or rendering. The dataset is
@@ -53,18 +53,18 @@ func (l Learner) FitView(v *dataset.View) (mining.Classifier, error) {
 
 var _ mining.Learner = Learner{}
 
-// FitTreeView induces a tree from a columnar dataset.View. The counting
-// builder starts directly on the view's pre-merged sort orders — no
-// column build, no root sort. A view of more than maxFastClasses
-// classes is refused with an error. The view's arrays are
-// only read, so one view may feed many concurrent FitTreeView calls.
-// The builder's partition memory is taken from a pool and returned
-// once the tree is grown; the tree keeps none of it.
+// FitTreeView induces a tree from a columnar dataset.View. The group
+// builder starts directly on the view's group lists — no column build,
+// no sort, no grouping. A view of more than maxClasses classes is
+// refused with an error. The view's arrays are only read, so one view
+// may feed many concurrent FitTreeView calls. The builder's partition
+// memory is taken from a pool and returned once the tree is grown; the
+// tree keeps none of it.
 func (l Learner) FitTreeView(v *dataset.View) (*Tree, error) {
 	if v.Len() == 0 {
 		return nil, ErrEmptyTraining
 	}
-	if len(v.ClassValues()) > maxFastClasses {
+	if len(v.ClassValues()) > maxClasses {
 		return nil, errTooManyClasses
 	}
 	sc := scratchPool.Get().(*buildScratch)
@@ -79,7 +79,10 @@ type split struct {
 	threshold float64
 	gain      float64
 	gainRatio float64
-	leftN     int // counting builder only: rows at or below threshold
+	// Group builder only: the rows at or below threshold, how many of
+	// them are in class 1, and how many groups of the split attribute's
+	// list they fill.
+	leftN, leftOnes, leftGroups int
 }
 
 // splitInfo is the entropy of the branch size distribution, the

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -29,29 +30,71 @@ func sameTreeUpToZeroSign(a, b *Node) bool {
 	return true
 }
 
-// growPermuted grows the unpruned tree of a view whose every order has
-// been shuffled inside each run of equal values: another order the
-// view contract allows.
+// growPermuted grows the unpruned tree of a view from group lists
+// rebuilt out of another order the view contract allows: every
+// attribute's rows in ascending order with every run of == values
+// shuffled (a row's duplicates stay together), then regrouped into
+// maximal runs of bit-identical values. Only a run mixing -0 and +0
+// regroups differently.
 func growPermuted(v *dataset.View, rng *stats.RNG) *Node {
-	fb := newViewBuilder(v, new(buildScratch))
-	root := fb.root(v)
-	sorted := make([][]int32, len(v.Sorted()))
-	for a, ord := range v.Sorted() {
-		ord = append([]int32(nil), ord...)
+	b := newViewBuilder(v, new(buildScratch))
+	root := b.root(v)
+	nAttrs := len(v.Attrs())
+	root.groups = make([][]dataset.Group, nAttrs)
+	b.rowGroup = make([][]int32, nAttrs)
+	b.groupVal = make([][]float64, nAttrs)
+	times := make(map[int32]int32)
+	for _, r := range v.Rows() {
+		times[r]++
+	}
+	nIDs := 0
+	for a := range v.Attrs() {
 		col := v.Cols()[a]
-		for i := 0; i < len(ord); {
+		var distinct []int32
+		seen := make(map[int32]bool)
+		for _, r := range groupOrder(v, a) {
+			if !seen[r] {
+				seen[r] = true
+				distinct = append(distinct, r)
+			}
+		}
+		for i := 0; i < len(distinct); {
 			e := i + 1
-			for e < len(ord) && col[ord[e]] == col[ord[i]] {
+			for e < len(distinct) && col[distinct[e]] == col[distinct[i]] {
 				e++
 			}
-			group := ord[i:e]
-			rng.Shuffle(len(group), func(x, y int) { group[x], group[y] = group[y], group[x] })
+			run := distinct[i:e]
+			rng.Shuffle(len(run), func(x, y int) { run[x], run[y] = run[y], run[x] })
 			i = e
 		}
-		sorted[a] = ord
+		rg := make([]int32, len(col))
+		var list []dataset.Group
+		var vals []float64
+		for _, r := range distinct {
+			x := col[r]
+			k := len(list)
+			if k == 0 || math.Float64bits(vals[k-1]) != math.Float64bits(x) {
+				g := dataset.Group{ID: int32(k)}
+				if k > 0 {
+					g.Run = list[k-1].Run
+					if vals[k-1] != x {
+						g.Run++
+					}
+				}
+				list = append(list, g)
+				vals = append(vals, x)
+				k++
+			}
+			g := &list[k-1]
+			g.N += times[r]
+			g.Ones += times[r] * int32(b.cls[r])
+			rg[r] = g.ID
+		}
+		root.groups[a], b.rowGroup[a], b.groupVal[a] = list, rg, vals
+		nIDs = max(nIDs, len(vals))
 	}
-	root.sorted = sorted
-	return fb.build(root, 0)
+	b.sc.count = make([]uint64, nIDs)
+	return b.build(root, 0)
 }
 
 // tieViews builds random unit-weight views from one seed: an identity,
@@ -62,12 +105,11 @@ func growPermuted(v *dataset.View, rng *stats.RNG) *Node {
 func tieViews(seed uint64) []*dataset.View {
 	pool := []float64{math.Inf(-1), -3, -1, math.Copysign(0, -1), 0, 0.5, 1, 2, 4, math.Inf(1)}
 	rng := stats.NewRNG(seed)
-	nClasses := 2 + rng.Intn(2)
 	attrs := []dataset.Attribute{dataset.NumericAttr("x"), dataset.NumericAttr("y"), dataset.NumericAttr("z")}
 	if rng.Intn(2) == 0 {
 		attrs = append(attrs, dataset.NumericAttr("m"))
 	}
-	d := dataset.New("ties", attrs, []string{"c0", "c1", "c2"}[:nClasses])
+	d := dataset.New("ties", attrs, []string{"c0", "c1"})
 	n := 20 + rng.Intn(200)
 	for i := 0; i < n; i++ {
 		vs := make([]float64, len(attrs))
@@ -82,7 +124,7 @@ func tieViews(seed uint64) []*dataset.View {
 			class = 1
 		}
 		if rng.Intn(5) == 0 {
-			class = rng.Intn(nClasses)
+			class = rng.Intn(2)
 		}
 		d.MustAdd(dataset.Instance{Values: vs, Class: class, Weight: 1})
 	}
@@ -108,13 +150,14 @@ func tieViews(seed uint64) []*dataset.View {
 	return []*dataset.View{st.IdentityView(), st.RepeatView(extra), st.ExtendView(syn)}
 }
 
-// TestTreeIgnoresTieOrder is the proof obligation behind the counting
+// TestTreeIgnoresTieOrder is the proof obligation behind the group
 // builder and the extend view's tie placement: on unit-weight views,
 // the order of rows inside a run of equal values cannot change a tree's
-// structure, distributions or verdicts. Shuffling every run of every
-// attribute's order must grow the same tree by bits, except thresholds
-// that differ only in the sign of zero; pruning reads only the grown
-// tree, so the pruned trees then agree as well.
+// structure, distributions or verdicts. Group lists rebuilt from a
+// shuffle of every run of every attribute's order must grow the same
+// tree by bits, except thresholds that differ only in the sign of zero;
+// pruning reads only the grown tree, so the pruned trees then agree as
+// well.
 func TestTreeIgnoresTieOrder(t *testing.T) {
 	rng := stats.NewRNG(41)
 	signFlips := 0
@@ -135,5 +178,106 @@ func TestTreeIgnoresTieOrder(t *testing.T) {
 	// The shuffles must reach the one thing they may change.
 	if signFlips == 0 {
 		t.Fatal("no shuffle moved a threshold between -0 and +0")
+	}
+}
+
+// zeroThresholds lists the thresholds of a tree's internal nodes in
+// preorder, by bits.
+func zeroThresholds(n *Node, out []uint64) []uint64 {
+	if n.IsLeaf() {
+		return out
+	}
+	out = append(out, math.Float64bits(n.Threshold))
+	for _, c := range n.Children {
+		out = zeroThresholds(c, out)
+	}
+	return out
+}
+
+// TestSignedZeroThresholds is the regression test of the group lists'
+// zero signs: a run of == values holding -0 and +0 rows interleaved is
+// several groups, and a node's threshold on it is the value of its last
+// group the node keeps. Keying groups on == instead of on bits records
+// the run's first sign instead. Views of at most twelve rows sort by
+// insertion, stably, in the store and in the general builder alike, so
+// every threshold must equal the general builder's on the materialised
+// view by bits, sign included.
+//
+// The crafted case splits on y first; its left child keeps the zero
+// rows 1 (+0), 2 (-0) and the synthetic row 9, a -0 tied to its +0
+// seed, so that child splits at -0, while the whole run ends with the
+// +0 synthetic row 10. The random cases mix both zeros in every
+// attribute, with synthetic rows that copy their seed's value or flip
+// the sign of its zero (a tied -0 against a +0 seed, and the reverse).
+func TestSignedZeroThresholds(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	check := func(name string, st *dataset.Store, syn []dataset.Synthetic) *Node {
+		t.Helper()
+		v := st.ExtendView(syn)
+		defer v.Release()
+		got, err := (Learner{}).FitTreeView(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fitGeneral(v.Materialize())
+		if !nodesEqual(got.Root, want) {
+			t.Fatalf("%s: thresholds %x, general builder %x", name, zeroThresholds(got.Root, nil), zeroThresholds(want, nil))
+		}
+		return got.Root
+	}
+
+	d := dataset.New("zeros", []dataset.Attribute{dataset.NumericAttr("x"), dataset.NumericAttr("y")}, []string{"neg", "pos"})
+	for _, r := range []struct {
+		x, y  float64
+		class int
+	}{{-1, 0, 0}, {0, 0, 0}, {negZero, 0, 0}, {1, 0, 1}, {1, 0, 1}, {0, 5, 1}, {negZero, 5, 1}, {-1, 0, 0}, {0, 5, 1}} {
+		d.MustAdd(dataset.Instance{Values: []float64{r.x, r.y}, Class: r.class, Weight: 1})
+	}
+	st := dataset.NewStore(d, nil)
+	root := check("crafted", st, []dataset.Synthetic{
+		{Values: []float64{negZero, 0}, Class: 0, Seed: 1},
+		{Values: []float64{0, 5}, Class: 1, Seed: 5},
+	})
+	if root.Attr != 1 || root.Children[0].Attr != 0 {
+		t.Fatalf("crafted tree splits on %d then %d, want y then x", root.Attr, root.Children[0].Attr)
+	}
+	if th := root.Children[0].Threshold; th != 0 || !math.Signbit(th) {
+		t.Fatalf("crafted child threshold %v (sign %v), want -0", th, math.Signbit(th))
+	}
+
+	rng := stats.NewRNG(43)
+	pool := []float64{-1, negZero, 0, negZero, 0, 1}
+	signs := [2]int{}
+	for iter := 0; iter < 3000; iter++ {
+		d := dataset.New("zeros", []dataset.Attribute{dataset.NumericAttr("x"), dataset.NumericAttr("y")}, []string{"neg", "pos"})
+		n := 4 + rng.Intn(6)
+		for i := 0; i < n; i++ {
+			x, y := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			class := rng.Intn(2)
+			if x == 0 && rng.Intn(3) > 0 {
+				class = 0
+			}
+			d.MustAdd(dataset.Instance{Values: []float64{x, y}, Class: class, Weight: 1})
+		}
+		syn := make([]dataset.Synthetic, rng.Intn(13-n))
+		for j := range syn {
+			seed := rng.Intn(n)
+			vs := append([]float64(nil), d.Instances[seed].Values...)
+			for a := range vs {
+				if vs[a] == 0 && rng.Intn(2) == 0 {
+					vs[a] = -vs[a]
+				}
+			}
+			syn[j] = dataset.Synthetic{Values: vs, Class: d.Instances[seed].Class, Seed: seed}
+		}
+		got := check(fmt.Sprintf("case %d", iter), dataset.NewStore(d, nil), syn)
+		for _, th := range zeroThresholds(got, nil) {
+			if math.Float64frombits(th) == 0 {
+				signs[th>>63]++
+			}
+		}
+	}
+	if signs[0] == 0 || signs[1] == 0 {
+		t.Fatalf("zero thresholds by sign %v: the cases must reach both", signs)
 	}
 }

@@ -14,7 +14,7 @@
 // pooled partition scratch, so concurrent fits from fold and grid
 // workers never share mutable state; a fitted *Node tree is immutable
 // and safe for concurrent classification. A fit reads the training
-// data without mutating it and may retain store-backed sorted orders
+// data without mutating it and may retain store-backed group lists
 // only for the duration of the call.
 package tree
 

@@ -93,9 +93,9 @@ func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 	}
 }
 
-// A class domain wider than a byte is refused, since the counting
-// builder keeps one class byte per row; one of exactly 256 classes
-// fits, and matches the general builder.
+// A class domain wider than two classes is refused, since the group
+// builder counts the rows of class 1 and infers class 0; one of exactly
+// two classes fits, and matches the general builder.
 func TestFitTreeViewRefusesManyClasses(t *testing.T) {
 	fit := func(nClasses int) (*Tree, *dataset.Dataset, error) {
 		classes := make([]string, nClasses)
@@ -111,18 +111,18 @@ func TestFitTreeViewRefusesManyClasses(t *testing.T) {
 		tr, err := (Learner{}).FitTreeView(dataset.NewStore(d, nil).IdentityView())
 		return tr, d, err
 	}
-	if _, _, err := fit(maxFastClasses + 1); err == nil || !strings.Contains(err.Error(), "more than 256 classes") {
-		t.Fatalf("257 classes: err = %v, want a refusal", err)
+	if _, _, err := fit(maxClasses + 1); err == nil || !strings.Contains(err.Error(), "more than 2 classes") {
+		t.Fatalf("3 classes: err = %v, want a refusal", err)
 	}
-	got, d, err := fit(maxFastClasses)
+	got, d, err := fit(maxClasses)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !nodesEqual(got.Root, fitGeneral(d)) {
-		t.Fatal("a 256-class view diverges from the general builder")
+		t.Fatal("a two-class view diverges from the general builder")
 	}
 	if got.Root.IsLeaf() {
-		t.Fatal("the 256-class tree must split")
+		t.Fatal("the two-class tree must split")
 	}
 }
 

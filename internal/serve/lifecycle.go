@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"edem/internal/lifecycle"
@@ -219,8 +220,9 @@ func (s *Server) LifecycleStatus() *LifecycleStatusResponse {
 // through the same panic-isolated batch path as serving, but without
 // touching breakers, admission or the request deadline — mirror
 // pressure must never shed or trip the serving path. ok is false on
-// arity mismatch or evaluation failure.
-func (s *Server) evalMirror(st *bundleState, detID string, samples []Sample) (verdicts []bool, ok bool) {
+// arity mismatch or evaluation failure. The verdicts reuse dst's memory
+// when it has room.
+func (s *Server) evalMirror(st *bundleState, detID string, samples []Sample, dst []bool) (verdicts []bool, ok bool) {
 	det := st.dets[detID]
 	if det == nil {
 		return nil, false
@@ -228,9 +230,19 @@ func (s *Server) evalMirror(st *bundleState, detID string, samples []Sample) (ve
 	if len(samples) > 0 && len(samples[0]) != len(det.entry.Predicate.Vars) {
 		return nil, false
 	}
-	verdicts, err := evalBatch(context.Background(), det.eval, samples)
+	verdicts, err := evalBatch(context.Background(), det.eval, samples, dst)
 	return verdicts, err == nil
 }
+
+// mirrorScratch is lifecyclePost's per-request memory: the request's
+// samples as the [][]float64 the monitor takes, and the mirror's
+// verdicts. The monitor keeps neither.
+type mirrorScratch struct {
+	samples  [][]float64
+	verdicts []bool
+}
+
+var mirrorScratches = sync.Pool{New: func() any { return new(mirrorScratch) }}
 
 // lifecyclePost runs after the response bytes are written: it mirrors
 // the evaluation onto the other bundle (when a candidate is loaded),
@@ -240,17 +252,27 @@ func (s *Server) evalMirror(st *bundleState, detID string, samples []Sample) (ve
 // everything it retains (journal records) is copied.
 func (s *Server) lifecyclePost(detID string, samples []Sample, servedV []bool,
 	servedSt, mirrorSt *bundleState, canaried bool) {
-	vals := make([][]float64, len(samples))
-	for i := range samples {
-		vals[i] = samples[i]
+	sc := mirrorScratches.Get().(*mirrorScratch)
+	vals := sc.samples[:0]
+	for _, x := range samples {
+		vals = append(vals, x)
 	}
+	defer func() {
+		clear(vals) // drop the pooled request buffers
+		sc.samples = vals[:0]
+		mirrorScratches.Put(sc)
+	}()
 	// The drift tracker must see the LIVE bundle's behaviour: the served
 	// verdicts when live served, the mirror's when a canary served. A
 	// failed mirror on a canaried request leaves no live verdicts to
 	// observe — that request contributes nothing to drift.
 	liveV, liveOK := servedV, !canaried
 	if mirrorSt != nil {
-		if mirrorV, ok := s.evalMirror(mirrorSt, detID, samples); ok {
+		mirrorV, ok := s.evalMirror(mirrorSt, detID, samples, sc.verdicts)
+		if mirrorV != nil {
+			sc.verdicts = mirrorV
+		}
+		if ok {
 			candV := servedV
 			liveGen, candGen := servedSt.gen, mirrorSt.gen
 			served := "live"

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -324,7 +325,7 @@ func (s *Server) evaluate(ctx context.Context, det *servedDetector, samples []Sa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return evalBatch(ctx, det.eval, samples)
+	return evalBatch(ctx, det.eval, samples, nil)
 }
 
 // evalBatch evaluates every sample on the calling goroutine with panic
@@ -332,14 +333,15 @@ func (s *Server) evaluate(ctx context.Context, det *servedDetector, samples []Sa
 // program eval is tens of nanoseconds and requests already evaluate
 // concurrently on their handler goroutines, so a batch is not spread
 // further. ctx is checked every evalCtxStride samples, so a deadline
-// still stops a large batch part-way.
-func evalBatch(ctx context.Context, eval func([]float64) bool, samples []Sample) (verdicts []bool, err error) {
+// still stops a large batch part-way. The verdicts reuse dst's memory
+// when it has room.
+func evalBatch(ctx context.Context, eval func([]float64) bool, samples []Sample, dst []bool) (verdicts []bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			verdicts, err = nil, fmt.Errorf("serve: evaluation panic: %v", r)
 		}
 	}()
-	verdicts = make([]bool, len(samples))
+	verdicts = slices.Grow(dst[:0], len(samples))[:len(samples)]
 	for i := range samples {
 		if i%evalCtxStride == 0 {
 			if err := ctx.Err(); err != nil {
