@@ -166,11 +166,11 @@ func TestCrossValidateTransformAppliedToTrainOnly(t *testing.T) {
 		{SamplingConfig{Kind: Oversampling, Percent: 100}, &oversampled},
 	} {
 		l := sizeRecorder{mu: &mu, sizes: run.sizes}
-		if _, err := crossValidate(context.Background(), l, d, []SamplingConfig{run.cfg}, cvOpts(10, 1)); err != nil {
+		if _, _, err := crossValidate(context.Background(), l, d, []SamplingConfig{run.cfg}, cvOpts(10, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := crossValidate(context.Background(), perfectLearner{&classified}, d,
+	if _, _, err := crossValidate(context.Background(), perfectLearner{&classified}, d,
 		[]SamplingConfig{{Kind: Oversampling, Percent: 100}}, cvOpts(10, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCrossValidateTransformAppliedToTrainOnly(t *testing.T) {
 func TestCrossValidateTransformError(t *testing.T) {
 	d := cvDataset(50, 5)
 	bad := []SamplingConfig{{Kind: Undersampling, Percent: -5}}
-	if _, err := crossValidate(context.Background(), stubLearner{}, d, bad, cvOpts(5, 0)); !errors.Is(err, sampling.ErrBadPercent) {
+	if _, _, err := crossValidate(context.Background(), stubLearner{}, d, bad, cvOpts(5, 0)); !errors.Is(err, sampling.ErrBadPercent) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -227,12 +227,12 @@ func TestCrossValidateWorkerCountInvariant(t *testing.T) {
 		d := cvDataset(150, seed)
 		opts := cvOpts(8, seed)
 		opts.Workers = 1
-		serial, err := crossValidate(context.Background(), tree.Learner{}, d, configs, opts)
+		serial, _, err := crossValidate(context.Background(), tree.Learner{}, d, configs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts.Workers = 8
-		par, err := crossValidate(context.Background(), tree.Learner{}, d, configs, opts)
+		par, _, err := crossValidate(context.Background(), tree.Learner{}, d, configs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,14 +282,14 @@ func TestCrossValidateViewPathMatchesInstancePath(t *testing.T) {
 func TestCrossValidateViewTransformMatchesTransform(t *testing.T) {
 	d := viewCVDataset(300, 43)
 	smote := []SamplingConfig{{Kind: Smote, Percent: 250, K: 3}}
-	want, err := crossValidate(context.Background(), materialised{}, d, smote, cvOpts(10, 43))
+	want, _, err := crossValidate(context.Background(), materialised{}, d, smote, cvOpts(10, 43))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
 		opts := cvOpts(10, 43)
 		opts.Workers = workers
-		got, err := crossValidate(context.Background(), tree.Learner{}, d, smote, opts)
+		got, _, err := crossValidate(context.Background(), tree.Learner{}, d, smote, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,10 +307,10 @@ func TestCrossValidateTransformReachesMaterialisedFit(t *testing.T) {
 	under := []SamplingConfig{{Kind: Undersampling, Percent: 60}}
 	var mu sync.Mutex
 	var viewSizes, fitSizes []int
-	if _, err := crossValidate(context.Background(), sizeRecorder{&mu, &viewSizes}, d, under, cvOpts(5, 47)); err != nil {
+	if _, _, err := crossValidate(context.Background(), sizeRecorder{&mu, &viewSizes}, d, under, cvOpts(5, 47)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := crossValidate(context.Background(), materialisedSizeRecorder{sizeRecorder{&mu, &fitSizes}}, d, under, cvOpts(5, 47)); err != nil {
+	if _, _, err := crossValidate(context.Background(), materialisedSizeRecorder{sizeRecorder{&mu, &fitSizes}}, d, under, cvOpts(5, 47)); err != nil {
 		t.Fatal(err)
 	}
 	sort.Ints(viewSizes)

@@ -58,7 +58,7 @@ func TestTransformThenFitTreeMatchesFinalFit(t *testing.T) {
 	}
 	for _, set := range sets {
 		for _, cfg := range cfgs {
-			tr, err := finalFit(set.d, cfg, opts)
+			tr, err := finalFit(set.d, cfg, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

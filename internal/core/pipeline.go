@@ -192,12 +192,12 @@ func RunMethodology(ctx context.Context, id string, grid []SamplingConfig, opts 
 // the final predicate. Step 3 is not cross-validated separately: it is
 // Refine's first column, the untouched configuration on the same folds.
 func RunMethodologyOn(ctx context.Context, id string, d *dataset.Dataset, failures int, grid []SamplingConfig, opts Options) (*Report, error) {
-	refined, err := Refine(ctx, d, grid, opts)
+	refined, whole, err := refine(ctx, d, grid, opts)
 	if err != nil {
 		return nil, err
 	}
 
-	t, err := finalFit(d, refined.Best, opts)
+	t, err := finalFit(d, refined.Best, whole, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: final fit %s: %w", id, err)
 	}
@@ -217,9 +217,18 @@ func RunMethodologyOn(ctx context.Context, id string, d *dataset.Dataset, failur
 }
 
 // finalFit trains the deployed model: the winning configuration's view
-// of the whole dataset, induced by C4.5.
-func finalFit(d *dataset.Dataset, cfg SamplingConfig, opts Options) (*tree.Tree, error) {
-	v, err := cfg.view(dataset.NewStore(d, nil), nil, stats.NewRNG(opts.Seed^0xfeed))
+// of the whole dataset, induced by C4.5. whole, when non-nil, is the
+// refinement's store of the whole dataset and its shared neighbour
+// search, which the fit reuses: the search's first K entries per row
+// are what a K-neighbour search of the whole dataset returns.
+func finalFit(d *dataset.Dataset, cfg SamplingConfig, whole *wholeShared, opts Options) (*tree.Tree, error) {
+	var ni *sampling.NeighborIndex
+	if whole == nil {
+		whole = &wholeShared{store: dataset.NewStore(d, nil)}
+	} else if whole.si != nil {
+		ni = whole.si.Whole()
+	}
+	v, err := cfg.view(whole.store, ni, stats.NewRNG(opts.Seed^0xfeed))
 	if err != nil {
 		return nil, fmt.Errorf("transform: %w", err)
 	}

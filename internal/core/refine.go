@@ -21,13 +21,20 @@ import (
 // than Step 3: Evaluated[0] is the untouched configuration, and its
 // result is Step 3's.
 func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts Options) (*RefineResult, error) {
+	res, _, err := refine(ctx, d, grid, opts)
+	return res, err
+}
+
+// refine is Refine, also returning the whole dataset's artifacts the
+// cross-validation built, which the final fit reuses.
+func refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts Options) (*RefineResult, *wholeShared, error) {
 	ctx, span := telemetry.StartSpan(ctx, "refine")
 	defer span.End()
 	full := append([]SamplingConfig{{Kind: NoSampling}}, grid...)
 	telemetry.FromContext(ctx).Counter("refine.grid_configs").Add(int64(len(full)))
-	cvs, err := crossValidate(ctx, DefaultLearner(), d, full, opts)
+	cvs, whole, err := crossValidate(ctx, DefaultLearner(), d, full, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	res := &RefineResult{}
@@ -44,7 +51,7 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 			res.BestCV = cv
 		}
 	}
-	return res, nil
+	return res, whole, nil
 }
 
 // CrossValidate runs stratified k-fold cross-validation of learner l on
@@ -55,7 +62,7 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 // Refine over the one NoSampling configuration, so with the default
 // learner it reproduces Refine's first column bit for bit.
 func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, opts Options) (*eval.CVResult, error) {
-	cvs, err := crossValidate(ctx, l, d, []SamplingConfig{{Kind: NoSampling}}, opts)
+	cvs, _, err := crossValidate(ctx, l, d, []SamplingConfig{{Kind: NoSampling}}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -70,21 +77,26 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, op
 //
 // It runs in two stages. First every fold's shared artifacts — its
 // training store (DESIGN.md §10) and, when the grid has SMOTE points,
-// the minority neighbour index over it — are built, one fold per task.
-// Then the cells run: the unit of scheduling is one (configuration,
-// fold) cell, so parallelism scales to configurations × folds workers
-// rather than stopping at the fold count, and no cell waits on another
-// cell's build. Results are bit-identical for any worker count: each
+// the minority neighbour index over it — are built. The stores are
+// built one fold per task, beside one more task that builds the whole
+// dataset's store and the shared neighbour search over it
+// (sampling.SharedIndex); then each fold whose spans are the whole
+// dataset's derives its index from the shared lists, and any other
+// fold searches its own. Then the cells run: the unit of scheduling is
+// one (configuration, fold) cell, so parallelism scales to
+// configurations × folds workers rather than stopping at the fold
+// count, and no cell waits on another cell's build. Results are bit-identical for any worker count: each
 // cell derives its RNG from the seed and its (fold, configuration)
 // grid indices alone — the configuration's position in configs, not
 // its value (ROADMAP item 11) — the fold artifacts are only read by
 // the cells, and the per-cell metrics are aggregated serially in fold
-// order.
-func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, configs []SamplingConfig, opts Options) ([]*eval.CVResult, error) {
+// order. The whole dataset's artifacts are returned for the final fit;
+// they are nil when the grid has no SMOTE point.
+func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, configs []SamplingConfig, opts Options) ([]*eval.CVResult, *wholeShared, error) {
 	rng := stats.NewRNG(opts.Seed)
 	folds, err := dataset.StratifiedKFold(d, opts.folds(), rng)
 	if err != nil {
-		return nil, fmt.Errorf("core: cross-validation folds: %w", err)
+		return nil, nil, fmt.Errorf("core: cross-validation folds: %w", err)
 	}
 
 	maxK := 0
@@ -106,21 +118,59 @@ func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, co
 	shared := make([]foldShared, len(folds))
 	storeBuilds := reg.Counter("refine.store_builds")
 	indexBuilds := reg.Counter("refine.index_builds")
+	sharedFolds := reg.Counter("refine.index_shared_folds")
+	rescans := reg.Counter("refine.index_rescans")
 	indexNS := reg.Histogram("refine.index_ns")
-	err = parallel.ForEach(ctx, len(folds), opts.Workers, func(fi int) error {
-		sh := &shared[fi]
-		sh.store = dataset.NewStore(d, folds[fi].Train)
-		storeBuilds.Inc()
-		if maxK > 0 {
-			start := time.Now()
-			sh.ni, sh.niErr = sampling.BuildViewIndex(sh.store, eval.PositiveClass, maxK)
-			indexNS.ObserveDuration(time.Since(start))
-			indexBuilds.Inc()
+	var whole *wholeShared
+	tasks := len(folds)
+	if maxK > 0 {
+		// The shared search is the longest task: task 0, so it starts
+		// first.
+		whole = new(wholeShared)
+		tasks++
+	}
+	err = parallel.ForEach(ctx, tasks, opts.Workers, func(t int) error {
+		if whole != nil {
+			if t == 0 {
+				whole.store = dataset.NewStore(d, nil)
+				storeBuilds.Inc()
+				start := time.Now()
+				whole.si, _ = sampling.BuildSharedIndex(whole.store, eval.PositiveClass, maxK)
+				indexNS.ObserveDuration(time.Since(start))
+				indexBuilds.Inc()
+				return nil
+			}
+			t--
 		}
+		shared[t].store = dataset.NewStore(d, folds[t].Train)
+		storeBuilds.Inc()
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if whole != nil {
+		// A fold without the whole dataset's spans, or a dataset whose
+		// shared search failed, searches its own store: that also
+		// reports the fold's error, if any.
+		err = parallel.ForEach(ctx, len(folds), opts.Workers, func(fi int) error {
+			sh := &shared[fi]
+			start := time.Now()
+			if si := whole.si; si != nil && si.Shares(sh.store) {
+				var n int
+				sh.ni, n, sh.niErr = si.FoldIndex(sh.store, folds[fi].Train)
+				sharedFolds.Inc()
+				rescans.Add(int64(n))
+			} else {
+				sh.ni, sh.niErr = sampling.BuildViewIndex(sh.store, eval.PositiveClass, maxK)
+				indexBuilds.Inc()
+			}
+			indexNS.ObserveDuration(time.Since(start))
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 
 	nCfg := len(configs)
@@ -140,7 +190,7 @@ func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, co
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	cvs := make([]*eval.CVResult, nCfg)
@@ -161,7 +211,7 @@ func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, co
 			VarAUC:   aucW.Variance(),
 		}
 	}
-	return cvs, nil
+	return cvs, whole, nil
 }
 
 // refineCell is one (configuration, fold) evaluation.
@@ -179,6 +229,16 @@ type foldShared struct {
 	store *dataset.Store
 	ni    *sampling.NeighborIndex
 	niErr error
+}
+
+// wholeShared holds the whole dataset's store and the shared neighbour
+// search over it, built beside the fold stores when the grid has SMOTE
+// points. The folds with the whole dataset's spans derive their
+// indexes from it, and the final fit trains on the store, with the
+// search's own lists. si is nil when the dataset has no minority row.
+type wholeShared struct {
+	store *dataset.Store
+	si    *sampling.SharedIndex
 }
 
 // refineCounters carries the cell loop's telemetry handles; the

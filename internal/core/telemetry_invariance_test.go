@@ -42,7 +42,8 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 		// Two undersampling points plus an oversampling and a SMOTE point,
 		// so the store/view/index counters (refine.store_builds,
 		// refine.cells_scored, refine.merge_synthetic_rows,
-		// refine.index_builds) all accumulate.
+		// refine.index_builds, refine.index_shared_folds) all
+		// accumulate.
 		grid := RefineGrid(false)
 		sub := append(grid[:2:2], grid[4:6]...)
 		if _, err := Refine(ctx, d, sub, opts); err != nil {
@@ -72,7 +73,7 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 	if len(serial.Counters) == 0 {
 		t.Fatal("serial run recorded no counters")
 	}
-	for _, name := range []string{"refine.store_builds", "refine.cells_scored", "refine.merge_synthetic_rows", "refine.index_builds"} {
+	for _, name := range []string{"refine.store_builds", "refine.cells_scored", "refine.merge_synthetic_rows", "refine.index_builds", "refine.index_shared_folds"} {
 		if serial.Counters[name] <= 0 {
 			t.Errorf("counter %s not accumulated: %d", name, serial.Counters[name])
 		}
@@ -83,6 +84,11 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 		if got, want := serial.HistCount[hist], serial.Counters["refine.cells_scored"]; got != want || got == 0 {
 			t.Errorf("%s count %d, want refine.cells_scored = %d (> 0)", hist, got, want)
 		}
+	}
+	// One index timing per neighbour search and per fold index derived
+	// from the shared one.
+	if got, want := serial.HistCount["refine.index_ns"], serial.Counters["refine.index_builds"]+serial.Counters["refine.index_shared_folds"]; got != want {
+		t.Errorf("refine.index_ns count %d, want refine.index_builds + refine.index_shared_folds = %d", got, want)
 	}
 	for _, workers := range []int{2, 8} {
 		par := runAt(workers)

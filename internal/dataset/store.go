@@ -154,15 +154,24 @@ func (s *Store) Cols() [][]float64 { return s.cols }
 // Classes returns the per-row class indices (shared; read-only).
 func (s *Store) Classes() []int { return s.classes }
 
-// Synthetic is one generated training row (a SMOTE interpolation) to be
-// appended to a store's base rows through ExtendView. Seed is the base
-// row it was interpolated from: ExtendView places a value equal to the
-// seed's own without sorting it. Any base row id is correct, since the
-// placement checks the value; one outside the store just sorts.
-type Synthetic struct {
-	Values []float64
-	Class  int
-	Seed   int
+// Interpolation is one planned SMOTE row of an extend view: in every
+// attribute the value interpolate(seed's, neighbour's, Q), and the
+// seed's class. Seed and Neighbor are base rows of the store.
+type Interpolation struct {
+	Seed, Neighbor int32
+	Q              float64
+}
+
+// interpolate returns the SMOTE coordinate sv + q*(nv-sv) between a
+// seed value sv and a neighbour value nv. Where that is NaN it returns
+// sv: on a column holding both ±1e308 clamps nv-sv overflows to ±Inf,
+// and q = 0 makes 0·Inf. The seed's value is what q = 0 means. A ±Inf
+// result stays: the view's group merge orders it like any number.
+func interpolate(sv, nv, q float64) float64 {
+	if x := sv + q*(nv-sv); x == x {
+		return x
+	}
+	return sv
 }
 
 // View is a training set described against a Store: the base rows it
@@ -221,11 +230,9 @@ type viewArena struct {
 	gvVals   []float64 // extend views' group values, beside groups
 	used     int       // entries of groups and gvVals the extend view took
 	want     int       // entries the last extend view's lists needed
-	// ExtendView scratch: per synthetic, its seed (-1: none); per store
-	// group, the rows that join it (rows << 32 | class-1 rows; SelectView
-	// counts the kept rows there); the zeros tied with their seed; the
-	// radix keys.
-	seeds []int32
+	// InterpolateView scratch: per store group, the rows that join it
+	// (rows << 32 | class-1 rows; SelectView counts the kept rows
+	// there); the zeros tied with their seed; the radix keys.
 	joins []uint64
 	tied  []int32
 	keys  []rowKey
@@ -351,27 +358,27 @@ func (s *Store) repeatView(extra []int32, ar *viewArena) *View {
 	return v
 }
 
-// ExtendView returns the view holding every base row plus the given
-// synthetic rows appended in order — the SMOTE shape. Columns, classes
-// and row group IDs are extended copies (flat arenas, no per-instance
-// allocations). Each attribute's group list is the store's with the
-// synthetic values merged in, in O(groups + m): a synthetic equal to
-// its seed's value joins the end of the seed's run of == values, and
-// only the others are sorted, by a stable radix sort. Within every run
-// the base groups come first, then the tied synthetic rows, then the
-// sorted ones of the same value, each in row order. A synthetic row
-// bit-identical to the group before it joins that group; any other
-// starts a new group, whose ID follows the store's. A synthetic value
-// must not be NaN; ±Inf is ordered like any other number. Every array
-// lives in a pooled arena that Release returns; the view keeps nothing
-// of syn.
-func (s *Store) ExtendView(syn []Synthetic) *View {
-	return s.extendView(syn, viewArenas.Get().(*viewArena))
+// InterpolateView returns the view holding every base row plus one
+// synthetic row per plan entry, appended in order — the SMOTE shape.
+// Each synthetic value is interpolated straight into the view's column
+// (see Interpolation); columns, classes and row group IDs are extended
+// copies in flat arenas, with no per-row allocation. Each attribute's
+// group list is the store's with the synthetic values merged in, in
+// O(groups + m): a synthetic equal to its seed's value joins the end of
+// the seed's run of == values, and only the others are sorted, by a
+// stable radix sort. Within every run the base groups come first, then
+// the tied synthetic rows, then the sorted ones of the same value, each
+// in row order. A synthetic row bit-identical to the group before it
+// joins that group; any other starts a new group, whose ID follows the
+// store's. Every array lives in a pooled arena that Release returns;
+// the view keeps nothing of plan.
+func (s *Store) InterpolateView(plan []Interpolation) *View {
+	return s.interpolateView(plan, viewArenas.Get().(*viewArena))
 }
 
-// extendView builds ExtendView's view in the given arena.
-func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
-	n, m, nAttrs := s.n, len(syn), len(s.attrs)
+// interpolateView builds InterpolateView's view in the given arena.
+func (s *Store) interpolateView(plan []Interpolation, ar *viewArena) *View {
+	n, m, nAttrs := s.n, len(plan), len(s.attrs)
 	ar.rows = grow(ar.rows, n+m)
 	ar.colHdr = grow(ar.colHdr, nAttrs)
 	ar.colVals = grow(ar.colVals, (n+m)*nAttrs)
@@ -400,31 +407,19 @@ func (s *Store) extendView(syn []Synthetic, ar *viewArena) *View {
 		appended: m,
 		arena:    ar,
 	}
+	copy(v.classes, s.classes)
+	for j, p := range plan {
+		rows[n+j] = int32(n + j)
+		v.classes[n+j] = s.classes[p.Seed]
+	}
 	for a := range s.attrs {
 		col := ar.colVals[a*(n+m) : (a+1)*(n+m)]
 		copy(col, s.cols[a])
-		for j := range syn {
-			col[n+j] = syn[j].Values[a]
-		}
 		v.cols[a] = col
 		rg := ar.rgVals[a*(n+m) : (a+1)*(n+m)]
 		copy(rg, s.rowGroup[a])
 		v.rowGroup[a] = rg
-	}
-	copy(v.classes, s.classes)
-	for j := range syn {
-		rows[n+j] = int32(n + j)
-		v.classes[n+j] = syn[j].Class
-	}
-	ar.seeds = grow(ar.seeds, m)
-	for j := range syn {
-		ar.seeds[j] = -1
-		if seed := syn[j].Seed; uint(seed) < uint(n) {
-			ar.seeds[j] = int32(seed)
-		}
-	}
-	for a, base := range s.groups {
-		gl := ar.mergeSynthetic(base, v, a)
+		gl := ar.mergeSynthetic(v, a, plan)
 		v.groups[a], v.groupVal[a] = gl.list, gl.vals
 	}
 	return v
@@ -478,33 +473,54 @@ func (gl *groupList) add(x float64, c int) int32 {
 	return id
 }
 
-// mergeSynthetic returns attribute a's group list and group values of
-// v: the store's list base with the synthetic rows n.. of v's column
-// merged in, whose seeds ar.seeds holds. It writes the synthetic rows'
-// group IDs into v's rowGroup.
+// addRun places rows, all zeros, in order, as add would one by one: a
+// row extends the last group while the bits repeat.
+func (gl *groupList) addRun(rows []int32, col []float64, rg []int32, classes []int) {
+	for i := 0; i < len(rows); {
+		r := rows[i]
+		id := gl.add(col[r], classes[r])
+		rg[r] = id
+		g, bits := &gl.list[len(gl.list)-1], math.Float64bits(col[r])
+		for i++; i < len(rows) && math.Float64bits(col[rows[i]]) == bits; i++ {
+			r := rows[i]
+			rg[r] = id
+			g.N++
+			g.Ones += one(classes[r])
+		}
+	}
+}
+
+// mergeSynthetic interpolates attribute a of the plan's synthetic rows
+// into v's column (rows n..) and returns the attribute's group list and
+// group values of v: the store's list with those rows merged in. It
+// writes the synthetic rows' group IDs into v's rowGroup.
 //
 // A synthetic value equal to its seed's belongs at the end of the
 // seed's run. Unless it is a zero, that run is one group, the seed's,
 // which the row simply joins: its count goes to joins. Zeros, whose run
-// may end in a group of the other sign, are placed one by one after
-// the zero run's base groups, in row order. The other values are
-// radix-sorted and placed as the merge reaches them.
-func (ar *viewArena) mergeSynthetic(base []Group, v *View, a int) groupList {
+// may end in a group of the other sign, are placed after the zero run's
+// base groups, in row order. The other values are radix-sorted and
+// placed as the merge reaches them.
+func (ar *viewArena) mergeSynthetic(v *View, a int, plan []Interpolation) groupList {
 	s := v.store
 	n := s.n
+	base := s.groups[a]
 	col, rg, classes := v.cols[a], v.rowGroup[a], v.classes
 	ar.joins = grow(ar.joins, len(base))
 	joins := ar.joins
 	clear(joins)
 	tied, keys := ar.tied[:0], ar.keys[:0]
-	storeRG := s.rowGroup[a]
-	for j, seed := range ar.seeds {
+	src, storeRG := s.cols[a], s.rowGroup[a]
+	for j, p := range plan {
 		r := int32(n + j)
-		switch x := col[r]; {
-		case seed < 0 || x != col[seed]:
+		sv := src[p.Seed]
+		x := interpolate(sv, src[p.Neighbor], p.Q)
+		col[r] = x
+		switch {
+		case x != sv:
 			keys = append(keys, rowKey{key: orderKey(x), row: r})
 		case x != 0:
-			id := storeRG[seed]
+			id := storeRG[p.Seed]
 			rg[r] = id
 			joins[id] += 1<<32 | uint64(one(classes[r]))
 		default:
@@ -538,9 +554,7 @@ func (ar *viewArena) mergeSynthetic(base []Group, v *View, a int) groupList {
 			gl.list = append(gl.list, g)
 		}
 		if x == 0 {
-			for _, r := range tied {
-				rg[r] = gl.add(col[r], classes[r])
-			}
+			gl.addRun(tied, col, rg, classes)
 		}
 		for ; u < len(keys) && keys[u].key == bk; u++ {
 			rg[keys[u].row] = gl.add(col[keys[u].row], classes[keys[u].row])

@@ -45,9 +45,9 @@ type oracleGroup struct {
 // store's rows (a duplicate right after its base row), then the
 // synthetic instances whose value equals their seed's, then the other
 // synthetic ones, each in instance order. It cuts that order into
-// maximal runs of bit-identical values. syn is the extend view's
+// maximal runs of bit-identical values. plan is the extend view's
 // synthetic rows (nil for the other views).
-func sortedGroups(st *Store, md *Dataset, rows []int32, syn []Synthetic, a int) []oracleGroup {
+func sortedGroups(st *Store, md *Dataset, rows []int32, plan []Interpolation, a int) []oracleGroup {
 	col := st.Cols()[a]
 	storeOrder := make([]int32, st.n)
 	for i := range storeOrder {
@@ -64,7 +64,7 @@ func sortedGroups(st *Store, md *Dataset, rows []int32, syn []Synthetic, a int) 
 		switch j := int(r) - st.n; {
 		case j < 0:
 			ranks[i] = rank{0, storePos[r]}
-		case uint(syn[j].Seed) < uint(st.n) && syn[j].Values[a] == col[syn[j].Seed]:
+		case md.Instances[i].Values[a] == col[plan[j].Seed]:
 			ranks[i] = rank{1, j}
 		default:
 			ranks[i] = rank{2, j}
@@ -106,11 +106,12 @@ func sortedGroups(st *Store, md *Dataset, rows []int32, syn []Synthetic, a int) 
 // run's groups, each group holding as many instances of each class as
 // it counts. Adjacent groups share a run exactly when their values are
 // ==, and the IDs are distinct.
-func checkViewGroups(t *testing.T, st *Store, v *View, syn []Synthetic) {
+func checkViewGroups(t *testing.T, st *Store, v *View, plan []Interpolation) {
 	t.Helper()
 	md := v.Materialize()
+	checkInterpolated(t, st, md, plan)
 	for a := range v.Attrs() {
-		want := sortedGroups(st, md, v.Rows(), syn, a)
+		want := sortedGroups(st, md, v.Rows(), plan, a)
 		list, vals, rg := v.Groups()[a], v.GroupValues()[a], v.RowGroups()[a]
 		ids := make(map[int32]int) // group ID -> position in list
 		for k, g := range list {
@@ -153,6 +154,30 @@ func checkViewGroups(t *testing.T, st *Store, v *View, syn []Synthetic) {
 		}
 		if k != len(list) {
 			t.Fatalf("attr %d: %d groups beyond the recomputed ones", a, len(list)-k)
+		}
+	}
+}
+
+// checkInterpolated requires the materialised extend view md of st to
+// end with one row per plan entry: its seed's class and, per
+// attribute, seed + q·(neighbour − seed), or the seed's value where
+// that is NaN.
+func checkInterpolated(t *testing.T, st *Store, md *Dataset, plan []Interpolation) {
+	t.Helper()
+	for j, p := range plan {
+		got := md.Instances[st.n+j]
+		if got.Class != st.classes[p.Seed] {
+			t.Fatalf("synthetic %d: class %d, its seed's is %d", j, got.Class, st.classes[p.Seed])
+		}
+		for a, col := range st.cols {
+			sv, nv := col[p.Seed], col[p.Neighbor]
+			want := sv + p.Q*(nv-sv)
+			if math.IsNaN(want) {
+				want = sv
+			}
+			if math.Float64bits(got.Values[a]) != math.Float64bits(want) {
+				t.Fatalf("synthetic %d attr %d: %v, want %v", j, a, got.Values[a], want)
+			}
 		}
 	}
 }
@@ -240,28 +265,16 @@ func TestRepeatView(t *testing.T) {
 func TestExtendView(t *testing.T) {
 	d := storeTestDataset(30, 11)
 	st := NewStore(d, nil)
-	syn := []Synthetic{
-		{Values: []float64{2.5, 1, 0.5}, Class: 1},
-		{Values: []float64{9.9, 0, 4.4}, Class: 1},
-		{Values: []float64{0.1, 2, 2.2}, Class: 1},
+	plan := []Interpolation{
+		{Seed: 3, Neighbor: 7, Q: 0.25},
+		{Seed: 12, Neighbor: 12, Q: 0.5},
+		{Seed: 29, Neighbor: 0, Q: 0},
 	}
-	v := st.ExtendView(syn)
+	v := st.InterpolateView(plan)
 	if v.Len() != 33 || v.Appended() != 3 {
 		t.Fatalf("len %d appended %d", v.Len(), v.Appended())
 	}
-	checkViewGroups(t, st, v, syn)
-	md := v.Materialize()
-	for i, s := range syn {
-		got := md.Instances[30+i]
-		if got.Class != s.Class {
-			t.Fatalf("synthetic %d: class %d", i, got.Class)
-		}
-		for j := range s.Values {
-			if got.Values[j] != s.Values[j] {
-				t.Fatalf("synthetic %d attr %d: %v != %v", i, j, got.Values[j], s.Values[j])
-			}
-		}
-	}
+	checkViewGroups(t, st, v, plan)
 }
 
 // Base rows must win ties against synthetic rows in the merged order,
@@ -269,14 +282,14 @@ func TestExtendView(t *testing.T) {
 // a synthetic of a base value joins the end of that value's group.
 func TestExtendViewTieOrder(t *testing.T) {
 	d := New("ties", []Attribute{NumericAttr("x")}, []string{"n", "p"})
-	for _, x := range []float64{1, 2, 2, 3} {
-		d.MustAdd(Instance{Values: []float64{x}, Class: 0})
+	for i, x := range []float64{1, 2, 2, 3} {
+		d.MustAdd(Instance{Values: []float64{x}, Class: i % 2})
 	}
 	st := NewStore(d, nil)
-	syn := []Synthetic{{Values: []float64{2}, Class: 1}}
-	v := st.ExtendView(syn)
-	checkViewGroups(t, st, v, syn)
-	want := []Group{{ID: 0, Run: 0, N: 1}, {ID: 1, Run: 1, N: 3, Ones: 1}, {ID: 2, Run: 2, N: 1}}
+	plan := []Interpolation{{Seed: 1, Neighbor: 3, Q: 0}}
+	v := st.InterpolateView(plan)
+	checkViewGroups(t, st, v, plan)
+	want := []Group{{ID: 0, Run: 0, N: 1}, {ID: 1, Run: 1, N: 3, Ones: 2}, {ID: 2, Run: 2, N: 1, Ones: 1}}
 	if got := v.Groups()[0]; !slices.Equal(got, want) || v.RowGroups()[0][4] != 1 {
 		t.Fatalf("groups %v, synthetic in group %d; want %v and 1", got, v.RowGroups()[0][4], want)
 	}
@@ -287,12 +300,18 @@ func TestExtendViewTieOrder(t *testing.T) {
 // substitutes for non-finite values.
 var extendPool = []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, 2, math.Inf(1), 1e308, -1e308}
 
+// qPool holds the interpolation factors of the extend-view checks: q = 0
+// ties every synthetic value with its seed's (or, from a -0 seed, gives
+// +0), and the rest land between the two rows.
+var qPool = []float64{0, 0.5, 0.25, 0.9375}
+
 // TestExtendViewMatchesSortSliceOrder holds the merged group lists to
-// the ones sorting recomputes (checkViewGroups) on random base and
-// synthetic values with ties, ±0 and ±Inf, whose seeds point at rows
-// of equal and of different values. Only the order of groups within a
-// run of == values can change a tree, by which of -0 and +0 a
-// threshold prints, and base rows first keeps that as it was.
+// the ones sorting recomputes (checkViewGroups) on random base values
+// with ties, ±0 and ±Inf, interpolated between random seeds and
+// neighbours, so synthetic values tie their seed's and do not. Only
+// the order of groups within a run of == values can change a tree, by
+// which of -0 and +0 a threshold prints, and base rows first keeps that
+// as it was.
 func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 	rng := stats.NewRNG(27)
 	value := func() float64 {
@@ -305,37 +324,36 @@ func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 		d := New("ties", []Attribute{NumericAttr("x"), NumericAttr("y")}, []string{"n", "p"})
 		n := 1 + rng.Intn(40)
 		for i := 0; i < n; i++ {
-			d.MustAdd(Instance{Values: []float64{value(), value()}})
+			d.MustAdd(Instance{Values: []float64{value(), value()}, Class: rng.Intn(2)})
 		}
-		syn := make([]Synthetic, 1+rng.Intn(400))
-		for j := range syn {
-			seed := rng.Intn(n)
-			vs := []float64{value(), value()}
-			for a := range vs {
-				if rng.Intn(2) == 0 {
-					vs[a] = d.Instances[seed].Values[a]
-				}
+		plan := make([]Interpolation, 1+rng.Intn(400))
+		for j := range plan {
+			q := qPool[rng.Intn(len(qPool))]
+			if rng.Intn(4) == 0 {
+				q = rng.Float64()
 			}
-			syn[j] = Synthetic{Values: vs, Class: 1, Seed: seed}
+			plan[j] = Interpolation{Seed: int32(rng.Intn(n)), Neighbor: int32(rng.Intn(n)), Q: q}
 		}
 		st := NewStore(d, nil)
-		checkViewGroups(t, st, st.ExtendView(syn), syn)
+		checkViewGroups(t, st, st.InterpolateView(plan), plan)
 	}
 }
 
-// FuzzExtendView holds ExtendView's group lists to the ones sorting
-// recomputes on arbitrary inputs. data[0] sets the base row count; each further byte pair is
-// one row's value (from extendPool, or a fresh value from the byte) and,
-// for synthetic rows, its seed and whether it copies the seed's value.
+// FuzzExtendView holds InterpolateView's group lists to the ones
+// sorting recomputes on arbitrary inputs. data[0] sets the base row
+// count; each of the next n bytes is one base row's value (from
+// extendPool, or a fresh value from the byte) and class, and each
+// further byte pair one synthetic row: its seed, and its neighbour and
+// interpolation factor.
 func FuzzExtendView(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 3, 0, 7, 0, 2, 0x81, 3, 0x82, 5, 0x80})
 	f.Add([]byte{5, 2, 0, 3, 0, 2, 0, 3, 0, 9, 0, 2, 0x83, 3, 0x84, 2, 0x01, 3, 0x02})
 	f.Add([]byte{1, 7, 0, 0, 0x80, 7, 0x80, 1, 0x00, 200, 0x80})
 	// One column holding both ±1e308 clamps, with synthetics tied to
-	// each and one at +Inf.
-	f.Add([]byte{3, 8, 0, 9, 0, 3, 0, 8, 0, 9, 0x81, 8, 0x02, 7, 0x00, 0, 0x83})
+	// each and interpolated across them to +Inf.
+	f.Add([]byte{3, 8, 9, 3, 5, 0x01, 0x01, 0x40, 0x02, 0x81, 0x00, 0x01, 0x40})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 5 {
+		if len(data) < 4 {
 			return
 		}
 		value := func(b byte) float64 {
@@ -346,25 +364,24 @@ func FuzzExtendView(f *testing.F) {
 		}
 		n := 1 + int(data[0])%64
 		rows := data[1:]
-		if len(rows) < 2*n+2 {
+		if len(rows) < n+2 {
 			return
 		}
 		d := New("fuzz", []Attribute{NumericAttr("x")}, []string{"n", "p"})
 		for i := 0; i < n; i++ {
-			d.MustAdd(Instance{Values: []float64{value(rows[2*i])}})
+			d.MustAdd(Instance{Values: []float64{value(rows[i])}, Class: int(rows[i] & 1)})
 		}
-		var syn []Synthetic
-		for i := 2 * n; i+1 < len(rows); i += 2 {
-			seed := int(rows[i+1]&0x7f) % (n + 1) // n: a seed outside the store
-			x := value(rows[i])
-			if rows[i+1]&0x80 != 0 && seed < n {
-				x = d.Instances[seed].Values[0]
-			}
-			syn = append(syn, Synthetic{Values: []float64{x}, Class: 1, Seed: seed})
+		var plan []Interpolation
+		for i := n; i+1 < len(rows); i += 2 {
+			plan = append(plan, Interpolation{
+				Seed:     int32(int(rows[i]) % n),
+				Neighbor: int32(int(rows[i+1]&0x3f) % n),
+				Q:        qPool[rows[i+1]>>6],
+			})
 		}
 		st := NewStore(d, nil)
-		v := st.ExtendView(syn)
-		checkViewGroups(t, st, v, syn)
+		v := st.InterpolateView(plan)
+		checkViewGroups(t, st, v, plan)
 		v.Release()
 	})
 }
@@ -377,9 +394,9 @@ func FuzzExtendView(f *testing.F) {
 // byte. data[0] sets the base row count n; each of the next n byte
 // triples is one base row: two values and a class. Every further byte
 // triple drives all three sampled shapes at once: its first byte's low
-// bits pick a row to keep (select) and to duplicate (repeat), and,
-// with its second and third bytes, one synthetic row (extend), whose
-// values copy its seed's where the third byte's bits say so.
+// bits pick a row to keep (select), to duplicate (repeat) and to seed
+// one synthetic row (extend), which its second byte's row is the
+// neighbour of and its third byte's bits pick the factor for.
 func FuzzViewGroups(f *testing.F) {
 	f.Add([]byte{4, 3, 2, 0, 2, 3, 1, 3, 3, 0, 2, 2, 1, 0x81, 3, 0x03, 2, 9, 0x01, 3, 2, 0x02})
 	f.Add([]byte{6, 8, 9, 1, 9, 8, 0, 8, 8, 1, 9, 9, 0, 3, 2, 1, 2, 3, 0, 0x85, 7, 0x03, 0x04, 0, 0x00, 1, 3, 0x01, 0x82, 8, 0x02})
@@ -411,7 +428,7 @@ func checkViewShapes(t *testing.T, data []byte) {
 	st := NewStore(d, nil)
 	keep := make([]bool, n)
 	var sel, extra []int32
-	var syn []Synthetic
+	var plan []Interpolation
 	for i := 3 * n; i+2 < len(rows); i += 3 {
 		b := rows[i : i+3]
 		r := int(b[0]&0x7f) % n
@@ -420,22 +437,15 @@ func checkViewShapes(t *testing.T, data []byte) {
 			sel = append(sel, int32(r))
 		}
 		extra = append(extra, int32(r))
-		seed := int(b[0]&0x7f) % (n + 1) // n: a seed outside the store
-		vs := []float64{value(b[1]), value(b[2] &^ 0x03)}
-		for a := range vs {
-			if b[2]&(1<<a) != 0 && seed < n {
-				vs[a] = d.Instances[seed].Values[a]
-			}
-		}
-		syn = append(syn, Synthetic{Values: vs, Class: int(b[0] >> 7), Seed: seed})
+		plan = append(plan, Interpolation{Seed: int32(r), Neighbor: int32(int(b[1]) % n), Q: qPool[b[2]%4]})
 	}
 	checkViewGroups(t, st, st.IdentityView(), nil)
 	checkViewGroups(t, st, st.SelectView(sel), nil)
 	rep := st.RepeatView(extra)
 	checkViewGroups(t, st, rep, nil)
 	rep.Release()
-	ext := st.ExtendView(syn)
-	checkViewGroups(t, st, ext, syn)
+	ext := st.InterpolateView(plan)
+	checkViewGroups(t, st, ext, plan)
 	ext.Release()
 }
 
@@ -545,30 +555,29 @@ func TestViewReleaseReuse(t *testing.T) {
 	for i := 0; i < st.n; i += 5 {
 		extra = append(extra, int32(i))
 	}
-	synFor := func(s *Store, every int) []Synthetic {
-		var syn []Synthetic
+	synFor := func(s *Store, every int) []Interpolation {
+		var plan []Interpolation
 		for i := 0; i < s.n; i += every {
-			vs := []float64{s.Cols()[0][i] + 0.25, s.Cols()[1][i], s.Cols()[2][i] - 0.5}
-			syn = append(syn, Synthetic{Values: vs, Class: i % 2})
+			plan = append(plan, Interpolation{Seed: int32(i), Neighbor: int32((i + 7) % s.n), Q: 0.25})
 		}
-		return syn
+		return plan
 	}
 	bigSyn, syn := synFor(big, 1), synFor(st, 3)
 
-	wantExtend := snapshotView(st.extendView(syn, new(viewArena)))
+	wantExtend := snapshotView(st.interpolateView(syn, new(viewArena)))
 	wantRepeat := snapshotView(st.repeatView(extra, new(viewArena)))
 
 	// Every small view after every larger one, on the released view's
 	// own arena.
 	bigViews := map[string]func() *View{
 		"repeat": func() *View { return big.repeatView(bigExtra, new(viewArena)) },
-		"extend": func() *View { return big.extendView(bigSyn, new(viewArena)) },
+		"extend": func() *View { return big.interpolateView(bigSyn, new(viewArena)) },
 	}
 	for name, build := range bigViews {
 		b := build()
 		ar := b.arena
 		b.Release()
-		checkSnapshot(t, "extend after "+name, st.extendView(syn, ar), wantExtend)
+		checkSnapshot(t, "extend after "+name, st.interpolateView(syn, ar), wantExtend)
 		b = build()
 		ar = b.arena
 		b.Release()
@@ -577,10 +586,10 @@ func TestViewReleaseReuse(t *testing.T) {
 
 	// The same through the pool.
 	big.RepeatView(bigExtra).Release()
-	v := st.ExtendView(syn)
+	v := st.InterpolateView(syn)
 	checkSnapshot(t, "pooled extend", v, wantExtend)
 	v.Release()
-	big.ExtendView(bigSyn).Release()
+	big.InterpolateView(bigSyn).Release()
 	v = st.RepeatView(extra)
 	checkSnapshot(t, "pooled repeat", v, wantRepeat)
 

@@ -145,3 +145,109 @@ func FuzzNeighborIndex(f *testing.F) {
 		matchOracle(t, neighborDataset(rows), 1+int(k%16))
 	})
 }
+
+// checkFoldIndexes splits d's rows into folds by foldOf and requires,
+// for every fold whose training store shares the whole store's spans,
+// the lists the shared search (lists maxK + slack deep) derives to equal
+// BuildViewIndex's for that store, and the whole index to equal
+// BuildViewIndex's for the whole store. It returns how many folds
+// shared and how many rows they rescanned.
+func checkFoldIndexes(t *testing.T, d *dataset.Dataset, foldOf []int, maxK, slack int) (shared, rescans int) {
+	t.Helper()
+	whole := dataset.NewStore(d, nil)
+	si, err := buildSharedIndex(whole, 1, maxK, slack)
+	if err != nil {
+		return 0, 0
+	}
+	if want, _ := BuildViewIndex(whole, 1, maxK); !reflect.DeepEqual(si.Whole(), want) {
+		t.Fatalf("whole index %v, BuildViewIndex %v", si.Whole().lists, want.lists)
+	}
+	folds := 0
+	for _, f := range foldOf {
+		folds = max(folds, f+1)
+	}
+	for f := 0; f < folds; f++ {
+		train := []int{} // not nil, which NewStore reads as every row
+		for i, g := range foldOf {
+			if g != f {
+				train = append(train, i)
+			}
+		}
+		st := dataset.NewStore(d, train)
+		if !si.Shares(st) {
+			continue
+		}
+		shared++
+		want, wantErr := BuildViewIndex(st, 1, maxK)
+		got, n, err := si.FoldIndex(st, train)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("fold %d: error %v, BuildViewIndex's %v", f, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("fold %d: derived lists %v, BuildViewIndex %v", f, got.lists, want.lists)
+		}
+		rescans += n
+	}
+	return shared, rescans
+}
+
+// TestFoldIndexesRescan runs the shared search without slack, so every
+// row that loses a neighbour to its held-out fold is rescanned, on rows
+// with duplicates and both ±1e308 clamps in one column, where a fold
+// holding out the only -1e308 row has spans of its own.
+func TestFoldIndexesRescan(t *testing.T) {
+	rows := [][]float64{
+		{1e308, 1}, {-1e308, 2}, {1e308, 1}, {0, 2}, {1, 1}, {1, 1},
+		{2, 0}, {3, 1}, {1e308, 3}, {0.5, 2}, {2, 3}, {1, 1},
+	}
+	foldOf := []int{0, 0, 1, 2, 1, 2, 0, 1, 2, 0, 1, 2, 0}
+	d := neighborDataset(rows)
+	for _, maxK := range []int{1, 3, 5} {
+		shared, rescans := checkFoldIndexes(t, d, foldOf, maxK, 0)
+		if shared != 2 || rescans == 0 {
+			t.Fatalf("maxK %d: %d folds shared, %d rescans; want 2 and some", maxK, shared, rescans)
+		}
+	}
+}
+
+// FuzzFoldIndexes holds the shared search, without slack (so rescans
+// happen), to BuildViewIndex on every fold that shares its spans, over
+// rows drawn from a pool of duplicates, both ±1e308 clamps and ±Inf
+// (so spans are infinite or NaN), or from the bytes. shape picks the
+// attribute count (1 to 3) and the fold count (2 to 5); each row takes
+// one byte per attribute and one for its class and fold.
+func FuzzFoldIndexes(f *testing.F) {
+	f.Add(uint8(0x11), uint8(3), []byte{2, 0x11, 3, 0x12, 2, 0x03, 4, 0x10, 5, 0x11, 3, 0x13, 2, 0x01})
+	// Both clamps in one column, a duplicate-heavy one beside it.
+	f.Add(uint8(0x21), uint8(4), []byte{6, 1, 0x11, 7, 1, 0x12, 6, 2, 0x10, 0, 1, 0x11, 7, 2, 0x13, 6, 1, 0x12, 3, 3, 0x10})
+	// One infinity throughout a column: a NaN span.
+	f.Add(uint8(0x12), uint8(2), []byte{8, 1, 0x10, 8, 2, 0x11, 8, 3, 0x12, 8, 1, 0x10, 8, 4, 0x11})
+	// Both infinities in a column: an infinite span.
+	f.Add(uint8(0x31), uint8(5), []byte{8, 0x10, 9, 0x11, 1, 0x12, 2, 0x13, 8, 0x10, 3, 0x11, 9, 0x12})
+	pool := []float64{0, 1, 1, 2, 0.5, math.Copysign(0, -1), 1e308, -1e308, math.Inf(1), math.Inf(-1)}
+	f.Fuzz(func(t *testing.T, shape, k uint8, raw []byte) {
+		na, folds := 1+int(shape%4)%3, 2+int(shape>>4)%4
+		attrs := make([]dataset.Attribute, na)
+		for a := range attrs {
+			attrs[a] = dataset.NumericAttr("x")
+		}
+		d := dataset.New("folds", attrs, []string{"neg", "pos"})
+		var foldOf []int
+		for ; len(raw) >= na+1 && d.Len() < 48; raw = raw[na+1:] {
+			vs := make([]float64, na)
+			for a := range vs {
+				if b := raw[a]; b >= 128 {
+					vs[a] = float64(b-128) / 8
+				} else {
+					vs[a] = pool[int(b)%len(pool)]
+				}
+			}
+			d.MustAdd(dataset.Instance{Values: vs, Class: int(raw[na]>>4) & 1, Weight: 1})
+			foldOf = append(foldOf, int(raw[na]&0x0f)%folds)
+		}
+		if d.Len() == 0 {
+			return
+		}
+		checkFoldIndexes(t, d, foldOf, 1+int(k%16), 0)
+	})
+}

@@ -68,21 +68,21 @@ func smoteOracleMode(d *dataset.Dataset, minorityClass int, percent float64, k i
 	if !replacementOnly && len(minIdx) > 1 {
 		neighbors = neighborsOracle(d, minIdx, k)
 	}
-	specs, err := planSmote(minIdx, neighbors, k, percent, rng)
-	if err != nil {
+	pb := new(planBuf)
+	if err := pb.planSmote(minIdx, neighbors, k, percent, rng); err != nil {
 		return nil, err
 	}
 	out := cloneDataset(d)
-	for _, sp := range specs {
-		seed := &d.Instances[minIdx[sp.seedPos]]
+	for _, p := range pb.plan {
+		seed := &d.Instances[p.Seed]
 		syn := seed.Clone()
-		if sp.nn >= 0 {
-			nb := &d.Instances[sp.nn]
+		if p.Neighbor >= 0 {
+			nb := &d.Instances[p.Neighbor]
 			for a := range syn.Values {
 				sv, nv := seed.Values[a], nb.Values[a]
 				// A NaN interpolation (q = 0 across an overflowing
 				// span) keeps the seed's value.
-				if x := sv + sp.q*(nv-sv); !math.IsNaN(x) {
+				if x := sv + p.Q*(nv-sv); !math.IsNaN(x) {
 					syn.Values[a] = x
 				}
 			}

@@ -9,10 +9,22 @@
 // searches these treatments' levels for the best mean AUC (Table IV).
 // Every treatment works against a columnar dataset.Store and returns a
 // dataset.View of the transformed training set (DESIGN.md §10); nothing
-// clones instances. Concurrency: transforms never mutate their store,
-// drawing variates from a caller-supplied RNG (callers give each grid
-// cell its own). A NeighborIndex is immutable after construction and
-// safe for concurrent reads across the grid cells of a fold.
+// clones instances. SMOTE plans its synthetic rows as (seed, neighbour,
+// q) triples, and the extend view interpolates them straight into its
+// columns.
+//
+// The SMOTE neighbour lists of a fold come from a NeighborIndex. One
+// SharedIndex searches the whole dataset once; every fold whose
+// training store has the whole dataset's attribute spans derives its
+// index from those lists by dropping its held-out rows, and only the
+// folds with spans of their own search (BuildViewIndex). The final fit
+// takes the whole dataset's index from the same search.
+//
+// Concurrency: transforms never mutate their store, drawing variates
+// from a caller-supplied RNG (callers give each grid cell its own).
+// NeighborIndex and SharedIndex are immutable after construction and
+// safe for concurrent reads: the cells of a fold share its index, and
+// the folds the shared search.
 package sampling
 
 import (
@@ -55,20 +67,13 @@ func undersampleOrder(classes []int, majorityClass int, keepPercent float64, rng
 	return append(order, majIdx[:keep]...), nil
 }
 
-// synSpec describes one planned synthetic instance: the seed's position
-// in minIdx, the chosen neighbour row (-1 for a plain replacement
-// copy), and the interpolation factor q.
-type synSpec struct {
-	seedPos int
-	nn      int
-	q       float64
-}
-
 // planSmote consumes the RNG stream of a SMOTE/oversampling pass and
-// returns the synthetic instances to generate, without touching any
-// row data. It is the single place these passes consume randomness,
-// shared by the standalone transforms and the NeighborIndex methods so
-// both see the identical RNG stream.
+// leaves the synthetic rows to generate in pb.plan, without touching
+// any row data: each entry's Seed is a row of minIdx, its Neighbor a
+// row of the seed's neighbour list, or -1 for a plain replacement copy.
+// It is the single place these passes consume randomness, shared by
+// the standalone transforms and the NeighborIndex methods so both see
+// the identical RNG stream.
 //
 // Each seed interpolates towards one of the first k entries of its
 // neighbour list; nil neighbours plan plain replacement copies
@@ -77,111 +82,133 @@ type synSpec struct {
 // percent >= 100: r = percent/100 instances per seed (fractional
 // remainder distributed randomly). percent < 100: a percent% random
 // subset of seeds contributes one instance each, per the SMOTE paper.
-func planSmote(minIdx []int, neighbors [][]int, k int, percent float64, rng *stats.RNG) ([]synSpec, error) {
+func (pb *planBuf) planSmote(minIdx []int, neighbors [][]int, k int, percent float64, rng *stats.RNG) error {
 	if percent <= 0 {
-		return nil, fmt.Errorf("%w: %.1f%%", ErrBadPercent, percent)
+		return fmt.Errorf("%w: %.1f%%", ErrBadPercent, percent)
 	}
-	pick := func(seedPos int) synSpec {
-		sp := synSpec{seedPos: seedPos, nn: -1}
+	pick := func(seedPos int) dataset.Interpolation {
+		p := dataset.Interpolation{Seed: int32(minIdx[seedPos]), Neighbor: -1}
 		if neighbors != nil && len(neighbors[seedPos]) > 0 {
 			nn := neighbors[seedPos]
-			sp.nn = nn[rng.Intn(min(k, len(nn)))]
-			sp.q = rng.Float64()
+			p.Neighbor = int32(nn[rng.Intn(min(k, len(nn)))])
+			p.Q = rng.Float64()
 		}
-		return sp
+		return p
 	}
 
 	total := int(math.Round(float64(len(minIdx)) * percent / 100))
+	pb.plan = pb.plan[:0]
 	if percent < 100 {
 		// Shuffling positions swaps exactly as shuffling the rows would:
 		// the swaps depend only on the length.
-		seeds := make([]int, len(minIdx))
-		for i := range seeds {
-			seeds[i] = i
+		seeds := pb.order[:0]
+		for i := range minIdx {
+			seeds = append(seeds, int32(i))
 		}
+		pb.order = seeds
 		rng.Shuffle(len(seeds), func(i, j int) { seeds[i], seeds[j] = seeds[j], seeds[i] })
-		total = min(total, len(seeds))
-		specs := make([]synSpec, 0, total)
-		for _, pos := range seeds[:total] {
-			specs = append(specs, pick(pos))
+		for _, pos := range seeds[:min(total, len(seeds))] {
+			pb.plan = append(pb.plan, pick(int(pos)))
 		}
-		return specs, nil
+		return nil
 	}
 	whole := total / len(minIdx)
 	extra := total - whole*len(minIdx)
-	specs := make([]synSpec, 0, total)
 	for pos := range minIdx {
 		for r := 0; r < whole; r++ {
-			specs = append(specs, pick(pos))
+			pb.plan = append(pb.plan, pick(pos))
 		}
 	}
 	for e := 0; e < extra; e++ {
-		specs = append(specs, pick(rng.Intn(len(minIdx))))
+		pb.plan = append(pb.plan, pick(rng.Intn(len(minIdx))))
 	}
-	return specs, nil
+	return nil
 }
 
 // nearestNeighborsAt returns, for each minority row of the store, the
 // rows of its k nearest minority-class neighbours under
-// min-max-normalised Euclidean distance. minIdx must be ascending.
-//
-// Lists are ordered by (distance, row): a NaN distance (a column whose
-// span overflows, such as one holding both ±1e308 clamps) ranks after
-// every number. The search gathers the minority rows' values into
-// contiguous columns, computes each pair once (the distance is
-// symmetric bit for bit) and offers it to both rows' bounded k-slot
-// lists.
+// min-max-normalised Euclidean distance. minIdx must be ascending, so
+// search's (distance, position) order is (distance, row) order.
 func nearestNeighborsAt(st *dataset.Store, minIdx []int, k int) [][]int {
-	m := len(minIdx)
-	k = max(0, min(k, m-1))
-	g := gatherMinority(st, minIdx)
+	pos, depth := gatherMinority(st, minIdx, spans(st)).search(k)
+	return neighborLists(pos, depth, depth, minIdx)
+}
 
-	// Row r's list is keys/pos[r*k : (r+1)*k], sorted ascending and
-	// padded with noKey; a candidate enters only below its last key.
-	// Row r is offered its candidates in ascending position, so a
-	// candidate tying a listed key has the larger position and goes
-	// after it: the lists are in (key, position) order, and so in
-	// (distance, row) order, since minIdx is ascending.
-	keys := make([]uint64, m*k)
-	pos := make([]int32, m*k)
-	for i := range keys {
-		keys[i] = noKey
-	}
-	insert := func(r int, key uint64, j int32) {
-		kr, pr := keys[r*k:(r+1)*k], pos[r*k:(r+1)*k]
-		p := k - 1
-		for ; p > 0 && key < kr[p-1]; p-- {
-			kr[p], pr[p] = kr[p-1], pr[p-1]
-		}
-		kr[p], pr[p] = key, j
-	}
-	if k > 0 {
-		dist := make([]float64, m)
-		for i := 0; i < m; i++ {
-			// dist[j] for j > i: the pairs (i, j), each computed once.
-			g.distances(i, dist[i+1:])
-			for j := i + 1; j < m; j++ {
-				key := distKey(dist[j])
-				if key < keys[i*k+k-1] {
-					insert(i, key, int32(j))
-				}
-				if key < keys[j*k+k-1] {
-					insert(j, key, int32(i))
-				}
-			}
-		}
-	}
-
-	res := make([][]int, m)
-	flat := make([]int, m*k)
+// neighborLists maps the first k entries of each search list (depth
+// entries per row in pos) to the rows minIdx holds at those positions.
+func neighborLists(pos []int32, depth, k int, minIdx []int) [][]int {
+	res := make([][]int, len(minIdx))
+	flat := make([]int, len(minIdx)*k)
 	for i := range res {
 		nn := flat[i*k : (i+1)*k : (i+1)*k]
-		for x, j := range pos[i*k : (i+1)*k] {
+		for x, j := range pos[i*depth : i*depth+k] {
 			nn[x] = minIdx[j]
 		}
 		res[i] = nn
 	}
 	return res
+}
+
+// search is the neighbour kernel: for each of the m gathered rows, the
+// positions of its min(depth, m-1) nearest other rows, in one flat
+// array, m lists of k each.
+//
+// Lists are ordered by (distance, position): a NaN distance (a column
+// whose span overflows, such as one holding both ±1e308 clamps) ranks
+// after every number. The search computes each pair once (the distance
+// is symmetric bit for bit) and offers it to both rows' bounded lists.
+func (g *minorityCols) search(depth int) (pos []int32, k int) {
+	m := g.m
+	nl := newNearest(m, max(0, min(depth, m-1)))
+	if k := nl.k; k > 0 {
+		keys := nl.keys
+		dist := make([]float64, m)
+		for i := 0; i < m; i++ {
+			// dist[j] for j > i: the pairs (i, j), each computed once.
+			g.distances(i, i+1, dist[i+1:])
+			for j := i + 1; j < m; j++ {
+				key := distKey(dist[j])
+				if key < keys[i*k+k-1] {
+					nl.insert(i, key, int32(j))
+				}
+				if key < keys[j*k+k-1] {
+					nl.insert(j, key, int32(i))
+				}
+			}
+		}
+	}
+	return nl.pos, nl.k
+}
+
+// nearest holds bounded neighbour lists of k slots each: row r's list is keys/pos[r*k : (r+1)*k], sorted ascending and
+// padded with noKey. A candidate enters only below its list's last key,
+// keys[r*k+k-1].
+// Each row must be offered its candidates in ascending position; then a
+// candidate tying a listed key has the larger position and goes after
+// it, so the lists are in (key, position) order.
+type nearest struct {
+	k    int
+	keys []uint64
+	pos  []int32
+}
+
+func newNearest(rows, k int) *nearest {
+	nl := &nearest{k: k, keys: make([]uint64, rows*k), pos: make([]int32, rows*k)}
+	for i := range nl.keys {
+		nl.keys[i] = noKey
+	}
+	return nl
+}
+
+// insert puts candidate j at key into row r's list, dropping its last.
+func (nl *nearest) insert(r int, key uint64, j int32) {
+	k := nl.k
+	kr, pr := nl.keys[r*k:(r+1)*k], nl.pos[r*k:(r+1)*k]
+	p := k - 1
+	for ; p > 0 && key < kr[p-1]; p-- {
+		kr[p], pr[p] = kr[p-1], pr[p-1]
+	}
+	kr[p], pr[p] = key, j
 }
 
 // noKey pads a neighbour list; it exceeds every distKey.
@@ -202,6 +229,7 @@ func distKey(d float64) uint64 {
 // can contribute to a distance, one contiguous column each, in schema
 // order: every attribute whose span is not <= 0.
 type minorityCols struct {
+	m    int // rows
 	cols [][]float64
 	// span is an attribute's min-max span over the store.
 	span []float64
@@ -212,12 +240,16 @@ type minorityCols struct {
 	tiny []float64
 }
 
-func gatherMinority(st *dataset.Store, minIdx []int) *minorityCols {
+// gatherMinority gathers the rows minIdx of st under the store's
+// per-attribute spans (see spans). The spans alone decide which
+// attributes count and how each term is scaled: two stores with the
+// same spans, by sameKernel, give two rows the same distance, bit for
+// bit.
+func gatherMinority(st *dataset.Store, minIdx []int, spans []float64) *minorityCols {
 	cols := st.Cols()
-	lo, hi := columnRanges(st)
-	g := &minorityCols{}
+	g := &minorityCols{m: len(minIdx)}
 	for a := range cols {
-		span, tiny := hi[a]-lo[a], 0.0
+		span, tiny := spans[a], 0.0
 		switch {
 		case span <= 0:
 			continue // contributes nothing to any distance
@@ -235,12 +267,14 @@ func gatherMinority(st *dataset.Store, minIdx []int) *minorityCols {
 	return g
 }
 
-// distances sets out[x] to the distance between minority rows i and
-// i+1+x: the sum, in schema order, of ((a-b)/span)^2 per attribute.
-func (g *minorityCols) distances(i int, out []float64) {
+// distances sets out[x] to the distance between gathered rows i and
+// j0+x: the sum, in schema order, of ((a-b)/span)^2 per attribute.
+// a-b and b-a differ only in sign, so the distance is symmetric bit for
+// bit.
+func (g *minorityCols) distances(i, j0 int, out []float64) {
 	clear(out)
 	for t, col := range g.cols {
-		a, bs := col[i], col[i+1:i+1+len(out)]
+		a, bs := col[i], col[j0:j0+len(out)]
 		span, tiny := g.span[t], g.tiny[t]
 		for x, b := range bs {
 			d := a - b
@@ -253,24 +287,34 @@ func (g *minorityCols) distances(i int, out []float64) {
 	}
 }
 
-// columnRanges returns per-attribute min/max over the store's values.
-func columnRanges(st *dataset.Store) (lo, hi []float64) {
+// spans returns every attribute's min-max span over the store's values,
+// hi - lo: the only property of the store the distance reads.
+func spans(st *dataset.Store) []float64 {
 	attrs := st.Attrs()
-	lo = make([]float64, len(attrs))
-	hi = make([]float64, len(attrs))
-	for i := range lo {
-		lo[i] = math.Inf(1)
-		hi[i] = math.Inf(-1)
-	}
-	for i, col := range st.Cols() {
+	out := make([]float64, len(attrs))
+	for a, col := range st.Cols() {
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range col {
-			if v < lo[i] {
-				lo[i] = v
+			if v < lo {
+				lo = v
 			}
-			if v > hi[i] {
-				hi[i] = v
+			if v > hi {
+				hi = v
 			}
 		}
+		out[a] = hi - lo
 	}
-	return lo, hi
+	return out
+}
+
+// sameKernel reports whether two span vectors give every pair of rows
+// the same distance: per attribute, both spans drop it (<= 0) or they
+// are the same bits.
+func sameKernel(x, y []float64) bool {
+	for a := range x {
+		if !(x[a] <= 0 && y[a] <= 0) && math.Float64bits(x[a]) != math.Float64bits(y[a]) {
+			return false
+		}
+	}
+	return true
 }

@@ -165,17 +165,18 @@ func TestSMOTEUnderHundredPercent(t *testing.T) {
 // rows, in shuffled order.
 func TestPlanSmoteSubsetIsShuffledRows(t *testing.T) {
 	minIdx := []int{3, 4, 9, 10, 11, 17, 20, 26, 31, 40}
-	specs, err := planSmote(minIdx, nil, 0, 60, stats.NewRNG(11))
-	if err != nil {
+	pb := new(planBuf)
+	if err := pb.planSmote(minIdx, nil, 0, 60, stats.NewRNG(11)); err != nil {
 		t.Fatal(err)
 	}
+	specs := pb.plan
 	rows := append([]int(nil), minIdx...)
 	stats.NewRNG(11).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 	if len(specs) != 6 {
 		t.Fatalf("%d seeds, want 6", len(specs))
 	}
 	for i, sp := range specs {
-		if got := minIdx[sp.seedPos]; got != rows[i] {
+		if got := int(sp.Seed); got != rows[i] {
 			t.Fatalf("seed %d is row %d, want %d", i, got, rows[i])
 		}
 	}

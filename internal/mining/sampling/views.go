@@ -10,7 +10,6 @@ package sampling
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"edem/internal/dataset"
@@ -46,11 +45,7 @@ func OversampleView(st *dataset.Store, minorityClass int, percent float64, rng *
 	if err != nil {
 		return nil, err
 	}
-	specs, err := planSmote(minIdx, nil, 0, percent, rng)
-	if err != nil {
-		return nil, err
-	}
-	return viewFromSpecs(st, minorityClass, minIdx, specs), nil
+	return smoteView(st, minIdx, nil, 0, percent, rng)
 }
 
 // SMOTEView adds percent% synthetic minority rows, each interpolated
@@ -69,11 +64,7 @@ func SMOTEView(st *dataset.Store, minorityClass int, percent float64, k int, rng
 	if len(minIdx) > 1 {
 		neighbors = nearestNeighborsAt(st, minIdx, k)
 	}
-	specs, err := planSmote(minIdx, neighbors, k, percent, rng)
-	if err != nil {
-		return nil, err
-	}
-	return viewFromSpecs(st, minorityClass, minIdx, specs), nil
+	return smoteView(st, minIdx, neighbors, k, percent, rng)
 }
 
 // storeMinority collects the store rows of the minority class.
@@ -93,67 +84,39 @@ func storeMinority(st *dataset.Store, minorityClass int) ([]int, error) {
 	return minIdx, nil
 }
 
-// viewFromSpecs realises a synthetic-instance plan against the store.
-// A plan of plain copies (oversampling, or SMOTE degenerating to
-// replacement when the minority has a single member) becomes a repeat
-// view — duplicate row references, no value copies. A plan with
-// interpolations becomes an extend view holding the m synthetic rows.
-func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []synSpec) *dataset.View {
-	allCopies := true
-	for _, sp := range specs {
-		if sp.nn >= 0 {
-			allCopies = false
-			break
-		}
+// smoteView plans a SMOTE pass over the minority rows minIdx of st
+// (plain copies when neighbors is nil) in pooled memory and realises
+// the plan against the store. Every neighbour list of one search has
+// the same length, so a plan is all copies or all interpolations. A
+// plan of copies (oversampling, or SMOTE degenerating to replacement
+// when the minority has a single member) becomes a repeat view —
+// duplicate row references, no value copies. A plan of interpolations
+// becomes an extend view, which interpolates the synthetic values
+// straight into its columns.
+func smoteView(st *dataset.Store, minIdx []int, neighbors [][]int, k int, percent float64, rng *stats.RNG) (*dataset.View, error) {
+	pb := planPool.Get().(*planBuf)
+	defer planPool.Put(pb)
+	if err := pb.planSmote(minIdx, neighbors, k, percent, rng); err != nil {
+		return nil, err
 	}
-	if allCopies {
-		extra := make([]int32, len(specs))
-		for i, sp := range specs {
-			extra[i] = int32(minIdx[sp.seedPos])
-		}
-		return st.RepeatView(extra)
+	if len(pb.plan) > 0 && pb.plan[0].Neighbor >= 0 {
+		return st.InterpolateView(pb.plan), nil
 	}
-
-	attrs := st.Attrs()
-	cols := st.Cols()
-	sb := synPool.Get().(*synBuf)
-	defer synPool.Put(sb)
-	nVals := len(specs) * len(attrs)
-	sb.syn = slices.Grow(sb.syn[:0], len(specs))[:len(specs)]
-	sb.vals = slices.Grow(sb.vals[:0], nVals)[:nVals]
-	syn, valArena := sb.syn, sb.vals
-	for i, sp := range specs {
-		seedRow := minIdx[sp.seedPos]
-		vs := valArena[i*len(attrs) : (i+1)*len(attrs)]
-		for a := range attrs {
-			vs[a] = cols[a][seedRow]
-			if sp.nn >= 0 {
-				vs[a] = interpolate(vs[a], cols[a][sp.nn], sp.q)
-			}
-		}
-		syn[i] = dataset.Synthetic{Values: vs, Class: minorityClass, Seed: seedRow}
+	pb.extra = pb.extra[:0]
+	for _, p := range pb.plan {
+		pb.extra = append(pb.extra, p.Seed)
 	}
-	return st.ExtendView(syn)
+	return st.RepeatView(pb.extra), nil
 }
 
-// interpolate returns the SMOTE coordinate sv + q*(nv-sv) between a
-// seed value sv and a neighbour value nv. Where that is NaN it returns
-// sv: on a column holding both ±1e308 clamps nv-sv overflows to ±Inf,
-// and q = 0 makes 0·Inf. The seed's value is what q = 0 means. A ±Inf
-// result stays: the view's group merge orders it like any number.
-func interpolate(sv, nv, q float64) float64 {
-	if x := sv + q*(nv-sv); x == x {
-		return x
-	}
-	return sv
+// planBuf is the memory of one SMOTE plan: the plan itself, the seed
+// shuffle of a pass below 100%, and a plan of copies' row references.
+// The views copy what they keep, so the buffers go back to planPool as
+// soon as the view is built.
+type planBuf struct {
+	plan  []dataset.Interpolation
+	order []int32
+	extra []int32
 }
 
-// synBuf is viewFromSpecs' synthetic-row staging memory. ExtendView
-// copies the values out, so the buffers go back to synPool as soon as
-// the view is built.
-type synBuf struct {
-	syn  []dataset.Synthetic
-	vals []float64
-}
-
-var synPool = sync.Pool{New: func() any { return new(synBuf) }}
+var planPool = sync.Pool{New: func() any { return new(planBuf) }}

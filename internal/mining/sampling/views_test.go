@@ -209,9 +209,9 @@ func TestSMOTEInterpolationAcrossClampsKeepsSeed(t *testing.T) {
 		d.MustAdd(dataset.Instance{Values: vs, Class: min(i, 1), Weight: 1})
 	}
 	st := dataset.NewStore(d, nil)
-	v := viewFromSpecs(st, 1, []int{1, 2}, []synSpec{
-		{seedPos: 0, nn: 2, q: 0},   // from +1e308 towards -1e308
-		{seedPos: 1, nn: 1, q: 0.5}, // from -1e308 towards +1e308
+	v := st.InterpolateView([]dataset.Interpolation{
+		{Seed: 1, Neighbor: 2, Q: 0},   // from +1e308 towards -1e308
+		{Seed: 2, Neighbor: 1, Q: 0.5}, // from -1e308 towards +1e308
 	})
 	defer v.Release()
 	x, y := v.Cols()[0], v.Cols()[1]

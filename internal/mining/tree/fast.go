@@ -70,15 +70,15 @@ type groupBuilder struct {
 
 // groupNode is the per-node view: its row count and class counts, its
 // rows, and per attribute its group list. A node owns the range
-// [lo, lo+n) of the scratch row list, and the region [glo, glo+n) of
-// every attribute's slab of the list buffer, where its group lists lie
-// (see partition). At the root the lists are the view's own, possibly
-// shared with a fold-wide store other goroutines are reading, so the
-// builder only reads them. A node that is certainly a leaf has no
-// lists.
+// [lo, lo+n) of the scratch row list. Below the root its group list of
+// attribute a lies in the slab sc.slab[a], and the node may use the
+// slab from its list's start to the slab's end, which is the list's
+// capacity (see partition). At the root the lists are the view's own,
+// possibly shared with a fold-wide store other goroutines are reading,
+// so the builder only reads them. A node that is certainly a leaf has
+// no lists.
 type groupNode struct {
 	lo     int // the node's rows are sc.rows[lo : lo+n]
-	glo    int // its group lists lie in sc.slab[a][glo : glo+n]
 	n      int
 	ones   int               // rows of class 1
 	dist   []float64         // class counts, exact integers; becomes Node.Dist
@@ -91,8 +91,8 @@ type groupNode struct {
 // counters, which every partition leaves zero.
 type buildScratch struct {
 	rows   []int32             // the row list: rootN ids
-	buf    []dataset.Group     // the list buffer: rootN entries per attribute
-	slab   [][]dataset.Group   // per attr: its rootN-entry slab of buf
+	buf    []dataset.Group     // the list buffer: one slab per attribute
+	slab   [][]dataset.Group   // per attr: its slab of buf (see slabSize)
 	tmp    []dataset.Group     // staging for a smaller child's list
 	cls    []uint8             // per row id: its class
 	count  []uint64            // per group ID: the smaller child's rows << 32 | its class-1 rows
@@ -109,13 +109,20 @@ var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 // buffer that is too small, and fills the row list and class bytes.
 func (sc *buildScratch) reset(v *dataset.View) {
 	nAttrs, rootN := len(v.Attrs()), v.Len()
-	size := rootN * nAttrs
+	size, maxGroups := 0, 0
+	for _, list := range v.Groups() {
+		size += slabSize(rootN, len(list))
+		maxGroups = max(maxGroups, len(list))
+	}
 	sc.buf = slices.Grow(sc.buf[:0], size)[:size]
 	sc.slab = slices.Grow(sc.slab[:0], nAttrs)[:nAttrs]
-	for a := range sc.slab {
-		sc.slab[a] = sc.buf[a*rootN : (a+1)*rootN]
+	off := 0
+	for a, list := range v.Groups() {
+		end := off + slabSize(rootN, len(list))
+		sc.slab[a] = sc.buf[off:end:end]
+		off = end
 	}
-	sc.tmp = slices.Grow(sc.tmp[:0], rootN/2)
+	sc.tmp = slices.Grow(sc.tmp[:0], min(rootN/2, maxGroups))
 	sc.rows = append(sc.rows[:0], v.Rows()...)
 	classes := v.Classes()
 	sc.cls = slices.Grow(sc.cls[:0], len(classes))[:len(classes)]
@@ -129,6 +136,34 @@ func (sc *buildScratch) reset(v *dataset.View) {
 	if len(sc.count) < nIDs {
 		sc.count = make([]uint64, nIDs)
 	}
+}
+
+// slabSize bounds the slab entries one attribute's group lists take in
+// a tree of n rows whose root list holds g groups: f(n) = min(n, g +
+// f(n/2)), f(0) = 0.
+//
+// A node's list holds at most min(rows, g) entries. Partition writes
+// the larger child's list over the node's and the smaller child's
+// right behind it, and build grows the smaller child, of at most n/2
+// rows, first; the larger one's list waits below it. So a node of n
+// rows uses at most its larger child's list (g) plus what the smaller
+// child's subtree uses, f(n/2), or what the larger child's subtree
+// uses, f(n-1) at most; and never more than n, since the lists in use
+// at once are of disjoint rows, each no longer than its node has rows.
+// A slab's capacity ends at its bound, so a list that outgrew it would
+// panic in place rather than overwrite the next attribute's slab.
+func slabSize(n, g int) int {
+	var halves [64]int
+	k := 0
+	for ; n > 0; n /= 2 {
+		halves[k] = n
+		k++
+	}
+	f := 0
+	for k--; k >= 0; k-- {
+		f = min(halves[k], g+f)
+	}
+	return f
 }
 
 // level returns the child-node pair for a node at the given depth, each
@@ -211,7 +246,7 @@ func (b *groupBuilder) build(nd *groupNode, depthSoFar int) *Node {
 	if best == nil {
 		return node
 	}
-	children := b.partition(nd, best, depthSoFar)
+	children, small := b.partition(nd, best, depthSoFar)
 	if children == nil {
 		return node
 	}
@@ -219,7 +254,9 @@ func (b *groupBuilder) build(nd *groupNode, depthSoFar int) *Node {
 	node.Attr = best.attr
 	node.Threshold = best.threshold
 	node.Children = make([]*Node, len(children))
-	for i := range children {
+	// The smaller child's lists lie above the larger one's: it grows
+	// first (see slabSize).
+	for _, i := range [2]int{small, 1 - small} {
 		node.Children[i] = b.build(&children[i], depthSoFar+1)
 	}
 	return node
@@ -390,9 +427,9 @@ func (b *groupBuilder) scan(list []dataset.Group, attr, n, ones int, baseEntropy
 	return true
 }
 
-// partition splits the node, and returns its two children, or nil when
-// one of them would hold fewer than minLeaf rows (the node then stays a
-// leaf).
+// partition splits the node, and returns its two children and which of
+// them is the smaller, or nil when one of them would hold fewer than
+// minLeaf rows (the node then stays a leaf).
 //
 // The children's class counts come from the scan. A child that is
 // certainly a leaf (see certainLeaf) needs no lists, so when both
@@ -400,25 +437,23 @@ func (b *groupBuilder) scan(list []dataset.Group, attr, n, ones int, baseEntropy
 //
 // Otherwise the node's range of the row list is split in place, left
 // rows (value <= threshold) first; the order of rows in a range means
-// nothing. The group lists live in one buffer, a slab of rootN entries
-// per attribute, in which every node owns a region of as many entries
-// as it has rows, starting at glo: no list can be longer than its
-// node has rows. The larger child takes the front of the node's region
-// and the smaller child the rest, whichever side each is. The larger
-// child's list is written over the node's own, which the walk that
-// builds it has always read past; the smaller child's is staged and
-// copied behind it. At the root the lists are read from the view, which
-// is never written. The regions of siblings still waiting for their
-// turn are disjoint from every region a node writes. The split
+// nothing. The group lists live in one buffer, a slab per attribute
+// (see slabSize). The larger child's list is written over the node's
+// own, which the walk that builds it has always read past; the smaller
+// child's is staged and copied right behind it, whichever side each
+// is. At the root the lists are read from the view, which is never
+// written, and the children's go to the slab's front. The smaller
+// child grows first, so the lists of nodes still waiting for their
+// turn lie below every list a node writes. The split
 // attribute's list is cut at the split's group; every other list is
 // split by counting the smaller child's rows into their groups (see
 // splitList). Nothing is allocated but the children's class
 // distributions, which become their Nodes' Dist.
-func (b *groupBuilder) partition(nd *groupNode, s *split, depth int) []groupNode {
+func (b *groupBuilder) partition(nd *groupNode, s *split, depth int) ([]groupNode, int) {
 	n, nC := nd.n, b.nClasses
 	nl, nr := s.leftN, n-s.leftN
 	if nl < minLeaf || nr < minLeaf {
-		return nil
+		return nil, 0
 	}
 
 	nodes := b.sc.level(depth, len(b.attrs))
@@ -438,10 +473,8 @@ func (b *groupBuilder) partition(nd *groupNode, s *split, depth int) []groupNode
 	large := 1 - small
 	nodes[0] = groupNode{lo: nd.lo, n: nl, ones: s.leftOnes, dist: left}
 	nodes[1] = groupNode{lo: nd.lo + nl, n: nr, ones: nd.ones - s.leftOnes, dist: right}
-	nodes[large].glo = nd.glo
-	nodes[small].glo = nd.glo + nodes[large].n
 	if leaves[0] && leaves[1] {
-		return nodes[:]
+		return nodes[:], small
 	}
 
 	b.splitRows(nd, s)
@@ -455,6 +488,10 @@ func (b *groupBuilder) partition(nd *groupNode, s *split, depth int) []groupNode
 	}
 	for a, slab := range b.sc.slab {
 		list := nd.groups[a]
+		region := slab
+		if depth > 0 {
+			region = list[:cap(list)]
+		}
 		var lists [2][]dataset.Group
 		if a == s.attr {
 			lists = [2][]dataset.Group{list[:s.leftGroups], list[s.leftGroups:]}
@@ -462,19 +499,22 @@ func (b *groupBuilder) partition(nd *groupNode, s *split, depth int) []groupNode
 			// overwrite.
 			lists[small] = append(b.sc.tmp[:0], lists[small]...)
 		} else {
-			lists = b.splitList(list, a, nd, small, smallRows)
+			lists = b.splitList(list, region, a, small, smallRows)
 		}
-		for _, k := range [2]int{large, small} {
-			if !leaves[k] {
-				nodes[k].groups[a] = place(slab[nodes[k].glo:], lists[k])
-			}
+		if !leaves[large] {
+			nodes[large].groups[a] = place(region, lists[large])
+			region = region[len(lists[large]):]
+		}
+		if !leaves[small] {
+			nodes[small].groups[a] = place(region, lists[small])
 		}
 	}
-	return nodes[:]
+	return nodes[:], small
 }
 
 // place moves list to the front of dst, unless it is there already,
-// and returns it there.
+// and returns it there, with dst's capacity. A list longer than dst
+// panics.
 func place(dst, list []dataset.Group) []dataset.Group {
 	if len(list) > 0 && &dst[0] != &list[0] {
 		copy(dst, list)
@@ -509,17 +549,18 @@ func (b *groupBuilder) splitRows(nd *groupNode, s *split) {
 // child (already split off by splitRows) into their groups, then walks
 // the list once: a group's entry in the smaller child carries those
 // counts, and its entry in the larger child the rest; an empty entry is
-// left out. The larger child's list is written at the front of the
-// node's region, which the walk has always read past; the smaller
-// child's goes to the staging buffer. The walk zeroes the counters it
-// read. A child that is certainly a leaf gets no entries.
-func (b *groupBuilder) splitList(list []dataset.Group, a int, nd *groupNode, small int, rows []int32) [2][]dataset.Group {
+// left out. The larger child's list is written at the front of region,
+// where the node's list starts (the walk has always read past it)
+// below the root; the smaller child's goes to the staging buffer. The
+// walk zeroes the counters it read. A child that is certainly a leaf
+// gets no entries.
+func (b *groupBuilder) splitList(list, region []dataset.Group, a, small int, rows []int32) [2][]dataset.Group {
 	count, rg, cls := b.sc.count, b.rowGroup[a], b.cls
 	for _, r := range rows {
 		count[rg[r]] += 1<<32 | uint64(cls[r])
 	}
 	large := 1 - small
-	ds, dl := b.sc.tmp[:0], b.sc.slab[a][nd.glo:nd.glo]
+	ds, dl := b.sc.tmp[:0], region[:0]
 	keepSmall, keepLarge := !b.leaves[small], !b.leaves[large]
 	for _, g := range list {
 		c := count[g.ID]

@@ -527,29 +527,26 @@ func growArena(v *dataset.View) *Node {
 
 // partitionViews builds the view shapes the refinement grid trains on
 // from one dataset: identity, a repeat view with duplicates of every
-// third row, and an extend view whose synthetics copy every fourth row
-// with its numeric values nudged.
+// third row, and an extend view whose synthetics interpolate from every
+// fourth row a small step towards the next (none for every fifth of
+// them, which tie their seed's values).
 func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 	st := dataset.NewStore(d, nil)
 	var extra []int32
-	var syn []dataset.Synthetic
-	for i := 0; i < len(st.Classes()); i++ {
+	var plan []dataset.Interpolation
+	n := len(st.Classes())
+	for i := 0; i < n; i++ {
 		if i%3 == 0 {
 			extra = append(extra, int32(i), int32(i))
 		}
 		if i%4 == 0 {
-			in := d.Instances[i]
-			vs := append([]float64(nil), in.Values...)
-			for a := range vs {
-				vs[a] += 0.001 * float64(i%5)
-			}
-			syn = append(syn, dataset.Synthetic{Values: vs, Class: in.Class, Seed: i})
+			plan = append(plan, dataset.Interpolation{Seed: int32(i), Neighbor: int32((i + 1) % n), Q: 0.01 * float64(i%5)})
 		}
 	}
 	return map[string]*dataset.View{
 		"identity": st.IdentityView(),
 		"repeat":   st.RepeatView(extra),
-		"extend":   st.ExtendView(syn),
+		"extend":   st.InterpolateView(plan),
 	}
 }
 
@@ -615,6 +612,9 @@ func TestPartitionMatchesArena(t *testing.T) {
 		"mixed": mixedDataset(600, 1),
 		"zeros": signedZeroDataset(400, 3),
 		"chain": chainDataset(),
+		// Far more rows than groups: the slabs are far shorter than
+		// the row list (slabSize).
+		"few groups": signedZeroDataset(3000, 4),
 	}
 	deepest := 0
 	for name, d := range cases {

@@ -99,9 +99,10 @@ func growPermuted(v *dataset.View, rng *stats.RNG) *Node {
 
 // tieViews builds random unit-weight views from one seed: an identity,
 // a repeat and an extend view over a store whose values come from a
-// pool of duplicates, both zeros and both infinities. Half the
-// synthetic values copy their seed row's, the others are pool values or
-// +0 (an interpolated zero).
+// pool of duplicates, both zeros and both infinities. The synthetic
+// rows interpolate between random rows with q = 0 half the time, so
+// half tie their seed's values (a -0 seed may give +0), and with a
+// random q otherwise.
 func tieViews(seed uint64) []*dataset.View {
 	pool := []float64{math.Inf(-1), -3, -1, math.Copysign(0, -1), 0, 0.5, 1, 2, 4, math.Inf(1)}
 	rng := stats.NewRNG(seed)
@@ -133,21 +134,14 @@ func tieViews(seed uint64) []*dataset.View {
 	for i := range extra {
 		extra[i] = int32(rng.Intn(n))
 	}
-	syn := make([]dataset.Synthetic, rng.Intn(3*n))
-	for j := range syn {
-		s := rng.Intn(n)
-		vs := append([]float64(nil), d.Instances[s].Values...)
-		for a := 0; a < 3; a++ {
-			switch rng.Intn(4) {
-			case 0:
-				vs[a] = pool[rng.Intn(len(pool))]
-			case 1:
-				vs[a] = 0
-			}
+	plan := make([]dataset.Interpolation, rng.Intn(3*n))
+	for j := range plan {
+		plan[j] = dataset.Interpolation{Seed: int32(rng.Intn(n)), Neighbor: int32(rng.Intn(n))}
+		if rng.Intn(2) == 0 {
+			plan[j].Q = rng.Float64()
 		}
-		syn[j] = dataset.Synthetic{Values: vs, Class: d.Instances[s].Class, Seed: s}
 	}
-	return []*dataset.View{st.IdentityView(), st.RepeatView(extra), st.ExtendView(syn)}
+	return []*dataset.View{st.IdentityView(), st.RepeatView(extra), st.InterpolateView(plan)}
 }
 
 // TestTreeIgnoresTieOrder is the proof obligation behind the group
@@ -204,16 +198,19 @@ func zeroThresholds(n *Node, out []uint64) []uint64 {
 // view by bits, sign included.
 //
 // The crafted case splits on y first; its left child keeps the zero
-// rows 1 (+0), 2 (-0) and the synthetic row 9, a -0 tied to its +0
+// rows 1 (+0), 2 (-0) and the synthetic row 9, a -0 tied to its -0
 // seed, so that child splits at -0, while the whole run ends with the
 // +0 synthetic row 10. The random cases mix both zeros in every
-// attribute, with synthetic rows that copy their seed's value or flip
-// the sign of its zero (a tied -0 against a +0 seed, and the reverse).
+// attribute, with synthetic rows at q = 0, which tie their seed's
+// value: a -0 seed's copy is +0 where the neighbour's value is not
+// below zero. (A synthetic zero that ties no seed, such as halfway
+// between -1 and 1, sorts after the tied ones, where the general
+// builder would keep it in row order.)
 func TestSignedZeroThresholds(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	check := func(name string, st *dataset.Store, syn []dataset.Synthetic) *Node {
+	check := func(name string, st *dataset.Store, plan []dataset.Interpolation) *Node {
 		t.Helper()
-		v := st.ExtendView(syn)
+		v := st.InterpolateView(plan)
 		defer v.Release()
 		got, err := (Learner{}).FitTreeView(v)
 		if err != nil {
@@ -234,9 +231,9 @@ func TestSignedZeroThresholds(t *testing.T) {
 		d.MustAdd(dataset.Instance{Values: []float64{r.x, r.y}, Class: r.class, Weight: 1})
 	}
 	st := dataset.NewStore(d, nil)
-	root := check("crafted", st, []dataset.Synthetic{
-		{Values: []float64{negZero, 0}, Class: 0, Seed: 1},
-		{Values: []float64{0, 5}, Class: 1, Seed: 5},
+	root := check("crafted", st, []dataset.Interpolation{
+		{Seed: 2, Neighbor: 0, Q: 0},   // (-0, 0) of class 0: -0 + 0·(-1) is -0
+		{Seed: 5, Neighbor: 8, Q: 0.5}, // (0, 5) of class 1
 	})
 	if root.Attr != 1 || root.Children[0].Attr != 0 {
 		t.Fatalf("crafted tree splits on %d then %d, want y then x", root.Attr, root.Children[0].Attr)
@@ -259,18 +256,11 @@ func TestSignedZeroThresholds(t *testing.T) {
 			}
 			d.MustAdd(dataset.Instance{Values: []float64{x, y}, Class: class, Weight: 1})
 		}
-		syn := make([]dataset.Synthetic, rng.Intn(13-n))
-		for j := range syn {
-			seed := rng.Intn(n)
-			vs := append([]float64(nil), d.Instances[seed].Values...)
-			for a := range vs {
-				if vs[a] == 0 && rng.Intn(2) == 0 {
-					vs[a] = -vs[a]
-				}
-			}
-			syn[j] = dataset.Synthetic{Values: vs, Class: d.Instances[seed].Class, Seed: seed}
+		plan := make([]dataset.Interpolation, rng.Intn(13-n))
+		for j := range plan {
+			plan[j] = dataset.Interpolation{Seed: int32(rng.Intn(n)), Neighbor: int32(rng.Intn(n))}
 		}
-		got := check(fmt.Sprintf("case %d", iter), dataset.NewStore(d, nil), syn)
+		got := check(fmt.Sprintf("case %d", iter), dataset.NewStore(d, nil), plan)
 		for _, th := range zeroThresholds(got, nil) {
 			if math.Float64frombits(th) == 0 {
 				signs[th>>63]++
