@@ -243,17 +243,48 @@ func BenchmarkMicro_C45Induction(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_SMOTE times one standalone SMOTE view (neighbour
-// search, synthetic rows, merged sort orders) over a columnar store of
-// FG-B1, the transform the refinement grid runs.
+// BenchmarkMicro_SMOTE times SMOTE in two legs. "view" builds one
+// standalone SMOTE view (neighbour search, synthetic rows, merged group
+// lists) over a columnar store of FG-B1. "cell" is one refinement-grid
+// SMOTE cell without its scoring: the view from a prebuilt neighbour
+// index of KV-A2's first training fold at 1500% with 14 neighbours, the
+// grid's largest SMOTE point, and the C4.5 tree fitted from it. Each
+// leg releases its view, as the grid's cells do, so its arena is
+// reused instead of allocated and zeroed per iteration.
 func BenchmarkMicro_SMOTE(b *testing.B) {
-	st := dataset.NewStore(benchDataset(b, "FG-B1"), nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sampling.SMOTEView(st, eval.PositiveClass, 300, 5, stats.NewRNG(uint64(i))); err != nil {
+	b.Run("view", func(b *testing.B) {
+		st := dataset.NewStore(benchDataset(b, "FG-B1"), nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, err := sampling.SMOTEView(st, eval.PositiveClass, 300, 5, stats.NewRNG(uint64(i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			v.Release()
+		}
+	})
+	b.Run("cell", func(b *testing.B) {
+		d := benchDataset(b, "KV-A2")
+		folds, err := dataset.StratifiedKFold(d, 10, stats.NewRNG(1))
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		ni, err := sampling.BuildViewIndex(dataset.NewStore(d, folds[0].Train), eval.PositiveClass, 14)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, err := ni.SMOTEView(1500, 14, stats.NewRNG(uint64(i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.DefaultLearner().FitTreeView(v); err != nil {
+				b.Fatal(err)
+			}
+			v.Release()
+		}
+	})
 }
 
 // BenchmarkMicro_NeighborIndex times the per-fold SMOTE neighbour index

@@ -110,9 +110,10 @@ func crossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, co
 	cellsScored := reg.Counter("refine.cells_scored")
 	cellNS := reg.Histogram("refine.cell_ns")
 	ctrs := refineCounters{
-		mergeSyn: reg.Counter("refine.merge_synthetic_rows"),
-		viewNS:   reg.Histogram("refine.view_ns"),
-		induceNS: reg.Histogram("refine.induce_ns"),
+		mergeSyn:    reg.Counter("refine.merge_synthetic_rows"),
+		viewEntries: reg.Counter("refine.view_entries"),
+		viewNS:      reg.Histogram("refine.view_ns"),
+		induceNS:    reg.Histogram("refine.induce_ns"),
 	}
 
 	shared := make([]foldShared, len(folds))
@@ -245,9 +246,10 @@ type wholeShared struct {
 // counters and the histograms' counts are worker-count-invariant by
 // construction.
 type refineCounters struct {
-	mergeSyn *telemetry.Counter
-	viewNS   *telemetry.Histogram
-	induceNS *telemetry.Histogram
+	mergeSyn    *telemetry.Counter
+	viewEntries *telemetry.Counter
+	viewNS      *telemetry.Histogram
+	induceNS    *telemetry.Histogram
 }
 
 // refineCellEval evaluates one configuration on one fold. The cell RNG
@@ -277,6 +279,11 @@ func refineCellEval(l mining.Learner, d *dataset.Dataset, fold dataset.Fold, sh 
 	ctrs.viewNS.ObserveDuration(time.Since(start))
 	if cfg.Kind == Smote {
 		ctrs.mergeSyn.Add(int64(v.Appended()))
+		entries := 0
+		for _, list := range v.Groups() {
+			entries += len(list)
+		}
+		ctrs.viewEntries.Add(int64(entries))
 	}
 	start = time.Now()
 	model, err := l.FitView(v)

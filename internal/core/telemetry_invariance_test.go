@@ -42,8 +42,8 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 		// Two undersampling points plus an oversampling and a SMOTE point,
 		// so the store/view/index counters (refine.store_builds,
 		// refine.cells_scored, refine.merge_synthetic_rows,
-		// refine.index_builds, refine.index_shared_folds) all
-		// accumulate.
+		// refine.view_entries, refine.index_builds,
+		// refine.index_shared_folds) all accumulate.
 		grid := RefineGrid(false)
 		sub := append(grid[:2:2], grid[4:6]...)
 		if _, err := Refine(ctx, d, sub, opts); err != nil {
@@ -73,7 +73,7 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 	if len(serial.Counters) == 0 {
 		t.Fatal("serial run recorded no counters")
 	}
-	for _, name := range []string{"refine.store_builds", "refine.cells_scored", "refine.merge_synthetic_rows", "refine.index_builds", "refine.index_shared_folds"} {
+	for _, name := range []string{"refine.store_builds", "refine.cells_scored", "refine.merge_synthetic_rows", "refine.view_entries", "refine.index_builds", "refine.index_shared_folds"} {
 		if serial.Counters[name] <= 0 {
 			t.Errorf("counter %s not accumulated: %d", name, serial.Counters[name])
 		}

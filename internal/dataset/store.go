@@ -45,9 +45,16 @@ type Store struct {
 // share one value, bit for bit, with the number of them in class 1.
 // A list is ascending; adjacent entries with the same Run hold == values
 // (the two zeros), and every entry holds at least one row.
+//
+// An entry with a negative Run is a stretch instead: rows of class 1
+// whose values are pairwise distinct under == and lie strictly between
+// the values of the entries on either side, so it stands for N runs of
+// one row each. Its rows map to its ID, but its GroupValues slot holds
+// NaN: which value ends a stretch depends on which of its rows a node
+// holds (see InterpolateView).
 type Group struct {
 	ID   int32 // index into the view's GroupValues, the value RowGroups maps the rows to
-	Run  int32 // the run of == values the group belongs to; equal only within a run
+	Run  int32 // the run of == values the group belongs to; equal only within a run; negative for a stretch
 	N    int32 // rows in the group
 	Ones int32 // of them, rows of class 1
 }
@@ -177,15 +184,16 @@ func interpolate(sv, nv, q float64) float64 {
 // View is a training set described against a Store: the base rows it
 // keeps (possibly repeated), any synthetic rows appended after them,
 // and, per attribute, the view's group list (the store's groups with
-// the view's row and class counts, plus groups of synthetic values) and
-// every row's group ID, so tree induction starts without sorting or
-// grouping anything. A group list orders its groups as the rows would
-// be ordered if sorted: ascending, and within a run of == values the
-// base rows first, in the store's order, then the synthetic rows tied
-// to a seed of that value, then the others, each in row order. That
-// order decides only which zero a threshold on a mixed run records
-// (DESIGN.md §10). Every row weighs 1: a sampled row is a copy or an
-// interpolation of a store row.
+// the view's row and class counts, plus groups and stretches of
+// synthetic values) and every row's group ID, so tree induction starts
+// without sorting or grouping anything. A group list orders its entries
+// as the rows would be ordered if sorted: ascending, and within a run
+// of == values the base rows first, in the store's order, then the
+// synthetic rows tied to a seed of that value, then the others, each in
+// row order; a stretch's rows, all distinct, in any order. That order
+// decides only which zero a threshold on a mixed run records (DESIGN.md
+// §10). Every row weighs 1: a sampled row is a copy or an interpolation
+// of a store row.
 // Views are cheap (O(groups + appended rows) per attribute to build, no
 // instance cloning) and immutable until released; all cells of a fold
 // may read them, and the arrays they share with the store,
@@ -368,10 +376,13 @@ func (s *Store) repeatView(extra []int32, ar *viewArena) *View {
 // the seed's run of == values, and only the others are sorted, by a
 // stable radix sort. Within every run the base groups come first, then
 // the tied synthetic rows, then the sorted ones of the same value, each
-// in row order. A synthetic row bit-identical to the group before it
-// joins that group; any other starts a new group, whose ID follows the
-// store's. Every array lives in a pooled arena that Release returns;
-// the view keeps nothing of plan.
+// in row order. Between two store runs, every maximal run of two or
+// more sorted synthetic values of class 1 whose order keys are unique
+// becomes one stretch (see Group), with an ID of its own after the
+// store's. Any other synthetic row bit-identical to the group before
+// it joins that group, and otherwise starts a new group, whose ID
+// follows the store's. Every array lives in a pooled arena that
+// Release returns; the view keeps nothing of plan.
 func (s *Store) InterpolateView(plan []Interpolation) *View {
 	return s.interpolateView(plan, viewArenas.Get().(*viewArena))
 }
@@ -445,8 +456,8 @@ type groupList struct {
 	list []Group
 	vals []float64
 	// nextRun labels the next run of synthetic values no store run
-	// holds.
-	nextRun int32
+	// holds, and nextStretch the next stretch.
+	nextRun, nextStretch int32
 }
 
 // add appends one row of value x and class c in ascending order: into
@@ -490,6 +501,40 @@ func (gl *groupList) addRun(rows []int32, col []float64, rg []int32, classes []i
 	}
 }
 
+// addGap places sorted synthetic rows whose values lie strictly between
+// two store runs. Every maximal stretch of two or more of them that are
+// class 1 and whose order keys are unique, no key == its neighbours',
+// becomes one stretch entry; the others go in one by one, as add places
+// them. A value after a stretch is above all of its values, and the NaN
+// in the stretch's value slot equals nothing, so add starts a new run
+// for it.
+func (gl *groupList) addGap(keys []rowKey, col []float64, rg []int32, classes []int) {
+	unique := func(i int) bool {
+		return classes[keys[i].row] == 1 &&
+			(i == 0 || keys[i-1].key != keys[i].key) &&
+			(i+1 == len(keys) || keys[i+1].key != keys[i].key)
+	}
+	for i := 0; i < len(keys); {
+		e := i
+		for e < len(keys) && unique(e) {
+			e++
+		}
+		if e-i < 2 {
+			r := keys[i].row
+			rg[r] = gl.add(col[r], classes[r])
+			i++
+			continue
+		}
+		gl.nextStretch--
+		id := int32(len(gl.vals))
+		gl.vals = append(gl.vals, math.NaN())
+		gl.list = append(gl.list, Group{ID: id, Run: gl.nextStretch, N: int32(e - i), Ones: int32(e - i)})
+		for ; i < e; i++ {
+			rg[keys[i].row] = id
+		}
+	}
+}
+
 // mergeSynthetic interpolates attribute a of the plan's synthetic rows
 // into v's column (rows n..) and returns the attribute's group list and
 // group values of v: the store's list with those rows merged in. It
@@ -500,7 +545,9 @@ func (gl *groupList) addRun(rows []int32, col []float64, rg []int32, classes []i
 // which the row simply joins: its count goes to joins. Zeros, whose run
 // may end in a group of the other sign, are placed after the zero run's
 // base groups, in row order. The other values are radix-sorted and
-// placed as the merge reaches them.
+// placed as the merge reaches them: those == a store run's value after
+// that run's rows, and those between two store runs by addGap, which
+// gathers runs of distinct class-1 values into stretches.
 func (ar *viewArena) mergeSynthetic(v *View, a int, plan []Interpolation) groupList {
 	s := v.store
 	n := s.n
@@ -542,9 +589,12 @@ func (ar *viewArena) mergeSynthetic(v *View, a int, plan []Interpolation) groupL
 		run := base[i].Run
 		x := gl.vals[base[i].ID]
 		bk := orderKey(x)
-		for ; u < len(keys) && keys[u].key < bk; u++ {
-			rg[keys[u].row] = gl.add(col[keys[u].row], classes[keys[u].row])
+		e := u
+		for e < len(keys) && keys[e].key < bk {
+			e++
 		}
+		gl.addGap(keys[u:e], col, rg, classes)
+		u = e
 		for ; i < len(base) && base[i].Run == run; i++ {
 			g := base[i]
 			if c := joins[g.ID]; c != 0 {
@@ -560,9 +610,7 @@ func (ar *viewArena) mergeSynthetic(v *View, a int, plan []Interpolation) groupL
 			rg[keys[u].row] = gl.add(col[keys[u].row], classes[keys[u].row])
 		}
 	}
-	for ; u < len(keys); u++ {
-		rg[keys[u].row] = gl.add(col[keys[u].row], classes[keys[u].row])
-	}
+	gl.addGap(keys[u:], col, rg, classes)
 	return gl
 }
 
@@ -674,17 +722,20 @@ func (v *View) Cols() [][]float64 { return v.cols }
 // Classes returns per-row class indices (shared; read-only).
 func (v *View) Classes() []int { return v.classes }
 
-// Groups returns every attribute's group list: ascending, each group
+// Groups returns every attribute's group list: ascending, each entry
 // with its row and class-1 counts in the view, none empty (shared;
-// read-only).
+// read-only). An entry with a negative Run is a stretch of distinct
+// class-1 values, not a group: its GroupValues slot holds NaN, and the
+// value of its last row in a node must be found among the rows that map
+// to it (see Group).
 func (v *View) Groups() [][]Group { return v.groups }
 
 // RowGroups returns, per attribute, every row id's group ID (shared;
 // read-only). Only the ids in Rows are meaningful.
 func (v *View) RowGroups() [][]int32 { return v.rowGroup }
 
-// GroupValues returns, per attribute, every group ID's value (shared;
-// read-only).
+// GroupValues returns, per attribute, every group ID's value, NaN for
+// a stretch (shared; read-only).
 func (v *View) GroupValues() [][]float64 { return v.groupVal }
 
 // Materialize builds the instance-major dataset the view describes, in

@@ -46,7 +46,8 @@ type oracleGroup struct {
 // synthetic instances whose value equals their seed's, then the other
 // synthetic ones, each in instance order. It cuts that order into
 // maximal runs of bit-identical values. plan is the extend view's
-// synthetic rows (nil for the other views).
+// synthetic rows (nil for the other views). It knows nothing of
+// stretches: checkViewGroups expands them.
 func sortedGroups(st *Store, md *Dataset, rows []int32, plan []Interpolation, a int) []oracleGroup {
 	col := st.Cols()[a]
 	storeOrder := make([]int32, st.n)
@@ -106,6 +107,13 @@ func sortedGroups(st *Store, md *Dataset, rows []int32, plan []Interpolation, a 
 // run's groups, each group holding as many instances of each class as
 // it counts. Adjacent groups share a run exactly when their values are
 // ==, and the IDs are distinct.
+//
+// A stretch (negative Run, unique in the list) is expanded by sorting
+// the instances that map to it: at least two, all of class 1, N and
+// Ones counting them, pairwise distinct under ==, and strictly above
+// the entry before it and below the entry after it, so that no other
+// entry holds a value == any of them. Each then is a recomputed group
+// of that one instance, in order.
 func checkViewGroups(t *testing.T, st *Store, v *View, plan []Interpolation) {
 	t.Helper()
 	md := v.Materialize()
@@ -113,7 +121,15 @@ func checkViewGroups(t *testing.T, st *Store, v *View, plan []Interpolation) {
 	for a := range v.Attrs() {
 		want := sortedGroups(st, md, v.Rows(), plan, a)
 		list, vals, rg := v.Groups()[a], v.GroupValues()[a], v.RowGroups()[a]
-		ids := make(map[int32]int) // group ID -> position in list
+		value := func(i int) float64 { return md.Instances[i].Values[a] }
+		members := make(map[int32][]int) // group ID -> instances, a stretch's ascending
+		for i, r := range v.Rows() {
+			members[rg[r]] = append(members[rg[r]], i)
+		}
+		ids := make(map[int32]int)       // group ID -> position in list
+		runs := make(map[int32]bool)     // the stretches' runs
+		lo := make([]float64, len(list)) // per position: least value
+		hi := make([]float64, len(list)) // and greatest
 		for k, g := range list {
 			if _, dup := ids[g.ID]; dup {
 				t.Fatalf("attr %d: group ID %d repeats", a, g.ID)
@@ -122,18 +138,51 @@ func checkViewGroups(t *testing.T, st *Store, v *View, plan []Interpolation) {
 			if g.N < 1 {
 				t.Fatalf("attr %d group %d: empty", a, k)
 			}
-			if k > 0 && (list[k-1].Run == g.Run) != (vals[list[k-1].ID] == vals[g.ID]) {
-				t.Fatalf("attr %d group %d: run %d after run %d, values %v after %v", a, k, g.Run, list[k-1].Run, vals[g.ID], vals[list[k-1].ID])
+			lo[k], hi[k] = vals[g.ID], vals[g.ID]
+			if g.Run < 0 {
+				m := members[g.ID]
+				sort.Slice(m, func(x, y int) bool { return value(m[x]) < value(m[y]) })
+				if runs[g.Run] || g.N < 2 || g.Ones != g.N || int(g.N) != len(m) {
+					t.Fatalf("attr %d group %d: stretch %+v holds %d instances (run repeats: %v)", a, k, g, len(m), runs[g.Run])
+				}
+				runs[g.Run] = true
+				for j, i := range m {
+					if md.Instances[i].Class != 1 || (j > 0 && !(value(m[j-1]) < value(i))) {
+						t.Fatalf("attr %d stretch %d: instance %d (%v, class %d) after %v", a, k, i, value(i), md.Instances[i].Class, value(m[max(j-1, 0)]))
+					}
+				}
+				lo[k], hi[k] = value(m[0]), value(m[len(m)-1])
+			}
+			if k == 0 {
+				continue
+			}
+			if prev := list[k-1]; prev.Run < 0 || g.Run < 0 {
+				if !(hi[k-1] < lo[k]) || prev.Run == g.Run {
+					t.Fatalf("attr %d group %d: %+v from %v after %+v up to %v", a, k, g, lo[k], prev, hi[k-1])
+				}
+			} else if (prev.Run == g.Run) != (vals[prev.ID] == vals[g.ID]) {
+				t.Fatalf("attr %d group %d: run %d after run %d, values %v after %v", a, k, g.Run, prev.Run, vals[g.ID], vals[prev.ID])
 			}
 		}
 		bits := func(k int) uint64 { return math.Float64bits(vals[list[k].ID]) }
 		k := 0
-		for w, wg := range want {
+		for w := 0; w < len(want); {
+			if k < len(list) && list[k].Run < 0 {
+				for _, i := range members[list[k].ID] {
+					if w == len(want) || math.Float64bits(want[w].value) != math.Float64bits(value(i)) || !slices.Equal(want[w].members, []int{i}) {
+						t.Fatalf("attr %d: stretch member %d (%v) is not recomputed group %d alone", a, i, value(i), w)
+					}
+					w++
+				}
+				k++
+				continue
+			}
+			wg := want[w]
 			if k == len(list) || bits(k) != math.Float64bits(wg.value) {
 				t.Fatalf("attr %d: recomputed group %d (%v) is not next in the list", a, w, wg.value)
 			}
 			first := k
-			for k++; k < len(list) && bits(k) == bits(first); k++ {
+			for k++; k < len(list) && list[k].Run >= 0 && bits(k) == bits(first); k++ {
 			}
 			counts := make(map[int][2]int32) // list position -> rows, class-1 rows
 			for _, i := range wg.members {
@@ -151,11 +200,25 @@ func checkViewGroups(t *testing.T, st *Store, v *View, plan []Interpolation) {
 					t.Fatalf("attr %d group %d (%v): %d rows, %d of class 1; its instances are %d and %d", a, p, wg.value, list[p].N, list[p].Ones, c[0], c[1])
 				}
 			}
+			w++
 		}
 		if k != len(list) {
 			t.Fatalf("attr %d: %d groups beyond the recomputed ones", a, len(list)-k)
 		}
 	}
+}
+
+// stretches counts a view's stretch entries over every attribute.
+func stretches(v *View) int {
+	n := 0
+	for _, list := range v.Groups() {
+		for _, g := range list {
+			if g.Run < 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // checkInterpolated requires the materialised extend view md of st to
@@ -320,6 +383,7 @@ func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 		}
 		return extendPool[rng.Intn(len(extendPool))]
 	}
+	seen := 0
 	for iter := 0; iter < 300; iter++ {
 		d := New("ties", []Attribute{NumericAttr("x"), NumericAttr("y")}, []string{"n", "p"})
 		n := 1 + rng.Intn(40)
@@ -335,7 +399,74 @@ func TestExtendViewMatchesSortSliceOrder(t *testing.T) {
 			plan[j] = Interpolation{Seed: int32(rng.Intn(n)), Neighbor: int32(rng.Intn(n)), Q: q}
 		}
 		st := NewStore(d, nil)
-		checkViewGroups(t, st, st.InterpolateView(plan), plan)
+		v := st.InterpolateView(plan)
+		checkViewGroups(t, st, v, plan)
+		seen += stretches(v)
+	}
+	if seen == 0 {
+		t.Fatal("no view held a stretch")
+	}
+}
+
+// TestExtendViewStretches pins which untied synthetic values
+// InterpolateView gathers into stretches: between two store values, a
+// run of two or more distinct class-1 values, a lone zero between a
+// negative and a positive value among them. A value == a store value
+// joins that value's run, duplicates share a group, and a class-0
+// synthetic or a lone value gets a group of its own, as before.
+func TestExtendViewStretches(t *testing.T) {
+	d := New("stretch", []Attribute{NumericAttr("x"), NumericAttr("y")}, []string{"n", "p"})
+	for _, r := range []struct {
+		x, y  float64
+		class int
+	}{{-1, -1e308, 1}, {1, 1e308, 1}, {2, 1e308, 1}, {10, -1e308, 1}, {4, 0, 0}, {12, 1, 0}} {
+		d.MustAdd(Instance{Values: []float64{r.x, r.y}, Class: r.class})
+	}
+	plan := []Interpolation{
+		{Seed: 0, Neighbor: 1, Q: 0.5},    // x 0, y +Inf
+		{Seed: 0, Neighbor: 1, Q: 0.25},   // x -0.5
+		{Seed: 2, Neighbor: 3, Q: 0.25},   // x 4, == row 4's, y -Inf
+		{Seed: 2, Neighbor: 3, Q: 0.5},    // x 6
+		{Seed: 3, Neighbor: 2, Q: 0.5},    // x 6 again
+		{Seed: 2, Neighbor: 3, Q: 0.125},  // x 3
+		{Seed: 2, Neighbor: 3, Q: 0.0625}, // x 2.5
+		{Seed: 4, Neighbor: 5, Q: 0.375},  // x 7, class 0
+		{Seed: 2, Neighbor: 3, Q: 0.75},   // x 8
+		{Seed: 2, Neighbor: 3, Q: 0.875},  // x 9
+		{Seed: 3, Neighbor: 5, Q: 0.5},    // x 11, alone between 10 and 12
+	}
+	st := NewStore(d, nil)
+	v := st.InterpolateView(plan)
+	defer v.Release()
+	checkViewGroups(t, st, v, plan)
+	list, rg := v.Groups()[0], v.RowGroups()[0]
+	at := func(j int) Group { // the x entry of synthetic j
+		id := rg[st.n+j]
+		for _, g := range list {
+			if g.ID == id {
+				return g
+			}
+		}
+		t.Fatalf("synthetic %d: group ID %d not listed", j, id)
+		return Group{}
+	}
+	for _, c := range []struct {
+		j, with int  // synthetic j, and one it shares an entry with (-1: none)
+		stretch bool // the entry is a stretch
+	}{
+		{0, 1, true}, {5, 6, true}, {8, 9, true},
+		{2, -1, false}, {3, 4, false}, {7, -1, false}, {10, -1, false},
+	} {
+		g := at(c.j)
+		if (g.Run < 0) != c.stretch || (c.with >= 0 && at(c.with) != g) || (c.with < 0 && c.j != 2 && g.N != 1) {
+			t.Errorf("synthetic %d: entry %+v; want a stretch: %v, shared with %d", c.j, g, c.stretch, c.with)
+		}
+	}
+	if g := at(2); g.ID != st.rowGroup[0][4] {
+		t.Errorf("synthetic 2 (x 4) in entry %+v, not in row 4's group %d", g, st.rowGroup[0][4])
+	}
+	if n := stretches(v); n != 3 {
+		t.Errorf("%d stretches, want 3", n)
 	}
 }
 
@@ -352,6 +483,14 @@ func FuzzExtendView(f *testing.F) {
 	// One column holding both ±1e308 clamps, with synthetics tied to
 	// each and interpolated across them to +Inf.
 	f.Add([]byte{3, 8, 9, 3, 5, 0x01, 0x01, 0x40, 0x02, 0x81, 0x00, 0x01, 0x40})
+	// Many distinct class-1 synthetics (stretches in three gaps), some
+	// of them duplicates and one == a base value.
+	f.Add([]byte{3, 0x81, 0xFF, 0xC0, 0x91, 0, 0x41, 0, 0x81, 0, 0xC1, 1, 0x80, 1, 0xC0, 1, 0x40, 3, 0x81, 3, 0xC1, 3, 0x41, 0, 0x43, 0, 0x83})
+	// A lone synthetic zero between -1 and 1, then one inside a stretch.
+	f.Add([]byte{1, 1, 5, 0, 0x41})
+	f.Add([]byte{1, 1, 5, 0, 0x41, 0, 0x81, 1, 0xC0})
+	// Class-1 synthetics interpolated across the ±1e308 clamps to ±Inf.
+	f.Add([]byte{2, 9, 8, 19, 0, 0x41, 0, 0x81, 2, 0xC1, 1, 0x40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -401,6 +540,12 @@ func FuzzViewGroups(f *testing.F) {
 	f.Add([]byte{4, 3, 2, 0, 2, 3, 1, 3, 3, 0, 2, 2, 1, 0x81, 3, 0x03, 2, 9, 0x01, 3, 2, 0x02})
 	f.Add([]byte{6, 8, 9, 1, 9, 8, 0, 8, 8, 1, 9, 9, 0, 3, 2, 1, 2, 3, 0, 0x85, 7, 0x03, 0x04, 0, 0x00, 1, 3, 0x01, 0x82, 8, 0x02})
 	f.Add([]byte{3, 0, 7, 0, 7, 0, 1, 200, 130, 1, 0, 2, 0x03, 1, 3, 0x00})
+	// Many distinct class-1 synthetics, duplicates and one == a base
+	// value; then a synthetic zero between -1 and 1 beside ±Inf from
+	// the ±1e308 clamps.
+	f.Add([]byte{3, 0x81, 0x90, 1, 0xFF, 0xA0, 1, 0xC0, 0x85, 0, 0x91, 0xF0, 1,
+		0, 1, 1, 0, 1, 2, 0, 1, 3, 1, 0, 2, 1, 0, 3, 1, 0, 1, 3, 1, 2, 3, 1, 3, 3, 1, 1, 0, 3, 1, 0, 3, 2})
+	f.Add([]byte{1, 1, 9, 1, 5, 8, 1, 0, 1, 1, 0, 1, 2, 1, 0, 3})
 	f.Fuzz(checkViewShapes)
 }
 

@@ -17,7 +17,10 @@ import (
 // attribute, the ascending list of its value groups with each group's
 // row and class-1 counts, and every row's group ID. The fold's store
 // found the groups once, and the sampling views only counted or merged
-// into them, so the builder neither sorts nor groups anything. The
+// into them, so the builder neither sorts nor groups anything. A SMOTE
+// view's list also holds stretches, entries of distinct class-1 values
+// (dataset.Group), which the builder scans as one run per row without
+// expanding them. The
 // general builder that re-sorts per node is kept in the tests as the
 // oracle (general_test.go).
 //
@@ -94,6 +97,7 @@ type buildScratch struct {
 	buf    []dataset.Group     // the list buffer: one slab per attribute
 	slab   [][]dataset.Group   // per attr: its slab of buf (see slabSize)
 	tmp    []dataset.Group     // staging for a smaller child's list
+	vals   []float64           // a stretch's values, for a threshold
 	cls    []uint8             // per row id: its class
 	count  []uint64            // per group ID: the smaller child's rows << 32 | its class-1 rows
 	levels []*[2]groupNode     // per depth: the children of the node being partitioned
@@ -242,7 +246,7 @@ func (b *groupBuilder) build(nd *groupNode, depthSoFar int) *Node {
 	if certainLeaf(nd.n, nd.dist) {
 		return node
 	}
-	best := b.bestSplit(nd)
+	best := b.bestSplit(nd, b.sc.rows[nd.lo:nd.lo+nd.n])
 	if best == nil {
 		return node
 	}
@@ -263,9 +267,10 @@ func (b *groupBuilder) build(nd *groupNode, depthSoFar int) *Node {
 }
 
 // bestSplit scans every attribute, collecting candidates into the
-// builder's split scratch. The returned pointer aims into splitBuf and
-// is only valid until the next bestSplit call.
-func (b *groupBuilder) bestSplit(nd *groupNode) *split {
+// builder's split scratch, and sets the chosen split's threshold from
+// the node's rows. The returned pointer aims into splitBuf and is only
+// valid until the next bestSplit call.
+func (b *groupBuilder) bestSplit(nd *groupNode, rows []int32) *split {
 	b.splitBuf = b.splitBuf[:0]
 	b.candBuf = b.candBuf[:0]
 	baseEntropy := entropy(nd.dist)
@@ -276,7 +281,11 @@ func (b *groupBuilder) bestSplit(nd *groupNode) *split {
 			b.candBuf = append(b.candBuf, &b.splitBuf[len(b.splitBuf)-1])
 		}
 	}
-	return selectSplit(b.candBuf)
+	best := selectSplit(b.candBuf)
+	if best != nil {
+		b.threshold(best, nd.groups[best.attr], rows)
+	}
+	return best
 }
 
 // entropy2 is entropy over the two class counts c0 and c1 summing to
@@ -309,19 +318,27 @@ func entropy2(c0, c1 int, total float64) float64 {
 // class (Fayyad & Irani 1992 prove the gain-maximising cut is one),
 // plus the first and last cuts that pass the minLeaf gate, since the
 // gate can truncate a same-class stretch and leave its best feasible
-// cut at the gate's edge. Whether a cut is a boundary point depends on
-// the run after it, so a cut is decided once that run is counted. Once
-// a run pure in one class is counted past the first feasible cut, the
-// following single-group runs pure in the same class are skipped in a
-// tight loop that only adds their rows and counts them as distinct,
-// while the cut after each stays feasible and is not the node's last:
-// the cut before each joins two runs pure in one class and is neither
-// the first nor the last feasible one, so it is never scored. The
-// counts are exact, so every scored
-// cut's gain has the same bits as in a scan of every cut over sorted
-// rows (numericSplitFullScan in the tests), and distinct still counts
-// every run for the MDL penalty. The threshold is the value of the
-// last group left of the cut.
+// cut at the gate's edge, and the list's last cut. Whether a cut is a
+// boundary point depends on the run after it, so a cut is decided once
+// that run is counted. Once a run pure in one class is counted past the
+// first feasible cut, the following single-group runs pure in the same
+// class are skipped in a tight loop that only adds their rows and
+// counts them as distinct, while the cut after each stays feasible and
+// is not the node's last: the cut before each joins two runs pure in
+// one class and is neither the first nor the last feasible one, so it
+// is never scored.
+//
+// A stretch (dataset.Group) of S rows is S runs of one row of class 1.
+// Its first row is counted as a run, and the S-1 cuts inside it join
+// two runs of class 1, so of those only the first and last feasible
+// ones and the list's last cut are scored, in O(1); the skip loop
+// passes a stretch whole. The counts are exact, so every scored cut's
+// gain has the same bits as in a scan of every cut over sorted rows
+// (numericSplitFullScan in the tests), and distinct still counts every
+// run for the MDL penalty. The threshold is the value of the last group
+// left of the cut; where that is a stretch, or the cut lies inside one,
+// it depends on the node's rows, and threshold sets it once the split
+// is chosen.
 func (b *groupBuilder) scan(list []dataset.Group, attr, n, ones int, baseEntropy float64, out *split) bool {
 	L := len(list)
 	if L < 2 || list[0].Run == list[L-1].Run {
@@ -333,43 +350,76 @@ func (b *groupBuilder) scan(list []dataset.Group, attr, n, ones int, baseEntropy
 		bestGain  = -1.0
 		bestEnd   int // the winning cut: this many rows go left
 		bestOnes  int // of them, rows of class 1
-		bestPos   int // and this many groups
+		bestPos   int // and this many entries
+		bestPart  int // and this many rows of the stretch after them
 		distinct  = 1
 		feasible  = false // a cut has passed the minLeaf gate
 		prevClass int     // the class of the run before the cut (-1: mixed)
 	)
+	// try scores the cut leaving end rows, endOnes of them in class 1,
+	// on its left: pos entries and part rows of the next.
+	try := func(end, endOnes, pos, part int) {
+		b.scored++
+		leftW := float64(end)
+		l0, l1 := end-endOnes, endOnes
+		childEntropy := (leftW*entropy2(l0, l1, leftW) + (totalW-leftW)*entropy2(n-ones-l0, ones-l1, totalW-leftW)) / totalW
+		if gain := baseEntropy - childEntropy; gain > bestGain {
+			bestGain, bestEnd, bestOnes, bestPos, bestPart = gain, end, endOnes, pos, part
+		}
+	}
 	left, leftOnes := 0, 0 // rows and class-1 rows left of the run being counted
 	i := 0
 	for {
-		// Count the run starting at list[i].
+		// Count the run starting at list[i]; of a stretch, its first row.
 		start, startOnes, pos := left, leftOnes, i
-		run := list[i].Run
-		for ; i < L && list[i].Run == run; i++ {
-			left += int(list[i].N)
-			leftOnes += int(list[i].Ones)
+		rest := 0 // the stretch's rows after its first
+		class := 1
+		if g := list[i]; g.Run < 0 {
+			left++
+			leftOnes++
+			i++
+			rest = int(g.N) - 1
+		} else {
+			for ; i < L && list[i].Run == g.Run; i++ {
+				left += int(list[i].N)
+				leftOnes += int(list[i].Ones)
+			}
+			class = -1
+			switch leftOnes - startOnes {
+			case 0:
+				class = 0
+			case left - start:
+				class = 1
+			}
 		}
-		class := -1
-		switch leftOnes - startOnes {
-		case 0:
-			class = 0
-		case left - start:
-			class = 1
-		}
+		last := i == L && rest == 0 // the run is the list's last
 		// Decide the cut before this run.
 		if leftW := float64(start); start > 0 && !(leftW < minLeaf || totalW-leftW < minLeaf) {
 			nextW := float64(left)
 			score := !feasible || prevClass < 0 || prevClass != class ||
-				i == L || nextW < minLeaf || totalW-nextW < minLeaf
+				last || nextW < minLeaf || totalW-nextW < minLeaf
 			feasible = true
 			if score {
-				b.scored++
-				l0, l1 := start-startOnes, startOnes
-				childEntropy := (leftW*entropy2(l0, l1, leftW) + (totalW-leftW)*entropy2(n-ones-l0, ones-l1, totalW-leftW)) / totalW
-				gain := baseEntropy - childEntropy
-				if gain > bestGain {
-					bestGain, bestEnd, bestOnes, bestPos = gain, start, startOnes, pos
-				}
+				try(start, startOnes, pos, 0)
 			}
+		}
+		if rest > 0 {
+			// The cuts inside the stretch leave lo..hi rows left; the
+			// feasible ones lie in [first, end].
+			lo, hi := left, left+rest-1
+			first, end := max(lo, minLeaf), min(hi, limit)
+			if first <= end {
+				if !feasible {
+					try(first, startOnes+first-start, pos, first-start)
+				}
+				if (end == limit || (i == L && end == hi)) && (feasible || end > first) {
+					try(end, startOnes+end-start, pos, end-start)
+				}
+				feasible = true
+			}
+			left += rest
+			leftOnes += rest
+			distinct += rest
 		}
 		if i == L {
 			break
@@ -398,7 +448,11 @@ func (b *groupBuilder) scan(list []dataset.Group, attr, n, ones int, baseEntropy
 					}
 					left += int(g.N)
 					leftOnes += int(g.N)
-					distinct++
+					if g.Run < 0 {
+						distinct += int(g.N)
+					} else {
+						distinct++
+					}
 					i++
 				}
 			}
@@ -420,11 +474,49 @@ func (b *groupBuilder) scan(list []dataset.Group, attr, n, ones int, baseEntropy
 	if si > 1e-12 {
 		gr = gain / si
 	}
+	thr := 0.0 // set by threshold when the cut ends in a stretch
+	if bestPart == 0 && list[bestPos-1].Run >= 0 {
+		thr = b.groupVal[attr][list[bestPos-1].ID]
+	}
 	*out = split{
-		attr: attr, threshold: b.groupVal[attr][list[bestPos-1].ID], gain: gain, gainRatio: gr,
-		leftN: bestEnd, leftOnes: bestOnes, leftGroups: bestPos,
+		attr: attr, threshold: thr, gain: gain, gainRatio: gr,
+		leftN: bestEnd, leftOnes: bestOnes, leftGroups: bestPos, leftPart: bestPart,
 	}
 	return true
+}
+
+// threshold sets the threshold of a chosen split whose cut ends in a
+// stretch of the node's list of the split attribute, from the node's
+// rows: inside the stretch, the leftPart-th smallest value of its rows
+// among them; right after it, the largest. Both are exact bits, as the
+// stretch's values are pairwise distinct. Other splits keep the value
+// scan gave them.
+func (b *groupBuilder) threshold(s *split, list []dataset.Group, rows []int32) {
+	var g dataset.Group
+	k := s.leftPart
+	switch {
+	case k > 0:
+		g = list[s.leftGroups]
+	case list[s.leftGroups-1].Run < 0:
+		g = list[s.leftGroups-1]
+		k = int(g.N)
+	default:
+		return
+	}
+	col, rg := b.cols[s.attr], b.rowGroup[s.attr]
+	vals := b.sc.vals[:0]
+	for _, r := range rows {
+		if rg[r] == g.ID {
+			vals = append(vals, col[r])
+		}
+	}
+	b.sc.vals = vals
+	if k == len(vals) {
+		s.threshold = slices.Max(vals)
+		return
+	}
+	slices.Sort(vals)
+	s.threshold = vals[k-1]
 }
 
 // partition splits the node, and returns its two children and which of
@@ -445,10 +537,11 @@ func (b *groupBuilder) scan(list []dataset.Group, attr, n, ones int, baseEntropy
 // written, and the children's go to the slab's front. The smaller
 // child grows first, so the lists of nodes still waiting for their
 // turn lie below every list a node writes. The split
-// attribute's list is cut at the split's group; every other list is
-// split by counting the smaller child's rows into their groups (see
-// splitList). Nothing is allocated but the children's class
-// distributions, which become their Nodes' Dist.
+// attribute's list is cut at the split's entry, and a stretch the cut
+// lies inside goes to both children, each entry counting its side's
+// rows; every other list is split by counting the smaller child's rows
+// into their groups (see splitList). Nothing is allocated but the
+// children's class distributions, which become their Nodes' Dist.
 func (b *groupBuilder) partition(nd *groupNode, s *split, depth int) ([]groupNode, int) {
 	n, nC := nd.n, b.nClasses
 	nl, nr := s.leftN, n-s.leftN
@@ -494,7 +587,12 @@ func (b *groupBuilder) partition(nd *groupNode, s *split, depth int) ([]groupNod
 		}
 		var lists [2][]dataset.Group
 		if a == s.attr {
-			lists = [2][]dataset.Group{list[:s.leftGroups], list[s.leftGroups:]}
+			cut := s.leftGroups
+			lists = [2][]dataset.Group{list[:cut], list[cut:]}
+			if s.leftPart > 0 {
+				// Both children hold part of the stretch the cut lies in.
+				lists[0] = list[:cut+1]
+			}
 			// Stage the smaller side, which the larger one's move may
 			// overwrite.
 			lists[small] = append(b.sc.tmp[:0], lists[small]...)
@@ -507,6 +605,19 @@ func (b *groupBuilder) partition(nd *groupNode, s *split, depth int) ([]groupNod
 		}
 		if !leaves[small] {
 			nodes[small].groups[a] = place(region, lists[small])
+		}
+		if a == s.attr && s.leftPart > 0 {
+			part := int32(s.leftPart)
+			if !leaves[0] {
+				l := nodes[0].groups[a]
+				g := &l[len(l)-1]
+				g.N, g.Ones = part, part
+			}
+			if !leaves[1] {
+				g := &nodes[1].groups[a][0]
+				g.N -= part
+				g.Ones = g.N
+			}
 		}
 	}
 	return nodes[:], small

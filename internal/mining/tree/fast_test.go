@@ -1,9 +1,11 @@
 package tree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,7 +130,8 @@ func fitTreeCase(data []byte) *dataset.Dataset {
 // float64 bit patterns (±0, ±Inf, the ±1e308 clamps, subnormals, long
 // equal runs): the same tree, node for node, distributions included, up to the sign of a zero
 // threshold, which the two builders' unstable sorts may pick
-// differently. A three-class case must be refused, as the builder
+// differently. A two-class case is held to it again as a SMOTE-shaped
+// view (smoteView). A three-class case must be refused, as the builder
 // counts two classes; the general builder still grows its tree.
 func FuzzFitTree(f *testing.F) {
 	row := func(class byte, vs ...float64) []byte {
@@ -180,6 +183,17 @@ func FuzzFitTree(f *testing.F) {
 		}
 		if !sameTreeUpToZeroSign(got.Root, want) {
 			t.Fatalf("FitTree differs from the general builder\n%s", got)
+		}
+		// The same rows, SMOTE-shaped: stretches wherever distinct
+		// class-1 synthetic values fall between two of their values.
+		v := smoteView(dataset.NewStore(d, nil), 0.25, 0.5, 0.9375)
+		defer v.Release()
+		got, err = (Learner{}).FitTreeView(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTreeUpToZeroSign(got.Root, fitGeneral(v.Materialize())) {
+			t.Fatalf("FitTreeView on a SMOTE view differs from the general builder\n%s", got)
 		}
 	})
 }
@@ -285,18 +299,51 @@ func classOnes(dist []float64) int {
 
 // groupOrder expands attribute a's group list of v into an ascending
 // row order: the view's rows, duplicates included, group by group in
-// list order, and in row-list order within a group.
+// list order, and in row-list order within a group; a stretch's rows,
+// whose values are distinct, in ascending order of value.
 func groupOrder(v *dataset.View, a int) []int32 {
-	rg := v.RowGroups()[a]
+	return nodeOrder(v, a, v.Groups()[a], v.Rows())
+}
+
+// nodeOrder is groupOrder over a node holding the given rows, whose
+// list of attribute a is list.
+func nodeOrder(v *dataset.View, a int, list []dataset.Group, rows []int32) []int32 {
+	rg, col := v.RowGroups()[a], v.Cols()[a]
 	byGroup := make(map[int32][]int32)
-	for _, r := range v.Rows() {
+	for _, r := range rows {
 		byGroup[rg[r]] = append(byGroup[rg[r]], r)
 	}
 	var order []int32
-	for _, g := range v.Groups()[a] {
-		order = append(order, byGroup[g.ID]...)
+	for _, g := range list {
+		members := byGroup[g.ID]
+		if g.Run < 0 {
+			slices.SortFunc(members, func(x, y int32) int { return cmp.Compare(col[x], col[y]) })
+		}
+		order = append(order, members...)
 	}
 	return order
+}
+
+// countList counts rows into the entries of list, attribute a's list
+// of a node holding them: the list of that node, without the entries
+// the rows leave empty, as partition builds it, but regrouped from
+// scratch.
+func (b *groupBuilder) countList(list []dataset.Group, a int, rows []int32) []dataset.Group {
+	counts := make(map[int32]dataset.Group)
+	for _, r := range rows {
+		id := b.rowGroup[a][r]
+		c := counts[id]
+		c.N++
+		c.Ones += int32(b.cls[r])
+		counts[id] = c
+	}
+	var out []dataset.Group
+	for _, g := range list {
+		if c := counts[g.ID]; c.N > 0 {
+			out = append(out, dataset.Group{ID: g.ID, Run: g.Run, N: c.N, Ones: c.Ones})
+		}
+	}
+	return out
 }
 
 // splitValues is the value pool of splitCase: duplicates, both zeros
@@ -328,14 +375,19 @@ func splitCase(data []byte) *dataset.Store {
 	return dataset.NewStore(d, nil)
 }
 
-// checkScan runs the group scan on a node holding all of v's rows and
-// the full-scan oracle on the same rows in sorted order, and requires
-// the same ok and the same split, bit for bit, with the left side's
-// class-1 rows and groups counted right.
-func checkScan(t *testing.T, v *dataset.View) {
+// checkScan runs the group scan on a node holding the given rows of v
+// (all of them when rows is nil) and the full-scan oracle on the same
+// rows in sorted order, and requires the same ok and the same split,
+// bit for bit, threshold included, with the left side's class-1 rows
+// and entries counted right.
+func checkScan(t *testing.T, v *dataset.View, rows []int32) {
 	t.Helper()
+	if rows == nil {
+		rows = v.Rows()
+	}
 	b := newViewBuilder(v, new(buildScratch))
-	list, sorted := v.Groups()[0], groupOrder(v, 0)
+	list := b.countList(v.Groups()[0], 0, rows)
+	sorted := nodeOrder(v, 0, list, rows)
 	dist := b.classDist(sorted)
 	base := entropy(dist)
 	var got, want split
@@ -347,6 +399,7 @@ func checkScan(t *testing.T, v *dataset.View) {
 	if !gotOK {
 		return
 	}
+	b.threshold(&got, list, rows)
 	if got.attr != want.attr || got.leftN != want.leftN ||
 		math.Float64bits(got.threshold) != math.Float64bits(want.threshold) ||
 		math.Float64bits(got.gain) != math.Float64bits(want.gain) ||
@@ -356,21 +409,45 @@ func checkScan(t *testing.T, v *dataset.View) {
 	if ones := classOnes(b.classDist(sorted[:got.leftN])); got.leftOnes != ones {
 		t.Fatalf("left class-1 rows %d, want %d", got.leftOnes, ones)
 	}
-	n := 0
+	n := got.leftPart
+	if n > 0 && list[got.leftGroups].Run >= 0 {
+		t.Fatalf("cut inside entry %+v, not a stretch", list[got.leftGroups])
+	}
 	for _, g := range list[:got.leftGroups] {
 		n += int(g.N)
 	}
 	if n != got.leftN {
-		t.Fatalf("left groups hold %d rows, want %d", n, got.leftN)
+		t.Fatalf("left entries hold %d rows, want %d", n, got.leftN)
 	}
 }
 
-// checkScanAndHalf checks the scan on the store's identity view and on
-// the select view of its even rows, a child-shaped node whose groups
-// keep part of their rows.
+// smoteView is the SMOTE shape of a one-attribute store: every class-1
+// row interpolated towards the next class-1 row in row order at each
+// of qs, so most synthetic values are distinct and of class 1, and
+// gather into stretches between the store's values.
+func smoteView(st *dataset.Store, qs ...float64) *dataset.View {
+	var ones []int32
+	for r, c := range st.Classes() {
+		if c == 1 {
+			ones = append(ones, int32(r))
+		}
+	}
+	var plan []dataset.Interpolation
+	for i, r := range ones {
+		for _, q := range qs {
+			plan = append(plan, dataset.Interpolation{Seed: r, Neighbor: ones[(i+1)%len(ones)], Q: q})
+		}
+	}
+	return st.InterpolateView(plan)
+}
+
+// checkScanAndHalf checks the scan on the store's identity view, on the
+// select view of its even rows, a child-shaped node whose groups keep
+// part of their rows, and on a SMOTE view of it, whole and on a node of
+// every other row, whose stretches keep part of theirs.
 func checkScanAndHalf(t *testing.T, st *dataset.Store) {
 	t.Helper()
-	checkScan(t, st.IdentityView())
+	checkScan(t, st.IdentityView(), nil)
 	var half []int32
 	for r := range st.Classes() {
 		if r%2 == 0 {
@@ -378,7 +455,19 @@ func checkScanAndHalf(t *testing.T, st *dataset.Store) {
 		}
 	}
 	if len(half) > 0 {
-		checkScan(t, st.SelectView(half))
+		checkScan(t, st.SelectView(half), nil)
+	}
+	v := smoteView(st, 0.25, 0.5, 0.75, 0.9375)
+	defer v.Release()
+	checkScan(t, v, nil)
+	var rows []int32
+	for i, r := range v.Rows() {
+		if i%2 == 1 {
+			rows = append(rows, r)
+		}
+	}
+	if len(rows) > 0 {
+		checkScan(t, v, rows)
 	}
 }
 
@@ -429,7 +518,7 @@ func TestNumericSplitScoresOnlyBoundaries(t *testing.T) {
 	if b.scored > 3 {
 		t.Errorf("scored %d cuts, want at most 3", b.scored)
 	}
-	checkScan(t, v)
+	checkScan(t, v, nil)
 }
 
 // TestNumericSplitConstantNode: a node whose attribute holds one value
@@ -471,19 +560,7 @@ func (b *groupBuilder) partitionArena(nd *groupNode, s *split, rows []int32) ([]
 		dist := b.classDist(childRows[k])
 		nodes[k] = groupNode{n: len(childRows[k]), ones: classOnes(dist), dist: dist, groups: make([][]dataset.Group, len(b.attrs))}
 		for a := range b.attrs {
-			counts := make(map[int32]dataset.Group)
-			for _, r := range childRows[k] {
-				id := b.rowGroup[a][r]
-				c := counts[id]
-				c.N++
-				c.Ones += int32(b.cls[r])
-				counts[id] = c
-			}
-			for _, g := range nd.groups[a] {
-				if c := counts[g.ID]; c.N > 0 {
-					nodes[k].groups[a] = append(nodes[k].groups[a], dataset.Group{ID: g.ID, Run: g.Run, N: c.N, Ones: c.Ones})
-				}
-			}
+			nodes[k].groups[a] = b.countList(nd.groups[a], a, childRows[k])
 		}
 	}
 	return nodes, childRows
@@ -496,7 +573,7 @@ func (b *groupBuilder) buildArena(nd *groupNode, rows []int32) *Node {
 	if certainLeaf(nd.n, nd.dist) {
 		return node
 	}
-	best := b.bestSplit(nd)
+	best := b.bestSplit(nd, rows)
 	if best == nil {
 		return node
 	}
@@ -527,9 +604,10 @@ func growArena(v *dataset.View) *Node {
 
 // partitionViews builds the view shapes the refinement grid trains on
 // from one dataset: identity, a repeat view with duplicates of every
-// third row, and an extend view whose synthetics interpolate from every
+// third row, an extend view whose synthetics interpolate from every
 // fourth row a small step towards the next (none for every fifth of
-// them, which tie their seed's values).
+// them, which tie their seed's values), and a SMOTE-shaped one
+// (smoteView), whose lists are mostly stretches.
 func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 	st := dataset.NewStore(d, nil)
 	var extra []int32
@@ -547,19 +625,23 @@ func partitionViews(d *dataset.Dataset) map[string]*dataset.View {
 		"identity": st.IdentityView(),
 		"repeat":   st.RepeatView(extra),
 		"extend":   st.InterpolateView(plan),
+		"smote":    smoteView(st, 0.25, 0.5, 0.75),
 	}
 }
 
 // checkPartition grows the view's unpruned tree with the smaller-child
 // partition on fresh scratch and with the arena oracle, requiring the
-// same tree, and returns its depth. Pruning reads only the grown tree,
-// so equal grown trees prune alike.
+// same tree, and every child's lists to count its rows (growChecked);
+// it returns the tree's depth. Pruning reads only the grown tree, so
+// equal grown trees prune alike.
 func checkPartition(t *testing.T, name string, v *dataset.View) int {
 	t.Helper()
 	got := grow(v, new(buildScratch))
 	if !nodesEqual(got, growArena(v)) {
 		t.Fatalf("%s: group and arena trees differ", name)
 	}
+	b := newViewBuilder(v, new(buildScratch))
+	b.growChecked(t, name, v, b.root(v), 0)
 	return depth(got)
 }
 
@@ -628,7 +710,8 @@ func TestPartitionMatchesArena(t *testing.T) {
 }
 
 // partitionCase decodes bytes into a view for FuzzPartition. data[0]
-// is how many rows get a duplicate (a repeat view when non-zero). Each
+// is how many rows get a duplicate (a repeat view when non-zero), or,
+// with its top bit set, asks for a SMOTE-shaped view (smoteView). Each
 // further triple is one row: x and y from splitValues, and a byte whose
 // low bits pick a 5-valued code m and whose top bit flips the class
 // that otherwise follows x.
@@ -660,8 +743,11 @@ func partitionCase(data []byte) *dataset.View {
 		return nil
 	}
 	st := dataset.NewStore(d, nil)
-	if dups == 0 {
+	switch {
+	case dups == 0:
 		return st.IdentityView()
+	case dups >= 0x80:
+		return smoteView(st, 0.25, 0.5, 0.9375)
 	}
 	extra := make([]int32, 0, dups)
 	for i := 0; i < dups; i++ {
@@ -674,9 +760,11 @@ func FuzzPartition(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 0, 4, 5, 0x81, 5, 6, 2, 6, 7, 0x83, 3, 3, 1})
 	f.Add([]byte{9, 0, 0, 0, 1, 12, 0xff, 12, 0, 0x80, 3, 3, 0x85, 4, 4, 0x86, 2, 9, 7})
 	f.Add([]byte{3, 3, 4, 0x80, 4, 3, 0x81, 3, 3, 0x81, 4, 4, 0x80, 7, 8, 0x12, 8, 7, 0x34})
+	f.Add([]byte{0x80, 6, 6, 0, 8, 7, 1, 9, 9, 2, 10, 8, 3, 7, 6, 0x84, 1, 2, 0, 8, 8, 1, 9, 6, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if v := partitionCase(data); v != nil {
 			checkPartition(t, "fuzz", v)
+			v.Release()
 		}
 	})
 }

@@ -17,15 +17,20 @@ import (
 
 // fitGeneral grows and prunes a tree with the general builder.
 func fitGeneral(d *dataset.Dataset) *Node {
+	root := growGeneral(d)
+	prune(root)
+	return root
+}
+
+// growGeneral grows the unpruned tree with the general builder.
+func growGeneral(d *dataset.Dataset) *Node {
 	b := &builder{d: d}
 	items := make([]item, d.Len())
 	for i := range d.Instances {
 		in := &d.Instances[i]
 		items[i] = item{values: in.Values, class: in.Class, w: 1}
 	}
-	root := b.build(items)
-	prune(root)
-	return root
+	return b.build(items)
 }
 
 // item is one training case at a node.

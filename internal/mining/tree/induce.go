@@ -80,9 +80,10 @@ type split struct {
 	gain      float64
 	gainRatio float64
 	// Group builder only: the rows at or below threshold, how many of
-	// them are in class 1, and how many groups of the split attribute's
-	// list they fill.
-	leftN, leftOnes, leftGroups int
+	// them are in class 1, how many entries of the split attribute's
+	// list they fill, and, when the cut lies inside the stretch after
+	// those entries, how many of its rows go left (else 0).
+	leftN, leftOnes, leftGroups, leftPart int
 }
 
 // splitInfo is the entropy of the branch size distribution, the

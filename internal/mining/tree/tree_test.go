@@ -396,7 +396,7 @@ func TestGainRatioVsPlainGain(t *testing.T) {
 	}
 	v := dataset.NewStore(d, nil).IdentityView()
 	fb := newViewBuilder(v, new(buildScratch))
-	if fb.bestSplit(fb.root(v)) == nil {
+	if fb.bestSplit(fb.root(v), v.Rows()) == nil {
 		t.Fatal("no root split")
 	}
 	gain := map[int]float64{}
