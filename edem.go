@@ -157,7 +157,8 @@ const (
 )
 
 // VarRef adapters; targets build these once per run and pass them to
-// every Probe.Visit.
+// every Probe.Visit. A VarRef holds a typed pointer to its variable,
+// not closures, so building one allocates nothing.
 var (
 	Float64Ref = propane.Float64Ref
 	Int64Ref   = propane.Int64Ref

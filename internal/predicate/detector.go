@@ -86,8 +86,8 @@ func (d *Detector) Visit(module string, loc propane.Location, vars []propane.Var
 		}
 	}
 	d.mu.Unlock()
-	// Read and evaluate outside the lock: VarRef reads and predicate
-	// evaluation are the expensive part and touch no detector state.
+	// Read and evaluate outside the lock: neither the VarRef reads nor
+	// the predicate evaluation touches detector state.
 	state := make([]float64, len(vars))
 	for i, v := range vars {
 		state[i] = v.Read()

@@ -527,9 +527,9 @@ func (p *injectProbe) Visit(module string, loc Location, vars []VarRef) {
 
 // apply performs the injection-activation corruption on the probe's
 // variable. A fault that cannot be applied (mask outside the variable's
-// kind, or a hand-built VarRef without raw-bit accessors under a
-// non-transient model) is a flip error: surfaced on the record and in
-// campaign.fault_model_errors, never a silently benign run.
+// kind, or a zero VarRef that refers to no variable) is a flip error:
+// surfaced on the record and in campaign.fault_model_errors, never a
+// silently benign run.
 func (p *injectProbe) apply(vars []VarRef) {
 	for _, v := range vars {
 		if v.Name != p.varName {
@@ -542,7 +542,7 @@ func (p *injectProbe) apply(vars []VarRef) {
 			return
 		}
 		mask, err := p.fault.Mask(v.Kind, p.bit)
-		if err != nil || v.Bits == nil || v.SetBits == nil {
+		if err != nil || v.ref == nil {
 			p.flipErr = true
 			p.released = true
 			return

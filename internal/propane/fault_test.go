@@ -49,8 +49,8 @@ func TestVarRefRawAccessors(t *testing.T) {
 			[]uint64{0, 1}},
 	}
 	for name, c := range refs {
-		if c.ref.Bits == nil || c.ref.SetBits == nil {
-			t.Fatalf("%s: constructor left Bits/SetBits nil", name)
+		if c.ref.ref == nil {
+			t.Fatalf("%s: constructor left the VarRef without a variable", name)
 		}
 		width := c.ref.Kind.Bits()
 		for _, start := range c.vals {
@@ -173,12 +173,12 @@ func TestInjectProbeIntermittent(t *testing.T) {
 	}
 }
 
-// faultlessTarget exposes one variable through a hand-built VarRef with
-// no raw-bit accessors — legal for the transient model, a per-record
-// flip error for every other model.
-type faultlessTarget struct{}
+// faultlessTarget doubles one float64 between its Entry and Exit
+// visits. With noRef set it passes a zero VarRef instead, one that
+// refers to no variable: a per-record flip error under every model.
+type faultlessTarget struct{ noRef bool }
 
-func (faultlessTarget) Name() string { return "NoRaw" }
+func (faultlessTarget) Name() string { return "NoRef" }
 func (faultlessTarget) Modules() []ModuleInfo {
 	return []ModuleInfo{{Name: "M", Vars: []VarDecl{{Name: "x", Kind: bitflip.Float64}}}}
 }
@@ -189,17 +189,12 @@ func (faultlessTarget) TestCases(n int, seed uint64) []TestCase {
 	}
 	return tcs
 }
-func (faultlessTarget) Run(tc TestCase, probe Probe) (any, error) {
+func (f faultlessTarget) Run(tc TestCase, probe Probe) (any, error) {
 	x := 1.0
-	vars := []VarRef{{
-		Name: "x", Kind: bitflip.Float64,
-		Read: func() float64 { return x },
-		FlipBit: func(bit int) error {
-			v, err := bitflip.Float64Bit(x, bit)
-			x = v
-			return err
-		},
-	}}
+	vars := []VarRef{Float64Ref("x", &x)}
+	if f.noRef {
+		vars[0] = VarRef{Name: "x", Kind: bitflip.Float64}
+	}
 	probe.Visit("M", Entry, vars)
 	x *= 2
 	probe.Visit("M", Exit, vars)
@@ -207,49 +202,48 @@ func (faultlessTarget) Run(tc TestCase, probe Probe) (any, error) {
 }
 func (faultlessTarget) Failed(_ TestCase, golden, observed any) bool { return golden != observed }
 
-// TestFaultModelErrSurfaced: non-transient models on a VarRef without
-// raw accessors mark every record FlipErr and count each one in
-// campaign.fault_model_errors; the transient model is unaffected.
+// TestFaultModelErrSurfaced: under every fault model, a zero VarRef
+// marks every record FlipErr without crashing the run (the engine
+// neither dereferences nor re-asserts it), and non-transient models
+// also count each record in campaign.fault_model_errors.
 func TestFaultModelErrSurfaced(t *testing.T) {
-	spec := Spec{
-		Dataset: "NR-A2", Module: "M", InjectAt: Entry, SampleAt: Exit,
-		InjectionTimes: []int{1}, TestCases: 1, Seed: 1, BitStride: 16,
-		Fault: bitflip.Fault{Model: bitflip.StuckAt},
-	}
-	reg := telemetry.New()
-	ctx := telemetry.WithRegistry(context.Background(), reg)
-	camp, err := Run(ctx, faultlessTarget{}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(camp.Records) == 0 {
-		t.Fatal("no records")
-	}
-	for i, r := range camp.Records {
-		if !r.FlipErr {
-			t.Fatalf("record %d: stuckat on accessor-less VarRef not surfaced as FlipErr: %+v", i, r)
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["campaign.fault_model_errors"]; got != int64(len(camp.Records)) {
-		t.Errorf("campaign.fault_model_errors = %d, want %d", got, len(camp.Records))
-	}
-
-	// Transient on the same target: no flip errors, and the fault-model
-	// counter stays silent even for genuine flip errors.
-	spec.Fault = bitflip.Fault{}
-	reg2 := telemetry.New()
-	camp2, err := Run(telemetry.WithRegistry(context.Background(), reg2), faultlessTarget{}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range camp2.Records {
-		if r.FlipErr {
-			t.Fatalf("transient record %d has FlipErr", i)
-		}
-	}
-	if got := reg2.Snapshot().Counters["campaign.fault_model_errors"]; got != 0 {
-		t.Errorf("transient campaign.fault_model_errors = %d, want 0", got)
+	for _, fault := range []bitflip.Fault{
+		{},
+		{Model: bitflip.Burst, Width: 2},
+		{Model: bitflip.StuckAt},
+		{Model: bitflip.Intermittent, Persist: 2},
+	} {
+		t.Run(fault.String(), func(t *testing.T) {
+			spec := Spec{
+				Dataset: "NR-A2", Module: "M", InjectAt: Entry, SampleAt: Exit,
+				InjectionTimes: []int{1}, TestCases: 1, Seed: 1, BitStride: 16,
+				Fault: fault,
+			}
+			reg := telemetry.New()
+			camp, err := Run(telemetry.WithRegistry(context.Background(), reg), faultlessTarget{noRef: true}, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(camp.Records) == 0 {
+				t.Fatal("no records")
+			}
+			for i, r := range camp.Records {
+				if !r.FlipErr || r.Crashed || r.Failure || !r.Sampled || r.State[0] != 0 {
+					t.Fatalf("record %d: zero VarRef not a surfaced, uncrashed flip error: %+v", i, r)
+				}
+			}
+			want := int64(len(camp.Records))
+			if fault.IsTransient() {
+				want = 0
+			}
+			snap := reg.Snapshot()
+			if got := snap.Counters["campaign.flip_errors"]; got != int64(len(camp.Records)) {
+				t.Errorf("campaign.flip_errors = %d, want %d", got, len(camp.Records))
+			}
+			if got := snap.Counters["campaign.fault_model_errors"]; got != want {
+				t.Errorf("campaign.fault_model_errors = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

@@ -14,10 +14,11 @@
 // completion. Cells the fast path cannot take fall back to the slow
 // path, counted.
 //
-// Bit-identity with the slow path rests on one invariant: State
-// captures the COMPLETE resumable execution state, so equal digests at
-// the same step imply identical remaining execution and therefore an
-// identical final outcome. Early termination is additionally gated on
+// Bit-identity with the slow path rests on one invariant: a State's
+// Digest covers every field that can reach the run's outcome, an error
+// or panic, or another variable, so equal digests at the same step imply
+// an identical final outcome. A target may leave out only write-only
+// statistics (see State). Early termination is additionally gated on
 // the probe having sampled, so Record.State is always the cell's own
 // post-injection sample, never inferred.
 package propane
@@ -40,9 +41,9 @@ import (
 type Digest [2]uint64
 
 // StateHasher accumulates a Digest over state fields. Targets feed
-// every field of their resumable state — position counters, module
-// variables, accumulated outputs — through one hasher in a fixed order.
-// The zero value is NOT ready; use NewStateHasher.
+// every outcome-relevant field of their resumable state — position
+// counters, module variables, accumulated outputs — through one hasher
+// in a fixed order. The zero value is NOT ready; use NewStateHasher.
 //
 // The streams mix one 64-bit word per round (a xor, a multiply and an
 // xorshift each) rather than one byte, because states routinely carry
@@ -115,17 +116,27 @@ func (h *StateHasher) Bytes(p []byte) {
 func (h *StateHasher) Sum() Digest { return Digest{h.a, h.b} }
 
 // State is a snapshot of a Forkable target's mid-run execution state.
-// It must capture everything that determines the remainder of the run —
-// loop positions, module variables, codec/simulation internals AND
-// accumulated outputs (or rolling digests of them) — because the
-// convergence argument is "equal State ⇒ identical remaining execution
-// ⇒ identical outcome".
+// It holds everything the remainder of the run needs — loop positions,
+// module variables, codec/simulation internals AND accumulated outputs
+// (or rolling digests of them).
+//
+// Its Digest must cover every field that can reach the run's outcome,
+// an error or panic, or another variable, because the convergence
+// argument is "equal Digest ⇒ identical outcome". It may leave out one
+// closed set of write-only statistics: instrumented variables that are
+// only accumulated into and feed nothing but each other (a statistic
+// may read a covered field; no covered field, output, error path or
+// panic may read a statistic). States equal on the covered fields then
+// end in the same outcome whatever their statistics hold. A target
+// names that set in one list next to its Digest, and its tests prove
+// both halves: a flip of any other variable changes the Digest, and a
+// flip of a listed one leaves the outcome golden.
 type State interface {
 	// Clone returns an independent deep copy: mutating the clone (or
 	// running a target from it) must not affect the original. Read-only
 	// workload data (input files, tracks) may be shared.
 	Clone() State
-	// Digest fingerprints the complete state.
+	// Digest fingerprints the outcome-relevant state.
 	Digest() Digest
 }
 
@@ -156,7 +167,10 @@ func (c *RunControl) Checkpoint(step int, st State) bool {
 
 // Forkable is the optional fast-path contract of a Target. A target
 // that implements it can snapshot the fault-free prefix of a run once
-// and resume many injected runs from clones of that snapshot.
+// and resume many injected runs from clones of that snapshot. The
+// engine stops a resumed run once its State's Digest matches the golden
+// trail or a memoized state, so the contract on State.Digest is what
+// makes a stopped cell's verdict the one a full run would give.
 type Forkable interface {
 	Target
 	// Snapshot runs the fault-free prefix of tc up to (but not
@@ -354,10 +368,10 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) Record {
 func (f *ForkRunner) runForked(tcIdx int, tc TestCase, golden any, j Job) (Record, bool) {
 	// Persistent fault models (stuck-at, intermittent) break the fast
 	// path's soundness argument: convergence and memoization both rest
-	// on "equal complete state ⇒ identical remaining execution", but a
-	// persistent probe carries future re-assertions that no target
-	// snapshot captures — two runs in equal states can still diverge
-	// when the fault re-asserts. Refuse the whole cell up front.
+	// on "equal digest ⇒ identical outcome", but a persistent probe
+	// carries future re-assertions that no target snapshot captures —
+	// two runs in equal states can still diverge when the fault
+	// re-asserts. Refuse the whole cell up front.
 	if f.ft == nil || f.spec.Fault.Persistent() {
 		return Record{}, false
 	}
@@ -408,14 +422,14 @@ func (f *ForkRunner) runForked(tcIdx int, tc TestCase, golden any, j Job) (Recor
 	rec := probe.record(tc.ID, j.Time)
 	switch {
 	case errors.Is(err, ErrConverged) && memoV != nil:
-		// An earlier cell of this column reached the same complete
-		// post-injection state at step 1, so the remainder — and the
-		// verdict — are identical by determinism.
+		// An earlier cell of this column reached the same
+		// outcome-relevant post-injection state at step 1, so the
+		// verdict is identical by determinism.
 		rec.Failure, rec.Crashed = memoV.failure, memoV.crashed
 		f.memoHits.Add(1)
 	case errors.Is(err, ErrConverged) && matched:
-		// Re-converged with the golden trajectory: the remainder equals
-		// the golden remainder, so the outcome equals the golden output
+		// Re-converged with the golden trajectory on every
+		// outcome-relevant field, so the outcome equals the golden output
 		// and the slow path's Failed call reduces to this one.
 		rec.Failure = f.target.Failed(tc, golden, col.goldenOut)
 		f.converged.Add(1)

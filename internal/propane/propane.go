@@ -21,6 +21,7 @@
 package propane
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -58,121 +59,150 @@ func (l Location) String() string {
 // representation, zero-extended to 64 bits — the richer fault models
 // (burst, stuck-at, intermittent) corrupt and re-assert through them.
 //
-// Hand-built VarRefs may leave Bits/SetBits nil; such variables support
-// only the transient model and every other model surfaces a flip error
-// at apply time rather than silently recording an uninjected run.
+// A VarRef holds one typed pointer, not closures: building one with an
+// adapter (Float64Ref, Int64Ref, ...) allocates nothing, and neither
+// does any of its methods. The adapters are the only way to give a
+// VarRef its variable. A zero VarRef refers to nothing: it reads 0, its
+// Bits are 0, SetBits does nothing and FlipBit returns an error, so
+// injecting into it is a surfaced flip error under every fault model.
 type VarRef struct {
-	Name    string
-	Kind    bitflip.Kind
-	Read    func() float64
-	FlipBit func(bit int) error
-	Bits    func() uint64
-	SetBits func(bits uint64)
+	Name string
+	Kind bitflip.Kind
+	ref  cell
+}
+
+// cell is the variable behind a VarRef, one named pointer type per
+// machine representation. Converting a pointer to one of them and
+// storing it in the interface allocates nothing. flip is the kind's
+// bitflip helper, so FlipBit's range errors are the helpers' own.
+type cell interface {
+	read() float64
+	bits() uint64
+	setBits(bits uint64)
+	flip(bit int) error
+}
+
+type (
+	f64  float64
+	i64  int64
+	i32  int32
+	u64  uint64
+	flag bool
+)
+
+func (p *f64) read() float64       { return float64(*p) }
+func (p *f64) bits() uint64        { return math.Float64bits(float64(*p)) }
+func (p *f64) setBits(bits uint64) { *p = f64(math.Float64frombits(bits)) }
+func (p *f64) flip(bit int) error {
+	x, err := bitflip.Float64Bit(float64(*p), bit)
+	*p = f64(x)
+	return err
+}
+
+func (p *i64) read() float64       { return float64(*p) }
+func (p *i64) bits() uint64        { return uint64(*p) }
+func (p *i64) setBits(bits uint64) { *p = i64(bits) }
+func (p *i64) flip(bit int) error {
+	x, err := bitflip.Int64Bit(int64(*p), bit)
+	*p = i64(x)
+	return err
+}
+
+func (p *i32) read() float64       { return float64(*p) }
+func (p *i32) bits() uint64        { return uint64(uint32(*p)) }
+func (p *i32) setBits(bits uint64) { *p = i32(uint32(bits)) }
+func (p *i32) flip(bit int) error {
+	x, err := bitflip.Int32Bit(int32(*p), bit)
+	*p = i32(x)
+	return err
+}
+
+func (p *u64) read() float64       { return float64(*p) }
+func (p *u64) bits() uint64        { return uint64(*p) }
+func (p *u64) setBits(bits uint64) { *p = u64(bits) }
+func (p *u64) flip(bit int) error {
+	x, err := bitflip.Uint64Bit(uint64(*p), bit)
+	*p = u64(x)
+	return err
+}
+
+func (p *flag) read() float64 { return float64(p.bits()) }
+func (p *flag) bits() uint64 {
+	if *p {
+		return 1
+	}
+	return 0
+}
+func (p *flag) setBits(bits uint64) { *p = bits&1 == 1 }
+func (p *flag) flip(bit int) error {
+	x, err := bitflip.BoolBit(bool(*p), bit)
+	*p = flag(x)
+	return err
+}
+
+// errNoVariable is FlipBit's error on a VarRef that refers to no
+// variable.
+var errNoVariable = errors.New("propane: VarRef refers to no variable")
+
+// Read returns the variable's current value as a float64 (false = 0,
+// true = 1).
+func (v VarRef) Read() float64 {
+	if v.ref == nil {
+		return 0
+	}
+	return v.ref.read()
+}
+
+// Bits returns the variable's machine representation, zero-extended to
+// 64 bits.
+func (v VarRef) Bits() uint64 {
+	if v.ref == nil {
+		return 0
+	}
+	return v.ref.bits()
+}
+
+// SetBits overwrites the variable with a machine representation; bits
+// above the kind's width are ignored.
+func (v VarRef) SetBits(bits uint64) {
+	if v.ref != nil {
+		v.ref.setBits(bits)
+	}
+}
+
+// FlipBit toggles one bit of the variable's machine representation (0 =
+// least significant). A bit outside the kind's width is a
+// *bitflip.BadBitError and leaves the variable unchanged.
+func (v VarRef) FlipBit(bit int) error {
+	if v.ref == nil {
+		return errNoVariable
+	}
+	return v.ref.flip(bit)
 }
 
 // Float64Ref adapts a *float64 to a VarRef.
 func Float64Ref(name string, p *float64) VarRef {
-	return VarRef{
-		Name: name,
-		Kind: bitflip.Float64,
-		Read: func() float64 { return *p },
-		FlipBit: func(bit int) error {
-			v, err := bitflip.Float64Bit(*p, bit)
-			if err != nil {
-				return err
-			}
-			*p = v
-			return nil
-		},
-		Bits:    func() uint64 { return math.Float64bits(*p) },
-		SetBits: func(bits uint64) { *p = math.Float64frombits(bits) },
-	}
+	return VarRef{Name: name, Kind: bitflip.Float64, ref: (*f64)(p)}
 }
 
 // Int64Ref adapts a *int64 to a VarRef.
 func Int64Ref(name string, p *int64) VarRef {
-	return VarRef{
-		Name: name,
-		Kind: bitflip.Int64,
-		Read: func() float64 { return float64(*p) },
-		FlipBit: func(bit int) error {
-			v, err := bitflip.Int64Bit(*p, bit)
-			if err != nil {
-				return err
-			}
-			*p = v
-			return nil
-		},
-		Bits:    func() uint64 { return uint64(*p) },
-		SetBits: func(bits uint64) { *p = int64(bits) },
-	}
+	return VarRef{Name: name, Kind: bitflip.Int64, ref: (*i64)(p)}
 }
 
 // Int32Ref adapts a *int32 to a VarRef.
 func Int32Ref(name string, p *int32) VarRef {
-	return VarRef{
-		Name: name,
-		Kind: bitflip.Int32,
-		Read: func() float64 { return float64(*p) },
-		FlipBit: func(bit int) error {
-			v, err := bitflip.Int32Bit(*p, bit)
-			if err != nil {
-				return err
-			}
-			*p = v
-			return nil
-		},
-		Bits:    func() uint64 { return uint64(uint32(*p)) },
-		SetBits: func(bits uint64) { *p = int32(uint32(bits)) },
-	}
+	return VarRef{Name: name, Kind: bitflip.Int32, ref: (*i32)(p)}
 }
 
 // Uint64Ref adapts a *uint64 to a VarRef.
 func Uint64Ref(name string, p *uint64) VarRef {
-	return VarRef{
-		Name: name,
-		Kind: bitflip.Uint64,
-		Read: func() float64 { return float64(*p) },
-		FlipBit: func(bit int) error {
-			v, err := bitflip.Uint64Bit(*p, bit)
-			if err != nil {
-				return err
-			}
-			*p = v
-			return nil
-		},
-		Bits:    func() uint64 { return *p },
-		SetBits: func(bits uint64) { *p = bits },
-	}
+	return VarRef{Name: name, Kind: bitflip.Uint64, ref: (*u64)(p)}
 }
 
 // BoolRef adapts a *bool to a VarRef (false=0, true=1).
 func BoolRef(name string, p *bool) VarRef {
-	return VarRef{
-		Name: name,
-		Kind: bitflip.Bool,
-		Read: func() float64 {
-			if *p {
-				return 1
-			}
-			return 0
-		},
-		FlipBit: func(bit int) error {
-			v, err := bitflip.BoolBit(*p, bit)
-			if err != nil {
-				return err
-			}
-			*p = v
-			return nil
-		},
-		Bits: func() uint64 {
-			if *p {
-				return 1
-			}
-			return 0
-		},
-		SetBits: func(bits uint64) { *p = bits&1 == 1 },
-	}
+	return VarRef{Name: name, Kind: bitflip.Bool, ref: (*flag)(p)}
 }
 
 // Probe receives instrumentation visits from a running target. The

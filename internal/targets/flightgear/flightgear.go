@@ -197,9 +197,9 @@ type runState struct {
 	phase int // next phase to execute within the iteration (see exec)
 	sim   state
 
-	// Cached per-run VarRef slices (the scratch-slice reuse: closures
-	// capture fields of sim, so they are rebuilt lazily per runState
-	// and never cloned).
+	// VarRef slices over sim's module fields, built once per runState
+	// by refs and never cloned (a clone's refs point at the clone's
+	// fields).
 	gearVars, massVars []propane.VarRef
 }
 
@@ -220,9 +220,10 @@ func (r *runState) Clone() propane.State {
 	return &runState{iter: r.iter, phase: r.phase, sim: r.sim}
 }
 
-// Digest implements propane.State, fingerprinting every field that
-// determines the remainder of the run (position, kinematics, module
-// variables, phase bookkeeping and the accumulated outcome).
+// Digest implements propane.State, fingerprinting every field that can
+// reach the run's outcome, an error or panic, or another variable:
+// position, kinematics, phase bookkeeping, the accumulated outcome and
+// every instrumented variable, since none is a write-only statistic.
 func (r *runState) Digest() propane.Digest {
 	h := propane.NewStateHasher()
 	h.Int(r.iter)
@@ -248,9 +249,9 @@ func (r *runState) Digest() propane.Digest {
 	return h.Sum()
 }
 
-// refs returns the cached VarRef slices, building them on first use.
-// Golden and snapshot runs pass NopProbe and never call this, which
-// skips the per-run closure allocations entirely.
+// refs returns the state's VarRef slices, building them on its first
+// probed run. Golden and snapshot runs pass NopProbe and never call
+// this, so they build no slices.
 func (r *runState) refs() (gear, mass []propane.VarRef) {
 	if r.gearVars == nil {
 		r.gearVars = r.sim.gearVarRefs()

@@ -260,8 +260,9 @@ type runState struct {
 	reqs []request
 	keys int
 
-	// Cached per-run VarRef slices (closures capture fields of this
-	// struct, so they are rebuilt lazily per runState, never cloned).
+	// VarRef slices over this struct's module fields, built once per
+	// runState by refs and never cloned (a clone's refs point at the
+	// clone's fields).
 	rpVars, quVars []propane.VarRef
 }
 
@@ -343,9 +344,11 @@ func (r *runState) Clone() propane.State {
 	}
 }
 
-// Digest implements propane.State, fingerprinting every field that
-// determines the remainder of the run. The workload is a pure function
-// of the test case and is excluded.
+// Digest implements propane.State, fingerprinting every field that can
+// reach the run's outcome, an error or panic, or another variable. It
+// leaves out no instrumented variable: none is a write-only statistic
+// (stale, the one counter, reaches the outcome). The workload is a pure
+// function of the test case and is excluded.
 func (r *runState) Digest() propane.Digest {
 	h := propane.NewStateHasher()
 	h.Int(r.track)
@@ -389,8 +392,9 @@ func (r *runState) Digest() propane.Digest {
 	return h.Sum()
 }
 
-// refs returns the cached VarRef slices, building them on first use.
-// Golden and snapshot runs pass NopProbe and never call this.
+// refs returns the state's VarRef slices, building them on its first
+// probed run. Golden and snapshot runs pass NopProbe and never call
+// this, so they build no slices.
 func (r *runState) refs() (rpVars, quVars []propane.VarRef) {
 	if r.rpVars == nil {
 		r.rpVars = r.rp.varRefs()

@@ -3,6 +3,7 @@ package mp3gain_test
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"edem/internal/propane"
@@ -83,7 +84,8 @@ func TestForkEquivalence(t *testing.T) {
 
 // TestSnapshotResume: a fault-free run resumed from any snapshot
 // position reproduces the golden outcome, and running a clone leaves
-// the base snapshot untouched.
+// the base snapshot untouched: every field of it, not only those its
+// Digest covers, equal to a second snapshot of the same position.
 func TestSnapshotResume(t *testing.T) {
 	target := forkTarget()
 	tc := target.TestCases(1, 99)[0]
@@ -98,7 +100,10 @@ func TestSnapshotResume(t *testing.T) {
 				if err != nil || !ok {
 					t.Fatalf("Snapshot(%s,%v,%d): ok=%v err=%v", module, at, activation, ok, err)
 				}
-				before := st.Digest()
+				before, _, _ := target.Snapshot(tc, module, at, activation)
+				if !reflect.DeepEqual(st, before) {
+					t.Fatalf("two snapshots of (%s,%v,%d) differ", module, at, activation)
+				}
 				out, err := target.RunFrom(st.Clone(), propane.NopProbe{}, nil)
 				if err != nil {
 					t.Fatalf("RunFrom(%s,%v,%d): %v", module, at, activation, err)
@@ -106,7 +111,7 @@ func TestSnapshotResume(t *testing.T) {
 				if target.Failed(tc, golden, out) {
 					t.Fatalf("resumed run from (%s,%v,%d) diverged from golden", module, at, activation)
 				}
-				if st.Digest() != before {
+				if !reflect.DeepEqual(st, before) {
 					t.Fatalf("running a clone mutated the base snapshot at (%s,%v,%d)", module, at, activation)
 				}
 			}

@@ -207,8 +207,9 @@ type runState struct {
 	// and shared between clones.
 	tracks [][]float64
 
-	// Cached per-run VarRef slices (closures capture fields of this
-	// struct, so they are rebuilt lazily per runState and never cloned).
+	// VarRef slices over this struct's module fields, built once per
+	// runState by refs and never cloned (a clone's refs point at the
+	// clone's fields).
 	anVars, gaVars []propane.VarRef
 }
 
@@ -253,9 +254,16 @@ func (r *runState) Clone() propane.State {
 	}
 }
 
-// Digest implements propane.State, fingerprinting every field that
-// determines the remainder of the run. The input tracks are a pure
-// function of the test case and are excluded.
+// digestOmits lists the instrumented variables Digest leaves out: the
+// write-only statistics. sampleCount and clipCount are only ever
+// incremented, and nothing else reads them: not the output, not an
+// error path, not another variable.
+var digestOmits = []string{"sampleCount", "clipCount"}
+
+// Digest implements propane.State, fingerprinting every field that can
+// reach the run's outcome, an error or panic, or a variable outside
+// digestOmits. The input tracks are a pure function of the test case
+// and are excluded.
 func (r *runState) Digest() propane.Digest {
 	h := propane.NewStateHasher()
 	h.Int(r.track)
@@ -265,11 +273,9 @@ func (r *runState) Digest() propane.Digest {
 	h.Float64(r.an.peak)
 	h.Float64(r.an.loudness)
 	h.Int64(r.an.windowIndex)
-	h.Int64(r.an.sampleCount)
 	h.Float64(r.ga.targetDB)
 	h.Float64(r.ga.gainDB)
 	h.Float64(r.ga.scale)
-	h.Int64(r.ga.clipCount)
 	h.Int64(r.ga.trackIndex)
 	h.Uint64(r.d0)
 	h.Uint64(r.d1)
@@ -278,9 +284,9 @@ func (r *runState) Digest() propane.Digest {
 	return h.Sum()
 }
 
-// refs returns the cached VarRef slices, building them on first use.
-// Golden and snapshot runs pass NopProbe and never call this, which
-// skips the per-run closure allocations entirely.
+// refs returns the state's VarRef slices, building them on its first
+// probed run. Golden and snapshot runs pass NopProbe and never call
+// this, so they build no slices.
 func (r *runState) refs() (anVars, gaVars []propane.VarRef) {
 	if r.anVars == nil {
 		r.anVars = r.an.varRefs()

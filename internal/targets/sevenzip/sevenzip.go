@@ -219,8 +219,9 @@ type runState struct {
 	// shared between clones.
 	files [][]byte
 
-	// Cached per-run VarRef slices (closures capture fields of this
-	// struct, so they are rebuilt lazily per runState and never cloned).
+	// VarRef slices over this struct's module fields, built once per
+	// runState by refs and never cloned (a clone's refs point at the
+	// clone's fields).
 	fhVars, decVars []propane.VarRef
 }
 
@@ -314,10 +315,18 @@ func (r *runState) Clone() propane.State {
 	return &c
 }
 
-// Digest implements propane.State, fingerprinting every field that
-// determines the remainder of the run. The input files are a pure
-// function of the test case and are excluded; the archive is covered by
-// its rolling digests.
+// digestOmits lists the instrumented variables Digest leaves out: the
+// write-only statistics. bytesIn, bytesOut, filesDone, literals and
+// matches are only ever accumulated into, and ratioPct reads only
+// bytesIn and bytesOut; nothing else reads any of them: not the
+// archive, not the recovered files, not an error path, not another
+// variable.
+var digestOmits = []string{"bytesIn", "bytesOut", "filesDone", "ratioPct", "literals", "matches"}
+
+// Digest implements propane.State, fingerprinting every field that can
+// reach the run's outcome, an error or panic, or a variable outside
+// digestOmits. The input files are a pure function of the test case and
+// are excluded; the archive is covered by its rolling digests.
 func (r *runState) Digest() propane.Digest {
 	h := propane.NewStateHasher()
 	h.Int(r.stage)
@@ -330,17 +339,11 @@ func (r *runState) Digest() propane.Digest {
 	h.Int64(r.fh.archOffset)
 	h.Int64(r.fh.headerVer)
 	h.Int64(r.fh.codecID)
-	h.Int64(r.fh.bytesIn)
-	h.Int64(r.fh.bytesOut)
-	h.Int64(r.fh.filesDone)
-	h.Float64(r.fh.ratioPct)
 	h.Bytes(r.enc.history)
 	h.Int64(r.dec.winPos)
 	h.Int64(r.dec.matchDist)
 	h.Int64(r.dec.matchLen)
 	h.Int64(r.dec.flags)
-	h.Int64(r.dec.literals)
-	h.Int64(r.dec.matches)
 	h.Int64(r.dec.outCount)
 	h.Int64(r.dec.dictSize)
 	h.Bytes(r.dec.window[:])
@@ -357,9 +360,9 @@ func (r *runState) Digest() propane.Digest {
 	return h.Sum()
 }
 
-// refs returns the cached VarRef slices, building them on first use.
-// Golden and snapshot runs pass NopProbe and never call this, which
-// skips the per-run closure allocations entirely.
+// refs returns the state's VarRef slices, building them on its first
+// probed run. Golden and snapshot runs pass NopProbe and never call
+// this, so they build no slices.
 func (r *runState) refs() (fhVars, decVars []propane.VarRef) {
 	if r.fhVars == nil {
 		r.fhVars = r.fh.varRefs()
