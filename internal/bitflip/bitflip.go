@@ -1,24 +1,24 @@
-// Package bitflip implements the transient data-value fault model assumed
-// by the paper (§III-B): a single bit flip in the in-memory representation
-// of a program variable, modelling transient hardware faults that corrupt
-// values held in memory.
+// Package bitflip implements the data-value fault models of a campaign.
+// The default is the one assumed by the paper (§III-B): a single
+// transient bit flip in the in-memory representation of a program
+// variable, modelling transient hardware faults that corrupt values
+// held in memory. Burst, stuck-at and intermittent faults extend it.
 //
-// Values are flipped at the representation level: float64 faults toggle a
-// bit of the IEEE-754 encoding, integer faults toggle a bit of the two's
-// complement encoding, and bool faults invert the value. This matches the
-// error space explored by PROPANE-style single-bit-flip campaigns: one
-// injected run per (variable, bit position, injection time).
+// Every model corrupts a variable the same way: Fault.Mask gives the
+// XOR mask for a (kind, bit) cell, and the caller XORs it into the
+// variable's raw bits — the IEEE-754 encoding of a float, the two's
+// complement encoding of an integer, bit 0 of a bool. Flipping the sign
+// bit of a float64 negates it; flipping bit 0 of a bool inverts it. This
+// matches the error space explored by PROPANE-style single-bit-flip
+// campaigns: one injected run per (variable, bit position, injection
+// time).
 //
 // Role in the methodology: the fault model of Step 1 (fault injection
-// analysis) — every injected campaign run applies exactly one of these
-// flips. Concurrency: the package is stateless pure functions over
+// analysis). Concurrency: the package is stateless pure functions over
 // values; everything here is safe for unrestricted concurrent use.
 package bitflip
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Kind identifies the machine representation of an instrumented variable.
 type Kind int
@@ -76,44 +76,4 @@ type BadBitError struct {
 
 func (e *BadBitError) Error() string {
 	return fmt.Sprintf("bitflip: bit %d out of range for %s (width %d)", e.Bit, e.Kind, e.Kind.Bits())
-}
-
-// Float64 flips bit (0 = least significant of the IEEE-754 encoding) of x.
-func Float64Bit(x float64, bit int) (float64, error) {
-	if bit < 0 || bit >= 64 {
-		return x, &BadBitError{Kind: Float64, Bit: bit}
-	}
-	return math.Float64frombits(math.Float64bits(x) ^ (1 << uint(bit))), nil
-}
-
-// Int64Bit flips bit of the two's-complement encoding of x.
-func Int64Bit(x int64, bit int) (int64, error) {
-	if bit < 0 || bit >= 64 {
-		return x, &BadBitError{Kind: Int64, Bit: bit}
-	}
-	return x ^ (1 << uint(bit)), nil
-}
-
-// Int32Bit flips bit of the two's-complement encoding of x.
-func Int32Bit(x int32, bit int) (int32, error) {
-	if bit < 0 || bit >= 32 {
-		return x, &BadBitError{Kind: Int32, Bit: bit}
-	}
-	return x ^ (1 << uint(bit)), nil
-}
-
-// Uint64Bit flips bit of x.
-func Uint64Bit(x uint64, bit int) (uint64, error) {
-	if bit < 0 || bit >= 64 {
-		return x, &BadBitError{Kind: Uint64, Bit: bit}
-	}
-	return x ^ (1 << uint(bit)), nil
-}
-
-// BoolBit inverts x. Only bit 0 exists for booleans.
-func BoolBit(x bool, bit int) (bool, error) {
-	if bit != 0 {
-		return x, &BadBitError{Kind: Bool, Bit: bit}
-	}
-	return !x, nil
 }

@@ -35,21 +35,33 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// flip XORs the transient mask of (kind, bit) into raw, as VarRef
+// does; it fails the test if the mask is refused.
+func flip(t *testing.T, kind Kind, raw uint64, bit int) uint64 {
+	t.Helper()
+	mask, err := Fault{}.Mask(kind, bit)
+	if err != nil {
+		t.Fatalf("Mask(%v, %d): %v", kind, bit, err)
+	}
+	return raw ^ mask
+}
+
+func flip64(t *testing.T, x float64, bit int) float64 {
+	return math.Float64frombits(flip(t, Float64, math.Float64bits(x), bit))
+}
+
 func TestFloat64BitKnown(t *testing.T) {
 	// Sign bit flip negates.
-	got, err := Float64Bit(1.5, 63)
-	if err != nil || got != -1.5 {
-		t.Errorf("sign flip = %v, %v", got, err)
+	if got := flip64(t, 1.5, 63); got != -1.5 {
+		t.Errorf("sign flip = %v", got)
 	}
 	// Lowest exponent bit of 1.0 (exp 1023 -> 1022) gives 0.5.
-	got, err = Float64Bit(1.0, 52)
-	if err != nil || got != 0.5 {
-		t.Errorf("exponent flip = %v, %v", got, err)
+	if got := flip64(t, 1.0, 52); got != 0.5 {
+		t.Errorf("exponent flip = %v", got)
 	}
 	// Lowest mantissa bit of 1.0 yields the next representable number.
-	got, err = Float64Bit(1.0, 0)
-	if err != nil || got != math.Nextafter(1.0, 2.0) {
-		t.Errorf("mantissa flip = %v, %v", got, err)
+	if got := flip64(t, 1.0, 0); got != math.Nextafter(1.0, 2.0) {
+		t.Errorf("mantissa flip = %v", got)
 	}
 }
 
@@ -58,24 +70,14 @@ func TestFlipSelfInverse(t *testing.T) {
 	// property of a transient single-bit fault.
 	f := func(x float64, bit uint8) bool {
 		b := int(bit % 64)
-		y, err := Float64Bit(x, b)
-		if err != nil {
-			return false
-		}
-		z, err := Float64Bit(y, b)
-		if err != nil {
-			return false
-		}
-		return math.Float64bits(z) == math.Float64bits(x)
+		return math.Float64bits(flip64(t, flip64(t, x, b), b)) == math.Float64bits(x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 	g := func(x int64, bit uint8) bool {
 		b := int(bit % 64)
-		y, _ := Int64Bit(x, b)
-		z, _ := Int64Bit(y, b)
-		return z == x
+		return int64(flip(t, Int64, flip(t, Int64, uint64(x), b), b)) == x
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
@@ -84,9 +86,7 @@ func TestFlipSelfInverse(t *testing.T) {
 
 func TestFlipChangesValue(t *testing.T) {
 	f := func(x uint64, bit uint8) bool {
-		b := int(bit % 64)
-		y, _ := Uint64Bit(x, b)
-		return y != x
+		return flip(t, Uint64, x, int(bit%64)) != x
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -94,65 +94,51 @@ func TestFlipChangesValue(t *testing.T) {
 }
 
 func TestInt64BitKnown(t *testing.T) {
-	got, err := Int64Bit(0, 3)
-	if err != nil || got != 8 {
-		t.Errorf("Int64Bit(0,3) = %v, %v", got, err)
+	if got := int64(flip(t, Int64, 0, 3)); got != 8 {
+		t.Errorf("flip(0, 3) = %v", got)
 	}
-	got, err = Int64Bit(8, 3)
-	if err != nil || got != 0 {
-		t.Errorf("Int64Bit(8,3) = %v, %v", got, err)
+	if got := int64(flip(t, Int64, 8, 3)); got != 0 {
+		t.Errorf("flip(8, 3) = %v", got)
 	}
-	got, err = Int64Bit(0, 63)
-	if err != nil || got != math.MinInt64 {
-		t.Errorf("Int64Bit(0,63) = %v, %v", got, err)
+	if got := int64(flip(t, Int64, 0, 63)); got != math.MinInt64 {
+		t.Errorf("flip(0, 63) = %v", got)
 	}
 }
 
 func TestInt32Float32Bool(t *testing.T) {
-	i32, err := Int32Bit(1, 1)
-	if err != nil || i32 != 3 {
-		t.Errorf("Int32Bit = %v, %v", i32, err)
+	if got := int32(uint32(flip(t, Int32, 1, 1))); got != 3 {
+		t.Errorf("Int32 flip(1, 1) = %v", got)
 	}
-	// Float32 variables flip through Bits/SetBits and the kind's mask;
-	// bit 31 is the sign.
-	mask, err := Fault{}.Mask(Float32, 31)
-	if f32 := math.Float32frombits(math.Float32bits(1.0) ^ uint32(mask)); err != nil || f32 != -1.0 {
-		t.Errorf("Float32 sign flip = %v, %v", f32, err)
+	// Bit 31 is the sign of both 32-bit kinds.
+	if got := int32(uint32(flip(t, Int32, 1, 31))); got != math.MinInt32+1 {
+		t.Errorf("Int32 flip(1, 31) = %v", got)
 	}
-	b, err := BoolBit(false, 0)
-	if err != nil || b != true {
-		t.Errorf("BoolBit = %v, %v", b, err)
+	if got := math.Float32frombits(uint32(flip(t, Float32, uint64(math.Float32bits(1.0)), 31))); got != -1.0 {
+		t.Errorf("Float32 sign flip = %v", got)
 	}
-	b, err = BoolBit(true, 0)
-	if err != nil || b != false {
-		t.Errorf("BoolBit = %v, %v", b, err)
+	// A bool is bit 0: the flip inverts it.
+	if got := flip(t, Bool, 0, 0); got != 1 {
+		t.Errorf("Bool flip(false) = %v", got)
+	}
+	if got := flip(t, Bool, 1, 0); got != 0 {
+		t.Errorf("Bool flip(true) = %v", got)
 	}
 }
 
 func TestBadBitErrors(t *testing.T) {
 	var badBit *BadBitError
-	if _, err := Float64Bit(1, 64); !errors.As(err, &badBit) {
-		t.Errorf("Float64Bit(1, 64) error = %v", err)
-	}
-	if _, err := Float64Bit(1, -1); err == nil {
-		t.Error("negative bit should error")
-	}
-	if _, err := (Fault{}).Mask(Float32, 32); !errors.As(err, &badBit) {
-		t.Errorf("Mask(Float32, 32) error = %v", err)
-	}
-	if _, err := Int64Bit(1, 64); err == nil {
-		t.Error("Int64Bit(64) should error")
-	}
-	if _, err := Int32Bit(1, 32); err == nil {
-		t.Error("Int32Bit(32) should error")
-	}
-	if _, err := Uint64Bit(1, 64); err == nil {
-		t.Error("Uint64Bit(64) should error")
-	}
-	if _, err := BoolBit(true, 1); err == nil {
-		t.Error("BoolBit(1) should error")
-	}
-	if _, err := Float64Bit(1, 64); err == nil || err.Error() == "" {
-		t.Error("BadBitError should render a message")
+	for _, tt := range []struct {
+		kind Kind
+		bit  int
+	}{
+		{Float64, 64}, {Float64, -1}, {Float32, 32}, {Int64, 64}, {Int32, 32},
+		{Uint64, 64}, {Bool, 1}, {Bool, -1},
+	} {
+		_, err := Fault{}.Mask(tt.kind, tt.bit)
+		if !errors.As(err, &badBit) || badBit.Kind != tt.kind || badBit.Bit != tt.bit {
+			t.Errorf("Mask(%v, %d) error = %v, want a BadBitError", tt.kind, tt.bit, err)
+		} else if err.Error() == "" {
+			t.Error("BadBitError should render a message")
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"edem/internal/dataset"
 	"edem/internal/mining/eval"
+	"edem/internal/mining/sampling"
 	"edem/internal/predicate"
 	"edem/internal/stats"
 )
@@ -58,7 +59,20 @@ func TestTransformThenFitTreeMatchesFinalFit(t *testing.T) {
 	}
 	for _, set := range sets {
 		for _, cfg := range cfgs {
-			tr, err := finalFit(set.d, cfg, nil, opts)
+			// A SMOTE fit takes its neighbours from the shared search, as
+			// after a grid with SMOTE points; without one it is refused.
+			var whole *wholeShared
+			if cfg.Kind == Smote {
+				if _, err := finalFit(set.d, cfg, nil, opts); err == nil {
+					t.Errorf("%s: SMOTE final fit without a neighbour index succeeded", set.name)
+				}
+				whole = &wholeShared{store: dataset.NewStore(set.d, nil)}
+				var err error
+				if whole.si, err = sampling.BuildSharedIndex(whole.store, eval.PositiveClass, cfg.K); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr, err := finalFit(set.d, cfg, whole, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"edem/internal/dataset"
@@ -63,10 +64,9 @@ func (c SamplingConfig) KLabel() string {
 
 // view derives the configuration's training view from st: the
 // identity view for NoSampling, the sampling treatment's view
-// otherwise. ni, when non-nil, is a minority neighbour index over st
-// holding at least K neighbours, shared by a fold's grid cells; SMOTE
-// reads its neighbours from it instead of searching. Both routes
-// consume the same RNG stream and yield the same view.
+// otherwise. SMOTE reads its neighbours from ni, a minority neighbour
+// index over st holding at least K neighbours (a fold's grid cells
+// share one); other treatments ignore it.
 func (c SamplingConfig) view(st *dataset.Store, ni *sampling.NeighborIndex, rng *stats.RNG) (*dataset.View, error) {
 	switch c.Kind {
 	case Undersampling:
@@ -74,10 +74,10 @@ func (c SamplingConfig) view(st *dataset.Store, ni *sampling.NeighborIndex, rng 
 	case Oversampling:
 		return sampling.OversampleView(st, eval.PositiveClass, c.Percent, rng)
 	case Smote:
-		if ni != nil {
-			return ni.SMOTEView(c.Percent, c.K, rng)
+		if ni == nil {
+			return nil, errors.New("core: SMOTE view without a neighbour index")
 		}
-		return sampling.SMOTEView(st, eval.PositiveClass, c.Percent, c.K, rng)
+		return ni.SMOTEView(c.Percent, c.K, rng)
 	default:
 		return st.IdentityView(), nil
 	}
@@ -94,7 +94,15 @@ func (c SamplingConfig) Transform() func(*dataset.Dataset, *stats.RNG) (*dataset
 		return nil
 	}
 	return func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-		v, err := c.view(dataset.NewStore(d, nil), nil, rng)
+		st := dataset.NewStore(d, nil)
+		var ni *sampling.NeighborIndex
+		if c.Kind == Smote {
+			var err error
+			if ni, err = sampling.BuildViewIndex(st, eval.PositiveClass, c.K); err != nil {
+				return nil, err
+			}
+		}
+		v, err := c.view(st, ni, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -217,10 +225,11 @@ func RunMethodologyOn(ctx context.Context, id string, d *dataset.Dataset, failur
 }
 
 // finalFit trains the deployed model: the winning configuration's view
-// of the whole dataset, induced by C4.5. whole, when non-nil, is the
-// refinement's store of the whole dataset and its shared neighbour
-// search, which the fit reuses: the search's first K entries per row
-// are what a K-neighbour search of the whole dataset returns.
+// of the whole dataset, induced by C4.5. whole is the refinement's
+// store of the whole dataset and its shared neighbour search, which the
+// fit reuses: the search's first K entries per row are what a
+// K-neighbour search of the whole dataset returns. It is nil only for
+// a grid without SMOTE points, which needs no search.
 func finalFit(d *dataset.Dataset, cfg SamplingConfig, whole *wholeShared, opts Options) (*tree.Tree, error) {
 	var ni *sampling.NeighborIndex
 	if whole == nil {

@@ -39,7 +39,10 @@ func refineReference(d *dataset.Dataset, grid []SamplingConfig, opts Options) (*
 			case Oversampling:
 				v, err = sampling.OversampleView(st, eval.PositiveClass, cfg.Percent, cellRNG)
 			case Smote:
-				v, err = sampling.SMOTEView(st, eval.PositiveClass, cfg.Percent, cfg.K, cellRNG)
+				var ni *sampling.NeighborIndex
+				if ni, err = sampling.BuildViewIndex(st, eval.PositiveClass, cfg.K); err == nil {
+					v, err = ni.SMOTEView(cfg.Percent, cfg.K, cellRNG)
+				}
 			}
 			if err != nil {
 				return nil, err

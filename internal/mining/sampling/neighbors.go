@@ -21,23 +21,15 @@ type NeighborIndex struct {
 }
 
 // BuildViewIndex computes up to maxK nearest minority neighbours for
-// every minority row of a columnar store. The index serves views via
+// every minority row of a columnar store: the shared search with no
+// slack, over the store itself. The index serves views via
 // SMOTEView/OversampleView.
 func BuildViewIndex(st *dataset.Store, minorityClass, maxK int) (*NeighborIndex, error) {
-	if maxK < 1 {
-		return nil, ErrBadK
-	}
-	minIdx, err := storeMinority(st, minorityClass)
+	si, err := buildSharedIndex(st, minorityClass, maxK, 0)
 	if err != nil {
 		return nil, err
 	}
-	var lists [][]int
-	if len(minIdx) > 1 {
-		lists = nearestNeighborsAt(st, minIdx, maxK)
-	} else {
-		lists = make([][]int, 1)
-	}
-	return &NeighborIndex{st: st, class: minorityClass, minIdx: minIdx, lists: lists, maxK: maxK}, nil
+	return si.Whole(), nil
 }
 
 // sharedSlack is how much deeper than maxK the shared search keeps its
@@ -74,8 +66,8 @@ func BuildSharedIndex(st *dataset.Store, minorityClass, maxK int) (*SharedIndex,
 	return buildSharedIndex(st, minorityClass, maxK, sharedSlack)
 }
 
-// buildSharedIndex is BuildSharedIndex with the slack as an argument,
-// so a test can force rescans.
+// buildSharedIndex is BuildSharedIndex with the slack as an argument:
+// BuildViewIndex searches without slack, and a test can force rescans.
 func buildSharedIndex(st *dataset.Store, minorityClass, maxK, slack int) (*SharedIndex, error) {
 	if maxK < 1 {
 		return nil, ErrBadK
@@ -181,9 +173,10 @@ func (si *SharedIndex) rescan(p int, foldRow []int32, nn []int) []int {
 }
 
 // SMOTEView generates percent% synthetic minority rows from the first k
-// cached neighbours of each seed, as a view of the index's store. Same
-// RNG stream and synthetic values as the standalone SMOTEView with k
-// neighbours. k must not exceed the index's maxK.
+// cached neighbours of each seed, as a view of the index's store: each
+// synthetic row interpolated from a seed row towards one of its k
+// nearest minority neighbours, s = t + q*(n - t) with q uniform in
+// [0,1). k must not exceed the index's maxK.
 func (ni *NeighborIndex) SMOTEView(percent float64, k int, rng *stats.RNG) (*dataset.View, error) {
 	if k < 1 || k > ni.maxK {
 		return nil, fmt.Errorf("%w: k=%d (index holds %d)", ErrBadK, k, ni.maxK)

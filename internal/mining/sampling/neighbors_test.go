@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"edem/internal/dataset"
@@ -25,18 +26,18 @@ func neighborDataset(rows [][]float64) *dataset.Dataset {
 	return d
 }
 
-// matchOracle requires the kernel's lists to equal the sort-based
-// oracle's, and returns them.
+// matchOracle requires the lists of a k-neighbour index to equal the
+// sort-based oracle's (an empty list equal to a nil one), and returns
+// them.
 func matchOracle(t *testing.T, d *dataset.Dataset, k int) [][]int {
 	t.Helper()
-	st := dataset.NewStore(d, nil)
-	minIdx, err := storeMinority(st, 1)
+	ni, err := BuildViewIndex(dataset.NewStore(d, nil), 1, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := nearestNeighborsAt(st, minIdx, k)
-	want := neighborsOracle(d, minIdx, k)
-	if !reflect.DeepEqual(got, want) {
+	got := ni.lists
+	want := neighborsOracle(d, ni.minIdx, k)
+	if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
 		t.Fatalf("k=%d: kernel %v, oracle %v", k, got, want)
 	}
 	return got

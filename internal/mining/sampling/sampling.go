@@ -72,12 +72,12 @@ func undersampleOrder(classes []int, majorityClass int, keepPercent float64, rng
 // any row data: each entry's Seed is a row of minIdx, its Neighbor a
 // row of the seed's neighbour list, or -1 for a plain replacement copy.
 // It is the single place these passes consume randomness, shared by
-// the standalone transforms and the NeighborIndex methods so both see
-// the identical RNG stream.
+// OversampleView and the NeighborIndex methods so both see the
+// identical RNG stream.
 //
 // Each seed interpolates towards one of the first k entries of its
-// neighbour list; nil neighbours plan plain replacement copies
-// (oversampling, or a single-member minority).
+// neighbour list; nil neighbours (oversampling) or an empty list (a
+// single-member minority) plan plain replacement copies.
 //
 // percent >= 100: r = percent/100 instances per seed (fractional
 // remainder distributed randomly). percent < 100: a percent% random
@@ -123,15 +123,6 @@ func (pb *planBuf) planSmote(minIdx []int, neighbors [][]int, k int, percent flo
 		pb.plan = append(pb.plan, pick(rng.Intn(len(minIdx))))
 	}
 	return nil
-}
-
-// nearestNeighborsAt returns, for each minority row of the store, the
-// rows of its k nearest minority-class neighbours under
-// min-max-normalised Euclidean distance. minIdx must be ascending, so
-// search's (distance, position) order is (distance, row) order.
-func nearestNeighborsAt(st *dataset.Store, minIdx []int, k int) [][]int {
-	pos, depth := gatherMinority(st, minIdx, spans(st)).search(k)
-	return neighborLists(pos, depth, depth, minIdx)
 }
 
 // neighborLists maps the first k entries of each search list (depth

@@ -61,6 +61,15 @@ func materialized(t *testing.T) func(*dataset.View, error) *dataset.Dataset {
 
 func store(d *dataset.Dataset) *dataset.Store { return dataset.NewStore(d, nil) }
 
+// smote is the SMOTE view of st through a k-neighbour index of st.
+func smote(st *dataset.Store, minorityClass int, percent float64, k int, rng *stats.RNG) (*dataset.View, error) {
+	ni, err := BuildViewIndex(st, minorityClass, k)
+	if err != nil {
+		return nil, err
+	}
+	return ni.SMOTEView(percent, k, rng)
+}
+
 func TestUndersample(t *testing.T) {
 	d := imbalanced(100, 10, 1)
 	out := materialized(t)(UndersampleView(store(d), 0, 30, stats.NewRNG(1)))
@@ -121,7 +130,7 @@ func TestOversample(t *testing.T) {
 
 func TestSMOTECounts(t *testing.T) {
 	d := imbalanced(100, 10, 5)
-	out := materialized(t)(SMOTEView(store(d), 1, 500, 3, stats.NewRNG(1)))
+	out := materialized(t)(smote(store(d), 1, 500, 3, stats.NewRNG(1)))
 	_, pos := classCounts(out)
 	if pos != 60 { // 10 + 500%
 		t.Errorf("positives = %d, want 60", pos)
@@ -132,7 +141,7 @@ func TestSMOTESyntheticsInterpolate(t *testing.T) {
 	// Positives lie on the line y = 2x; synthetic instances must stay
 	// on the segment between a seed and a neighbour — hence on the line.
 	d := imbalanced(50, 12, 6)
-	out := materialized(t)(SMOTEView(store(d), 1, 400, 5, stats.NewRNG(2)))
+	out := materialized(t)(smote(store(d), 1, 400, 5, stats.NewRNG(2)))
 	for i := d.Len(); i < out.Len(); i++ {
 		in := out.Instances[i]
 		if in.Class != 1 {
@@ -154,7 +163,7 @@ func TestSMOTESyntheticsInterpolate(t *testing.T) {
 
 func TestSMOTEUnderHundredPercent(t *testing.T) {
 	d := imbalanced(50, 20, 7)
-	out := materialized(t)(SMOTEView(store(d), 1, 50, 3, stats.NewRNG(3)))
+	out := materialized(t)(smote(store(d), 1, 50, 3, stats.NewRNG(3)))
 	_, pos := classCounts(out)
 	if pos != 30 { // 20 + 50% of 20
 		t.Errorf("positives = %d, want 30", pos)
@@ -184,14 +193,14 @@ func TestPlanSmoteSubsetIsShuffledRows(t *testing.T) {
 
 func TestSMOTEErrors(t *testing.T) {
 	st := store(imbalanced(50, 5, 8))
-	if _, err := SMOTEView(st, 1, 100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
+	if _, err := smote(st, 1, 100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0: %v", err)
 	}
-	if _, err := SMOTEView(st, 1, -5, 3, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
+	if _, err := smote(st, 1, -5, 3, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
 		t.Errorf("percent<0: %v", err)
 	}
 	empty := store(imbalanced(50, 0, 9))
-	if _, err := SMOTEView(empty, 1, 100, 3, stats.NewRNG(1)); !errors.Is(err, ErrNoMinority) {
+	if _, err := smote(empty, 1, 100, 3, stats.NewRNG(1)); !errors.Is(err, ErrNoMinority) {
 		t.Errorf("no minority: %v", err)
 	}
 }
@@ -200,7 +209,7 @@ func TestSMOTESingleMinorityInstance(t *testing.T) {
 	// With one positive there are no neighbours: SMOTE degrades to
 	// replacement copies rather than failing.
 	d := imbalanced(20, 1, 10)
-	out := materialized(t)(SMOTEView(store(d), 1, 300, 5, stats.NewRNG(1)))
+	out := materialized(t)(smote(store(d), 1, 300, 5, stats.NewRNG(1)))
 	_, pos := classCounts(out)
 	if pos != 4 {
 		t.Errorf("positives = %d, want 4", pos)
@@ -211,7 +220,7 @@ func TestSamplingDoesNotMutateInput(t *testing.T) {
 	d := imbalanced(30, 6, 11)
 	before := cloneDataset(d)
 	st := store(d)
-	if _, err := SMOTEView(st, 1, 200, 3, stats.NewRNG(1)); err != nil {
+	if _, err := smote(st, 1, 200, 3, stats.NewRNG(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OversampleView(st, 1, 200, stats.NewRNG(1)); err != nil {
@@ -235,8 +244,8 @@ func TestSamplingDoesNotMutateInput(t *testing.T) {
 
 func TestSamplingDeterminism(t *testing.T) {
 	st := store(imbalanced(60, 12, 12))
-	a := materialized(t)(SMOTEView(st, 1, 300, 4, stats.NewRNG(42)))
-	b := materialized(t)(SMOTEView(st, 1, 300, 4, stats.NewRNG(42)))
+	a := materialized(t)(smote(st, 1, 300, 4, stats.NewRNG(42)))
+	b := materialized(t)(smote(st, 1, 300, 4, stats.NewRNG(42)))
 	if a.Len() != b.Len() {
 		t.Fatal("lengths differ")
 	}
@@ -255,7 +264,7 @@ func TestSMOTEProperty(t *testing.T) {
 		nPos := int(posRaw%20) + 2
 		pct := float64(int(pctRaw)%900 + 10)
 		d := imbalanced(30, nPos, seed)
-		out, err := SMOTEView(store(d), 1, pct, 3, stats.NewRNG(seed))
+		out, err := smote(store(d), 1, pct, 3, stats.NewRNG(seed))
 		if err != nil {
 			return false
 		}
@@ -267,14 +276,17 @@ func TestSMOTEProperty(t *testing.T) {
 	}
 }
 
+// TestNeighborIndexMatchesDirectSMOTE: a deeper index, as the grid
+// shares across its SMOTE points, serves the same K-neighbour view as
+// an index searched for exactly K.
 func TestNeighborIndexMatchesDirectSMOTE(t *testing.T) {
 	st := store(imbalanced(80, 15, 13))
-	ni, err := BuildViewIndex(st, 1, 5)
+	ni, err := BuildViewIndex(st, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := materialized(t)(ni.SMOTEView(300, 5, stats.NewRNG(7)))
-	b := materialized(t)(SMOTEView(st, 1, 300, 5, stats.NewRNG(7)))
+	b := materialized(t)(smote(st, 1, 300, 5, stats.NewRNG(7)))
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
@@ -336,7 +348,11 @@ func TestNearestNeighborsAreNearest(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := st.Cols()[0]
-	lists := nearestNeighborsAt(st, minIdx, 2)
+	ni, err := BuildViewIndex(st, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := ni.lists
 	for i, nn := range lists {
 		self := x[minIdx[i]]
 		for _, j := range nn {

@@ -48,25 +48,6 @@ func OversampleView(st *dataset.Store, minorityClass int, percent float64, rng *
 	return smoteView(st, minIdx, nil, 0, percent, rng)
 }
 
-// SMOTEView adds percent% synthetic minority rows, each interpolated
-// from a seed row towards one of its k nearest minority neighbours:
-// s = t + q*(n - t) with q uniform in [0,1) (see interpolate). The rows
-// are appended to the store through an extend view.
-func SMOTEView(st *dataset.Store, minorityClass int, percent float64, k int, rng *stats.RNG) (*dataset.View, error) {
-	if k < 1 {
-		return nil, ErrBadK
-	}
-	minIdx, err := storeMinority(st, minorityClass)
-	if err != nil {
-		return nil, err
-	}
-	var neighbors [][]int
-	if len(minIdx) > 1 {
-		neighbors = nearestNeighborsAt(st, minIdx, k)
-	}
-	return smoteView(st, minIdx, neighbors, k, percent, rng)
-}
-
 // storeMinority collects the store rows of the minority class.
 func storeMinority(st *dataset.Store, minorityClass int) ([]int, error) {
 	if minorityClass < 0 || minorityClass >= len(st.ClassValues()) {

@@ -98,7 +98,7 @@ func TestSMOTEViewMatchesDataset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := SMOTEView(st, 1, pct, k, stats.NewRNG(99))
+			v, err := smote(st, 1, pct, k, stats.NewRNG(99))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestSMOTEViewSingleMinority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := SMOTEView(st, 1, 300, 5, stats.NewRNG(8))
+	v, err := smote(st, 1, 300, 5, stats.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestViewErrorsMatchDataset(t *testing.T) {
 	if _, err := OversampleView(st, 1, -5, stats.NewRNG(1)); err == nil {
 		t.Fatal("negative percent accepted")
 	}
-	if _, err := SMOTEView(st, 1, 100, 0, stats.NewRNG(1)); err != ErrBadK {
+	if _, err := smote(st, 1, 100, 0, stats.NewRNG(1)); err != ErrBadK {
 		t.Fatal("k=0 accepted")
 	}
 	onlyMaj := imbalancedDataset(30, 7)

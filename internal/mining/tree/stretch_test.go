@@ -201,7 +201,12 @@ func stretchViews(seed uint64) *dataset.View {
 		d.MustAdd(dataset.Instance{Values: []float64{x, y, m}, Class: class, Weight: 1})
 	}
 	st := dataset.NewStore(d, nil)
-	v, err := sampling.SMOTEView(st, 1, float64(300+100*rng.Intn(8)), 3+rng.Intn(5), rng)
+	pct, k := float64(300+100*rng.Intn(8)), 3+rng.Intn(5)
+	ni, err := sampling.BuildViewIndex(st, 1, k)
+	if err != nil {
+		return nil
+	}
+	v, err := ni.SMOTEView(pct, k, rng)
 	if err != nil {
 		return nil
 	}

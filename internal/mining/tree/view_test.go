@@ -75,7 +75,13 @@ func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 	}{
 		{"undersample", func(rng *stats.RNG) (*dataset.View, error) { return sampling.UndersampleView(st, 0, 35, rng) }},
 		{"oversample", func(rng *stats.RNG) (*dataset.View, error) { return sampling.OversampleView(st, 1, 400, rng) }},
-		{"smote", func(rng *stats.RNG) (*dataset.View, error) { return sampling.SMOTEView(st, 1, 300, 5, rng) }},
+		{"smote", func(rng *stats.RNG) (*dataset.View, error) {
+			ni, err := sampling.BuildViewIndex(st, 1, 5)
+			if err != nil {
+				return nil, err
+			}
+			return ni.SMOTEView(300, 5, rng)
+		}},
 	}
 	for _, tc := range cases {
 		v, err := tc.view(stats.NewRNG(31))

@@ -170,9 +170,10 @@ type Record struct {
 	Failure bool
 	// Crashed reports whether the run panicked or returned an error.
 	Crashed bool
-	// FlipErr reports that the bit flip itself failed (VarRef.FlipBit
-	// returned an error), i.e. the injection was a silent no-op. Such
-	// records are visible rather than masquerading as benign runs.
+	// FlipErr reports that the fault could not be applied (its mask
+	// does not fit the variable's kind, or the VarRef refers to no
+	// variable), i.e. the injection was a silent no-op. Such records
+	// are visible rather than masquerading as benign runs.
 	FlipErr bool
 }
 
@@ -375,7 +376,7 @@ func (m *RunMetrics) Observe(rec Record, d time.Duration) {
 // target panics into errors. The returned output is the reference the
 // failure specification compares injected outputs against.
 func RunGolden(target Target, tc TestCase) (any, error) {
-	return runSafely(target, tc, NopProbe{})
+	return safely(func() (any, error) { return target.Run(tc, NopProbe{}) })
 }
 
 // RunJob performs the single injected run identified by j from the
@@ -404,7 +405,7 @@ func FirstAlarm(target Target, spec Spec, mod ModuleInfo, tc TestCase, golden an
 // runInjected runs tc with visitor, which is p itself or a probe that
 // wraps it, and classifies the outcome of p's injection.
 func runInjected(target Target, tc TestCase, golden any, p *injectProbe, visitor Probe) Record {
-	out, err := runSafely(target, tc, visitor)
+	out, err := safely(func() (any, error) { return target.Run(tc, visitor) })
 	rec := p.record(tc.ID, p.injTime)
 	switch {
 	case err != nil:
@@ -416,16 +417,17 @@ func runInjected(target Target, tc TestCase, golden any, p *injectProbe, visitor
 	return rec
 }
 
-// runSafely executes target.Run converting panics (which corrupted
-// values can legitimately provoke inside target code) into errors, so a
-// crash is just another observable failure mode of an injected run.
-func runSafely(target Target, tc TestCase, probe Probe) (out any, err error) {
+// safely calls run, a target's Run or RunFrom, converting panics (which
+// corrupted values can legitimately provoke inside target code) into
+// errors, so a crash is just another observable failure mode of an
+// injected run.
+func safely(run func() (any, error)) (out any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("propane: target panicked: %v", r)
 		}
 	}()
-	return target.Run(tc, probe)
+	return run()
 }
 
 // injectProbe corrupts one variable at the configured activation of the
@@ -534,12 +536,6 @@ func (p *injectProbe) apply(vars []VarRef) {
 	for _, v := range vars {
 		if v.Name != p.varName {
 			continue
-		}
-		if p.fault.IsTransient() {
-			if err := v.FlipBit(p.bit); err != nil {
-				p.flipErr = true
-			}
-			return
 		}
 		mask, err := p.fault.Mask(v.Kind, p.bit)
 		if err != nil || v.ref == nil {

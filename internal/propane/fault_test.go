@@ -202,10 +202,11 @@ func (f faultlessTarget) Run(tc TestCase, probe Probe) (any, error) {
 }
 func (faultlessTarget) Failed(_ TestCase, golden, observed any) bool { return golden != observed }
 
-// TestFaultModelErrSurfaced: under every fault model, a zero VarRef
-// marks every record FlipErr without crashing the run (the engine
-// neither dereferences nor re-asserts it), and non-transient models
-// also count each record in campaign.fault_model_errors.
+// TestFaultModelErrSurfaced: under every fault model, a VarRef{Name,
+// Kind} literal with no variable marks every record FlipErr without
+// crashing the run (the injector's v.ref == nil guard: the mask fits,
+// but there is nothing to XOR it into), and non-transient models also
+// count each record in campaign.fault_model_errors.
 func TestFaultModelErrSurfaced(t *testing.T) {
 	for _, fault := range []bitflip.Fault{
 		{},

@@ -26,7 +26,6 @@ package propane
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -330,7 +329,7 @@ func (f *ForkRunner) column(tcIdx int, tc TestCase, golden any, t int) *forkColu
 			}
 			return false
 		}}
-		out, err := runFromSafely(f.ft, base.Clone(), NopProbe{}, ctl)
+		out, err := safely(func() (any, error) { return f.ft.RunFrom(base.Clone(), NopProbe{}, ctl) })
 		if err != nil {
 			return
 		}
@@ -416,7 +415,7 @@ func (f *ForkRunner) runForked(tcIdx int, tc TestCase, golden any, j Job) (Recor
 		return false
 	}}
 
-	out, err := runFromSafely(f.ft, col.base.Clone(), probe, ctl)
+	out, err := safely(func() (any, error) { return f.ft.RunFrom(col.base.Clone(), probe, ctl) })
 	f.forked.Add(1)
 
 	rec := probe.record(tc.ID, j.Time)
@@ -451,15 +450,4 @@ func (f *ForkRunner) runForked(tcIdx int, tc TestCase, golden any, j Job) (Recor
 		}
 	}
 	return rec, true
-}
-
-// runFromSafely mirrors runSafely for resumed runs: target panics
-// (legitimately provoked by corrupted values) become errors.
-func runFromSafely(t Forkable, st State, probe Probe, ctl *RunControl) (out any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("propane: target panicked: %v", r)
-		}
-	}()
-	return t.RunFrom(st, probe, ctl)
 }

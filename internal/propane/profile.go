@@ -39,7 +39,7 @@ func ProfileGolden(target Target, spec Spec) ([]VarProfile, error) {
 		probe.maxs[i] = math.Inf(-1)
 	}
 	for _, tc := range target.TestCases(spec.TestCases, spec.Seed) {
-		if _, err := runSafely(target, tc, probe); err != nil {
+		if _, err := safely(func() (any, error) { return target.Run(tc, probe) }); err != nil {
 			return nil, fmt.Errorf("propane: golden profile run %d: %w", tc.ID, err)
 		}
 	}

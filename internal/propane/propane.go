@@ -53,11 +53,11 @@ func (l Location) String() string {
 
 // VarRef is a live reference to one instrumented variable, provided by
 // the target at each instrumentation visit. Read returns a numeric view
-// of the current value (used for state sampling); FlipBit mutates the
-// underlying variable by toggling one bit of its machine representation
-// (the transient fault model). Bits and SetBits expose the raw machine
-// representation, zero-extended to 64 bits — the richer fault models
-// (burst, stuck-at, intermittent) corrupt and re-assert through them.
+// of the current value (used for state sampling). Bits and SetBits
+// expose the raw machine representation, zero-extended to 64 bits:
+// every fault model corrupts through them, XORing its mask into the
+// bits at injection and re-asserting stuck bits later. FlipBit toggles
+// one bit the same way, for probes written outside the engine.
 //
 // A VarRef holds one typed pointer, not closures: building one with an
 // adapter (Float64Ref, Int64Ref, ...) allocates nothing, and neither
@@ -73,13 +73,11 @@ type VarRef struct {
 
 // cell is the variable behind a VarRef, one named pointer type per
 // machine representation. Converting a pointer to one of them and
-// storing it in the interface allocates nothing. flip is the kind's
-// bitflip helper, so FlipBit's range errors are the helpers' own.
+// storing it in the interface allocates nothing.
 type cell interface {
 	read() float64
 	bits() uint64
 	setBits(bits uint64)
-	flip(bit int) error
 }
 
 type (
@@ -93,38 +91,18 @@ type (
 func (p *f64) read() float64       { return float64(*p) }
 func (p *f64) bits() uint64        { return math.Float64bits(float64(*p)) }
 func (p *f64) setBits(bits uint64) { *p = f64(math.Float64frombits(bits)) }
-func (p *f64) flip(bit int) error {
-	x, err := bitflip.Float64Bit(float64(*p), bit)
-	*p = f64(x)
-	return err
-}
 
 func (p *i64) read() float64       { return float64(*p) }
 func (p *i64) bits() uint64        { return uint64(*p) }
 func (p *i64) setBits(bits uint64) { *p = i64(bits) }
-func (p *i64) flip(bit int) error {
-	x, err := bitflip.Int64Bit(int64(*p), bit)
-	*p = i64(x)
-	return err
-}
 
 func (p *i32) read() float64       { return float64(*p) }
 func (p *i32) bits() uint64        { return uint64(uint32(*p)) }
 func (p *i32) setBits(bits uint64) { *p = i32(uint32(bits)) }
-func (p *i32) flip(bit int) error {
-	x, err := bitflip.Int32Bit(int32(*p), bit)
-	*p = i32(x)
-	return err
-}
 
 func (p *u64) read() float64       { return float64(*p) }
 func (p *u64) bits() uint64        { return uint64(*p) }
 func (p *u64) setBits(bits uint64) { *p = u64(bits) }
-func (p *u64) flip(bit int) error {
-	x, err := bitflip.Uint64Bit(uint64(*p), bit)
-	*p = u64(x)
-	return err
-}
 
 func (p *flag) read() float64 { return float64(p.bits()) }
 func (p *flag) bits() uint64 {
@@ -134,11 +112,6 @@ func (p *flag) bits() uint64 {
 	return 0
 }
 func (p *flag) setBits(bits uint64) { *p = bits&1 == 1 }
-func (p *flag) flip(bit int) error {
-	x, err := bitflip.BoolBit(bool(*p), bit)
-	*p = flag(x)
-	return err
-}
 
 // errNoVariable is FlipBit's error on a VarRef that refers to no
 // variable.
@@ -171,13 +144,20 @@ func (v VarRef) SetBits(bits uint64) {
 }
 
 // FlipBit toggles one bit of the variable's machine representation (0 =
-// least significant). A bit outside the kind's width is a
-// *bitflip.BadBitError and leaves the variable unchanged.
+// least significant): the transient fault's mask XORed into its bits,
+// the corruption every fault model applies at injection. A bit outside
+// the kind's width is a *bitflip.BadBitError and leaves the variable
+// unchanged.
 func (v VarRef) FlipBit(bit int) error {
 	if v.ref == nil {
 		return errNoVariable
 	}
-	return v.ref.flip(bit)
+	mask, err := bitflip.Fault{}.Mask(v.Kind, bit)
+	if err != nil {
+		return err
+	}
+	v.ref.setBits(v.ref.bits() ^ mask)
+	return nil
 }
 
 // Float64Ref adapts a *float64 to a VarRef.

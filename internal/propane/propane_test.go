@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -333,50 +334,55 @@ func TestLocationString(t *testing.T) {
 	}
 }
 
+// TestVarRefAdapters: each adapter reads its variable, and FlipBit
+// turns known values into known values and refuses the first bits
+// outside each kind's width, changing nothing.
 func TestVarRefAdapters(t *testing.T) {
-	f := 1.5
-	fr := Float64Ref("f", &f)
-	if fr.Read() != 1.5 {
-		t.Fatal("float read")
+	var (
+		f  = 1.5
+		f1 = 1.0
+		i  int64
+		i2 int64 = 4
+		g        = 2
+		n  int32 = 1
+		u  uint64
+		b  bool
+		f4 float32 = 1
+	)
+	for _, tt := range []struct {
+		ref           VarRef
+		bit           int
+		before, after float64 // the values read around the flip
+	}{
+		{Float64Ref("f", &f), 63, 1.5, -1.5},
+		{Float64Ref("f1", &f1), 52, 1, 0.5},
+		{Int64Ref("i", &i), 63, 0, math.MinInt64},
+		{Int64Ref("i2", &i2), 0, 4, 5},
+		{IntRef("g", &g), 0, 2, 3},
+		{Int32Ref("n", &n), 1, 1, 3},
+		{Int32Ref("n", &n), 31, 3, math.MinInt32 + 3},
+		{Uint64Ref("u", &u), 63, 0, 1 << 63},
+		{BoolRef("b", &b), 0, 0, 1},
+		{BoolRef("b", &b), 0, 1, 0},
+		{Float32Ref("f4", &f4), 31, 1, -1},
+	} {
+		before := tt.ref.Read()
+		if err := tt.ref.FlipBit(tt.bit); err != nil || before != tt.before || tt.ref.Read() != tt.after {
+			t.Errorf("%s bit %d: read %v, FlipBit %v, then read %v; want %v then %v",
+				tt.ref.Name, tt.bit, before, err, tt.ref.Read(), tt.before, tt.after)
+		}
 	}
-	if err := fr.FlipBit(63); err != nil || f != -1.5 {
-		t.Fatalf("float flip: %v %v", err, f)
-	}
-	if err := fr.FlipBit(64); err == nil {
-		t.Fatal("bad bit should error")
-	}
-
-	i := int64(4)
-	ir := Int64Ref("i", &i)
-	if err := ir.FlipBit(0); err != nil || i != 5 || ir.Read() != 5 {
-		t.Fatalf("int64 flip: %v %v", err, i)
-	}
-	if err := ir.FlipBit(64); err == nil {
-		t.Fatal("bad bit should error")
-	}
-
-	n := 2
-	nr := IntRef("n", &n)
-	if err := nr.FlipBit(0); err != nil || n != 3 {
-		t.Fatalf("int flip: %v %v", err, n)
-	}
-
-	var i32 int32 = 1
-	i32r := Int32Ref("i32", &i32)
-	if err := i32r.FlipBit(1); err != nil || i32 != 3 || i32r.Read() != 3 {
-		t.Fatalf("int32 flip: %v %v", err, i32)
-	}
-
-	b := false
-	br := BoolRef("b", &b)
-	if br.Read() != 0 {
-		t.Fatal("bool read")
-	}
-	if err := br.FlipBit(0); err != nil || !b || br.Read() != 1 {
-		t.Fatalf("bool flip: %v %v", err, b)
-	}
-	if err := br.FlipBit(1); err == nil {
-		t.Fatal("bad bool bit should error")
+	var badBit *bitflip.BadBitError
+	for _, ref := range []VarRef{
+		Float64Ref("f", &f), Float32Ref("f4", &f4), Int64Ref("i", &i),
+		Int32Ref("n", &n), Uint64Ref("u", &u), BoolRef("b", &b),
+	} {
+		raw := ref.Bits()
+		for _, bit := range []int{-1, ref.Kind.Bits()} {
+			if err := ref.FlipBit(bit); !errors.As(err, &badBit) || badBit.Bit != bit || ref.Bits() != raw {
+				t.Errorf("%v bit %d: FlipBit %v, bits %#x -> %#x; want a BadBitError and no change", ref.Kind, bit, err, raw, ref.Bits())
+			}
+		}
 	}
 }
 

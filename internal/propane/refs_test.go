@@ -29,81 +29,71 @@ func (p *f32) read() float64       { return float64(*p) }
 func (p *f32) bits() uint64        { return uint64(math.Float32bits(float32(*p))) }
 func (p *f32) setBits(bits uint64) { *p = f32(math.Float32frombits(uint32(bits))) }
 
-func (p *f32) flip(bit int) error {
-	mask, err := bitflip.Fault{}.Mask(bitflip.Float32, bit)
-	if err != nil {
-		return err
-	}
-	p.setBits(p.bits() ^ mask)
-	return nil
-}
-
 func (p *goInt) read() float64       { return float64(*p) }
 func (p *goInt) bits() uint64        { return uint64(int64(*p)) }
 func (p *goInt) setBits(bits uint64) { *p = goInt(int64(bits)) }
-func (p *goInt) flip(bit int) error {
-	x, err := bitflip.Int64Bit(int64(*p), bit)
-	*p = goInt(x)
-	return err
-}
 
 // refCase builds a VarRef of one kind over a fresh variable holding raw
-// bits, and the bitflip oracle for FlipBit on that value: the raw bits
-// after flipping bit, or the helper's error.
+// bits, and the oracle for FlipBit on that value: the raw bits after
+// flipping an in-range bit, computed on the kind's own Go type.
 type refCase struct {
 	kind bitflip.Kind
 	make func(raw uint64) VarRef
-	flip func(raw uint64, bit int) (uint64, error)
+	flip func(raw uint64, bit int) uint64
 }
 
 var refCases = []refCase{
 	{bitflip.Float64, func(raw uint64) VarRef {
 		x := math.Float64frombits(raw)
 		return Float64Ref("v", &x)
-	}, func(raw uint64, bit int) (uint64, error) {
-		y, err := bitflip.Float64Bit(math.Float64frombits(raw), bit)
-		return math.Float64bits(y), err
+	}, func(raw uint64, bit int) uint64 {
+		return math.Float64bits(math.Float64frombits(raw ^ 1<<bit))
 	}},
 	{bitflip.Float32, func(raw uint64) VarRef {
 		x := math.Float32frombits(uint32(raw))
 		return Float32Ref("v", &x)
-	}, func(raw uint64, bit int) (uint64, error) {
-		mask, err := bitflip.Fault{}.Mask(bitflip.Float32, bit)
-		return uint64(uint32(raw)) ^ mask, err
+	}, func(raw uint64, bit int) uint64 {
+		mask, _ := bitflip.Fault{}.Mask(bitflip.Float32, bit)
+		return uint64(uint32(raw)) ^ mask
 	}},
 	{bitflip.Int64, func(raw uint64) VarRef {
 		x := int(int64(raw))
 		return IntRef("v", &x)
-	}, func(raw uint64, bit int) (uint64, error) {
-		y, err := bitflip.Int64Bit(int64(raw), bit)
-		return uint64(y), err
+	}, func(raw uint64, bit int) uint64 {
+		return uint64(int64(raw) ^ int64(1)<<bit)
 	}},
 	{bitflip.Int32, func(raw uint64) VarRef {
 		x := int32(uint32(raw))
 		return Int32Ref("v", &x)
-	}, func(raw uint64, bit int) (uint64, error) {
-		y, err := bitflip.Int32Bit(int32(uint32(raw)), bit)
-		return uint64(uint32(y)), err
+	}, func(raw uint64, bit int) uint64 {
+		x := int32(uint32(raw))
+		if bit == 31 {
+			// The sign bit: the flip toggles MinInt32.
+			return uint64(uint32(x ^ math.MinInt32))
+		}
+		return uint64(uint32(x ^ int32(1)<<bit))
 	}},
 	{bitflip.Uint64, func(raw uint64) VarRef {
 		x := raw
 		return Uint64Ref("v", &x)
-	}, bitflip.Uint64Bit},
+	}, func(raw uint64, bit int) uint64 {
+		return raw ^ 1<<bit
+	}},
 	{bitflip.Bool, func(raw uint64) VarRef {
 		x := raw&1 == 1
 		return BoolRef("v", &x)
-	}, func(raw uint64, bit int) (uint64, error) {
-		y, err := bitflip.BoolBit(raw&1 == 1, bit)
-		if y {
-			return 1, err
+	}, func(raw uint64, _ int) uint64 {
+		if raw&1 == 1 {
+			return 0 // true inverts to false
 		}
-		return 0, err
+		return 1
 	}},
 }
 
-// checkRef holds one VarRef of c's kind over raw to the bitflip
-// helpers at bit: Read and Bits see the value, FlipBit changes the
-// same bits or returns the same error, and SetBits restores it.
+// checkRef holds one VarRef of c's kind over raw to the oracle at bit:
+// Read and Bits see the value, FlipBit changes the oracle's bits or,
+// for a bit outside the kind, returns a BadBitError and changes
+// nothing, and SetBits restores the value.
 func checkRef(t *testing.T, c refCase, raw uint64, bit int) {
 	t.Helper()
 	ref := c.make(raw)
@@ -117,13 +107,13 @@ func checkRef(t *testing.T, c refCase, raw uint64, bit int) {
 	if got, want := ref.Read(), readOracle(c.kind, start); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%v %#x: Read() = %v, want %v", c.kind, start, got, want)
 	}
-	want, wantErr := c.flip(start, bit)
+	want, wantErr := start, error(&bitflip.BadBitError{Kind: c.kind, Bit: bit})
+	if bit >= 0 && bit < c.kind.Bits() {
+		want, wantErr = c.flip(start, bit), nil
+	}
 	err := ref.FlipBit(bit)
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("%v %#x bit %d: FlipBit error %v, want %v", c.kind, start, bit, err, wantErr)
-	}
-	if err != nil {
-		want = start
 	}
 	if got := ref.Bits(); got != want {
 		t.Fatalf("%v %#x bit %d: FlipBit left %#x, want %#x", c.kind, start, bit, got, want)
@@ -155,7 +145,7 @@ func readOracle(kind bitflip.Kind, raw uint64) float64 {
 
 // TestVarRefMatchesBitflip: for all six kinds, every in-range bit and
 // the out-of-range bits on either side, a VarRef's Read, Bits, SetBits
-// and FlipBit agree with the bitflip helpers, errors included.
+// and FlipBit agree with the oracle, errors included.
 func TestVarRefMatchesBitflip(t *testing.T) {
 	raws := []uint64{0, 1, 0x7ff8000000000001, math.Float64bits(-1.5), 0x7fc00001, ^uint64(0), 1 << 63, 0xffffffff}
 	for _, c := range refCases {
